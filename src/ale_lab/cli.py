@@ -63,7 +63,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +111,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, kind, path: str):
-    from .errors import SchemaError
-
-    if key not in mapping:
-        raise SchemaError(f"{path}.{key}: missing required field")
-    value = mapping[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(
-            f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _load_jet_input(path: str):
     import numpy as np
 
@@ -161,7 +147,7 @@ def _load_jet_input(path: str):
         raise SchemaError(f"H: expected shape [4][4][4][4], got {list(h_arr.shape)}")
     try:
         jet = jets.Jet2.from_array(h_arr)
-    except SymmetryError as exc:
+    except (SchemaError, SymmetryError) as exc:
         raise SchemaError(f"H: {exc}") from exc
 
     quartic = None
@@ -175,7 +161,7 @@ def _load_jet_input(path: str):
                 f"H2: expected shape [4][4][4][4][4][4], got {list(h2_arr.shape)}")
         try:
             quartic = jets.Jet4.from_array(h2_arr)
-        except SymmetryError as exc:
+        except (SchemaError, SymmetryError) as exc:
             raise SchemaError(f"H2: {exc}") from exc
 
     overrides = None
@@ -350,9 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "k", 1) < 1:
         print("configuration error: --k must be >= 1", file=sys.stderr)
         return 2
-    if getattr(args, "lam", 1.0) <= 0:
-        print("configuration error: --lambda must be positive", file=sys.stderr)
-        return 2
+    for flag, value in (("--lambda", getattr(args, "lam", 1.0)),
+                        ("--tol", getattr(args, "tol", 1.0))):
+        if not (math.isfinite(value) and value > 0):
+            print(f"configuration error: {flag} must be finite and positive, "
+                  f"got {value!r}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

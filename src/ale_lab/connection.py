@@ -25,7 +25,7 @@ constant-curvature jet and a conformal non-Einstein oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,10 +38,9 @@ from .forms import (
     J_from_form,
     apply_J_covector,
     comps_to_tensor,
-    form_inner,
     hodge_star,
     metric_from_triple,
-    split_sd,
+    project_stack,
     wedge,
 )
 
@@ -81,28 +80,26 @@ class CurvatureBlock:
 
 def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
     """Orthonormal duality frame (rows, <b_i,b_i> = 2) by Gram-Schmidt of
-    the projected flat basis; deterministic and smooth in the metric."""
+    the projected flat basis; deterministic and smooth in the metric.
+
+    Gram-Schmidt in this order is the Cholesky factor L of the Gram
+    matrix of the projections: frame = sqrt(2) L^{-1} projections."""
     seeds = OMEGA_SD if duality == "sd" else OMEGA_ASD
     sign = 1.0 if duality == "sd" else -1.0
-    rows = []
-    for i in range(3):
-        starred = hodge_star(metric, seeds[i], 2)
-        cand = 0.5 * (seeds[i] + sign * starred)
-        for prev in rows:
-            cand = cand - 0.5 * form_inner(metric, cand, prev, 2) * prev
-        norm_sq = form_inner(metric, cand, cand, 2)
-        if norm_sq <= 1e-12:
-            raise FrameNotOrthonormal(
-                f"projected flat basis degenerate for duality {duality!r}"
-            )
-        rows.append(cand * np.sqrt(2.0 / norm_sq))
-    return np.stack(rows)
+    cands = 0.5 * (seeds + sign * hodge_star(metric, seeds, 2))
+    try:
+        chol = np.linalg.cholesky(2.0 * project_stack(metric, cands, cands))
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or np.min(np.diag(chol)) ** 2 <= 1e-12:
+        raise FrameNotOrthonormal(
+            f"projected flat basis degenerate for duality {duality!r}"
+        )
+    return np.sqrt(2.0) * np.linalg.solve(chol, cands)
 
 
 def check_frame(metric: np.ndarray, triple: np.ndarray, tol: float = 1e-8) -> None:
-    gram = np.array(
-        [[form_inner(metric, triple[i], triple[j], 2) for j in range(3)] for i in range(3)]
-    )
+    gram = 2.0 * project_stack(metric, triple, triple)
     dev = float(np.max(np.abs(gram - 2.0 * np.eye(3))))
     if dev > tol:
         raise FrameNotOrthonormal(f"frame Gram deviation {dev:.3e} exceeds {tol:.1e}")
@@ -194,12 +191,8 @@ def decompose_curvature(
     g = np.asarray(metric, dtype=float)
     sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
     asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
-    rp = np.array(
-        [[0.5 * form_inner(g, rforms[k], sd[j], 2) for j in range(3)] for k in range(3)]
-    )
-    rm = np.array(
-        [[0.5 * form_inner(g, rforms[k], asd[j], 2) for j in range(3)] for k in range(3)]
-    )
+    rp = project_stack(g, rforms, sd)
+    rm = project_stack(g, rforms, asd)
     return CurvatureBlock(Rplus=rp, Rminus=rm, scal=float(-4.0 * np.trace(rp)))
 
 
@@ -216,19 +209,10 @@ def operator_blocks_from_riemann(
     sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
     asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
 
-    def up(comps: np.ndarray) -> np.ndarray:
-        w = comps_to_tensor(comps, 2)
-        return ginv @ w @ ginv.T
-
-    sd_up = [up(sd[i]) for i in range(3)]
-    asd_up = [up(asd[i]) for i in range(3)]
-    block = lambda rows, cols: np.array(
-        [
-            [np.einsum("abcd,ab,cd->", riemann_low, rows[i], cols[j]) / 8.0 for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    return block(sd_up, sd_up), block(sd_up, asd_up), block(asd_up, asd_up)
+    # raise both indices of every basis form, then contract pairwise
+    up = (ginv @ comps_to_tensor(np.vstack([sd, asd]), 2) @ ginv.T).reshape(6, 16)
+    full = up @ np.asarray(riemann_low, dtype=float).reshape(16, 16) @ up.T / 8.0
+    return full[:3, :3], full[:3, 3:], full[3:, 3:]
 
 
 def curvature_block_of_metric(

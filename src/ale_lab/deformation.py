@@ -45,9 +45,9 @@ from .forms import (
     FormField,
     J_from_form,
     apply_J_covector,
-    form_inner,
     hodge_star,
     metric_from_triple,
+    project_stack,
     split_sd,
     tensor_to_comps,
     wedge,
@@ -63,17 +63,6 @@ _J_ASD_FLAT = [J_from_form(EUCLIDEAN, OMEGA_ASD[i]) for i in range(3)]
 def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """(3, 6) anti-self-dual component stack from a 3x3 coefficient matrix."""
     return np.asarray(coeffs, dtype=float) @ OMEGA_ASD
-
-
-def coeffs_from_phi_comps(comps: np.ndarray) -> np.ndarray:
-    """Invert phi_comps_from_coeffs using <wt_i, wt_j> = 2 delta_ij."""
-    comps = np.asarray(comps, dtype=float)
-    return np.array(
-        [
-            [0.5 * form_inner(np.eye(4), comps[i], OMEGA_ASD[j], 2) for j in range(3)]
-            for i in range(3)
-        ]
-    )
 
 
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -210,23 +199,11 @@ def bracket_minus(a_values: np.ndarray) -> np.ndarray:
 
 def asd_block(stack: np.ndarray) -> np.ndarray:
     """Components of a (3, 6) 2-form stack on the flat anti-self-dual basis."""
-    stack = np.asarray(stack, dtype=float)
-    return np.array(
-        [
-            [0.5 * form_inner(np.eye(4), stack[k], OMEGA_ASD[j], 2) for j in range(3)]
-            for k in range(3)
-        ]
-    )
+    return project_stack(EUCLIDEAN, stack, OMEGA_ASD)
 
 
 def sd_block(stack: np.ndarray) -> np.ndarray:
-    stack = np.asarray(stack, dtype=float)
-    return np.array(
-        [
-            [0.5 * form_inner(np.eye(4), stack[k], OMEGA_SD[j], 2) for j in range(3)]
-            for k in range(3)
-        ]
-    )
+    return project_stack(EUCLIDEAN, stack, OMEGA_SD)
 
 
 def ric0_second_order(
@@ -306,14 +283,47 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray,
     through the same identification used to build h.
     """
     x = np.asarray(x, dtype=float)
-    pred = np.zeros((4, 4))
-    for i in range(3):
-        phi_i = lambda y, i=i: phi_comps_from_coeffs(coeff(y))[i]
-        pc = d_minus_codifferential(phi_i, x, h)
-        row = np.array([0.5 * form_inner(np.eye(4), pc, OMEGA_ASD[j], 2) for j in range(3)])
-        for j in range(3):
-            pred += row[j] * _EIJ[i][j]
-    return pred
+    rows = [
+        asd_block(d_minus_codifferential(
+            lambda y, i=i: phi_comps_from_coeffs(coeff(y))[i], x, h))
+        for i in range(3)
+    ]
+    return metric_perturbation_from_coeffs(np.array(rows))
+
+
+_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(p, 4)]
+_DIV_POINTS = [np.zeros(4)] + [np.eye(4)[a] for a in range(4)] + [
+    np.array([0.3, -0.7, 0.4, 0.9]), np.array([-1.1, 0.2, -0.5, 0.6]),
+]
+_EFO_CONSTRAINTS: np.ndarray | None = None
+
+
+def _polynomial_field(vec: np.ndarray, degree: int) -> MatrixField:
+    """C(x) = sum_n vec[i, j, n] m_n(x) over the monomials x_a (degree 1)
+    or x_p x_q with p <= q (degree 2)."""
+    v = vec.reshape(3, 3, -1)
+
+    def coeff(x: np.ndarray) -> np.ndarray:
+        if degree == 1:
+            vals = np.array([x[a] for a in range(4)])
+        else:
+            vals = np.array([x[p] * x[q] for p, q in _QUAD_PAIRS])
+        return np.einsum("ijn,n->ij", v, vals)
+
+    return coeff
+
+
+def _divergence_samples(coeff: MatrixField) -> np.ndarray:
+    """d_a h_ab for h = map(C) at fixed sample points, concatenated.
+
+    The centered stencil of step 0.25 differentiates polynomial
+    coefficients of degree <= 2 exactly, so these samples express the
+    constraint delta h = 0 as a linear map on the coefficient vector.
+    """
+    h_field = lambda y: metric_perturbation_from_coeffs(coeff(y))
+    return np.concatenate(
+        [np.einsum("aab->b", fd.all_partials(h_field, p, 0.25)) for p in _DIV_POINTS]
+    )
 
 
 def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
@@ -322,45 +332,15 @@ def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
     degree 1: linear coefficients (constant a^(1), vanishing R^(1));
     degree 2: homogeneous quadratic coefficients.
     """
-    if degree == 1:
-        mono = [lambda x, a=a: x[a] for a in range(4)]
-        nmono = 4
-    elif degree == 2:
-        pairs = [(p, q) for p in range(4) for q in range(p, 4)]
-        mono = [lambda x, p=p, q=q: x[p] * x[q] for p, q in pairs]
-        nmono = len(pairs)
-    else:
+    if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-
+    nmono = 4 if degree == 1 else len(_QUAD_PAIRS)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(3, 3, nmono))
 
-    # delta h = 0: -d_a h_ac = 0 for all x. Build the linear constraint map
-    # on the coefficient vector by differentiating monomials symbolically
-    # through finite differences of the monomial basis (exact for
-    # polynomials of degree <= 2 with the centered stencil).
-    def make_field(vec: np.ndarray) -> MatrixField:
-        v = vec.reshape(3, 3, nmono)
-        def coeff(x: np.ndarray) -> np.ndarray:
-            vals = np.array([m(x) for m in mono])
-            return np.einsum("ijn,n->ij", v, vals)
-        return coeff
-
-    def divergence_samples(vec: np.ndarray) -> np.ndarray:
-        coeff = make_field(vec)
-        h_field = lambda y: metric_perturbation_from_coeffs(coeff(y))
-        pts = [np.zeros(4)] + [np.eye(4)[a] for a in range(4)] + [
-            np.array([0.3, -0.7, 0.4, 0.9]), np.array([-1.1, 0.2, -0.5, 0.6]),
-        ]
-        rows = []
-        for p in pts:
-            dh = fd.all_partials(h_field, p, 0.25)
-            rows.append(np.einsum("aab->b", dh))
-        return np.concatenate(rows)
-
     n = 9 * nmono
     basis = np.eye(n)
-    cols = [divergence_samples(basis[i]) for i in range(n)]
+    cols = [_divergence_samples(_polynomial_field(basis[i], degree)) for i in range(n)]
     amat = np.stack(cols, axis=1)
     _, s, vt = np.linalg.svd(amat)
     rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
@@ -370,7 +350,7 @@ def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("gauge projection annihilated the sample")
-    return make_field(vec / norm)
+    return _polynomial_field(vec / norm, degree)
 
 
 def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
@@ -393,47 +373,23 @@ def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
     return TripleFamily(lam=lambda x: float(-(csum @ x)), coeff=coeff)
 
 
-_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(p, 4)]
-_EFO_CONSTRAINTS: np.ndarray | None = None
-
-
-def _quadratic_field_of(vec: np.ndarray) -> MatrixField:
-    v = vec.reshape(3, 3, len(_QUAD_PAIRS))
-
-    def coeff(x: np.ndarray) -> np.ndarray:
-        vals = np.array([x[p] * x[q] for p, q in _QUAD_PAIRS])
-        return np.einsum("ijn,n->ij", v, vals)
-
-    return coeff
-
-
 def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
     perturbation and vanishing anti-self-dual part of d a^(1)."""
     global _EFO_CONSTRAINTS
     if _EFO_CONSTRAINTS is not None:
         return _EFO_CONSTRAINTS
-    pts = [np.zeros(4)] + [np.eye(4)[a] for a in range(4)] + [
-        np.array([0.3, -0.7, 0.4, 0.9]), np.array([-1.1, 0.2, -0.5, 0.6]),
-    ]
 
     def rows_of(vec: np.ndarray) -> np.ndarray:
-        coeff = _quadratic_field_of(vec)
-        h_field = lambda y: metric_perturbation_from_coeffs(coeff(y))
-        rows = []
-        for p in pts:
-            dh = fd.all_partials(h_field, p, 0.25)
-            rows.append(np.einsum("aab->b", dh))
+        coeff = _polynomial_field(vec, 2)
+        rows = [_divergence_samples(coeff)]
         phi = lambda x: phi_comps_from_coeffs(coeff(x))
         a1 = lambda x: star_d_phi(phi, x)
         da = fd.all_partials(a1, np.zeros(4), 0.25)
         for i in range(3):
-            two_form = np.zeros((4, 4))
-            for a in range(4):
-                for b in range(4):
-                    two_form[a, b] = da[a, i, b] - da[b, i, a]
-            _, minus = split_sd(np.eye(4), tensor_to_comps(two_form, 2))
-            rows.append(np.asarray(minus).ravel())
+            two_form = da[:, i, :] - da[:, i, :].T
+            _, minus = split_sd(EUCLIDEAN, tensor_to_comps(two_form, 2))
+            rows.append(minus)
         return np.concatenate(rows)
 
     n = 9 * len(_QUAD_PAIRS)
@@ -455,7 +411,7 @@ def einstein_first_order_family(seed: int, quad_scale: float = 0.6,
     rng = np.random.default_rng(seed)
     q = rng.normal(size=amat.shape[1]) * quad_scale
     sol, *_ = np.linalg.lstsq(amat, amat @ q, rcond=None)
-    cquad = _quadratic_field_of(q - sol)
+    cquad = _polynomial_field(q - sol, 2)
 
     lin = linear_gauged_family(seed + 1, scale=lin_scale)
     lin_coeff, lin_lam = lin.coeff, lin.lam

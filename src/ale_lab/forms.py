@@ -6,6 +6,17 @@ is (01, 02, 03, 12, 13, 23).  All metric-dependent operations take the
 metric as an explicit 4x4 matrix so the same code serves the flat chart
 and curved charts alike.
 
+Metric operations go through fixed index tables built once at import:
+  - the p-th compound C_p(A) of a 4x4 matrix A is the matrix of its
+    p x p minors, C_p(A)[I, J] = det A[I, J] over sorted tuples I, J;
+    the induced inner product of p-forms is <a, b> = a . C_p(g^{-1}) . b;
+  - the complement table sends each sorted (4-p)-tuple K to the index of
+    its sorted complement I with the sign eps(I, K) of the permutation
+    (I, K), so (*a)_K = sqrt(det g) eps(I, K) (C_p(g^{-1}) a)_I;
+  - comps_to_tensor scatters components into the full antisymmetric
+    array, and tensor_to_comps gathers them back, through one index and
+    sign table per degree.
+
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
     w3 = e03+e12 (anti-self-dual partners flip the second sign), with
@@ -37,22 +48,6 @@ TUPLE_INDEX: dict[int, dict[tuple[int, ...], int]] = {
 }
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((DIM,) * DIM)
-    for perm in itertools.permutations(range(DIM)):
-        sign = 1
-        for a in range(DIM):
-            for b in range(a + 1, DIM):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-EPS4 = _levi_civita()
-EPS4.setflags(write=False)
-
-
 def _perm_sign(seq: tuple[int, ...]) -> int:
     sign = 1
     for a in range(len(seq)):
@@ -62,25 +57,80 @@ def _perm_sign(seq: tuple[int, ...]) -> int:
     return sign
 
 
-def comps_to_tensor(comps: np.ndarray, degree: int) -> np.ndarray:
-    """Expand sorted-tuple coefficients into a full antisymmetric array."""
-    comps = np.asarray(comps, dtype=float)
-    if degree == 0:
-        return np.asarray(comps).reshape(())
-    out = np.zeros((DIM,) * degree)
-    for idx, tup in enumerate(TUPLES[degree]):
-        c = comps[idx]
-        if c == 0.0:
-            continue
-        for perm in itertools.permutations(tup):
-            out[perm] = c * _perm_sign(perm)
+def _flat_index(idx: tuple[int, ...]) -> int:
+    out = 0
+    for i in idx:
+        out = out * DIM + i
     return out
 
 
+def _scatter_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat position, source component, sign) of every nonzero entry of
+    the full antisymmetric degree-p array."""
+    entries = [
+        (_flat_index(perm), idx, _perm_sign(perm))
+        for idx, tup in enumerate(TUPLES[p])
+        for perm in itertools.permutations(tup)
+    ]
+    flat, src, sign = zip(*entries)
+    return np.array(flat), np.array(src), np.array(sign, dtype=float)
+
+
+def _compound_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices (I, J, permutation, slot) and permutation
+    signs of the Leibniz expansion of every p x p minor."""
+    perms = list(itertools.permutations(range(p)))
+    n = DEGREE_SIZES[p]
+    rows = np.empty((n, n, len(perms), p), dtype=int)
+    cols = np.empty_like(rows)
+    for i, tup_i in enumerate(TUPLES[p]):
+        for j, tup_j in enumerate(TUPLES[p]):
+            for s, perm in enumerate(perms):
+                rows[i, j, s] = tup_i
+                cols[i, j, s] = [tup_j[k] for k in perm]
+    return rows, cols, np.array([_perm_sign(perm) for perm in perms], dtype=float)
+
+
+def _complement_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each sorted (4-p)-tuple K: the index of its sorted complement I
+    among the p-tuples and the sign of the permutation (I, K)."""
+    idx, sign = [], []
+    for tup in TUPLES[DIM - p]:
+        comp = tuple(i for i in range(DIM) if i not in tup)
+        idx.append(TUPLE_INDEX[p][comp])
+        sign.append(_perm_sign(comp + tup))
+    return np.array(idx), np.array(sign, dtype=float)
+
+
+_SCATTER = {p: _scatter_table(p) for p in range(DIM + 1)}
+_GATHER = {p: np.array([_flat_index(t) for t in TUPLES[p]]) for p in range(DIM + 1)}
+_COMPOUND = {p: _compound_table(p) for p in range(DIM + 1)}
+_COMPLEMENT = {p: _complement_table(p) for p in range(DIM + 1)}
+
+
+def comps_to_tensor(comps: np.ndarray, degree: int) -> np.ndarray:
+    """Expand sorted-tuple coefficients (..., n) into full antisymmetric
+    arrays (..., 4, ..., 4)."""
+    comps = np.asarray(comps, dtype=float)
+    flat, src, sign = _SCATTER[degree]
+    lead = comps.shape[:-1]
+    out = np.zeros(lead + (DIM**degree,))
+    out[..., flat] = sign * comps[..., src]
+    return out.reshape(lead + (DIM,) * degree)
+
+
 def tensor_to_comps(tensor: np.ndarray, degree: int) -> np.ndarray:
-    if degree == 0:
-        return np.asarray([float(tensor)])
-    return np.asarray([tensor[t] for t in TUPLES[degree]], dtype=float)
+    tensor = np.asarray(tensor, dtype=float)
+    lead = tensor.shape[: tensor.ndim - degree]
+    return tensor.reshape(lead + (DIM**degree,))[..., _GATHER[degree]]
+
+
+def compound(matrix: np.ndarray, p: int) -> np.ndarray:
+    """p-th compound of (..., 4, 4) matrices: the p x p minors, rows and
+    columns ordered like TUPLES[p]."""
+    rows, cols, signs = _COMPOUND[p]
+    entries = np.asarray(matrix, dtype=float)[..., rows, cols]
+    return (entries.prod(axis=-1) * signs).sum(axis=-1)
 
 
 def _wedge_table(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -113,39 +163,36 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, float]:
+    """g^{-1} and det g, after checking that det g is finite and positive."""
     g = np.asarray(metric, dtype=float)
     det = float(np.linalg.det(g))
     if det <= 0.0 or not np.isfinite(det):
         raise SingularMetric(f"det g = {det}")
-    return g, np.linalg.inv(g), det
+    return np.linalg.inv(g), det
 
 
 def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
-    """Hodge dual of a degree-p component vector for the given metric."""
-    g, ginv, det = _check_metric(metric)
-    t = comps_to_tensor(comps, degree)
-    for axis in range(degree):
-        t = np.tensordot(ginv, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
-    # contract the p raised slots against the first p slots of epsilon
-    axes = list(range(degree))
-    out = np.tensordot(t, EPS4, axes=(axes, axes)) if degree else t * EPS4
-    out = out * (math.sqrt(det) / math.factorial(degree))
-    return tensor_to_comps(out, DIM - degree)
+    """Hodge dual of degree-p component vectors (one, or a stack on the
+    leading axes) for the given metric."""
+    ginv, det = _check_metric(metric)
+    idx, sign = _COMPLEMENT[degree]
+    star = math.sqrt(det) * sign[:, None] * compound(ginv, degree)[idx]
+    return np.asarray(comps, dtype=float) @ star.T
 
 
 def form_inner(metric: np.ndarray, a: np.ndarray, b: np.ndarray, degree: int) -> float:
     """Pointwise inner product <a, b> = a_I b^I / p! for degree-p forms."""
-    _, ginv, _ = _check_metric(metric)
-    ta = comps_to_tensor(a, degree)
-    tb = comps_to_tensor(b, degree)
-    for axis in range(degree):
-        tb = np.tensordot(ginv, tb, axes=([1], [axis]))
-        tb = np.moveaxis(tb, 0, axis)
-    if degree == 0:
-        return float(ta * tb)
-    return float(np.tensordot(ta, tb, axes=degree) / math.factorial(degree))
+    ginv, _ = _check_metric(metric)
+    return float(np.asarray(a, dtype=float) @ compound(ginv, degree) @ np.asarray(b, dtype=float))
+
+
+def project_stack(metric: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
+    with <b_i, b_j> = 2 delta_ij; stack may be one form or a stack."""
+    ginv, _ = _check_metric(metric)
+    stack = np.asarray(stack, dtype=float)
+    return 0.5 * stack @ compound(ginv, 2) @ np.asarray(basis, dtype=float).T
 
 
 def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +227,8 @@ EUCLIDEAN.setflags(write=False)
 
 def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible."""
-    g, ginv, _ = _check_metric(metric)
-    w = comps_to_tensor(comps, 2)
-    return ginv @ w.T
+    ginv, _ = _check_metric(metric)
+    return ginv @ comps_to_tensor(comps, 2).T
 
 
 def form_from_J(metric: np.ndarray, jmat: np.ndarray) -> np.ndarray:
@@ -205,9 +251,8 @@ def metric_from_triple(
     Uses J1 = W3^{-1} W2 (exact for a compatible quaternionic triple),
     then g = W1 J1, rescaled so |c1|^2 = 2.
     """
-    w1 = comps_to_tensor(c1, 2)
-    w2 = comps_to_tensor(c2, 2)
-    w3 = comps_to_tensor(c3, 2)
+    triple = np.asarray([c1, c2, c3], dtype=float)
+    w1, w2, w3 = comps_to_tensor(triple, 2)
     try:
         j1 = np.linalg.solve(w3, w2)
     except np.linalg.LinAlgError as exc:
@@ -222,17 +267,15 @@ def metric_from_triple(
     g = (g + g.T) / 2.0
     if np.trace(g) < 0:
         g = -g
-    norm1 = form_inner(g, c1, c1, 2)
+    gram = 2.0 * project_stack(g, triple, triple)
+    norm1 = gram[0, 0]
     if norm1 <= 0:
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")
+    # rescaling g by s scales 2-form inner products by 1/s^2
     g = g * math.sqrt(norm1 / 2.0)
-    gram = np.array(
-        [[form_inner(g, a, b, 2) for b in (c1, c2, c3)] for a in (c1, c2, c3)]
-    )
-    if np.max(np.abs(gram - 2.0 * np.eye(3))) > tol:
-        raise FrameNotOrthonormal(
-            f"triple Gram matrix off by {np.max(np.abs(gram - 2.0 * np.eye(3))):.2e}"
-        )
+    dev = float(np.max(np.abs(gram * (2.0 / norm1) - 2.0 * np.eye(3))))
+    if dev > tol:
+        raise FrameNotOrthonormal(f"triple Gram matrix off by {dev:.2e}")
     return g
 
 

@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import fd
 from .errors import (
     CenterTooClose,
     OnDiracString,
     QuadratureDivergence,
     SchemaError,
 )
-from .forms import J_from_form, apply_J_covector, tensor_to_comps, wedge
+from .forms import J_from_form, apply_J_covector, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
 
@@ -67,11 +66,23 @@ class GHConfig:
         if self.k == 0:
             if len(self.centers) != 1 or self.centers[0][1] != 1:
                 raise SchemaError("k=0 is reserved for the single-center oracle")
-            return
-        if self.k < 1:
+        elif self.k < 1:
             raise SchemaError(f"k must be >= 1, got {self.k}")
-        if not self.lam > 0:
-            raise SchemaError(f"lambda must be > 0, got {self.lam}")
+        elif not (math.isfinite(self.lam) and self.lam > 0):
+            raise SchemaError(f"lambda must be finite and > 0, got {self.lam}")
+        for idx, (pos, n) in enumerate(self.centers):
+            if not np.all(np.isfinite(np.asarray(pos, dtype=float))):
+                raise SchemaError(f"centers[{idx}]: position {pos} is not finite")
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise SchemaError(f"centers[{idx}]: weight must be a positive integer, got {n!r}")
+        positions = self.positions
+        for i in range(len(positions)):
+            for j in range(i):
+                if np.array_equal(positions[i], positions[j]):
+                    raise SchemaError(
+                        f"centers[{i}]: coincides with centers[{j}] at {positions[i]}")
+        if self.k == 0:
+            return
         total = sum(n for _, n in self.centers)
         if total != self.k + 1:
             raise SchemaError(
@@ -195,20 +206,29 @@ def validate_base(config: GHConfig, x3: np.ndarray, patch: str | None = None) ->
             )
 
 
+def potential(config: GHConfig, pts: np.ndarray) -> np.ndarray:
+    """Harmonic potential (1/2) sum n_i / |x - p_i| at base points (..., 3),
+    without domain checks."""
+    dists = np.linalg.norm(np.asarray(pts, dtype=float)[..., None, :] - config.positions, axis=-1)
+    return 0.5 * np.sum(config.weights / dists, axis=-1)
+
+
 def eval_V(config: GHConfig, x3: np.ndarray) -> float:
-    """Harmonic potential (1/2) sum n_i / |x - p_i|."""
-    x3 = np.asarray(x3, dtype=float)
+    """Harmonic potential at one base point, after domain validation."""
     validate_base(config, x3)
-    dists = _center_distances(config, x3)
-    return float(0.5 * np.sum(config.weights / dists))
+    return float(potential(config, x3))
+
+
+def potential_grad(config: GHConfig, pts: np.ndarray) -> np.ndarray:
+    """Gradient of the potential at base points (..., 3), without domain checks."""
+    diff = np.asarray(pts, dtype=float)[..., None, :] - config.positions
+    dist = np.linalg.norm(diff, axis=-1)
+    return -0.5 * np.einsum("c,...cd->...d", config.weights, diff / dist[..., None] ** 3)
 
 
 def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    x3 = np.asarray(x3, dtype=float)
     validate_base(config, x3)
-    diff = x3[None, :] - config.positions
-    dists = np.linalg.norm(diff, axis=1)
-    return -0.5 * np.einsum("i,ij->j", config.weights / dists**3, diff)
+    return potential_grad(config, x3)
 
 
 def eval_eta(config: GHConfig, p: ChartPoint) -> np.ndarray:
@@ -237,16 +257,19 @@ def eta4(config: GHConfig, p: ChartPoint) -> np.ndarray:
     return np.array([a[0], a[1], a[2], 1.0])
 
 
-def metric_matrix(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.ndarray:
-    """Chart-coordinate metric V dx.dx + V^{-1} eta^2 at a 4D point."""
-    x4 = np.asarray(x4, dtype=float)
-    p = ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-    v = eval_V(config, p.x3)
-    eta = eta4(config, p)
+def _metric_from(v: float, eta: np.ndarray) -> np.ndarray:
+    """V dx.dx + V^{-1} eta^2 from the potential and the 4D covector eta."""
     g = np.zeros((4, 4))
     g[:3, :3] = v * np.eye(3)
     g += np.outer(eta, eta) / v
     return g
+
+
+def metric_matrix(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.ndarray:
+    """Chart-coordinate metric V dx.dx + V^{-1} eta^2 at a 4D point."""
+    x4 = np.asarray(x4, dtype=float)
+    p = ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
+    return _metric_from(eval_V(config, p.x3), eta4(config, p))
 
 
 def metric_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
@@ -265,22 +288,27 @@ class FrameSample:
     J: np.ndarray  # stack of three 4x4 matrices
 
 
+def form_triple(v: float, eta: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """w_i = dx^i ^ eta + sign V dx^j ^ dx^k (cyclic) as a (3, 6) stack:
+    the self-dual triple for sign +1, the anti-self-dual one for -1."""
+    dx = np.eye(4)
+    out = np.zeros((3, 6))
+    for i in range(3):
+        j, kk = (i + 1) % 3, (i + 2) % 3
+        out[i] = wedge(dx[i], 1, eta, 1) + sign * v * wedge(dx[j], 1, dx[kk], 1)
+    return out
+
+
 def metric_at(config: GHConfig, p: ChartPoint) -> FrameSample:
     v = eval_V(config, p.x3)
     eta = eta4(config, p)
-    g = np.zeros((4, 4))
-    g[:3, :3] = v * np.eye(3)
-    g += np.outer(eta, eta) / v
+    g = _metric_from(v, eta)
     sqv = math.sqrt(v)
     coframe = np.zeros((4, 4))
     for i in range(3):
         coframe[i, i] = sqv
     coframe[3] = eta / sqv
-    dx = np.eye(4)
-    triple = np.zeros((3, 6))
-    for i in range(3):
-        j, kk = (i + 1) % 3, (i + 2) % 3
-        triple[i] = wedge(dx[i], 1, eta, 1) + v * wedge(dx[j], 1, dx[kk], 1)
+    triple = form_triple(v, eta)
     jmats = np.stack([J_from_form(g, triple[i]) for i in range(3)])
     return FrameSample(point=p, coframe=coframe, metric=g, triple=triple, J=jmats)
 

@@ -29,57 +29,30 @@ import numpy as np
 
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, TailDominance
-from .forms import FormField, apply_J_covector, form_inner, split_sd
+from .forms import FormField, apply_J_covector, split_sd
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, gh_volume_integral
 
 
 # ---------------------------------------------------------------------------
-# Vectorized base-potential helpers ((N, 3) arrays of base points)
+# Vectorized helpers for f = V0 / V ((N, 3) arrays of base points)
 # ---------------------------------------------------------------------------
 
 
-def _centers(config: gh.GHConfig) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.array(config.positions, dtype=float)
-    wts = np.array(config.weights, dtype=float)
-    return pos, wts
-
-
-def vec_V(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    pos, wts = _centers(config)
-    diff = pts[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    return 0.5 * np.sum(wts[None, :] / dist, axis=1)
-
-
-def vec_grad_V(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    pos, wts = _centers(config)
-    diff = pts[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    return -0.5 * np.einsum("c,ncd->nd", wts, diff / dist[:, :, None] ** 3)
-
-
 def _first_center_potential(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    pos, wts = _centers(config)
-    diff = pts - pos[0]
-    dist = np.linalg.norm(diff, axis=1)
-    return 0.5 * wts[0] / dist
+    dist = np.linalg.norm(pts - config.p0, axis=1)
+    return 0.5 * config.weights[0] / dist
 
 
 def _first_center_grad(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    pos, wts = _centers(config)
-    diff = pts - pos[0]
+    diff = pts - config.p0
     dist = np.linalg.norm(diff, axis=1)
-    return -0.5 * wts[0] * diff / dist[:, None] ** 3
-
-
-def vec_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    return _first_center_potential(config, pts) / vec_V(config, pts)
+    return -0.5 * config.weights[0] * diff / dist[:, None] ** 3
 
 
 def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    v = vec_V(config, pts)
+    v = gh.potential(config, pts)
     v0 = _first_center_potential(config, pts)
-    gv = vec_grad_V(config, pts)
+    gv = gh.potential_grad(config, pts)
     gv0 = _first_center_grad(config, pts)
     return (gv0 * v[:, None] - v0[:, None] * gv) / v[:, None] ** 2
 
@@ -93,20 +66,6 @@ def grad_f_at(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def asd_triple(config: gh.GHConfig, p: gh.ChartPoint) -> np.ndarray:
-    """wt_i = dx^i ^ eta - V dx^j ^ dx^k as a (3, 6) component stack."""
-    v = gh.eval_V(config, p.x3)
-    eta = gh.eta4(config, p)
-    out = np.zeros((3, 6))
-    from .forms import wedge  # local import to keep module header light
-
-    basis = np.eye(4)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out[i] = wedge(basis[i], 1, eta, 1) - v * wedge(basis[j], 1, basis[k], 1)
-    return out
-
-
 @dataclass
 class HarmonicFormBundle:
     """Normalized decaying anti-self-dual harmonic 2-form."""
@@ -118,7 +77,8 @@ class HarmonicFormBundle:
 
     def components(self, p: gh.ChartPoint) -> np.ndarray:
         grad = grad_f_at(self.config, np.array(p.x3))
-        triple = asd_triple(self.config, p)
+        v = gh.eval_V(self.config, p.x3)
+        triple = gh.form_triple(v, gh.eta4(self.config, p), -1.0)
         return self.normalization * np.einsum("i,ic->c", grad, triple)
 
     def field(self, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
@@ -148,13 +108,16 @@ def c_gamma(k: int, lam: float) -> float:
     return (k + 1) ** 2 * lam
 
 
+def _raw_sigma_integral(config: gh.GHConfig, order: int) -> float:
+    """Core-surface integral of Omega_raw, whose pullback is (d_1 f) dx1 ^ dtau."""
+    return gh.sigma_integrate(
+        config, lambda x1: grad_f_at(config, np.array([x1, 0.0, 0.0]))[0], order=order
+    )
+
+
 def build_omega(config: gh.GHConfig, order: int = 96) -> HarmonicFormBundle:
     """Normalize the raw form by quadrature of its core-surface integral."""
-
-    def integrand(x1: float) -> float:
-        return grad_f_at(config, np.array([x1, 0.0, 0.0]))[0]
-
-    raw = gh.sigma_integrate(config, integrand, order=order)
+    raw = _raw_sigma_integral(config, order)
     if not np.isfinite(raw) or abs(raw) < 1e-10:
         raise NormalizationFailure(
             f"degenerate core-surface integral {raw!r} for the raw harmonic form"
@@ -211,12 +174,7 @@ def omega_norm(
 
 def sigma_omega_integral(bundle: HarmonicFormBundle, order: int = 96) -> float:
     """Quadrature of the normalized form over the core surface."""
-    cfg = bundle.config
-
-    def integrand(x1: float) -> float:
-        return grad_f_at(cfg, np.array([x1, 0.0, 0.0]))[0]
-
-    return bundle.normalization * gh.sigma_integrate(cfg, integrand, order=order)
+    return bundle.normalization * _raw_sigma_integral(bundle.config, order)
 
 
 def s_ratio(config: gh.GHConfig, order: int = 96) -> float:
@@ -511,14 +469,6 @@ def intersection_pairing_residual(
     return abs(lhs - rhs) / abs(rhs)
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    inside = (s > 0.0) & (s < 1.0)
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (si * (1.0 - si)))
-    return out
-
-
 def _bump_prime(s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)
     inside = (s > 0.0) & (s < 1.0)
@@ -557,7 +507,7 @@ def exact_form_pairing_residual(
         bvec = np.cross(xhat, e2[None, :]) * chi_p[:, None]
         grad = vec_grad_f(cfg, pts)
         dens = -bundle.normalization * np.sum(grad * bvec, axis=1)
-        return dens / vec_V(cfg, pts)
+        return dens / gh.potential(cfg, pts)
 
     def absolute(pts: np.ndarray) -> np.ndarray:
         return np.abs(signed(pts))

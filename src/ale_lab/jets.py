@@ -86,12 +86,6 @@ def poly_zero(shape: tuple[int, ...] = ()) -> np.ndarray:
     return np.zeros(shape + (N_MONO,))
 
 
-def poly_const(c: float) -> np.ndarray:
-    out = np.zeros(N_MONO)
-    out[_MONO_INDEX[(0, 0, 0, 0)]] = c
-    return out
-
-
 def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient arrays over the last axis, truncated."""
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (N_MONO,))
@@ -160,6 +154,8 @@ class Jet2:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (4, 4, 4, 4):
             raise SchemaError(f"quadratic jet must be 4x4x4x4, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise SchemaError("non-finite entry")
         sym = _symmetrize_pairs(arr, [(0, 1), (2, 3)])
         gap = float(np.max(np.abs(arr - sym)))
         scale = max(float(np.max(np.abs(arr))), 1.0)
@@ -185,6 +181,8 @@ class Jet4:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (4,) * 6:
             raise SchemaError(f"quartic jet must be 4^6, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise SchemaError("non-finite entry")
         sym = _symmetrize_pairs(arr, [(0, 1, 2, 3), (4, 5)])
         gap = float(np.max(np.abs(arr - sym)))
         scale = max(float(np.max(np.abs(arr))), 1.0)
@@ -435,8 +433,9 @@ def d2_invariant_fd(
     return _contract_invariant(tens)
 
 
-def _riemann_poly(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
-    """Lowered curvature tensor as (4,4,4,4,N_MONO) polynomial coefficients."""
+def _curvature_polys(jet: Jet2, quartic: Jet4 | None) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols gamma[f, a, b] = Gamma^f_ab and the lowered
+    curvature tensor, as (..., N_MONO) polynomial coefficients."""
     g = metric_poly(jet, quartic)
     hpart = g.copy()
     hpart[:, :, _MONO_INDEX[(0, 0, 0, 0)]] -= np.eye(4)
@@ -480,7 +479,7 @@ def _riemann_poly(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
                     for e in range(4):
                         acc = acc + poly_mul(g[a, e], riem_up[e, b, c, d])
                     riem_low[a, b, c, d] = acc
-    return riem_low
+    return gamma, riem_low
 
 
 def d2_invariant_symbolic(
@@ -490,34 +489,16 @@ def d2_invariant_symbolic(
 ) -> float:
     """Polynomial-exact route: curvature expanded to quadratic order."""
     _require_first_row_zero(jet, tol_first_row)
-    riem = _riemann_poly(jet, quartic)
-    const_idx = _MONO_INDEX[(0, 0, 0, 0)]
-    riem0 = riem[..., const_idx]
+    gamma, riem = _curvature_polys(jet, quartic)
+    riem0 = riem[..., _MONO_INDEX[(0, 0, 0, 0)]]
     hess = np.zeros((4, 4, 4, 4))
     for e in range(4):
         mono = [0, 0, 0, 0]
         mono[e] = 2
         hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[tuple(mono)]]
-
-    g = metric_poly(jet, quartic)
-    hpart = g.copy()
-    hpart[:, :, const_idx] -= np.eye(4)
-    ginv = poly_zero((4, 4))
-    ginv[:, :, const_idx] = np.eye(4)
-    ginv = ginv - hpart + polymat_mul(hpart, hpart)
-    dg = np.stack([poly_diff(g, v) for v in range(4)])
-    dgamma = np.zeros((4, 4, 4, 4))  # [e, f, a, b]: d_e Gamma^f_ab at 0
-    for f in range(4):
-        for a in range(4):
-            for b in range(4):
-                acc = np.zeros(N_MONO)
-                for c in range(4):
-                    term = dg[a, b, c] + dg[b, a, c] - dg[c, a, b]
-                    acc = acc + poly_mul(ginv[f, c], term)
-                for e in range(4):
-                    mono = [0, 0, 0, 0]
-                    mono[e] = 1
-                    dgamma[e, f, a, b] = 0.5 * acc[_MONO_INDEX[tuple(mono)]]
+    # d_e Gamma^f_ab at the origin: the linear coefficients, as [e, f, a, b]
+    linear = [_MONO_INDEX[tuple(int(v == e) for v in range(DIM))] for e in range(DIM)]
+    dgamma = np.moveaxis(gamma[..., linear], -1, 0)
 
     tens = hess - _hessian_correction(riem0, dgamma)
     return _contract_invariant(tens)

@@ -247,6 +247,8 @@ WALL_DOCUMENTATION = {
 
 
 def wall_side(det_bold: float, tol: float = 1e-8) -> str:
+    if not math.isfinite(det_bold):
+        raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
     if det_bold > tol:
         return "einstein_side"
     if det_bold < -tol:

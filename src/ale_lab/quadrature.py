@@ -1,6 +1,6 @@
-"""Deterministic Gauss-Legendre quadrature on S^3, flat balls, and
-fibered volume regions, plus the sphere pairing identity for closed
-self-dual 2-forms with quadratic coefficients.
+"""Deterministic Gauss-Legendre quadrature on S^3 and over fibered volume
+regions, plus the sphere pairing identity for closed self-dual 2-forms
+with quadratic coefficients.
 
 S^3 is parametrized torus-style: with r1 = r cos(chi), r2 = r sin(chi),
 
@@ -21,7 +21,7 @@ cached, so sampled triples satisfy d(varpi) = 0 to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -32,11 +32,12 @@ from .forms import (
     EUCLIDEAN,
     OMEGA_ASD,
     OMEGA_SD,
+    TUPLES,
     J_from_form,
     apply_J_covector,
-    comps_to_tensor,
     wedge,
 )
+from .gh import gauss_legendre, potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,45 +49,23 @@ class QuadratureSpec:
 
     sphere_order: int = 24
     radial_nodes: int = 48
-    region: str = "sphere"  # sphere | annulus | ball | sigma
-    r_inner: float = 0.0
-    r_outer: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sphere_order < 4 or self.radial_nodes < 4:
             raise SchemaError("quadrature orders must be >= 4")
-        if self.region not in ("sphere", "annulus", "ball", "sigma"):
-            raise SchemaError(f"unknown region {self.region!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _gl(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (nodes + 1.0), half * weights
-
-
 def _s3_grid(spec: QuadratureSpec):
     n = spec.sphere_order
-    u, wu = _gl(-1.0, 1.0, n)
-    t1, w1 = _gl(0.0, TWO_PI, n)
-    t2, w2 = _gl(0.0, TWO_PI, n)
+    u, wu = gauss_legendre(-1.0, 1.0, n)
+    t1, w1 = gauss_legendre(0.0, TWO_PI, n)
+    t2, w2 = gauss_legendre(0.0, TWO_PI, n)
     U, T1, T2 = np.meshgrid(u, t1, t2, indexing="ij")
     W = wu[:, None, None] * w1[None, :, None] * w2[None, None, :]
     return U.ravel(), T1.ravel(), T2.ravel(), W.ravel()
-
-
-def s3_nodes(radius: float, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Quadrature nodes on the radius-r sphere with round-measure weights."""
-    u, t1, t2, w = _s3_grid(spec)
-    c = np.sqrt((1.0 + u) / 2.0)
-    s = np.sqrt((1.0 - u) / 2.0)
-    pts = radius * np.stack(
-        [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
-    )
-    return pts, w * (radius**3 / 4.0)
 
 
 def _s3_tangents(radius: float, u, t1, t2):
@@ -127,30 +106,14 @@ def integrate_S3(
         return float(np.sum(w * vals * (radius**3 / 4.0)))
     if mode != "form3":
         raise SchemaError(f"unknown mode {mode!r}")
-    du, dt1, dt2 = _s3_tangents(radius, u, t1, t2)
-    total = 0.0
-    acc = np.empty(len(pts))
+    # t(d_u, d_t1, d_t2) = sum_I t_I * (3x3 minor of the tangent frame on
+    # the columns I), with I running over the sorted triples
+    frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
+    minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in TUPLES[3]], axis=1)
+    vals = np.empty_like(minors)
     for idx, p in enumerate(pts):
-        t = comps_to_tensor(np.asarray(integrand(p), dtype=float), 3)
-        acc[idx] = np.einsum("abc,a,b,c->", t, du[idx], dt1[idx], dt2[idx])
-    total = float(np.sum(w * acc))
-    return total
-
-
-def integrate_flat(
-    integrand: Callable[[np.ndarray], float],
-    spec: QuadratureSpec,
-) -> float:
-    """Scalar integral over a flat ball or annulus via radial x S^3 rule."""
-    if spec.region not in ("ball", "annulus"):
-        raise SchemaError(f"integrate_flat needs ball/annulus, got {spec.region}")
-    r0 = spec.r_inner if spec.region == "annulus" else 0.0
-    radii, wr = _gl(r0, spec.r_outer, spec.radial_nodes)
-    total = 0.0
-    for r, wrad in zip(radii, wr):
-        shell = integrate_S3(integrand, radius=r, spec=spec, mode="scalar")
-        total += wrad * shell
-    return total
+        vals[idx] = integrand(p)
+    return float(np.sum(w * np.einsum("ni,ni->n", vals, minors)))
 
 
 def gh_volume_integral(
@@ -169,19 +132,12 @@ def gh_volume_integral(
     measure is NOT assumed for the integrand: the azimuthal factor is
     integrated by its own Legendre rule.
     """
-    positions = config.positions
-    weights = config.weights
-
-    def v_of(pts: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(pts[:, None, :] - positions[None, :, :], axis=2)
-        return 0.5 * np.sum(weights[None, :] / d, axis=1)
-
     nphi = spec.sphere_order
-    phi, wphi = _gl(0.0, TWO_PI, nphi)
+    phi, wphi = gauss_legendre(0.0, TWO_PI, nphi)
     if len(config.centers) == 1:
-        center = positions[0]
-        rho, wrho = _gl(0.0, outer_scale, spec.radial_nodes)
-        mu, wmu = _gl(-1.0, 1.0, spec.sphere_order)
+        center = config.p0
+        rho, wrho = gauss_legendre(0.0, outer_scale, spec.radial_nodes)
+        mu, wmu = gauss_legendre(-1.0, 1.0, spec.sphere_order)
         R, M, P = np.meshgrid(rho, mu, phi, indexing="ij")
         W = (
             wrho[:, None, None]
@@ -205,8 +161,8 @@ def gh_volume_integral(
         mid = 0.5 * (p0 + p1)
         a_f = 0.5 * float(np.linalg.norm(p1 - p0))
         xi_max = max(outer_scale / a_f, 2.0)
-        xi, wxi = _gl(1.0, xi_max, spec.radial_nodes)
-        mu, wmu = _gl(-1.0, 1.0, spec.sphere_order)
+        xi, wxi = gauss_legendre(1.0, xi_max, spec.radial_nodes)
+        mu, wmu = gauss_legendre(-1.0, 1.0, spec.sphere_order)
         XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
         W = (
             wxi[:, None, None]
@@ -228,26 +184,7 @@ def gh_volume_integral(
     vals = np.asarray(integrand(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureDivergence("volume integrand not finite on region")
-    return TWO_PI * float(np.sum(w * vals * v_of(pts)))
-
-
-def integrate_volume(
-    integrand: Callable,
-    spec: QuadratureSpec,
-    config=None,
-    outer_scale: float | None = None,
-) -> float:
-    """Umbrella volume rule.
-
-    Without a config: flat-chart ball/annulus integral of a scalar.
-    With a config: fibered integral against the exact volume element
-    V d^3x dtau over the region of scale outer_scale (defaults to
-    spec.r_outer).
-    """
-    if config is None:
-        return integrate_flat(integrand, spec)
-    scale = spec.r_outer if outer_scale is None else outer_scale
-    return gh_volume_integral(config, integrand, scale, spec)
+    return TWO_PI * float(np.sum(w * vals * potential(config, pts)))
 
 
 # ----------------------------------------------------------------------

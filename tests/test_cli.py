@@ -65,6 +65,12 @@ def test_verify_rejects_bad_configuration(capsys):
     assert "--k" in capsys.readouterr().err
     assert cli.main(["verify", "--lambda", "-1.0"]) == 2
     assert "--lambda" in capsys.readouterr().err
+    for value in ("inf", "nan"):
+        assert cli.main(["verify", "--lambda", value]) == 2
+        assert "--lambda" in capsys.readouterr().err
+    for value in ("-1", "0", "nan", "inf"):
+        assert cli.main(["verify", "--suite", "gh", "--tol", value]) == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 # --- obstruct ---------------------------------------------------------------
@@ -99,6 +105,21 @@ def test_obstruct_rejects_asymmetric_jet(tmp_path, capsys):
     assert cli.main(["obstruct", "--jet", str(jet_path)]) == 2
     err = capsys.readouterr().err
     assert "schema error" in err and "H:" in err
+
+
+@pytest.mark.parametrize("field", ["H", "H2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_obstruct_rejects_non_finite_jet(tmp_path, capsys, field, value):
+    jet_path = _write_jet(tmp_path / "jet.json")
+    payload = json.loads(jet_path.read_text())
+    arr = np.array(payload[field])
+    arr[(1, 2) * (arr.ndim // 2)] = value
+    payload[field] = arr.tolist()
+    jet_path.write_text(json.dumps(payload))  # NaN / Infinity tokens
+    report = tmp_path / "report.json"
+    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2
+    assert f"schema error: {field}: non-finite entry" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_obstruct_rejects_bad_shape(tmp_path, capsys):

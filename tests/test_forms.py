@@ -3,6 +3,9 @@ duality split, and the almost-complex structures attached to 2-forms."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,66 @@ def test_duality_bases_are_star_eigenvectors():
             forms.hodge_star(FLAT, forms.OMEGA_ASD[i], 2), -forms.OMEGA_ASD[i]
         )
         assert forms.form_inner(FLAT, forms.OMEGA_SD[i], forms.OMEGA_SD[i], 2) == pytest.approx(2.0)
+
+
+def _perm_sign(perm) -> int:
+    return round(np.linalg.det(np.eye(len(perm))[list(perm)])) if perm else 1
+
+
+LEVI_CIVITA = np.zeros((4,) * 4)
+for _perm in itertools.permutations(range(4)):
+    LEVI_CIVITA[_perm] = _perm_sign(_perm)
+
+
+def _full_tensor(comps, p):
+    out = np.zeros((4,) * p)
+    for idx, tup in enumerate(itertools.combinations(range(4), p)):
+        for perm in itertools.permutations(range(p)):
+            out[tuple(tup[k] for k in perm)] = _perm_sign(perm) * comps[idx]
+    return out
+
+
+def _raise_all(g, tensor):
+    ginv = np.linalg.inv(g)
+    for axis in range(tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(ginv, tensor, axes=([1], [axis])), 0, axis)
+    return tensor
+
+
+def _reference_star(g, comps, p):
+    """Raise every index of the full tensor, contract with Levi-Civita."""
+    raised = _raise_all(g, _full_tensor(comps, p))
+    axes = list(range(p))
+    out = np.tensordot(raised, LEVI_CIVITA, axes=(axes, axes))
+    out = out * math.sqrt(np.linalg.det(g)) / math.factorial(p)
+    return np.array([out[t] for t in itertools.combinations(range(4), 4 - p)])
+
+
+def _reference_inner(g, a, b, p):
+    full_a, raised_b = _full_tensor(a, p), _raise_all(g, _full_tensor(b, p))
+    return float(np.sum(full_a * raised_b)) / math.factorial(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_star_and_inner_on_curved_metrics(seed, degree):
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(4, 4))
+    g = root @ root.T + 0.5 * np.eye(4)
+    a, b = rng.normal(size=(2, forms.DEGREE_SIZES[degree]))
+    star_b = forms.hodge_star(g, b, degree)
+    ref = _reference_star(g, b, degree)
+    assert np.allclose(star_b, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
+    inner = forms.form_inner(g, a, b, degree)
+    assert inner == pytest.approx(_reference_inner(g, a, b, degree), rel=1e-9, abs=1e-12)
+    # ** = (-1)^{p(4-p)} in Riemannian signature
+    sign = (-1) ** (degree * (4 - degree))
+    assert np.allclose(forms.hodge_star(g, star_b, 4 - degree), sign * b,
+                       rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
+    # a ^ *b = <a, b> vol_g on dx^0123
+    top = forms.wedge(a, degree, star_b, 4 - degree)
+    vol = math.sqrt(np.linalg.det(g))
+    assert top[0] == pytest.approx(inner * vol, rel=1e-9, abs=1e-12 * vol)
 
 
 def test_split_sd_reconstructs_and_projects():

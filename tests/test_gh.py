@@ -35,6 +35,16 @@ def test_config_validation():
         gh.GHConfig(k=2, lam=1.0, centers=(((-2.0, 0, 0), 1), ((1.0, 0, 0), 5)))
     with pytest.raises(SchemaError):
         gh.GHConfig.canonical(0, 1.0)
+    for lam in (float("inf"), float("nan")):
+        with pytest.raises(SchemaError, match="lambda"):
+            gh.GHConfig.canonical(1, lam)
+    with pytest.raises(SchemaError, match="coincides"):
+        gh.GHConfig(k=1, lam=1.0, centers=(((0.0, 0, 0), 1), ((0.0, 0, 0), 1)))
+    with pytest.raises(SchemaError, match="position"):
+        gh.GHConfig(k=1, lam=1.0, centers=(((float("nan"), 0, 0), 1), ((1.0, 0, 0), 1)))
+    for weight in (0, -1, 1.5):
+        with pytest.raises(SchemaError, match="weight"):
+            gh.GHConfig(k=1, lam=1.0, centers=(((-1.0, 0, 0), 2 - weight), ((1.0, 0, 0), weight)))
 
 
 def test_config_json_round_trip():

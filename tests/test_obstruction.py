@@ -147,6 +147,9 @@ def test_wall_side_signs():
     assert obstruction.wall_side(+0.5) == "einstein_side"
     assert obstruction.wall_side(0.0) == "on_wall"
     assert obstruction.wall_side(-0.5) == "empty_side"
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SchemaError):
+            obstruction.wall_side(value)
 
 
 def test_bold_det_is_negated_det():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import quadrature
+from ale_lab import forms, quadrature
 from ale_lab.errors import SchemaError
 
 
@@ -31,6 +31,27 @@ def test_sphere_moments_closed_form():
         lambda x: (x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2) ** 2, radius=1.0
     )
     assert quad == pytest.approx(2.0 * math.pi**2 / 3.0, abs=1e-8)
+
+
+def test_form3_pullback_matches_tensor_contraction():
+    # reference: expand the 3-form into its antisymmetric tensor at every
+    # node and contract it with the three tangent vectors
+    spec = quadrature.QuadratureSpec(sphere_order=6)
+    coeffs = np.random.default_rng(4).normal(size=(4, 4))
+
+    def integrand(x):
+        return coeffs @ (x + x**2)
+
+    u, t1, t2, w = quadrature._s3_grid(spec)
+    du, dt1, dt2 = quadrature._s3_tangents(1.3, u, t1, t2)
+    c, s = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
+    pts = 1.3 * np.stack([c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1)
+    ref = sum(
+        wi * np.einsum("abc,a,b,c->", forms.comps_to_tensor(integrand(p), 3), a, b, d)
+        for wi, p, a, b, d in zip(w, pts, du, dt1, dt2)
+    )
+    got = quadrature.integrate_S3(integrand, radius=1.3, spec=spec, mode="form3")
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_odd_moments_vanish():
@@ -127,5 +148,3 @@ def test_quadrature_deterministic():
 def test_spec_validation():
     with pytest.raises(SchemaError):
         quadrature.QuadratureSpec(sphere_order=2)
-    with pytest.raises(SchemaError):
-        quadrature.QuadratureSpec(region="torus")
