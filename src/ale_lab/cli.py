@@ -147,8 +147,8 @@ def _load_jet_input(path: str):
         raise SchemaError(f"H: expected shape [4][4][4][4], got {list(h_arr.shape)}")
     try:
         jet = jets.Jet2.from_array(h_arr)
-    except (SchemaError, SymmetryError) as exc:
-        raise SchemaError(f"H: {exc}") from exc
+    except SymmetryError as exc:
+        raise SchemaError(str(exc)) from exc
 
     quartic = None
     if raw.get("H2") is not None:
@@ -161,8 +161,8 @@ def _load_jet_input(path: str):
                 f"H2: expected shape [4][4][4][4][4][4], got {list(h2_arr.shape)}")
         try:
             quartic = jets.Jet4.from_array(h2_arr)
-        except (SchemaError, SymmetryError) as exc:
-            raise SchemaError(f"H2: {exc}") from exc
+        except SymmetryError as exc:
+            raise SchemaError(str(exc)) from exc
 
     overrides = None
     if raw.get("constants_override") is not None:

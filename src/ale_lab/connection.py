@@ -32,6 +32,7 @@ import numpy as np
 from . import fd
 from .errors import FrameNotOrthonormal
 from .forms import (
+    CYCLIC,
     OMEGA_ASD,
     OMEGA_SD,
     FormField,
@@ -46,21 +47,6 @@ from .forms import (
 
 TripleField = Callable[[np.ndarray], np.ndarray]  # x -> (3, 6) components
 MetricField = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class ConnectionForm:
-    """Three covector fields a_i; evaluate() returns a (3, 4) array."""
-
-    components: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.components(np.asarray(x, dtype=float)), dtype=float)
-
-    def rotated(self, rot: np.ndarray) -> "ConnectionForm":
-        """Frame change v_i -> sum_j rot[i, j] v_j acting on components."""
-        r = np.asarray(rot, dtype=float)
-        return ConnectionForm(components=lambda x: r @ self(x))
 
 
 @dataclass
@@ -110,8 +96,9 @@ def connection_from_Phi(
     metric_fn: MetricField | None = None,
     h: float = fd.DEFAULT_STEP,
     check: bool = True,
-) -> ConnectionForm:
-    """Connection covectors of the orthonormal self-dual frame phi.
+) -> FormField:
+    """Connection covectors of the orthonormal self-dual frame phi, as a
+    degree-1 field with (3, 4) values.
 
     phi maps a point to the (3, 6) component stack of the frame; the
     metric defaults to the one reconstructed from the frame itself.
@@ -128,27 +115,21 @@ def connection_from_Phi(
         comps = np.asarray(phi(x), dtype=float)
         if check:
             check_frame(g, comps)
-        jmats = [J_from_form(g, comps[i]) for i in range(3)]
-        deltas = []
-        for i in range(3):
-            fld = FormField(2, lambda y, i=i: np.asarray(phi(y), dtype=float)[i])
-            deltas.append(fd.codifferential(metric_at, fld, x, h))
-        out = np.zeros((3, 4))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            out[i] = 0.5 * (
-                deltas[i]
-                + apply_J_covector(jmats[k], deltas[j])
-                - apply_J_covector(jmats[j], deltas[k])
-            )
-        return out
+        jmats = J_from_form(g, comps)
+        deltas = fd.codifferential(metric_at, FormField(2, phi), x, h)
+        j, k = CYCLIC
+        return 0.5 * (
+            deltas
+            + apply_J_covector(jmats[k], deltas[j])
+            - apply_J_covector(jmats[j], deltas[k])
+        )
 
-    return ConnectionForm(components=components)
+    return FormField(1, components)
 
 
 def torsion_residual(
     phi: TripleField,
-    a: ConnectionForm,
+    a: FormField,
     x: np.ndarray,
     h: float = fd.DEFAULT_STEP,
 ) -> float:
@@ -156,29 +137,20 @@ def torsion_residual(
     x = np.asarray(x, dtype=float)
     avals = a(x)
     comps = np.asarray(phi(x), dtype=float)
-    worst = 0.0
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        fld = FormField(2, lambda y, i=i: np.asarray(phi(y), dtype=float)[i])
-        dphi = fd.fd_d(fld, x, h)
-        res = dphi - wedge(avals[k], 1, comps[j], 2) + wedge(avals[j], 1, comps[k], 2)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    j, k = CYCLIC
+    dphi = fd.fd_d(FormField(2, phi), x, h)
+    res = dphi - wedge(avals[k], 1, comps[j], 2) + wedge(avals[j], 1, comps[k], 2)
+    return float(np.max(np.abs(res)))
 
 
 def curvature_forms(
-    a: ConnectionForm, x: np.ndarray, h: float = fd.DEFAULT_STEP
+    a: FormField, x: np.ndarray, h: float = fd.DEFAULT_STEP
 ) -> np.ndarray:
     """R_k = d a_k + a_i ^ a_j (cyclic); returns a (3, 6) stack."""
     x = np.asarray(x, dtype=float)
     avals = a(x)
-    out = np.zeros((3, 6))
-    for k in range(3):
-        fld = FormField(1, lambda y, k=k: a(y)[k])
-        da = fd.fd_d(fld, x, h)
-        i, j = (k + 1) % 3, (k + 2) % 3
-        out[k] = da + wedge(avals[i], 1, avals[j], 1)
-    return out
+    i, j = CYCLIC
+    return fd.fd_d(a, x, h) + wedge(avals[i], 1, avals[j], 1)
 
 
 def decompose_curvature(
@@ -269,11 +241,6 @@ def mixed_block_to_ric0(
     g = np.asarray(metric, dtype=float)
     sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
     asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
-    js = [J_from_form(g, sd[i]) for i in range(3)]
-    jt = [J_from_form(g, asd[i]) for i in range(3)]
-    endo = np.zeros((4, 4))
-    for k in range(3):
-        for j in range(3):
-            endo += rminus[k, j] * (jt[j] @ js[k])
+    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, asd), J_from_form(g, sd))
     ric0 = g @ endo
     return 0.5 * (ric0 + ric0.T)

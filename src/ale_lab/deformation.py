@@ -36,9 +36,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import fd, gh
-from .connection import ConnectionForm, connection_from_Phi
+from .connection import connection_from_Phi
 from .errors import GaugeViolation
 from .forms import (
+    CYCLIC,
     EUCLIDEAN,
     OMEGA_ASD,
     OMEGA_SD,
@@ -56,8 +57,8 @@ from .forms import (
 ScalarField = Callable[[np.ndarray], float]
 MatrixField = Callable[[np.ndarray], np.ndarray]  # x -> (3, 3) coefficients
 
-_J_SD_FLAT = [J_from_form(EUCLIDEAN, OMEGA_SD[i]) for i in range(3)]
-_J_ASD_FLAT = [J_from_form(EUCLIDEAN, OMEGA_ASD[i]) for i in range(3)]
+_J_SD_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD)
+_J_ASD_FLAT = J_from_form(EUCLIDEAN, OMEGA_ASD)
 
 
 def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -68,23 +69,19 @@ def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                h: float = fd.DEFAULT_STEP) -> np.ndarray:
     """a_i = *d phi_i on the flat background; returns a (3, 4) stack."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((3, 4))
-    for i in range(3):
-        fld = FormField(2, lambda y, i=i: np.asarray(phi(y), dtype=float)[i])
-        dphi = fd.fd_d(fld, x, h)
-        out[i] = hodge_star(np.eye(4), dphi, 3)
-    return out
+    return hodge_star(EUCLIDEAN, fd.fd_d(FormField(2, phi), x, h), 3)
+
+
+def _j_sum(a: np.ndarray) -> np.ndarray:
+    """sum_i J_i a_i for a (3, 4) covector stack, flat self-dual J_i."""
+    return apply_J_covector(_J_SD_FLAT, a).sum(axis=0)
 
 
 def gauge_residual(lam: ScalarField, phi: Callable[[np.ndarray], np.ndarray],
                    x: np.ndarray, h: float = fd.DEFAULT_STEP) -> float:
     """Max component of sum_i J_i(*d phi_i) + d lam at x."""
     x = np.asarray(x, dtype=float)
-    a = star_d_phi(phi, x, h)
-    total = np.zeros(4)
-    for i in range(3):
-        total += apply_J_covector(_J_SD_FLAT[i], a[i])
+    total = _j_sum(star_d_phi(phi, x, h))
     dlam = fd.gradient(lam, x, h)
     return float(np.max(np.abs(total + dlam)))
 
@@ -112,10 +109,7 @@ def deformation_first_order(
             f"deformation data violates the gauge condition: residual {res:.3e}"
         )
     a = star_d_phi(phi, x, h)
-    curv = np.zeros((3, 6))
-    for i in range(3):
-        fld = FormField(1, lambda y, i=i: star_d_phi(phi, y, h)[i])
-        curv[i] = fd.fd_d(fld, x, h)
+    curv = fd.fd_d(FormField(1, lambda y: star_d_phi(phi, y, h)), x, h)
     return FirstOrderDeformation(a=a, curvature=curv, gauge_residual=res)
 
 
@@ -159,7 +153,7 @@ class TripleFamily:
     def phi_field(self, x: np.ndarray) -> np.ndarray:
         return phi_comps_from_coeffs(self.coeff(x))
 
-    def connection(self, t: float, h: float = fd.DEFAULT_STEP) -> ConnectionForm:
+    def connection(self, t: float, h: float = fd.DEFAULT_STEP) -> FormField:
         return connection_from_Phi(self.triple_field(t), self.metric_field(t), h=h)
 
     def connection_order1(self, x: np.ndarray, dt: float = 5e-3,
@@ -189,12 +183,9 @@ def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     """Anti-self-dual part of the curvature's quadratic term,
     (a_j ^ a_k)_- per cyclic component, from a (3, 4) covector stack."""
     a = np.asarray(a_values, dtype=float)
-    out = np.zeros((3, 6))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        _, minus = split_sd(np.eye(4), wedge(a[j], 1, a[k], 1))
-        out[i] = minus
-    return out
+    j, k = CYCLIC
+    _, minus = split_sd(EUCLIDEAN, wedge(a[j], 1, a[k], 1))
+    return minus
 
 
 def asd_block(stack: np.ndarray) -> np.ndarray:
@@ -207,8 +198,8 @@ def sd_block(stack: np.ndarray) -> np.ndarray:
 
 
 def ric0_second_order(
-    a1: ConnectionForm | Callable[[np.ndarray], np.ndarray],
-    a2: ConnectionForm | Callable[[np.ndarray], np.ndarray],
+    a1: Callable[[np.ndarray], np.ndarray],
+    a2: Callable[[np.ndarray], np.ndarray],
     phi: Callable[[np.ndarray], np.ndarray],
     rplus1: np.ndarray | None,
     x: np.ndarray,
@@ -224,23 +215,10 @@ def ric0_second_order(
             when None.
     """
     x = np.asarray(x, dtype=float)
-    a1v = np.asarray(a1(x), dtype=float)
-    da1 = np.zeros((3, 6))
-    for k in range(3):
-        fld = FormField(1, lambda y, k=k: np.asarray(a1(y), dtype=float)[k])
-        da1[k] = fd.fd_d(fld, x, h)
     if rplus1 is None:
-        rplus1 = -sd_block(da1)
-    phiv = np.asarray(phi(x), dtype=float)
-    out = np.zeros((3, 6))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        fld = FormField(1, lambda y, i=i: np.asarray(a2(y), dtype=float)[i])
-        da2 = fd.fd_d(fld, x, h)
-        term = da2 + wedge(a1v[j], 1, a1v[k], 1)
-        _, minus = split_sd(np.eye(4), term)
-        out[i] = minus - np.einsum("j,jc->c", rplus1[i], phiv)
-    return out
+        rplus1 = -sd_block(fd.fd_d(FormField(1, a1), x, h))
+    _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x, h))
+    return da2_minus + bracket_minus(a1(x)) - rplus1 @ np.asarray(phi(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +226,24 @@ def ric0_second_order(
 # ---------------------------------------------------------------------------
 
 # symmetric trace-free matrices associated to wt_j o w_i (Eq-38 pattern,
-# flat background); h = sum_ij C_ij * _EIJ[i][j]
-_EIJ = [[0.5 * ((_J_ASD_FLAT[j] @ _J_SD_FLAT[i]) + (_J_ASD_FLAT[j] @ _J_SD_FLAT[i]).T)
-         for j in range(3)] for i in range(3)]
+# flat background); h = sum_ij C_ij * _EIJ[i, j]
+_COMPOSED = _J_ASD_FLAT @ _J_SD_FLAT[:, None]  # [i, j] = Jt_j J_i
+_EIJ = 0.5 * (_COMPOSED + np.swapaxes(_COMPOSED, -1, -2))
 
 
 def metric_perturbation_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Trace-free symmetric perturbation h from a 3x3 coefficient matrix."""
-    c = np.asarray(coeffs, dtype=float)
-    out = np.zeros((4, 4))
-    for i in range(3):
-        for j in range(3):
-            out += c[i, j] * _EIJ[i][j]
-    return out
+    return np.einsum("ij,ijab->ab", np.asarray(coeffs, dtype=float), _EIJ)
 
 
-def d_minus_codifferential(phi_single: Callable[[np.ndarray], np.ndarray],
+def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray],
                            x: np.ndarray, h: float = fd.DEFAULT_STEP) -> np.ndarray:
-    """(d delta phi)_- for a single anti-self-dual 2-form field, flat."""
+    """(d delta phi)_- for an anti-self-dual 2-form field (or a (..., 6)
+    stack of them), flat."""
     x = np.asarray(x, dtype=float)
-    euc = lambda _: np.eye(4)
-    fld2 = FormField(2, lambda y: np.asarray(phi_single(y), dtype=float))
-    delta_field = FormField(1, lambda y: fd.codifferential(euc, fld2, y, h))
-    dd = fd.fd_d(delta_field, x, h)
-    _, minus = split_sd(np.eye(4), dd)
+    euc = lambda _: EUCLIDEAN
+    delta_field = FormField(1, lambda y: fd.codifferential(euc, FormField(2, phi), y, h))
+    _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x, h))
     return minus
 
 
@@ -282,13 +254,9 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray,
     The operator acts componentwise: phi_i -> (d d^* phi_i)_-, pushed back
     through the same identification used to build h.
     """
-    x = np.asarray(x, dtype=float)
-    rows = [
-        asd_block(d_minus_codifferential(
-            lambda y, i=i: phi_comps_from_coeffs(coeff(y))[i], x, h))
-        for i in range(3)
-    ]
-    return metric_perturbation_from_coeffs(np.array(rows))
+    rows = asd_block(d_minus_codifferential(
+        lambda y: phi_comps_from_coeffs(coeff(y)), x, h))
+    return metric_perturbation_from_coeffs(rows)
 
 
 _QUAD_PAIRS = [(p, q) for p in range(4) for q in range(p, 4)]
@@ -366,10 +334,7 @@ def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
         return np.einsum("ija,a->ij", cmat, x)
 
     phi = lambda x: phi_comps_from_coeffs(coeff(x))
-    aconst = star_d_phi(phi, np.zeros(4))
-    csum = np.zeros(4)
-    for i in range(3):
-        csum += apply_J_covector(_J_SD_FLAT[i], aconst[i])
+    csum = _j_sum(star_d_phi(phi, np.zeros(4)))
     return TripleFamily(lam=lambda x: float(-(csum @ x)), coeff=coeff)
 
 
@@ -382,15 +347,12 @@ def _efo_constraint_matrix() -> np.ndarray:
 
     def rows_of(vec: np.ndarray) -> np.ndarray:
         coeff = _polynomial_field(vec, 2)
-        rows = [_divergence_samples(coeff)]
+        div = _divergence_samples(coeff)
         phi = lambda x: phi_comps_from_coeffs(coeff(x))
         a1 = lambda x: star_d_phi(phi, x)
-        da = fd.all_partials(a1, np.zeros(4), 0.25)
-        for i in range(3):
-            two_form = da[:, i, :] - da[:, i, :].T
-            _, minus = split_sd(EUCLIDEAN, tensor_to_comps(two_form, 2))
-            rows.append(minus)
-        return np.concatenate(rows)
+        da = np.swapaxes(fd.all_partials(a1, np.zeros(4), 0.25), 0, 1)  # [i, a, b]
+        _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, 1, 2), 2))
+        return np.concatenate([div, minus.ravel()])
 
     n = 9 * len(_QUAD_PAIRS)
     cols = [rows_of(np.eye(n)[i]) for i in range(n)]
@@ -428,7 +390,7 @@ def einstein_first_order_family(seed: int, quad_scale: float = 0.6,
 
 
 def moment_connection(config: gh.GHConfig, coeff: np.ndarray,
-                      patch: str = "north") -> ConnectionForm:
+                      patch: str = "north") -> FormField:
     """a_i = sum_j coeff[i, j] alpha_j with alpha_j = (1/2) J_j dm.
 
     coeff is symmetric with vanishing first row/column in the intended
@@ -438,10 +400,10 @@ def moment_connection(config: gh.GHConfig, coeff: np.ndarray,
 
     def components(x4: np.ndarray) -> np.ndarray:
         p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-        alphas = np.stack([gh.alpha_covector(config, p, j) for j in range(3)])
+        alphas = 0.5 * apply_J_covector(gh.metric_at(config, p).J, gh.dm4(config, p.x3))
         return c @ alphas
 
-    return ConnectionForm(components=components)
+    return FormField(1, components)
 
 
 def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
@@ -454,15 +416,8 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
     p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
     triple = gh.metric_at(config, p).triple
     mfn = gh.metric_fn(config, patch)
-    d_res = 0.0
-    delta_res = 0.0
-    for i in range(3):
-        fld = FormField(1, lambda y, i=i: a(y)[i])
-        da = fd.fd_d(fld, x4, h)
-        target = np.einsum("j,jc->c", c[i], triple)
-        d_res = max(d_res, float(np.max(np.abs(da - target))))
-        delta = fd.codifferential(mfn, fld, x4, h)
-        delta_res = max(delta_res, float(np.max(np.abs(delta))))
+    d_res = float(np.max(np.abs(fd.fd_d(a, x4, h) - c @ triple)))
+    delta_res = float(np.max(np.abs(fd.codifferential(mfn, a, x4, h))))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}
 
 

@@ -60,29 +60,29 @@ def gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     return np.array([float(partial(f, x, a, h)) for a in range(DIM)])
 
 
-def _d_structure(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    entries = []
-    for out_idx, tup in enumerate(TUPLES[p + 1]):
+def _d_table(p: int) -> np.ndarray:
+    """Sign table D[a, I, K]: (d w)_K = sum_{a, I} d_a w_I D[a, I, K]."""
+    table = np.zeros((DIM, DEGREE_SIZES[p], DEGREE_SIZES[min(p + 1, DIM)]))
+    for out_idx, tup in enumerate(TUPLES.get(p + 1, ())):
         for pos in range(p + 1):
             rest = tup[:pos] + tup[pos + 1:]
-            entries.append((out_idx, TUPLE_INDEX[p][rest], tup[pos], (-1) ** pos))
-    return tuple(entries)
+            table[tup[pos], TUPLE_INDEX[p][rest], out_idx] = (-1) ** pos
+    return table
 
 
-_D_STRUCT = {p: _d_structure(p) for p in range(DIM)}
+_D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
 
 
 def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP,
          scale: bool = True) -> np.ndarray:
-    """Exterior derivative components at a point, error O(h^2)."""
-    p = field.degree
-    if p >= DIM:
-        return np.zeros(1)
-    partials = all_partials(field, point, h, scale)
-    out = np.zeros(DEGREE_SIZES[p + 1])
-    for out_idx, in_idx, direction, sign in _D_STRUCT[p]:
-        out[out_idx] += sign * partials[direction][in_idx]
-    return out
+    """Exterior derivative at a point, error O(h^2).
+
+    A field returning (..., n_p) components gives (..., n_{p+1}): a stack
+    of forms is differentiated row by row from one stencil of eight
+    evaluations.  The derivative of a 4-form is the zero 4-form.
+    """
+    partials = all_partials(field, point, h, scale)  # (4, ..., n_p)
+    return np.tensordot(partials, _D_TABLE[field.degree], axes=([0, -1], [0, 1]))
 
 
 def d_field(field: FormField, h: float = DEFAULT_STEP, scale: bool = True) -> FormField:
@@ -90,8 +90,6 @@ def d_field(field: FormField, h: float = DEFAULT_STEP, scale: bool = True) -> Fo
     return FormField(
         degree=min(field.degree + 1, DIM),
         evaluator=lambda x: fd_d(field, x, h, scale),
-        chart=field.chart,
-        metadata={"fd_step": h},
     )
 
 
@@ -166,13 +164,14 @@ def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
 
 def codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
                    h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
-    """delta = -*d* on any degree (Riemannian signature, dimension 4)."""
+    """delta = -*d* on any degree (Riemannian signature, dimension 4);
+    a field of (..., n) stacks gives the stack of codifferentials."""
     from .forms import hodge_star  # local import to keep module load cheap
 
     def starred(y: np.ndarray) -> np.ndarray:
         return hodge_star(_call(metric_fn, y), field(y), field.degree)
 
-    inner = FormField(degree=DIM - field.degree, evaluator=starred, chart=field.chart)
+    inner = FormField(degree=DIM - field.degree, evaluator=starred)
     d_star = fd_d(inner, x, h, scale)
     g = _call(metric_fn, x)
     return -hodge_star(g, d_star, DIM - field.degree + 1)

@@ -6,6 +6,13 @@ is (01, 02, 03, 12, 13, 23).  All metric-dependent operations take the
 metric as an explicit 4x4 matrix so the same code serves the flat chart
 and curved charts alike.
 
+Stacking rule: every operation here reads the last axis of a component
+array as its components and any leading axes as a stack, broadcast
+against each other; e.g. wedge of (3, 4) and (3, 6) stacks gives the
+(3, 4) stack of row-by-row products, and a FormField may return a
+(3, 6) stack of 2-forms.  Covectors and J matrices follow the same rule
+((..., 4) and (..., 4, 4)).
+
 Metric operations go through fixed index tables built once at import:
   - the p-th compound C_p(A) of a 4x4 matrix A is the matrix of its
     p x p minors, C_p(A)[I, J] = det A[I, J] over sorted tuples I, J;
@@ -30,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -133,34 +140,29 @@ def compound(matrix: np.ndarray, p: int) -> np.ndarray:
     return (entries.prod(axis=-1) * signs).sum(axis=-1)
 
 
-def _wedge_table(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
-    entries = []
+def _wedge_table(p: int, q: int) -> np.ndarray:
+    """Dense sign table T with (a ^ b)_k = sum a_ia b_ib T[ia * n_q + ib, k]."""
+    table = np.zeros((DEGREE_SIZES[p], DEGREE_SIZES[q], DEGREE_SIZES[p + q]))
     for ia, ta in enumerate(TUPLES[p]):
         for ib, tb in enumerate(TUPLES[q]):
             joined = ta + tb
-            if len(set(joined)) != p + q:
-                continue
-            entries.append(
-                (TUPLE_INDEX[p + q][tuple(sorted(joined))], ia, ib, _perm_sign(joined))
-            )
-    return tuple(entries)
+            if len(set(joined)) == p + q:
+                table[ia, ib, TUPLE_INDEX[p + q][tuple(sorted(joined))]] = _perm_sign(joined)
+    return table.reshape(-1, DEGREE_SIZES[p + q])
 
 
-_WEDGE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {
-    (p, q): _wedge_table(p, q) for p in range(DIM + 1) for q in range(DIM + 1 - p)
-}
+_WEDGE = {(p, q): _wedge_table(p, q) for p in range(DIM + 1) for q in range(DIM + 1 - p)}
 
 
 def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
-    """Wedge product of component vectors; result has degree p + q."""
+    """Wedge product of component arrays (..., n_p) and (..., n_q); the
+    result has degree p + q and the broadcast leading shape."""
     if p + q > DIM:
         raise ValueError(f"wedge degree {p}+{q} exceeds {DIM}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(DEGREE_SIZES[p + q])
-    for k, ia, ib, sign in _WEDGE[(p, q)]:
-        out[k] += sign * a[ia] * b[ib]
-    return out
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,)) @ _WEDGE[(p, q)]
 
 
 def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,11 +226,16 @@ OMEGA_ASD.setflags(write=False)
 EUCLIDEAN = np.eye(DIM)
 EUCLIDEAN.setflags(write=False)
 
+# (j, k) index arrays with (i, j, k) cyclic for i = 0, 1, 2, so that
+# stack[j] and stack[k] line up the cyclic partners of every row
+CYCLIC = (np.array([1, 2, 0]), np.array([2, 0, 1]))
+
 
 def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible."""
+    """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible.
+    A (..., 6) stack of forms gives a (..., 4, 4) stack of matrices."""
     ginv, _ = _check_metric(metric)
-    return ginv @ comps_to_tensor(comps, 2).T
+    return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
 
 
 def form_from_J(metric: np.ndarray, jmat: np.ndarray) -> np.ndarray:
@@ -238,8 +245,10 @@ def form_from_J(metric: np.ndarray, jmat: np.ndarray) -> np.ndarray:
 
 
 def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """(J b)(X) = -b(JX) on covector components."""
-    return -np.asarray(jmat, dtype=float).T @ np.asarray(beta, dtype=float)
+    """(J b)(X) = -b(JX) on covector components; (..., 4, 4) matrices and
+    (..., 4) covectors broadcast."""
+    beta = np.asarray(beta, dtype=float)
+    return -(beta[..., None, :] @ np.asarray(jmat, dtype=float))[..., 0, :]
 
 
 def metric_from_triple(
@@ -283,16 +292,13 @@ def metric_from_triple(
 class FormField:
     """A degree-p form sampled by an evaluator over chart points.
 
-    evaluator maps a point (length-4 array) to the component vector of
-    the stated degree.  metadata carries duality/symmetry tags, e.g.
-    {"duality": "asd"}.  chart is an opaque owner reference used only
-    for error messages and domain checks by callers.
+    evaluator maps a point (length-4 array) to a component array of shape
+    (..., n) with n the size of the stated degree: one form, or a stack
+    of forms differentiated together by the finite-difference tools.
     """
 
     degree: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    chart: Any = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 <= self.degree <= DIM:
@@ -300,10 +306,10 @@ class FormField:
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
         out = np.asarray(self.evaluator(np.asarray(point, dtype=float)), dtype=float)
-        if out.shape != (DEGREE_SIZES[self.degree],):
+        if out.ndim == 0 or out.shape[-1] != DEGREE_SIZES[self.degree]:
             raise ValueError(
                 f"evaluator returned shape {out.shape}, expected "
-                f"({DEGREE_SIZES[self.degree]},) for degree {self.degree}"
+                f"(..., {DEGREE_SIZES[self.degree]}) for degree {self.degree}"
             )
         return out
 

@@ -38,7 +38,7 @@ from .errors import (
     QuadratureDivergence,
     SchemaError,
 )
-from .forms import J_from_form, apply_J_covector, wedge
+from .forms import CYCLIC, J_from_form, apply_J_covector, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
 
@@ -68,7 +68,7 @@ class GHConfig:
                 raise SchemaError("k=0 is reserved for the single-center oracle")
         elif self.k < 1:
             raise SchemaError(f"k must be >= 1, got {self.k}")
-        elif not (math.isfinite(self.lam) and self.lam > 0):
+        if not (math.isfinite(self.lam) and self.lam > 0):
             raise SchemaError(f"lambda must be finite and > 0, got {self.lam}")
         for idx, (pos, n) in enumerate(self.centers):
             if not np.all(np.isfinite(np.asarray(pos, dtype=float))):
@@ -291,12 +291,9 @@ class FrameSample:
 def form_triple(v: float, eta: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """w_i = dx^i ^ eta + sign V dx^j ^ dx^k (cyclic) as a (3, 6) stack:
     the self-dual triple for sign +1, the anti-self-dual one for -1."""
-    dx = np.eye(4)
-    out = np.zeros((3, 6))
-    for i in range(3):
-        j, kk = (i + 1) % 3, (i + 2) % 3
-        out[i] = wedge(dx[i], 1, eta, 1) + sign * v * wedge(dx[j], 1, dx[kk], 1)
-    return out
+    dx = np.eye(4)[:3]
+    j, k = CYCLIC
+    return wedge(dx, 1, eta, 1) + sign * v * wedge(dx[j], 1, dx[k], 1)
 
 
 def metric_at(config: GHConfig, p: ChartPoint) -> FrameSample:
@@ -309,8 +306,8 @@ def metric_at(config: GHConfig, p: ChartPoint) -> FrameSample:
         coframe[i, i] = sqv
     coframe[3] = eta / sqv
     triple = form_triple(v, eta)
-    jmats = np.stack([J_from_form(g, triple[i]) for i in range(3)])
-    return FrameSample(point=p, coframe=coframe, metric=g, triple=triple, J=jmats)
+    return FrameSample(point=p, coframe=coframe, metric=g, triple=triple,
+                       J=J_from_form(g, triple))
 
 
 def triple_fn(config: GHConfig, i: int, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:

@@ -143,6 +143,29 @@ def _symmetrize_pairs(arr: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nd
     return out / count
 
 
+def _checked_jet(arr: np.ndarray, name: str, kind: str,
+                 groups: list[tuple[int, ...]], tol: float) -> np.ndarray:
+    """The symmetrized, read-only jet array after checking its shape,
+    finiteness and index symmetries; every message starts with the field
+    name."""
+    arr = np.asarray(arr, dtype=float)
+    shape = (4,) * sum(len(g) for g in groups)
+    if arr.shape != shape:
+        raise SchemaError(f"{name}: {kind} jet must have shape {shape}, got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise SchemaError(f"{name}: non-finite entry at {bad[0].tolist()}")
+    sym = _symmetrize_pairs(arr, groups)
+    gap = float(np.max(np.abs(arr - sym)))
+    scale = max(float(np.max(np.abs(arr))), 1.0)
+    if gap > tol * scale:
+        raise SymmetryError(
+            f"{name}: {kind} jet asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
+        )
+    sym.setflags(write=False)
+    return sym
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Quadratic metric jet h_kl = H[i][j][k][l] x^i x^j."""
@@ -151,20 +174,7 @@ class Jet2:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet2":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (4, 4, 4, 4):
-            raise SchemaError(f"quadratic jet must be 4x4x4x4, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError("non-finite entry")
-        sym = _symmetrize_pairs(arr, [(0, 1), (2, 3)])
-        gap = float(np.max(np.abs(arr - sym)))
-        scale = max(float(np.max(np.abs(arr))), 1.0)
-        if gap > tol * scale:
-            raise SymmetryError(
-                f"quadratic jet asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
-            )
-        sym.setflags(write=False)
-        return cls(H=sym)
+        return cls(H=_checked_jet(arr, "H", "quadratic", [(0, 1), (2, 3)], tol))
 
     def metric_field(self, quartic: "Jet4 | None" = None) -> Callable[[np.ndarray], np.ndarray]:
         return metric_fn_from_jets(self, quartic)
@@ -178,20 +188,7 @@ class Jet4:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet4":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (4,) * 6:
-            raise SchemaError(f"quartic jet must be 4^6, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError("non-finite entry")
-        sym = _symmetrize_pairs(arr, [(0, 1, 2, 3), (4, 5)])
-        gap = float(np.max(np.abs(arr - sym)))
-        scale = max(float(np.max(np.abs(arr))), 1.0)
-        if gap > tol * scale:
-            raise SymmetryError(
-                f"quartic jet asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
-            )
-        sym.setflags(write=False)
-        return cls(H2=sym)
+        return cls(H2=_checked_jet(arr, "H2", "quartic", [(0, 1, 2, 3), (4, 5)], tol))
 
 
 def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.ndarray], np.ndarray]:
@@ -567,13 +564,13 @@ def binary_dihedral_group() -> list[np.ndarray]:
 
 
 def pullback_jet2(jet: Jet2, Q: np.ndarray) -> Jet2:
-    h = np.einsum("mnab,mi,nj,ak,bl->ijkl", jet.H, Q, Q, Q, Q)
+    h = np.einsum("mnab,mi,nj,ak,bl->ijkl", jet.H, Q, Q, Q, Q, optimize=True)
     return Jet2.from_array(h, tol=1e-9)
 
 
 def pullback_jet4(quartic: Jet4, Q: np.ndarray) -> Jet4:
     h = np.einsum(
-        "pqrsab,pi,qj,rk,sl,am,bn->ijklmn", quartic.H2, Q, Q, Q, Q, Q, Q
+        "pqrsab,pi,qj,rk,sl,am,bn->ijklmn", quartic.H2, Q, Q, Q, Q, Q, Q, optimize=True
     )
     return Jet4.from_array(h, tol=1e-9)
 
@@ -598,7 +595,7 @@ def pullback_quintic_field(xfield: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """(Q . X)(x) = Q^{-1} X(Q x) on quintic coefficient arrays
     X[m][i][j][k][l][p]."""
     return np.einsum(
-        "nabcde,nm,ai,bj,ck,dl,ep->mijklp", xfield, Q, Q, Q, Q, Q, Q
+        "nabcde,nm,ai,bj,ck,dl,ep->mijklp", xfield, Q, Q, Q, Q, Q, Q, optimize=True
     )
 
 

@@ -83,36 +83,40 @@ def _s3_tangents(radius: float, u, t1, t2):
 
 
 def integrate_S3(
-    integrand: Callable[[np.ndarray], float | np.ndarray],
+    integrand: Callable[[np.ndarray], np.ndarray],
     radius: float = 1.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
     mode: str = "scalar",
 ) -> float:
     """Integral over the radius-r sphere.
 
-    mode "scalar": integrand(point) -> value, integrated against the
-    round measure.  mode "form3": integrand(point) -> degree-3
-    component vector, integrated as the pullback to the sphere with
-    outward boundary orientation.
+    The integrand is vectorized: it maps the (N, 4) array of quadrature
+    nodes to N values in one call.  mode "scalar": values of shape (N,),
+    integrated against the round measure.  mode "form3": degree-3
+    component vectors of shape (N, 4), integrated as the pullback to the
+    sphere with outward boundary orientation.  Any other shape raises
+    SchemaError.
     """
+    if mode not in ("scalar", "form3"):
+        raise SchemaError(f"unknown mode {mode!r}")
     u, t1, t2, w = _s3_grid(spec)
     c = np.sqrt((1.0 + u) / 2.0)
     s = np.sqrt((1.0 - u) / 2.0)
     pts = radius * np.stack(
         [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
     )
+    vals = np.asarray(integrand(pts), dtype=float)
+    expected = (len(pts),) if mode == "scalar" else (len(pts), 4)
+    if vals.shape != expected:
+        raise SchemaError(
+            f"{mode} integrand returned shape {vals.shape} for {len(pts)} nodes, "
+            f"expected {expected}")
     if mode == "scalar":
-        vals = np.array([float(integrand(p)) for p in pts])
         return float(np.sum(w * vals * (radius**3 / 4.0)))
-    if mode != "form3":
-        raise SchemaError(f"unknown mode {mode!r}")
     # t(d_u, d_t1, d_t2) = sum_I t_I * (3x3 minor of the tangent frame on
     # the columns I), with I running over the sorted triples
     frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
     minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in TUPLES[3]], axis=1)
-    vals = np.empty_like(minors)
-    for idx, p in enumerate(pts):
-        vals[idx] = integrand(p)
     return float(np.sum(w * np.einsum("ni,ni->n", vals, minors)))
 
 
@@ -259,21 +263,19 @@ class QuadraticTriple:
         object.__setattr__(self, "Z", z)
 
     def z_values(self, x: np.ndarray) -> np.ndarray:
+        """(..., 3) values of z_i at points x of shape (..., 4)."""
         x = np.asarray(x, dtype=float)
-        return np.einsum("iab,a,b->i", self.Z, x, x)
+        return np.einsum("iab,...a,...b->...i", self.Z, x, x)
 
     def varpi(self, x: np.ndarray) -> np.ndarray:
+        """(..., 6) components of varpi at points x of shape (..., 4)."""
         return self.z_values(x) @ _dual_basis(self.duality)
 
     def d_varpi(self, x: np.ndarray) -> np.ndarray:
-        """Exact exterior derivative (degree-3 components) at x."""
+        """Exact exterior derivative, (..., 4) degree-3 components at x."""
         x = np.asarray(x, dtype=float)
-        basis = _dual_basis(self.duality)
-        grad = 2.0 * np.einsum("iab,b->ia", self.Z, x)
-        out = np.zeros(4)
-        for i in range(3):
-            out += wedge(grad[i], 1, basis[i], 2)
-        return out
+        grad = 2.0 * np.einsum("iab,...b->...ia", self.Z, x)
+        return wedge(grad, 1, _dual_basis(self.duality), 2).sum(axis=-2)
 
 
 def _coeffs_to_Z(coeffs: np.ndarray) -> np.ndarray:
@@ -311,15 +313,15 @@ def second_derivative_identity_residual(triple: QuadraticTriple) -> float:
 
 
 _J1_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD[0])
+_F_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # F = (x . _F_SIGNS x) / r^6
 
 
 def grad_F(x: np.ndarray) -> np.ndarray:
-    """Gradient of F = (r1^2 - r2^2)/r^6."""
+    """Gradient of F = (r1^2 - r2^2)/r^6 at points x of shape (..., 4)."""
     x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    q = x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2
-    dq = 2.0 * np.array([x[0], x[1], -x[2], -x[3]])
-    return dq / r2**3 - 6.0 * q * x / r2**4
+    r2 = np.sum(x * x, axis=-1, keepdims=True)
+    q = np.sum(_F_SIGNS * x * x, axis=-1, keepdims=True)
+    return 2.0 * _F_SIGNS * x / r2**3 - 6.0 * q * x / r2**4
 
 
 def dCF_pairing(

@@ -133,10 +133,3 @@ def test_bianchi_gauge_kills_killing_deformation():
     h_field = lambda x: np.zeros((4, 4))
     out = connection.bianchi_gauge(flat, h_field, np.array([0.1, 0.2, 0.3, 0.4]))
     assert np.max(np.abs(out)) < 1e-12
-
-
-def test_connection_form_rotation():
-    vals = np.arange(12.0).reshape(3, 4)
-    a = connection.ConnectionForm(components=lambda x: vals)
-    rot = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.allclose(a.rotated(rot)(np.zeros(4)), rot @ vals)

@@ -136,6 +136,29 @@ def test_codifferential_flat_known_value():
     assert np.allclose(out, np.array([1.0, 0, 0, 0]), atol=1e-9)
 
 
+def test_stacked_field_matches_row_by_row():
+    # one (3, 6) stack of 2-forms against three single-form fields
+    rng = np.random.default_rng(2)
+    lin, quad = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 6, 4, 4))
+
+    def stack(x):
+        return lin @ x + np.einsum("inab,a,b->in", quad, x, x)
+
+    def metric(x):
+        return np.eye(4) + 0.1 * np.outer(x, x)
+
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    field = forms.FormField(2, stack)
+    rows = [forms.FormField(2, lambda y, i=i: stack(y)[i]) for i in range(3)]
+    d = fd.fd_d(field, x)
+    assert d.shape == (3, 4)
+    assert np.allclose(d, [fd.fd_d(r, x) for r in rows], rtol=1e-13, atol=1e-13)
+    delta = fd.codifferential(metric, field, x)
+    assert delta.shape == (3, 4)
+    assert np.allclose(delta, [fd.codifferential(metric, r, x) for r in rows],
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_laplace_beltrami_flat():
     x = np.array([0.1, -0.2, 0.3, 0.05])
     assert fd.laplace_beltrami(FLAT, lambda x: float(x @ x), x) == pytest.approx(8.0, abs=1e-7)

@@ -61,6 +61,14 @@ def test_wedge_bilinear(seed, s, t):
     lhs = forms.wedge(a, 1, s * b + t * c, 2)
     rhs = s * forms.wedge(a, 1, b, 2) + t * forms.wedge(a, 1, c, 2)
     assert np.allclose(lhs, rhs, atol=1e-12)
+    # stacked input: rows of a (3, n) stack, and one form against a stack
+    stack_a = np.stack([a, s * a, _rand_comps(seed + 3, 1)])
+    stack_b = np.stack([b, c, t * b])
+    assert np.allclose(
+        forms.wedge(stack_a, 1, stack_b, 2),
+        [forms.wedge(x, 1, y, 2) for x, y in zip(stack_a, stack_b)], atol=1e-12)
+    assert np.allclose(
+        forms.wedge(a, 1, stack_b, 2), [forms.wedge(a, 1, y, 2) for y in stack_b], atol=1e-12)
 
 
 def test_hodge_star_flat():
@@ -182,6 +190,14 @@ def test_apply_J_covector_is_pullback():
     v = _rand_comps(4, 1)
     # (J beta)(v) = -beta(J v)
     assert forms.apply_J_covector(J, beta) @ v == pytest.approx(-(beta @ (J @ v)))
+    # stacks of matrices and covectors broadcast row by row
+    jstack = forms.J_from_form(FLAT, forms.OMEGA_SD)
+    assert np.allclose(jstack, [forms.J_from_form(FLAT, w) for w in forms.OMEGA_SD])
+    betas = np.stack([beta, v, beta - v])
+    assert np.allclose(forms.apply_J_covector(jstack, betas),
+                       [forms.apply_J_covector(m, b) for m, b in zip(jstack, betas)])
+    assert np.allclose(forms.apply_J_covector(J, betas),
+                       [forms.apply_J_covector(J, b) for b in betas])
 
 
 def test_metric_from_triple_flat():
@@ -206,8 +222,11 @@ def test_metric_from_triple_rejects_incompatible():
 def test_form_field_validates_shape():
     field = forms.constant_form(2, np.ones(6))
     assert np.allclose(field(np.zeros(4)), np.ones(6))
-    bad = forms.FormField(degree=2, evaluator=lambda p: np.ones(3))
-    with pytest.raises(ValueError):
-        bad(np.zeros(4))
+    stack = forms.constant_form(2, np.ones((3, 6)))
+    assert stack(np.zeros(4)).shape == (3, 6)
+    for shape in (3, (6, 3), ()):
+        bad = forms.FormField(degree=2, evaluator=lambda p, shape=shape: np.ones(shape))
+        with pytest.raises(ValueError):
+            bad(np.zeros(4))
     with pytest.raises(ValueError):
         forms.FormField(degree=7, evaluator=lambda p: p)

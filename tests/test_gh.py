@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import fd, forms, gh, harmonic
-from ale_lab.errors import CenterTooClose, OnDiracString, SchemaError
+from ale_lab.errors import AleLabError, CenterTooClose, OnDiracString, SchemaError
 from ale_lab.forms import FormField
 
 
@@ -45,6 +45,41 @@ def test_config_validation():
     for weight in (0, -1, 1.5):
         with pytest.raises(SchemaError, match="weight"):
             gh.GHConfig(k=1, lam=1.0, centers=(((-1.0, 0, 0), 2 - weight), ((1.0, 0, 0), weight)))
+
+
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.floats(0.1, 10.0),
+    st.sampled_from(["lambda", "position", "weight", "coincident"]),
+    st.sampled_from(_NON_FINITE + (0.0, -1.0)),
+    st.sampled_from([0, -1, -3, 1.5]),
+    st.integers(0, 1),
+    st.integers(0, 2),
+)
+def test_bad_config_names_field(k, lam, fault, bad_real, bad_weight, idx, axis):
+    # any non-finite, non-positive, coincident or badly weighted input stops
+    # at construction with a library error that names the field
+    centers = [[[-k * lam, 0.0, 0.0], 1], [[lam, 0.0, 0.0], k]]
+    field = f"centers[{idx}]"
+    if fault == "lambda":
+        lam, field = bad_real, "lambda"
+    elif fault == "position":
+        centers[idx][0][axis] = _NON_FINITE[axis]
+    elif fault == "weight":
+        centers[idx][1] = bad_weight
+    else:
+        centers[1][0] = list(centers[0][0])
+        field = "centers[1]"
+    with pytest.raises(AleLabError) as info:
+        gh.GHConfig(k=k, lam=lam, centers=tuple((tuple(p), n) for p, n in centers))
+    assert field in str(info.value)
+    if fault == "lambda":
+        with pytest.raises(AleLabError, match="lambda"):
+            gh.GHConfig(k=0, lam=lam, centers=(((0.0, 0.0, 0.0), 1),))
 
 
 def test_config_json_round_trip():

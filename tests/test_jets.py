@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import connection, fd, jets
-from ale_lab.errors import FirstObstructionNonzero, SchemaError, SymmetryError
+from ale_lab.errors import AleLabError, FirstObstructionNonzero, SchemaError, SymmetryError
 
 
 # --- polynomial algebra -------------------------------------------------------
@@ -56,6 +56,19 @@ def test_jet2_symmetrization_and_rejection():
     assert np.allclose(jet.H, sym)
     with pytest.raises(SchemaError):
         jets.Jet2.from_array(np.zeros((2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["H", "H2"]), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.integers(0, 4**6 - 1))
+def test_non_finite_jet_entry_names_field(field, value, flat):
+    arr = (jets.random_jet2(1).H if field == "H" else jets.random_jet4(1).H2).copy()
+    idx = np.unravel_index(flat % arr.size, arr.shape)
+    arr[idx] = value
+    build = jets.Jet2.from_array if field == "H" else jets.Jet4.from_array
+    with pytest.raises(AleLabError) as info:
+        build(arr)
+    assert str(info.value).startswith(f"{field}: non-finite entry at {[int(i) for i in idx]}")
 
 
 def test_metric_fn_from_jets_quadratic_term():

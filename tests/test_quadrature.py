@@ -16,19 +16,20 @@ from ale_lab.errors import SchemaError
 
 
 def test_sphere_volume_and_scaling():
-    vol = quadrature.integrate_S3(lambda p: 1.0, radius=1.0)
+    vol = quadrature.integrate_S3(lambda x: np.ones(len(x)), radius=1.0)
     assert vol == pytest.approx(2 * math.pi**2, rel=1e-12)
-    vol13 = quadrature.integrate_S3(lambda p: 1.0, radius=1.3)
+    vol13 = quadrature.integrate_S3(lambda x: np.ones(len(x)), radius=1.3)
     assert vol13 / vol == pytest.approx(1.3**3, rel=1e-12)
 
 
 def test_sphere_moments_closed_form():
     cross = quadrature.integrate_S3(
-        lambda x: (x[0] * x[3] + x[1] * x[2]) ** 2, radius=1.0
+        lambda x: (x[..., 0] * x[..., 3] + x[..., 1] * x[..., 2]) ** 2, radius=1.0
     )
     assert cross == pytest.approx(math.pi**2 / 6.0, abs=1e-8)
     quad = quadrature.integrate_S3(
-        lambda x: (x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2) ** 2, radius=1.0
+        lambda x: (x[..., 0] ** 2 + x[..., 1] ** 2 - x[..., 2] ** 2 - x[..., 3] ** 2) ** 2,
+        radius=1.0
     )
     assert quad == pytest.approx(2.0 * math.pi**2 / 3.0, abs=1e-8)
 
@@ -40,7 +41,7 @@ def test_form3_pullback_matches_tensor_contraction():
     coeffs = np.random.default_rng(4).normal(size=(4, 4))
 
     def integrand(x):
-        return coeffs @ (x + x**2)
+        return (x + x**2) @ coeffs.T
 
     u, t1, t2, w = quadrature._s3_grid(spec)
     du, dt1, dt2 = quadrature._s3_tangents(1.3, u, t1, t2)
@@ -55,8 +56,15 @@ def test_form3_pullback_matches_tensor_contraction():
 
 
 def test_odd_moments_vanish():
-    for f in (lambda x: x[0], lambda x: x[0] * x[1] * x[2]):
+    for f in (lambda x: x[..., 0], lambda x: x[..., 0] * x[..., 1] * x[..., 2]):
         assert quadrature.integrate_S3(f, radius=1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["scalar", "form3"])
+def test_per_point_integrand_rejected(mode):
+    # x[0] of the (N, 4) node array is the first node, not a coordinate
+    with pytest.raises(SchemaError, match=r"shape \(4,\)"):
+        quadrature.integrate_S3(lambda x: x[0], mode=mode)
 
 
 def test_quadratic_triple_validation():
@@ -72,8 +80,9 @@ def test_quadratic_triple_validation():
 def test_random_closed_quadratic_is_closed(duality):
     triple = quadrature.random_closed_quadratic(3, duality)
     rng = np.random.default_rng(0)
-    for _ in range(4):
-        x = rng.normal(size=4)
+    xs = rng.normal(size=(4, 4))
+    assert np.max(np.abs(triple.d_varpi(xs))) < 1e-12
+    for x in xs:
         assert np.max(np.abs(triple.d_varpi(x))) < 1e-12
     assert quadrature.second_derivative_identity_residual(
         quadrature.random_closed_sd_quadratic(5)
@@ -135,6 +144,9 @@ def test_grad_F_matches_fd():
         (F(x + step * e) - F(x - step * e)) / (2 * step) for e in np.eye(4)
     ])
     assert np.allclose(quadrature.grad_F(x), num, atol=1e-6)
+    # a stack of points gives the stack of gradients
+    stack = np.stack([x, -0.5 * x])
+    assert np.allclose(quadrature.grad_F(stack), [quadrature.grad_F(p) for p in stack])
 
 
 def test_quadrature_deterministic():
