@@ -85,6 +85,7 @@ def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
 
 
 def check_frame(metric: np.ndarray, triple: np.ndarray, tol: float = 1e-8) -> None:
+    """Gram check of (..., 3, 6) frames against (..., 4, 4) metrics."""
     gram = 2.0 * project_stack(metric, triple, triple)
     dev = float(np.max(np.abs(gram - 2.0 * np.eye(3))))
     if dev > tol:
@@ -98,30 +99,31 @@ def connection_from_Phi(
     check: bool = True,
 ) -> FormField:
     """Connection covectors of the orthonormal self-dual frame phi, as a
-    degree-1 field with (3, 4) values.
+    degree-1 field with (..., 3, 4) values.
 
-    phi maps a point to the (3, 6) component stack of the frame; the
-    metric defaults to the one reconstructed from the frame itself.
+    phi maps (..., 4) points to the (..., 3, 6) component stacks of the
+    frame; the metric defaults to the one reconstructed from the frame
+    itself.
     """
 
     def metric_at(x: np.ndarray) -> np.ndarray:
         if metric_fn is not None:
             return np.asarray(metric_fn(x), dtype=float)
         comps = phi(x)
-        return metric_from_triple(comps[0], comps[1], comps[2])
+        return metric_from_triple(comps[..., 0, :], comps[..., 1, :], comps[..., 2, :])
 
     def components(x: np.ndarray) -> np.ndarray:
         g = metric_at(x)
         comps = np.asarray(phi(x), dtype=float)
         if check:
             check_frame(g, comps)
-        jmats = J_from_form(g, comps)
+        jmats = J_from_form(g[..., None, :, :], comps)
         deltas = fd.codifferential(metric_at, FormField(2, phi), x, h)
         j, k = CYCLIC
         return 0.5 * (
             deltas
-            + apply_J_covector(jmats[k], deltas[j])
-            - apply_J_covector(jmats[j], deltas[k])
+            + apply_J_covector(jmats[..., k, :, :], deltas[..., j, :])
+            - apply_J_covector(jmats[..., j, :, :], deltas[..., k, :])
         )
 
     return FormField(1, components)
@@ -139,18 +141,19 @@ def torsion_residual(
     comps = np.asarray(phi(x), dtype=float)
     j, k = CYCLIC
     dphi = fd.fd_d(FormField(2, phi), x, h)
-    res = dphi - wedge(avals[k], 1, comps[j], 2) + wedge(avals[j], 1, comps[k], 2)
+    res = (dphi - wedge(avals[..., k, :], 1, comps[..., j, :], 2)
+           + wedge(avals[..., j, :], 1, comps[..., k, :], 2))
     return float(np.max(np.abs(res)))
 
 
 def curvature_forms(
     a: FormField, x: np.ndarray, h: float = fd.DEFAULT_STEP
 ) -> np.ndarray:
-    """R_k = d a_k + a_i ^ a_j (cyclic); returns a (3, 6) stack."""
+    """R_k = d a_k + a_i ^ a_j (cyclic); returns a (..., 3, 6) stack."""
     x = np.asarray(x, dtype=float)
     avals = a(x)
     i, j = CYCLIC
-    return fd.fd_d(a, x, h) + wedge(avals[i], 1, avals[j], 1)
+    return fd.fd_d(a, x, h) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
 
 
 def decompose_curvature(
@@ -207,7 +210,7 @@ def bianchi_gauge(
     x: np.ndarray,
     h: float = fd.DEFAULT_STEP,
 ) -> np.ndarray:
-    """B h = delta_g h + (1/2) d Tr_g h as a covector at x."""
+    """B h = delta_g h + (1/2) d Tr_g h as covectors at (..., 4) points."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(metric_fn(x), dtype=float)
     ginv = np.linalg.inv(g)
@@ -215,15 +218,15 @@ def bianchi_gauge(
     dh = fd.all_partials(h_field, x, h)  # dh[a, b, c] = d_a h_bc
     hval = np.asarray(h_field(x), dtype=float)
     # delta h_c = -g^{ab} (d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be)
-    nabla = dh - np.einsum("eab,ec->abc", gamma, hval) - np.einsum("eac,be->abc", gamma, hval)
-    delta = -np.einsum("ab,abc->c", ginv, nabla)
+    nabla = (dh - np.einsum("...eab,...ec->...abc", gamma, hval)
+             - np.einsum("...eac,...be->...abc", gamma, hval))
+    delta = -np.einsum("...ab,...abc->...c", ginv, nabla)
 
-    def trace_fn(y: np.ndarray) -> float:
+    def trace_fn(y: np.ndarray) -> np.ndarray:
         gy = np.asarray(metric_fn(y), dtype=float)
-        return float(np.einsum("ab,ab->", np.linalg.inv(gy), h_field(y)))
+        return np.einsum("...ab,...ab->...", np.linalg.inv(gy), h_field(y))
 
-    dtr = np.array([float(fd.partial(trace_fn, x, a, h)) for a in range(4)])
-    return delta + 0.5 * dtr
+    return delta + 0.5 * fd.all_partials(trace_fn, x, h)
 
 
 def mixed_block_to_ric0(

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fd, gh
 from .connection import connection_from_Phi
@@ -54,35 +53,46 @@ from .forms import (
     wedge,
 )
 
-ScalarField = Callable[[np.ndarray], float]
-MatrixField = Callable[[np.ndarray], np.ndarray]  # x -> (3, 3) coefficients
+ScalarField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (...)
+MatrixField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (..., 3, 3)
 
 _J_SD_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD)
 _J_ASD_FLAT = J_from_form(EUCLIDEAN, OMEGA_ASD)
+_BASIS = np.vstack([OMEGA_SD, OMEGA_ASD])
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (..., n, n) stack.  scipy.linalg costs about
+    a quarter second to import and only the exponential families need it,
+    so it is imported here, on first use."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """(3, 6) anti-self-dual component stack from a 3x3 coefficient matrix."""
+    """(..., 3, 6) anti-self-dual component stacks from (..., 3, 3)
+    coefficient matrices."""
     return np.asarray(coeffs, dtype=float) @ OMEGA_ASD
 
 
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                h: float = fd.DEFAULT_STEP) -> np.ndarray:
-    """a_i = *d phi_i on the flat background; returns a (3, 4) stack."""
+    """a_i = *d phi_i on the flat background; returns a (..., 3, 4) stack."""
     return hodge_star(EUCLIDEAN, fd.fd_d(FormField(2, phi), x, h), 3)
 
 
 def _j_sum(a: np.ndarray) -> np.ndarray:
-    """sum_i J_i a_i for a (3, 4) covector stack, flat self-dual J_i."""
-    return apply_J_covector(_J_SD_FLAT, a).sum(axis=0)
+    """sum_i J_i a_i for a (..., 3, 4) covector stack, flat self-dual J_i."""
+    return apply_J_covector(_J_SD_FLAT, a).sum(axis=-2)
 
 
 def gauge_residual(lam: ScalarField, phi: Callable[[np.ndarray], np.ndarray],
                    x: np.ndarray, h: float = fd.DEFAULT_STEP) -> float:
-    """Max component of sum_i J_i(*d phi_i) + d lam at x."""
+    """Max component of sum_i J_i(*d phi_i) + d lam over (..., 4) points."""
     x = np.asarray(x, dtype=float)
     total = _j_sum(star_d_phi(phi, x, h))
-    dlam = fd.gradient(lam, x, h)
+    dlam = fd.all_partials(lam, x, h)
     return float(np.max(np.abs(total + dlam)))
 
 
@@ -126,26 +136,23 @@ class TripleFamily:
     coeff: MatrixField  # C(x)
 
     def generator(self, x: np.ndarray) -> np.ndarray:
+        """M(x) as (..., 6, 6) matrices at (..., 4) points."""
         c = np.asarray(self.coeff(x), dtype=float)
-        lam = float(self.lam(x))
-        m = np.zeros((6, 6))
-        m[:3, :3] = lam * np.eye(3)
-        m[3:, 3:] = lam * np.eye(3)
-        m[:3, 3:] = -c
-        m[3:, :3] = -c.T
-        return m
+        lam = np.asarray(self.lam(x), dtype=float)[..., None, None] * np.eye(3)
+        return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
 
     def triple(self, t: float, x: np.ndarray) -> np.ndarray:
+        """(..., 3, 6) triples Phi(t) at (..., 4) points, from one stacked expm."""
         e = expm(t * self.generator(np.asarray(x, dtype=float)))
-        basis = np.vstack([OMEGA_SD, OMEGA_ASD])  # (6, 6) rows
-        return (e[:, :3].T @ basis)  # column i -> coefficients of Phi_i
+        # column i -> coefficients of Phi_i on the rows of the (6, 6) basis
+        return np.swapaxes(e[..., :, :3], -1, -2) @ _BASIS
 
     def triple_field(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.triple(t, x)
 
     def metric(self, t: float, x: np.ndarray) -> np.ndarray:
         tr = self.triple(t, np.asarray(x, dtype=float))
-        return metric_from_triple(tr[0], tr[1], tr[2])
+        return metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
 
     def metric_field(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
@@ -181,10 +188,10 @@ class TripleFamily:
 
 def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     """Anti-self-dual part of the curvature's quadratic term,
-    (a_j ^ a_k)_- per cyclic component, from a (3, 4) covector stack."""
+    (a_j ^ a_k)_- per cyclic component, from a (..., 3, 4) covector stack."""
     a = np.asarray(a_values, dtype=float)
     j, k = CYCLIC
-    _, minus = split_sd(EUCLIDEAN, wedge(a[j], 1, a[k], 1))
+    _, minus = split_sd(EUCLIDEAN, wedge(a[..., j, :], 1, a[..., k, :], 1))
     return minus
 
 
@@ -232,8 +239,9 @@ _EIJ = 0.5 * (_COMPOSED + np.swapaxes(_COMPOSED, -1, -2))
 
 
 def metric_perturbation_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Trace-free symmetric perturbation h from a 3x3 coefficient matrix."""
-    return np.einsum("ij,ijab->ab", np.asarray(coeffs, dtype=float), _EIJ)
+    """Trace-free symmetric perturbations h (..., 4, 4) from (..., 3, 3)
+    coefficient matrices."""
+    return np.einsum("...ij,ijab->...ab", np.asarray(coeffs, dtype=float), _EIJ)
 
 
 def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray],
@@ -241,7 +249,7 @@ def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray],
     """(d delta phi)_- for an anti-self-dual 2-form field (or a (..., 6)
     stack of them), flat."""
     x = np.asarray(x, dtype=float)
-    euc = lambda _: EUCLIDEAN
+    euc = lambda y: np.broadcast_to(EUCLIDEAN, y.shape[:-1] + EUCLIDEAN.shape)
     delta_field = FormField(1, lambda y: fd.codifferential(euc, FormField(2, phi), y, h))
     _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x, h))
     return minus
@@ -259,10 +267,9 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray,
     return metric_perturbation_from_coeffs(rows)
 
 
-_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(p, 4)]
-_DIV_POINTS = [np.zeros(4)] + [np.eye(4)[a] for a in range(4)] + [
-    np.array([0.3, -0.7, 0.4, 0.9]), np.array([-1.1, 0.2, -0.5, 0.6]),
-]
+_QUAD_P, _QUAD_Q = np.triu_indices(4)  # monomials x_p x_q with p <= q
+_DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
+                         [-1.1, 0.2, -0.5, 0.6]])
 _EFO_CONSTRAINTS: np.ndarray | None = None
 
 
@@ -272,11 +279,9 @@ def _polynomial_field(vec: np.ndarray, degree: int) -> MatrixField:
     v = vec.reshape(3, 3, -1)
 
     def coeff(x: np.ndarray) -> np.ndarray:
-        if degree == 1:
-            vals = np.array([x[a] for a in range(4)])
-        else:
-            vals = np.array([x[p] * x[q] for p, q in _QUAD_PAIRS])
-        return np.einsum("ijn,n->ij", v, vals)
+        x = np.asarray(x, dtype=float)
+        vals = x if degree == 1 else x[..., _QUAD_P] * x[..., _QUAD_Q]
+        return np.einsum("ijn,...n->...ij", v, vals)
 
     return coeff
 
@@ -289,9 +294,7 @@ def _divergence_samples(coeff: MatrixField) -> np.ndarray:
     constraint delta h = 0 as a linear map on the coefficient vector.
     """
     h_field = lambda y: metric_perturbation_from_coeffs(coeff(y))
-    return np.concatenate(
-        [np.einsum("aab->b", fd.all_partials(h_field, p, 0.25)) for p in _DIV_POINTS]
-    )
+    return np.einsum("...aab->...b", fd.all_partials(h_field, _DIV_POINTS, 0.25)).ravel()
 
 
 def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
@@ -302,7 +305,7 @@ def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    nmono = 4 if degree == 1 else len(_QUAD_PAIRS)
+    nmono = 4 if degree == 1 else len(_QUAD_P)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(3, 3, nmono))
 
@@ -331,11 +334,11 @@ def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
     cmat = rng.normal(size=(3, 3, 4)) * scale
 
     def coeff(x: np.ndarray) -> np.ndarray:
-        return np.einsum("ija,a->ij", cmat, x)
+        return np.einsum("ija,...a->...ij", cmat, x)
 
     phi = lambda x: phi_comps_from_coeffs(coeff(x))
     csum = _j_sum(star_d_phi(phi, np.zeros(4)))
-    return TripleFamily(lam=lambda x: float(-(csum @ x)), coeff=coeff)
+    return TripleFamily(lam=lambda x: -np.einsum("...a,a->...", x, csum), coeff=coeff)
 
 
 def _efo_constraint_matrix() -> np.ndarray:
@@ -354,7 +357,7 @@ def _efo_constraint_matrix() -> np.ndarray:
         _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, 1, 2), 2))
         return np.concatenate([div, minus.ravel()])
 
-    n = 9 * len(_QUAD_PAIRS)
+    n = 9 * len(_QUAD_P)
     cols = [rows_of(np.eye(n)[i]) for i in range(n)]
     _EFO_CONSTRAINTS = np.stack(cols, axis=1)
     return _EFO_CONSTRAINTS
@@ -397,24 +400,18 @@ def moment_connection(config: gh.GHConfig, coeff: np.ndarray,
     use (deformations transverse to the first curvature row).
     """
     c = np.asarray(coeff, dtype=float)
-
-    def components(x4: np.ndarray) -> np.ndarray:
-        p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-        alphas = 0.5 * apply_J_covector(gh.metric_at(config, p).J, gh.dm4(config, p.x3))
-        return c @ alphas
-
-    return FormField(1, components)
+    return FormField(1, lambda x4: c @ gh.alpha_covector(config, x4, patch))
 
 
 def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
                              x4: np.ndarray, h: float = fd.DEFAULT_STEP,
                              patch: str = "north") -> dict:
-    """Residuals of d a_i = sum_j coeff[i,j] w_j and of coclosedness."""
+    """Residuals of d a_i = sum_j coeff[i,j] w_j and of coclosedness, the
+    max over a (..., 4) stack of points."""
     x4 = np.asarray(x4, dtype=float)
     c = np.asarray(coeff, dtype=float)
     a = moment_connection(config, coeff, patch)
-    p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-    triple = gh.metric_at(config, p).triple
+    triple = gh.triple_field(config, patch)(x4)
     mfn = gh.metric_fn(config, patch)
     d_res = float(np.max(np.abs(fd.fd_d(a, x4, h) - c @ triple)))
     delta_res = float(np.max(np.abs(fd.codifferential(mfn, a, x4, h))))
@@ -435,18 +432,12 @@ def radial_contraction_decay(
     dirs = rng.normal(size=(directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     kfac = config.k + 1
-    logs_r, logs_v = [], []
-    for rho in radii:
-        r4 = np.sqrt(2.0 * kfac * rho)
-        vals = []
-        for u in dirs:
-            base = rho * u
-            p = gh.ChartPoint(base=tuple(base), fiber_angle=0.3, patch=patch)
-            alpha = gh.alpha_covector(config, p, index)
-            vec = np.zeros(4)
-            vec[:3] = (r4 / kfac) * u
-            vals.append(abs(float(alpha @ vec)))
-        logs_r.append(np.log(r4))
-        logs_v.append(np.log(max(np.mean(vals), 1e-300)))
-    slope = np.polyfit(logs_r, logs_v, 1)[0]
+    rho = np.asarray(radii, dtype=float)[:, None, None]
+    base = rho * dirs  # (radius, direction, 3)
+    x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.3)], axis=-1)
+    alpha = gh.alpha_covector(config, x4, patch)[..., index, :3]
+    r4 = np.sqrt(2.0 * kfac * rho)
+    vals = np.abs(np.sum(alpha * ((r4 / kfac) * dirs), axis=-1))
+    logs_v = np.log(np.maximum(np.mean(vals, axis=-1), 1e-300))
+    slope = np.polyfit(np.log(r4[:, 0, 0]), logs_v, 1)[0]
     return float(slope)

@@ -1,5 +1,16 @@
 """Centered finite differences on 4-dimensional charts.
 
+Point-stacking rule: every field, metric function and FormField
+evaluator maps a (..., 4) stack of chart points to a (..., *shape) stack
+of values, one per point, and every operator here accepts (..., 4) base
+points and returns (..., *result); e.g. ricci on (N, 4) points gives
+(N, 4, 4).  An operator builds its whole stencil, with per-point steps,
+as one point array and calls the field once on it: riemann_up and ricci
+evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
+point) in one metric call.  A field whose output's leading axes do not
+match the points it was given raises SchemaError, and a stencil point
+outside the chart raises EvaluationDomain naming that point.
+
 Default step is 1e-3 at unit scale; steps grow with the max base
 coordinate (the bounded fiber angle is excluded) so far-field stencils
 stay well conditioned relative to the decaying fields they probe.  All geometric identities verified with these tools
@@ -17,47 +28,85 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CenterTooClose, EvaluationDomain, OnDiracString
-from .forms import DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField
+from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
+from .forms import DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, hodge_star
 
 DEFAULT_STEP = 1e-3
 
+# stencil offsets +e0, -e0, +e1, -e1, ... (rows)
+_OFFSETS = np.repeat(np.eye(DIM), 2, axis=0) * np.tile([1.0, -1.0], DIM)[:, None]
 
-def _call(fn: Callable, x: np.ndarray) -> np.ndarray:
+
+def _call(fn: Callable, pts: np.ndarray) -> np.ndarray:
+    """fn on a (..., 4) point stack; its output must lead with the stack's axes."""
     try:
-        return np.asarray(fn(x), dtype=float)
+        out = np.asarray(fn(pts), dtype=float)
     except (CenterTooClose, OnDiracString) as exc:
-        raise EvaluationDomain(f"stencil left the chart at {x}: {exc}") from exc
+        raise EvaluationDomain(f"stencil left the chart: {exc}") from exc
+    lead = pts.shape[:-1]
+    if out.shape[:len(lead)] != lead:
+        raise SchemaError(
+            f"field returned shape {out.shape} for points of shape {pts.shape}; "
+            f"its leading axes must be {lead}"
+        )
+    return out
 
 
-def step_at(x: np.ndarray, h: float, scale: bool = True) -> float:
-    if not scale:
-        return h
+def step_at(x: np.ndarray, h: float, scale: bool = True) -> np.ndarray:
+    """Step per point of a (..., 4) stack: h times max(1, max |base coordinate|)."""
     x = np.asarray(x, dtype=float)
+    if not scale:
+        return np.full(x.shape[:-1], h)
     # Charts put the bounded fiber coordinate last; step conditioning must
     # track the base radius only, never the fiber angle.
-    span = x[:3] if x.size == DIM else x
-    return h * max(1.0, float(np.max(np.abs(span))))
+    return h * np.maximum(1.0, np.max(np.abs(x[..., :3]), axis=-1))
+
+
+def _central(vals: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """(..., 2m, *shape) values at x + he e, x - he e, ... to the m centered
+    differences (..., m, *shape)."""
+    k = he.ndim
+    pairs = vals.reshape(he.shape + (-1, 2) + vals.shape[k + 1:])
+    step = 2.0 * he.reshape(he.shape + (1,) * (pairs.ndim - k - 1))
+    return (np.take(pairs, 0, axis=k + 1) - np.take(pairs, 1, axis=k + 1)) / step
+
+
+def _stencil(x: np.ndarray, h: float, scale: bool, offsets: np.ndarray = _OFFSETS,
+             center: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil points (..., s, 4) around (..., 4) points, x itself first
+    when center is set, and the per-point steps (...)."""
+    x = np.asarray(x, dtype=float)
+    he = step_at(x, h, scale)
+    pts = x[..., None, :] + he[..., None, None] * offsets
+    if center:
+        pts = np.concatenate([x[..., None, :], pts], axis=-2)
+    return pts, he
+
+
+def _value_and_partials(fn: Callable, x: np.ndarray, h: float,
+                        scale: bool) -> tuple[np.ndarray, np.ndarray]:
+    """fn and its four first partials at (..., 4) points, from one call of
+    fn on x and its eight neighbours."""
+    pts, he = _stencil(x, h, scale, center=True)
+    vals = _call(fn, pts)
+    k = he.ndim
+    lead = (slice(None),) * k
+    return vals[lead + (0,)], _central(vals[lead + (slice(1, None),)], he)
 
 
 def partial(fn: Callable, x: np.ndarray, direction: int,
             h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
     """Centered first difference of an array-valued function."""
-    x = np.asarray(x, dtype=float)
-    he = step_at(x, h, scale)
-    e = np.zeros_like(x)
-    e[direction] = he
-    return (_call(fn, x + e) - _call(fn, x - e)) / (2.0 * he)
+    pts, he = _stencil(x, h, scale, _OFFSETS[2 * direction:2 * direction + 2])
+    return np.take(_central(_call(fn, pts), he), 0, axis=he.ndim)
 
 
 def all_partials(fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
                  scale: bool = True) -> np.ndarray:
-    """Stack of the four first partials; leading axis is the direction."""
-    return np.stack([partial(fn, x, a, h, scale) for a in range(DIM)])
-
-
-def gradient(f: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    return np.array([float(partial(f, x, a, h)) for a in range(DIM)])
+    """The four first partials at (..., 4) points as (..., 4, *shape):
+    the direction axis follows the point axes."""
+    pts, he = _stencil(x, h, scale)
+    return _central(_call(fn, pts), he)
 
 
 def _d_table(p: int) -> np.ndarray:
@@ -75,14 +124,16 @@ _D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
 
 def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP,
          scale: bool = True) -> np.ndarray:
-    """Exterior derivative at a point, error O(h^2).
+    """Exterior derivative at (..., 4) points, error O(h^2).
 
-    A field returning (..., n_p) components gives (..., n_{p+1}): a stack
-    of forms is differentiated row by row from one stencil of eight
-    evaluations.  The derivative of a 4-form is the zero 4-form.
+    A field returning (..., *shape, n_p) components gives
+    (..., *shape, n_{p+1}): a stack of forms is differentiated row by row
+    from one stencil of eight evaluations per point.  The derivative of a
+    4-form is the zero 4-form.
     """
-    partials = all_partials(field, point, h, scale)  # (4, ..., n_p)
-    return np.tensordot(partials, _D_TABLE[field.degree], axes=([0, -1], [0, 1]))
+    partials = all_partials(field, point, h, scale)  # (..., 4, *shape, n_p)
+    moved = np.moveaxis(partials, np.ndim(point) - 1, -2)
+    return np.tensordot(moved, _D_TABLE[field.degree], axes=2)
 
 
 def d_field(field: FormField, h: float = DEFAULT_STEP, scale: bool = True) -> FormField:
@@ -98,95 +149,110 @@ def richardson(eval_at: Callable[[float], np.ndarray], h: float) -> np.ndarray:
     return (4.0 * np.asarray(eval_at(h / 2.0)) - np.asarray(eval_at(h))) / 3.0
 
 
-def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                scale: bool = True) -> np.ndarray:
-    """Gamma[a, b, c] = Gamma^a_{bc} from finite differences of the metric."""
-    x = np.asarray(x, dtype=float)
-    g = _call(metric_fn, x)
-    ginv = np.linalg.inv(g)
-    dg = all_partials(metric_fn, x, h, scale)  # dg[c, a, b] = d_c g_ab
+def _gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^a_{bc} from g_ab and dg[c, a, b] = d_c g_ab (leading axes a stack)."""
     # 2 Gamma_{dbc} = d_b g_dc + d_c g_db - d_d g_bc
     low = 0.5 * (
-        np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
+        np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     )
-    return np.einsum("ad,dbc->abc", ginv, low)
+    return np.einsum("...ad,...dbc->...abc", np.linalg.inv(g), low)
+
+
+def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
+                scale: bool = True) -> np.ndarray:
+    """Gamma[..., a, b, c] = Gamma^a_{bc} from finite differences of the metric."""
+    return _gamma(*_value_and_partials(metric_fn, x, h, scale))
+
+
+def _curvature(metric_fn: Callable, x: np.ndarray, h: float,
+               scale: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(g_ab, R^a_{bcd}) at (..., 4) points from one metric call on the
+    nested stencil: Christoffels at x and its eight neighbours, each from
+    the metric at that point and its own eight neighbours."""
+    y, he = _stencil(x, h, scale, center=True)  # (..., 9, 4)
+    g, dg = _value_and_partials(metric_fn, y, h, scale)  # over (..., 9, 9, 4)
+    gam = _gamma(g, dg)
+    gamma = gam[..., 0, :, :, :]
+    dgamma = _central(gam[..., 1:, :, :, :], he)  # dgamma[c, a, d, b] = d_c Gamma^a_{db}
+    r = (
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
+    return g[..., 0, :, :], r
 
 
 def riemann_up(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
                scale: bool = True) -> np.ndarray:
-    """R[a, b, c, d] = R^a_{bcd}; nested differences of Christoffel symbols."""
-    x = np.asarray(x, dtype=float)
-    gamma = christoffel(metric_fn, x, h, scale)
-    dgamma = np.stack(
-        [partial(lambda y: christoffel(metric_fn, y, h, scale), x, c, h, scale)
-         for c in range(DIM)]
-    )  # dgamma[c, a, d, b] = d_c Gamma^a_{db}
-    r = (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
-    )
-    return r
+    """R[..., a, b, c, d] = R^a_{bcd}; nested differences of Christoffel symbols."""
+    return _curvature(metric_fn, x, h, scale)[1]
 
 
 def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
                     scale: bool = True) -> np.ndarray:
-    g = _call(metric_fn, x)
-    return np.einsum("ae,ebcd->abcd", g, riemann_up(metric_fn, x, h, scale))
+    g, r = _curvature(metric_fn, x, h, scale)
+    return np.einsum("...ae,...ebcd->...abcd", g, r)
 
 
 def ricci(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
           scale: bool = True) -> np.ndarray:
-    return np.einsum("abad->bd", riemann_up(metric_fn, x, h, scale))
+    return np.einsum("...abad->...bd", riemann_up(metric_fn, x, h, scale))
 
 
 def scalar_curvature(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                     scale: bool = True) -> float:
-    g = _call(metric_fn, x)
-    return float(np.einsum("bd,bd->", np.linalg.inv(g), ricci(metric_fn, x, h, scale)))
+                     scale: bool = True) -> np.ndarray:
+    g, r = _curvature(metric_fn, x, h, scale)
+    ric = np.einsum("...abad->...bd", r)
+    return np.einsum("...bd,...bd->...", np.linalg.inv(g), ric)
 
 
 def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
                           h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
     """(L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c."""
-    x = np.asarray(x, dtype=float)
-    g = _call(metric_fn, x)
-    v = _call(vec_fn, x)
-    dg = all_partials(metric_fn, x, h, scale)
-    dv = all_partials(vec_fn, x, h, scale)  # dv[a, c] = d_a X^c
+    g, dg = _value_and_partials(metric_fn, x, h, scale)
+    v, dv = _value_and_partials(vec_fn, x, h, scale)  # dv[a, c] = d_a X^c
     return (
-        np.einsum("c,cab->ab", v, dg)
-        + np.einsum("cb,ac->ab", g, dv)
-        + np.einsum("ac,bc->ab", g, dv)
+        np.einsum("...c,...cab->...ab", v, dg)
+        + np.einsum("...cb,...ac->...ab", g, dv)
+        + np.einsum("...ac,...bc->...ab", g, dv)
     )
+
+
+def _per_point(g: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Metrics (..., 4, 4) at (..., 4) points reshaped to broadcast against
+    (..., *shape, n) form values at the same points."""
+    return g.reshape(g.shape[:-2] + (1,) * (values.ndim - pts.ndim) + g.shape[-2:])
 
 
 def codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
                    h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
-    """delta = -*d* on any degree (Riemannian signature, dimension 4);
-    a field of (..., n) stacks gives the stack of codifferentials."""
-    from .forms import hodge_star  # local import to keep module load cheap
+    """delta = -*d* on forms of degree 1-4 (Riemannian signature,
+    dimension 4); a field of (..., *shape, n) stacks gives the stack of
+    codifferentials."""
+    if not 1 <= field.degree <= DIM:
+        raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {field.degree}")
 
     def starred(y: np.ndarray) -> np.ndarray:
-        return hodge_star(_call(metric_fn, y), field(y), field.degree)
+        w = _call(field, y)
+        return hodge_star(_per_point(_call(metric_fn, y), w, y), w, field.degree)
 
     inner = FormField(degree=DIM - field.degree, evaluator=starred)
     d_star = fd_d(inner, x, h, scale)
-    g = _call(metric_fn, x)
+    x = np.asarray(x, dtype=float)
+    g = _per_point(_call(metric_fn, x), d_star, x)
     return -hodge_star(g, d_star, DIM - field.degree + 1)
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray,
-                     h: float = DEFAULT_STEP, scale: bool = True) -> float:
+                     h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
     """Scalar Laplacian via div(grad): sign convention Delta f = +f'' on R."""
     def flux(y: np.ndarray) -> np.ndarray:
         g = _call(metric_fn, y)
-        ginv = np.linalg.inv(g)
-        det = np.linalg.det(g)
-        df = np.array([float(partial(f, y, a, h, scale)) for a in range(DIM)])
-        return np.sqrt(det) * (ginv @ df)
+        df = all_partials(f, y, h, scale)
+        return np.sqrt(np.linalg.det(g))[..., None] * np.einsum(
+            "...ab,...b->...a", np.linalg.inv(g), df)
 
-    g0 = _call(metric_fn, x)
-    div = sum(float(partial(flux, x, a, h, scale)[a]) for a in range(DIM))
-    return div / float(np.sqrt(np.linalg.det(g0)))
+    g0 = _call(metric_fn, np.asarray(x, dtype=float))
+    div = np.einsum("...aa->...", all_partials(flux, x, h, scale))
+    return div / np.sqrt(np.linalg.det(g0))

@@ -10,8 +10,10 @@ Stacking rule: every operation here reads the last axis of a component
 array as its components and any leading axes as a stack, broadcast
 against each other; e.g. wedge of (3, 4) and (3, 6) stacks gives the
 (3, 4) stack of row-by-row products, and a FormField may return a
-(3, 6) stack of 2-forms.  Covectors and J matrices follow the same rule
-((..., 4) and (..., 4, 4)).
+(3, 6) stack of 2-forms.  Covectors, J matrices and metrics follow the
+same rule ((..., 4), (..., 4, 4) and (..., 4, 4)): a stack of metrics
+broadcasts against a stack of forms with its own leading axes, so
+g[..., None, :, :] pairs one metric per point with a (..., 3, 6) triple.
 
 Metric operations go through fixed index tables built once at import:
   - the p-th compound C_p(A) of a 4x4 matrix A is the matrix of its
@@ -165,22 +167,25 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (-1,)) @ _WEDGE[(p, q)]
 
 
-def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, float]:
-    """g^{-1} and det g, after checking that det g is finite and positive."""
+def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^{-1} and det g of (..., 4, 4) metrics, after checking that every
+    det g is finite and positive."""
     g = np.asarray(metric, dtype=float)
-    det = float(np.linalg.det(g))
-    if det <= 0.0 or not np.isfinite(det):
-        raise SingularMetric(f"det g = {det}")
+    det = np.linalg.det(g)
+    bad = (det <= 0.0) | ~np.isfinite(det)
+    if np.any(bad):
+        raise SingularMetric(f"det g = {det[bad].flat[0] if det.ndim else det}")
     return np.linalg.inv(g), det
 
 
 def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
-    """Hodge dual of degree-p component vectors (one, or a stack on the
-    leading axes) for the given metric."""
+    """Hodge dual of degree-p component vectors (..., n) for (..., 4, 4)
+    metrics, leading axes broadcast."""
     ginv, det = _check_metric(metric)
     idx, sign = _COMPLEMENT[degree]
-    star = math.sqrt(det) * sign[:, None] * compound(ginv, degree)[idx]
-    return np.asarray(comps, dtype=float) @ star.T
+    star = np.sqrt(det)[..., None, None] * sign[:, None] * compound(ginv, degree)[..., idx, :]
+    comps = np.asarray(comps, dtype=float)
+    return (comps[..., None, :] @ np.swapaxes(star, -1, -2))[..., 0, :]
 
 
 def form_inner(metric: np.ndarray, a: np.ndarray, b: np.ndarray, degree: int) -> float:
@@ -194,7 +199,7 @@ def project_stack(metric: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> n
     with <b_i, b_j> = 2 delta_ij; stack may be one form or a stack."""
     ginv, _ = _check_metric(metric)
     stack = np.asarray(stack, dtype=float)
-    return 0.5 * stack @ compound(ginv, 2) @ np.asarray(basis, dtype=float).T
+    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(np.asarray(basis, dtype=float), -1, -2)
 
 
 def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,34 +260,35 @@ def metric_from_triple(
     c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, tol: float = 1e-8
 ) -> np.ndarray:
     """Reconstruct the metric for which (c1, c2, c3) is the orthonormal
-    self-dual triple with <ci, cj> = 2 delta_ij.
+    self-dual triple with <ci, cj> = 2 delta_ij; (..., 6) stacks of
+    triples give (..., 4, 4) metrics.
 
     Uses J1 = W3^{-1} W2 (exact for a compatible quaternionic triple),
     then g = W1 J1, rescaled so |c1|^2 = 2.
     """
-    triple = np.asarray([c1, c2, c3], dtype=float)
-    w1, w2, w3 = comps_to_tensor(triple, 2)
+    triple = np.stack([np.asarray(c, dtype=float) for c in (c1, c2, c3)], axis=-2)
+    w = comps_to_tensor(triple, 2)
+    w1, w2, w3 = w[..., 0, :, :], w[..., 1, :, :], w[..., 2, :, :]
     try:
         j1 = np.linalg.solve(w3, w2)
     except np.linalg.LinAlgError as exc:
         raise FrameNotOrthonormal(f"third form degenerate: {exc}") from exc
-    scale_sq = -np.trace(j1 @ j1) / DIM
-    if scale_sq <= 0:
+    scale_sq = -np.trace(j1 @ j1, axis1=-2, axis2=-1) / DIM
+    if np.any(scale_sq <= 0):
         raise FrameNotOrthonormal("triple does not define a complex structure")
-    j1 = j1 / math.sqrt(scale_sq)
+    j1 = j1 / np.sqrt(scale_sq)[..., None, None]
     if np.max(np.abs(j1 @ j1 + np.eye(DIM))) > math.sqrt(tol):
         raise FrameNotOrthonormal("J1^2 deviates from -Id beyond tolerance")
     g = w1 @ j1
-    g = (g + g.T) / 2.0
-    if np.trace(g) < 0:
-        g = -g
+    g = (g + np.swapaxes(g, -1, -2)) / 2.0
+    g = np.where((np.trace(g, axis1=-2, axis2=-1) < 0)[..., None, None], -g, g)
     gram = 2.0 * project_stack(g, triple, triple)
-    norm1 = gram[0, 0]
-    if norm1 <= 0:
+    norm1 = gram[..., 0, 0]
+    if np.any(norm1 <= 0):
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")
     # rescaling g by s scales 2-form inner products by 1/s^2
-    g = g * math.sqrt(norm1 / 2.0)
-    dev = float(np.max(np.abs(gram * (2.0 / norm1) - 2.0 * np.eye(3))))
+    g = g * np.sqrt(norm1 / 2.0)[..., None, None]
+    dev = float(np.max(np.abs(gram * (2.0 / norm1)[..., None, None] - 2.0 * np.eye(3))))
     if dev > tol:
         raise FrameNotOrthonormal(f"triple Gram matrix off by {dev:.2e}")
     return g
@@ -292,9 +298,10 @@ def metric_from_triple(
 class FormField:
     """A degree-p form sampled by an evaluator over chart points.
 
-    evaluator maps a point (length-4 array) to a component array of shape
-    (..., n) with n the size of the stated degree: one form, or a stack
-    of forms differentiated together by the finite-difference tools.
+    evaluator maps a (..., 4) stack of points to a component array of
+    shape (..., *shape, n), one entry per point, with n the size of the
+    stated degree: one form per point, or a stack of forms (shape) that
+    the finite-difference tools differentiate together.
     """
 
     degree: int
@@ -316,4 +323,5 @@ class FormField:
 
 def constant_form(degree: int, comps: np.ndarray) -> FormField:
     fixed = np.array(comps, dtype=float)
-    return FormField(degree=degree, evaluator=lambda p: fixed)
+    return FormField(degree=degree,
+                     evaluator=lambda p: np.broadcast_to(fixed, np.shape(p)[:-1] + fixed.shape))

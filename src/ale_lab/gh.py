@@ -21,6 +21,13 @@ The exceptional fiber surface sits over the segment between the two
 cluster points; the pullback of eta to it is exactly dtau, so surface
 integrals reduce to 2*pi times a line quadrature and never evaluate A
 on the axis.
+
+Point-stacking rule: every pointwise function here takes a (..., 3) stack
+of base points or a (..., 4) stack of chart points and returns one value
+per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
+field (..., 3, 6), alpha_covector (..., 3, 4).  validate_base checks the
+whole stack and names the first offending point.  ChartPoint is the
+single-point record the samplers hand out; its x4 feeds these functions.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import (
     QuadratureDivergence,
     SchemaError,
 )
-from .forms import CYCLIC, J_from_form, apply_J_covector, wedge
+from .forms import CYCLIC, FormField, J_from_form, apply_J_covector, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
 
@@ -176,34 +183,31 @@ class ChartPoint:
         return np.asarray([*self.base, self.fiber_angle], dtype=float)
 
 
-def _center_distances(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(config.positions - x3[None, :], axis=1)
-
-
 def validate_base(config: GHConfig, x3: np.ndarray, patch: str | None = None) -> None:
-    x3 = np.asarray(x3, dtype=float)
-    dists = _center_distances(config, x3)
-    if np.min(dists) < config.eps_center:
-        idx = int(np.argmin(dists))
+    """Domain check of a (..., 3) stack of base points: none may lie within
+    eps_center of a center, nor (given a patch) within eps_string of that
+    patch's excluded rays.  The error names the first offending point."""
+    pts = np.asarray(x3, dtype=float).reshape(-1, 3)
+    diff = pts[:, None, :] - config.positions  # (N, centers, 3)
+    dists = np.linalg.norm(diff, axis=-1)
+    near = np.flatnonzero(np.any(dists < config.eps_center, axis=1))
+    if near.size:
+        n = near[0]
+        idx = int(np.argmin(dists[n]))
         raise CenterTooClose(
-            f"point {x3} within {config.eps_center} of center {idx} "
-            f"(distance {dists[idx]:.3e})"
+            f"point {pts[n]} within {config.eps_center} of center {idx} "
+            f"(distance {dists[n, idx]:.3e})"
         )
     if patch is None:
         return
-    for (pos, _n) in config.centers:
-        dx1 = x3[0] - pos[0]
-        rho_perp = math.hypot(x3[1] - pos[1], x3[2] - pos[2])
-        if rho_perp >= config.eps_string:
-            continue
-        if patch == "north" and dx1 <= 0.0:
-            raise OnDiracString(
-                f"point {x3} on the -x1 ray of center at {pos} (north gauge)"
-            )
-        if patch == "south" and dx1 >= 0.0:
-            raise OnDiracString(
-                f"point {x3} on the +x1 ray of center at {pos} (south gauge)"
-            )
+    on_ray = diff[..., 0] <= 0.0 if patch == "north" else diff[..., 0] >= 0.0
+    hits = np.argwhere(on_ray & (np.hypot(diff[..., 1], diff[..., 2]) < config.eps_string))
+    if hits.size:
+        n, c = hits[0]
+        side = "-x1 ray" if patch == "north" else "+x1 ray"
+        raise OnDiracString(
+            f"point {pts[n]} on the {side} of center at {config.centers[c][0]} ({patch} gauge)"
+        )
 
 
 def potential(config: GHConfig, pts: np.ndarray) -> np.ndarray:
@@ -213,10 +217,10 @@ def potential(config: GHConfig, pts: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(config.weights / dists, axis=-1)
 
 
-def eval_V(config: GHConfig, x3: np.ndarray) -> float:
-    """Harmonic potential at one base point, after domain validation."""
+def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
+    """Harmonic potential at (..., 3) base points, after domain validation."""
     validate_base(config, x3)
-    return float(potential(config, x3))
+    return potential(config, x3)
 
 
 def potential_grad(config: GHConfig, pts: np.ndarray) -> np.ndarray:
@@ -231,45 +235,51 @@ def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return potential_grad(config, x3)
 
 
-def eval_eta(config: GHConfig, p: ChartPoint) -> np.ndarray:
-    """Connection coefficients A with eta = dtau + A, in p's gauge.
-
-    Covector on the base, components (A1, A2, A3); A1 = 0 identically.
-    """
-    x3 = p.x3
-    validate_base(config, x3, p.patch)
-    sign = -1.0 if p.patch == "north" else 1.0
-    out = np.zeros(3)
-    for (pos, n) in config.centers:
-        dx = x3 - np.asarray(pos, dtype=float)
-        rho_sq = dx[1] ** 2 + dx[2] ** 2
-        if rho_sq == 0.0:
-            continue  # regular side of the axis: coefficient vanishes in the limit
-        dist = math.sqrt(dx[0] ** 2 + rho_sq)
-        coeff = 0.5 * n * (dx[0] / dist + sign)
-        out[1] += coeff * (-dx[2] / rho_sq)
-        out[2] += coeff * (dx[1] / rho_sq)
+def _eta(config: GHConfig, x3: np.ndarray, patch: str) -> np.ndarray:
+    """The 4D covector eta = dtau + A at (..., 3) base points, unchecked."""
+    sign = -1.0 if patch == "north" else 1.0
+    dx = x3[..., None, :] - config.positions  # (..., centers, 3)
+    rho_sq = dx[..., 1] ** 2 + dx[..., 2] ** 2
+    # on the regular side of the axis the coefficient vanishes in the limit
+    on_axis = rho_sq == 0.0
+    rho_sq = np.where(on_axis, 1.0, rho_sq)
+    coeff = np.where(on_axis, 0.0,
+                     0.5 * config.weights * (dx[..., 0] / np.sqrt(dx[..., 0] ** 2 + rho_sq) + sign))
+    out = np.zeros(x3.shape[:-1] + (4,))
+    out[..., 1] = np.sum(coeff * (-dx[..., 2] / rho_sq), axis=-1)
+    out[..., 2] = np.sum(coeff * (dx[..., 1] / rho_sq), axis=-1)
+    out[..., 3] = 1.0
     return out
 
 
-def eta4(config: GHConfig, p: ChartPoint) -> np.ndarray:
-    a = eval_eta(config, p)
-    return np.array([a[0], a[1], a[2], 1.0])
+def eval_eta(config: GHConfig, x3: np.ndarray, patch: str = "north") -> np.ndarray:
+    """Connection coefficients A with eta = dtau + A, in the patch's gauge,
+    at (..., 3) base points: covectors (A1, A2, A3) with A1 = 0 identically."""
+    x3 = np.asarray(x3, dtype=float)
+    validate_base(config, x3, patch)
+    return _eta(config, x3, patch)[..., :3]
 
 
-def _metric_from(v: float, eta: np.ndarray) -> np.ndarray:
+def potential_and_eta(config: GHConfig, x4: np.ndarray,
+                      patch: str = "north") -> tuple[np.ndarray, np.ndarray]:
+    """V (...) and the 4D covector eta (..., 4) at (..., 4) chart points,
+    after domain validation."""
+    x3 = np.asarray(x4, dtype=float)[..., :3]
+    validate_base(config, x3, patch)
+    return potential(config, x3), _eta(config, x3, patch)
+
+
+def _metric_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """V dx.dx + V^{-1} eta^2 from the potential and the 4D covector eta."""
-    g = np.zeros((4, 4))
-    g[:3, :3] = v * np.eye(3)
-    g += np.outer(eta, eta) / v
+    g = eta[..., :, None] * eta[..., None, :] / v[..., None, None]
+    diag = np.arange(3)
+    g[..., diag, diag] += v[..., None]
     return g
 
 
 def metric_matrix(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.ndarray:
-    """Chart-coordinate metric V dx.dx + V^{-1} eta^2 at a 4D point."""
-    x4 = np.asarray(x4, dtype=float)
-    p = ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-    return _metric_from(eval_V(config, p.x3), eta4(config, p))
+    """Chart-coordinate metric V dx.dx + V^{-1} eta^2 at (..., 4) points."""
+    return _metric_from(*potential_and_eta(config, x4, patch))
 
 
 def metric_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
@@ -278,85 +288,79 @@ def metric_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], 
 
 @dataclass
 class FrameSample:
-    """Metric data at a chart point, with the orthonormal coframe, the
-    self-dual 2-form triple and its complex structures."""
+    """Metric data at a stack of chart points, with the orthonormal coframe,
+    the self-dual 2-form triple and its complex structures."""
 
-    point: ChartPoint
-    coframe: np.ndarray  # rows e^1, e^2, e^3, e^0; e^0 = V^{-1/2} eta
-    metric: np.ndarray
-    triple: np.ndarray  # rows: component vectors of w1, w2, w3
-    J: np.ndarray  # stack of three 4x4 matrices
+    coframe: np.ndarray  # (..., 4, 4), rows e^1, e^2, e^3, e^0; e^0 = V^{-1/2} eta
+    metric: np.ndarray  # (..., 4, 4)
+    triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
+    J: np.ndarray  # (..., 3, 4, 4)
 
 
-def form_triple(v: float, eta: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """w_i = dx^i ^ eta + sign V dx^j ^ dx^k (cyclic) as a (3, 6) stack:
-    the self-dual triple for sign +1, the anti-self-dual one for -1."""
+def form_triple(v: np.ndarray, eta: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """w_i = dx^i ^ eta + sign V dx^j ^ dx^k (cyclic) as a (..., 3, 6) stack
+    from V (...) and eta (..., 4): the self-dual triple for sign +1, the
+    anti-self-dual one for -1."""
     dx = np.eye(4)[:3]
     j, k = CYCLIC
-    return wedge(dx, 1, eta, 1) + sign * v * wedge(dx[j], 1, dx[k], 1)
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return wedge(dx, 1, np.asarray(eta)[..., None, :], 1) + sign * v * wedge(dx[j], 1, dx[k], 1)
 
 
-def metric_at(config: GHConfig, p: ChartPoint) -> FrameSample:
-    v = eval_V(config, p.x3)
-    eta = eta4(config, p)
+def metric_at(config: GHConfig, x4: np.ndarray, patch: str = "north") -> FrameSample:
+    v, eta = potential_and_eta(config, x4, patch)
     g = _metric_from(v, eta)
-    sqv = math.sqrt(v)
-    coframe = np.zeros((4, 4))
-    for i in range(3):
-        coframe[i, i] = sqv
-    coframe[3] = eta / sqv
+    sqv = np.sqrt(v)[..., None]
+    coframe = np.zeros(g.shape)
+    diag = np.arange(3)
+    coframe[..., diag, diag] = sqv
+    coframe[..., 3, :] = eta / sqv
     triple = form_triple(v, eta)
-    return FrameSample(point=p, coframe=coframe, metric=g, triple=triple,
-                       J=J_from_form(g, triple))
+    return FrameSample(coframe=coframe, metric=g, triple=triple,
+                       J=J_from_form(g[..., None, :, :], triple))
 
 
-def triple_fn(config: GHConfig, i: int, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
-    """Component field of w_i for finite-difference closedness checks."""
-
-    def ev(x4: np.ndarray) -> np.ndarray:
-        p = ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-        return metric_at(config, p).triple[i]
-
-    return ev
+def triple_field(config: GHConfig, patch: str = "north") -> FormField:
+    """The self-dual triple as one degree-2 field with (..., 3, 6) values."""
+    return FormField(2, lambda x4: form_triple(*potential_and_eta(config, x4, patch)))
 
 
-def moment_map(config: GHConfig, x3: np.ndarray) -> float:
-    """Weighted distance sum; extends continuously to the centers."""
+def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
+    """Weighted distance sum at (..., 3) base points; extends continuously
+    to the centers."""
     x3 = np.asarray(x3, dtype=float)
-    dists = np.linalg.norm(config.positions - x3[None, :], axis=1)
-    return float(np.sum(config.weights * dists))
+    dists = np.linalg.norm(x3[..., None, :] - config.positions, axis=-1)
+    return np.sum(config.weights * dists, axis=-1)
 
 
 def moment_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     x3 = np.asarray(x3, dtype=float)
     validate_base(config, x3)
-    diff = x3[None, :] - config.positions
-    dists = np.linalg.norm(diff, axis=1)
-    return np.einsum("i,ij->j", config.weights / dists, diff)
+    diff = x3[..., None, :] - config.positions
+    dists = np.linalg.norm(diff, axis=-1)
+    return np.einsum("...i,...ij->...j", config.weights / dists, diff)
 
 
 def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     g = moment_grad(config, x3)
-    return np.array([g[0], g[1], g[2], 0.0])
+    return np.concatenate([g, np.zeros(g.shape[:-1] + (1,))], axis=-1)
 
 
-def alpha_covector(config: GHConfig, p: ChartPoint, i: int) -> np.ndarray:
-    """alpha_i = (1/2) J_i dm as a chart covector."""
-    sample = metric_at(config, p)
-    return 0.5 * apply_J_covector(sample.J[i], dm4(config, p.x3))
-
-
-def xi_field(config: GHConfig, p: ChartPoint) -> np.ndarray:
-    """Metric dual of J_1 dm; contracting into w1 gives -dm exactly."""
-    sample = metric_at(config, p)
-    jdm = apply_J_covector(sample.J[0], dm4(config, p.x3))
-    return np.linalg.solve(sample.metric, jdm)
+def alpha_covector(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.ndarray:
+    """alpha_i = (1/2) J_i dm as chart covectors, a (..., 3, 4) stack."""
+    x4 = np.asarray(x4, dtype=float)
+    sample = metric_at(config, x4, patch)
+    return 0.5 * apply_J_covector(sample.J, dm4(config, x4[..., :3])[..., None, :])
 
 
 def xi_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
+    """Metric dual of J_1 dm; contracting into w1 gives -dm exactly."""
+
     def ev(x4: np.ndarray) -> np.ndarray:
-        p = ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-        return xi_field(config, p)
+        x4 = np.asarray(x4, dtype=float)
+        sample = metric_at(config, x4, patch)
+        jdm = apply_J_covector(sample.J[..., 0, :, :], dm4(config, x4[..., :3]))
+        return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
 
     return ev
 
@@ -397,7 +401,7 @@ def vol_sigma(config: GHConfig, order: int = 64) -> float:
 
 def fiber_holonomy(config: GHConfig, p: ChartPoint, order: int = 16) -> float:
     """Integral of eta over the fiber circle through p (equals the period)."""
-    eta = eta4(config, p)
+    eta = potential_and_eta(config, p.x4, p.patch)[1]
     nodes, weights = gauss_legendre(0.0, FIBER_PERIOD, order)
     vals = np.full(nodes.shape, eta[3])  # eta(d_tau) is fiber-independent
     return float(np.sum(weights * vals))
@@ -408,13 +412,9 @@ def axis_link_holonomy(
 ) -> float:
     """Integral of A around a base circle of radius rho linking the axis."""
     nodes, weights = gauss_legendre(0.0, 2.0 * math.pi, order)
-    total = 0.0
-    for phi, w in zip(nodes, weights):
-        base = (x1, rho * math.cos(phi), rho * math.sin(phi))
-        a = eval_eta(config, ChartPoint(base=base, patch=patch))
-        tangent = np.array([0.0, -rho * math.sin(phi), rho * math.cos(phi)])
-        total += w * float(a @ tangent)
-    return total
+    cos, sin = rho * np.cos(nodes), rho * np.sin(nodes)
+    a = eval_eta(config, np.stack([np.full_like(cos, x1), cos, sin], axis=-1), patch)
+    return float(np.sum(weights * (a[:, 2] * cos - a[:, 1] * sin)))
 
 
 def center_flux(config: GHConfig, center_index: int, radius: float, order: int = 32) -> float:
@@ -475,7 +475,7 @@ def sample_chart_points(
         direction /= np.linalg.norm(direction)
         rho = rng.uniform(rho_min, rho_max)
         x3 = rho * direction
-        if np.min(_center_distances(config, x3)) < min_center_dist:
+        if np.min(np.linalg.norm(x3 - config.positions, axis=-1)) < min_center_dist:
             continue
         if math.hypot(x3[1], x3[2]) < min_axis_dist:
             continue

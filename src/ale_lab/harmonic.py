@@ -28,37 +28,34 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd, gh
-from .errors import FitUnstable, NormalizationFailure, TailDominance
+from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence, TailDominance
 from .forms import FormField, apply_J_covector, split_sd
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gh_volume_integral
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gh_volume_integral, volume_nodes
 
 
 # ---------------------------------------------------------------------------
-# Vectorized helpers for f = V0 / V ((N, 3) arrays of base points)
+# Vectorized helpers for f = V0 / V ((..., 3) arrays of base points)
 # ---------------------------------------------------------------------------
 
 
 def _first_center_potential(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    dist = np.linalg.norm(pts - config.p0, axis=1)
+    dist = np.linalg.norm(pts - config.p0, axis=-1)
     return 0.5 * config.weights[0] / dist
 
 
 def _first_center_grad(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
     diff = pts - config.p0
-    dist = np.linalg.norm(diff, axis=1)
-    return -0.5 * config.weights[0] * diff / dist[:, None] ** 3
+    dist = np.linalg.norm(diff, axis=-1)
+    return -0.5 * config.weights[0] * diff / dist[..., None] ** 3
 
 
 def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
+    pts = np.asarray(pts, dtype=float)
     v = gh.potential(config, pts)
     v0 = _first_center_potential(config, pts)
     gv = gh.potential_grad(config, pts)
     gv0 = _first_center_grad(config, pts)
-    return (gv0 * v[:, None] - v0[:, None] * gv) / v[:, None] ** 2
-
-
-def grad_f_at(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
-    return vec_grad_f(config, np.asarray(base, dtype=float)[None, :])[0]
+    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -75,23 +72,21 @@ class HarmonicFormBundle:
     raw_sigma_integral: float
     sigma_integral: float  # of the normalized form; equals 2 pi [core]^2
 
-    def components(self, p: gh.ChartPoint) -> np.ndarray:
-        grad = grad_f_at(self.config, np.array(p.x3))
-        v = gh.eval_V(self.config, p.x3)
-        triple = gh.form_triple(v, gh.eta4(self.config, p), -1.0)
-        return self.normalization * np.einsum("i,ic->c", grad, triple)
+    def components(self, x4: np.ndarray, patch: str = "north") -> np.ndarray:
+        """Components (..., 6) of the normalized form at (..., 4) chart points."""
+        x4 = np.asarray(x4, dtype=float)
+        v, eta = gh.potential_and_eta(self.config, x4, patch)
+        grad = vec_grad_f(self.config, x4[..., :3])
+        triple = gh.form_triple(v, eta, -1.0)
+        return self.normalization * np.einsum("...i,...ic->...c", grad, triple)
 
     def field(self, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
-        def ev(x4: np.ndarray) -> np.ndarray:
-            p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-            return self.components(p)
-
-        return ev
+        return lambda x4: self.components(x4, patch)
 
     def norm_density(self, pts: np.ndarray) -> np.ndarray:
-        """|Omega|_g^2 at (N, 3) base points (fiber-independent)."""
+        """|Omega|_g^2 at (..., 3) base points (fiber-independent)."""
         grad = vec_grad_f(self.config, pts)
-        return 2.0 * self.normalization**2 * np.sum(grad * grad, axis=1)
+        return 2.0 * self.normalization**2 * np.sum(grad * grad, axis=-1)
 
 
 def core_self_intersection(k: int) -> float:
@@ -111,7 +106,7 @@ def c_gamma(k: int, lam: float) -> float:
 def _raw_sigma_integral(config: gh.GHConfig, order: int) -> float:
     """Core-surface integral of Omega_raw, whose pullback is (d_1 f) dx1 ^ dtau."""
     return gh.sigma_integrate(
-        config, lambda x1: grad_f_at(config, np.array([x1, 0.0, 0.0]))[0], order=order
+        config, lambda x1: vec_grad_f(config, np.array([x1, 0.0, 0.0]))[0], order=order
     )
 
 
@@ -197,8 +192,7 @@ def dC_scalar_field(
     """Covector field J_1(d u) for a scalar with known 4D gradient."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
-        p = gh.ChartPoint(base=tuple(x4[:3]), fiber_angle=float(x4[3]), patch=patch)
-        j1 = gh.metric_at(config, p).J[0]
+        j1 = gh.metric_at(config, x4, patch).J[..., 0, :, :]
         return apply_J_covector(j1, grad4(x4))
 
     return ev
@@ -207,26 +201,28 @@ def dC_scalar_field(
 def alpha_split_residuals(
     config: gh.GHConfig,
     bundle: HarmonicFormBundle,
-    p: gh.ChartPoint,
+    x4: np.ndarray,
+    patch: str = "north",
     h: float = fd.DEFAULT_STEP,
 ) -> dict:
     """Residuals of alpha^+ = -w1 and alpha^- = s Omega for
-    alpha = -1/2 d (J_1 dm)."""
-    x4 = np.array([*p.x3, p.fiber_angle])
+    alpha = -1/2 d (J_1 dm), one per point of a (..., 4) stack."""
+    x4 = np.asarray(x4, dtype=float)
 
     def grad4(y: np.ndarray) -> np.ndarray:
-        return gh.dm4(config, y[:3])
+        return gh.dm4(config, y[..., :3])
 
-    fld = FormField(1, dC_scalar_field(config, grad4, p.patch))
+    fld = FormField(1, dC_scalar_field(config, grad4, patch))
     alpha = -0.5 * fd.fd_d(fld, x4, h)
-    sample = gh.metric_at(config, p)
+    sample = gh.metric_at(config, x4, patch)
     plus, minus = split_sd(sample.metric, alpha)
     s = -config.k * config.lam
-    omega_here = bundle.components(p)
-    scale = float(np.max(np.abs(sample.triple[0])))
+    omega_here = bundle.components(x4, patch)
+    w1 = sample.triple[..., 0, :]
+    scale = np.max(np.abs(w1), axis=-1)
     return {
-        "sd_residual": float(np.max(np.abs(plus + sample.triple[0]))) / scale,
-        "asd_residual": float(np.max(np.abs(minus - s * omega_here))) / scale,
+        "sd_residual": np.max(np.abs(plus + w1), axis=-1) / scale,
+        "asd_residual": np.max(np.abs(minus - s * omega_here), axis=-1) / scale,
     }
 
 
@@ -239,10 +235,10 @@ def _lead_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     k1 = config.k + 1
 
     def grad4(x4: np.ndarray) -> np.ndarray:
-        x = x4[:3]
-        rho = np.linalg.norm(x)
-        out = np.zeros(4)
-        out[:3] = -x / (2.0 * k1 * rho**3)
+        x = x4[..., :3]
+        rho = np.linalg.norm(x, axis=-1)[..., None]
+        out = np.zeros(x4.shape)
+        out[..., :3] = -x / (2.0 * k1 * rho**3)
         return out
 
     return grad4
@@ -252,11 +248,11 @@ def _sub_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     k1 = config.k + 1
 
     def grad4(x4: np.ndarray) -> np.ndarray:
-        x = x4[:3]
-        rho = np.linalg.norm(x)
-        out = np.zeros(4)
-        out[:3] = -3.0 * x[0] * x / (4.0 * k1**2 * rho**5)
-        out[0] += 1.0 / (4.0 * k1**2 * rho**3)
+        x = x4[..., :3]
+        rho = np.linalg.norm(x, axis=-1)[..., None]
+        out = np.zeros(x4.shape)
+        out[..., :3] = -3.0 * x[..., :1] * x / (4.0 * k1**2 * rho**5)
+        out[..., :1] += 1.0 / (4.0 * k1**2 * rho**3)
         return out
 
     return grad4
@@ -269,7 +265,8 @@ def model_form(
     h: float = fd.DEFAULT_STEP,
     patch: str = "north",
 ) -> np.ndarray:
-    """d d^C of the lead (1/rhat^2) or sub (phi1/rhat^6) potential.
+    """d d^C of the lead (1/rhat^2) or sub (phi1/rhat^6) potential at
+    (..., 4) points.
 
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
@@ -320,21 +317,14 @@ def asymptotic_fit(
     if radii is None:
         base = 20.0 * (k + 1) * cfg.lam
         radii = (base, 1.5 * base, 2.25 * base)
-    dirs = _fit_directions(n_dirs, seed)
-    rows, rhs = [], []
-    for rho in radii:
-        weight = (2.0 * (k + 1) * rho) ** 2  # rhat^4: puts radii on equal footing
-        for u in dirs:
-            x4 = np.array([*(rho * u), 0.4])
-            p = gh.ChartPoint(base=tuple(rho * u), fiber_angle=0.4, patch="north")
-            lead = model_form(cfg, "lead", x4)
-            sub = model_form(cfg, "sub", x4)
-            om = bundle.components(p)
-            for c in range(6):
-                rows.append([weight * lead[c], weight * sub[c]])
-                rhs.append(weight * om[c])
-    amat = np.array(rows)
-    bvec = np.array(rhs)
+    radii = np.asarray(radii, dtype=float)[:, None, None]
+    base = radii * _fit_directions(n_dirs, seed)  # (radius, direction, 3)
+    x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
+    weight = (2.0 * (k + 1) * radii) ** 2  # rhat^4: puts radii on equal footing
+    lead = weight * model_form(cfg, "lead", x4)
+    sub = weight * model_form(cfg, "sub", x4)
+    amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
+    bvec = (weight * bundle.components(x4)).ravel()
     sol, res, rank, sv = np.linalg.lstsq(amat, bvec, rcond=None)
     if rank < 2 or not np.all(np.isfinite(sol)):
         raise FitUnstable("asymptotic model matrix is rank-deficient")
@@ -384,34 +374,23 @@ def decay_profiles(
     coefficient |Omega| r^4 / sqrt(32)."""
     cone = cone_config(config)
     bundle = build_omega(config)
-    dirs = _fit_directions(n_dirs, seed)
     k1 = config.k + 1
-    out = []
-    for rho in radii_rho:
-        r4 = math.sqrt(2.0 * k1 * rho)
-        gdev, mdev, oprof = [], [], []
-        for u in dirs:
-            base = rho * u
-            p = gh.ChartPoint(base=tuple(base), fiber_angle=0.7, patch="north")
-            g = gh.metric_at(config, p).metric
-            sample_c = gh.metric_at(cone, p)
-            gc = sample_c.metric
-            finv = np.linalg.inv(sample_c.coframe)
-            hframe = finv.T @ (g - gc) @ finv
-            gdev.append(float(np.max(np.abs(hframe))))
-            m = gh.moment_map(config, np.array(base))
-            mdev.append(abs(m - k1 * rho))
-            dens = bundle.norm_density(np.array(base)[None, :])[0]
-            oprof.append(math.sqrt(dens) * r4**4 / math.sqrt(32.0))
-        out.append(
-            DecayProfile(
-                r=r4,
-                metric_deviation=float(np.mean(gdev)),
-                moment_deviation=float(np.mean(mdev)),
-                omega_profile_coeff=float(np.mean(oprof)),
-            )
-        )
-    return out
+    radii = np.asarray(radii_rho, dtype=float)
+    base = radii[:, None, None] * _fit_directions(n_dirs, seed)  # (radius, direction, 3)
+    x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.7)], axis=-1)
+    g = gh.metric_at(config, x4).metric
+    sample_c = gh.metric_at(cone, x4)
+    finv = np.linalg.inv(sample_c.coframe)
+    hframe = np.swapaxes(finv, -1, -2) @ (g - sample_c.metric) @ finv
+    gdev = np.mean(np.max(np.abs(hframe), axis=(-2, -1)), axis=-1)
+    mdev = np.mean(np.abs(gh.moment_map(config, base) - k1 * radii[:, None]), axis=-1)
+    r4 = np.sqrt(2.0 * k1 * radii)
+    oprof = np.mean(np.sqrt(bundle.norm_density(base)) * r4[:, None] ** 4 / np.sqrt(32.0), axis=-1)
+    return [
+        DecayProfile(r=float(r), metric_deviation=float(gd), moment_deviation=float(md),
+                     omega_profile_coeff=float(op))
+        for r, gd, md, op in zip(r4, gdev, mdev, oprof)
+    ]
 
 
 def decay_exponents(profiles: Sequence[DecayProfile]) -> dict:
@@ -441,14 +420,9 @@ def annulus_density_exponent(
     if radii_rho is None:
         base = 10.0 * k1 * cfg.lam
         radii_rho = (base, 2 * base, 4 * base, 8 * base)
-    dirs = _fit_directions(n_dirs, seed)
-    logr, logv = [], []
-    for rho in radii_rho:
-        pts = rho * dirs
-        dens = bundle.norm_density(pts)
-        logr.append(0.5 * math.log(2.0 * k1 * rho))
-        logv.append(math.log(float(np.mean(dens))))
-    return _slope(logr, logv)
+    radii = np.asarray(radii_rho, dtype=float)
+    dens = bundle.norm_density(radii[:, None, None] * _fit_directions(n_dirs, seed))
+    return _slope(0.5 * np.log(2.0 * k1 * radii), np.log(np.mean(dens, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +471,18 @@ def exact_form_pairing_residual(
     if rho_outer is None:
         rho_outer = 12.0 * k1 * cfg.lam
     spec = spec or QuadratureSpec(sphere_order=24, radial_nodes=96)
-    e2 = np.array([0.0, 1.0, 0.0])
-
-    def signed(pts: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(pts, axis=1)
-        s = (rho - rho_inner) / (rho_outer - rho_inner)
-        chi_p = _bump_prime(s) / (rho_outer - rho_inner)
-        xhat = pts / rho[:, None]
-        bvec = np.cross(xhat, e2[None, :]) * chi_p[:, None]
-        grad = vec_grad_f(cfg, pts)
-        dens = -bundle.normalization * np.sum(grad * bvec, axis=1)
-        return dens / gh.potential(cfg, pts)
-
-    def absolute(pts: np.ndarray) -> np.ndarray:
-        return np.abs(signed(pts))
-
-    total = gh_volume_integral(cfg, signed, outer_scale=1.3 * rho_outer, spec=spec)
-    scale = gh_volume_integral(cfg, absolute, outer_scale=1.3 * rho_outer, spec=spec)
-    return abs(total) / max(scale, 1e-300)
+    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer, spec=spec)
+    rho = np.linalg.norm(pts, axis=1)
+    s = (rho - rho_inner) / (rho_outer - rho_inner)
+    chi_p = _bump_prime(s) / (rho_outer - rho_inner)
+    bvec = np.cross(pts / rho[:, None], [0.0, 1.0, 0.0]) * chi_p[:, None]
+    # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
+    dens = -bundle.normalization * np.sum(vec_grad_f(cfg, pts) * bvec, axis=1)
+    if not np.all(np.isfinite(dens)):
+        raise QuadratureDivergence("volume integrand not finite on region")
+    total = np.sum(weights * dens)
+    scale = np.sum(weights * np.abs(dens))
+    return float(abs(total) / max(scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +490,8 @@ def exact_form_pairing_residual(
 # ---------------------------------------------------------------------------
 
 
-def phi1_value(config: gh.GHConfig, base: np.ndarray) -> float:
-    return 2.0 * (config.k + 1) * float(np.asarray(base)[0])
+def phi1_value(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
+    return 2.0 * (config.k + 1) * np.asarray(base, dtype=float)[..., 0]
 
 
 def phi1_laplacian_residual(
@@ -531,11 +499,10 @@ def phi1_laplacian_residual(
 ) -> float:
     mfn = gh.metric_fn(config, p.patch)
 
-    def scalar(x4: np.ndarray) -> float:
-        return phi1_value(config, x4[:3])
+    def scalar(x4: np.ndarray) -> np.ndarray:
+        return phi1_value(config, x4[..., :3])
 
-    x4 = np.array([*p.x3, p.fiber_angle])
-    return abs(float(fd.laplace_beltrami(mfn, scalar, x4, h)))
+    return abs(float(fd.laplace_beltrami(mfn, scalar, p.x4, h)))
 
 
 def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> float:

@@ -196,10 +196,11 @@ def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.
     h4 = quartic.H2 if quartic is not None else None
 
     def ev(x: np.ndarray) -> np.ndarray:
+        """Metrics (..., 4, 4) at (..., 4) points."""
         x = np.asarray(x, dtype=float)
-        g = np.eye(4) + np.einsum("ijkl,i,j->kl", hq, x, x)
+        g = np.eye(4) + np.einsum("ijkl,...i,...j->...kl", hq, x, x)
         if h4 is not None:
-            g = g + np.einsum("ijklmn,i,j,k,l->mn", h4, x, x, x, x)
+            g = g + np.einsum("ijklmn,...i,...j,...k,...l->...mn", h4, x, x, x, x)
         return g
 
     return ev
@@ -402,21 +403,17 @@ def d2_invariant_fd(
 
     riem0 = riem_at(origin)
 
+    # rows +h e_0 .. +h e_3, then -h e_0 .. -h e_3
+    signs = np.concatenate([np.eye(4), -np.eye(4)])
+
     def hess_at(h: float) -> np.ndarray:
-        out = np.zeros((4, 4, 4, 4))
-        for e in range(4):
-            step = np.zeros(4)
-            step[e] = h
-            out += _SIGNATURE[e] * (riem_at(step) + riem_at(-step) - 2.0 * riem0) / h**2
-        return out
+        riem = riem_at(h * signs)
+        second = (riem[:4] + riem[4:] - 2.0 * riem0) / h**2
+        return np.einsum("e,e...->...", _SIGNATURE, second)
 
     def dgamma_at(h: float) -> np.ndarray:
-        out = []
-        for e in range(4):
-            step = np.zeros(4)
-            step[e] = h
-            out.append((gamma_at(step) - gamma_at(-step)) / (2.0 * h))
-        return np.stack(out)
+        gamma = gamma_at(h * signs)
+        return (gamma[:4] - gamma[4:]) / (2.0 * h)
 
     def two_level(rule: Callable[[float], np.ndarray], h: float) -> np.ndarray:
         v1, v2, v4 = rule(h), rule(h / 2.0), rule(h / 4.0)

@@ -120,22 +120,17 @@ def integrate_S3(
     return float(np.sum(w * np.einsum("ni,ni->n", vals, minors)))
 
 
-def gh_volume_integral(
+def volume_nodes(
     config,
-    integrand: Callable[[np.ndarray], np.ndarray],
     outer_scale: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Fibered volume integral 2*pi * int f V d^3x over a large region.
-
-    integrand is vectorized: maps an (N, 3) array of base points to N
-    values.  For a two-cluster config the region is the confocal
-    spheroid of outer scale outer_scale (its boundary lies within one
-    focal distance of the sphere of that radius); for a single center
-    it is the base ball of that radius.  Axisymmetry of the fibered
-    measure is NOT assumed for the integrand: the azimuthal factor is
-    integrated by its own Legendre rule.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base nodes (N, 3) and coordinate weights (N,) of d^3x over a large
+    region: for a two-cluster config the confocal spheroid of outer scale
+    outer_scale (its boundary lies within one focal distance of the sphere
+    of that radius); for a single center the base ball of that radius.
+    The azimuthal factor has its own Legendre rule, so no axisymmetry of
+    the integrand is assumed."""
     nphi = spec.sphere_order
     phi, wphi = gauss_legendre(0.0, TWO_PI, nphi)
     if len(config.centers) == 1:
@@ -158,7 +153,6 @@ def gh_volume_integral(
             ],
             axis=-1,
         ).reshape(-1, 3)
-        w = W.ravel()
     else:
         # prolate spheroidal coordinates with foci at the cluster points
         p0, p1 = config.p0, config.p1
@@ -184,7 +178,22 @@ def gh_volume_integral(
             ],
             axis=-1,
         ).reshape(-1, 3)
-        w = W.ravel()
+    return pts, W.ravel()
+
+
+def gh_volume_integral(
+    config,
+    integrand: Callable[[np.ndarray], np.ndarray],
+    outer_scale: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> float:
+    """Fibered volume integral 2*pi * int f V d^3x over the region of
+    volume_nodes.
+
+    integrand is vectorized: maps an (N, 3) array of base points to N
+    values.
+    """
+    pts, w = volume_nodes(config, outer_scale, spec)
     vals = np.asarray(integrand(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureDivergence("volume integrand not finite on region")

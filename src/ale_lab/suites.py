@@ -148,29 +148,20 @@ def suite_gh(k: int, lam: float, n_ricci: int = 20, seed: int = 0,
     pts = gh.sample_chart_points(config, n_ricci, seed=seed, rho_min=1.5 * geo,
                                  rho_max=4.0 * geo, min_center_dist=0.8 * geo,
                                  min_axis_dist=0.8 * geo, string_cone_cos=0.45)
-    ricci_res = max(float(np.max(np.abs(fd.ricci(metric, p.x4)))) for p in pts)
+    x4 = np.array([p.x4 for p in pts])
+    ricci_res = float(np.max(np.abs(fd.ricci(metric, x4))))
     checks.append(_bound_check("ricci-flat", ricci_res, 1e-5 * tol_scale,
                                "trivial-identity"))
 
-    sub = pts[: min(6, len(pts))]
-    closed_res, killing_res, moment_res = 0.0, 0.0, 0.0
-    xi = gh.xi_fn(config)
-    for p in sub:
-        x4 = p.x4
-        for i in range(3):
-            tfn = gh.triple_fn(config, i)
-            closed_res = max(closed_res, float(np.max(np.abs(
-                fd.fd_d(FormField(2, tfn), x4)))))
-            if i == 0:
-                # the moment map is a potential only for the second and
-                # third symplectic forms; the first is its Hamiltonian form
-                continue
-            alpha_field = lambda y, i=i: gh.alpha_covector(
-                config, gh.ChartPoint(base=tuple(y[:3]), fiber_angle=float(y[3])), i)
-            dalpha = fd.fd_d(FormField(1, alpha_field), x4)
-            moment_res = max(moment_res, float(np.max(np.abs(dalpha - tfn(x4)))))
-        killing_res = max(killing_res, float(np.max(np.abs(
-            fd.lie_derivative_metric(metric, xi, x4, h=5e-4)))))
+    sub = x4[:6]
+    triple = gh.triple_field(config)
+    closed_res = float(np.max(np.abs(fd.fd_d(triple, sub))))
+    # the moment map is a potential only for the second and third
+    # symplectic forms; the first is its Hamiltonian form
+    alpha = FormField(1, lambda y: gh.alpha_covector(config, y)[..., 1:, :])
+    moment_res = float(np.max(np.abs(fd.fd_d(alpha, sub) - triple(sub)[..., 1:, :])))
+    killing_res = float(np.max(np.abs(
+        fd.lie_derivative_metric(metric, gh.xi_fn(config), sub, h=5e-4))))
     checks.append(_bound_check("triple-closed", closed_res, 1e-5 * tol_scale,
                                "trivial-identity"))
     checks.append(_bound_check("killing-residual", killing_res, 1e-5 * tol_scale,
@@ -186,10 +177,8 @@ def suite_gh(k: int, lam: float, n_ricci: int = 20, seed: int = 0,
 
     cone = harmonic.cone_config(config)
     cone_metric = gh.metric_fn(cone)
-    flat_res = max(
-        float(np.max(np.abs(fd.riemann_lowered(cone_metric, p.x4))))
-        for p in gh.sample_chart_points(cone, 4, seed=seed + 1)
-    )
+    cone_pts = np.array([p.x4 for p in gh.sample_chart_points(cone, 4, seed=seed + 1)])
+    flat_res = float(np.max(np.abs(fd.riemann_lowered(cone_metric, cone_pts))))
     checks.append(_bound_check("single-center-flat", flat_res, 1e-5 * tol_scale,
                                "trivial-identity"))
     return _timed("gh", checks, t0)
@@ -256,28 +245,23 @@ def suite_harmonic(k: int, lam: float, seed: int = 0,
     checks.append(_rel_check("norm-squared", norm.total, norm.closed_form,
                              1e-3 * tol_scale, "closed-form-constant"))
 
-    omega_field = bundle.field()
+    omega_field = FormField(2, bundle.field())
     geo = max(1.0, lam)
     pts = gh.sample_chart_points(config, 5, seed=seed, rho_min=1.5 * geo,
                                  rho_max=4.0 * geo, min_center_dist=0.8 * geo,
                                  min_axis_dist=0.8 * geo, string_cone_cos=0.45)
-    closed_res, sd_res = 0.0, 0.0
-    for p in pts:
-        closed_res = max(closed_res, float(np.max(np.abs(
-            fd.fd_d(FormField(2, omega_field), p.x4)))))
-        sample = gh.metric_at(config, p)
-        plus, _ = split_sd(sample.metric, omega_field(p.x4))
-        sd_res = max(sd_res, float(np.max(np.abs(plus))))
+    x4 = np.array([p.x4 for p in pts])
+    closed_res = float(np.max(np.abs(fd.fd_d(omega_field, x4))))
+    plus, _ = split_sd(gh.metric_at(config, x4).metric, omega_field(x4))
+    sd_res = float(np.max(np.abs(plus)))
     checks.append(_bound_check("omega-closed", closed_res, 1e-5 * tol_scale,
                                "trivial-identity"))
     checks.append(_bound_check("omega-antiselfdual", sd_res, 1e-5 * tol_scale,
                                "trivial-identity"))
 
-    split_sd_res, split_asd_res = 0.0, 0.0
-    for p in pts[:3]:
-        res = harmonic.alpha_split_residuals(config, bundle, p)
-        split_sd_res = max(split_sd_res, res["sd_residual"])
-        split_asd_res = max(split_asd_res, res["asd_residual"])
+    res = harmonic.alpha_split_residuals(config, bundle, x4[:3])
+    split_sd_res = float(np.max(res["sd_residual"]))
+    split_asd_res = float(np.max(res["asd_residual"]))
     checks.append(_bound_check("alpha-selfdual-part", split_sd_res,
                                1e-4 * tol_scale, "derived-oracle"))
     checks.append(_bound_check("alpha-antiselfdual-part", split_asd_res,
@@ -404,16 +388,14 @@ def suite_deformation(k: int, lam: float, seed: int = 0,
     coeff[0, :] = 0.0
     coeff[:, 0] = 0.0
     coeff = 0.5 * (coeff + coeff.T)
-    curv_res, cocl_res = 0.0, 0.0
-    for rho, u in (
-        (1.5, np.array([0.8, 0.5, 0.33166247903554])),
-        (3.0, np.array([-0.6, 0.64031242374328, 0.48])),
-        (6.0, np.array([0.2, -0.5, 0.84261498161975])),
-    ):
-        x4 = np.array([*(rho * u), 0.4])
-        res = deformation.moment_connection_checks(config, coeff, x4, h=5e-4)
-        curv_res = max(curv_res, res["curvature_residual"])
-        cocl_res = max(cocl_res, res["coclosed_residual"])
+    base = np.array([1.5, 3.0, 6.0])[:, None] * np.array([
+        [0.8, 0.5, 0.33166247903554],
+        [-0.6, 0.64031242374328, 0.48],
+        [0.2, -0.5, 0.84261498161975],
+    ])
+    res = deformation.moment_connection_checks(
+        config, coeff, np.concatenate([base, np.full((3, 1), 0.4)], axis=1), h=5e-4)
+    curv_res, cocl_res = res["curvature_residual"], res["coclosed_residual"]
     checks.append(_bound_check("moment-connection-curvature", curv_res,
                                1e-5 * tol_scale, "derived-oracle"))
     checks.append(_bound_check("moment-connection-coclosed", cocl_res,

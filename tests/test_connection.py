@@ -12,6 +12,10 @@ from ale_lab import connection, fd, forms, gh
 from ale_lab.errors import FrameNotOrthonormal
 
 
+def flat(x):
+    return np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
+
+
 def _gh_setup(k=1, lam=1.0, seed=5):
     cfg = gh.GHConfig.canonical(k, lam)
     p = gh.sample_chart_points(cfg, 1, seed=seed, rho_min=1.5, rho_max=3.0,
@@ -42,7 +46,7 @@ def test_connection_reproduces_parallel_triple():
     # the symplectic triple is parallel: its connection must be
     # torsion-free for the frame, and its curvature self-dual block zero
     cfg, x4 = _gh_setup(k=1)
-    phi = lambda x: np.stack([gh.triple_fn(cfg, i)(x) for i in range(3)])
+    phi = gh.triple_field(cfg)
     a = connection.connection_from_Phi(phi, metric_fn=gh.metric_fn(cfg))
     assert connection.torsion_residual(phi, a, x4) < 1e-5
 
@@ -64,7 +68,6 @@ def test_hyperkahler_curvature_blocks():
 
 
 def test_flat_blocks_zero():
-    flat = lambda x: np.eye(4)
     block = connection.curvature_block_of_metric(flat, np.array([0.3, 0.1, -0.2, 0.4]))
     assert np.max(np.abs(block.Rplus)) < 1e-12
     assert np.max(np.abs(block.Rminus)) < 1e-12
@@ -75,7 +78,8 @@ def test_operator_blocks_symmetries():
     rng = np.random.default_rng(3)
     sym = rng.normal(size=(4, 4, 4)) * 0.05
     sym = sym + np.swapaxes(sym, 0, 1)
-    metric = lambda x: np.eye(4) + np.einsum("abc,c->ab", sym, x) + 0.05 * np.outer(x, x)
+    metric = lambda x: (np.eye(4) + np.einsum("abc,...c->...ab", sym, x)
+                        + 0.05 * x[..., :, None] * x[..., None, :])
     x = np.array([0.2, -0.1, 0.3, 0.15])
     g = metric(x)
     riem = fd.riemann_lowered(metric, x, h=5e-3)
@@ -91,7 +95,9 @@ def test_mixed_block_identifies_tracefree_ricci():
     rng = np.random.default_rng(11)
     sym = rng.normal(size=(4, 4, 4)) * 0.04
     sym = sym + np.swapaxes(sym, 0, 1)
-    metric = lambda x: np.eye(4) + np.einsum("abc,c->ab", sym, x) + 0.03 * np.outer(x, x) * (x @ x)
+    metric = lambda x: (np.eye(4) + np.einsum("abc,...c->...ab", sym, x)
+                        + 0.03 * x[..., :, None] * x[..., None, :]
+                        * np.sum(x * x, axis=-1)[..., None, None])
     x = np.array([0.25, -0.15, 0.1, 0.2])
     g = metric(x)
     block = connection.curvature_block_of_metric(metric, x, h=5e-3)
@@ -109,7 +115,7 @@ def test_curvature_forms_match_operator_route():
     # duality bases, agree with the negated operator blocks of the metric
     cfg, x4 = _gh_setup(k=1, seed=9)
     metric_fn = gh.metric_fn(cfg)
-    phi = lambda x: np.stack([gh.triple_fn(cfg, i)(x) for i in range(3)])
+    phi = gh.triple_field(cfg)
     a = connection.connection_from_Phi(phi, metric_fn=metric_fn)
     rforms = connection.curvature_forms(a, x4)
     dec = connection.decompose_curvature(rforms, metric_fn(x4))
@@ -121,15 +127,13 @@ def test_curvature_forms_match_operator_route():
 def test_bianchi_gauge_conformal_factor():
     # h = f g on the flat metric: the gauge covector is exactly df
     a = np.array([0.3, -0.2, 0.5, 0.1])
-    flat = lambda x: np.eye(4)
-    h_field = lambda x: float(a @ x) * np.eye(4)
+    h_field = lambda x: np.einsum("...c,c->...", x, a)[..., None, None] * np.eye(4)
     out = connection.bianchi_gauge(flat, h_field, np.array([0.05, 0.02, -0.01, 0.03]))
     assert np.allclose(out, a, atol=1e-9)
 
 
 def test_bianchi_gauge_kills_killing_deformation():
     # h = Lie_X g for a flat Killing rotation is zero, hence in gauge
-    flat = lambda x: np.eye(4)
-    h_field = lambda x: np.zeros((4, 4))
+    h_field = lambda x: np.zeros(np.shape(x)[:-1] + (4, 4))
     out = connection.bianchi_gauge(flat, h_field, np.array([0.1, 0.2, 0.3, 0.4]))
     assert np.max(np.abs(out)) < 1e-12

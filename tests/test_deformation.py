@@ -23,8 +23,8 @@ def test_star_d_phi_linear(seed, s, t):
     rng = np.random.default_rng(seed)
     c1 = rng.normal(size=(3, 6, 4))
     c2 = rng.normal(size=(3, 6, 4))
-    phi1 = lambda x: np.einsum("ica,a->ic", c1, x)
-    phi2 = lambda x: np.einsum("ica,a->ic", c2, x)
+    phi1 = lambda x: np.einsum("ica,...a->...ic", c1, x)
+    phi2 = lambda x: np.einsum("ica,...a->...ic", c2, x)
     combo = lambda x: s * phi1(x) + t * phi2(x)
     lhs = deformation.star_d_phi(combo, X0)
     rhs = s * deformation.star_d_phi(phi1, X0) + t * deformation.star_d_phi(phi2, X0)
@@ -40,7 +40,7 @@ def test_linear_gauged_family_satisfies_gauge():
 
 def test_deformation_first_order_rejects_bad_gauge():
     fam = deformation.linear_gauged_family(4)
-    wrong_lam = lambda x: fam.lam(x) + 0.3 * x[0]
+    wrong_lam = lambda x: fam.lam(x) + 0.3 * x[..., 0]
     with pytest.raises(GaugeViolation):
         deformation.deformation_first_order(wrong_lam, fam.phi_field, X0)
 
@@ -58,7 +58,7 @@ def test_first_order_curvature_is_da():
     first = deformation.deformation_first_order(fam.lam, fam.phi_field, X0)
     a_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     da = np.stack([
-        fd.fd_d(forms.FormField(1, lambda y, i=i: a_field(y)[i]), X0)
+        fd.fd_d(forms.FormField(1, lambda y, i=i: a_field(y)[..., i, :]), X0)
         for i in range(3)
     ])
     assert np.max(np.abs(first.curvature - da)) < 1e-8
@@ -169,7 +169,7 @@ def test_einstein_family_constraints():
     # self-dual part (the coupling curvature) is genuinely nonzero
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     da1 = np.stack([
-        fd.fd_d(forms.FormField(1, lambda y, i=i: a1_field(y)[i]), np.zeros(4))
+        fd.fd_d(forms.FormField(1, lambda y, i=i: a1_field(y)[..., i, :]), np.zeros(4))
         for i in range(3)
     ])
     assert np.max(np.abs(deformation.asd_block(da1))) < 1e-6
@@ -178,7 +178,7 @@ def test_einstein_family_constraints():
     # B h = 0 at sample points (the linear part is gauged through lam)
     lin = deformation.linear_gauged_family(8 + 1, 0.5)
     quad_coeff = lambda y: fam.coeff(y) - lin.coeff(y)
-    flat = lambda x: np.eye(4)
+    flat = lambda x: np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
     h_field = lambda y: deformation.metric_perturbation_from_coeffs(quad_coeff(y))
     for x in (np.zeros(4), np.array([0.3, -0.7, 0.4, 0.9])):
         assert np.max(np.abs(connection.bianchi_gauge(flat, h_field, x))) < 1e-6

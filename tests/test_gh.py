@@ -178,11 +178,10 @@ def test_triple_closed_and_reconstructs_metric():
     p = gh.sample_chart_points(cfg, 1, seed=5, rho_min=1.5, rho_max=3.0,
                                string_cone_cos=0.45)[0]
     x4 = p.x4
-    triple = [gh.triple_fn(cfg, i)(x4) for i in range(3)]
-    g = forms.metric_from_triple(*triple)
+    triple = gh.triple_field(cfg)
+    g = forms.metric_from_triple(*triple(x4))
     assert np.allclose(g, gh.metric_matrix(cfg, x4), atol=1e-10)
-    for i in range(3):
-        assert np.max(np.abs(fd.fd_d(FormField(2, gh.triple_fn(cfg, i)), x4))) < 1e-5
+    assert np.max(np.abs(fd.fd_d(triple, x4))) < 1e-5
 
 
 def test_moment_potential_identity_second_and_third():
@@ -193,11 +192,9 @@ def test_moment_potential_identity_second_and_third():
     p = gh.sample_chart_points(cfg, 1, seed=2, rho_min=1.5, rho_max=3.0,
                                string_cone_cos=0.45)[0]
     x4 = p.x4
-    for i in (1, 2):
-        alpha = FormField(1, lambda y, i=i: gh.alpha_covector(
-            cfg, gh.ChartPoint(base=tuple(y[:3]), fiber_angle=float(y[3])), i))
-        dalpha = fd.fd_d(alpha, x4)
-        assert np.max(np.abs(dalpha - gh.triple_fn(cfg, i)(x4))) < 1e-5
+    alpha = FormField(1, lambda y: gh.alpha_covector(cfg, y)[..., 1:, :])
+    dalpha = fd.fd_d(alpha, x4)
+    assert np.max(np.abs(dalpha - gh.triple_field(cfg)(x4)[1:])) < 1e-5
 
 
 def test_moment_values():

@@ -61,7 +61,7 @@ def test_alpha_split(canonical, omega_bundle):
     bundle = omega_bundle(1)
     p = gh.sample_chart_points(cfg, 1, seed=6, rho_min=1.5, rho_max=3.0,
                                string_cone_cos=0.45)[0]
-    res = harmonic.alpha_split_residuals(cfg, bundle, p)
+    res = harmonic.alpha_split_residuals(cfg, bundle, p.x4, p.patch)
     assert res["sd_residual"] < 1e-4
     assert res["asd_residual"] < 1e-4
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +36,13 @@ def test_unused_imports_detects_a_stray_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_and_suites_leave_scipy_linalg_unloaded():
+    # only the exponential families use scipy.linalg (a quarter second to
+    # import), so `verify --suite gh` and `--suite harmonic` never pay for it
+    code = "import sys, ale_lab.cli, ale_lab.suites; print('scipy.linalg' in sys.modules)"
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
