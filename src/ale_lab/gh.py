@@ -32,6 +32,7 @@ single-point record the samplers hand out; its x4 feeds these functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -365,28 +366,50 @@ def xi_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.n
     return ev
 
 
-def gauss_legendre(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and read-only, since every caller shares them."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def gauss_legendre(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = _legendre_rule(order)
     half = 0.5 * (b - a)
     return a + half * (nodes + 1.0), half * weights
 
 
+def axis_points(x1: np.ndarray) -> np.ndarray:
+    """(..., 3) base points (x1, 0, 0) on the axis through the centers."""
+    x1 = np.asarray(x1, dtype=float)
+    zero = np.zeros_like(x1)
+    return np.stack([x1, zero, zero], axis=-1)
+
+
 def sigma_integrate(
     config: GHConfig,
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     order: int = 64,
 ) -> float:
     """Integral of f against the area form of the exceptional surface.
 
     The surface is fibered over the open segment; its area form pulls
     back to dx1 ^ dtau, so the integral is 2*pi * int f(x1) dx1 by
-    Gauss-Legendre quadrature.  f takes the x1 coordinate.
+    Gauss-Legendre quadrature.  f maps the (n,) array of x1 nodes to (n,)
+    values in one call; any other shape raises SchemaError.
     """
     if config.k == 0:
         raise SchemaError("single-center config has no exceptional surface")
     a, b = config.segment
     nodes, weights = gauss_legendre(a, b, order)
-    vals = np.array([float(f(x)) for x in nodes])
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != nodes.shape:
+        raise SchemaError(
+            f"surface integrand returned shape {vals.shape} for {len(nodes)} nodes, "
+            f"expected {nodes.shape}")
     if not np.all(np.isfinite(vals)):
         raise QuadratureDivergence("integrand not finite on the segment")
     total = float(np.sum(weights * vals))
@@ -396,7 +419,7 @@ def sigma_integrate(
 
 
 def vol_sigma(config: GHConfig, order: int = 64) -> float:
-    return sigma_integrate(config, lambda _x1: 1.0, order=order)
+    return sigma_integrate(config, np.ones_like, order=order)
 
 
 def fiber_holonomy(config: GHConfig, p: ChartPoint, order: int = 16) -> float:

@@ -106,7 +106,7 @@ def c_gamma(k: int, lam: float) -> float:
 def _raw_sigma_integral(config: gh.GHConfig, order: int) -> float:
     """Core-surface integral of Omega_raw, whose pullback is (d_1 f) dx1 ^ dtau."""
     return gh.sigma_integrate(
-        config, lambda x1: vec_grad_f(config, np.array([x1, 0.0, 0.0]))[0], order=order
+        config, lambda x1: vec_grad_f(config, gh.axis_points(x1))[..., 0], order=order
     )
 
 
@@ -167,16 +167,16 @@ def omega_norm(
     )
 
 
-def sigma_omega_integral(bundle: HarmonicFormBundle, order: int = 96) -> float:
-    """Quadrature of the normalized form over the core surface."""
-    return bundle.normalization * _raw_sigma_integral(bundle.config, order)
+def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
+    """Quadrature of the normalized form over the core surface, from the
+    raw integral the bundle was normalized with."""
+    return bundle.normalization * bundle.raw_sigma_integral
 
 
-def s_ratio(config: gh.GHConfig, order: int = 96) -> float:
+def s_ratio(bundle: HarmonicFormBundle, order: int = 96) -> float:
     """s = (core integral of w1) / (core integral of Omega); equals -k lam."""
-    bundle = build_omega(config, order=order)
-    vol = gh.vol_sigma(config, order=order)
-    return vol / sigma_omega_integral(bundle, order=order)
+    vol = gh.vol_sigma(bundle.config, order=order)
+    return vol / sigma_omega_integral(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +430,9 @@ def annulus_density_exponent(
 # ---------------------------------------------------------------------------
 
 
-def intersection_pairing_residual(
-    bundle: HarmonicFormBundle,
-    spec: QuadratureSpec | None = None,
-    rho_out: float | None = None,
-) -> float:
-    """Relative residual of int_Y (-Omega ^ Omega) = -2 pi int_core Omega."""
-    norm = omega_norm(bundle, spec=spec, rho_out=rho_out)
+def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: NormResult) -> float:
+    """Relative residual of int_Y (-Omega ^ Omega) = -2 pi int_core Omega,
+    with ``norm`` the bundle's omega_norm."""
     sigma = sigma_omega_integral(bundle)
     lhs = norm.total
     rhs = -2.0 * math.pi * sigma

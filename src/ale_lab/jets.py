@@ -6,7 +6,15 @@ a quartic jet stores H2[i][j][k][l][m][n] for
 h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
 
 * exact truncated polynomial arithmetic (degree <= 4 in 4 variables)
-  used as the symbolic oracle for curvature expansions,
+  used as the symbolic oracle for curvature expansions: a polynomial
+  tensor carries its 70 monomial coefficients on the last axis, and every
+  product goes through one gathered table built at import, the (left,
+  right) monomial pairs sorted by product monomial.  poly_product gathers
+  a[..., left] * b[..., right], contracts the tensor axes in the same
+  einsum and sums each product monomial with one reduceat; truncating at
+  degree d takes a prefix of the table.  The curvature route truncates the
+  Christoffel symbols at degree 3 and the curvature at degree 2, the
+  degrees the second-derivative invariant reads,
 * the linear Bianchi gauge projection by a cubic vector-field
   corrector (divergence + half trace-gradient annihilated),
 * the curvature block of a quadratic jet at the origin,
@@ -20,6 +28,7 @@ h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,21 +55,27 @@ MONOS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 N_MONO = len(MONOS)
 _MONO_INDEX = {e: i for i, e in enumerate(MONOS)}
+# MONOS is sorted by degree: the monomials of degree <= d are its first _N_UPTO[d]
+_N_UPTO = [sum(1 for e in MONOS if sum(e) <= d) for d in range(MAX_DEG + 1)]
 
 
 def _build_product_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    left, right, out = [], [], []
-    for i, ei in enumerate(MONOS):
-        for j, ej in enumerate(MONOS):
-            tot = tuple(a + b for a, b in zip(ei, ej))
-            if sum(tot) <= MAX_DEG:
+    """(left, right, starts): the monomial pairs whose product has degree
+    <= MAX_DEG, grouped by product monomial; the pairs of product m are
+    left[starts[m]:starts[m + 1]], right[...].  The pairs of degree <= d are
+    the prefix up to starts[_N_UPTO[d]]."""
+    left, right, starts = [], [], [0]
+    for e in MONOS:
+        for i, ei in enumerate(MONOS):
+            rest = tuple(a - b for a, b in zip(e, ei))
+            if min(rest) >= 0:
                 left.append(i)
-                right.append(j)
-                out.append(_MONO_INDEX[tot])
-    return np.array(left), np.array(right), np.array(out)
+                right.append(_MONO_INDEX[rest])
+        starts.append(len(left))
+    return np.array(left), np.array(right), np.array(starts)
 
 
-_PROD_L, _PROD_R, _PROD_O = _build_product_table()
+_PROD_L, _PROD_R, _PROD_START = _build_product_table()
 
 
 def _build_diff_table() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -82,45 +97,60 @@ def _build_diff_table() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 _DIFF_TABLES = _build_diff_table()
 
 
+def _jet_monomials(order: int) -> np.ndarray:
+    """Monomial index of x^i x^j ... for every index tuple (i, j, ...) of the
+    given order, flattened in row-major order."""
+    return np.array([
+        _MONO_INDEX[tuple(idx.count(v) for v in range(DIM))]
+        for idx in itertools.product(range(DIM), repeat=order)
+    ])
+
+
+_QUADRATIC_MONOS = _jet_monomials(2)
+_QUARTIC_MONOS = _jet_monomials(4)
+
+
 def poly_zero(shape: tuple[int, ...] = ()) -> np.ndarray:
     return np.zeros(shape + (N_MONO,))
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient arrays over the last axis, truncated."""
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (N_MONO,))
-    np.add.at(
-        out,
-        (..., _PROD_O),
-        a[..., _PROD_L] * b[..., _PROD_R],
+def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_DEG) -> np.ndarray:
+    """Product of two polynomial tensors, contracted as in ``np.einsum``.
+
+    ``subscripts`` names the tensor axes only, e.g. ``"fc,cab->fab"`` or
+    ``"...,...->..."``; the monomial axis is last in a, b and the result
+    and takes the letter ``z``, which the subscripts must not use.  One gather forms a[..., L] * b[..., R]
+    over the table's (left, right) pairs, the einsum contracts the tensor
+    axes pair by pair, and one reduceat sums the pairs of each product
+    monomial.  Coefficients above degree ``deg`` are zero.
+    """
+    n = _N_UPTO[deg]
+    pairs = _PROD_START[n]
+    operands, result = subscripts.split("->")
+    sa, sb = operands.split(",")
+    gathered = np.einsum(
+        f"{sa}z,{sb}z->{result}z", a[..., _PROD_L[:pairs]], b[..., _PROD_R[:pairs]]
     )
+    out = np.zeros(gathered.shape[:-1] + (N_MONO,))
+    out[..., :n] = np.add.reduceat(gathered, _PROD_START[:n], axis=-1)
     return out
+
+
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of coefficient arrays over the last axis, truncated."""
+    return poly_product("...,...->...", a, b)
 
 
 def poly_diff(a: np.ndarray, v: int) -> np.ndarray:
     src, dst, coef = _DIFF_TABLES[v]
     out = np.zeros_like(a)
-    np.add.at(out, (..., dst), a[..., src] * coef)
+    out[..., dst] = a[..., src] * coef
     return out
 
 
 def poly_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     vals = np.array([math.prod(xi**e for xi, e in zip(x, mono)) for mono in MONOS])
     return a @ vals
-
-
-def polymat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., n, m, N_MONO) x (..., m, p, N_MONO) matrix product."""
-    n, m = a.shape[-3], a.shape[-2]
-    p = b.shape[-2]
-    out = np.zeros(a.shape[:-3] + (n, p, N_MONO))
-    for i in range(n):
-        for j in range(p):
-            acc = np.zeros(a.shape[:-3] + (N_MONO,))
-            for e in range(m):
-                acc = acc + poly_mul(a[..., i, e, :], b[..., e, j, :])
-            out[..., i, j, :] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +221,17 @@ class Jet4:
         return cls(H2=_checked_jet(arr, "H2", "quartic", [(0, 1, 2, 3), (4, 5)], tol))
 
 
+def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
+    """h_{i..j kl} x^i .. x^j over the first ``order`` (even) indices of h
+    at (..., 4) points x, one index pair at a time against x (x) x; the
+    largest intermediate holds 4^order values per point."""
+    xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (DIM * DIM,))
+    t = h.reshape(-1)
+    for _ in range(order // 2):
+        t = np.einsum("...i,...ij->...j", xx, t.reshape(t.shape[:-1] + (DIM * DIM, -1)))
+    return t.reshape(t.shape[:-1] + (DIM, DIM))
+
+
 def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.ndarray], np.ndarray]:
     hq = jet.H
     h4 = quartic.H2 if quartic is not None else None
@@ -198,9 +239,9 @@ def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.
     def ev(x: np.ndarray) -> np.ndarray:
         """Metrics (..., 4, 4) at (..., 4) points."""
         x = np.asarray(x, dtype=float)
-        g = np.eye(4) + np.einsum("ijkl,...i,...j->...kl", hq, x, x)
+        g = np.eye(4) + _contract_points(hq, x, 2)
         if h4 is not None:
-            g = g + np.einsum("ijklmn,...i,...j,...k,...l->...mn", h4, x, x, x, x)
+            g = g + _contract_points(h4, x, 4)
         return g
 
     return ev
@@ -210,18 +251,9 @@ def metric_poly(jet: Jet2, quartic: Jet4 | None = None) -> np.ndarray:
     """(4, 4, N_MONO) coefficient array of euc + h2 (+ h4)."""
     out = poly_zero((4, 4))
     out[:, :, _MONO_INDEX[(0, 0, 0, 0)]] = np.eye(4)
-    for i in range(4):
-        for j in range(4):
-            mono = [0, 0, 0, 0]
-            mono[i] += 1
-            mono[j] += 1
-            out[:, :, _MONO_INDEX[tuple(mono)]] += jet.H[i, j]
+    np.add.at(out, (..., _QUADRATIC_MONOS), np.moveaxis(jet.H.reshape(-1, 4, 4), 0, -1))
     if quartic is not None:
-        for idx in itertools.product(range(4), repeat=4):
-            mono = [0, 0, 0, 0]
-            for v in idx:
-                mono[v] += 1
-            out[:, :, _MONO_INDEX[tuple(mono)]] += quartic.H2[idx]
+        np.add.at(out, (..., _QUARTIC_MONOS), np.moveaxis(quartic.H2.reshape(-1, 4, 4), 0, -1))
     return out
 
 
@@ -264,6 +296,17 @@ def _cubic_field_basis() -> np.ndarray:
     return np.array(basis)
 
 
+@functools.cache
+def _gauge_system() -> tuple[np.ndarray, np.ndarray]:
+    """The cubic-field basis and the least-squares columns of its Bianchi
+    forms, built on first use and read-only."""
+    basis = _cubic_field_basis()
+    columns = np.array([bianchi_form(Jet2(H=delta_star_cubic(x))).ravel() for x in basis]).T
+    basis.setflags(write=False)
+    columns.setflags(write=False)
+    return basis, columns
+
+
 @dataclass
 class GaugeProjection:
     jet: Jet2
@@ -276,8 +319,7 @@ class GaugeProjection:
 def gauge_project(jet: Jet2) -> GaugeProjection:
     """Correct the jet by a symmetrized cubic-field gradient so the
     linear Bianchi form vanishes; curvature is unchanged."""
-    basis = _cubic_field_basis()
-    columns = np.array([bianchi_form(Jet2(H=delta_star_cubic(x))).ravel() for x in basis]).T
+    basis, columns = _gauge_system()
     target = -bianchi_form(jet).ravel()
     sol, _res, rank, _sv = np.linalg.lstsq(columns, target, rcond=None)
     corrector = np.einsum("b,bcijk->cijk", sol, basis)
@@ -427,52 +469,38 @@ def d2_invariant_fd(
     return _contract_invariant(tens)
 
 
+# Degrees of the polynomial route: d2_invariant_symbolic reads the curvature
+# to degree 2, and its derivative term needs the Christoffels to degree 3.
+_CURV_DEG = 2
+_GAMMA_DEG = _CURV_DEG + 1
+
+
 def _curvature_polys(jet: Jet2, quartic: Jet4 | None) -> tuple[np.ndarray, np.ndarray]:
-    """Christoffel symbols gamma[f, a, b] = Gamma^f_ab and the lowered
-    curvature tensor, as (..., N_MONO) polynomial coefficients."""
+    """Christoffel symbols gamma[f, a, b] = Gamma^f_ab to degree _GAMMA_DEG
+    and the lowered curvature tensor to degree _CURV_DEG, as (..., N_MONO)
+    coefficients, exact up to those degrees and zero above them."""
     g = metric_poly(jet, quartic)
-    hpart = g.copy()
-    hpart[:, :, _MONO_INDEX[(0, 0, 0, 0)]] -= np.eye(4)
-    # inverse by Neumann series; h^3 is beyond the truncation degree
-    ginv = poly_zero((4, 4))
-    ginv[:, :, _MONO_INDEX[(0, 0, 0, 0)]] = np.eye(4)
-    ginv = ginv - hpart + polymat_mul(hpart, hpart)
+    # g^-1 = I - h + h h - ... = 2 I - g + O(h^2): h starts at degree 2 and
+    # each Christoffel term carries a derivative of g, so h h reaches the
+    # Christoffels only from degree 5 on.
+    ginv = -g
+    ginv[:, :, _MONO_INDEX[(0, 0, 0, 0)]] += 2.0 * np.eye(4)
 
     dg = np.stack([poly_diff(g, v) for v in range(4)])  # [c, a, b, mono]
-    gamma = np.zeros((4, 4, 4, N_MONO))
-    for f in range(4):
-        for a in range(4):
-            for b in range(4):
-                acc = np.zeros(N_MONO)
-                for c in range(4):
-                    term = dg[a, b, c] + dg[b, a, c] - dg[c, a, b]
-                    acc = acc + poly_mul(ginv[f, c], term)
-                gamma[f, a, b] = 0.5 * acc
+    # sym[c, a, b] = d_a g_bc + d_b g_ac - d_c g_ab
+    sym = np.einsum("abcm->cabm", dg) + np.einsum("bacm->cabm", dg) - dg
+    gamma = 0.5 * poly_product("fc,cab->fab", ginv, sym, _GAMMA_DEG)
 
     dgamma = np.stack([poly_diff(gamma, v) for v in range(4)])  # [c, a, d, b, mono]
+    # gg[a, c, d, b] = Gamma^a_ce Gamma^e_db
+    gg = poly_product("ace,edb->acdb", gamma, gamma, _CURV_DEG)
     riem_up = (
         np.einsum("cadbm->abcdm", dgamma)
         - np.einsum("dacbm->abcdm", dgamma)
+        + np.einsum("acdbm->abcdm", gg)
+        - np.einsum("adcbm->abcdm", gg)
     )
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    acc = np.zeros(N_MONO)
-                    for e in range(4):
-                        acc = acc + poly_mul(gamma[a, c, e], gamma[e, d, b])
-                        acc = acc - poly_mul(gamma[a, d, e], gamma[e, c, b])
-                    riem_up[a, b, c, d] += acc
-
-    riem_low = np.zeros((4, 4, 4, 4, N_MONO))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    acc = np.zeros(N_MONO)
-                    for e in range(4):
-                        acc = acc + poly_mul(g[a, e], riem_up[e, b, c, d])
-                    riem_low[a, b, c, d] = acc
+    riem_low = poly_product("ae,ebcd->abcd", g, riem_up, _CURV_DEG)
     return gamma, riem_low
 
 
@@ -560,48 +588,39 @@ def binary_dihedral_group() -> list[np.ndarray]:
     return [right_mult_matrix(u) for u in units]
 
 
+def _pullback_h2(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quadratic-jet arrays pulled back by a (..., 4, 4) stack of matrices."""
+    return np.einsum("mnab,...mi,...nj,...ak,...bl->...ijkl", h, q, q, q, q, optimize=True)
+
+
 def pullback_jet2(jet: Jet2, Q: np.ndarray) -> Jet2:
-    h = np.einsum("mnab,mi,nj,ak,bl->ijkl", jet.H, Q, Q, Q, Q, optimize=True)
-    return Jet2.from_array(h, tol=1e-9)
-
-
-def pullback_jet4(quartic: Jet4, Q: np.ndarray) -> Jet4:
-    h = np.einsum(
-        "pqrsab,pi,qj,rk,sl,am,bn->ijklmn", quartic.H2, Q, Q, Q, Q, Q, Q, optimize=True
-    )
-    return Jet4.from_array(h, tol=1e-9)
+    return Jet2.from_array(_pullback_h2(jet.H, Q), tol=1e-9)
 
 
 def average_jet2(jet: Jet2, mats: Iterable[np.ndarray]) -> Jet2:
-    mats = list(mats)
-    acc = np.zeros((4, 4, 4, 4))
-    for Q in mats:
-        acc += pullback_jet2(jet, Q).H
-    return Jet2.from_array(acc / len(mats))
+    return Jet2.from_array(np.mean(_pullback_h2(jet.H, np.array(list(mats))), axis=0))
 
 
 def average_jet4(quartic: Jet4, mats: Iterable[np.ndarray]) -> Jet4:
-    mats = list(mats)
-    acc = np.zeros((4,) * 6)
-    for Q in mats:
-        acc += pullback_jet4(quartic, Q).H2
-    return Jet4.from_array(acc / len(mats))
+    q = np.array(list(mats))
+    h = np.einsum(
+        "pqrsab,...pi,...qj,...rk,...sl,...am,...bn->...ijklmn",
+        quartic.H2, q, q, q, q, q, q, optimize=True,
+    )
+    return Jet4.from_array(np.mean(h, axis=0))
 
 
 def pullback_quintic_field(xfield: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """(Q . X)(x) = Q^{-1} X(Q x) on quintic coefficient arrays
-    X[m][i][j][k][l][p]."""
+    X[m][i][j][k][l][p], for one matrix or a (..., 4, 4) stack."""
     return np.einsum(
-        "nabcde,nm,ai,bj,ck,dl,ep->mijklp", xfield, Q, Q, Q, Q, Q, Q, optimize=True
+        "nabcde,...nm,...ai,...bj,...ck,...dl,...ep->...mijklp",
+        xfield, Q, Q, Q, Q, Q, Q, optimize=True,
     )
 
 
 def average_quintic_field(xfield: np.ndarray, mats: Iterable[np.ndarray]) -> np.ndarray:
-    mats = list(mats)
-    acc = np.zeros((4,) * 6)
-    for Q in mats:
-        acc += pullback_quintic_field(xfield, Q)
-    return acc / len(mats)
+    return np.mean(pullback_quintic_field(xfield, np.array(list(mats))), axis=0)
 
 
 def delta_star_quintic(xfield: np.ndarray) -> np.ndarray:

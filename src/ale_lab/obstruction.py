@@ -60,11 +60,9 @@ def ak_constants(k: int, lam: float, order: int = 96) -> ModelConstants:
     """Two-cluster constants by quadrature (norm from its closed form)."""
     config = gh.GHConfig.canonical(k, lam)
     vol = gh.vol_sigma(config, order=order)
-
-    def m_on_axis(x1: float) -> float:
-        return gh.moment_map(config, np.array([x1, 0.0, 0.0]))
-
-    int_m = gh.sigma_integrate(config, m_on_axis, order=order)
+    int_m = gh.sigma_integrate(
+        config, lambda x1: gh.moment_map(config, gh.axis_points(x1)), order=order
+    )
     m_p1 = gh.moment_map(config, config.p1)
     return ModelConstants(
         vol_sigma=vol,

@@ -291,7 +291,7 @@ def suite_harmonic(k: int, lam: float, seed: int = 0,
             float(mag_ratio if same_sign else -mag_ratio), 2.0,
             bool(consistent), "derived-oracle"))
 
-    checks.append(_rel_check("segment-ratio", harmonic.s_ratio(config),
+    checks.append(_rel_check("segment-ratio", harmonic.s_ratio(bundle),
                              -k * lam, 1e-6 * tol_scale, "closed-form-constant"))
     checks.append(_bound_check(
         "density-annulus-exponent",
@@ -299,7 +299,7 @@ def suite_harmonic(k: int, lam: float, seed: int = 0,
         "closed-form-constant"))
     checks.append(_bound_check(
         "dual-pairing-residual",
-        harmonic.intersection_pairing_residual(bundle), 1e-4 * tol_scale,
+        harmonic.intersection_pairing_residual(bundle, norm), 1e-4 * tol_scale,
         "derived-oracle"))
     checks.append(_bound_check(
         "exact-form-pairing-null",

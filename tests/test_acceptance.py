@@ -36,13 +36,13 @@ def test_criterion_1_surface_constants_grid():
         assert vol == pytest.approx(2.0 * math.pi * k1 * lam, rel=1e-6)
 
         int_m = gh.sigma_integrate(
-            config, lambda x1: gh.moment_map(config, np.array([x1, 0.0, 0.0])),
+            config, lambda x1: gh.moment_map(config, gh.axis_points(x1)),
             order=96)
         assert int_m == pytest.approx(math.pi * k1**3 * lam**2, rel=1e-6)
 
         int_phi1 = gh.sigma_integrate(
             config,
-            lambda x1: harmonic.phi1_value(config, np.array([x1, 0.0, 0.0])),
+            lambda x1: harmonic.phi1_value(config, gh.axis_points(x1)),
             order=96)
         if k == 1:
             assert abs(int_phi1) < 1e-8
@@ -52,7 +52,8 @@ def test_criterion_1_surface_constants_grid():
 
         assert gh.moment_map(config, config.p1) == pytest.approx(
             k1 * lam, rel=1e-6)
-        assert harmonic.s_ratio(config) == pytest.approx(-k * lam, rel=1e-6)
+        assert harmonic.s_ratio(harmonic.build_omega(config)) == pytest.approx(
+            -k * lam, rel=1e-6)
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -229,6 +229,16 @@ def test_surface_volume_closed_form():
         assert gh.vol_sigma(cfg) == pytest.approx(2 * math.pi * (k + 1) * lam, rel=1e-9)
 
 
+@pytest.mark.parametrize("integrand,shape", [
+    (lambda x1: 1.0, r"\(\)"),  # one value for the whole node array
+    (lambda x1: x1[:, None] * np.ones(3), r"\(64, 3\)"),  # axis points, not values
+])
+def test_surface_integrand_shape_rejected(integrand, shape):
+    cfg = gh.GHConfig.canonical(1, 1.0)
+    with pytest.raises(SchemaError, match=rf"shape {shape} for 64 nodes"):
+        gh.sigma_integrate(cfg, integrand, order=64)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.floats(0.3, 3.0))
 def test_surface_volume_scales_linearly(k, lam):

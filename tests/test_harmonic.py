@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import fd, forms, gh, harmonic
+from ale_lab import fd, forms, gh, harmonic, suites
 from ale_lab.errors import TailDominance
 from ale_lab.forms import FormField
 
@@ -67,16 +67,19 @@ def test_alpha_split(canonical, omega_bundle):
 
 
 def test_segment_ratio_closed_form():
-    assert harmonic.s_ratio(gh.GHConfig.canonical(1, 1.0)) == pytest.approx(-1.0, rel=1e-6)
-    assert harmonic.s_ratio(gh.GHConfig.canonical(3, 0.5)) == pytest.approx(-1.5, rel=1e-6)
+    for k, lam in ((1, 1.0), (3, 0.5)):
+        bundle = harmonic.build_omega(gh.GHConfig.canonical(k, lam))
+        assert harmonic.s_ratio(bundle) == pytest.approx(-k * lam, rel=1e-6)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(1, 3), st.floats(0.4, 2.5), st.floats(1.2, 2.0))
 def test_segment_ratio_rescales_linearly(k, lam, c):
-    base = harmonic.s_ratio(gh.GHConfig.canonical(k, lam), order=48)
-    scaled = harmonic.s_ratio(gh.GHConfig.canonical(k, c * lam), order=48)
-    assert scaled == pytest.approx(c * base, rel=1e-6)
+    def ratio(scale):
+        bundle = harmonic.build_omega(gh.GHConfig.canonical(k, scale), order=48)
+        return harmonic.s_ratio(bundle, order=48)
+
+    assert ratio(c * lam) == pytest.approx(c * ratio(lam), rel=1e-6)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -109,8 +112,26 @@ def test_annulus_density_exponent(omega_bundle):
 
 def test_pairing_residuals(omega_bundle):
     bundle = omega_bundle(1)
-    assert harmonic.intersection_pairing_residual(bundle) < 1e-4
+    assert harmonic.intersection_pairing_residual(bundle, harmonic.omega_norm(bundle)) < 1e-4
     assert harmonic.exact_form_pairing_residual(bundle) < 1e-8
+
+
+def test_suite_harmonic_computes_each_core_quantity_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        inner = getattr(harmonic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic, name, wrapper)
+
+    for name in ("omega_norm", "build_omega", "_raw_sigma_integral"):
+        counted(name)
+    assert suites.suite_harmonic(2, 1.0).passed
+    assert calls == {"omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
 
 
 def test_linear_potential(canonical):

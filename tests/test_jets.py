@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import connection, fd, jets
+from ale_lab import connection, fd, gh, jets
 from ale_lab.errors import AleLabError, FirstObstructionNonzero, SchemaError, SymmetryError
 
 
@@ -40,6 +40,72 @@ def test_poly_diff_commutes():
     d01 = jets.poly_diff(jets.poly_diff(p, 0), 1)
     d10 = jets.poly_diff(jets.poly_diff(p, 1), 0)
     assert np.allclose(d01, d10)
+
+
+def _product_by_monomial_loop(subscripts, a, b, deg):
+    """Reference product: exponent addition over every pair of monomials."""
+    index = {e: i for i, e in enumerate(jets.MONOS)}
+    terms = {}
+    for i, ei in enumerate(jets.MONOS):
+        for j, ej in enumerate(jets.MONOS):
+            e = tuple(u + v for u, v in zip(ei, ej))
+            if sum(e) <= deg:
+                term = np.einsum(subscripts, a[..., i], b[..., j])
+                terms[index[e]] = terms.get(index[e], 0.0) + term
+    shape = np.einsum(subscripts, a[..., 0], b[..., 0]).shape
+    out = np.zeros(shape + (jets.N_MONO,))
+    for m, val in terms.items():
+        out[..., m] = val
+    return out
+
+
+# every (contraction, degree) the curvature route uses, and poly_mul's
+PRODUCT_CASES = [
+    ("fc,cab->fab", (4, 4), (4, 4, 4), jets._GAMMA_DEG),
+    ("ace,edb->acdb", (4, 4, 4), (4, 4, 4), jets._CURV_DEG),
+    ("ae,ebcd->abcd", (4, 4), (4, 4, 4, 4), jets._CURV_DEG),
+    ("...,...->...", (3, 1), (2,), jets.MAX_DEG),
+]
+
+
+@pytest.mark.parametrize("subscripts,sa,sb,deg", PRODUCT_CASES)
+def test_poly_product_matches_monomial_loop(subscripts, sa, sb, deg):
+    rng = np.random.default_rng(deg)
+    a = rng.normal(size=sa + (jets.N_MONO,))
+    b = rng.normal(size=sb + (jets.N_MONO,))
+    got = jets.poly_product(subscripts, a, b, deg)
+    want = _product_by_monomial_loop(subscripts, a, b, deg)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_curvature_polys_match_fd_near_origin(seed):
+    """The Christoffel polynomial (degree 3) and the curvature polynomial
+    (degree 2) against finite differences of the metric at small points,
+    where the dropped degrees leave errors of order |x|^4 and |x|^3."""
+    jet, quartic = jets.random_jet2(seed), jets.random_jet4(seed + 1)
+    metric = jets.metric_fn_from_jets(jet, quartic)
+    gamma, riem = jets._curvature_polys(jet, quartic)
+    x = 0.05 * np.random.default_rng(seed).normal(size=(4, 4))
+    fd_gamma = fd.richardson(lambda h: fd.christoffel(metric, x, h, scale=False), 5e-3)
+    fd_riem = fd.richardson(lambda h: fd.riemann_lowered(metric, x, h, scale=False), 5e-3)
+    poly_gamma = np.array([jets.poly_eval(gamma, p) for p in x])
+    poly_riem = np.array([jets.poly_eval(riem, p) for p in x])
+    assert np.max(np.abs(poly_gamma - fd_gamma)) < 2e-6
+    assert np.max(np.abs(poly_riem - fd_riem)) < 3e-5
+
+
+def test_cached_tables_are_read_only():
+    nodes, weights = gh._legendre_rule(8)
+    basis, columns = jets._gauge_system()
+    for arr in (nodes, weights, basis, columns):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the mapped rule is the caller's own copy
+    mapped, _ = gh.gauss_legendre(0.0, 1.0, 8)
+    mapped[:] = 0.0
+    assert np.allclose(gh.gauss_legendre(0.0, 1.0, 8)[0], 0.5 * (nodes + 1.0))
 
 
 # --- jet containers -----------------------------------------------------------
