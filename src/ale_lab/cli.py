@@ -111,11 +111,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_jet_input(path: str):
+def _number(value, name: str, positive: bool = False) -> float:
+    """A finite JSON number as a float.  Booleans are refused: Python reads
+    JSON true and false as the integers 1 and 0."""
+    from .errors import SchemaError
+
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, float) or not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive" if positive else "finite"
+        raise SchemaError(f"{name}: expected {kind} number, got {value!r}")
+    return value
+
+
+def _jet_field(raw: dict, name: str, cls, rank: int):
+    """The rank-``rank`` jet array under ``name`` as a validated ``cls``
+    (Jet2 or Jet4); every message starts with the field name."""
     import numpy as np
 
-    from . import jets
     from .errors import SchemaError, SymmetryError
+
+    try:
+        arr = np.asarray(raw[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{name}: non-numeric entries ({exc})") from exc
+    if arr.shape != (4,) * rank:
+        raise SchemaError(f"{name}: expected shape {'[4]' * rank}, got {list(arr.shape)}")
+    try:
+        return cls.from_array(arr)
+    except SymmetryError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _load_jet_input(path: str):
+    from . import jets
+    from .errors import SchemaError
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -128,41 +158,14 @@ def _load_jet_input(path: str):
         raise SchemaError("jet file: top level must be an object")
 
     k = raw.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
         raise SchemaError(f"k: expected positive integer, got {k!r}")
-    lam = raw.get("lambda", 1.0)
-    if isinstance(lam, int):
-        lam = float(lam)
-    if not isinstance(lam, float) or not math.isfinite(lam) or lam <= 0:
-        raise SchemaError(f"lambda: expected positive number, got {lam!r}")
+    lam = _number(raw.get("lambda", 1.0), "lambda", positive=True)
 
-    h_raw = raw.get("H")
-    if h_raw is None:
+    if raw.get("H") is None:
         raise SchemaError("H: missing required field")
-    try:
-        h_arr = np.asarray(h_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"H: non-numeric entries ({exc})") from exc
-    if h_arr.shape != (4, 4, 4, 4):
-        raise SchemaError(f"H: expected shape [4][4][4][4], got {list(h_arr.shape)}")
-    try:
-        jet = jets.Jet2.from_array(h_arr)
-    except SymmetryError as exc:
-        raise SchemaError(str(exc)) from exc
-
-    quartic = None
-    if raw.get("H2") is not None:
-        try:
-            h2_arr = np.asarray(raw["H2"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"H2: non-numeric entries ({exc})") from exc
-        if h2_arr.shape != (4, 4, 4, 4, 4, 4):
-            raise SchemaError(
-                f"H2: expected shape [4][4][4][4][4][4], got {list(h2_arr.shape)}")
-        try:
-            quartic = jets.Jet4.from_array(h2_arr)
-        except SymmetryError as exc:
-            raise SchemaError(str(exc)) from exc
+    jet = _jet_field(raw, "H", jets.Jet2, 4)
+    quartic = _jet_field(raw, "H2", jets.Jet4, 6) if raw.get("H2") is not None else None
 
     overrides = None
     if raw.get("constants_override") is not None:
@@ -175,12 +178,7 @@ def _load_jet_input(path: str):
                 raise SchemaError(
                     f"constants_override.{key}: unknown key "
                     f"(expected one of {sorted(_OVERRIDE_KEYS)})")
-            if isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, float) or not math.isfinite(value):
-                raise SchemaError(
-                    f"constants_override.{key}: expected finite number, got {value!r}")
-            overrides[_OVERRIDE_KEYS[key]] = value
+            overrides[_OVERRIDE_KEYS[key]] = _number(value, f"constants_override.{key}")
 
     gauge = raw.get("gauge_project", False)
     if not isinstance(gauge, bool):

@@ -61,7 +61,6 @@ class CurvatureBlock:
     Rplus: np.ndarray
     Rminus: np.ndarray
     scal: float
-    convention: str = "bundle-curvature; inner products <b_i,b_j> = 2 delta_ij"
 
 
 def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
@@ -96,14 +95,13 @@ def connection_from_Phi(
     phi: TripleField,
     metric_fn: MetricField | None = None,
     h: float = fd.DEFAULT_STEP,
-    check: bool = True,
 ) -> FormField:
     """Connection covectors of the orthonormal self-dual frame phi, as a
     degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to the (..., 3, 6) component stacks of the
     frame; the metric defaults to the one reconstructed from the frame
-    itself.
+    itself, and every evaluation checks the frame's Gram matrix against it.
     """
 
     def metric_at(x: np.ndarray) -> np.ndarray:
@@ -115,8 +113,7 @@ def connection_from_Phi(
     def components(x: np.ndarray) -> np.ndarray:
         g = metric_at(x)
         comps = np.asarray(phi(x), dtype=float)
-        if check:
-            check_frame(g, comps)
+        check_frame(g, comps)
         jmats = J_from_form(g[..., None, :, :], comps)
         deltas = fd.codifferential(metric_at, FormField(2, phi), x, h)
         j, k = CYCLIC
@@ -156,18 +153,11 @@ def curvature_forms(
     return fd.fd_d(a, x, h) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
 
 
-def decompose_curvature(
-    rforms: np.ndarray,
-    metric: np.ndarray,
-    sd_basis: np.ndarray | None = None,
-    asd_basis: np.ndarray | None = None,
-) -> CurvatureBlock:
+def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:
     """Blocks of the curvature forms on duality bases of the metric."""
     g = np.asarray(metric, dtype=float)
-    sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
-    asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
-    rp = project_stack(g, rforms, sd)
-    rm = project_stack(g, rforms, asd)
+    rp = project_stack(g, rforms, frame_from_metric(g, "sd"))
+    rm = project_stack(g, rforms, frame_from_metric(g, "asd"))
     return CurvatureBlock(Rplus=rp, Rminus=rm, scal=float(-4.0 * np.trace(rp)))
 
 
@@ -229,12 +219,7 @@ def bianchi_gauge(
     return delta + 0.5 * fd.all_partials(trace_fn, x, h)
 
 
-def mixed_block_to_ric0(
-    rminus: np.ndarray,
-    metric: np.ndarray,
-    sd_basis: np.ndarray | None = None,
-    asd_basis: np.ndarray | None = None,
-) -> np.ndarray:
+def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Trace-free Ricci as a symmetric 2-tensor from the mixed block.
 
     Ric0 = sum_kj Rminus[k, j] * g (Jt_j o J_k . , .), the composition
@@ -242,8 +227,7 @@ def mixed_block_to_ric0(
     non-Einstein oracle.
     """
     g = np.asarray(metric, dtype=float)
-    sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
-    asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
-    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, asd), J_from_form(g, sd))
+    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, frame_from_metric(g, "asd")),
+                     J_from_form(g, frame_from_metric(g, "sd")))
     ric0 = g @ endo
     return 0.5 * (ric0 + ric0.T)

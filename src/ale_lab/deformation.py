@@ -29,6 +29,7 @@ d alpha_i = w_i and are coclosed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -270,7 +271,6 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray,
 _QUAD_P, _QUAD_Q = np.triu_indices(4)  # monomials x_p x_q with p <= q
 _DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
                          [-1.1, 0.2, -0.5, 0.6]])
-_EFO_CONSTRAINTS: np.ndarray | None = None
 
 
 def _polynomial_field(vec: np.ndarray, degree: int) -> MatrixField:
@@ -341,12 +341,11 @@ def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
     return TripleFamily(lam=lambda x: -np.einsum("...a,a->...", x, csum), coeff=coeff)
 
 
+@functools.cache
 def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
-    perturbation and vanishing anti-self-dual part of d a^(1)."""
-    global _EFO_CONSTRAINTS
-    if _EFO_CONSTRAINTS is not None:
-        return _EFO_CONSTRAINTS
+    perturbation and vanishing anti-self-dual part of d a^(1); built on
+    first use and read-only."""
 
     def rows_of(vec: np.ndarray) -> np.ndarray:
         coeff = _polynomial_field(vec, 2)
@@ -359,8 +358,9 @@ def _efo_constraint_matrix() -> np.ndarray:
 
     n = 9 * len(_QUAD_P)
     cols = [rows_of(np.eye(n)[i]) for i in range(n)]
-    _EFO_CONSTRAINTS = np.stack(cols, axis=1)
-    return _EFO_CONSTRAINTS
+    out = np.stack(cols, axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def einstein_first_order_family(seed: int, quad_scale: float = 0.6,

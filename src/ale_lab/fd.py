@@ -71,13 +71,13 @@ def _central(vals: np.ndarray, he: np.ndarray) -> np.ndarray:
     return (np.take(pairs, 0, axis=k + 1) - np.take(pairs, 1, axis=k + 1)) / step
 
 
-def _stencil(x: np.ndarray, h: float, scale: bool, offsets: np.ndarray = _OFFSETS,
+def _stencil(x: np.ndarray, h: float, scale: bool,
              center: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Stencil points (..., s, 4) around (..., 4) points, x itself first
     when center is set, and the per-point steps (...)."""
     x = np.asarray(x, dtype=float)
     he = step_at(x, h, scale)
-    pts = x[..., None, :] + he[..., None, None] * offsets
+    pts = x[..., None, :] + he[..., None, None] * _OFFSETS
     if center:
         pts = np.concatenate([x[..., None, :], pts], axis=-2)
     return pts, he
@@ -92,13 +92,6 @@ def _value_and_partials(fn: Callable, x: np.ndarray, h: float,
     k = he.ndim
     lead = (slice(None),) * k
     return vals[lead + (0,)], _central(vals[lead + (slice(1, None),)], he)
-
-
-def partial(fn: Callable, x: np.ndarray, direction: int,
-            h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
-    """Centered first difference of an array-valued function."""
-    pts, he = _stencil(x, h, scale, _OFFSETS[2 * direction:2 * direction + 2])
-    return np.take(_central(_call(fn, pts), he), 0, axis=he.ndim)
 
 
 def all_partials(fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
@@ -134,14 +127,6 @@ def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP,
     partials = all_partials(field, point, h, scale)  # (..., 4, *shape, n_p)
     moved = np.moveaxis(partials, np.ndim(point) - 1, -2)
     return np.tensordot(moved, _D_TABLE[field.degree], axes=2)
-
-
-def d_field(field: FormField, h: float = DEFAULT_STEP, scale: bool = True) -> FormField:
-    """The exterior derivative as a lazily evaluated field."""
-    return FormField(
-        degree=min(field.degree + 1, DIM),
-        evaluator=lambda x: fd_d(field, x, h, scale),
-    )
 
 
 def richardson(eval_at: Callable[[float], np.ndarray], h: float) -> np.ndarray:
@@ -198,13 +183,6 @@ def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
 def ricci(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
           scale: bool = True) -> np.ndarray:
     return np.einsum("...abad->...bd", riemann_up(metric_fn, x, h, scale))
-
-
-def scalar_curvature(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                     scale: bool = True) -> np.ndarray:
-    g, r = _curvature(metric_fn, x, h, scale)
-    ric = np.einsum("...abad->...bd", r)
-    return np.einsum("...bd,...bd->...", np.linalg.inv(g), ric)
 
 
 def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,

@@ -243,12 +243,6 @@ def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
     return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
 
 
-def form_from_J(metric: np.ndarray, jmat: np.ndarray) -> np.ndarray:
-    """Inverse of J_from_form: component vector of W = g(J., .)."""
-    g = np.asarray(metric, dtype=float)
-    return tensor_to_comps(-g @ np.asarray(jmat, dtype=float), 2)
-
-
 def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(J b)(X) = -b(JX) on covector components; (..., 4, 4) matrices and
     (..., 4) covectors broadcast."""
@@ -320,8 +314,3 @@ class FormField:
             )
         return out
 
-
-def constant_form(degree: int, comps: np.ndarray) -> FormField:
-    fixed = np.array(comps, dtype=float)
-    return FormField(degree=degree,
-                     evaluator=lambda p: np.broadcast_to(fixed, np.shape(p)[:-1] + fixed.shape))

@@ -10,7 +10,7 @@ A is stored in two gauges.  In the north gauge each center contributes
 (n_i/2)(cos th_i - 1) dphi_i, singular on the ray pointing in the -x1
 direction from that center; the south gauge uses (cos th_i + 1) and is
 singular on the +x1 rays.  The gauges differ by sum_i n_i dphi_i, a
-pure fiber shift.  Points within eps_string of an excluded ray raise
+pure fiber shift.  Points within EPS_STRING of an excluded ray raise
 OnDiracString rather than extrapolating.
 
 The 2-form triple is w_i = dx^i ^ eta + V dx^j ^ dx^k (cyclic over the
@@ -33,7 +33,6 @@ single-point record the samplers hand out; its x4 feeds these functions.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +48,9 @@ from .errors import (
 from .forms import CYCLIC, FormField, J_from_form, apply_J_covector, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
+# domain radii: around each center, and around each patch's excluded rays
+EPS_CENTER = 1e-6
+EPS_STRING = 1e-6
 
 Center = tuple[tuple[float, float, float], int]
 
@@ -66,9 +68,6 @@ class GHConfig:
     k: int
     lam: float
     centers: tuple[Center, ...]
-    orientation_convention: str = "triple-self-dual"
-    eps_center: float = 1e-6
-    eps_string: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.k == 0:
@@ -103,7 +102,7 @@ class GHConfig:
             raise SchemaError(f"weighted centroid {centroid} is not the origin")
 
     @classmethod
-    def canonical(cls, k: int, lam: float, **kw) -> "GHConfig":
+    def canonical(cls, k: int, lam: float) -> "GHConfig":
         return cls(
             k=k,
             lam=lam,
@@ -111,12 +110,11 @@ class GHConfig:
                 ((-k * lam, 0.0, 0.0), 1),
                 ((lam, 0.0, 0.0), k),
             ),
-            **kw,
         )
 
     @classmethod
-    def single_center(cls, **kw) -> "GHConfig":
-        return cls(k=0, lam=1.0, centers=(((0.0, 0.0, 0.0), 1),), **kw)
+    def single_center(cls) -> "GHConfig":
+        return cls(k=0, lam=1.0, centers=(((0.0, 0.0, 0.0), 1),))
 
     @property
     def positions(self) -> np.ndarray:
@@ -138,31 +136,6 @@ class GHConfig:
     def segment(self) -> tuple[float, float]:
         """x1-range of the segment between the two cluster points."""
         return (-self.k * self.lam, self.lam)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "lambda": self.lam,
-                "centers": [[list(pos), n] for pos, n in self.centers],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str | dict) -> "GHConfig":
-        obj = json.loads(text) if isinstance(text, str) else text
-        if "k" not in obj:
-            raise SchemaError("config: missing field 'k'")
-        k = obj["k"]
-        lam = obj.get("lambda", 1.0)
-        if "centers" in obj and obj["centers"] is not None:
-            centers = tuple(
-                (tuple(float(c) for c in pos), int(n)) for pos, n in obj["centers"]
-            )
-            return cls(k=int(k), lam=float(lam), centers=centers)
-        if int(k) == 0:
-            return cls.single_center()
-        return cls.canonical(int(k), float(lam))
 
 
 @dataclass(frozen=True)
@@ -186,23 +159,23 @@ class ChartPoint:
 
 def validate_base(config: GHConfig, x3: np.ndarray, patch: str | None = None) -> None:
     """Domain check of a (..., 3) stack of base points: none may lie within
-    eps_center of a center, nor (given a patch) within eps_string of that
+    EPS_CENTER of a center, nor (given a patch) within EPS_STRING of that
     patch's excluded rays.  The error names the first offending point."""
     pts = np.asarray(x3, dtype=float).reshape(-1, 3)
     diff = pts[:, None, :] - config.positions  # (N, centers, 3)
     dists = np.linalg.norm(diff, axis=-1)
-    near = np.flatnonzero(np.any(dists < config.eps_center, axis=1))
+    near = np.flatnonzero(np.any(dists < EPS_CENTER, axis=1))
     if near.size:
         n = near[0]
         idx = int(np.argmin(dists[n]))
         raise CenterTooClose(
-            f"point {pts[n]} within {config.eps_center} of center {idx} "
+            f"point {pts[n]} within {EPS_CENTER} of center {idx} "
             f"(distance {dists[n, idx]:.3e})"
         )
     if patch is None:
         return
     on_ray = diff[..., 0] <= 0.0 if patch == "north" else diff[..., 0] >= 0.0
-    hits = np.argwhere(on_ray & (np.hypot(diff[..., 1], diff[..., 2]) < config.eps_string))
+    hits = np.argwhere(on_ray & (np.hypot(diff[..., 1], diff[..., 2]) < EPS_STRING))
     if hits.size:
         n, c = hits[0]
         side = "-x1 ray" if patch == "north" else "+x1 ray"
@@ -422,14 +395,6 @@ def vol_sigma(config: GHConfig, order: int = 64) -> float:
     return sigma_integrate(config, np.ones_like, order=order)
 
 
-def fiber_holonomy(config: GHConfig, p: ChartPoint, order: int = 16) -> float:
-    """Integral of eta over the fiber circle through p (equals the period)."""
-    eta = potential_and_eta(config, p.x4, p.patch)[1]
-    nodes, weights = gauss_legendre(0.0, FIBER_PERIOD, order)
-    vals = np.full(nodes.shape, eta[3])  # eta(d_tau) is fiber-independent
-    return float(np.sum(weights * vals))
-
-
 def axis_link_holonomy(
     config: GHConfig, x1: float, rho: float = 1e-3, patch: str = "south", order: int = 64
 ) -> float:
@@ -444,31 +409,24 @@ def center_flux(config: GHConfig, center_index: int, radius: float, order: int =
     """Flux of dA = *dV through a sphere around one center (outward normal).
 
     Exactly -2*pi*n for an enclosed weight-n center by the divergence
-    theorem; computed here by quadrature of grad(V).n over the sphere.
+    theorem; computed here by quadrature of grad(V).n over the
+    (order x order) product nodes of the sphere in one call.
     """
     pos = np.asarray(config.centers[center_index][0], dtype=float)
-    unodes, uweights = gauss_legendre(-1.0, 1.0, order)
-    pnodes, pweights = gauss_legendre(0.0, 2.0 * math.pi, order)
-    total = 0.0
-    for u, wu in zip(unodes, uweights):
-        s = math.sqrt(1.0 - u * u)
-        for phi, wp in zip(pnodes, pweights):
-            n_hat = np.array([u, s * math.cos(phi), s * math.sin(phi)])
-            grad = eval_V_grad(config, pos + radius * n_hat)
-            total += wu * wp * float(grad @ n_hat) * radius**2
-    return total
+    u, wu = gauss_legendre(-1.0, 1.0, order)
+    phi, wphi = gauss_legendre(0.0, 2.0 * math.pi, order)
+    s = np.sqrt(1.0 - u * u)[:, None]
+    n_hat = np.stack(np.broadcast_arrays(u[:, None], s * np.cos(phi), s * np.sin(phi)), axis=-1)
+    grad = eval_V_grad(config, pos + radius * n_hat)
+    return float(wu @ np.sum(grad * n_hat, axis=-1) @ wphi) * radius**2
 
 
-def v_laplacian_fd(config: GHConfig, x3: np.ndarray, h: float = 1e-3) -> float:
-    """Flat 3D Laplacian of V by second differences (harmonicity check)."""
-    x3 = np.asarray(x3, dtype=float)
-    v0 = eval_V(config, x3)
-    total = 0.0
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = h
-        total += (eval_V(config, x3 + e) - 2.0 * v0 + eval_V(config, x3 - e)) / h**2
-    return total
+def v_laplacian_fd(config: GHConfig, x3: np.ndarray, h: float = 1e-3) -> np.ndarray:
+    """Flat 3D Laplacian of V by second differences (harmonicity check) at
+    (..., 3) base points, from one potential call on the 7-point stencils."""
+    offsets = np.concatenate([np.zeros((1, 3)), h * np.eye(3), -h * np.eye(3)])
+    v = eval_V(config, np.asarray(x3, dtype=float)[..., None, :] + offsets)
+    return np.sum(v[..., 1:4] + v[..., 4:] - 2.0 * v[..., :1], axis=-1) / h**2
 
 
 def sample_chart_points(

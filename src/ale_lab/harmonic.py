@@ -70,7 +70,6 @@ class HarmonicFormBundle:
     config: gh.GHConfig
     normalization: float
     raw_sigma_integral: float
-    sigma_integral: float  # of the normalized form; equals 2 pi [core]^2
 
     def components(self, x4: np.ndarray, patch: str = "north") -> np.ndarray:
         """Components (..., 6) of the normalized form at (..., 4) chart points."""
@@ -122,7 +121,6 @@ def build_omega(config: gh.GHConfig, order: int = 96) -> HarmonicFormBundle:
         config=config,
         normalization=target / raw,
         raw_sigma_integral=raw,
-        sigma_integral=target,
     )
 
 
@@ -501,26 +499,20 @@ def phi1_laplacian_residual(
     return abs(float(fd.laplace_beltrami(mfn, scalar, p.x4, h)))
 
 
-def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> float:
-    """Invariant quadratic estimated from the moment map, q1 ~ phi1 at
-    large radius: sign(x1) sqrt(4 m^2 - 4 (k+1)^2 rho_perp^2)."""
+def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
+    """Invariant quadratic estimated from the moment map at (..., 3) base
+    points, q1 ~ phi1 at large radius: sign(x1) sqrt(4 m^2 - 4 (k+1)^2 rho_perp^2)."""
     base = np.asarray(base, dtype=float)
     k1 = config.k + 1
     m = gh.moment_map(config, base)
-    rho_perp_sq = base[1] ** 2 + base[2] ** 2
+    rho_perp_sq = base[..., 1] ** 2 + base[..., 2] ** 2
     val = 4.0 * m**2 - 4.0 * k1**2 * rho_perp_sq
-    return math.copysign(math.sqrt(max(val, 0.0)), base[0])
+    return np.copysign(np.sqrt(np.maximum(val, 0.0)), base[..., 0])
 
 
 def phi1_q1_ratio(config: gh.GHConfig, r4: float = 50.0, n_dirs: int = 6,
-                  seed: int = 2) -> list[float]:
-    k1 = config.k + 1
-    rho = r4**2 / (2.0 * k1)
+                  seed: int = 2) -> np.ndarray:
+    """phi1 / q1 along the fit directions at least 0.2 off the x1 = 0 plane."""
     dirs = _fit_directions(n_dirs, seed)
-    out = []
-    for u in dirs:
-        if abs(u[0]) < 0.2:
-            continue
-        base = rho * u
-        out.append(phi1_value(config, base) / q1_estimate(config, base))
-    return out
+    base = r4**2 / (2.0 * (config.k + 1)) * dirs[np.abs(dirs[:, 0]) >= 0.2]
+    return phi1_value(config, base) / q1_estimate(config, base)

@@ -136,11 +136,6 @@ def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_D
     return out
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of coefficient arrays over the last axis, truncated."""
-    return poly_product("...,...->...", a, b)
-
-
 def poly_diff(a: np.ndarray, v: int) -> np.ndarray:
     src, dst, coef = _DIFF_TABLES[v]
     out = np.zeros_like(a)
@@ -365,7 +360,6 @@ def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
         Rplus=rplus,
         Rminus=-mixed,
         scal=float(-4.0 * np.trace(rplus)),
-        convention="sd-block-negated",
     )
 
 
@@ -526,19 +520,6 @@ def d2_invariant_symbolic(
     return _contract_invariant(tens)
 
 
-def d2_invariant(
-    jet: Jet2,
-    quartic: Jet4 | None,
-    route: str = "symbolic",
-    tol_first_row: float = 1e-8,
-) -> float:
-    if route == "symbolic":
-        return d2_invariant_symbolic(jet, quartic, tol_first_row)
-    if route == "fd":
-        return d2_invariant_fd(jet, quartic, tol_first_row=tol_first_row)
-    raise SchemaError(f"unknown route {route!r}; use 'symbolic' or 'fd'")
-
-
 # ---------------------------------------------------------------------------
 # Finite symmetry groups acting by right quaternion multiplication
 # ---------------------------------------------------------------------------
@@ -659,34 +640,29 @@ def _sym_basis_jet2() -> np.ndarray:
     return np.array(basis)
 
 
-def _first_row_functionals() -> np.ndarray:
+# upper-triangle entries of a 3x3 block, first row first: 00 01 02 11 12 22
+_UPPER = np.triu_indices(3)
+
+
+@functools.cache
+def _block_functionals() -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric quadratic-jet basis and the (6, n) matrix of the
+    upper-triangle R_+ entries of its elements, built on first use and
+    read-only; the first three rows are the first block row."""
     basis = _sym_basis_jet2()
-    rows = []
-    for b in basis:
-        block = curvature_from_jet2(Jet2(H=b)).Rplus
-        rows.append(block[0, :])
-    return np.array(rows).T  # (3, n_basis)
-
-
-_FIRST_ROW_MATRIX: np.ndarray | None = None
-_SYM_BASIS: np.ndarray | None = None
-
-
-def _cached_first_row() -> tuple[np.ndarray, np.ndarray]:
-    global _FIRST_ROW_MATRIX, _SYM_BASIS
-    if _FIRST_ROW_MATRIX is None:
-        _SYM_BASIS = _sym_basis_jet2()
-        _FIRST_ROW_MATRIX = _first_row_functionals()
-    return _FIRST_ROW_MATRIX, _SYM_BASIS
+    amat = np.array([curvature_from_jet2(Jet2(H=b)).Rplus[_UPPER] for b in basis]).T
+    basis.setflags(write=False)
+    amat.setflags(write=False)
+    return amat, basis
 
 
 def jet2_first_row_zero(seed: int, scale: float = 0.05) -> Jet2:
     """Random symmetric jet corrected so R_+(H) annihilates the first
     self-dual generator (minimum-norm coefficient correction)."""
     jet = random_jet2(seed, scale)
-    fmat, basis = _cached_first_row()
+    amat, basis = _block_functionals()
     row = curvature_from_jet2(jet).Rplus[0, :]
-    sol, *_ = np.linalg.lstsq(fmat, row, rcond=None)
+    sol, *_ = np.linalg.lstsq(amat[:3], row, rcond=None)
     corrected = jet.H - np.einsum("b,bijkl->ijkl", sol, basis)
     out = Jet2.from_array(corrected)
     if first_row_norm(out) > 1e-10:
@@ -700,19 +676,9 @@ def jet2_with_block(target: np.ndarray, seed: int = 0, scale: float = 0.05) -> J
     if target.shape != (3, 3) or np.max(np.abs(target - target.T)) > 1e-12:
         raise SchemaError("target block must be a symmetric 3x3 matrix")
     jet = random_jet2(seed, scale)
-    fmat, basis = _cached_first_row()
-    # extend the functional matrix to all six upper-triangle entries
-    rows = []
-    for b in basis:
-        blk = curvature_from_jet2(Jet2(H=b)).Rplus
-        rows.append([blk[0, 0], blk[0, 1], blk[0, 2], blk[1, 1], blk[1, 2], blk[2, 2]])
-    amat = np.array(rows).T
-    blk = curvature_from_jet2(jet).Rplus
-    current = np.array([blk[0, 0], blk[0, 1], blk[0, 2], blk[1, 1], blk[1, 2], blk[2, 2]])
-    want = np.array(
-        [target[0, 0], target[0, 1], target[0, 2], target[1, 1], target[1, 2], target[2, 2]]
-    )
-    sol, *_ = np.linalg.lstsq(amat, current - want, rcond=None)
+    amat, basis = _block_functionals()
+    current = curvature_from_jet2(jet).Rplus[_UPPER]
+    sol, *_ = np.linalg.lstsq(amat, current - target[_UPPER], rcond=None)
     corrected = jet.H - np.einsum("b,bijkl->ijkl", sol, basis)
     return Jet2.from_array(corrected)
 

@@ -25,9 +25,10 @@ opposite-sign operator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -44,7 +45,6 @@ class ModelConstants:
     int_m_omega: float
     m_p1: float
     k: int | None = None
-    lam: float | None = None
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -70,7 +70,6 @@ def ak_constants(k: int, lam: float, order: int = 96) -> ModelConstants:
         int_m_omega=int_m,
         m_p1=m_p1,
         k=k,
-        lam=lam,
         provenance={
             "vol_sigma": "computed",
             "omega_norm2": "computed",
@@ -125,35 +124,32 @@ def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarr
     return factor * _INNER_SCALE * block[0, :]
 
 
-def _require_first_row(block: np.ndarray, tol: float = 1e-8) -> None:
-    gap = first_row_norm(block)
-    scale = max(float(np.max(np.abs(block))), 1.0)
-    if gap > tol * scale:
+def _first_row_vanishes(block: np.ndarray) -> bool:
+    """The degenerate regime: first row within 1e-8 of zero, relative to
+    the block's largest entry when that exceeds 1."""
+    return first_row_norm(block) <= 1e-8 * max(float(np.max(np.abs(block))), 1.0)
+
+
+def _require_first_row(block: np.ndarray) -> None:
+    if not _first_row_vanishes(block):
         raise FirstObstructionNonzero(
-            f"first block row has norm {gap:.3e}; the degenerate-regime "
+            f"first block row has norm {first_row_norm(block):.3e}; the degenerate-regime "
             "coefficients require it to vanish"
         )
 
 
-def mu1_generic(
-    block: np.ndarray, constants: ModelConstants, tol_first_row: float = 1e-8
-) -> float:
+def mu1_generic(block: np.ndarray, constants: ModelConstants) -> float:
     """4 pi / omega_norm2 * minor * int_m_omega (any symmetry group)."""
     block = _check_block(block)
-    _require_first_row(block, tol_first_row)
+    _require_first_row(block)
     return 4.0 * math.pi / constants.omega_norm2 * minor_of(block) * constants.int_m_omega
 
 
-def mu1_Ak(
-    block: np.ndarray,
-    d_invariant: float,
-    constants: ModelConstants,
-    tol_first_row: float = 1e-8,
-) -> float:
+def mu1_Ak(block: np.ndarray, d_invariant: float, constants: ModelConstants) -> float:
     """Two-cluster form with the quartic correction:
     (vol^2/norm^2) { (k+1) minor - (1/16)(k-1) D }."""
     block = _check_block(block)
-    _require_first_row(block, tol_first_row)
+    _require_first_row(block)
     if constants.k is None:
         raise MissingConstants("mu1_Ak needs the cluster parameter k on the constants")
     k = constants.k
@@ -170,7 +166,6 @@ def A_coefficient(
     d_invariant: float,
     constants: ModelConstants,
     form: str = "closed",
-    tol_first_row: float = 1e-8,
 ) -> float:
     """Next-order coefficient at the residual singular point.
 
@@ -180,7 +175,7 @@ def A_coefficient(
     The two agree when m_p1 = vol/(2 pi) (two-cluster identity).
     """
     block = _check_block(block)
-    _require_first_row(block, tol_first_row)
+    _require_first_row(block)
     if constants.k is None:
         raise MissingConstants("A_coefficient needs the cluster parameter k")
     k = constants.k
@@ -196,37 +191,10 @@ def A_coefficient(
     raise SchemaError(f"unknown A form {form!r}")
 
 
-@dataclass
-class DetLeading:
-    coefficient: float  # minor * A
-    values: dict
-
-    def __call__(self, t: float) -> float:
-        return self.coefficient * t**4
-
-
-def det_leading(
-    block: np.ndarray,
-    a_coeff: float,
-    t_values: Sequence[float] = (),
-) -> DetLeading:
-    """Leading term minor * A * t^4 of det R_+ at the residual point."""
-    minor = minor_of(block)
-    coeff = minor * a_coeff
-    return DetLeading(
-        coefficient=coeff,
-        values={float(t): coeff * float(t) ** 4 for t in t_values},
-    )
-
-
-def structured_block(block: np.ndarray, a_coeff: float, t: float) -> np.ndarray:
-    """Model of the deformed block at parameter t: first row/column
-    carried by A t^2, middle block linear in t."""
-    block = _check_block(block)
-    out = np.zeros((3, 3))
-    out[0, 0] = a_coeff * t**2
-    out[1:, 1:] = t * block[1:, 1:]
-    return out
+def det_leading(block: np.ndarray, a_coeff: float) -> float:
+    """Coefficient minor * A of the leading term minor * A * t^4 of det R_+
+    at the residual point."""
+    return minor_of(block) * a_coeff
 
 
 def bold_det_from_block(block: np.ndarray) -> float:
@@ -295,7 +263,6 @@ def compute_report(
     lam: float = 1.0,
     overrides: Mapping[str, float] | None = None,
     apply_gauge: bool = False,
-    tol_first_row: float = 1e-8,
 ) -> ObstructionReport:
     """Full pipeline from a quadratic (and optional quartic) jet."""
     from . import jets as jets_mod
@@ -307,24 +274,13 @@ def compute_report(
     if overrides is not None:
         constants = constants_from_overrides(overrides)
         if k is not None:
-            constants = ModelConstants(
-                vol_sigma=constants.vol_sigma,
-                omega_norm2=constants.omega_norm2,
-                int_m_omega=constants.int_m_omega,
-                m_p1=constants.m_p1,
-                k=k,
-                lam=lam,
-                provenance=dict(constants.provenance),
-            )
+            constants = dataclasses.replace(constants, k=k)
     else:
         if k is None:
             raise MissingConstants("either k (two-cluster family) or overrides required")
         constants = ak_constants(k, lam)
 
     lam_vec = lambda_obstruction(block, constants)
-    row = first_row_norm(block)
-    scale = max(float(np.max(np.abs(block))), 1.0)
-    degenerate = row <= tol_first_row * scale
 
     d_val = None
     mu1_val = None
@@ -332,15 +288,17 @@ def compute_report(
     a_val = None
     det_coeff = None
     notes = dict(WALL_DOCUMENTATION)
-    if degenerate:
-        mu1_gen = mu1_generic(block, constants, tol_first_row=math.inf)
+    if _first_row_vanishes(block):
+        mu1_gen = mu1_generic(block, constants)
         if quartic is not None:
-            d_val = jets_mod.d2_invariant(jet, quartic, tol_first_row=math.inf)
+            # the block's relative rule has decided the regime; the
+            # invariant's own guard is absolute, so it is switched off here
+            d_val = jets_mod.d2_invariant_symbolic(jet, quartic, tol_first_row=math.inf)
         if constants.k is not None:
             d_for_ak = d_val if d_val is not None else 0.0
-            mu1_val = mu1_Ak(block, d_for_ak, constants, tol_first_row=math.inf)
-            a_val = A_coefficient(block, d_for_ak, constants, tol_first_row=math.inf)
-            det_coeff = det_leading(block, a_val).coefficient
+            mu1_val = mu1_Ak(block, d_for_ak, constants)
+            a_val = A_coefficient(block, d_for_ak, constants)
+            det_coeff = det_leading(block, a_val)
             if d_val is None:
                 notes["quartic"] = "no quartic jet supplied; D treated as 0"
     else:
@@ -360,7 +318,7 @@ def compute_report(
         det_leading_coefficient=det_coeff,
         wall_side=wall_side(bold_det_from_block(block)),
         constants=constants.as_dict(),
-        first_row_norm=row,
+        first_row_norm=first_row_norm(block),
         gauge_projected=apply_gauge,
         notes=notes,
     )

@@ -20,9 +20,9 @@ cached, so sampled triples satisfy d(varpi) = 0 to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -240,10 +240,10 @@ def _closedness_matrix(duality: str) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=2)
+@functools.cache
 def closedness_null_basis(duality: str = "sd") -> np.ndarray:
     """Exact rational null-space basis of the closedness system, as a
-    float array of shape (dim, 30) with integer entries."""
+    read-only float array of shape (dim, 30) with integer entries."""
     import sympy
 
     mat = sympy.Matrix(_closedness_matrix(duality).tolist())
@@ -253,7 +253,9 @@ def closedness_null_basis(duality: str = "sd") -> np.ndarray:
         denoms = [sympy.Rational(x).q for x in v]
         scale = sympy.ilcm(*denoms) if len(denoms) > 1 else denoms[0]
         vecs.append([int(x * scale) for x in v])
-    return np.asarray(vecs, dtype=float)
+    out = np.asarray(vecs, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,16 +311,6 @@ def random_closed_quadratic(seed: int, duality: str = "sd") -> QuadraticTriple:
 
 def random_closed_sd_quadratic(seed: int) -> QuadraticTriple:
     return random_closed_quadratic(seed, "sd")
-
-
-def second_derivative_identity_residual(triple: QuadraticTriple) -> float:
-    """Residual of the closed-triple identity
-    (d2_03 + d2_12) z2 - (d2_02 - d2_13) z3 = (1/2)(-d2_00 - d2_11 + d2_22 + d2_33) z1
-    written in 0-based coordinates (d2_ab z = 2 Z[a,b])."""
-    z1, z2, z3 = triple.Z
-    lhs = 2.0 * (z2[0, 3] + z2[1, 2]) - 2.0 * (z3[0, 2] - z3[1, 3])
-    rhs = 0.5 * 2.0 * (-z1[0, 0] - z1[1, 1] + z1[2, 2] + z1[3, 3])
-    return float(abs(lhs - rhs))
 
 
 _J1_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD[0])

@@ -65,7 +65,7 @@ def test_criterion_2_quadrature_suite():
 
 
 def test_criterion_3_geometry_suite():
-    """Multi-center metric: curvature, Killing field, holonomy, flatness."""
+    """Multi-center metric: curvature, closed triple, Killing field, decay, flatness."""
     t0 = time.perf_counter()
     for k in (1, 2, 3):
         _assert_suite(suites.suite_gh(k, 1.0))

@@ -136,6 +136,21 @@ def test_obstruct_rejects_unknown_override(tmp_path, capsys):
     assert "constants_override.volsigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,field", [
+    ({"k": True}, "k:"),
+    ({"lambda": True}, "lambda:"),
+    ({"constants_override": {"volSigma": True, "omegaNorm2": 1.0, "intMomega": 1.0,
+                             "mP1": 1.0}}, "constants_override.volSigma:"),
+])
+def test_obstruct_rejects_booleans_as_numbers(tmp_path, capsys, extra, field):
+    # Python reads JSON true as the integer 1; the schema wants a number
+    jet_path = _write_jet(tmp_path / "jet.json", **extra)
+    report = tmp_path / "report.json"
+    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2
+    assert f"schema error: {field}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_obstruct_accepts_explicit_constants(tmp_path):
     # overrides replace the (k, lambda) model constants entirely
     jet_path = _write_jet(

@@ -23,7 +23,7 @@ def test_poly_mul_diff_eval():
     a[jets._MONO_INDEX[(0, 1, 1, 0)]] = -1.0     # - x1 x2
     b = jets.poly_zero()
     b[jets._MONO_INDEX[(0, 0, 0, 1)]] = 3.0      # 3 x3
-    prod = jets.poly_mul(a, b)
+    prod = jets.poly_product("...,...->...", a, b)
     for _ in range(4):
         x = rng.normal(size=4)
         va = 2 * x[0] - x[1] * x[2]
@@ -59,7 +59,7 @@ def _product_by_monomial_loop(subscripts, a, b, deg):
     return out
 
 
-# every (contraction, degree) the curvature route uses, and poly_mul's
+# every (contraction, degree) the curvature route uses, and the elementwise product
 PRODUCT_CASES = [
     ("fc,cab->fab", (4, 4), (4, 4, 4), jets._GAMMA_DEG),
     ("ace,edb->acdb", (4, 4, 4), (4, 4, 4), jets._CURV_DEG),
@@ -99,7 +99,8 @@ def test_curvature_polys_match_fd_near_origin(seed):
 def test_cached_tables_are_read_only():
     nodes, weights = gh._legendre_rule(8)
     basis, columns = jets._gauge_system()
-    for arr in (nodes, weights, basis, columns):
+    amat, sym_basis = jets._block_functionals()
+    for arr in (nodes, weights, basis, columns, amat, sym_basis):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the mapped rule is the caller's own copy
@@ -238,8 +239,6 @@ def test_d2_invariant_dual_routes(seed):
     sym = jets.d2_invariant_symbolic(jet, quartic)
     fdv = jets.d2_invariant_fd(jet, quartic)
     assert fdv == pytest.approx(sym, abs=1e-6 * max(1.0, abs(sym)))
-    # route dispatcher
-    assert jets.d2_invariant(jet, quartic, route="symbolic") == sym
 
 
 def test_d2_requires_degenerate_first_row():

@@ -84,9 +84,11 @@ def test_random_closed_quadratic_is_closed(duality):
     assert np.max(np.abs(triple.d_varpi(xs))) < 1e-12
     for x in xs:
         assert np.max(np.abs(triple.d_varpi(x))) < 1e-12
-    assert quadrature.second_derivative_identity_residual(
-        quadrature.random_closed_sd_quadratic(5)
-    ) < 1e-12
+    # closed self-dual triples obey (d2_03 + d2_12) z2 - (d2_02 - d2_13) z3
+    # = (1/2)(-d2_00 - d2_11 + d2_22 + d2_33) z1, with d2_ab z = 2 Z[a, b]
+    z1, z2, z3 = quadrature.random_closed_sd_quadratic(5).Z
+    lhs = 2.0 * (z2[0, 3] + z2[1, 2]) - 2.0 * (z3[0, 2] - z3[1, 3])
+    assert lhs == pytest.approx(-z1[0, 0] - z1[1, 1] + z1[2, 2] + z1[3, 3], abs=1e-12)
 
 
 def test_closedness_null_basis_dimensions():
