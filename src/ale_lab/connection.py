@@ -8,9 +8,10 @@ The rank-3 bundle carries the basis (v1, v2, v3) with <v_i, v_j> =
     a_1 = (1/2) (delta F1 + J3 delta F2 - J2 delta F3)   (cyclic),
 
 its curvature R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
-normalization is pinned numerically against finite differences of
-deformed metrics (coefficient 1.0 to 5e-6).  Blocks follow the
-sign convention in which these curvature forms decompose as
+normalization (coefficient 1.0) is pinned numerically against the
+t^2-coefficient of the curvature of deformed metrics, taken on a circle
+of complex t (deformation.taylor_coefficient), to about 4e-9.  Blocks
+follow the sign convention in which these curvature forms decompose as
 R_+ = -(Scal/12 + W_+) on the frame and R_- maps to the trace-free
 Ricci part, so a round metric has R_+ = -(Scal/12) Id and hyperkahler
 metrics have vanishing blocks.  Scal = -4 tr(R_+).
@@ -39,8 +40,8 @@ from .forms import (
     J_from_form,
     apply_J_covector,
     comps_to_tensor,
+    float_or_complex,
     hodge_star,
-    metric_from_triple,
     project_stack,
     wedge,
 )
@@ -63,6 +64,22 @@ class CurvatureBlock:
     scal: float
 
 
+def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
+    """Lower factor L with L L^T = gram for a symmetric 3x3 matrix, or None
+    when a pivot L_ii^2 (its real part) is at most 1e-12.  Unlike
+    np.linalg.cholesky it never conjugates, so for a complex-symmetric
+    gram it stays analytic in the entries, as the contour oracles need."""
+    chol = np.zeros_like(gram)
+    for i in range(3):
+        for j in range(i):
+            chol[i, j] = (gram[i, j] - chol[i, :j] @ chol[j, :j]) / chol[j, j]
+        pivot = gram[i, i] - chol[i, :i] @ chol[i, :i]
+        if not pivot.real > 1e-12:
+            return None
+        chol[i, i] = np.sqrt(pivot)
+    return chol
+
+
 def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
     """Orthonormal duality frame (rows, <b_i,b_i> = 2) by Gram-Schmidt of
     the projected flat basis; deterministic and smooth in the metric.
@@ -72,11 +89,8 @@ def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
     seeds = OMEGA_SD if duality == "sd" else OMEGA_ASD
     sign = 1.0 if duality == "sd" else -1.0
     cands = 0.5 * (seeds + sign * hodge_star(metric, seeds, 2))
-    try:
-        chol = np.linalg.cholesky(2.0 * project_stack(metric, cands, cands))
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or np.min(np.diag(chol)) ** 2 <= 1e-12:
+    chol = _cholesky3(2.0 * project_stack(metric, cands, cands))
+    if chol is None:
         raise FrameNotOrthonormal(
             f"projected flat basis degenerate for duality {duality!r}"
         )
@@ -93,29 +107,23 @@ def check_frame(metric: np.ndarray, triple: np.ndarray, tol: float = 1e-8) -> No
 
 def connection_from_Phi(
     phi: TripleField,
-    metric_fn: MetricField | None = None,
+    metric_fn: MetricField,
     h: float = fd.DEFAULT_STEP,
 ) -> FormField:
     """Connection covectors of the orthonormal self-dual frame phi, as a
     degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to the (..., 3, 6) component stacks of the
-    frame; the metric defaults to the one reconstructed from the frame
-    itself, and every evaluation checks the frame's Gram matrix against it.
+    frame; every evaluation checks the frame's Gram matrix against the
+    metric.
     """
 
-    def metric_at(x: np.ndarray) -> np.ndarray:
-        if metric_fn is not None:
-            return np.asarray(metric_fn(x), dtype=float)
-        comps = phi(x)
-        return metric_from_triple(comps[..., 0, :], comps[..., 1, :], comps[..., 2, :])
-
     def components(x: np.ndarray) -> np.ndarray:
-        g = metric_at(x)
-        comps = np.asarray(phi(x), dtype=float)
+        g = float_or_complex(metric_fn(x))
+        comps = float_or_complex(phi(x))
         check_frame(g, comps)
         jmats = J_from_form(g[..., None, :, :], comps)
-        deltas = fd.codifferential(metric_at, FormField(2, phi), x, h)
+        deltas = fd.codifferential(metric_fn, FormField(2, phi), x, h)
         j, k = CYCLIC
         return 0.5 * (
             deltas
@@ -135,7 +143,7 @@ def torsion_residual(
     """Max component of dF_i - a_k ^ F_j + a_j ^ F_k over the cycle."""
     x = np.asarray(x, dtype=float)
     avals = a(x)
-    comps = np.asarray(phi(x), dtype=float)
+    comps = float_or_complex(phi(x))
     j, k = CYCLIC
     dphi = fd.fd_d(FormField(2, phi), x, h)
     res = (dphi - wedge(avals[..., k, :], 1, comps[..., j, :], 2)
@@ -155,10 +163,10 @@ def curvature_forms(
 
 def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:
     """Blocks of the curvature forms on duality bases of the metric."""
-    g = np.asarray(metric, dtype=float)
+    g = float_or_complex(metric)
     rp = project_stack(g, rforms, frame_from_metric(g, "sd"))
     rm = project_stack(g, rforms, frame_from_metric(g, "asd"))
-    return CurvatureBlock(Rplus=rp, Rminus=rm, scal=float(-4.0 * np.trace(rp)))
+    return CurvatureBlock(Rplus=rp, Rminus=rm, scal=-4.0 * np.trace(rp))
 
 
 def operator_blocks_from_riemann(
@@ -169,14 +177,14 @@ def operator_blocks_from_riemann(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SD block, mixed block, ASD block) of the curvature operator
     A_ij = (1/8) R_abcd b_i^ab b_j^cd on orthonormal duality bases."""
-    g = np.asarray(metric, dtype=float)
+    g = float_or_complex(metric)
     ginv = np.linalg.inv(g)
-    sd = frame_from_metric(g, "sd") if sd_basis is None else np.asarray(sd_basis, float)
-    asd = frame_from_metric(g, "asd") if asd_basis is None else np.asarray(asd_basis, float)
+    sd = frame_from_metric(g, "sd") if sd_basis is None else float_or_complex(sd_basis)
+    asd = frame_from_metric(g, "asd") if asd_basis is None else float_or_complex(asd_basis)
 
     # raise both indices of every basis form, then contract pairwise
     up = (ginv @ comps_to_tensor(np.vstack([sd, asd]), 2) @ ginv.T).reshape(6, 16)
-    full = up @ np.asarray(riemann_low, dtype=float).reshape(16, 16) @ up.T / 8.0
+    full = up @ float_or_complex(riemann_low).reshape(16, 16) @ up.T / 8.0
     return full[:3, :3], full[:3, 3:], full[3:, 3:]
 
 
@@ -187,11 +195,11 @@ def curvature_block_of_metric(
 ) -> CurvatureBlock:
     """CurvatureBlock of a metric at a point via finite differences."""
     x = np.asarray(x, dtype=float)
-    g = np.asarray(metric_fn(x), dtype=float)
+    g = float_or_complex(metric_fn(x))
     rlow = fd.riemann_lowered(metric_fn, x, h)
     a_sd, mixed, _ = operator_blocks_from_riemann(g, rlow)
     rp = -a_sd
-    return CurvatureBlock(Rplus=rp, Rminus=-mixed, scal=float(-4.0 * np.trace(rp)))
+    return CurvatureBlock(Rplus=rp, Rminus=-mixed, scal=-4.0 * np.trace(rp))
 
 
 def bianchi_gauge(
@@ -202,18 +210,18 @@ def bianchi_gauge(
 ) -> np.ndarray:
     """B h = delta_g h + (1/2) d Tr_g h as covectors at (..., 4) points."""
     x = np.asarray(x, dtype=float)
-    g = np.asarray(metric_fn(x), dtype=float)
+    g = float_or_complex(metric_fn(x))
     ginv = np.linalg.inv(g)
     gamma = fd.christoffel(metric_fn, x, h)
     dh = fd.all_partials(h_field, x, h)  # dh[a, b, c] = d_a h_bc
-    hval = np.asarray(h_field(x), dtype=float)
+    hval = float_or_complex(h_field(x))
     # delta h_c = -g^{ab} (d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be)
     nabla = (dh - np.einsum("...eab,...ec->...abc", gamma, hval)
              - np.einsum("...eac,...be->...abc", gamma, hval))
     delta = -np.einsum("...ab,...abc->...c", ginv, nabla)
 
     def trace_fn(y: np.ndarray) -> np.ndarray:
-        gy = np.asarray(metric_fn(y), dtype=float)
+        gy = float_or_complex(metric_fn(y))
         return np.einsum("...ab,...ab->...", np.linalg.inv(gy), h_field(y))
 
     return delta + 0.5 * fd.all_partials(trace_fn, x, h)
@@ -226,7 +234,7 @@ def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:
     map on the duality bases; calibration fixed by a conformal
     non-Einstein oracle.
     """
-    g = np.asarray(metric, dtype=float)
+    g = float_or_complex(metric)
     endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, frame_from_metric(g, "asd")),
                      J_from_form(g, frame_from_metric(g, "sd")))
     ric0 = g @ endo

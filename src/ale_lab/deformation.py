@@ -19,8 +19,10 @@ order is
     Ric0^(2)_i = (d a_i^(2))_- + (a_j^(1) ^ a_k^(1))_-   (i,j,k cyclic)
                  - sum_j (Rplus1)_ij phi_j .
 
-Both nonlinear coefficients are pinned numerically (to 5e-6 and 2e-5)
-against finite differences in t of actual deformed metrics.
+Both nonlinear coefficients are pinned numerically against the
+t-coefficients of actual deformed metrics, read off a circle of complex
+t by taylor_coefficient: to about 4e-9 on the linear family and 2e-6 on
+the coupled one, where the O(h^2) truncation of the x-differences rules.
 
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
@@ -46,6 +48,7 @@ from .forms import (
     FormField,
     J_from_form,
     apply_J_covector,
+    float_or_complex,
     hodge_star,
     metric_from_triple,
     project_stack,
@@ -61,6 +64,9 @@ _J_SD_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD)
 _J_ASD_FLAT = J_from_form(EUCLIDEAN, OMEGA_ASD)
 _BASIS = np.vstack([OMEGA_SD, OMEGA_ASD])
 
+GAUGE_TOL = 1e-6  # largest gauge residual deformation_first_order accepts
+TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
+
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a (..., n, n) stack.  scipy.linalg costs about
@@ -74,7 +80,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """(..., 3, 6) anti-self-dual component stacks from (..., 3, 3)
     coefficient matrices."""
-    return np.asarray(coeffs, dtype=float) @ OMEGA_ASD
+    return float_or_complex(coeffs) @ OMEGA_ASD
 
 
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -111,11 +117,10 @@ def deformation_first_order(
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     h: float = fd.DEFAULT_STEP,
-    gauge_tol: float = 1e-6,
 ) -> FirstOrderDeformation:
     x = np.asarray(x, dtype=float)
     res = gauge_residual(lam, phi, x, h)
-    if res > gauge_tol:
+    if res > GAUGE_TOL:
         raise GaugeViolation(
             f"deformation data violates the gauge condition: residual {res:.3e}"
         )
@@ -138,48 +143,46 @@ class TripleFamily:
 
     def generator(self, x: np.ndarray) -> np.ndarray:
         """M(x) as (..., 6, 6) matrices at (..., 4) points."""
-        c = np.asarray(self.coeff(x), dtype=float)
-        lam = np.asarray(self.lam(x), dtype=float)[..., None, None] * np.eye(3)
+        c = float_or_complex(self.coeff(x))
+        lam = float_or_complex(self.lam(x))[..., None, None] * np.eye(3)
         return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
 
-    def triple(self, t: float, x: np.ndarray) -> np.ndarray:
+    def triple(self, t: complex, x: np.ndarray) -> np.ndarray:
         """(..., 3, 6) triples Phi(t) at (..., 4) points, from one stacked expm."""
         e = expm(t * self.generator(np.asarray(x, dtype=float)))
         # column i -> coefficients of Phi_i on the rows of the (6, 6) basis
         return np.swapaxes(e[..., :, :3], -1, -2) @ _BASIS
 
-    def triple_field(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: self.triple(t, x)
-
-    def metric(self, t: float, x: np.ndarray) -> np.ndarray:
-        tr = self.triple(t, np.asarray(x, dtype=float))
+    def metric(self, t: complex, x: np.ndarray) -> np.ndarray:
+        tr = self.triple(t, x)
         return metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
 
-    def metric_field(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    def metric_field(self, t: complex) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
 
     def phi_field(self, x: np.ndarray) -> np.ndarray:
         return phi_comps_from_coeffs(self.coeff(x))
 
-    def connection(self, t: float, h: float = fd.DEFAULT_STEP) -> FormField:
-        return connection_from_Phi(self.triple_field(t), self.metric_field(t), h=h)
+    def connection(self, t: complex) -> FormField:
+        return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
 
-    def connection_order1(self, x: np.ndarray, dt: float = 5e-3,
-                          h: float = fd.DEFAULT_STEP) -> np.ndarray:
-        ap = self.connection(dt, h)(x)
-        am = self.connection(-dt, h)(x)
-        return (ap - am) / (2.0 * dt)
 
-    def connection_order2(self, x: np.ndarray, dt: float = 1e-2,
-                          h: float = fd.DEFAULT_STEP) -> np.ndarray:
-        ap = self.connection(dt, h)(x)
-        am = self.connection(-dt, h)(x)
-        a0 = self.connection(0.0, h)(x)
-        return 0.5 * (ap + am - 2.0 * a0) / dt**2
+def taylor_coefficient(f: Callable[[complex], np.ndarray], n: int) -> np.ndarray:
+    """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
+    real t, from N = TAYLOR_NODES points of radius r = TAYLOR_RADIUS:
 
-    def connection_order2_field(self, dt: float = 1e-2,
-                                h: float = fd.DEFAULT_STEP) -> Callable:
-        return lambda x: self.connection_order2(x, dt, h)
+        c_n = (1 / (N r^n)) sum_k f(r w^k) w^(-nk),    w = exp(2 pi i / N)
+
+    (Lyness & Moler 1967; Fornberg 1981), exact up to the aliased
+    c_(n+N) r^N.  As f(conj t) = conj f(t), the nodes k and N - k pair:
+    five evaluations, two at real t, and a real result.
+    """
+    r, nodes = TAYLOR_RADIUS, TAYLOR_NODES
+    total = f(r) + (-1) ** n * f(-r)
+    for k in range(1, nodes // 2):
+        w = np.exp(2j * np.pi * k / nodes)
+        total = total + 2.0 * (f(r * w) * w ** -n).real
+    return total / (nodes * r**n)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ class TripleFamily:
 def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     """Anti-self-dual part of the curvature's quadratic term,
     (a_j ^ a_k)_- per cyclic component, from a (..., 3, 4) covector stack."""
-    a = np.asarray(a_values, dtype=float)
+    a = float_or_complex(a_values)
     j, k = CYCLIC
     _, minus = split_sd(EUCLIDEAN, wedge(a[..., j, :], 1, a[..., k, :], 1))
     return minus
@@ -226,7 +229,7 @@ def ric0_second_order(
     if rplus1 is None:
         rplus1 = -sd_block(fd.fd_d(FormField(1, a1), x, h))
     _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x, h))
-    return da2_minus + bracket_minus(a1(x)) - rplus1 @ np.asarray(phi(x), dtype=float)
+    return da2_minus + bracket_minus(a1(x)) - rplus1 @ float_or_complex(phi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ _EIJ = 0.5 * (_COMPOSED + np.swapaxes(_COMPOSED, -1, -2))
 def metric_perturbation_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Trace-free symmetric perturbations h (..., 4, 4) from (..., 3, 3)
     coefficient matrices."""
-    return np.einsum("...ij,ijab->...ab", np.asarray(coeffs, dtype=float), _EIJ)
+    return np.einsum("...ij,ijab->...ab", float_or_complex(coeffs), _EIJ)
 
 
 def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray],
@@ -399,7 +402,7 @@ def moment_connection(config: gh.GHConfig, coeff: np.ndarray,
     coeff is symmetric with vanishing first row/column in the intended
     use (deformations transverse to the first curvature row).
     """
-    c = np.asarray(coeff, dtype=float)
+    c = float_or_complex(coeff)
     return FormField(1, lambda x4: c @ gh.alpha_covector(config, x4, patch))
 
 
@@ -409,7 +412,7 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
     """Residuals of d a_i = sum_j coeff[i,j] w_j and of coclosedness, the
     max over a (..., 4) stack of points."""
     x4 = np.asarray(x4, dtype=float)
-    c = np.asarray(coeff, dtype=float)
+    c = float_or_complex(coeff)
     a = moment_connection(config, coeff, patch)
     triple = gh.triple_field(config, patch)(x4)
     mfn = gh.metric_fn(config, patch)

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
-from .forms import DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, hodge_star
+from .forms import DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, float_or_complex, hodge_star
 
 DEFAULT_STEP = 1e-3
 
@@ -40,7 +40,7 @@ _OFFSETS = np.repeat(np.eye(DIM), 2, axis=0) * np.tile([1.0, -1.0], DIM)[:, None
 def _call(fn: Callable, pts: np.ndarray) -> np.ndarray:
     """fn on a (..., 4) point stack; its output must lead with the stack's axes."""
     try:
-        out = np.asarray(fn(pts), dtype=float)
+        out = float_or_complex(fn(pts))
     except (CenterTooClose, OnDiracString) as exc:
         raise EvaluationDomain(f"stencil left the chart: {exc}") from exc
     lead = pts.shape[:-1]

@@ -117,19 +117,28 @@ _COMPOUND = {p: _compound_table(p) for p in range(DIM + 1)}
 _COMPLEMENT = {p: _complement_table(p) for p in range(DIM + 1)}
 
 
+def float_or_complex(values) -> np.ndarray:
+    """values as a float array, or a complex one when they are complex: the
+    value casts of forms, fd, connection and deformation, so that a family
+    evaluated at complex t (deformation.taylor_coefficient) keeps its
+    imaginary part.  Chart points stay real."""
+    values = np.asarray(values)
+    return values if np.iscomplexobj(values) else values.astype(float, copy=False)
+
+
 def comps_to_tensor(comps: np.ndarray, degree: int) -> np.ndarray:
     """Expand sorted-tuple coefficients (..., n) into full antisymmetric
     arrays (..., 4, ..., 4)."""
-    comps = np.asarray(comps, dtype=float)
+    comps = float_or_complex(comps)
     flat, src, sign = _SCATTER[degree]
     lead = comps.shape[:-1]
-    out = np.zeros(lead + (DIM**degree,))
+    out = np.zeros(lead + (DIM**degree,), dtype=comps.dtype)
     out[..., flat] = sign * comps[..., src]
     return out.reshape(lead + (DIM,) * degree)
 
 
 def tensor_to_comps(tensor: np.ndarray, degree: int) -> np.ndarray:
-    tensor = np.asarray(tensor, dtype=float)
+    tensor = float_or_complex(tensor)
     lead = tensor.shape[: tensor.ndim - degree]
     return tensor.reshape(lead + (DIM**degree,))[..., _GATHER[degree]]
 
@@ -138,7 +147,7 @@ def compound(matrix: np.ndarray, p: int) -> np.ndarray:
     """p-th compound of (..., 4, 4) matrices: the p x p minors, rows and
     columns ordered like TUPLES[p]."""
     rows, cols, signs = _COMPOUND[p]
-    entries = np.asarray(matrix, dtype=float)[..., rows, cols]
+    entries = float_or_complex(matrix)[..., rows, cols]
     return (entries.prod(axis=-1) * signs).sum(axis=-1)
 
 
@@ -161,18 +170,19 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     result has degree p + q and the broadcast leading shape."""
     if p + q > DIM:
         raise ValueError(f"wedge degree {p}+{q} exceeds {DIM}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = float_or_complex(a)
+    b = float_or_complex(b)
     outer = a[..., :, None] * b[..., None, :]
     return outer.reshape(outer.shape[:-2] + (-1,)) @ _WEDGE[(p, q)]
 
 
 def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g^{-1} and det g of (..., 4, 4) metrics, after checking that every
-    det g is finite and positive."""
-    g = np.asarray(metric, dtype=float)
+    det g is finite and positive (its real part, for the complex metrics
+    of the contour oracles)."""
+    g = float_or_complex(metric)
     det = np.linalg.det(g)
-    bad = (det <= 0.0) | ~np.isfinite(det)
+    bad = (det.real <= 0.0) | ~np.isfinite(det)
     if np.any(bad):
         raise SingularMetric(f"det g = {det[bad].flat[0] if det.ndim else det}")
     return np.linalg.inv(g), det
@@ -184,27 +194,27 @@ def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray
     ginv, det = _check_metric(metric)
     idx, sign = _COMPLEMENT[degree]
     star = np.sqrt(det)[..., None, None] * sign[:, None] * compound(ginv, degree)[..., idx, :]
-    comps = np.asarray(comps, dtype=float)
+    comps = float_or_complex(comps)
     return (comps[..., None, :] @ np.swapaxes(star, -1, -2))[..., 0, :]
 
 
 def form_inner(metric: np.ndarray, a: np.ndarray, b: np.ndarray, degree: int) -> float:
     """Pointwise inner product <a, b> = a_I b^I / p! for degree-p forms."""
     ginv, _ = _check_metric(metric)
-    return float(np.asarray(a, dtype=float) @ compound(ginv, degree) @ np.asarray(b, dtype=float))
+    return float(float_or_complex(a) @ compound(ginv, degree) @ float_or_complex(b))
 
 
 def project_stack(metric: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
     with <b_i, b_j> = 2 delta_ij; stack may be one form or a stack."""
     ginv, _ = _check_metric(metric)
-    stack = np.asarray(stack, dtype=float)
-    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(np.asarray(basis, dtype=float), -1, -2)
+    stack = float_or_complex(stack)
+    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
 
 
 def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a 2-form into (self-dual, anti-self-dual) parts for the metric."""
-    comps = np.asarray(comps, dtype=float)
+    comps = float_or_complex(comps)
     starred = hodge_star(metric, comps, 2)
     return (comps + starred) / 2.0, (comps - starred) / 2.0
 
@@ -246,8 +256,8 @@ def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
 def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(J b)(X) = -b(JX) on covector components; (..., 4, 4) matrices and
     (..., 4) covectors broadcast."""
-    beta = np.asarray(beta, dtype=float)
-    return -(beta[..., None, :] @ np.asarray(jmat, dtype=float))[..., 0, :]
+    beta = float_or_complex(beta)
+    return -(beta[..., None, :] @ float_or_complex(jmat))[..., 0, :]
 
 
 def metric_from_triple(
@@ -260,7 +270,7 @@ def metric_from_triple(
     Uses J1 = W3^{-1} W2 (exact for a compatible quaternionic triple),
     then g = W1 J1, rescaled so |c1|^2 = 2.
     """
-    triple = np.stack([np.asarray(c, dtype=float) for c in (c1, c2, c3)], axis=-2)
+    triple = np.stack([float_or_complex(c) for c in (c1, c2, c3)], axis=-2)
     w = comps_to_tensor(triple, 2)
     w1, w2, w3 = w[..., 0, :, :], w[..., 1, :, :], w[..., 2, :, :]
     try:
@@ -268,17 +278,17 @@ def metric_from_triple(
     except np.linalg.LinAlgError as exc:
         raise FrameNotOrthonormal(f"third form degenerate: {exc}") from exc
     scale_sq = -np.trace(j1 @ j1, axis1=-2, axis2=-1) / DIM
-    if np.any(scale_sq <= 0):
+    if np.any(scale_sq.real <= 0):
         raise FrameNotOrthonormal("triple does not define a complex structure")
     j1 = j1 / np.sqrt(scale_sq)[..., None, None]
     if np.max(np.abs(j1 @ j1 + np.eye(DIM))) > math.sqrt(tol):
         raise FrameNotOrthonormal("J1^2 deviates from -Id beyond tolerance")
     g = w1 @ j1
     g = (g + np.swapaxes(g, -1, -2)) / 2.0
-    g = np.where((np.trace(g, axis1=-2, axis2=-1) < 0)[..., None, None], -g, g)
+    g = np.where((np.trace(g, axis1=-2, axis2=-1).real < 0)[..., None, None], -g, g)
     gram = 2.0 * project_stack(g, triple, triple)
     norm1 = gram[..., 0, 0]
-    if np.any(norm1 <= 0):
+    if np.any(norm1.real <= 0):
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")
     # rescaling g by s scales 2-form inner products by 1/s^2
     g = g * np.sqrt(norm1 / 2.0)[..., None, None]
@@ -306,7 +316,7 @@ class FormField:
             raise ValueError(f"degree {self.degree} out of range")
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.evaluator(np.asarray(point, dtype=float)), dtype=float)
+        out = float_or_complex(self.evaluator(np.asarray(point, dtype=float)))
         if out.ndim == 0 or out.shape[-1] != DEGREE_SIZES[self.degree]:
             raise ValueError(
                 f"evaluator returned shape {out.shape}, expected "

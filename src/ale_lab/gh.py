@@ -112,10 +112,6 @@ class GHConfig:
             ),
         )
 
-    @classmethod
-    def single_center(cls) -> "GHConfig":
-        return cls(k=0, lam=1.0, centers=(((0.0, 0.0, 0.0), 1),))
-
     @property
     def positions(self) -> np.ndarray:
         return np.asarray([pos for pos, _ in self.centers], dtype=float)

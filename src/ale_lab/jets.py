@@ -37,8 +37,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import connection, fd
-from .errors import FirstObstructionNonzero, FitUnstable, SchemaError, SymmetryError
+from .errors import FitUnstable, SchemaError, SymmetryError
 from .forms import OMEGA_ASD, OMEGA_SD, comps_to_tensor
+from .obstruction import first_row_norm, require_first_row_zero
 
 DIM = 4
 
@@ -376,20 +377,6 @@ def _contract_invariant(tens: np.ndarray) -> float:
     return float(-0.25 * np.einsum("abcd,ab,cd->", tens, _W1, _W1))
 
 
-def first_row_norm(jet: Jet2) -> float:
-    block = curvature_from_jet2(jet)
-    return float(np.max(np.abs(block.Rplus[0, :])))
-
-
-def _require_first_row_zero(jet: Jet2, tol: float = 1e-8) -> None:
-    gap = first_row_norm(jet)
-    if gap > tol:
-        raise FirstObstructionNonzero(
-            f"first curvature row has norm {gap:.3e}; the second-derivative "
-            "invariant needs it to vanish"
-        )
-
-
 def _hessian_correction(riem0: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Sum over slots of (d_e Gamma^f_{e slot}) R(slot -> f), already
     signature-weighted and summed over e.
@@ -409,13 +396,11 @@ def _hessian_correction(riem0: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return corr
 
 
-def d2_invariant_fd(
-    jet: Jet2,
-    quartic: Jet4 | None,
-    h_outer: float = 0.16,
-    h_inner: float = 5e-3,
-    tol_first_row: float = 1e-8,
-) -> float:
+_D2_OUTER_STEP = 0.16  # d2_invariant_fd: outer second differences
+_D2_INNER_STEP = 5e-3  # d2_invariant_fd: curvature and Christoffel stencils
+
+
+def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     """Finite-difference route with Christoffel corrections.
 
     The inner curvature and Christoffel evaluations use one Richardson
@@ -423,18 +408,18 @@ def d2_invariant_fd(
     (h, h/2, h/4), leaving O(h^6) truncation.  The outer step is kept
     large because inner round-off is amplified by 1/h^2.
     """
-    _require_first_row_zero(jet, tol_first_row)
+    require_first_row_zero(curvature_from_jet2(jet).Rplus)
     metric = metric_fn_from_jets(jet, quartic)
     origin = np.zeros(4)
 
     def riem_at(x: np.ndarray) -> np.ndarray:
         return fd.richardson(
-            lambda hh: fd.riemann_lowered(metric, x, hh, scale=False), h_inner
+            lambda hh: fd.riemann_lowered(metric, x, hh, scale=False), _D2_INNER_STEP
         )
 
     def gamma_at(x: np.ndarray) -> np.ndarray:
         return fd.richardson(
-            lambda hh: fd.christoffel(metric, x, hh, scale=False), h_inner
+            lambda hh: fd.christoffel(metric, x, hh, scale=False), _D2_INNER_STEP
         )
 
     riem0 = riem_at(origin)
@@ -457,8 +442,8 @@ def d2_invariant_fd(
         r1b = (4.0 * v4 - v2) / 3.0
         return (16.0 * r1b - r1a) / 15.0
 
-    hess = two_level(hess_at, h_outer)
-    dgamma = two_level(dgamma_at, h_outer)
+    hess = two_level(hess_at, _D2_OUTER_STEP)
+    dgamma = two_level(dgamma_at, _D2_OUTER_STEP)
     tens = hess - _hessian_correction(riem0, dgamma)
     return _contract_invariant(tens)
 
@@ -498,13 +483,9 @@ def _curvature_polys(jet: Jet2, quartic: Jet4 | None) -> tuple[np.ndarray, np.nd
     return gamma, riem_low
 
 
-def d2_invariant_symbolic(
-    jet: Jet2,
-    quartic: Jet4 | None,
-    tol_first_row: float = 1e-8,
-) -> float:
+def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
     """Polynomial-exact route: curvature expanded to quadratic order."""
-    _require_first_row_zero(jet, tol_first_row)
+    require_first_row_zero(curvature_from_jet2(jet).Rplus)
     gamma, riem = _curvature_polys(jet, quartic)
     riem0 = riem[..., _MONO_INDEX[(0, 0, 0, 0)]]
     hess = np.zeros((4, 4, 4, 4))
@@ -665,7 +646,7 @@ def jet2_first_row_zero(seed: int, scale: float = 0.05) -> Jet2:
     sol, *_ = np.linalg.lstsq(amat[:3], row, rcond=None)
     corrected = jet.H - np.einsum("b,bijkl->ijkl", sol, basis)
     out = Jet2.from_array(corrected)
-    if first_row_norm(out) > 1e-10:
+    if first_row_norm(curvature_from_jet2(out).Rplus) > 1e-10:
         raise FitUnstable("first-row projection failed to converge")
     return out
 

@@ -124,24 +124,25 @@ def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarr
     return factor * _INNER_SCALE * block[0, :]
 
 
-def _first_row_vanishes(block: np.ndarray) -> bool:
+def first_row_vanishes(block: np.ndarray) -> bool:
     """The degenerate regime: first row within 1e-8 of zero, relative to
-    the block's largest entry when that exceeds 1."""
+    the block's largest entry when that exceeds 1.  The one rule for every
+    degenerate-regime quantity, here and in jets."""
     return first_row_norm(block) <= 1e-8 * max(float(np.max(np.abs(block))), 1.0)
 
 
-def _require_first_row(block: np.ndarray) -> None:
-    if not _first_row_vanishes(block):
+def require_first_row_zero(block: np.ndarray) -> None:
+    if not first_row_vanishes(block):
         raise FirstObstructionNonzero(
             f"first block row has norm {first_row_norm(block):.3e}; the degenerate-regime "
-            "coefficients require it to vanish"
+            "quantities require it to vanish"
         )
 
 
 def mu1_generic(block: np.ndarray, constants: ModelConstants) -> float:
     """4 pi / omega_norm2 * minor * int_m_omega (any symmetry group)."""
     block = _check_block(block)
-    _require_first_row(block)
+    require_first_row_zero(block)
     return 4.0 * math.pi / constants.omega_norm2 * minor_of(block) * constants.int_m_omega
 
 
@@ -149,7 +150,7 @@ def mu1_Ak(block: np.ndarray, d_invariant: float, constants: ModelConstants) -> 
     """Two-cluster form with the quartic correction:
     (vol^2/norm^2) { (k+1) minor - (1/16)(k-1) D }."""
     block = _check_block(block)
-    _require_first_row(block)
+    require_first_row_zero(block)
     if constants.k is None:
         raise MissingConstants("mu1_Ak needs the cluster parameter k on the constants")
     k = constants.k
@@ -175,7 +176,7 @@ def A_coefficient(
     The two agree when m_p1 = vol/(2 pi) (two-cluster identity).
     """
     block = _check_block(block)
-    _require_first_row(block)
+    require_first_row_zero(block)
     if constants.k is None:
         raise MissingConstants("A_coefficient needs the cluster parameter k")
     k = constants.k
@@ -288,12 +289,10 @@ def compute_report(
     a_val = None
     det_coeff = None
     notes = dict(WALL_DOCUMENTATION)
-    if _first_row_vanishes(block):
+    if first_row_vanishes(block):
         mu1_gen = mu1_generic(block, constants)
         if quartic is not None:
-            # the block's relative rule has decided the regime; the
-            # invariant's own guard is absolute, so it is switched off here
-            d_val = jets_mod.d2_invariant_symbolic(jet, quartic, tol_first_row=math.inf)
+            d_val = jets_mod.d2_invariant_symbolic(jet, quartic)
         if constants.k is not None:
             d_for_ak = d_val if d_val is not None else 0.0
             mu1_val = mu1_Ak(block, d_for_ak, constants)

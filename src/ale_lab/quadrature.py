@@ -82,6 +82,24 @@ def _s3_tangents(radius: float, u, t1, t2):
     return du, dt1, dt2
 
 
+@functools.lru_cache(maxsize=8)
+def _s3_nodes(radius: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (N, 4) and weights (N,) of the radius-r sphere, and the 3x3
+    minors (N, 4) of the tangent frame (d_u, d_t1, d_t2) on the columns of
+    each sorted triple; built once per (radius, spec) and read-only."""
+    u, t1, t2, w = _s3_grid(spec)
+    c = np.sqrt((1.0 + u) / 2.0)
+    s = np.sqrt((1.0 - u) / 2.0)
+    pts = radius * np.stack(
+        [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
+    )
+    frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
+    minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in TUPLES[3]], axis=1)
+    for table in (pts, w, minors):
+        table.setflags(write=False)
+    return pts, w, minors
+
+
 def integrate_S3(
     integrand: Callable[[np.ndarray], np.ndarray],
     radius: float = 1.0,
@@ -91,20 +109,15 @@ def integrate_S3(
     """Integral over the radius-r sphere.
 
     The integrand is vectorized: it maps the (N, 4) array of quadrature
-    nodes to N values in one call.  mode "scalar": values of shape (N,),
-    integrated against the round measure.  mode "form3": degree-3
-    component vectors of shape (N, 4), integrated as the pullback to the
-    sphere with outward boundary orientation.  Any other shape raises
-    SchemaError.
+    nodes (read-only, shared between calls) to N values in one call.
+    mode "scalar": values of shape (N,), integrated against the round
+    measure.  mode "form3": degree-3 component vectors of shape (N, 4),
+    integrated as the pullback to the sphere with outward boundary
+    orientation.  Any other shape raises SchemaError.
     """
     if mode not in ("scalar", "form3"):
         raise SchemaError(f"unknown mode {mode!r}")
-    u, t1, t2, w = _s3_grid(spec)
-    c = np.sqrt((1.0 + u) / 2.0)
-    s = np.sqrt((1.0 - u) / 2.0)
-    pts = radius * np.stack(
-        [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
-    )
+    pts, w, minors = _s3_nodes(radius, spec)
     vals = np.asarray(integrand(pts), dtype=float)
     expected = (len(pts),) if mode == "scalar" else (len(pts), 4)
     if vals.shape != expected:
@@ -115,8 +128,6 @@ def integrate_S3(
         return float(np.sum(w * vals * (radius**3 / 4.0)))
     # t(d_u, d_t1, d_t2) = sum_I t_I * (3x3 minor of the tangent frame on
     # the columns I), with I running over the sorted triples
-    frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
-    minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in TUPLES[3]], axis=1)
     return float(np.sum(w * np.einsum("ni,ni->n", vals, minors)))
 
 

@@ -324,7 +324,8 @@ def suite_harmonic(k: int, lam: float, seed: int = 0,
 def suite_deformation(k: int, lam: float, seed: int = 0,
                       tol_scale: float = 1.0) -> SuiteResult:
     """First/second-order connection and trace-free Ricci formulas against
-    finite-difference-in-t oracles, plus the moment-map connection on the
+    the t-coefficients of deformed metrics, taken on a circle of complex t
+    (deformation.taylor_coefficient), plus the moment-map connection on the
     multi-center space."""
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
@@ -332,44 +333,33 @@ def suite_deformation(k: int, lam: float, seed: int = 0,
 
     fam_lin = deformation.linear_gauged_family(seed)
     first = deformation.deformation_first_order(fam_lin.lam, fam_lin.phi_field, x0)
-    a_fd = fam_lin.connection_order1(x0)
+    a_t = deformation.taylor_coefficient(lambda t: fam_lin.connection(t)(x0), 1)
     checks.append(_bound_check("first-order-connection",
-                               float(np.max(np.abs(first.a - a_fd))),
+                               float(np.max(np.abs(first.a - a_t))),
                                1e-4 * tol_scale, "derived-oracle"))
 
     coeff2 = deformation.gauged_coefficient_field(seed + 3, degree=2)
     pred = deformation.linearized_ric0_prediction(coeff2, x0)
     h_field = lambda y: deformation.metric_perturbation_from_coeffs(coeff2(y))
 
-    def ric0_slope(dt: float) -> np.ndarray:
-        def at(t: float) -> np.ndarray:
-            mfn = lambda y: np.eye(4) + t * h_field(y)
-            ric = fd.ricci(mfn, x0)
-            g = mfn(x0)
-            tr = float(np.trace(np.linalg.solve(g, ric)))
-            return ric - 0.25 * tr * g
-        return (at(dt) - at(-dt)) / (2.0 * dt)
+    def ric0(t: complex) -> np.ndarray:
+        mfn = lambda y: np.eye(4) + t * h_field(y)
+        ric = fd.ricci(mfn, x0)
+        g = mfn(x0)
+        return ric - 0.25 * np.trace(np.linalg.solve(g, ric)) * g
 
     checks.append(_bound_check("linearized-tracefree-ricci",
-                               float(np.max(np.abs(pred - ric0_slope(5e-3)))),
+                               float(np.max(np.abs(pred - deformation.taylor_coefficient(ric0, 1)))),
                                1e-4 * tol_scale, "derived-oracle"))
 
     def block_orders2(fam: deformation.TripleFamily) -> tuple[np.ndarray, np.ndarray]:
         a1_field = lambda x: deformation.star_d_phi(fam.phi_field, x)
-        a2_field = fam.connection_order2_field(dt=1e-2, h=1e-3)
+        a2_field = lambda x: deformation.taylor_coefficient(lambda t: fam.connection(t)(x), 2)
         stack = deformation.ric0_second_order(
             a1_field, a2_field, fam.phi_field, None, x0)
-        formula = deformation.asd_block(stack)
-
-        def fd_block(dt: float) -> np.ndarray:
-            bp = connection.curvature_block_of_metric(
-                fam.metric_field(dt), x0, h=1e-3).Rminus
-            bm = connection.curvature_block_of_metric(
-                fam.metric_field(-dt), x0, h=1e-3).Rminus
-            return (bp + bm) / (2.0 * dt * dt)
-
-        b1, b2 = fd_block(1e-2), fd_block(5e-3)
-        return formula, (4.0 * b2 - b1) / 3.0
+        oracle = deformation.taylor_coefficient(
+            lambda t: connection.curvature_block_of_metric(fam.metric_field(t), x0).Rminus, 2)
+        return deformation.asd_block(stack), oracle
 
     f_lin, o_lin = block_orders2(fam_lin)
     checks.append(_bound_check("second-order-ricci-linear",

@@ -35,6 +35,20 @@ def test_frame_from_metric_orthonormal():
             assert np.allclose(starred, sign * frame[i], atol=1e-10)
 
 
+def test_frame_from_metric_complex_symmetric_metric():
+    # the contour oracles evaluate metrics at complex t; the frame must stay
+    # orthonormal for the bilinear (not the hermitian) pairing
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(4, 4))
+    g = np.eye(4) + (0.06 + 0.08j) * (h + h.T)
+    for duality in ("sd", "asd"):
+        frame = connection.frame_from_metric(g, duality)
+        gram = 2.0 * forms.project_stack(g, frame, frame)
+        assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-12
+        sign = 1.0 if duality == "sd" else -1.0
+        assert np.allclose(forms.hodge_star(g, frame, 2), sign * frame, atol=1e-12)
+
+
 def test_check_frame_rejects_flat_basis_under_curved_metric():
     cfg, x4 = _gh_setup(k=2)
     g = gh.metric_matrix(cfg, x4)

@@ -4,6 +4,8 @@ moment-map connection on the curved background."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,8 +50,8 @@ def test_deformation_first_order_rejects_bad_gauge():
 def test_first_order_connection_matches_family_derivative():
     fam = deformation.linear_gauged_family(0)
     first = deformation.deformation_first_order(fam.lam, fam.phi_field, X0)
-    fd_route = fam.connection_order1(X0)
-    assert np.max(np.abs(first.a - fd_route)) < 1e-4
+    t_route = deformation.taylor_coefficient(lambda t: fam.connection(t)(X0), 1)
+    assert np.max(np.abs(first.a - t_route)) < 1e-9
     assert first.gauge_residual < 1e-9
 
 
@@ -62,6 +64,19 @@ def test_first_order_curvature_is_da():
         for i in range(3)
     ])
     assert np.max(np.abs(first.curvature - da)) < 1e-8
+
+
+# --- t-coefficients ------------------------------------------------------------
+
+def test_taylor_coefficient_of_matrix_exponential():
+    # exp(t A) has the t^n coefficient A^n / n! in closed form
+    a = 0.3 * np.random.default_rng(13).normal(size=(4, 4))
+    power = np.eye(4)
+    for n in range(4):
+        coeff = deformation.taylor_coefficient(lambda t: deformation.expm(t * a), n)
+        assert coeff.dtype == np.float64
+        assert np.max(np.abs(coeff - power / math.factorial(n))) < 1e-12
+        power = power @ a
 
 
 # --- bracket and block helpers ----------------------------------------------
@@ -110,40 +125,39 @@ def test_linearized_ric0_matches_fd_in_t():
     coeff = deformation.gauged_coefficient_field(9, degree=2)
     pred = deformation.linearized_ric0_prediction(coeff, X0)
 
-    def tracefree_ricci(t: float) -> np.ndarray:
+    def tracefree_ricci(t: complex) -> np.ndarray:
         metric = lambda y: np.eye(4) + t * deformation.metric_perturbation_from_coeffs(coeff(y))
         ric = fd.ricci(metric, X0)
         g = metric(X0)
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("ab,ab->", ginv, ric) * g
 
-    dt = 5e-3
-    fd_route = (tracefree_ricci(dt) - tracefree_ricci(-dt)) / (2 * dt)
-    assert np.max(np.abs(pred - fd_route)) < 1e-4
+    t_route = deformation.taylor_coefficient(tracefree_ricci, 1)
+    assert np.max(np.abs(pred - t_route)) < 1e-8
 
 
 # --- second-order tracefree Ricci -------------------------------------------
 
 def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """t^2-coefficient of the anti-self-dual curvature block of the family
-    metric, via Richardson over two central second differences in t."""
+    metric."""
+    return deformation.taylor_coefficient(
+        lambda t: connection.curvature_block_of_metric(fam.metric_field(t), x).Rminus, 2)
 
-    def fd_block(dt: float) -> np.ndarray:
-        def block(t: float) -> np.ndarray:
-            return connection.curvature_block_of_metric(fam.metric_field(t), x).Rminus
-        return (block(dt) + block(-dt)) / (2.0 * dt**2)
 
-    b1, b2 = fd_block(1e-2), fd_block(5e-3)
-    return (4.0 * b2 - b1) / 3.0
+def _a2_field(fam: deformation.TripleFamily):
+    """Second-order connection coefficients: the t^2-coefficient of the
+    family's connection."""
+    return lambda y: deformation.taylor_coefficient(lambda t: fam.connection(t)(y), 2)
 
 
 def test_second_order_formula_linear_family():
     fam = deformation.linear_gauged_family(2)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, fam.connection_order2_field(), fam.phi_field, None, X0))
+        a1_field, _a2_field(fam), fam.phi_field, None, X0))
     oracle = _second_order_oracle(fam, X0)
-    assert np.max(np.abs(formula - oracle)) < 1e-4
+    assert np.max(np.abs(formula - oracle)) < 1e-6
 
 
 def test_second_order_formula_couples_phi_and_curvature():
@@ -152,14 +166,14 @@ def test_second_order_formula_couples_phi_and_curvature():
     fam = deformation.einstein_first_order_family(8)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, fam.connection_order2_field(), fam.phi_field, None, X0))
+        a1_field, _a2_field(fam), fam.phi_field, None, X0))
     oracle = _second_order_oracle(fam, X0)
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(formula - oracle)) < 1e-4 * scale
     # the coupling term must actually matter for this family: dropping it
     # (zero block) changes the prediction measurably
     uncoupled = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, fam.connection_order2_field(), fam.phi_field, np.zeros((3, 3)), X0))
+        a1_field, _a2_field(fam), fam.phi_field, np.zeros((3, 3)), X0))
     assert np.max(np.abs(formula - uncoupled)) > 1e-3
 
 
@@ -190,21 +204,18 @@ def test_second_order_tensor_identification():
     fam = deformation.linear_gauged_family(12)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     stack = deformation.ric0_second_order(
-        a1_field, fam.connection_order2_field(), fam.phi_field, None, X0)
+        a1_field, _a2_field(fam), fam.phi_field, None, X0)
     tensor = connection.mixed_block_to_ric0(deformation.asd_block(stack), np.eye(4))
 
-    def tracefree_ricci(t: float) -> np.ndarray:
+    def tracefree_ricci(t: complex) -> np.ndarray:
         metric = fam.metric_field(t)
         ric = fd.ricci(metric, X0)
         g = metric(X0)
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("ab,ab->", ginv, ric) * g
 
-    def second(dt: float) -> np.ndarray:
-        return (tracefree_ricci(dt) + tracefree_ricci(-dt)) / (2 * dt**2)
-
-    oracle = (4.0 * second(5e-3) - second(1e-2)) / 3.0
-    assert np.max(np.abs(tensor - oracle)) < 1e-4
+    oracle = deformation.taylor_coefficient(tracefree_ricci, 2)
+    assert np.max(np.abs(tensor - oracle)) < 1e-6
 
 
 # --- moment-map connection on the curved background --------------------------

@@ -1,5 +1,5 @@
 """Static checks: every module of the package uses each name it imports, and
-every public function or class has a caller outside the tests."""
+every public function, class or method has a caller outside the tests."""
 
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ SRC = ROOT / "src" / "ale_lab"
 # where the program's callers live: the package itself, the scripts, the benchmark
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# Public functions that only tests call, each with the test that relies on
-# it: as the second route of a checked value, or (the gh ones) as the
-# subject of a check that a suite is to carry.
+# Public functions and methods that only tests call, each with the test
+# that relies on it: as the second route of a checked value, or (the gh
+# ones) as the subject of a check that a suite is to carry.
 ORACLES = {
     "connection.torsion_residual": "test_connection.py::test_connection_reproduces_parallel_triple",
     "connection.curvature_forms": "test_connection.py::test_curvature_forms_match_operator_route",
@@ -44,6 +44,8 @@ ORACLES = {
     "gh.axis_link_holonomy": "test_gh.py::test_axis_link_holonomy",
     "gh.center_flux": "test_gh.py::test_center_flux",
     "gh.v_laplacian_fd": "test_gh.py::test_potential_harmonic_off_centers",
+    "quadrature.QuadraticTriple.d_varpi":
+        "test_quadrature.py::test_random_closed_quadratic_is_closed",
 }
 
 
@@ -76,17 +78,25 @@ def references(source: str) -> set[str]:
     return found
 
 
+def _public(stmts: list[ast.stmt], kinds: tuple[type, ...]) -> list[ast.stmt]:
+    return [s for s in stmts if isinstance(s, kinds) and not s.name.startswith("_")]
+
+
 def public_definitions(source: str) -> list[str]:
-    """Names of the module's public top-level functions and classes."""
-    return [stmt.name for stmt in ast.parse(source).body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")]
+    """Names of the module's public top-level functions and classes, and
+    ``Class.method`` for the public methods of its public classes."""
+    body = ast.parse(source).body
+    return [stmt.name for stmt in _public(body, (ast.FunctionDef, ast.ClassDef))] + [
+        f"{cls.name}.{fn.name}" for cls in _public(body, (ast.ClassDef,))
+        for fn in _public(cls.body, (ast.FunctionDef,))]
 
 
 def uncalled(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.name`` of every public definition no caller source refers to."""
+    """``module.name`` of every public definition no caller source refers to;
+    a method counts as referred to when any source names its attribute."""
     used = set().union(*(references(src) for src in callers))
     return sorted(f"{mod}.{name}" for mod, src in modules.items()
-                  for name in public_definitions(src) if name not in used)
+                  for name in public_definitions(src) if name.rsplit(".", 1)[-1] not in used)
 
 
 def _package_modules() -> dict[str, str]:
@@ -122,6 +132,15 @@ def test_uncalled_detects_a_lone_definition():
     assert uncalled({"m": module}, [module, "used()\n"]) == ["m.lone"]
 
 
+def test_uncalled_detects_a_lone_method():
+    module = ("class Family:\n"
+              "    def metric(self, t):\n        return t\n\n"
+              "    def lone(self, x):\n        return x\n\n"
+              "    def _helper(self):\n        pass\n")
+    assert uncalled({"m": module}, [module, "Family().metric(0)\n"]) == [
+        "m.Family.lone"]
+
+
 def test_public_api_has_a_caller():
     # a public function only tests call is dead weight unless a test relies
     # on it as an independent route; those are listed in ORACLES
@@ -135,7 +154,7 @@ def test_oracles_are_uncalled_and_used_by_their_test():
         assert qualname in uncalled_now, f"{qualname} has a caller now; drop it from ORACLES"
         test = _test_function(test_id)
         assert test is not None, f"{test_id} does not exist"
-        assert qualname.split(".")[1] in _names(test), (
+        assert qualname.rsplit(".", 1)[-1] in _names(test), (
             f"{test_id} does not call {qualname}")
 
 

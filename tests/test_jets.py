@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import connection, fd, gh, jets
+from ale_lab import connection, fd, gh, jets, obstruction
 from ale_lab.errors import AleLabError, FirstObstructionNonzero, SchemaError, SymmetryError
 
 
@@ -217,10 +217,14 @@ def test_gauge_project_kills_bianchi_form():
 
 # --- seeded generators ----------------------------------------------------------
 
+def _first_row_norm(jet):
+    return obstruction.first_row_norm(jets.curvature_from_jet2(jet).Rplus)
+
+
 def test_jet2_first_row_zero_generator():
     for seed in range(3):
         jet = jets.jet2_first_row_zero(seed)
-        assert jets.first_row_norm(jet) < 1e-10
+        assert _first_row_norm(jet) < 1e-10
 
 
 def test_jet2_with_block_generator():
@@ -247,12 +251,23 @@ def test_d2_requires_degenerate_first_row():
         jets.d2_invariant_symbolic(jet, jets.random_jet4(2))
 
 
+def test_d2_and_the_report_share_the_first_row_rule():
+    # a first row of 1e-7 beside an entry of 50 is degenerate by the
+    # block-relative rule, for the report and for the invariant alike
+    block = np.array([[0.0, 1e-7, 0.0], [1e-7, 50.0, 0.0], [0.0, 0.0, 1.0]])
+    jet = jets.jet2_with_block(block, seed=0)
+    quartic = jets.random_jet4(0)
+    report = obstruction.compute_report(jet, quartic, k=1)
+    assert report.D == pytest.approx(-23.158389, abs=1e-5)
+    assert jets.d2_invariant_symbolic(jet, quartic) == report.D
+
+
 def test_d2_vanishes_for_binary_dihedral_symmetry():
     mats = jets.binary_dihedral_group()
     for seed in range(2):
         jet = jets.average_jet2(jets.jet2_first_row_zero(seed), mats)
         quartic = jets.average_jet4(jets.random_jet4(seed + 10), mats)
-        assert jets.first_row_norm(jet) < 1e-8
+        assert _first_row_norm(jet) < 1e-8
         assert abs(jets.d2_invariant_symbolic(jet, quartic)) < 1e-8
 
 
@@ -260,7 +275,7 @@ def test_d2_gauge_invariance_under_invariant_quintic():
     mats = jets.cyclic_group(2)
     for seed in range(2):
         jet = jets.average_jet2(jets.jet2_first_row_zero(seed), mats)
-        assert jets.first_row_norm(jet) < 1e-8
+        assert _first_row_norm(jet) < 1e-8
         quartic = jets.average_jet4(jets.random_jet4(seed + 50), mats)
         x5 = jets.average_quintic_field(jets.random_quintic_field(seed + 200), mats)
         shifted = jets.Jet4.from_array(quartic.H2 + jets.delta_star_quintic(x5))

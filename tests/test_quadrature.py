@@ -55,6 +55,20 @@ def test_form3_pullback_matches_tensor_contraction():
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+def test_s3_nodes_are_shared_and_read_only():
+    seen = []
+
+    def integrand(x):
+        seen.append(x)
+        return np.ones(len(x))
+
+    first = quadrature.integrate_S3(integrand, radius=1.7)
+    assert quadrature.integrate_S3(integrand, radius=1.7) == first
+    assert seen[0] is seen[1]
+    with pytest.raises(ValueError):
+        seen[0][0, 0] = 0.0
+
+
 def test_odd_moments_vanish():
     for f in (lambda x: x[..., 0], lambda x: x[..., 0] * x[..., 1] * x[..., 2]):
         assert quadrature.integrate_S3(f, radius=1.0) == pytest.approx(0.0, abs=1e-12)
