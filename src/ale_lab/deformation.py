@@ -69,9 +69,9 @@ TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a (..., n, n) stack.  scipy.linalg costs about
-    a quarter second to import and only the exponential families need it,
-    so it is imported here, on first use."""
+    """Matrix exponential of a (..., n, n) stack, by scipy.linalg (imported
+    here, on first use): the second route for TripleFamily.triple, which
+    takes exp(t M) in closed form."""
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
@@ -136,7 +136,10 @@ def deformation_first_order(
 
 @dataclass
 class TripleFamily:
-    """Phi(t) = exp(t M(x)) omega for M built from (lam, C)."""
+    """Phi(t) = exp(t M(x)) omega for M built from (lam, C).  As M = lam I +
+    [[0, -C], [-C^T, 0]], the columns of exp(t M) that act on omega_+ are
+    e^(t lam) [cosh(t sqrt A) ; -C^T sinh(t sqrt A) / sqrt A] with A = C C^T,
+    both entire in A, and triple takes them in closed form."""
 
     lam: ScalarField
     coeff: MatrixField  # C(x)
@@ -148,10 +151,19 @@ class TripleFamily:
         return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
 
     def triple(self, t: complex, x: np.ndarray) -> np.ndarray:
-        """(..., 3, 6) triples Phi(t) at (..., 4) points, from one stacked expm."""
-        e = expm(t * self.generator(np.asarray(x, dtype=float)))
-        # column i -> coefficients of Phi_i on the rows of the (6, 6) basis
-        return np.swapaxes(e[..., :, :3], -1, -2) @ _BASIS
+        """(..., 3, 6) triples Phi(t) at (..., 4) points, real or complex t, from
+        one stacked eigh of A; a rounding-negative eigenvalue is clipped to 0,
+        where sinh(t s) / s takes its limit t."""
+        x = np.asarray(x, dtype=float)
+        c = np.asarray(self.coeff(x), dtype=float)
+        mu, v = np.linalg.eigh(c @ np.swapaxes(c, -1, -2))
+        s = np.sqrt(np.maximum(mu, 0.0))
+        sinhc = np.where(s > 0.0, np.sinh(t * s) / np.where(s > 0.0, s, 1.0), t)
+        vt = np.swapaxes(v, -1, -2)
+        cosh_a = (v * np.cosh(t * s)[..., None, :]) @ vt
+        sinh_a_c = (v * sinhc[..., None, :]) @ vt @ c
+        scale = np.exp(t * np.asarray(self.lam(x), dtype=float))[..., None, None]
+        return scale * (np.concatenate([cosh_a, -sinh_a_c], axis=-1) @ _BASIS)
 
     def metric(self, t: complex, x: np.ndarray) -> np.ndarray:
         tr = self.triple(t, x)

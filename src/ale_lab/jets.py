@@ -154,19 +154,27 @@ def poly_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _axis_permutations(ndim: int, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """(count, ndim) axis orders of every transpose within the groups, in
+    itertools.product order; built on first use and read-only."""
+    perms = []
+    for combo in itertools.product(*map(itertools.permutations, groups)):
+        moved = dict(zip(itertools.chain(*groups), itertools.chain(*combo)))
+        perms.append([moved.get(a, a) for a in range(ndim)])
+    table = np.array(perms)
+    table.setflags(write=False)
+    return table
+
+
 def _symmetrize_pairs(arr: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Mean of the transposes within each group, summed in place from 0.0 in
+    table order; no (count, size) stack, which would add 3 MB at the quartic."""
+    table = _axis_permutations(arr.ndim, tuple(map(tuple, groups)))
     out = np.zeros_like(arr)
-    axes_all = list(range(arr.ndim))
-    perms_per_group = [list(itertools.permutations(g)) for g in groups]
-    count = 0
-    for combo in itertools.product(*perms_per_group):
-        perm = axes_all.copy()
-        for group, permuted in zip(groups, combo):
-            for src, dst in zip(group, permuted):
-                perm[src] = dst
-        out = out + np.transpose(arr, perm)
-        count += 1
-    return out / count
+    for perm in table:
+        out += np.transpose(arr, perm)
+    return out / len(table)
 
 
 def _checked_jet(arr: np.ndarray, name: str, kind: str,

@@ -254,15 +254,31 @@ def _closedness_matrix(duality: str) -> np.ndarray:
 @functools.cache
 def closedness_null_basis(duality: str = "sd") -> np.ndarray:
     """Exact rational null-space basis of the closedness system, as a
-    read-only float array of shape (dim, 30) with integer entries."""
-    import sympy
+    read-only float array of shape (dim, 30) with integer entries: one vector
+    per free column of the reduced row echelon form (Fraction Gauss-Jordan),
+    scaled by the LCM of its denominators."""
+    from fractions import Fraction  # about 3 ms to import; only this needs it
 
-    mat = sympy.Matrix(_closedness_matrix(duality).tolist())
-    null = mat.nullspace()
+    rows = [[Fraction(int(v)) for v in row] for row in _closedness_matrix(duality)]
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        pivot_row = [v / rows[p][col] for v in rows[p]]
+        rows[p] = rows[r]
+        rows[r] = pivot_row
+        rows = [row if i == r else [a - row[col] * b for a, b in zip(row, pivot_row)]
+                for i, row in enumerate(rows)]
+        pivots.append(col)
     vecs = []
-    for v in null:
-        denoms = [sympy.Rational(x).q for x in v]
-        scale = sympy.ilcm(*denoms) if len(denoms) > 1 else denoms[0]
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        scale = math.lcm(*(x.denominator for x in v))
         vecs.append([int(x * scale) for x in v])
     out = np.asarray(vecs, dtype=float)
     out.setflags(write=False)

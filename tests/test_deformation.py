@@ -79,6 +79,37 @@ def test_taylor_coefficient_of_matrix_exponential():
         power = power @ a
 
 
+def _zero_coefficient(x: np.ndarray) -> np.ndarray:
+    return np.zeros(np.shape(x)[:-1] + (3, 3))
+
+
+def _rank_one_coefficient(x: np.ndarray) -> np.ndarray:
+    # C(x) = x_1 u v^T has two zero singular values everywhere, all three at x_1 = 0
+    return np.einsum("...,ij->...ij", x[..., 1], np.outer([1.0, 2.0, 0.0], [0.5, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("family", [
+    deformation.linear_gauged_family(0),
+    deformation.einstein_first_order_family(5),
+    deformation.TripleFamily(lam=lambda x: 0.3 * x[..., 0], coeff=_zero_coefficient),
+    deformation.TripleFamily(lam=lambda x: 0.3 * x[..., 0], coeff=_rank_one_coefficient),
+], ids=["linear", "einstein-first-order", "zero-C", "rank-one-C"])
+def test_triple_closed_form_matches_expm(family):
+    # the closed form against scipy's exp(t M) on the first three columns
+    x = np.random.default_rng(11).normal(size=(2, 3, 4))
+    x[0, 0, 1] = 0.0  # C = 0 at this point for the rank-one family
+    contour = [deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * k / deformation.TAYLOR_NODES)
+               for k in range(deformation.TAYLOR_NODES)]
+    for t in [0.0, 0.1, -0.25, *contour]:
+        expected = np.swapaxes(deformation.expm(t * family.generator(x))[..., :, :3], -1, -2)
+        got = family.triple(t, x)
+        assert got.shape == (2, 3, 3, 6)
+        assert np.iscomplexobj(got) == isinstance(t, complex)
+        assert np.max(np.abs(got - expected @ deformation._BASIS)) < 1e-13
+    # a single (4,) point gives its row of the stack
+    assert np.max(np.abs(family.triple(0.1, x[1, 2]) - family.triple(0.1, x)[1, 2])) < 1e-14
+
+
 # --- bracket and block helpers ----------------------------------------------
 
 def test_bracket_minus_matches_hand_wedge():

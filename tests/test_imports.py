@@ -27,6 +27,9 @@ ORACLES = {
     "connection.bianchi_gauge": "test_connection.py::test_bianchi_gauge_conformal_factor",
     "connection.mixed_block_to_ric0":
         "test_connection.py::test_mixed_block_identifies_tracefree_ricci",
+    "deformation.expm": "test_deformation.py::test_triple_closed_form_matches_expm",
+    "deformation.TripleFamily.generator":
+        "test_deformation.py::test_triple_closed_form_matches_expm",
     "forms.form_inner": "test_forms.py::test_star_and_inner_on_curved_metrics",
     "jets.poly_eval": "test_jets.py::test_curvature_polys_match_fd_near_origin",
     "jets.pullback_jet2": "test_jets.py::test_pullback_consistency",
@@ -158,11 +161,17 @@ def test_oracles_are_uncalled_and_used_by_their_test():
             f"{test_id} does not call {qualname}")
 
 
-def test_cli_and_suites_leave_scipy_linalg_unloaded():
-    # only the exponential families use scipy.linalg (a quarter second to
-    # import), so `verify --suite gh` and `--suite harmonic` never pay for it
-    code = "import sys, ale_lab.cli, ale_lab.suites; print('scipy.linalg' in sys.modules)"
+def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):
+    # the triple families take exp(t M) in closed form and the closedness
+    # null space is exact Fraction elimination, so `verify --suite all`
+    # imports neither scipy.linalg nor sympy (about half a second); they
+    # serve only as test oracles
+    report = tmp_path / "report.json"
+    code = ("import sys\nfrom ale_lab import cli\n"
+            f"assert cli.main(['verify', '--suite', 'all', '--report', {str(report)!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.linalg', 'sympy') if m in sys.modules))")
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert report.exists()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

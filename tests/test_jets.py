@@ -5,6 +5,8 @@ the symmetry-group machinery."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,7 +102,9 @@ def test_cached_tables_are_read_only():
     nodes, weights = gh._legendre_rule(8)
     basis, columns = jets._gauge_system()
     amat, sym_basis = jets._block_functionals()
-    for arr in (nodes, weights, basis, columns, amat, sym_basis):
+    jets._symmetrize_pairs(np.zeros((4,) * 4), [(0, 1), (2, 3)])
+    table = jets._axis_permutations(4, ((0, 1), (2, 3)))
+    for arr in (nodes, weights, basis, columns, amat, sym_basis, table):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the mapped rule is the caller's own copy
@@ -123,6 +127,25 @@ def test_jet2_symmetrization_and_rejection():
     assert np.allclose(jet.H, sym)
     with pytest.raises(SchemaError):
         jets.Jet2.from_array(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("ndim, groups", [
+    (4, [(0, 1), (2, 3)]), (6, [(0, 1, 2, 3), (4, 5)]), (4, [(1, 2, 3)]), (6, [(1, 2, 3, 4, 5)]),
+])
+def test_symmetrize_pairs_matches_transpose_loop(ndim, groups):
+    # the cached table sums the transposes in the loop's order, from 0.0,
+    # so the result is bit-identical, signed zeros included
+    arr = np.random.default_rng(ndim).normal(size=(4,) * ndim)
+    arr[1] = -0.0
+    expected, count = np.zeros_like(arr), 0
+    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = list(range(ndim))
+        for group, permuted in zip(groups, combo):
+            for src, dst in zip(group, permuted):
+                perm[src] = dst
+        expected, count = expected + np.transpose(arr, perm), count + 1
+    expected = expected / count
+    assert jets._symmetrize_pairs(arr, groups).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -115,6 +115,19 @@ def test_closedness_null_basis_dimensions():
         assert np.max(np.abs(triple.d_varpi(np.array([0.3, -0.7, 0.4, 0.9])))) < 1e-12
 
 
+@pytest.mark.parametrize("duality", ["sd", "asd"])
+def test_closedness_null_basis_matches_sympy(duality):
+    # sympy's exact null space, each vector scaled to integers by the LCM of
+    # its denominators, is the second route for the Fraction elimination
+    sympy = pytest.importorskip("sympy")
+    null = sympy.Matrix(quadrature._closedness_matrix(duality).tolist()).nullspace()
+    vecs = []
+    for v in null:
+        scale = sympy.ilcm(*(sympy.Rational(x).q for x in v))
+        vecs.append([int(x * scale) for x in v])
+    assert np.array_equal(quadrature.closedness_null_basis(duality), np.array(vecs, dtype=float))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pairing_matches_analytic(seed):
     triple = quadrature.random_closed_sd_quadratic(seed)
