@@ -40,6 +40,8 @@ _OVERRIDE_KEYS = {
     "intMomega": "int_m_omega",
     "mP1": "m_p1",
 }
+# an area and a squared norm: positive by definition
+_POSITIVE_OVERRIDES = ("volSigma", "omegaNorm2")
 
 
 def _configure_threads() -> None:
@@ -100,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "lambda": args.lam,
             "tol_scale": args.tol,
             "passed": all_pass,
-            "suites": [r.to_dict(include_duration=False) for r in results],
+            "suites": [r.to_dict() for r in results],
         }
         _emit(_json_text(payload), args.report)
     return 0 if all_pass else 1
@@ -178,7 +180,8 @@ def _load_jet_input(path: str):
                 raise SchemaError(
                     f"constants_override.{key}: unknown key "
                     f"(expected one of {sorted(_OVERRIDE_KEYS)})")
-            overrides[_OVERRIDE_KEYS[key]] = _number(value, f"constants_override.{key}")
+            overrides[_OVERRIDE_KEYS[key]] = _number(value, f"constants_override.{key}",
+                                                     positive=key in _POSITIVE_OVERRIDES)
 
     gauge = raw.get("gauge_project", False)
     if not isinstance(gauge, bool):

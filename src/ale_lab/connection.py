@@ -97,19 +97,15 @@ def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
     return np.sqrt(2.0) * np.linalg.solve(chol, cands)
 
 
-def check_frame(metric: np.ndarray, triple: np.ndarray, tol: float = 1e-8) -> None:
-    """Gram check of (..., 3, 6) frames against (..., 4, 4) metrics."""
+def check_frame(metric: np.ndarray, triple: np.ndarray) -> None:
+    """Gram check of (..., 3, 6) frames against (..., 4, 4) metrics, to 1e-8."""
     gram = 2.0 * project_stack(metric, triple, triple)
     dev = float(np.max(np.abs(gram - 2.0 * np.eye(3))))
-    if dev > tol:
-        raise FrameNotOrthonormal(f"frame Gram deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > 1e-8:
+        raise FrameNotOrthonormal(f"frame Gram deviation {dev:.3e} exceeds 1.0e-08")
 
 
-def connection_from_Phi(
-    phi: TripleField,
-    metric_fn: MetricField,
-    h: float = fd.DEFAULT_STEP,
-) -> FormField:
+def connection_from_Phi(phi: TripleField, metric_fn: MetricField) -> FormField:
     """Connection covectors of the orthonormal self-dual frame phi, as a
     degree-1 field with (..., 3, 4) values.
 
@@ -123,7 +119,7 @@ def connection_from_Phi(
         comps = float_or_complex(phi(x))
         check_frame(g, comps)
         jmats = J_from_form(g[..., None, :, :], comps)
-        deltas = fd.codifferential(metric_fn, FormField(2, phi), x, h)
+        deltas = fd.codifferential(metric_fn, FormField(2, phi), x)
         j, k = CYCLIC
         return 0.5 * (
             deltas
@@ -134,31 +130,24 @@ def connection_from_Phi(
     return FormField(1, components)
 
 
-def torsion_residual(
-    phi: TripleField,
-    a: FormField,
-    x: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
-) -> float:
+def torsion_residual(phi: TripleField, a: FormField, x: np.ndarray) -> float:
     """Max component of dF_i - a_k ^ F_j + a_j ^ F_k over the cycle."""
     x = np.asarray(x, dtype=float)
     avals = a(x)
     comps = float_or_complex(phi(x))
     j, k = CYCLIC
-    dphi = fd.fd_d(FormField(2, phi), x, h)
+    dphi = fd.fd_d(FormField(2, phi), x)
     res = (dphi - wedge(avals[..., k, :], 1, comps[..., j, :], 2)
            + wedge(avals[..., j, :], 1, comps[..., k, :], 2))
     return float(np.max(np.abs(res)))
 
 
-def curvature_forms(
-    a: FormField, x: np.ndarray, h: float = fd.DEFAULT_STEP
-) -> np.ndarray:
+def curvature_forms(a: FormField, x: np.ndarray) -> np.ndarray:
     """R_k = d a_k + a_i ^ a_j (cyclic); returns a (..., 3, 6) stack."""
     x = np.asarray(x, dtype=float)
     avals = a(x)
     i, j = CYCLIC
-    return fd.fd_d(a, x, h) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
+    return fd.fd_d(a, x) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
 
 
 def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:
@@ -188,32 +177,24 @@ def operator_blocks_from_riemann(
     return full[:3, :3], full[:3, 3:], full[3:, 3:]
 
 
-def curvature_block_of_metric(
-    metric_fn: MetricField,
-    x: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
-) -> CurvatureBlock:
+def curvature_block_of_metric(metric_fn: MetricField, x: np.ndarray) -> CurvatureBlock:
     """CurvatureBlock of a metric at a point via finite differences."""
     x = np.asarray(x, dtype=float)
     g = float_or_complex(metric_fn(x))
-    rlow = fd.riemann_lowered(metric_fn, x, h)
+    rlow = fd.riemann_lowered(metric_fn, x)
     a_sd, mixed, _ = operator_blocks_from_riemann(g, rlow)
     rp = -a_sd
     return CurvatureBlock(Rplus=rp, Rminus=-mixed, scal=-4.0 * np.trace(rp))
 
 
-def bianchi_gauge(
-    metric_fn: MetricField,
-    h_field: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
-) -> np.ndarray:
+def bianchi_gauge(metric_fn: MetricField, h_field: Callable[[np.ndarray], np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
     """B h = delta_g h + (1/2) d Tr_g h as covectors at (..., 4) points."""
     x = np.asarray(x, dtype=float)
     g = float_or_complex(metric_fn(x))
     ginv = np.linalg.inv(g)
-    gamma = fd.christoffel(metric_fn, x, h)
-    dh = fd.all_partials(h_field, x, h)  # dh[a, b, c] = d_a h_bc
+    gamma = fd.christoffel(metric_fn, x)
+    dh = fd.all_partials(h_field, x)  # dh[a, b, c] = d_a h_bc
     hval = float_or_complex(h_field(x))
     # delta h_c = -g^{ab} (d_a h_bc - Gamma^e_ab h_ec - Gamma^e_ac h_be)
     nabla = (dh - np.einsum("...eab,...ec->...abc", gamma, hval)
@@ -224,7 +205,7 @@ def bianchi_gauge(
         gy = float_or_complex(metric_fn(y))
         return np.einsum("...ab,...ab->...", np.linalg.inv(gy), h_field(y))
 
-    return delta + 0.5 * fd.all_partials(trace_fn, x, h)
+    return delta + 0.5 * fd.all_partials(trace_fn, x)
 
 
 def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:

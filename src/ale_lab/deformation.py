@@ -83,10 +83,9 @@ def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return float_or_complex(coeffs) @ OMEGA_ASD
 
 
-def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               h: float = fd.DEFAULT_STEP) -> np.ndarray:
+def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """a_i = *d phi_i on the flat background; returns a (..., 3, 4) stack."""
-    return hodge_star(EUCLIDEAN, fd.fd_d(FormField(2, phi), x, h), 3)
+    return hodge_star(EUCLIDEAN, fd.fd_d(FormField(2, phi), x), 3)
 
 
 def _j_sum(a: np.ndarray) -> np.ndarray:
@@ -95,20 +94,19 @@ def _j_sum(a: np.ndarray) -> np.ndarray:
 
 
 def gauge_residual(lam: ScalarField, phi: Callable[[np.ndarray], np.ndarray],
-                   x: np.ndarray, h: float = fd.DEFAULT_STEP) -> float:
+                   x: np.ndarray) -> float:
     """Max component of sum_i J_i(*d phi_i) + d lam over (..., 4) points."""
     x = np.asarray(x, dtype=float)
-    total = _j_sum(star_d_phi(phi, x, h))
-    dlam = fd.all_partials(lam, x, h)
+    total = _j_sum(star_d_phi(phi, x))
+    dlam = fd.all_partials(lam, x)
     return float(np.max(np.abs(total + dlam)))
 
 
 @dataclass
 class FirstOrderDeformation:
-    """First-order connection and curvature of a gauged deformation."""
+    """First-order connection of a gauged deformation."""
 
-    a: np.ndarray          # (3, 4) covector stack,  a_i = *d phi_i
-    curvature: np.ndarray  # (3, 6) 2-form stack,    R_i = d * d phi_i
+    a: np.ndarray  # (3, 4) covector stack, a_i = *d phi_i
     gauge_residual: float
 
 
@@ -116,17 +114,14 @@ def deformation_first_order(
     lam: ScalarField,
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
 ) -> FirstOrderDeformation:
     x = np.asarray(x, dtype=float)
-    res = gauge_residual(lam, phi, x, h)
+    res = gauge_residual(lam, phi, x)
     if res > GAUGE_TOL:
         raise GaugeViolation(
             f"deformation data violates the gauge condition: residual {res:.3e}"
         )
-    a = star_d_phi(phi, x, h)
-    curv = fd.fd_d(FormField(1, lambda y: star_d_phi(phi, y, h)), x, h)
-    return FirstOrderDeformation(a=a, curvature=curv, gauge_residual=res)
+    return FirstOrderDeformation(a=star_d_phi(phi, x), gauge_residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,6 @@ def ric0_second_order(
     phi: Callable[[np.ndarray], np.ndarray],
     rplus1: np.ndarray | None,
     x: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
 ) -> np.ndarray:
     """(3, 6) anti-self-dual stack of the second-order trace-free Ricci.
 
@@ -239,8 +233,8 @@ def ric0_second_order(
     """
     x = np.asarray(x, dtype=float)
     if rplus1 is None:
-        rplus1 = -sd_block(fd.fd_d(FormField(1, a1), x, h))
-    _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x, h))
+        rplus1 = -sd_block(fd.fd_d(FormField(1, a1), x))
+    _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x))
     return da2_minus + bracket_minus(a1(x)) - rplus1 @ float_or_complex(phi(x))
 
 
@@ -260,26 +254,23 @@ def metric_perturbation_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,ijab->...ab", float_or_complex(coeffs), _EIJ)
 
 
-def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray],
-                           x: np.ndarray, h: float = fd.DEFAULT_STEP) -> np.ndarray:
+def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """(d delta phi)_- for an anti-self-dual 2-form field (or a (..., 6)
     stack of them), flat."""
     x = np.asarray(x, dtype=float)
     euc = lambda y: np.broadcast_to(EUCLIDEAN, y.shape[:-1] + EUCLIDEAN.shape)
-    delta_field = FormField(1, lambda y: fd.codifferential(euc, FormField(2, phi), y, h))
-    _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x, h))
+    delta_field = FormField(1, lambda y: fd.codifferential(euc, FormField(2, phi), y))
+    _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x))
     return minus
 
 
-def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray,
-                               h: float = fd.DEFAULT_STEP) -> np.ndarray:
+def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
     """Predicted d/dt Ric(euc + t h)|_0 for h = map(coeff), as a 4x4 tensor.
 
     The operator acts componentwise: phi_i -> (d d^* phi_i)_-, pushed back
     through the same identification used to build h.
     """
-    rows = asd_block(d_minus_codifferential(
-        lambda y: phi_comps_from_coeffs(coeff(y)), x, h))
+    rows = asd_block(d_minus_codifferential(lambda y: phi_comps_from_coeffs(coeff(y)), x))
     return metric_perturbation_from_coeffs(rows)
 
 
@@ -288,15 +279,13 @@ _DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
                          [-1.1, 0.2, -0.5, 0.6]])
 
 
-def _polynomial_field(vec: np.ndarray, degree: int) -> MatrixField:
-    """C(x) = sum_n vec[i, j, n] m_n(x) over the monomials x_a (degree 1)
-    or x_p x_q with p <= q (degree 2)."""
+def _polynomial_field(vec: np.ndarray) -> MatrixField:
+    """C(x) = sum_n vec[i, j, n] x_p x_q over the monomials n = (p, q), p <= q."""
     v = vec.reshape(3, 3, -1)
 
     def coeff(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        vals = x if degree == 1 else x[..., _QUAD_P] * x[..., _QUAD_Q]
-        return np.einsum("ijn,...n->...ij", v, vals)
+        return np.einsum("ijn,...n->...ij", v, x[..., _QUAD_P] * x[..., _QUAD_Q])
 
     return coeff
 
@@ -312,21 +301,16 @@ def _divergence_samples(coeff: MatrixField) -> np.ndarray:
     return np.einsum("...aab->...b", fd.all_partials(h_field, _DIV_POINTS, 0.25)).ravel()
 
 
-def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
-    """Random polynomial C(x) with delta h = 0 for h = map(C) (flat gauge).
-
-    degree 1: linear coefficients (constant a^(1), vanishing R^(1));
-    degree 2: homogeneous quadratic coefficients.
-    """
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-    nmono = 4 if degree == 1 else len(_QUAD_P)
+def gauged_coefficient_field(seed: int) -> MatrixField:
+    """Random homogeneous quadratic C(x) with delta h = 0 for h = map(C)
+    (flat gauge)."""
+    nmono = len(_QUAD_P)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(3, 3, nmono))
 
     n = 9 * nmono
     basis = np.eye(n)
-    cols = [_divergence_samples(_polynomial_field(basis[i], degree)) for i in range(n)]
+    cols = [_divergence_samples(_polynomial_field(basis[i])) for i in range(n)]
     amat = np.stack(cols, axis=1)
     _, s, vt = np.linalg.svd(amat)
     rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
@@ -336,17 +320,18 @@ def gauged_coefficient_field(seed: int, degree: int = 2) -> MatrixField:
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ValueError("gauge projection annihilated the sample")
-    return _polynomial_field(vec / norm, degree)
+    return _polynomial_field(vec / norm)
 
 
-def linear_gauged_family(seed: int, scale: float = 0.5) -> TripleFamily:
-    """Random linear coefficient family with its exact (linear) gauge scalar.
+def linear_gauged_family(seed: int) -> TripleFamily:
+    """Random linear coefficient family, normal entries of scale 0.5, with
+    its exact (linear) gauge scalar.
 
     For linear C the gauge covector sum is constant, so the gauge condition
     integrates to lam(x) = -c.x in closed form and holds at every point.
     """
     rng = np.random.default_rng(seed)
-    cmat = rng.normal(size=(3, 3, 4)) * scale
+    cmat = rng.normal(size=(3, 3, 4)) * 0.5
 
     def coeff(x: np.ndarray) -> np.ndarray:
         return np.einsum("ija,...a->...ij", cmat, x)
@@ -363,7 +348,7 @@ def _efo_constraint_matrix() -> np.ndarray:
     first use and read-only."""
 
     def rows_of(vec: np.ndarray) -> np.ndarray:
-        coeff = _polynomial_field(vec, 2)
+        coeff = _polynomial_field(vec)
         div = _divergence_samples(coeff)
         phi = lambda x: phi_comps_from_coeffs(coeff(x))
         a1 = lambda x: star_d_phi(phi, x)
@@ -378,22 +363,23 @@ def _efo_constraint_matrix() -> np.ndarray:
     return out
 
 
-def einstein_first_order_family(seed: int, quad_scale: float = 0.6,
-                                lin_scale: float = 0.5) -> TripleFamily:
+def einstein_first_order_family(seed: int) -> TripleFamily:
     """Family that solves the linearized equation at first order.
 
-    The quadratic coefficient part is projected onto divergence-free fields
-    whose first-order curvature is purely self-dual, so the second-order
-    trace-free Ricci formula applies with a nonvanishing phi/self-dual-block
-    coupling; a gauged linear part keeps the connection bracket nonzero.
+    The quadratic coefficient part (normal entries of scale 0.6) is
+    projected onto divergence-free fields whose first-order curvature is
+    purely self-dual, so the second-order trace-free Ricci formula applies
+    with a nonvanishing phi/self-dual-block coupling; a gauged linear part
+    (linear_gauged_family of the next seed) keeps the connection bracket
+    nonzero.
     """
     amat = _efo_constraint_matrix()
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=amat.shape[1]) * quad_scale
+    q = rng.normal(size=amat.shape[1]) * 0.6
     sol, *_ = np.linalg.lstsq(amat, amat @ q, rcond=None)
-    cquad = _polynomial_field(q - sol, 2)
+    cquad = _polynomial_field(q - sol)
 
-    lin = linear_gauged_family(seed + 1, scale=lin_scale)
+    lin = linear_gauged_family(seed + 1)
     lin_coeff, lin_lam = lin.coeff, lin.lam
 
     def coeff(x: np.ndarray) -> np.ndarray:
@@ -407,50 +393,42 @@ def einstein_first_order_family(seed: int, quad_scale: float = 0.6,
 # ---------------------------------------------------------------------------
 
 
-def moment_connection(config: gh.GHConfig, coeff: np.ndarray,
-                      patch: str = "north") -> FormField:
+def moment_connection(config: gh.GHConfig, coeff: np.ndarray) -> FormField:
     """a_i = sum_j coeff[i, j] alpha_j with alpha_j = (1/2) J_j dm.
 
     coeff is symmetric with vanishing first row/column in the intended
     use (deformations transverse to the first curvature row).
     """
     c = float_or_complex(coeff)
-    return FormField(1, lambda x4: c @ gh.alpha_covector(config, x4, patch))
+    return FormField(1, lambda x4: c @ gh.alpha_covector(config, x4))
 
 
 def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
-                             x4: np.ndarray, h: float = fd.DEFAULT_STEP,
-                             patch: str = "north") -> dict:
+                             x4: np.ndarray, h: float = fd.DEFAULT_STEP) -> dict:
     """Residuals of d a_i = sum_j coeff[i,j] w_j and of coclosedness, the
     max over a (..., 4) stack of points."""
     x4 = np.asarray(x4, dtype=float)
     c = float_or_complex(coeff)
-    a = moment_connection(config, coeff, patch)
-    triple = gh.triple_field(config, patch)(x4)
-    mfn = gh.metric_fn(config, patch)
+    a = moment_connection(config, coeff)
+    triple = gh.triple_field(config)(x4)
+    mfn = gh.metric_fn(config)
     d_res = float(np.max(np.abs(fd.fd_d(a, x4, h) - c @ triple)))
     delta_res = float(np.max(np.abs(fd.codifferential(mfn, a, x4, h))))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}
 
 
-def radial_contraction_decay(
-    config: gh.GHConfig,
-    index: int = 1,
-    radii: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0),
-    directions: int = 6,
-    seed: int = 0,
-    patch: str = "north",
-) -> float:
-    """Fitted log-log slope of |dr-contraction of alpha_index| vs the
-    asymptotic radius; the expected rate is -3."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(directions, 3))
+def radial_contraction_decay(config: gh.GHConfig) -> float:
+    """Fitted log-log slope of |dr-contraction of alpha_2| vs the
+    asymptotic radius, over 6 random directions (seed 0) at base radii 8,
+    16, 32 and 64; the expected rate is -3."""
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(6, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     kfac = config.k + 1
-    rho = np.asarray(radii, dtype=float)[:, None, None]
+    rho = np.asarray((8.0, 16.0, 32.0, 64.0))[:, None, None]
     base = rho * dirs  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.3)], axis=-1)
-    alpha = gh.alpha_covector(config, x4, patch)[..., index, :3]
+    alpha = gh.alpha_covector(config, x4)[..., 1, :3]
     r4 = np.sqrt(2.0 * kfac * rho)
     vals = np.abs(np.sum(alpha * ((r4 / kfac) * dirs), axis=-1))
     logs_v = np.log(np.maximum(np.mean(vals, axis=-1), 1e-300))

@@ -11,11 +11,14 @@ point) in one metric call.  A field whose output's leading axes do not
 match the points it was given raises SchemaError, and a stencil point
 outside the chart raises EvaluationDomain naming that point.
 
-Default step is 1e-3 at unit scale; steps grow with the max base
+The step is DEFAULT_STEP = 1e-3 at unit scale, and the operators that a
+caller runs at a second step take h; steps grow with the max base
 coordinate (the bounded fiber angle is excluded) so far-field stencils
-stay well conditioned relative to the decaying fields they probe.  All geometric identities verified with these tools
-are exact in the continuum, so plain O(h^2) accuracy plus optional
-Richardson extrapolation suffices at the tolerances used in the suites.
+stay well conditioned relative to the decaying fields they probe.  All
+geometric identities verified with these tools are exact in the
+continuum, so plain O(h^2) accuracy suffices at the tolerances used in
+the suites; richardson adds one extrapolation level where a route needs
+more.
 
 Curvature conventions: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
 nabla_[X,Y] with R(e_c, e_d) e_b = R^a_{bcd} e_a, Ricci R_bd = R^a_{bad}.
@@ -52,11 +55,9 @@ def _call(fn: Callable, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_at(x: np.ndarray, h: float, scale: bool = True) -> np.ndarray:
+def step_at(x: np.ndarray, h: float) -> np.ndarray:
     """Step per point of a (..., 4) stack: h times max(1, max |base coordinate|)."""
     x = np.asarray(x, dtype=float)
-    if not scale:
-        return np.full(x.shape[:-1], h)
     # Charts put the bounded fiber coordinate last; step conditioning must
     # track the base radius only, never the fiber angle.
     return h * np.maximum(1.0, np.max(np.abs(x[..., :3]), axis=-1))
@@ -71,34 +72,31 @@ def _central(vals: np.ndarray, he: np.ndarray) -> np.ndarray:
     return (np.take(pairs, 0, axis=k + 1) - np.take(pairs, 1, axis=k + 1)) / step
 
 
-def _stencil(x: np.ndarray, h: float, scale: bool,
-             center: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(x: np.ndarray, h: float, center: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Stencil points (..., s, 4) around (..., 4) points, x itself first
     when center is set, and the per-point steps (...)."""
     x = np.asarray(x, dtype=float)
-    he = step_at(x, h, scale)
+    he = step_at(x, h)
     pts = x[..., None, :] + he[..., None, None] * _OFFSETS
     if center:
         pts = np.concatenate([x[..., None, :], pts], axis=-2)
     return pts, he
 
 
-def _value_and_partials(fn: Callable, x: np.ndarray, h: float,
-                        scale: bool) -> tuple[np.ndarray, np.ndarray]:
+def _value_and_partials(fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """fn and its four first partials at (..., 4) points, from one call of
     fn on x and its eight neighbours."""
-    pts, he = _stencil(x, h, scale, center=True)
+    pts, he = _stencil(x, h, center=True)
     vals = _call(fn, pts)
     k = he.ndim
     lead = (slice(None),) * k
     return vals[lead + (0,)], _central(vals[lead + (slice(1, None),)], he)
 
 
-def all_partials(fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                 scale: bool = True) -> np.ndarray:
+def all_partials(fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """The four first partials at (..., 4) points as (..., 4, *shape):
     the direction axis follows the point axes."""
-    pts, he = _stencil(x, h, scale)
+    pts, he = _stencil(x, h)
     return _central(_call(fn, pts), he)
 
 
@@ -115,8 +113,7 @@ def _d_table(p: int) -> np.ndarray:
 _D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
 
 
-def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP,
-         scale: bool = True) -> np.ndarray:
+def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """Exterior derivative at (..., 4) points, error O(h^2).
 
     A field returning (..., *shape, n_p) components gives
@@ -124,7 +121,7 @@ def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP,
     from one stencil of eight evaluations per point.  The derivative of a
     4-form is the zero 4-form.
     """
-    partials = all_partials(field, point, h, scale)  # (..., 4, *shape, n_p)
+    partials = all_partials(field, point, h)  # (..., 4, *shape, n_p)
     moved = np.moveaxis(partials, np.ndim(point) - 1, -2)
     return np.tensordot(moved, _D_TABLE[field.degree], axes=2)
 
@@ -143,19 +140,17 @@ def _gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.einsum("...ad,...dbc->...abc", np.linalg.inv(g), low)
 
 
-def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                scale: bool = True) -> np.ndarray:
+def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
     """Gamma[..., a, b, c] = Gamma^a_{bc} from finite differences of the metric."""
-    return _gamma(*_value_and_partials(metric_fn, x, h, scale))
+    return _gamma(*_value_and_partials(metric_fn, x, h))
 
 
-def _curvature(metric_fn: Callable, x: np.ndarray, h: float,
-               scale: bool) -> tuple[np.ndarray, np.ndarray]:
+def _curvature(metric_fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(g_ab, R^a_{bcd}) at (..., 4) points from one metric call on the
     nested stencil: Christoffels at x and its eight neighbours, each from
     the metric at that point and its own eight neighbours."""
-    y, he = _stencil(x, h, scale, center=True)  # (..., 9, 4)
-    g, dg = _value_and_partials(metric_fn, y, h, scale)  # over (..., 9, 9, 4)
+    y, he = _stencil(x, h, center=True)  # (..., 9, 4)
+    g, dg = _value_and_partials(metric_fn, y, h)  # over (..., 9, 9, 4)
     gam = _gamma(g, dg)
     gamma = gam[..., 0, :, :, :]
     dgamma = _central(gam[..., 1:, :, :, :], he)  # dgamma[c, a, d, b] = d_c Gamma^a_{db}
@@ -168,28 +163,25 @@ def _curvature(metric_fn: Callable, x: np.ndarray, h: float,
     return g[..., 0, :, :], r
 
 
-def riemann_up(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-               scale: bool = True) -> np.ndarray:
+def riemann_up(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
     """R[..., a, b, c, d] = R^a_{bcd}; nested differences of Christoffel symbols."""
-    return _curvature(metric_fn, x, h, scale)[1]
+    return _curvature(metric_fn, x, DEFAULT_STEP)[1]
 
 
-def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-                    scale: bool = True) -> np.ndarray:
-    g, r = _curvature(metric_fn, x, h, scale)
+def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+    g, r = _curvature(metric_fn, x, h)
     return np.einsum("...ae,...ebcd->...abcd", g, r)
 
 
-def ricci(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP,
-          scale: bool = True) -> np.ndarray:
-    return np.einsum("...abad->...bd", riemann_up(metric_fn, x, h, scale))
+def ricci(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
+    return np.einsum("...abad->...bd", riemann_up(metric_fn, x))
 
 
 def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
-                          h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
+                          h: float = DEFAULT_STEP) -> np.ndarray:
     """(L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c."""
-    g, dg = _value_and_partials(metric_fn, x, h, scale)
-    v, dv = _value_and_partials(vec_fn, x, h, scale)  # dv[a, c] = d_a X^c
+    g, dg = _value_and_partials(metric_fn, x, h)
+    v, dv = _value_and_partials(vec_fn, x, h)  # dv[a, c] = d_a X^c
     return (
         np.einsum("...c,...cab->...ab", v, dg)
         + np.einsum("...cb,...ac->...ab", g, dv)
@@ -204,7 +196,7 @@ def _per_point(g: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray
 
 
 def codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
-                   h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
+                   h: float = DEFAULT_STEP) -> np.ndarray:
     """delta = -*d* on forms of degree 1-4 (Riemannian signature,
     dimension 4); a field of (..., *shape, n) stacks gives the stack of
     codifferentials."""
@@ -216,21 +208,20 @@ def codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
         return hodge_star(_per_point(_call(metric_fn, y), w, y), w, field.degree)
 
     inner = FormField(degree=DIM - field.degree, evaluator=starred)
-    d_star = fd_d(inner, x, h, scale)
+    d_star = fd_d(inner, x, h)
     x = np.asarray(x, dtype=float)
     g = _per_point(_call(metric_fn, x), d_star, x)
     return -hodge_star(g, d_star, DIM - field.degree + 1)
 
 
-def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray,
-                     h: float = DEFAULT_STEP, scale: bool = True) -> np.ndarray:
+def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:
     """Scalar Laplacian via div(grad): sign convention Delta f = +f'' on R."""
     def flux(y: np.ndarray) -> np.ndarray:
         g = _call(metric_fn, y)
-        df = all_partials(f, y, h, scale)
+        df = all_partials(f, y)
         return np.sqrt(np.linalg.det(g))[..., None] * np.einsum(
             "...ab,...b->...a", np.linalg.inv(g), df)
 
     g0 = _call(metric_fn, np.asarray(x, dtype=float))
-    div = np.einsum("...aa->...", all_partials(flux, x, h, scale))
+    div = np.einsum("...aa->...", all_partials(flux, x))
     return div / np.sqrt(np.linalg.det(g0))

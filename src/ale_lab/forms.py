@@ -260,12 +260,14 @@ def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return -(beta[..., None, :] @ float_or_complex(jmat))[..., 0, :]
 
 
-def metric_from_triple(
-    c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, tol: float = 1e-8
-) -> np.ndarray:
+_TRIPLE_TOL = 1e-8  # metric_from_triple: largest Gram deviation accepted
+
+
+def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
     """Reconstruct the metric for which (c1, c2, c3) is the orthonormal
     self-dual triple with <ci, cj> = 2 delta_ij; (..., 6) stacks of
-    triples give (..., 4, 4) metrics.
+    triples give (..., 4, 4) metrics.  The Gram matrix must hold to
+    _TRIPLE_TOL and J1^2 = -Id to its square root.
 
     Uses J1 = W3^{-1} W2 (exact for a compatible quaternionic triple),
     then g = W1 J1, rescaled so |c1|^2 = 2.
@@ -281,7 +283,7 @@ def metric_from_triple(
     if np.any(scale_sq.real <= 0):
         raise FrameNotOrthonormal("triple does not define a complex structure")
     j1 = j1 / np.sqrt(scale_sq)[..., None, None]
-    if np.max(np.abs(j1 @ j1 + np.eye(DIM))) > math.sqrt(tol):
+    if np.max(np.abs(j1 @ j1 + np.eye(DIM))) > math.sqrt(_TRIPLE_TOL):
         raise FrameNotOrthonormal("J1^2 deviates from -Id beyond tolerance")
     g = w1 @ j1
     g = (g + np.swapaxes(g, -1, -2)) / 2.0
@@ -293,7 +295,7 @@ def metric_from_triple(
     # rescaling g by s scales 2-form inner products by 1/s^2
     g = g * np.sqrt(norm1 / 2.0)[..., None, None]
     dev = float(np.max(np.abs(gram * (2.0 / norm1)[..., None, None] - 2.0 * np.eye(3))))
-    if dev > tol:
+    if dev > _TRIPLE_TOL:
         raise FrameNotOrthonormal(f"triple Gram matrix off by {dev:.2e}")
     return g
 

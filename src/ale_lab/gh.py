@@ -11,7 +11,9 @@ A is stored in two gauges.  In the north gauge each center contributes
 direction from that center; the south gauge uses (cos th_i + 1) and is
 singular on the +x1 rays.  The gauges differ by sum_i n_i dphi_i, a
 pure fiber shift.  Points within EPS_STRING of an excluded ray raise
-OnDiracString rather than extrapolating.
+OnDiracString rather than extrapolating.  Only the point layer
+(validate_base, eval_eta, potential_and_eta, metric_matrix) takes the
+gauge; everything above it works in the north gauge.
 
 The 2-form triple is w_i = dx^i ^ eta + V dx^j ^ dx^k (cyclic over the
 three base directions); it is self-dual for the volume form
@@ -19,8 +21,8 @@ V dx1^dx2^dx3^dtau and satisfies J1 J2 = J3.
 
 The exceptional fiber surface sits over the segment between the two
 cluster points; the pullback of eta to it is exactly dtau, so surface
-integrals reduce to 2*pi times a line quadrature and never evaluate A
-on the axis.
+integrals reduce to 2*pi times a line quadrature (SIGMA_ORDER
+Gauss-Legendre nodes) and never evaluate A on the axis.
 
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
@@ -51,6 +53,8 @@ FIBER_PERIOD = 2.0 * math.pi
 # domain radii: around each center, and around each patch's excluded rays
 EPS_CENTER = 1e-6
 EPS_STRING = 1e-6
+# Gauss-Legendre nodes of every core-surface integral
+SIGMA_ORDER = 96
 
 Center = tuple[tuple[float, float, float], int]
 
@@ -138,11 +142,6 @@ class GHConfig:
 class ChartPoint:
     base: tuple[float, float, float]
     fiber_angle: float = 0.0
-    patch: str = "north"
-
-    def __post_init__(self) -> None:
-        if self.patch not in ("north", "south"):
-            raise SchemaError(f"patch must be north or south, got {self.patch}")
 
     @property
     def x3(self) -> np.ndarray:
@@ -252,8 +251,8 @@ def metric_matrix(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.
     return _metric_from(*potential_and_eta(config, x4, patch))
 
 
-def metric_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x4: metric_matrix(config, x4, patch)
+def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x4: metric_matrix(config, x4)
 
 
 @dataclass
@@ -277,8 +276,8 @@ def form_triple(v: np.ndarray, eta: np.ndarray, sign: float = 1.0) -> np.ndarray
     return wedge(dx, 1, np.asarray(eta)[..., None, :], 1) + sign * v * wedge(dx[j], 1, dx[k], 1)
 
 
-def metric_at(config: GHConfig, x4: np.ndarray, patch: str = "north") -> FrameSample:
-    v, eta = potential_and_eta(config, x4, patch)
+def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
+    v, eta = potential_and_eta(config, x4)
     g = _metric_from(v, eta)
     sqv = np.sqrt(v)[..., None]
     coframe = np.zeros(g.shape)
@@ -290,9 +289,9 @@ def metric_at(config: GHConfig, x4: np.ndarray, patch: str = "north") -> FrameSa
                        J=J_from_form(g[..., None, :, :], triple))
 
 
-def triple_field(config: GHConfig, patch: str = "north") -> FormField:
+def triple_field(config: GHConfig) -> FormField:
     """The self-dual triple as one degree-2 field with (..., 3, 6) values."""
-    return FormField(2, lambda x4: form_triple(*potential_and_eta(config, x4, patch)))
+    return FormField(2, lambda x4: form_triple(*potential_and_eta(config, x4)))
 
 
 def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
@@ -316,19 +315,19 @@ def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return np.concatenate([g, np.zeros(g.shape[:-1] + (1,))], axis=-1)
 
 
-def alpha_covector(config: GHConfig, x4: np.ndarray, patch: str = "north") -> np.ndarray:
+def alpha_covector(config: GHConfig, x4: np.ndarray) -> np.ndarray:
     """alpha_i = (1/2) J_i dm as chart covectors, a (..., 3, 4) stack."""
     x4 = np.asarray(x4, dtype=float)
-    sample = metric_at(config, x4, patch)
+    sample = metric_at(config, x4)
     return 0.5 * apply_J_covector(sample.J, dm4(config, x4[..., :3])[..., None, :])
 
 
-def xi_fn(config: GHConfig, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
+def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Metric dual of J_1 dm; contracting into w1 gives -dm exactly."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
         x4 = np.asarray(x4, dtype=float)
-        sample = metric_at(config, x4, patch)
+        sample = metric_at(config, x4)
         jdm = apply_J_covector(sample.J[..., 0, :, :], dm4(config, x4[..., :3]))
         return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
 
@@ -358,22 +357,19 @@ def axis_points(x1: np.ndarray) -> np.ndarray:
     return np.stack([x1, zero, zero], axis=-1)
 
 
-def sigma_integrate(
-    config: GHConfig,
-    f: Callable[[np.ndarray], np.ndarray],
-    order: int = 64,
-) -> float:
+def sigma_integrate(config: GHConfig, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of f against the area form of the exceptional surface.
 
     The surface is fibered over the open segment; its area form pulls
     back to dx1 ^ dtau, so the integral is 2*pi * int f(x1) dx1 by
-    Gauss-Legendre quadrature.  f maps the (n,) array of x1 nodes to (n,)
-    values in one call; any other shape raises SchemaError.
+    Gauss-Legendre quadrature of SIGMA_ORDER nodes.  f maps the (n,) array
+    of x1 nodes to (n,) values in one call; any other shape raises
+    SchemaError.
     """
     if config.k == 0:
         raise SchemaError("single-center config has no exceptional surface")
     a, b = config.segment
-    nodes, weights = gauss_legendre(a, b, order)
+    nodes, weights = gauss_legendre(a, b, SIGMA_ORDER)
     vals = np.asarray(f(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise SchemaError(
@@ -387,39 +383,40 @@ def sigma_integrate(
     return FIBER_PERIOD * total
 
 
-def vol_sigma(config: GHConfig, order: int = 64) -> float:
-    return sigma_integrate(config, np.ones_like, order=order)
+def vol_sigma(config: GHConfig) -> float:
+    return sigma_integrate(config, np.ones_like)
 
 
-def axis_link_holonomy(
-    config: GHConfig, x1: float, rho: float = 1e-3, patch: str = "south", order: int = 64
-) -> float:
-    """Integral of A around a base circle of radius rho linking the axis."""
-    nodes, weights = gauss_legendre(0.0, 2.0 * math.pi, order)
-    cos, sin = rho * np.cos(nodes), rho * np.sin(nodes)
-    a = eval_eta(config, np.stack([np.full_like(cos, x1), cos, sin], axis=-1), patch)
+def axis_link_holonomy(config: GHConfig, x1: float) -> float:
+    """Integral of A, south gauge, around the base circle of radius 1e-3
+    about the axis at x1 (64 Gauss-Legendre nodes)."""
+    nodes, weights = gauss_legendre(0.0, 2.0 * math.pi, 64)
+    cos, sin = 1e-3 * np.cos(nodes), 1e-3 * np.sin(nodes)
+    a = eval_eta(config, np.stack([np.full_like(cos, x1), cos, sin], axis=-1), "south")
     return float(np.sum(weights * (a[:, 2] * cos - a[:, 1] * sin)))
 
 
-def center_flux(config: GHConfig, center_index: int, radius: float, order: int = 32) -> float:
+def center_flux(config: GHConfig, center_index: int, radius: float) -> float:
     """Flux of dA = *dV through a sphere around one center (outward normal).
 
     Exactly -2*pi*n for an enclosed weight-n center by the divergence
     theorem; computed here by quadrature of grad(V).n over the
-    (order x order) product nodes of the sphere in one call.
+    32 x 32 product nodes of the sphere in one call.
     """
     pos = np.asarray(config.centers[center_index][0], dtype=float)
-    u, wu = gauss_legendre(-1.0, 1.0, order)
-    phi, wphi = gauss_legendre(0.0, 2.0 * math.pi, order)
+    u, wu = gauss_legendre(-1.0, 1.0, 32)
+    phi, wphi = gauss_legendre(0.0, 2.0 * math.pi, 32)
     s = np.sqrt(1.0 - u * u)[:, None]
     n_hat = np.stack(np.broadcast_arrays(u[:, None], s * np.cos(phi), s * np.sin(phi)), axis=-1)
     grad = eval_V_grad(config, pos + radius * n_hat)
     return float(wu @ np.sum(grad * n_hat, axis=-1) @ wphi) * radius**2
 
 
-def v_laplacian_fd(config: GHConfig, x3: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Flat 3D Laplacian of V by second differences (harmonicity check) at
-    (..., 3) base points, from one potential call on the 7-point stencils."""
+def v_laplacian_fd(config: GHConfig, x3: np.ndarray) -> np.ndarray:
+    """Flat 3D Laplacian of V by second differences of step 1e-3
+    (harmonicity check) at (..., 3) base points, from one potential call
+    on the 7-point stencils."""
+    h = 1e-3
     offsets = np.concatenate([np.zeros((1, 3)), h * np.eye(3), -h * np.eye(3)])
     v = eval_V(config, np.asarray(x3, dtype=float)[..., None, :] + offsets)
     return np.sum(v[..., 1:4] + v[..., 4:] - 2.0 * v[..., :1], axis=-1) / h**2
@@ -431,7 +428,6 @@ def sample_chart_points(
     seed: int = 0,
     rho_min: float = 0.5,
     rho_max: float = 10.0,
-    patch: str = "north",
     min_center_dist: float = 0.3,
     min_axis_dist: float = 0.05,
     string_cone_cos: float = 1.0,
@@ -439,13 +435,12 @@ def sample_chart_points(
     """Deterministic off-axis sample points for pointwise identity checks.
 
     string_cone_cos < 1 additionally rejects points inside the cone around
-    the chart's string half-axis (where chart components stay smooth but
-    their higher derivatives grow and wreck fixed-step finite differences):
-    a point is kept only if the cosine of its angle to the string direction
+    the north gauge's string half-axis -x1 (where chart components stay
+    smooth but their higher derivatives grow and wreck fixed-step finite
+    differences): a point is kept only if the cosine of its angle to -x1
     is below string_cone_cos.
     """
     rng = np.random.default_rng(seed)
-    string_sign = -1.0 if patch == "north" else 1.0
     points: list[ChartPoint] = []
     while len(points) < count:
         direction = rng.normal(size=3)
@@ -456,13 +451,8 @@ def sample_chart_points(
             continue
         if math.hypot(x3[1], x3[2]) < min_axis_dist:
             continue
-        if string_sign * direction[0] > string_cone_cos:
+        if -direction[0] > string_cone_cos:
             continue
-        points.append(
-            ChartPoint(
-                base=tuple(x3),
-                fiber_angle=float(rng.uniform(0.0, FIBER_PERIOD)),
-                patch=patch,
-            )
-        )
+        angle = float(rng.uniform(0.0, FIBER_PERIOD))
+        points.append(ChartPoint(base=tuple(x3), fiber_angle=angle))
     return points

@@ -30,7 +30,7 @@ import numpy as np
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence, TailDominance
 from .forms import FormField, apply_J_covector, split_sd
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gh_volume_integral, volume_nodes
+from .quadrature import QuadratureSpec, gh_volume_integral, volume_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -71,16 +71,16 @@ class HarmonicFormBundle:
     normalization: float
     raw_sigma_integral: float
 
-    def components(self, x4: np.ndarray, patch: str = "north") -> np.ndarray:
+    def components(self, x4: np.ndarray) -> np.ndarray:
         """Components (..., 6) of the normalized form at (..., 4) chart points."""
         x4 = np.asarray(x4, dtype=float)
-        v, eta = gh.potential_and_eta(self.config, x4, patch)
+        v, eta = gh.potential_and_eta(self.config, x4)
         grad = vec_grad_f(self.config, x4[..., :3])
         triple = gh.form_triple(v, eta, -1.0)
         return self.normalization * np.einsum("...i,...ic->...c", grad, triple)
 
-    def field(self, patch: str = "north") -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x4: self.components(x4, patch)
+    def field(self) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x4: self.components(x4)
 
     def norm_density(self, pts: np.ndarray) -> np.ndarray:
         """|Omega|_g^2 at (..., 3) base points (fiber-independent)."""
@@ -102,16 +102,14 @@ def c_gamma(k: int, lam: float) -> float:
     return (k + 1) ** 2 * lam
 
 
-def _raw_sigma_integral(config: gh.GHConfig, order: int) -> float:
+def _raw_sigma_integral(config: gh.GHConfig) -> float:
     """Core-surface integral of Omega_raw, whose pullback is (d_1 f) dx1 ^ dtau."""
-    return gh.sigma_integrate(
-        config, lambda x1: vec_grad_f(config, gh.axis_points(x1))[..., 0], order=order
-    )
+    return gh.sigma_integrate(config, lambda x1: vec_grad_f(config, gh.axis_points(x1))[..., 0])
 
 
-def build_omega(config: gh.GHConfig, order: int = 96) -> HarmonicFormBundle:
+def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
     """Normalize the raw form by quadrature of its core-surface integral."""
-    raw = _raw_sigma_integral(config, order)
+    raw = _raw_sigma_integral(config)
     if not np.isfinite(raw) or abs(raw) < 1e-10:
         raise NormalizationFailure(
             f"degenerate core-surface integral {raw!r} for the raw harmonic form"
@@ -126,8 +124,6 @@ def build_omega(config: gh.GHConfig, order: int = 96) -> HarmonicFormBundle:
 
 @dataclass
 class NormResult:
-    numeric: float
-    tail: float
     total: float
     tail_fraction: float
     closed_form: float
@@ -135,7 +131,6 @@ class NormResult:
 
 def omega_norm(
     bundle: HarmonicFormBundle,
-    spec: QuadratureSpec | None = None,
     rho_out: float | None = None,
     tail_tol: float = 0.1,
 ) -> NormResult:
@@ -145,8 +140,7 @@ def omega_norm(
     k = cfg.k
     if rho_out is None:
         rho_out = 40.0 * (k + 1) * cfg.lam
-    spec = spec or DEFAULT_SPEC
-    numeric = gh_volume_integral(cfg, bundle.norm_density, outer_scale=rho_out, spec=spec)
+    numeric = gh_volume_integral(cfg, bundle.norm_density, outer_scale=rho_out)
     r4_sq = 2.0 * (k + 1) * rho_out
     cg = c_gamma(k, cfg.lam)
     tail = 16.0 * math.pi**2 * cg**2 / ((k + 1) * r4_sq**2)
@@ -157,8 +151,6 @@ def omega_norm(
             f"profile tail carries {frac:.1%} of the norm; increase rho_out"
         )
     return NormResult(
-        numeric=float(numeric),
-        tail=float(tail),
         total=float(total),
         tail_fraction=float(frac),
         closed_form=closed_form_norm2(k),
@@ -171,10 +163,9 @@ def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
     return bundle.normalization * bundle.raw_sigma_integral
 
 
-def s_ratio(bundle: HarmonicFormBundle, order: int = 96) -> float:
+def s_ratio(bundle: HarmonicFormBundle) -> float:
     """s = (core integral of w1) / (core integral of Omega); equals -k lam."""
-    vol = gh.vol_sigma(bundle.config, order=order)
-    return vol / sigma_omega_integral(bundle)
+    return gh.vol_sigma(bundle.config) / sigma_omega_integral(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +173,19 @@ def s_ratio(bundle: HarmonicFormBundle, order: int = 96) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dC_scalar_field(
-    config: gh.GHConfig,
-    grad4: Callable[[np.ndarray], np.ndarray],
-    patch: str = "north",
-) -> Callable[[np.ndarray], np.ndarray]:
+def dC_scalar_field(config: gh.GHConfig,
+                    grad4: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Covector field J_1(d u) for a scalar with known 4D gradient."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
-        j1 = gh.metric_at(config, x4, patch).J[..., 0, :, :]
+        j1 = gh.metric_at(config, x4).J[..., 0, :, :]
         return apply_J_covector(j1, grad4(x4))
 
     return ev
 
 
-def alpha_split_residuals(
-    config: gh.GHConfig,
-    bundle: HarmonicFormBundle,
-    x4: np.ndarray,
-    patch: str = "north",
-    h: float = fd.DEFAULT_STEP,
-) -> dict:
+def alpha_split_residuals(config: gh.GHConfig, bundle: HarmonicFormBundle,
+                          x4: np.ndarray) -> dict:
     """Residuals of alpha^+ = -w1 and alpha^- = s Omega for
     alpha = -1/2 d (J_1 dm), one per point of a (..., 4) stack."""
     x4 = np.asarray(x4, dtype=float)
@@ -210,12 +193,12 @@ def alpha_split_residuals(
     def grad4(y: np.ndarray) -> np.ndarray:
         return gh.dm4(config, y[..., :3])
 
-    fld = FormField(1, dC_scalar_field(config, grad4, patch))
-    alpha = -0.5 * fd.fd_d(fld, x4, h)
-    sample = gh.metric_at(config, x4, patch)
+    fld = FormField(1, dC_scalar_field(config, grad4))
+    alpha = -0.5 * fd.fd_d(fld, x4)
+    sample = gh.metric_at(config, x4)
     plus, minus = split_sd(sample.metric, alpha)
     s = -config.k * config.lam
-    omega_here = bundle.components(x4, patch)
+    omega_here = bundle.components(x4)
     w1 = sample.triple[..., 0, :]
     scale = np.max(np.abs(w1), axis=-1)
     return {
@@ -256,13 +239,7 @@ def _sub_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     return grad4
 
 
-def model_form(
-    config: gh.GHConfig,
-    which: str,
-    x4: np.ndarray,
-    h: float = fd.DEFAULT_STEP,
-    patch: str = "north",
-) -> np.ndarray:
+def model_form(config: gh.GHConfig, which: str, x4: np.ndarray) -> np.ndarray:
     """d d^C of the lead (1/rhat^2) or sub (phi1/rhat^6) potential at
     (..., 4) points.
 
@@ -270,18 +247,15 @@ def model_form(
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
     grad4 = _lead_grad4(config) if which == "lead" else _sub_grad4(config)
-    fld = FormField(1, dC_scalar_field(config, grad4, patch))
-    return fd.fd_d(fld, np.asarray(x4, dtype=float), h)
+    fld = FormField(1, dC_scalar_field(config, grad4))
+    return fd.fd_d(fld, np.asarray(x4, dtype=float))
 
 
 @dataclass
 class AsymptoticFit:
     c_gamma: float
     a1: float
-    residual: float
-    condition: float
     expected_c_gamma: float
-    expected_a1: float
 
 
 def _fit_directions(n: int, seed: int) -> np.ndarray:
@@ -305,10 +279,9 @@ def asymptotic_fit(
     config: gh.GHConfig,
     bundle: HarmonicFormBundle | None = None,
     radii: Sequence[float] | None = None,
-    n_dirs: int = 6,
-    seed: int = 0,
 ) -> AsymptoticFit:
-    """Joint least-squares fit of Omega against the lead and sub models."""
+    """Joint least-squares fit of Omega against the lead and sub models,
+    sampled along 6 fit directions (seed 0) at each radius."""
     cfg = config
     k = cfg.k
     bundle = bundle or build_omega(cfg)
@@ -316,28 +289,18 @@ def asymptotic_fit(
         base = 20.0 * (k + 1) * cfg.lam
         radii = (base, 1.5 * base, 2.25 * base)
     radii = np.asarray(radii, dtype=float)[:, None, None]
-    base = radii * _fit_directions(n_dirs, seed)  # (radius, direction, 3)
+    base = radii * _fit_directions(6, 0)  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (k + 1) * radii) ** 2  # rhat^4: puts radii on equal footing
     lead = weight * model_form(cfg, "lead", x4)
     sub = weight * model_form(cfg, "sub", x4)
     amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
     bvec = (weight * bundle.components(x4)).ravel()
-    sol, res, rank, sv = np.linalg.lstsq(amat, bvec, rcond=None)
+    sol, _res, rank, _sv = np.linalg.lstsq(amat, bvec, rcond=None)
     if rank < 2 or not np.all(np.isfinite(sol)):
         raise FitUnstable("asymptotic model matrix is rank-deficient")
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    resid = float(np.linalg.norm(amat @ sol - bvec) / max(np.linalg.norm(bvec), 1e-300))
-    exp_cg = c_gamma(k, cfg.lam)
-    exp_a1 = -(k**2 - 1) * ((k + 1) * cfg.lam) ** 2
-    return AsymptoticFit(
-        c_gamma=float(sol[0]),
-        a1=float(sol[1]),
-        residual=resid,
-        condition=cond,
-        expected_c_gamma=exp_cg,
-        expected_a1=exp_a1,
-    )
+    return AsymptoticFit(c_gamma=float(sol[0]), a1=float(sol[1]),
+                         expected_c_gamma=c_gamma(k, cfg.lam))
 
 
 def cone_config(config: gh.GHConfig) -> gh.GHConfig:
@@ -361,12 +324,8 @@ class DecayProfile:
     omega_profile_coeff: float
 
 
-def decay_profiles(
-    config: gh.GHConfig,
-    radii_rho: Sequence[float],
-    n_dirs: int = 6,
-    seed: int = 0,
-) -> list[DecayProfile]:
+def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float],
+                   n_dirs: int = 6) -> list[DecayProfile]:
     """Far-field deviation table at base radii: frame-measured distance
     to the cone metric, moment-map deviation, and the profile
     coefficient |Omega| r^4 / sqrt(32)."""
@@ -374,7 +333,7 @@ def decay_profiles(
     bundle = build_omega(config)
     k1 = config.k + 1
     radii = np.asarray(radii_rho, dtype=float)
-    base = radii[:, None, None] * _fit_directions(n_dirs, seed)  # (radius, direction, 3)
+    base = radii[:, None, None] * _fit_directions(n_dirs, 0)  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.7)], axis=-1)
     g = gh.metric_at(config, x4).metric
     sample_c = gh.metric_at(cone, x4)
@@ -406,20 +365,14 @@ def decay_exponents(profiles: Sequence[DecayProfile]) -> dict:
     }
 
 
-def annulus_density_exponent(
-    bundle: HarmonicFormBundle,
-    radii_rho: Sequence[float] | None = None,
-    n_dirs: int = 8,
-    seed: int = 1,
-) -> float:
-    """Fitted slope of the sphere-averaged |Omega|^2 against log r."""
+def annulus_density_exponent(bundle: HarmonicFormBundle) -> float:
+    """Fitted slope of the |Omega|^2 averaged over 8 fit directions (seed 1)
+    against log r, at base radii 10, 20, 40 and 80 (k+1) lam."""
     cfg = bundle.config
     k1 = cfg.k + 1
-    if radii_rho is None:
-        base = 10.0 * k1 * cfg.lam
-        radii_rho = (base, 2 * base, 4 * base, 8 * base)
-    radii = np.asarray(radii_rho, dtype=float)
-    dens = bundle.norm_density(radii[:, None, None] * _fit_directions(n_dirs, seed))
+    base = 10.0 * k1 * cfg.lam
+    radii = np.asarray((base, 2 * base, 4 * base, 8 * base), dtype=float)
+    dens = bundle.norm_density(radii[:, None, None] * _fit_directions(8, 1))
     return _slope(0.5 * np.log(2.0 * k1 * radii), np.log(np.mean(dens, axis=-1)))
 
 
@@ -445,14 +398,10 @@ def _bump_prime(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_form_pairing_residual(
-    bundle: HarmonicFormBundle,
-    rho_inner: float | None = None,
-    rho_outer: float | None = None,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """int_Y Omega ^ d(gamma) for gamma = bump(rho) dx^2, normalized by
-    the integral of the absolute integrand; vanishes for closed Omega.
+def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
+    """int_Y Omega ^ d(gamma) for gamma = bump(rho) dx^2, the bump rising
+    over 6 (k+1) lam < rho < 12 (k+1) lam, normalized by the integral of
+    the absolute integrand; vanishes for closed Omega.
 
     For a pure base 2-form beta, Omega ^ beta reduces to
     -c (grad f . b) dx^123 ^ dtau with b the dual vector of beta, so no
@@ -460,12 +409,10 @@ def exact_form_pairing_residual(
     """
     cfg = bundle.config
     k1 = cfg.k + 1
-    if rho_inner is None:
-        rho_inner = 6.0 * k1 * cfg.lam
-    if rho_outer is None:
-        rho_outer = 12.0 * k1 * cfg.lam
-    spec = spec or QuadratureSpec(sphere_order=24, radial_nodes=96)
-    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer, spec=spec)
+    rho_inner = 6.0 * k1 * cfg.lam
+    rho_outer = 12.0 * k1 * cfg.lam
+    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer,
+                                spec=QuadratureSpec(sphere_order=24, radial_nodes=96))
     rho = np.linalg.norm(pts, axis=1)
     s = (rho - rho_inner) / (rho_outer - rho_inner)
     chi_p = _bump_prime(s) / (rho_outer - rho_inner)
@@ -488,15 +435,13 @@ def phi1_value(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
     return 2.0 * (config.k + 1) * np.asarray(base, dtype=float)[..., 0]
 
 
-def phi1_laplacian_residual(
-    config: gh.GHConfig, p: gh.ChartPoint, h: float = fd.DEFAULT_STEP
-) -> float:
-    mfn = gh.metric_fn(config, p.patch)
+def phi1_laplacian_residual(config: gh.GHConfig, p: gh.ChartPoint) -> float:
+    mfn = gh.metric_fn(config)
 
     def scalar(x4: np.ndarray) -> np.ndarray:
         return phi1_value(config, x4[..., :3])
 
-    return abs(float(fd.laplace_beltrami(mfn, scalar, p.x4, h)))
+    return abs(float(fd.laplace_beltrami(mfn, scalar, p.x4)))
 
 
 def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
@@ -510,9 +455,9 @@ def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
     return np.copysign(np.sqrt(np.maximum(val, 0.0)), base[..., 0])
 
 
-def phi1_q1_ratio(config: gh.GHConfig, r4: float = 50.0, n_dirs: int = 6,
-                  seed: int = 2) -> np.ndarray:
-    """phi1 / q1 along the fit directions at least 0.2 off the x1 = 0 plane."""
-    dirs = _fit_directions(n_dirs, seed)
-    base = r4**2 / (2.0 * (config.k + 1)) * dirs[np.abs(dirs[:, 0]) >= 0.2]
+def phi1_q1_ratio(config: gh.GHConfig) -> np.ndarray:
+    """phi1 / q1 at asymptotic radius 50 along the 6 fit directions (seed 2)
+    at least 0.2 off the x1 = 0 plane."""
+    dirs = _fit_directions(6, 2)
+    base = 50.0**2 / (2.0 * (config.k + 1)) * dirs[np.abs(dirs[:, 0]) >= 0.2]
     return phi1_value(config, base) / q1_estimate(config, base)

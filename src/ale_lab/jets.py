@@ -314,8 +314,6 @@ def _gauge_system() -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class GaugeProjection:
     jet: Jet2
-    corrector: np.ndarray
-    rank: int
     residual_before: float
     residual_after: float
 
@@ -325,14 +323,11 @@ def gauge_project(jet: Jet2) -> GaugeProjection:
     linear Bianchi form vanishes; curvature is unchanged."""
     basis, columns = _gauge_system()
     target = -bianchi_form(jet).ravel()
-    sol, _res, rank, _sv = np.linalg.lstsq(columns, target, rcond=None)
+    sol, *_ = np.linalg.lstsq(columns, target, rcond=None)
     corrector = np.einsum("b,bcijk->cijk", sol, basis)
-    new_h = jet.H + delta_star_cubic(corrector)
-    projected = Jet2.from_array(new_h)
+    projected = Jet2.from_array(jet.H + delta_star_cubic(corrector))
     return GaugeProjection(
         jet=projected,
-        corrector=corrector,
-        rank=int(rank),
         residual_before=bianchi_residual(jet),
         residual_after=bianchi_residual(projected),
     )
@@ -414,7 +409,8 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     The inner curvature and Christoffel evaluations use one Richardson
     level (steps h, h/2); the outer second differences use two levels
     (h, h/2, h/4), leaving O(h^6) truncation.  The outer step is kept
-    large because inner round-off is amplified by 1/h^2.
+    large because inner round-off is amplified by 1/h^2.  Every stencil
+    point lies within |x| < 1, where fd.step_at leaves the step unscaled.
     """
     require_first_row_zero(curvature_from_jet2(jet).Rplus)
     metric = metric_fn_from_jets(jet, quartic)
@@ -422,12 +418,12 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
 
     def riem_at(x: np.ndarray) -> np.ndarray:
         return fd.richardson(
-            lambda hh: fd.riemann_lowered(metric, x, hh, scale=False), _D2_INNER_STEP
+            lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP
         )
 
     def gamma_at(x: np.ndarray) -> np.ndarray:
         return fd.richardson(
-            lambda hh: fd.christoffel(metric, x, hh, scale=False), _D2_INNER_STEP
+            lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP
         )
 
     riem0 = riem_at(origin)
@@ -606,15 +602,17 @@ def delta_star_quintic(xfield: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_jet2(seed: int, scale: float = 0.05) -> Jet2:
+def random_jet2(seed: int) -> Jet2:
+    """Symmetrized normal entries of scale 0.05."""
     rng = np.random.default_rng(seed)
-    raw = scale * rng.normal(size=(4, 4, 4, 4))
+    raw = 0.05 * rng.normal(size=(4, 4, 4, 4))
     return Jet2.from_array(_symmetrize_pairs(raw, [(0, 1), (2, 3)]))
 
 
-def random_jet4(seed: int, scale: float = 0.02) -> Jet4:
+def random_jet4(seed: int) -> Jet4:
+    """Symmetrized normal entries of scale 0.02."""
     rng = np.random.default_rng(seed)
-    raw = scale * rng.normal(size=(4,) * 6)
+    raw = 0.02 * rng.normal(size=(4,) * 6)
     return Jet4.from_array(_symmetrize_pairs(raw, [(0, 1, 2, 3), (4, 5)]))
 
 
@@ -645,10 +643,10 @@ def _block_functionals() -> tuple[np.ndarray, np.ndarray]:
     return amat, basis
 
 
-def jet2_first_row_zero(seed: int, scale: float = 0.05) -> Jet2:
+def jet2_first_row_zero(seed: int) -> Jet2:
     """Random symmetric jet corrected so R_+(H) annihilates the first
     self-dual generator (minimum-norm coefficient correction)."""
-    jet = random_jet2(seed, scale)
+    jet = random_jet2(seed)
     amat, basis = _block_functionals()
     row = curvature_from_jet2(jet).Rplus[0, :]
     sol, *_ = np.linalg.lstsq(amat[:3], row, rcond=None)
@@ -659,12 +657,12 @@ def jet2_first_row_zero(seed: int, scale: float = 0.05) -> Jet2:
     return out
 
 
-def jet2_with_block(target: np.ndarray, seed: int = 0, scale: float = 0.05) -> Jet2:
+def jet2_with_block(target: np.ndarray, seed: int = 0) -> Jet2:
     """Jet whose self-dual curvature block matches the symmetric target."""
     target = np.asarray(target, dtype=float)
     if target.shape != (3, 3) or np.max(np.abs(target - target.T)) > 1e-12:
         raise SchemaError("target block must be a symmetric 3x3 matrix")
-    jet = random_jet2(seed, scale)
+    jet = random_jet2(seed)
     amat, basis = _block_functionals()
     current = curvature_from_jet2(jet).Rplus[_UPPER]
     sol, *_ = np.linalg.lstsq(amat, current - target[_UPPER], rcond=None)
@@ -672,7 +670,8 @@ def jet2_with_block(target: np.ndarray, seed: int = 0, scale: float = 0.05) -> J
     return Jet2.from_array(corrected)
 
 
-def random_quintic_field(seed: int, scale: float = 0.02) -> np.ndarray:
+def random_quintic_field(seed: int) -> np.ndarray:
+    """Symmetrized normal entries of scale 0.02."""
     rng = np.random.default_rng(seed)
-    raw = scale * rng.normal(size=(4,) * 6)
+    raw = 0.02 * rng.normal(size=(4,) * 6)
     return _symmetrize_pairs(raw, [(1, 2, 3, 4, 5)])

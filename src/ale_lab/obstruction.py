@@ -56,13 +56,11 @@ class ModelConstants:
         }
 
 
-def ak_constants(k: int, lam: float, order: int = 96) -> ModelConstants:
+def ak_constants(k: int, lam: float) -> ModelConstants:
     """Two-cluster constants by quadrature (norm from its closed form)."""
     config = gh.GHConfig.canonical(k, lam)
-    vol = gh.vol_sigma(config, order=order)
-    int_m = gh.sigma_integrate(
-        config, lambda x1: gh.moment_map(config, gh.axis_points(x1)), order=order
-    )
+    vol = gh.vol_sigma(config)
+    int_m = gh.sigma_integrate(config, lambda x1: gh.moment_map(config, gh.axis_points(x1)))
     m_p1 = gh.moment_map(config, config.p1)
     return ModelConstants(
         vol_sigma=vol,
@@ -213,12 +211,13 @@ WALL_DOCUMENTATION = {
 }
 
 
-def wall_side(det_bold: float, tol: float = 1e-8) -> str:
+def wall_side(det_bold: float) -> str:
+    """The side of the wall det = 0, within 1e-8 of it counting as on it."""
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
-    if det_bold > tol:
+    if det_bold > 1e-8:
         return "einstein_side"
-    if det_bold < -tol:
+    if det_bold < -1e-8:
         return "empty_side"
     return "on_wall"
 

@@ -83,11 +83,12 @@ def _s3_tangents(radius: float, u, t1, t2):
 
 
 @functools.lru_cache(maxsize=8)
-def _s3_nodes(radius: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (N, 4) and weights (N,) of the radius-r sphere, and the 3x3
-    minors (N, 4) of the tangent frame (d_u, d_t1, d_t2) on the columns of
-    each sorted triple; built once per (radius, spec) and read-only."""
-    u, t1, t2, w = _s3_grid(spec)
+def _s3_nodes(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (N, 4) and weights (N,) of the radius-r sphere under
+    DEFAULT_SPEC, and the 3x3 minors (N, 4) of the tangent frame
+    (d_u, d_t1, d_t2) on the columns of each sorted triple; built once per
+    radius and read-only."""
+    u, t1, t2, w = _s3_grid(DEFAULT_SPEC)
     c = np.sqrt((1.0 + u) / 2.0)
     s = np.sqrt((1.0 - u) / 2.0)
     pts = radius * np.stack(
@@ -103,10 +104,9 @@ def _s3_nodes(radius: float, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarr
 def integrate_S3(
     integrand: Callable[[np.ndarray], np.ndarray],
     radius: float = 1.0,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     mode: str = "scalar",
 ) -> float:
-    """Integral over the radius-r sphere.
+    """Integral over the radius-r sphere, on the DEFAULT_SPEC product rule.
 
     The integrand is vectorized: it maps the (N, 4) array of quadrature
     nodes (read-only, shared between calls) to N values in one call.
@@ -117,7 +117,7 @@ def integrate_S3(
     """
     if mode not in ("scalar", "form3"):
         raise SchemaError(f"unknown mode {mode!r}")
-    pts, w, minors = _s3_nodes(radius, spec)
+    pts, w, minors = _s3_nodes(radius)
     vals = np.asarray(integrand(pts), dtype=float)
     expected = (len(pts),) if mode == "scalar" else (len(pts), 4)
     if vals.shape != expected:
@@ -196,15 +196,14 @@ def gh_volume_integral(
     config,
     integrand: Callable[[np.ndarray], np.ndarray],
     outer_scale: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> float:
     """Fibered volume integral 2*pi * int f V d^3x over the region of
-    volume_nodes.
+    volume_nodes, on DEFAULT_SPEC.
 
     integrand is vectorized: maps an (N, 3) array of base points to N
     values.
     """
-    pts, w = volume_nodes(config, outer_scale, spec)
+    pts, w = volume_nodes(config, outer_scale)
     vals = np.asarray(integrand(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureDivergence("volume integrand not finite on region")
@@ -352,11 +351,7 @@ def grad_F(x: np.ndarray) -> np.ndarray:
     return 2.0 * _F_SIGNS * x / r2**3 - 6.0 * q * x / r2**4
 
 
-def dCF_pairing(
-    triple: QuadraticTriple,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    radius: float = 1.0,
-) -> tuple[float, float]:
+def dCF_pairing(triple: QuadraticTriple, radius: float = 1.0) -> tuple[float, float]:
     """(lhs, rhs) of the sphere pairing: lhs = int_{S^3} d^C F ^ varpi by
     quadrature of the 3-form pullback, rhs analytic from Z_1.
 
@@ -368,7 +363,7 @@ def dCF_pairing(
         dcf = apply_J_covector(_J1_FLAT, grad_F(x))
         return wedge(dcf, 1, triple.varpi(x), 2)
 
-    lhs = integrate_S3(integrand, radius=radius, spec=spec, mode="form3")
+    lhs = integrate_S3(integrand, radius=radius, mode="form3")
     if triple.duality == "sd":
         z1 = triple.Z[0]
         rhs = math.pi**2 * (-z1[0, 0] - z1[1, 1] + z1[2, 2] + z1[3, 3])

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached configurations and harmonic-form bundles.
+"""Shared fixtures: cached configurations and harmonic-form bundles, and
+one thread per BLAS/OpenMP call.
 
 Building the harmonic-form bundle runs Sigma quadrature for the
 normalization constant, so bundles are cached per (k, lam) for the whole
@@ -7,10 +8,20 @@ session.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from ale_lab import gh, harmonic
+from ale_lab.cli import _THREAD_VARS
+
+# The tests call the library directly, outside the CLI's thread cap: give
+# each BLAS/OpenMP call one thread unless the environment sets a count.
+# This has to happen before numpy loads.
+for _var in _THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ale_lab import gh, harmonic  # noqa: E402
 
 
 @pytest.fixture(scope="session")

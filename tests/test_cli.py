@@ -136,14 +136,22 @@ def test_obstruct_rejects_unknown_override(tmp_path, capsys):
     assert "constants_override.volsigma" in capsys.readouterr().err
 
 
+def _overrides(vol_sigma, omega_norm2):
+    return {"constants_override": {"volSigma": vol_sigma, "omegaNorm2": omega_norm2,
+                                   "intMomega": 1.0, "mP1": 1.0}}
+
+
 @pytest.mark.parametrize("extra,field", [
     ({"k": True}, "k:"),
     ({"lambda": True}, "lambda:"),
-    ({"constants_override": {"volSigma": True, "omegaNorm2": 1.0, "intMomega": 1.0,
-                             "mP1": 1.0}}, "constants_override.volSigma:"),
+    (_overrides(True, 1.0), "constants_override.volSigma:"),
+    (_overrides(1.0, 0), "constants_override.omegaNorm2: expected positive number, got 0.0"),
+    (_overrides(0, 1.0), "constants_override.volSigma: expected positive number, got 0.0"),
+    (_overrides(-1, -2), "constants_override.volSigma: expected positive number, got -1.0"),
 ])
-def test_obstruct_rejects_booleans_as_numbers(tmp_path, capsys, extra, field):
-    # Python reads JSON true as the integer 1; the schema wants a number
+def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
+    # Python reads JSON true as the integer 1, and the area of the surface
+    # and the squared norm of the harmonic form are positive by definition
     jet_path = _write_jet(tmp_path / "jet.json", **extra)
     report = tmp_path / "report.json"
     assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2

@@ -25,7 +25,6 @@ def test_step_at_ignores_fiber_coordinate():
     assert fd.step_at(x_small, 1e-3) == fd.step_at(x_fiber, 1e-3)
     x_far = np.array([7.0, 0.1, 0.3, 0.0])
     assert fd.step_at(x_far, 1e-3) == pytest.approx(7e-3)
-    assert fd.step_at(x_far, 1e-3, scale=False) == pytest.approx(1e-3)
 
 
 def test_partial_exact_on_cubic():

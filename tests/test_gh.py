@@ -152,7 +152,7 @@ def test_ricci_flat_sample():
                                  min_center_dist=0.8, min_axis_dist=0.8,
                                  string_cone_cos=0.45)
     for p in pts:
-        assert np.max(np.abs(fd.ricci(metric, p.x4, h=1e-3))) < 1e-5
+        assert np.max(np.abs(fd.ricci(metric, p.x4))) < 1e-5
 
 
 def test_single_center_is_flat():
@@ -222,19 +222,19 @@ def test_surface_volume_closed_form():
 
 @pytest.mark.parametrize("integrand,shape", [
     (lambda x1: 1.0, r"\(\)"),  # one value for the whole node array
-    (lambda x1: x1[:, None] * np.ones(3), r"\(64, 3\)"),  # axis points, not values
+    (lambda x1: x1[:, None] * np.ones(3), r"\(96, 3\)"),  # axis points, not values
 ])
 def test_surface_integrand_shape_rejected(integrand, shape):
     cfg = gh.GHConfig.canonical(1, 1.0)
-    with pytest.raises(SchemaError, match=rf"shape {shape} for 64 nodes"):
-        gh.sigma_integrate(cfg, integrand, order=64)
+    with pytest.raises(SchemaError, match=rf"shape {shape} for 96 nodes"):
+        gh.sigma_integrate(cfg, integrand)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.floats(0.3, 3.0))
 def test_surface_volume_scales_linearly(k, lam):
     cfg = gh.GHConfig.canonical(k, lam)
-    assert gh.vol_sigma(cfg, order=32) == pytest.approx(
+    assert gh.vol_sigma(cfg) == pytest.approx(
         2 * math.pi * (k + 1) * lam, rel=1e-6
     )
 

@@ -61,7 +61,7 @@ def test_alpha_split(canonical, omega_bundle):
     bundle = omega_bundle(1)
     p = gh.sample_chart_points(cfg, 1, seed=6, rho_min=1.5, rho_max=3.0,
                                string_cone_cos=0.45)[0]
-    res = harmonic.alpha_split_residuals(cfg, bundle, p.x4, p.patch)
+    res = harmonic.alpha_split_residuals(cfg, bundle, p.x4)
     assert res["sd_residual"] < 1e-4
     assert res["asd_residual"] < 1e-4
 
@@ -76,8 +76,8 @@ def test_segment_ratio_closed_form():
 @given(st.integers(1, 3), st.floats(0.4, 2.5), st.floats(1.2, 2.0))
 def test_segment_ratio_rescales_linearly(k, lam, c):
     def ratio(scale):
-        bundle = harmonic.build_omega(gh.GHConfig.canonical(k, scale), order=48)
-        return harmonic.s_ratio(bundle, order=48)
+        bundle = harmonic.build_omega(gh.GHConfig.canonical(k, scale))
+        return harmonic.s_ratio(bundle)
 
     assert ratio(c * lam) == pytest.approx(c * ratio(lam), rel=1e-6)
 

@@ -1,9 +1,11 @@
-"""Static checks: every module of the package uses each name it imports, and
-every public function, class or method has a caller outside the tests."""
+"""Static checks: every module of the package uses each name it imports,
+every public function, class or method has a caller outside the tests, and
+every defaulted parameter of one is passed by such a caller."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -49,6 +51,16 @@ ORACLES = {
     "gh.v_laplacian_fd": "test_gh.py::test_potential_harmonic_off_centers",
     "quadrature.QuadraticTriple.d_varpi":
         "test_quadrature.py::test_random_closed_quadratic_is_closed",
+}
+
+# Defaulted parameters of public functions that only tests pass, each with
+# the test that passes it: a second route of a checked value, a guard the
+# program never trips, or the gauge a test compares against.
+TEST_PARAMETERS = {
+    "obstruction.A_coefficient(form)": "test_obstruction.py::test_A_forms_agree",
+    "harmonic.omega_norm(rho_out)": "test_harmonic.py::test_norm_tail_dominance_guard",
+    "harmonic.omega_norm(tail_tol)": "test_harmonic.py::test_norm_tail_dominance_guard",
+    "gh.metric_matrix(patch)": "test_gh.py::test_patches_agree_on_metric_invariants",
 }
 
 
@@ -100,6 +112,112 @@ def uncalled(modules: dict[str, str], callers: list[str]) -> list[str]:
     used = set().union(*(references(src) for src in callers))
     return sorted(f"{mod}.{name}" for mod, src in modules.items()
                   for name in public_definitions(src) if name.rsplit(".", 1)[-1] not in used)
+
+
+def _is_default(value: ast.expr, default: ast.expr) -> bool:
+    """Whether an argument is the literal its parameter defaults to."""
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+
+
+def _signature(fn: ast.FunctionDef, bound: bool) -> tuple[list[str], dict[str, ast.expr]]:
+    """Names of the positional parameters a call fills (self or cls skipped
+    when bound) and the default expression of each defaulted parameter."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return positional[bound:], defaults
+
+
+@functools.cache
+def _tree(source: str) -> ast.Module:
+    return ast.parse(source)
+
+
+@functools.cache
+def _scan(source: str) -> tuple[list, list]:
+    """Every function definition of the source with whether it is a bound
+    method, and every call with its innermost enclosing function or None."""
+    functions, calls = [], []
+
+    def visit(node: ast.AST, enclosing: ast.FunctionDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                functions.append((child, isinstance(node, ast.ClassDef) and not static))
+            elif isinstance(child, ast.Call):
+                calls.append((child, enclosing))
+            visit(child, child if isinstance(child, ast.FunctionDef) else enclosing)
+
+    visit(_tree(source), None)
+    return functions, calls
+
+
+def _passes(call: ast.Call, positional: list[str],
+            defaults: dict[str, ast.expr]) -> dict[str, ast.expr | None]:
+    """The defaulted parameters a call passes, each with its argument, or
+    None where a * or ** argument may carry it; an argument equal to the
+    default literal passes nothing."""
+    given: dict[str, ast.expr | None] = {}
+    for i, arg in enumerate(call.args[:len(positional)]):
+        if isinstance(arg, ast.Starred):
+            given.update(dict.fromkeys(positional[i:]))
+            break
+        given[positional[i]] = arg
+    given.update((kw.arg, kw.value) for kw in call.keywords if kw.arg is not None)
+    if any(kw.arg is None for kw in call.keywords):
+        given.update(dict.fromkeys(defaults))
+    return {name: value for name, value in given.items() if name in defaults
+            and (value is None or not _is_default(value, defaults[name]))}
+
+
+def _forwarded(value: ast.expr | None, enclosing: ast.FunctionDef | None) -> tuple | None:
+    """(function, parameter) when value hands on a defaulted parameter of the
+    enclosing function that its body never rebinds, else None."""
+    if (not isinstance(value, ast.Name) or enclosing is None
+            or value.id not in _signature(enclosing, False)[1]):
+        return None
+    if any(isinstance(n, ast.Name) and n.id == value.id and isinstance(n.ctx, ast.Store)
+           for n in ast.walk(enclosing)):
+        return None
+    return enclosing.name, value.id
+
+
+def unset_parameters(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for every defaulted parameter of a public
+    function or method that no call in the caller sources passes, matching
+    calls to definitions by bare name as ``uncalled`` does.  A * or **
+    argument counts as passing, a literal equal to the default does not, and
+    handing on a defaulted parameter of the enclosing function counts only
+    once something passes that one."""
+    scans = [_scan(src) for src in callers]
+    signatures: dict[str, list] = {}
+    for functions, _ in scans:
+        for fn, bound in functions:
+            signatures.setdefault(fn.name, []).append(_signature(fn, bound))
+    found = []  # ((callee, parameter), the (function, parameter) it hands on or None)
+    for _, calls in scans:
+        for call, enclosing in calls:
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for positional, defaults in signatures.get(callee, ()):
+                found += [((callee, name), _forwarded(value, enclosing))
+                          for name, value in _passes(call, positional, defaults).items()]
+    passed: set[tuple[str, str]] = set()
+    while True:
+        new = {key for key, source in found if source is None or source in passed} - passed
+        if not new:
+            break
+        passed |= new
+    body = {mod: _tree(src).body for mod, src in modules.items()}
+    defs = [(f"{mod}.{fn.name}", fn) for mod, stmts in body.items()
+            for fn in _public(stmts, (ast.FunctionDef,))] + [
+        (f"{mod}.{cls.name}.{fn.name}", fn) for mod, stmts in body.items()
+        for cls in _public(stmts, (ast.ClassDef,)) for fn in _public(cls.body, (ast.FunctionDef,))]
+    return sorted(f"{qualname}({name})" for qualname, fn in defs
+                  for name in _signature(fn, False)[1] if (fn.name, name) not in passed)
 
 
 def _package_modules() -> dict[str, str]:
@@ -159,6 +277,56 @@ def test_oracles_are_uncalled_and_used_by_their_test():
         assert test is not None, f"{test_id} does not exist"
         assert qualname.rsplit(".", 1)[-1] in _names(test), (
             f"{test_id} does not call {qualname}")
+
+
+def test_unset_parameters_flags_a_never_passed_parameter():
+    module = "def f(x, h=1e-3, n=4):\n    return x\n\ndef _private(x, h=1e-3):\n    return x\n"
+    assert unset_parameters({"m": module}, [module, "f(0, n=5)\n"]) == ["m.f(h)"]
+
+
+def test_unset_parameters_flags_a_parameter_passed_only_its_default():
+    module = ("def f(x, patch='north'):\n    return x\n\n"
+              "class Bundle:\n    def field(self, order=96):\n        return order\n")
+    callers = [module, "f(0, 'north')\nBundle().field(order=96)\n"]
+    assert unset_parameters({"m": module}, callers) == ["m.Bundle.field(order)", "m.f(patch)"]
+    assert unset_parameters({"m": module}, [module, "Bundle().field(48)\n"]) == ["m.f(patch)"]
+
+
+def test_unset_parameters_follows_forwarded_parameters():
+    module = ("def inner(x, h=1e-3):\n    return x\n\n"
+              "def outer(x, h=1e-3):\n    return inner(x, h=h)\n\n"
+              "def lone(x, h=1e-3):\n    return inner(x, h)\n")
+    # handing on a parameter nothing passes passes nothing
+    assert unset_parameters({"m": module}, [module]) == ["m.inner(h)", "m.lone(h)", "m.outer(h)"]
+    assert unset_parameters({"m": module}, [module, "outer(0, h=0.5)\n"]) == ["m.lone(h)"]
+
+
+def test_unset_parameters_counts_star_arguments_as_passing():
+    module = "def f(x, h=1e-3, n=4):\n    return x\n"
+    assert unset_parameters({"m": module}, [module, "f(0, **options)\n"]) == []
+    assert unset_parameters({"m": module}, [module, "f(*args)\n"]) == []
+
+
+def _test_sources(test_ids) -> list[str]:
+    tests = (_test_function(test_id) for test_id in sorted(set(test_ids)))
+    return [ast.unparse(test) for test in tests if test is not None]
+
+
+def test_every_parameter_is_passed():
+    # a defaulted parameter that no caller passes is a constant: it belongs
+    # in the function body, unless a test passes it (TEST_PARAMETERS)
+    callers = _caller_sources() + _test_sources(TEST_PARAMETERS.values())
+    assert unset_parameters(_package_modules(), callers) == []
+
+
+def test_test_parameters_are_unset_and_passed_by_their_test():
+    modules, callers = _package_modules(), _caller_sources()
+    unset_now = set(unset_parameters(modules, callers))
+    for entry, test_id in TEST_PARAMETERS.items():
+        assert entry in unset_now, f"{entry} has a caller now; drop it from TEST_PARAMETERS"
+        assert _test_function(test_id) is not None, f"{test_id} does not exist"
+        assert entry not in unset_parameters(modules, callers + _test_sources([test_id])), (
+            f"{test_id} does not pass {entry}")
 
 
 def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):

@@ -90,8 +90,8 @@ def test_curvature_polys_match_fd_near_origin(seed):
     metric = jets.metric_fn_from_jets(jet, quartic)
     gamma, riem = jets._curvature_polys(jet, quartic)
     x = 0.05 * np.random.default_rng(seed).normal(size=(4, 4))
-    fd_gamma = fd.richardson(lambda h: fd.christoffel(metric, x, h, scale=False), 5e-3)
-    fd_riem = fd.richardson(lambda h: fd.riemann_lowered(metric, x, h, scale=False), 5e-3)
+    fd_gamma = fd.richardson(lambda h: fd.christoffel(metric, x, h), 5e-3)
+    fd_riem = fd.richardson(lambda h: fd.riemann_lowered(metric, x, h), 5e-3)
     poly_gamma = np.array([jets.poly_eval(gamma, p) for p in x])
     poly_riem = np.array([jets.poly_eval(riem, p) for p in x])
     assert np.max(np.abs(poly_gamma - fd_gamma)) < 2e-6
@@ -181,7 +181,7 @@ def test_jet_curvature_matches_fd(seed):
 
     blocks = jets.curvature_from_jet2(jet)
     fd_blocks = connection.curvature_block_of_metric(
-        jets.metric_fn_from_jets(jet), np.zeros(4), h=1e-3
+        jets.metric_fn_from_jets(jet), np.zeros(4)
     )
     assert np.max(np.abs(blocks.Rplus - fd_blocks.Rplus)) < 1e-6
     assert np.max(np.abs(blocks.Rminus - fd_blocks.Rminus)) < 1e-6

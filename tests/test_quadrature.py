@@ -37,7 +37,7 @@ def test_sphere_moments_closed_form():
 def test_form3_pullback_matches_tensor_contraction():
     # reference: expand the 3-form into its antisymmetric tensor at every
     # node and contract it with the three tangent vectors
-    spec = quadrature.QuadratureSpec(sphere_order=6)
+    spec = quadrature.DEFAULT_SPEC
     coeffs = np.random.default_rng(4).normal(size=(4, 4))
 
     def integrand(x):
@@ -51,7 +51,7 @@ def test_form3_pullback_matches_tensor_contraction():
         wi * np.einsum("abc,a,b,c->", forms.comps_to_tensor(integrand(p), 3), a, b, d)
         for wi, p, a, b, d in zip(w, pts, du, dt1, dt2)
     )
-    got = quadrature.integrate_S3(integrand, radius=1.3, spec=spec, mode="form3")
+    got = quadrature.integrate_S3(integrand, radius=1.3, mode="form3")
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -152,11 +152,10 @@ def test_pairing_radius_independent():
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 500), st.floats(-2.0, 2.0))
 def test_pairing_linear_in_triple(seed, scale):
-    spec = quadrature.QuadratureSpec(sphere_order=10)
     triple = quadrature.random_closed_sd_quadratic(seed)
     scaled = quadrature.QuadraticTriple(Z=scale * triple.Z)
-    lhs1, rhs1 = quadrature.dCF_pairing(triple, spec=spec)
-    lhs2, rhs2 = quadrature.dCF_pairing(scaled, spec=spec)
+    lhs1, rhs1 = quadrature.dCF_pairing(triple)
+    lhs2, rhs2 = quadrature.dCF_pairing(scaled)
     assert rhs2 == pytest.approx(scale * rhs1, abs=1e-12)
     assert lhs2 == pytest.approx(scale * lhs1, abs=1e-9 * max(1.0, abs(scale)))
 
@@ -179,10 +178,9 @@ def test_grad_F_matches_fd():
 
 
 def test_quadrature_deterministic():
-    spec = quadrature.QuadratureSpec(sphere_order=10)
     triple = quadrature.random_closed_sd_quadratic(2)
-    a = quadrature.dCF_pairing(triple, spec=spec)
-    b = quadrature.dCF_pairing(triple, spec=spec)
+    a = quadrature.dCF_pairing(triple)
+    b = quadrature.dCF_pairing(triple)
     assert a == b  # bitwise: fixed nodes, no randomness
 
 
