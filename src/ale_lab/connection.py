@@ -52,7 +52,7 @@ MetricField = Callable[[np.ndarray], np.ndarray]
 
 @dataclass
 class CurvatureBlock:
-    """Self-dual block, mixed block, scalar curvature at a point.
+    """Self-dual and mixed blocks of the curvature at a point.
 
     Rplus[k][j]: component of the k-th curvature form on the j-th
     self-dual basis element; Rminus[k][j] likewise on the
@@ -61,7 +61,6 @@ class CurvatureBlock:
 
     Rplus: np.ndarray
     Rminus: np.ndarray
-    scal: float
 
 
 def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
@@ -155,7 +154,7 @@ def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBloc
     g = float_or_complex(metric)
     rp = project_stack(g, rforms, frame_from_metric(g, "sd"))
     rm = project_stack(g, rforms, frame_from_metric(g, "asd"))
-    return CurvatureBlock(Rplus=rp, Rminus=rm, scal=-4.0 * np.trace(rp))
+    return CurvatureBlock(Rplus=rp, Rminus=rm)
 
 
 def operator_blocks_from_riemann(
@@ -183,8 +182,7 @@ def curvature_block_of_metric(metric_fn: MetricField, x: np.ndarray) -> Curvatur
     g = float_or_complex(metric_fn(x))
     rlow = fd.riemann_lowered(metric_fn, x)
     a_sd, mixed, _ = operator_blocks_from_riemann(g, rlow)
-    rp = -a_sd
-    return CurvatureBlock(Rplus=rp, Rminus=-mixed, scal=-4.0 * np.trace(rp))
+    return CurvatureBlock(Rplus=-a_sd, Rminus=-mixed)
 
 
 def bianchi_gauge(metric_fn: MetricField, h_field: Callable[[np.ndarray], np.ndarray],

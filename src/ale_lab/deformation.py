@@ -102,26 +102,20 @@ def gauge_residual(lam: ScalarField, phi: Callable[[np.ndarray], np.ndarray],
     return float(np.max(np.abs(total + dlam)))
 
 
-@dataclass
-class FirstOrderDeformation:
-    """First-order connection of a gauged deformation."""
-
-    a: np.ndarray  # (3, 4) covector stack, a_i = *d phi_i
-    gauge_residual: float
-
-
 def deformation_first_order(
     lam: ScalarField,
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-) -> FirstOrderDeformation:
+) -> np.ndarray:
+    """First-order connection a_i = *d phi_i, a (3, 4) covector stack, of
+    a deformation whose gauge residual is at most GAUGE_TOL."""
     x = np.asarray(x, dtype=float)
     res = gauge_residual(lam, phi, x)
     if res > GAUGE_TOL:
         raise GaugeViolation(
             f"deformation data violates the gauge condition: residual {res:.3e}"
         )
-    return FirstOrderDeformation(a=star_d_phi(phi, x), gauge_residual=res)
+    return star_d_phi(phi, x)
 
 
 # ---------------------------------------------------------------------------

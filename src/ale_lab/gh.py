@@ -28,8 +28,8 @@ Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
 per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
 field (..., 3, 6), alpha_covector (..., 3, 4).  validate_base checks the
-whole stack and names the first offending point.  ChartPoint is the
-single-point record the samplers hand out; its x4 feeds these functions.
+whole stack and names the first offending point.  sample_chart_points
+returns a (count, 4) stack that feeds these functions directly.
 """
 
 from __future__ import annotations
@@ -136,20 +136,6 @@ class GHConfig:
     def segment(self) -> tuple[float, float]:
         """x1-range of the segment between the two cluster points."""
         return (-self.k * self.lam, self.lam)
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    base: tuple[float, float, float]
-    fiber_angle: float = 0.0
-
-    @property
-    def x3(self) -> np.ndarray:
-        return np.asarray(self.base, dtype=float)
-
-    @property
-    def x4(self) -> np.ndarray:
-        return np.asarray([*self.base, self.fiber_angle], dtype=float)
 
 
 def validate_base(config: GHConfig, x3: np.ndarray, patch: str | None = None) -> None:
@@ -431,8 +417,9 @@ def sample_chart_points(
     min_center_dist: float = 0.3,
     min_axis_dist: float = 0.05,
     string_cone_cos: float = 1.0,
-) -> list[ChartPoint]:
-    """Deterministic off-axis sample points for pointwise identity checks.
+) -> np.ndarray:
+    """Deterministic off-axis chart points (count, 4) for pointwise identity
+    checks, each with a uniform fiber angle.
 
     string_cone_cos < 1 additionally rejects points inside the cone around
     the north gauge's string half-axis -x1 (where chart components stay
@@ -441,7 +428,7 @@ def sample_chart_points(
     is below string_cone_cos.
     """
     rng = np.random.default_rng(seed)
-    points: list[ChartPoint] = []
+    points: list[list[float]] = []
     while len(points) < count:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -453,6 +440,5 @@ def sample_chart_points(
             continue
         if -direction[0] > string_cone_cos:
             continue
-        angle = float(rng.uniform(0.0, FIBER_PERIOD))
-        points.append(ChartPoint(base=tuple(x3), fiber_angle=angle))
-    return points
+        points.append([*x3, rng.uniform(0.0, FIBER_PERIOD)])
+    return np.array(points).reshape(count, 4)

@@ -30,7 +30,7 @@ import numpy as np
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence, TailDominance
 from .forms import FormField, apply_J_covector, split_sd
-from .quadrature import QuadratureSpec, gh_volume_integral, volume_nodes
+from .quadrature import gh_volume_integral, volume_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -38,23 +38,14 @@ from .quadrature import QuadratureSpec, gh_volume_integral, volume_nodes
 # ---------------------------------------------------------------------------
 
 
-def _first_center_potential(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    dist = np.linalg.norm(pts - config.p0, axis=-1)
-    return 0.5 * config.weights[0] / dist
-
-
-def _first_center_grad(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    diff = pts - config.p0
-    dist = np.linalg.norm(diff, axis=-1)
-    return -0.5 * config.weights[0] * diff / dist[..., None] ** 3
-
-
 def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
+    # V0: the first center alone, of weight 1 as the k = 0 config requires
+    first = gh.GHConfig(k=0, lam=config.lam, centers=config.centers[:1])
     v = gh.potential(config, pts)
-    v0 = _first_center_potential(config, pts)
+    v0 = gh.potential(first, pts)
     gv = gh.potential_grad(config, pts)
-    gv0 = _first_center_grad(config, pts)
+    gv0 = gh.potential_grad(first, pts)
     return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2
 
 
@@ -122,18 +113,11 @@ def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
     )
 
 
-@dataclass
-class NormResult:
-    total: float
-    tail_fraction: float
-    closed_form: float
-
-
 def omega_norm(
     bundle: HarmonicFormBundle,
     rho_out: float | None = None,
     tail_tol: float = 0.1,
-) -> NormResult:
+) -> float:
     """Total square norm: volume quadrature out to rho_out plus the
     profile tail 16 pi^2 c_Gamma^2 / ((k+1) R^4) beyond."""
     cfg = bundle.config
@@ -150,11 +134,7 @@ def omega_norm(
         raise TailDominance(
             f"profile tail carries {frac:.1%} of the norm; increase rho_out"
         )
-    return NormResult(
-        total=float(total),
-        tail_fraction=float(frac),
-        closed_form=closed_form_norm2(k),
-    )
+    return float(total)
 
 
 def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
@@ -381,13 +361,11 @@ def annulus_density_exponent(bundle: HarmonicFormBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: NormResult) -> float:
+def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: float) -> float:
     """Relative residual of int_Y (-Omega ^ Omega) = -2 pi int_core Omega,
     with ``norm`` the bundle's omega_norm."""
-    sigma = sigma_omega_integral(bundle)
-    lhs = norm.total
-    rhs = -2.0 * math.pi * sigma
-    return abs(lhs - rhs) / abs(rhs)
+    rhs = -2.0 * math.pi * sigma_omega_integral(bundle)
+    return abs(norm - rhs) / abs(rhs)
 
 
 def _bump_prime(s: np.ndarray) -> np.ndarray:
@@ -411,8 +389,7 @@ def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
     k1 = cfg.k + 1
     rho_inner = 6.0 * k1 * cfg.lam
     rho_outer = 12.0 * k1 * cfg.lam
-    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer,
-                                spec=QuadratureSpec(sphere_order=24, radial_nodes=96))
+    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer, radial_nodes=96)
     rho = np.linalg.norm(pts, axis=1)
     s = (rho - rho_inner) / (rho_outer - rho_inner)
     chi_p = _bump_prime(s) / (rho_outer - rho_inner)
@@ -435,13 +412,13 @@ def phi1_value(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:
     return 2.0 * (config.k + 1) * np.asarray(base, dtype=float)[..., 0]
 
 
-def phi1_laplacian_residual(config: gh.GHConfig, p: gh.ChartPoint) -> float:
+def phi1_laplacian_residual(config: gh.GHConfig, x4: np.ndarray) -> float:
     mfn = gh.metric_fn(config)
 
     def scalar(x4: np.ndarray) -> np.ndarray:
         return phi1_value(config, x4[..., :3])
 
-    return abs(float(fd.laplace_beltrami(mfn, scalar, p.x4)))
+    return abs(float(fd.laplace_beltrami(mfn, scalar, x4)))
 
 
 def q1_estimate(config: gh.GHConfig, base: np.ndarray) -> np.ndarray:

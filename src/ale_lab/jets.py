@@ -274,10 +274,6 @@ def bianchi_form(jet: Jet2) -> np.ndarray:
     return div + trgrad
 
 
-def bianchi_residual(jet: Jet2) -> float:
-    return float(np.max(np.abs(bianchi_form(jet))))
-
-
 def delta_star_cubic(xfield: np.ndarray) -> np.ndarray:
     """Symmetrized gradient jet of the cubic field X_l = X[l][i][j][k] x^i x^j x^k.
 
@@ -314,8 +310,6 @@ def _gauge_system() -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class GaugeProjection:
     jet: Jet2
-    residual_before: float
-    residual_after: float
 
 
 def gauge_project(jet: Jet2) -> GaugeProjection:
@@ -325,12 +319,7 @@ def gauge_project(jet: Jet2) -> GaugeProjection:
     target = -bianchi_form(jet).ravel()
     sol, *_ = np.linalg.lstsq(columns, target, rcond=None)
     corrector = np.einsum("b,bcijk->cijk", sol, basis)
-    projected = Jet2.from_array(jet.H + delta_star_cubic(corrector))
-    return GaugeProjection(
-        jet=projected,
-        residual_before=bianchi_residual(jet),
-        residual_after=bianchi_residual(projected),
-    )
+    return GaugeProjection(jet=Jet2.from_array(jet.H + delta_star_cubic(corrector)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +348,7 @@ def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
     sd, mixed, _asd = connection.operator_blocks_from_riemann(
         np.eye(4), riem, OMEGA_SD, OMEGA_ASD
     )
-    rplus = -sd
-    return connection.CurvatureBlock(
-        Rplus=rplus,
-        Rminus=-mixed,
-        scal=float(-4.0 * np.trace(rplus)),
-    )
+    return connection.CurvatureBlock(Rplus=-sd, Rminus=-mixed)
 
 
 # ---------------------------------------------------------------------------

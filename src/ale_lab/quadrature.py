@@ -42,27 +42,16 @@ from .gh import gauss_legendre, potential
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Orders for the product rules; degree exactness is 2*order - 1 per
-    Legendre factor."""
-
-    sphere_order: int = 24
-    radial_nodes: int = 48
-
-    def __post_init__(self) -> None:
-        if self.sphere_order < 4 or self.radial_nodes < 4:
-            raise SchemaError("quadrature orders must be >= 4")
+# orders of the product rules; each Legendre factor is exact to degree
+# 2 * order - 1
+SPHERE_ORDER = 24
+RADIAL_NODES = 48
 
 
-DEFAULT_SPEC = QuadratureSpec()
-
-
-def _s3_grid(spec: QuadratureSpec):
-    n = spec.sphere_order
-    u, wu = gauss_legendre(-1.0, 1.0, n)
-    t1, w1 = gauss_legendre(0.0, TWO_PI, n)
-    t2, w2 = gauss_legendre(0.0, TWO_PI, n)
+def _s3_grid():
+    u, wu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
+    t1, w1 = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
+    t2, w2 = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
     U, T1, T2 = np.meshgrid(u, t1, t2, indexing="ij")
     W = wu[:, None, None] * w1[None, :, None] * w2[None, None, :]
     return U.ravel(), T1.ravel(), T2.ravel(), W.ravel()
@@ -84,11 +73,11 @@ def _s3_tangents(radius: float, u, t1, t2):
 
 @functools.lru_cache(maxsize=8)
 def _s3_nodes(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (N, 4) and weights (N,) of the radius-r sphere under
-    DEFAULT_SPEC, and the 3x3 minors (N, 4) of the tangent frame
+    """Nodes (N, 4) and weights (N,) of the radius-r sphere on the
+    SPHERE_ORDER product rule, and the 3x3 minors (N, 4) of the tangent frame
     (d_u, d_t1, d_t2) on the columns of each sorted triple; built once per
     radius and read-only."""
-    u, t1, t2, w = _s3_grid(DEFAULT_SPEC)
+    u, t1, t2, w = _s3_grid()
     c = np.sqrt((1.0 + u) / 2.0)
     s = np.sqrt((1.0 - u) / 2.0)
     pts = radius * np.stack(
@@ -106,7 +95,7 @@ def integrate_S3(
     radius: float = 1.0,
     mode: str = "scalar",
 ) -> float:
-    """Integral over the radius-r sphere, on the DEFAULT_SPEC product rule.
+    """Integral over the radius-r sphere, on the SPHERE_ORDER product rule.
 
     The integrand is vectorized: it maps the (N, 4) array of quadrature
     nodes (read-only, shared between calls) to N values in one call.
@@ -134,20 +123,20 @@ def integrate_S3(
 def volume_nodes(
     config,
     outer_scale: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
+    radial_nodes: int = RADIAL_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Base nodes (N, 3) and coordinate weights (N,) of d^3x over a large
     region: for a two-cluster config the confocal spheroid of outer scale
     outer_scale (its boundary lies within one focal distance of the sphere
     of that radius); for a single center the base ball of that radius.
-    The azimuthal factor has its own Legendre rule, so no axisymmetry of
-    the integrand is assumed."""
-    nphi = spec.sphere_order
-    phi, wphi = gauss_legendre(0.0, TWO_PI, nphi)
+    The rule has radial_nodes Legendre nodes along the radius and
+    SPHERE_ORDER along each angle, the azimuth included, so no
+    axisymmetry of the integrand is assumed."""
+    phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
     if len(config.centers) == 1:
         center = config.p0
-        rho, wrho = gauss_legendre(0.0, outer_scale, spec.radial_nodes)
-        mu, wmu = gauss_legendre(-1.0, 1.0, spec.sphere_order)
+        rho, wrho = gauss_legendre(0.0, outer_scale, radial_nodes)
+        mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
         R, M, P = np.meshgrid(rho, mu, phi, indexing="ij")
         W = (
             wrho[:, None, None]
@@ -170,8 +159,8 @@ def volume_nodes(
         mid = 0.5 * (p0 + p1)
         a_f = 0.5 * float(np.linalg.norm(p1 - p0))
         xi_max = max(outer_scale / a_f, 2.0)
-        xi, wxi = gauss_legendre(1.0, xi_max, spec.radial_nodes)
-        mu, wmu = gauss_legendre(-1.0, 1.0, spec.sphere_order)
+        xi, wxi = gauss_legendre(1.0, xi_max, radial_nodes)
+        mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
         XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
         W = (
             wxi[:, None, None]
@@ -198,7 +187,7 @@ def gh_volume_integral(
     outer_scale: float,
 ) -> float:
     """Fibered volume integral 2*pi * int f V d^3x over the region of
-    volume_nodes, on DEFAULT_SPEC.
+    volume_nodes, at RADIAL_NODES.
 
     integrand is vectorized: maps an (N, 3) array of base points to N
     values.

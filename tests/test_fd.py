@@ -197,9 +197,9 @@ def test_stencil_leaving_the_chart_names_the_point():
 # --- stacked stencils against row-by-row evaluation --------------------------
 
 GH_CFG = gh.GHConfig.canonical(2, 1.0)
-GH_POINTS = np.array([p.x4 for p in gh.sample_chart_points(
+GH_POINTS = gh.sample_chart_points(
     GH_CFG, 6, seed=13, rho_min=1.5, rho_max=4.0, min_center_dist=0.8,
-    min_axis_dist=0.8, string_cone_cos=0.45)])
+    min_axis_dist=0.8, string_cone_cos=0.45)
 JET_METRIC = jets.metric_fn_from_jets(jets.random_jet2(4), jets.random_jet4(5))
 JET_POINTS = np.random.default_rng(6).normal(size=(6, 4)) * 0.3
 

@@ -151,24 +151,23 @@ def test_ricci_flat_sample():
     pts = gh.sample_chart_points(cfg, 5, seed=3, rho_min=1.5, rho_max=4.0,
                                  min_center_dist=0.8, min_axis_dist=0.8,
                                  string_cone_cos=0.45)
-    for p in pts:
-        assert np.max(np.abs(fd.ricci(metric, p.x4))) < 1e-5
+    for x4 in pts:
+        assert np.max(np.abs(fd.ricci(metric, x4))) < 1e-5
 
 
 def test_single_center_is_flat():
     cone = gh.GHConfig(k=0, lam=1.0, centers=(((0.0, 0.0, 0.0), 1),))
     metric = gh.metric_fn(cone)
-    for p in gh.sample_chart_points(cone, 4, seed=1):
-        assert np.max(np.abs(fd.riemann_lowered(metric, p.x4))) < 1e-5
+    for x4 in gh.sample_chart_points(cone, 4, seed=1):
+        assert np.max(np.abs(fd.riemann_lowered(metric, x4))) < 1e-5
 
 
 # --- triple, moment map, Killing field --------------------------------------
 
 def test_triple_closed_and_reconstructs_metric():
     cfg = gh.GHConfig.canonical(1, 1.0)
-    p = gh.sample_chart_points(cfg, 1, seed=5, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[0]
-    x4 = p.x4
+    x4 = gh.sample_chart_points(cfg, 1, seed=5, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)[0]
     triple = gh.triple_field(cfg)
     g = forms.metric_from_triple(*triple(x4))
     assert np.allclose(g, gh.metric_matrix(cfg, x4), atol=1e-10)
@@ -180,9 +179,8 @@ def test_moment_potential_identity_second_and_third():
     # function generating alpha is the same moment map whose Hamiltonian
     # form is the first symplectic form
     cfg = gh.GHConfig.canonical(2, 1.0)
-    p = gh.sample_chart_points(cfg, 1, seed=2, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[0]
-    x4 = p.x4
+    x4 = gh.sample_chart_points(cfg, 1, seed=2, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)[0]
     alpha = FormField(1, lambda y: gh.alpha_covector(cfg, y)[..., 1:, :])
     dalpha = fd.fd_d(alpha, x4)
     assert np.max(np.abs(dalpha - gh.triple_field(cfg)(x4)[1:])) < 1e-5
@@ -206,9 +204,9 @@ def test_killing_field():
     cfg = gh.GHConfig.canonical(1, 1.0)
     metric = gh.metric_fn(cfg)
     xi = gh.xi_fn(cfg)
-    p = gh.sample_chart_points(cfg, 2, seed=4, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[1]
-    res = fd.lie_derivative_metric(metric, xi, p.x4, h=5e-4)
+    x4 = gh.sample_chart_points(cfg, 2, seed=4, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)[1]
+    res = fd.lie_derivative_metric(metric, xi, x4, h=5e-4)
     assert np.max(np.abs(res)) < 1e-5
 
 
@@ -260,9 +258,8 @@ def test_sample_chart_points_respects_exclusions():
     pts = gh.sample_chart_points(cfg, 30, seed=9, rho_min=1.5, rho_max=4.0,
                                  min_center_dist=0.8, min_axis_dist=0.8,
                                  string_cone_cos=0.45)
-    assert len(pts) == 30
-    for p in pts:
-        x3 = p.x3
+    assert pts.shape == (30, 4)
+    for x3 in pts[:, :3]:
         r = np.linalg.norm(x3)
         assert 1.5 <= r <= 4.0 + 1e-12
         for pos in cfg.positions:
@@ -276,7 +273,7 @@ def test_sampling_deterministic():
     cfg = gh.GHConfig.canonical(1, 1.0)
     a = gh.sample_chart_points(cfg, 5, seed=11)
     b = gh.sample_chart_points(cfg, 5, seed=11)
-    assert all(np.allclose(p.x4, q.x4) for p, q in zip(a, b))
+    assert np.array_equal(a, b)
 
 
 def test_cone_config_matches_total_weight(canonical):

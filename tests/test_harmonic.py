@@ -28,9 +28,10 @@ def test_closed_form_constants():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_norm_matches_closed_form(k, omega_bundle):
-    result = harmonic.omega_norm(omega_bundle(k))
-    assert result.total == pytest.approx(result.closed_form, rel=1e-3)
-    assert result.tail_fraction < 0.1
+    # omega_norm raises TailDominance past a 10% tail share
+    # (test_norm_tail_dominance_guard), so reaching the assertion bounds it
+    norm = harmonic.omega_norm(omega_bundle(k))
+    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-3)
 
 
 def test_norm_tail_dominance_guard(omega_bundle):
@@ -47,8 +48,7 @@ def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
     metric = gh.metric_fn(cfg)
     omega_comps = bundle.field()
 
-    for p in pts:
-        x4 = p.x4
+    for x4 in pts:
         d = fd.fd_d(FormField(2, omega_comps), x4)
         assert np.max(np.abs(d)) < 1e-5
         comps = omega_comps(x4)
@@ -59,9 +59,9 @@ def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
 def test_alpha_split(canonical, omega_bundle):
     cfg = canonical(1)
     bundle = omega_bundle(1)
-    p = gh.sample_chart_points(cfg, 1, seed=6, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[0]
-    res = harmonic.alpha_split_residuals(cfg, bundle, p.x4)
+    x4 = gh.sample_chart_points(cfg, 1, seed=6, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)[0]
+    res = harmonic.alpha_split_residuals(cfg, bundle, x4)
     assert res["sd_residual"] < 1e-4
     assert res["asd_residual"] < 1e-4
 
@@ -140,9 +140,9 @@ def test_linear_potential(canonical):
     assert harmonic.phi1_value(cfg, np.array([0.7, 0.2, -0.1])) == pytest.approx(
         2 * 3 * 0.7, rel=1e-12
     )
-    p = gh.sample_chart_points(cfg, 1, seed=8, rho_min=1.5, rho_max=3.0,
-                               string_cone_cos=0.45)[0]
-    assert harmonic.phi1_laplacian_residual(cfg, p) < 1e-8
+    x4 = gh.sample_chart_points(cfg, 1, seed=8, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)[0]
+    assert harmonic.phi1_laplacian_residual(cfg, x4) < 1e-8
     ratios = harmonic.phi1_q1_ratio(cfg)
     assert abs(float(np.mean(ratios)) - 1.0) < 0.02
 
@@ -150,8 +150,8 @@ def test_linear_potential(canonical):
 def test_cone_config_is_flat(canonical):
     cone = harmonic.cone_config(canonical(3))
     metric = gh.metric_fn(cone)
-    for p in gh.sample_chart_points(cone, 3, seed=2):
-        assert np.max(np.abs(fd.riemann_lowered(metric, p.x4))) < 1e-5
+    for x4 in gh.sample_chart_points(cone, 3, seed=2):
+        assert np.max(np.abs(fd.riemann_lowered(metric, x4))) < 1e-5
 
 
 def test_model_form_matches_omega_at_large_radius(canonical, omega_bundle):

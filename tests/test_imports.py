@@ -1,6 +1,7 @@
 """Static checks: every module of the package uses each name it imports,
-every public function, class or method has a caller outside the tests, and
-every defaulted parameter of one is passed by such a caller."""
+every public function, class or method has a caller outside the tests,
+every defaulted parameter of one is passed by such a caller, and every
+dataclass field is read by one."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ale_lab"
-# where the program's callers live: the package itself, the scripts, the benchmark
-CALLER_DIRS = ("src", "scripts", "perfbench")
+# where the program's callers live: the package itself and the benchmark
+CALLER_DIRS = ("src", "perfbench")
 
 # Public functions and methods that only tests call, each with the test
 # that relies on it: as the second route of a checked value, or (the gh
@@ -220,6 +221,28 @@ def unset_parameters(modules: dict[str, str], callers: list[str]) -> list[str]:
                   for name in _signature(fn, False)[1] if (fn.name, name) not in passed)
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.Class.field`` for every annotated field of a dataclass whose
+    name no caller source reads as an attribute, matching by bare name as
+    ``uncalled`` does; building the dataclass (``Class(field=...)``) does
+    not count as a read."""
+    read = {node.attr for src in callers for node in ast.walk(_tree(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{mod}.{cls.name}.{stmt.target.id}" for mod, src in modules.items()
+                  for cls in ast.walk(_tree(src))
+                  if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                  for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name) and stmt.target.id not in read)
+
+
 def _package_modules() -> dict[str, str]:
     return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
 
@@ -327,6 +350,30 @@ def test_test_parameters_are_unset_and_passed_by_their_test():
         assert _test_function(test_id) is not None, f"{test_id} does not exist"
         assert entry not in unset_parameters(modules, callers + _test_sources([test_id])), (
             f"{test_id} does not pass {entry}")
+
+
+def test_unread_fields_flags_a_lone_field():
+    module = ("from dataclasses import dataclass\n\n"
+              "@dataclass(frozen=True)\nclass Result:\n    total: float\n    lone: float = 0.0\n\n"
+              "class Plain:\n    lone: int\n")
+    assert unread_fields({"m": module}, [module]) == ["m.Result.lone", "m.Result.total"]
+
+
+def test_unread_fields_counts_an_attribute_read():
+    module = "import dataclasses\n\n@dataclasses.dataclass\nclass Result:\n    total: float\n"
+    assert unread_fields({"m": module}, [module, "print(result.total)\n"]) == []
+
+
+def test_unread_fields_ignores_construction_and_stores():
+    module = "from dataclasses import dataclass\n\n@dataclass\nclass Result:\n    total: float\n"
+    callers = [module, "r = Result(total=1)\nr.total = 2\n"]
+    assert unread_fields({"m": module}, callers) == ["m.Result.total"]
+
+
+def test_every_dataclass_field_is_read():
+    # a field no program caller reads is computed for nothing on every run;
+    # a test that wants the value computes it from the remaining API
+    assert unread_fields(_package_modules(), _caller_sources()) == []
 
 
 def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):

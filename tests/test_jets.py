@@ -228,14 +228,15 @@ def test_gauge_shift_preserves_curvature():
 def test_gauge_project_kills_bianchi_form():
     jet = jets.random_jet2(11)
     proj = jets.gauge_project(jet)
-    assert proj.residual_after < 1e-10 * max(1.0, proj.residual_before)
+    assert np.max(np.abs(jets.bianchi_form(jet))) > 0.1
+    assert np.max(np.abs(jets.bianchi_form(proj.jet))) < 1e-10
     # curvature untouched
     b0 = jets.curvature_from_jet2(jet)
     b1 = jets.curvature_from_jet2(proj.jet)
     assert np.max(np.abs(b0.Rplus - b1.Rplus)) < 1e-10
     # idempotent up to numerical zero
-    again = jets.gauge_project(proj.jet)
-    assert again.residual_before < 1e-10
+    again = jets.gauge_project(proj.jet).jet
+    assert np.max(np.abs(again.H - proj.jet.H)) < 1e-10
 
 
 # --- seeded generators ----------------------------------------------------------

@@ -37,13 +37,12 @@ def test_sphere_moments_closed_form():
 def test_form3_pullback_matches_tensor_contraction():
     # reference: expand the 3-form into its antisymmetric tensor at every
     # node and contract it with the three tangent vectors
-    spec = quadrature.DEFAULT_SPEC
     coeffs = np.random.default_rng(4).normal(size=(4, 4))
 
     def integrand(x):
         return (x + x**2) @ coeffs.T
 
-    u, t1, t2, w = quadrature._s3_grid(spec)
+    u, t1, t2, w = quadrature._s3_grid()
     du, dt1, dt2 = quadrature._s3_tangents(1.3, u, t1, t2)
     c, s = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
     pts = 1.3 * np.stack([c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1)
@@ -182,8 +181,3 @@ def test_quadrature_deterministic():
     a = quadrature.dCF_pairing(triple)
     b = quadrature.dCF_pairing(triple)
     assert a == b  # bitwise: fixed nodes, no randomness
-
-
-def test_spec_validation():
-    with pytest.raises(SchemaError):
-        quadrature.QuadratureSpec(sphere_order=2)
