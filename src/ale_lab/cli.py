@@ -8,7 +8,8 @@ obstruct  evaluate the obstruction pipeline on a jet input file
 asympt    emit a CSV table of far-field deviations and fitted exponents
 
 The environment variable ALE_LAB_THREADS caps the numerical backends'
-thread pools; it is applied before any numerical module is imported, which
+thread pools; without it each pool the environment leaves unset gets one
+thread.  Either is applied before any numerical module is imported, which
 is why all heavy imports happen inside the handlers.  JSON reports carry
 "schema_version": 1 and contain no timing data, so reruns with equal
 arguments are byte-identical; durations go to the human-readable output
@@ -45,11 +46,14 @@ _POSITIVE_OVERRIDES = ("volSigma", "omegaNorm2")
 
 
 def _configure_threads() -> None:
+    """ALE_LAB_THREADS sets every backend's pool; without it each pool the
+    environment leaves unset gets one thread."""
     cap = os.environ.get("ALE_LAB_THREADS")
-    if not cap:
-        return
     for var in _THREAD_VARS:
-        os.environ[var] = cap
+        if cap:
+            os.environ[var] = cap
+        else:
+            os.environ.setdefault(var, "1")
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -24,6 +24,14 @@ cluster points; the pullback of eta to it is exactly dtau, so surface
 integrals reduce to 2*pi times a line quadrature (SIGMA_ORDER
 Gauss-Legendre nodes) and never evaluate A on the axis.
 
+One pass over the centers: the offsets x - p_i and distances |x - p_i| of
+a point stack are computed once (_offsets) and serve every use at that
+stack.  validate_base returns the ones it checked, so the domain check,
+V and the connection's offsets come from one evaluation;
+potential_and_first_center gives V, grad V and the first center's share
+V0 = 1/(2|x - p0|) with grad V0 from one, dividing the offsets by
+|x - p_i|^3 in place so the pass keeps no extra (..., centers, 3) array.
+
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
 per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
@@ -138,69 +146,107 @@ class GHConfig:
         return (-self.k * self.lam, self.lam)
 
 
-def validate_base(config: GHConfig, x3: np.ndarray, patch: str | None = None) -> None:
+def _offsets(config: GHConfig, x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one pass over the centers: offsets x - p_i (..., centers, 3) and
+    distances |x - p_i| (..., centers) of a (..., 3) stack of base points."""
+    diff = np.asarray(x3, dtype=float)[..., None, :] - config.positions
+    return diff, np.linalg.norm(diff, axis=-1)
+
+
+def validate_base(config: GHConfig, x3: np.ndarray,
+                  patch: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Domain check of a (..., 3) stack of base points: none may lie within
     EPS_CENTER of a center, nor (given a patch) within EPS_STRING of that
-    patch's excluded rays.  The error names the first offending point."""
-    pts = np.asarray(x3, dtype=float).reshape(-1, 3)
-    diff = pts[:, None, :] - config.positions  # (N, centers, 3)
-    dists = np.linalg.norm(diff, axis=-1)
-    near = np.flatnonzero(np.any(dists < EPS_CENTER, axis=1))
+    patch's excluded rays.  The error names the first offending point.
+    Returns the offsets and distances it checked, so that callers evaluate
+    from the same pass over the centers."""
+    diff, dists = _offsets(config, x3)
+    flat_dists = dists.reshape(-1, len(config.centers))
+    near = np.flatnonzero(np.any(flat_dists < EPS_CENTER, axis=1))
     if near.size:
         n = near[0]
-        idx = int(np.argmin(dists[n]))
+        idx = int(np.argmin(flat_dists[n]))
         raise CenterTooClose(
-            f"point {pts[n]} within {EPS_CENTER} of center {idx} "
-            f"(distance {dists[n, idx]:.3e})"
+            f"point {np.reshape(x3, (-1, 3))[n]} within {EPS_CENTER} of center {idx} "
+            f"(distance {flat_dists[n, idx]:.3e})"
         )
-    if patch is None:
-        return
-    on_ray = diff[..., 0] <= 0.0 if patch == "north" else diff[..., 0] >= 0.0
-    hits = np.argwhere(on_ray & (np.hypot(diff[..., 1], diff[..., 2]) < EPS_STRING))
-    if hits.size:
-        n, c = hits[0]
-        side = "-x1 ray" if patch == "north" else "+x1 ray"
-        raise OnDiracString(
-            f"point {pts[n]} on the {side} of center at {config.centers[c][0]} ({patch} gauge)"
-        )
+    if patch is not None:
+        flat_diff = diff.reshape(-1, len(config.centers), 3)
+        on_ray = flat_diff[..., 0] <= 0.0 if patch == "north" else flat_diff[..., 0] >= 0.0
+        hits = np.argwhere(on_ray & (np.hypot(flat_diff[..., 1], flat_diff[..., 2]) < EPS_STRING))
+        if hits.size:
+            n, c = hits[0]
+            side = "-x1 ray" if patch == "north" else "+x1 ray"
+            raise OnDiracString(
+                f"point {np.reshape(x3, (-1, 3))[n]} on the {side} of center at "
+                f"{config.centers[c][0]} ({patch} gauge)"
+            )
+    return diff, dists
+
+
+def _potential_from(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """(1/2) sum n_i / |x - p_i| over the last axis of the distances."""
+    return 0.5 * np.sum(weights / dists, axis=-1)
+
+
+def _grad_from(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """-(1/2) sum n_i q_i over the centers of q = (x - p_i) / |x - p_i|^3."""
+    return -0.5 * np.einsum("c,...cd->...d", weights, q)
+
+
+def _inverse_cubes(diff: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """(x - p_i) / |x - p_i|^3, written over diff."""
+    return np.divide(diff, dists[..., None] ** 3, out=diff)
 
 
 def potential(config: GHConfig, pts: np.ndarray) -> np.ndarray:
     """Harmonic potential (1/2) sum n_i / |x - p_i| at base points (..., 3),
     without domain checks."""
-    dists = np.linalg.norm(np.asarray(pts, dtype=float)[..., None, :] - config.positions, axis=-1)
-    return 0.5 * np.sum(config.weights / dists, axis=-1)
+    return _potential_from(config.weights, _offsets(config, pts)[1])
 
 
 def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Harmonic potential at (..., 3) base points, after domain validation."""
-    validate_base(config, x3)
-    return potential(config, x3)
-
-
-def potential_grad(config: GHConfig, pts: np.ndarray) -> np.ndarray:
-    """Gradient of the potential at base points (..., 3), without domain checks."""
-    diff = np.asarray(pts, dtype=float)[..., None, :] - config.positions
-    dist = np.linalg.norm(diff, axis=-1)
-    return -0.5 * np.einsum("c,...cd->...d", config.weights, diff / dist[..., None] ** 3)
+    return _potential_from(config.weights, validate_base(config, x3)[1])
 
 
 def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    validate_base(config, x3)
-    return potential_grad(config, x3)
+    """Gradient of the potential at (..., 3) base points, after domain validation."""
+    return _grad_from(config.weights, _inverse_cubes(*validate_base(config, x3)))
 
 
-def _eta(config: GHConfig, x3: np.ndarray, patch: str) -> np.ndarray:
-    """The 4D covector eta = dtau + A at (..., 3) base points, unchecked."""
+def potential_and_first_center(
+        config: GHConfig, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """V, grad V, and the first center's share V0 = 1/(2|x - p0|) and
+    grad V0, at (..., 3) base points from one pass over the centers, without
+    domain checks.  Each equals, bit for bit, what eval_V and eval_V_grad give
+    on the whole configuration or on the first center alone, which must
+    have weight 1."""
+    n0 = config.centers[0][1]
+    if n0 != 1:
+        raise SchemaError(
+            f"centers[0]: V0 = 1/(2|x - p0|) needs the first center's weight to be 1, got {n0}")
+    weights = config.weights
+    diff, dists = _offsets(config, pts)
+    v = _potential_from(weights, dists)
+    v0 = _potential_from(weights[:1], dists[..., :1])
+    q = _inverse_cubes(diff, dists)
+    del dists
+    return v, _grad_from(weights, q), v0, _grad_from(weights[:1], q[..., :1, :])
+
+
+def _eta(config: GHConfig, dx: np.ndarray, patch: str) -> np.ndarray:
+    """The 4D covector eta = dtau + A from the offsets x - p_i (..., centers, 3)
+    of a stack of base points, unchecked."""
     sign = -1.0 if patch == "north" else 1.0
-    dx = x3[..., None, :] - config.positions  # (..., centers, 3)
     rho_sq = dx[..., 1] ** 2 + dx[..., 2] ** 2
     # on the regular side of the axis the coefficient vanishes in the limit
     on_axis = rho_sq == 0.0
     rho_sq = np.where(on_axis, 1.0, rho_sq)
     coeff = np.where(on_axis, 0.0,
                      0.5 * config.weights * (dx[..., 0] / np.sqrt(dx[..., 0] ** 2 + rho_sq) + sign))
-    out = np.zeros(x3.shape[:-1] + (4,))
+    out = np.zeros(dx.shape[:-2] + (4,))
     out[..., 1] = np.sum(coeff * (-dx[..., 2] / rho_sq), axis=-1)
     out[..., 2] = np.sum(coeff * (dx[..., 1] / rho_sq), axis=-1)
     out[..., 3] = 1.0
@@ -210,18 +256,16 @@ def _eta(config: GHConfig, x3: np.ndarray, patch: str) -> np.ndarray:
 def eval_eta(config: GHConfig, x3: np.ndarray, patch: str = "north") -> np.ndarray:
     """Connection coefficients A with eta = dtau + A, in the patch's gauge,
     at (..., 3) base points: covectors (A1, A2, A3) with A1 = 0 identically."""
-    x3 = np.asarray(x3, dtype=float)
-    validate_base(config, x3, patch)
-    return _eta(config, x3, patch)[..., :3]
+    return _eta(config, validate_base(config, x3, patch)[0], patch)[..., :3]
 
 
 def potential_and_eta(config: GHConfig, x4: np.ndarray,
                       patch: str = "north") -> tuple[np.ndarray, np.ndarray]:
     """V (...) and the 4D covector eta (..., 4) at (..., 4) chart points,
-    after domain validation."""
+    after domain validation, from one pass over the centers."""
     x3 = np.asarray(x4, dtype=float)[..., :3]
-    validate_base(config, x3, patch)
-    return potential(config, x3), _eta(config, x3, patch)
+    diff, dists = validate_base(config, x3, patch)
+    return _potential_from(config.weights, dists), _eta(config, diff, patch)
 
 
 def _metric_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -283,16 +327,11 @@ def triple_field(config: GHConfig) -> FormField:
 def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Weighted distance sum at (..., 3) base points; extends continuously
     to the centers."""
-    x3 = np.asarray(x3, dtype=float)
-    dists = np.linalg.norm(x3[..., None, :] - config.positions, axis=-1)
-    return np.sum(config.weights * dists, axis=-1)
+    return np.sum(config.weights * _offsets(config, x3)[1], axis=-1)
 
 
 def moment_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    x3 = np.asarray(x3, dtype=float)
-    validate_base(config, x3)
-    diff = x3[..., None, :] - config.positions
-    dists = np.linalg.norm(diff, axis=-1)
+    diff, dists = validate_base(config, x3)
     return np.einsum("...i,...ij->...j", config.weights / dists, diff)
 
 
@@ -434,7 +473,7 @@ def sample_chart_points(
         direction /= np.linalg.norm(direction)
         rho = rng.uniform(rho_min, rho_max)
         x3 = rho * direction
-        if np.min(np.linalg.norm(x3 - config.positions, axis=-1)) < min_center_dist:
+        if np.min(_offsets(config, x3)[1]) < min_center_dist:
             continue
         if math.hypot(x3[1], x3[2]) < min_axis_dist:
             continue

@@ -39,13 +39,8 @@ from .quadrature import gh_volume_integral, volume_nodes
 
 
 def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    # V0: the first center alone, of weight 1 as the k = 0 config requires
-    first = gh.GHConfig(k=0, lam=config.lam, centers=config.centers[:1])
-    v = gh.potential(config, pts)
-    v0 = gh.potential(first, pts)
-    gv = gh.potential_grad(config, pts)
-    gv0 = gh.potential_grad(first, pts)
+    """grad f by the quotient rule, from one pass over the centers."""
+    v, gv, v0, gv0 = gh.potential_and_first_center(config, pts)
     return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2
 
 

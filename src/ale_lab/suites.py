@@ -202,9 +202,11 @@ def suite_quadrature(tol_scale: float = 1.0) -> SuiteResult:
     checks.append(_abs_check("s3-quadratic-moment", quad, 2.0 * math.pi ** 2 / 3.0,
                              1e-8 * tol_scale, "closed-form-constant"))
 
+    sd_pairings = []
     for seed in range(5):
         triple = quadrature.random_closed_sd_quadratic(seed)
         lhs, rhs = quadrature.dCF_pairing(triple)
+        sd_pairings.append((triple, lhs))
         tol = 1e-6 * max(1.0, abs(rhs)) * tol_scale
         checks.append(_abs_check(f"pairing-sd-seed{seed}", lhs, rhs, tol,
                                  "derived-oracle"))
@@ -214,8 +216,8 @@ def suite_quadrature(tol_scale: float = 1.0) -> SuiteResult:
     checks.append(_abs_check("pairing-asd-null", lhs_asd, 0.0, 1e-8 * tol_scale,
                              "trivial-identity"))
 
-    triple0 = quadrature.random_closed_sd_quadratic(0)
-    lhs_a, _ = quadrature.dCF_pairing(triple0, radius=1.0)
+    # seed 0 at the unit radius is the first pairing above
+    triple0, lhs_a = sd_pairings[0]
     lhs_b, _ = quadrature.dCF_pairing(triple0, radius=1.6)
     checks.append(_abs_check("pairing-radius-independent", lhs_b, lhs_a,
                              1e-8 * max(1.0, abs(lhs_a)) * tol_scale,

@@ -8,15 +8,12 @@ session.
 
 from __future__ import annotations
 
-import os
+from ale_lab.cli import _configure_threads
 
-from ale_lab.cli import _THREAD_VARS
-
-# The tests call the library directly, outside the CLI's thread cap: give
-# each BLAS/OpenMP call one thread unless the environment sets a count.
+# The tests call the library directly, outside the CLI: size the BLAS/OpenMP
+# pools as the CLI does, one thread unless the environment sets a count.
 # This has to happen before numpy loads.
-for _var in _THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+_configure_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

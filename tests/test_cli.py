@@ -228,11 +228,23 @@ def test_configure_threads_sets_backends(monkeypatch):
         assert os.environ[var] == "2"
 
 
-def test_configure_threads_noop_without_cap(monkeypatch):
+def test_configure_threads_defaults_to_one_without_cap(monkeypatch):
     monkeypatch.delenv("ALE_LAB_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
     cli._configure_threads()
-    assert "OMP_NUM_THREADS" not in os.environ
+    # a pool the user sized keeps its size; every other one gets one thread
+    assert os.environ["OMP_NUM_THREADS"] == "4"
+    for var in cli._THREAD_VARS[1:]:
+        assert os.environ[var] == "1"
+
+
+def test_thread_cap_overrides_user_pools(monkeypatch):
+    monkeypatch.setenv("ALE_LAB_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    cli._configure_threads()
+    assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
 def test_thread_cap_propagates_in_subprocess():

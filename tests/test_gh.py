@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import fd, forms, gh, harmonic
+from ale_lab import fd, forms, gh, harmonic, quadrature
 from ale_lab.errors import AleLabError, CenterTooClose, OnDiracString, SchemaError
 from ale_lab.forms import FormField
 
@@ -113,6 +113,53 @@ def test_potential_harmonic_off_centers():
     cfg = gh.GHConfig.canonical(3, 1.0)
     for x in ([0.5, 1.2, -0.3], [-2.0, 0.4, 0.9]):
         assert abs(gh.v_laplacian_fd(cfg, np.array(x))) < 1e-6
+
+
+# three centers off the axis, weights 1, 1, 2 about the origin (k = 3)
+OFF_AXIS = gh.GHConfig(k=3, lam=1.0, centers=(((-2.0, 1.0, 0.0), 1),
+                                              ((1.0, -1.0, 0.5), 1),
+                                              ((0.5, 0.0, -0.25), 2)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _pass_points():
+    """(config, (N, 3) points): the volume nodes of the exact-form pairing
+    and the core-surface nodes of a canonical configuration, and random
+    points of the off-axis one."""
+    cfg = gh.GHConfig.canonical(2, 1.0)
+    nodes, _ = quadrature.volume_nodes(cfg, outer_scale=1.3 * 12.0 * 3, radial_nodes=96)
+    axis = gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
+    rand = gh.sample_chart_points(OFF_AXIS, 64, seed=5, rho_min=0.2, rho_max=6.0,
+                                  min_center_dist=0.2, min_axis_dist=0.0)[:, :3]
+    return [(cfg, nodes), (cfg, axis), (OFF_AXIS, rand)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_first_center_pass_is_bitwise_the_two_potentials(case):
+    cfg, pts = _pass_points()[case]
+    first = gh.GHConfig(k=0, lam=cfg.lam, centers=cfg.centers[:1])
+    v, gv, v0, gv0 = gh.potential_and_first_center(cfg, pts)
+    assert _same_bits(v, gh.potential(cfg, pts))
+    assert _same_bits(v, gh.eval_V(cfg, pts))
+    assert _same_bits(gv, gh.eval_V_grad(cfg, pts))
+    assert _same_bits(v0, gh.potential(first, pts))
+    assert _same_bits(gv0, gh.eval_V_grad(first, pts))
+
+
+def test_first_center_pass_gradients_match_finite_differences():
+    pts = gh.sample_chart_points(OFF_AXIS, 16, seed=6, rho_min=0.5, rho_max=4.0,
+                                 min_center_dist=0.5)
+    _, gv, _, gv0 = gh.potential_and_first_center(OFF_AXIS, pts[:, :3])
+    v_and_v0 = lambda x4: np.stack(gh.potential_and_first_center(OFF_AXIS, x4[..., :3])[::2],
+                                   axis=-1)
+    partials = fd.all_partials(v_and_v0, pts)  # (N, 4, 2)
+    for grad, fd_grad in ((gv, partials[:, :3, 0]), (gv0, partials[:, :3, 1])):
+        err = np.linalg.norm(fd_grad - grad, axis=-1) / np.linalg.norm(grad, axis=-1)
+        assert np.max(err) < 1e-5
+    assert np.all(partials[:, 3] == 0.0)
 
 
 def test_metric_determinant_is_V_squared():

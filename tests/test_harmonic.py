@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import fd, forms, gh, harmonic, suites
-from ale_lab.errors import TailDominance
+from ale_lab.errors import SchemaError, TailDominance
 from ale_lab.forms import FormField
 
 
@@ -132,6 +132,15 @@ def test_suite_harmonic_computes_each_core_quantity_once(monkeypatch):
         counted(name)
     assert suites.suite_harmonic(2, 1.0).passed
     assert calls == {"omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
+
+
+def test_first_center_weight_other_than_one_is_named():
+    # V0 = 1/(2|x - p0|) is the first center's share only for weight 1
+    cfg = gh.GHConfig(k=2, lam=1.0, centers=(((-0.5, 0.0, 0.0), 2), ((1.0, 0.0, 0.0), 1)))
+    with pytest.raises(SchemaError, match=r"centers\[0\].*got 2"):
+        harmonic.vec_grad_f(cfg, np.array([0.3, 0.4, 0.5]))
+    with pytest.raises(SchemaError, match=r"centers\[0\].*got 2"):
+        harmonic.build_omega(cfg)
 
 
 def test_linear_potential(canonical):

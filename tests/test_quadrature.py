@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import forms, quadrature
+from ale_lab import forms, quadrature, suites
 from ale_lab.errors import SchemaError
 
 
@@ -181,3 +181,18 @@ def test_quadrature_deterministic():
     a = quadrature.dCF_pairing(triple)
     b = quadrature.dCF_pairing(triple)
     assert a == b  # bitwise: fixed nodes, no randomness
+
+
+def test_suite_quadrature_pairs_each_form_once(monkeypatch):
+    calls = []
+    inner = quadrature.dCF_pairing
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("radius", 1.0))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "dCF_pairing", counted)
+    assert suites.suite_quadrature().passed
+    # five self-dual seeds and the anti-self-dual form at the unit radius;
+    # the radius check reuses seed 0 and adds only the second radius
+    assert calls == [1.0] * 6 + [1.6]
