@@ -21,6 +21,11 @@ operator matrix on a duality basis (b_i) is A_ij = (1/8) R_abcd
 (b_i)^ab (b_j)^cd; the stored blocks are the negatives of these, which
 matches the frame-connection convention above (verified against a
 constant-curvature jet and a conformal non-Einstein oracle).
+
+Frames, operator blocks and curvature blocks take (..., 4, 4) metric
+stacks and (..., 4) point stacks, so one call serves every point of a
+stencil, or every node of a contour when the leading axis is the node
+axis of deformation.taylor_coefficient.
 """
 
 from __future__ import annotations
@@ -64,31 +69,35 @@ class CurvatureBlock:
 
 
 def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
-    """Lower factor L with L L^T = gram for a symmetric 3x3 matrix, or None
-    when a pivot L_ii^2 (its real part) is at most 1e-12.  Unlike
-    np.linalg.cholesky it never conjugates, so for a complex-symmetric
-    gram it stays analytic in the entries, as the contour oracles need."""
+    """Lower factors L with L L^T = gram for (..., 3, 3) symmetric matrices,
+    or None when a pivot L_ii^2 (its real part) is at most 1e-12 at any of
+    them.  Unlike np.linalg.cholesky it never conjugates, so for a
+    complex-symmetric gram it stays analytic in the entries, as the contour
+    oracles need."""
     chol = np.zeros_like(gram)
     for i in range(3):
         for j in range(i):
-            chol[i, j] = (gram[i, j] - chol[i, :j] @ chol[j, :j]) / chol[j, j]
-        pivot = gram[i, i] - chol[i, :i] @ chol[i, :i]
-        if not pivot.real > 1e-12:
+            dot = (chol[..., i, None, :j] @ chol[..., j, :j, None])[..., 0, 0]
+            chol[..., i, j] = (gram[..., i, j] - dot) / chol[..., j, j]
+        pivot = gram[..., i, i] - (chol[..., i, None, :i] @ chol[..., i, :i, None])[..., 0, 0]
+        if not np.all(pivot.real > 1e-12):
             return None
-        chol[i, i] = np.sqrt(pivot)
+        chol[..., i, i] = np.sqrt(pivot)
     return chol
 
 
 def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
-    """Orthonormal duality frame (rows, <b_i,b_i> = 2) by Gram-Schmidt of
-    the projected flat basis; deterministic and smooth in the metric.
+    """Orthonormal duality frames (rows, <b_i,b_i> = 2), (..., 3, 6) for
+    (..., 4, 4) metrics, by Gram-Schmidt of the projected flat basis;
+    deterministic and smooth in the metric.
 
     Gram-Schmidt in this order is the Cholesky factor L of the Gram
     matrix of the projections: frame = sqrt(2) L^{-1} projections."""
+    g = float_or_complex(metric)
     seeds = OMEGA_SD if duality == "sd" else OMEGA_ASD
     sign = 1.0 if duality == "sd" else -1.0
-    cands = 0.5 * (seeds + sign * hodge_star(metric, seeds, 2))
-    chol = _cholesky3(2.0 * project_stack(metric, cands, cands))
+    cands = 0.5 * (seeds + sign * hodge_star(g[..., None, :, :], seeds, 2))
+    chol = _cholesky3(2.0 * project_stack(g, cands, cands))
     if chol is None:
         raise FrameNotOrthonormal(
             f"projected flat basis degenerate for duality {duality!r}"
@@ -109,8 +118,8 @@ def connection_from_Phi(phi: TripleField, metric_fn: MetricField) -> FormField:
     degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to the (..., 3, 6) component stacks of the
-    frame; every evaluation checks the frame's Gram matrix against the
-    metric.
+    frame (a leading node axis of the points is one more point axis);
+    every evaluation checks the frame's Gram matrix against the metric.
     """
 
     def components(x: np.ndarray) -> np.ndarray:
@@ -164,20 +173,25 @@ def operator_blocks_from_riemann(
     asd_basis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SD block, mixed block, ASD block) of the curvature operator
-    A_ij = (1/8) R_abcd b_i^ab b_j^cd on orthonormal duality bases."""
+    A_ij = (1/8) R_abcd b_i^ab b_j^cd on orthonormal duality bases, each
+    (..., 3, 3) for (..., 4, 4) metrics and (..., 4, 4, 4, 4) tensors."""
     g = float_or_complex(metric)
     ginv = np.linalg.inv(g)
     sd = frame_from_metric(g, "sd") if sd_basis is None else float_or_complex(sd_basis)
     asd = frame_from_metric(g, "asd") if asd_basis is None else float_or_complex(asd_basis)
 
     # raise both indices of every basis form, then contract pairwise
-    up = (ginv @ comps_to_tensor(np.vstack([sd, asd]), 2) @ ginv.T).reshape(6, 16)
-    full = up @ float_or_complex(riemann_low).reshape(16, 16) @ up.T / 8.0
-    return full[:3, :3], full[:3, 3:], full[3:, 3:]
+    raised = (ginv[..., None, :, :] @ comps_to_tensor(np.concatenate([sd, asd], axis=-2), 2)
+              @ np.swapaxes(ginv, -1, -2)[..., None, :, :])
+    up = raised.reshape(raised.shape[:-2] + (16,))
+    riem = float_or_complex(riemann_low)
+    full = up @ riem.reshape(riem.shape[:-4] + (16, 16)) @ np.swapaxes(up, -1, -2) / 8.0
+    return full[..., :3, :3], full[..., :3, 3:], full[..., 3:, 3:]
 
 
 def curvature_block_of_metric(metric_fn: MetricField, x: np.ndarray) -> CurvatureBlock:
-    """CurvatureBlock of a metric at a point via finite differences."""
+    """CurvatureBlock of a metric via finite differences, (..., 3, 3)
+    blocks at (..., 4) points."""
     x = np.asarray(x, dtype=float)
     g = float_or_complex(metric_fn(x))
     rlow = fd.riemann_lowered(metric_fn, x)

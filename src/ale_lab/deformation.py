@@ -24,6 +24,14 @@ t-coefficients of actual deformed metrics, read off a circle of complex
 t by taylor_coefficient: to about 4e-9 on the linear family and 2e-6 on
 the coupled one, where the O(h^2) truncation of the x-differences rules.
 
+Node axis: a contour is evaluated as one stack, not node by node.  A
+(m,) array of t values goes with (m, ..., 4) point stacks whose leading
+axis is the node axis (node_points repeats a point stack along it), and
+every value keeps that axis in front.  fd appends its stencil axes after
+the point axes, so each fd operator and each (..., 4, 4) stack of
+connection serves all nodes of a contour in one call; a scalar t takes
+any point stack, as before.
+
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
 d alpha_i = w_i and are coclosed.
@@ -39,7 +47,7 @@ import numpy as np
 
 from . import fd, gh
 from .connection import connection_from_Phi
-from .errors import GaugeViolation
+from .errors import GaugeViolation, SchemaError
 from .forms import (
     CYCLIC,
     EUCLIDEAN,
@@ -123,12 +131,35 @@ def deformation_first_order(
 # ---------------------------------------------------------------------------
 
 
+def _node_axis(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """t shaped to broadcast over the point axes of a (..., 4) stack: a
+    scalar t as it is, a (m,) array of contour nodes against the leading
+    axis of an (m, ..., 4) stack."""
+    t = np.asarray(t)
+    if t.ndim and np.shape(x)[:1] != t.shape:
+        raise SchemaError(
+            f"points of shape {np.shape(x)} for {t.size} nodes; "
+            f"their leading axis must be the node axis, of length {t.size}"
+        )
+    return t.reshape(t.shape + (1,) * (np.ndim(x) - 1 - t.ndim))
+
+
+def node_points(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (..., 4) points x repeated along the node axis of t: (m, ..., 4)
+    for a (m,) array of nodes, x itself for a scalar t."""
+    return np.broadcast_to(x, np.shape(t) + np.shape(x))
+
+
 @dataclass
 class TripleFamily:
     """Phi(t) = exp(t M(x)) omega for M built from (lam, C).  As M = lam I +
     [[0, -C], [-C^T, 0]], the columns of exp(t M) that act on omega_+ are
     e^(t lam) [cosh(t sqrt A) ; -C^T sinh(t sqrt A) / sqrt A] with A = C C^T,
-    both entire in A, and triple takes them in closed form."""
+    both entire in A, and triple takes them in closed form.
+
+    Every t-method takes a scalar t, real or complex, or a (m,) array of
+    contour nodes; the nodes go with (m, ..., 4) point stacks whose leading
+    axis is the node axis (node_points), and the values keep it in front."""
 
     lam: ScalarField
     coeff: MatrixField  # C(x)
@@ -139,36 +170,50 @@ class TripleFamily:
         lam = float_or_complex(self.lam(x))[..., None, None] * np.eye(3)
         return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
 
-    def triple(self, t: complex, x: np.ndarray) -> np.ndarray:
-        """(..., 3, 6) triples Phi(t) at (..., 4) points, real or complex t, from
-        one stacked eigh of A; a rounding-negative eigenvalue is clipped to 0,
-        where sinh(t s) / s takes its limit t."""
+    def triple(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(..., 3, 6) triples Phi(t) at (..., 4) points from one stacked eigh
+        of A for all nodes of t, with cosh(t s) and sinh(t s) / s broadcast
+        over them; a rounding-negative eigenvalue is clipped to 0, where
+        sinh(t s) / s takes its limit t."""
         x = np.asarray(x, dtype=float)
+        t = _node_axis(t, x)
         c = np.asarray(self.coeff(x), dtype=float)
         mu, v = np.linalg.eigh(c @ np.swapaxes(c, -1, -2))
         s = np.sqrt(np.maximum(mu, 0.0))
-        sinhc = np.where(s > 0.0, np.sinh(t * s) / np.where(s > 0.0, s, 1.0), t)
+        ts = t[..., None] * s
+        sinhc = np.where(s > 0.0, np.sinh(ts) / np.where(s > 0.0, s, 1.0), t[..., None])
         vt = np.swapaxes(v, -1, -2)
-        cosh_a = (v * np.cosh(t * s)[..., None, :]) @ vt
+        cosh_a = (v * np.cosh(ts)[..., None, :]) @ vt
         sinh_a_c = (v * sinhc[..., None, :]) @ vt @ c
         scale = np.exp(t * np.asarray(self.lam(x), dtype=float))[..., None, None]
         return scale * (np.concatenate([cosh_a, -sinh_a_c], axis=-1) @ _BASIS)
 
-    def metric(self, t: complex, x: np.ndarray) -> np.ndarray:
+    def metric(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
         tr = self.triple(t, x)
         return metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
 
-    def metric_field(self, t: complex) -> Callable[[np.ndarray], np.ndarray]:
+    def metric_field(self, t: complex | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
 
     def phi_field(self, x: np.ndarray) -> np.ndarray:
         return phi_comps_from_coeffs(self.coeff(x))
 
-    def connection(self, t: complex) -> FormField:
+    def connection(self, t: complex | np.ndarray) -> FormField:
         return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
 
 
-def taylor_coefficient(f: Callable[[complex], np.ndarray], n: int) -> np.ndarray:
+def _at_nodes(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+    """f on an array of nodes; its values must lead with the node axis."""
+    out = np.asarray(f(t))
+    if out.shape[:1] != t.shape:
+        raise SchemaError(
+            f"taylor_coefficient: f returned shape {out.shape} for {t.size} nodes; "
+            f"its leading axis must be the node axis, of length {t.size}"
+        )
+    return out
+
+
+def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
     real t, from N = TAYLOR_NODES points of radius r = TAYLOR_RADIUS:
 
@@ -176,13 +221,18 @@ def taylor_coefficient(f: Callable[[complex], np.ndarray], n: int) -> np.ndarray
 
     (Lyness & Moler 1967; Fornberg 1981), exact up to the aliased
     c_(n+N) r^N.  As f(conj t) = conj f(t), the nodes k and N - k pair:
-    five evaluations, two at real t, and a real result.
+    five nodes and a real result.  f takes a (m,) array of nodes and
+    returns its values with the node axis leading; it is called twice,
+    on the real nodes [r, -r] and on the complex nodes r w^k, k = 1..N/2-1,
+    and a value without that leading axis raises SchemaError.
     """
     r, nodes = TAYLOR_RADIUS, TAYLOR_NODES
-    total = f(r) + (-1) ** n * f(-r)
-    for k in range(1, nodes // 2):
-        w = np.exp(2j * np.pi * k / nodes)
-        total = total + 2.0 * (f(r * w) * w ** -n).real
+    real = _at_nodes(f, np.array([r, -r]))
+    w = np.exp(2j * np.pi * np.arange(1, nodes // 2) / nodes)
+    cplx = _at_nodes(f, r * w)
+    total = real[0] + (-1) ** n * real[1]
+    for k in range(nodes // 2 - 1):
+        total = total + 2.0 * (cplx[k] * w[k] ** -n).real
     return total / (nodes * r**n)
 
 
@@ -284,29 +334,38 @@ def _polynomial_field(vec: np.ndarray) -> MatrixField:
     return coeff
 
 
-def _divergence_samples(coeff: MatrixField) -> np.ndarray:
-    """d_a h_ab for h = map(C) at fixed sample points, concatenated.
+# C(x) for every unit coefficient vector at once: [n, i, j, m] = 1 where the
+# n-th of the 90 coefficients of _polynomial_field is (i, j, monomial m)
+_UNIT_COEFFS = np.eye(9 * len(_QUAD_P)).reshape(-1, 3, 3, len(_QUAD_P))
+
+
+def _unit_coefficient_fields(x: np.ndarray) -> np.ndarray:
+    """(..., 90, 3, 3): the polynomial field C of every unit coefficient
+    vector at (..., 4) points, the basis axis after the point axes."""
+    x = np.asarray(x, dtype=float)
+    return np.einsum("nijm,...m->...nij", _UNIT_COEFFS, x[..., _QUAD_P] * x[..., _QUAD_Q])
+
+
+def _divergence_matrix() -> np.ndarray:
+    """(samples, 90): d_a h_ab for h = map(C) at fixed sample points, one
+    column per unit coefficient vector, from one stencil.
 
     The centered stencil of step 0.25 differentiates polynomial
     coefficients of degree <= 2 exactly, so these samples express the
     constraint delta h = 0 as a linear map on the coefficient vector.
     """
-    h_field = lambda y: metric_perturbation_from_coeffs(coeff(y))
-    return np.einsum("...aab->...b", fd.all_partials(h_field, _DIV_POINTS, 0.25)).ravel()
+    h_fields = lambda y: metric_perturbation_from_coeffs(_unit_coefficient_fields(y))
+    div = np.einsum("...anab->...bn", fd.all_partials(h_fields, _DIV_POINTS, 0.25))
+    return div.reshape(-1, div.shape[-1])
 
 
 def gauged_coefficient_field(seed: int) -> MatrixField:
     """Random homogeneous quadratic C(x) with delta h = 0 for h = map(C)
     (flat gauge)."""
-    nmono = len(_QUAD_P)
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(3, 3, nmono))
+    raw = rng.normal(size=(3, 3, len(_QUAD_P)))
 
-    n = 9 * nmono
-    basis = np.eye(n)
-    cols = [_divergence_samples(_polynomial_field(basis[i])) for i in range(n)]
-    amat = np.stack(cols, axis=1)
-    _, s, vt = np.linalg.svd(amat)
+    _, s, vt = np.linalg.svd(_divergence_matrix())
     rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
     null = vt[rank:].T
     target = raw.reshape(-1)
@@ -338,21 +397,14 @@ def linear_gauged_family(seed: int) -> TripleFamily:
 @functools.cache
 def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
-    perturbation and vanishing anti-self-dual part of d a^(1); built on
-    first use and read-only."""
-
-    def rows_of(vec: np.ndarray) -> np.ndarray:
-        coeff = _polynomial_field(vec)
-        div = _divergence_samples(coeff)
-        phi = lambda x: phi_comps_from_coeffs(coeff(x))
-        a1 = lambda x: star_d_phi(phi, x)
-        da = np.swapaxes(fd.all_partials(a1, np.zeros(4), 0.25), 0, 1)  # [i, a, b]
-        _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, 1, 2), 2))
-        return np.concatenate([div, minus.ravel()])
-
-    n = 9 * len(_QUAD_P)
-    cols = [rows_of(np.eye(n)[i]) for i in range(n)]
-    out = np.stack(cols, axis=1)
+    perturbation and vanishing anti-self-dual part of d a^(1) at the
+    origin, one column per unit coefficient vector; built on first use and
+    read-only."""
+    phi = lambda x: phi_comps_from_coeffs(_unit_coefficient_fields(x))
+    a1 = lambda x: star_d_phi(phi, x)
+    da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
+    _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
+    out = np.concatenate([_divergence_matrix(), minus.reshape(len(minus), -1).T])
     out.setflags(write=False)
     return out
 

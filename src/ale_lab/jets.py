@@ -123,7 +123,8 @@ def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_D
     and takes the letter ``z``, which the subscripts must not use.  One gather forms a[..., L] * b[..., R]
     over the table's (left, right) pairs, the einsum contracts the tensor
     axes pair by pair, and one reduceat sums the pairs of each product
-    monomial.  Coefficients above degree ``deg`` are zero.
+    monomial.  Coefficients above degree ``deg`` are zero.  The result
+    takes the dtype of the product, so complex operands stay complex.
     """
     n = _N_UPTO[deg]
     pairs = _PROD_START[n]
@@ -132,7 +133,7 @@ def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_D
     gathered = np.einsum(
         f"{sa}z,{sb}z->{result}z", a[..., _PROD_L[:pairs]], b[..., _PROD_R[:pairs]]
     )
-    out = np.zeros(gathered.shape[:-1] + (N_MONO,))
+    out = np.zeros(gathered.shape[:-1] + (N_MONO,), dtype=gathered.dtype)
     out[..., :n] = np.add.reduceat(gathered, _PROD_START[:n], axis=-1)
     return out
 

@@ -328,9 +328,10 @@ def suite_deformation(k: int, lam: float, tol_scale: float = 1.0) -> SuiteResult
     checks: list[CheckResult] = []
     x0 = np.array([0.2, -0.1, 0.3, -0.2])
 
+    nodes = deformation.node_points  # each contour evaluates its nodes as one stack
     fam_lin = deformation.linear_gauged_family(0)
     first = deformation.deformation_first_order(fam_lin.lam, fam_lin.phi_field, x0)
-    a_t = deformation.taylor_coefficient(lambda t: fam_lin.connection(t)(x0), 1)
+    a_t = deformation.taylor_coefficient(lambda t: fam_lin.connection(t)(nodes(t, x0)), 1)
     checks.append(_bound_check("first-order-connection",
                                float(np.max(np.abs(first - a_t))),
                                1e-4 * tol_scale, "derived-oracle"))
@@ -339,11 +340,12 @@ def suite_deformation(k: int, lam: float, tol_scale: float = 1.0) -> SuiteResult
     pred = deformation.linearized_ric0_prediction(coeff2, x0)
     h_field = lambda y: deformation.metric_perturbation_from_coeffs(coeff2(y))
 
-    def ric0(t: complex) -> np.ndarray:
-        mfn = lambda y: np.eye(4) + t * h_field(y)
-        ric = fd.ricci(mfn, x0)
-        g = mfn(x0)
-        return ric - 0.25 * np.trace(np.linalg.solve(g, ric)) * g
+    def ric0(t: np.ndarray) -> np.ndarray:
+        mfn = lambda y: np.eye(4) + np.einsum("m,m...->m...", t, h_field(y))
+        ric = fd.ricci(mfn, nodes(t, x0))
+        g = mfn(nodes(t, x0))
+        trace = np.trace(np.linalg.solve(g, ric), axis1=-2, axis2=-1)
+        return ric - 0.25 * trace[:, None, None] * g
 
     checks.append(_bound_check("linearized-tracefree-ricci",
                                float(np.max(np.abs(pred - deformation.taylor_coefficient(ric0, 1)))),
@@ -351,11 +353,13 @@ def suite_deformation(k: int, lam: float, tol_scale: float = 1.0) -> SuiteResult
 
     def block_orders2(fam: deformation.TripleFamily) -> tuple[np.ndarray, np.ndarray]:
         a1_field = lambda x: deformation.star_d_phi(fam.phi_field, x)
-        a2_field = lambda x: deformation.taylor_coefficient(lambda t: fam.connection(t)(x), 2)
+        a2_field = lambda x: deformation.taylor_coefficient(
+            lambda t: fam.connection(t)(nodes(t, x)), 2)
         stack = deformation.ric0_second_order(
             a1_field, a2_field, fam.phi_field, None, x0)
         oracle = deformation.taylor_coefficient(
-            lambda t: connection.curvature_block_of_metric(fam.metric_field(t), x0).Rminus, 2)
+            lambda t: connection.curvature_block_of_metric(fam.metric_field(t),
+                                                           nodes(t, x0)).Rminus, 2)
         return deformation.asd_block(stack), oracle
 
     f_lin, o_lin = block_orders2(fam_lin)

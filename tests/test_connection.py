@@ -102,6 +102,43 @@ def test_operator_blocks_symmetries():
     assert np.max(np.abs(mixed)) > 0
 
 
+def _curved_metric(scale):
+    """A non-Einstein metric, complex for a complex scale, as the contour
+    oracles see it."""
+    sym = np.random.default_rng(4).normal(size=(4, 4, 4)) * 0.05
+    sym = sym + np.swapaxes(sym, 0, 1)
+    return lambda x: (np.eye(4) + scale * np.einsum("abc,...c->...ab", sym, x)
+                      + 0.05 * x[..., :, None] * x[..., None, :])
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8 + 0.6j], ids=["real", "complex"])
+def test_stacked_frames_and_blocks_match_per_point(scale):
+    # a (..., 4, 4) stack of metrics gives each metric's frame and blocks
+    metric = _curved_metric(scale)
+    x = 0.3 * np.random.default_rng(8).normal(size=(2, 3, 4))
+    g = metric(x)
+    for duality in ("sd", "asd"):
+        stacked = connection.frame_from_metric(g, duality)
+        assert stacked.shape == (2, 3, 3, 6)
+        per_point = np.stack([[connection.frame_from_metric(gij, duality) for gij in gi]
+                              for gi in g])
+        assert np.max(np.abs(stacked - per_point)) <= 1e-15
+    block = connection.curvature_block_of_metric(metric, x)
+    assert block.Rplus.shape == block.Rminus.shape == (2, 3, 3, 3)
+    for i, j in np.ndindex(2, 3):
+        single = connection.curvature_block_of_metric(metric, x[i, j])
+        assert np.max(np.abs(block.Rplus[i, j] - single.Rplus)) <= 1e-15
+        assert np.max(np.abs(block.Rminus[i, j] - single.Rminus)) <= 1e-15
+    assert np.max(np.abs(block.Rminus)) > 1e-3
+
+
+def test_frame_from_metric_rejects_a_degenerate_metric_in_a_stack():
+    # positive determinant, split signature: a pivot of the second is not positive
+    g = np.stack([np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0])])
+    with pytest.raises(FrameNotOrthonormal):
+        connection.frame_from_metric(g, "sd")
+
+
 def test_mixed_block_identifies_tracefree_ricci():
     # the mixed operator block is an equivalent encoding of the
     # tracefree Ricci tensor; factor calibrated to exactly one

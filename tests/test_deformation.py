@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import connection, deformation, fd, forms, gh
-from ale_lab.errors import GaugeViolation
+from ale_lab import connection, deformation, fd, forms, gh, suites
+from ale_lab.errors import GaugeViolation, SchemaError
 
 X0 = np.array([0.2, -0.1, 0.3, -0.2])
 
@@ -50,7 +50,8 @@ def test_deformation_first_order_rejects_bad_gauge():
 def test_first_order_connection_matches_family_derivative():
     fam = deformation.linear_gauged_family(0)
     first = deformation.deformation_first_order(fam.lam, fam.phi_field, X0)
-    t_route = deformation.taylor_coefficient(lambda t: fam.connection(t)(X0), 1)
+    t_route = deformation.taylor_coefficient(
+        lambda t: fam.connection(t)(deformation.node_points(t, X0)), 1)
     assert np.max(np.abs(first - t_route)) < 1e-9
     assert deformation.gauge_residual(fam.lam, fam.phi_field, X0) < 1e-9
 
@@ -62,7 +63,7 @@ def test_taylor_coefficient_of_matrix_exponential():
     a = 0.3 * np.random.default_rng(13).normal(size=(4, 4))
     power = np.eye(4)
     for n in range(4):
-        coeff = deformation.taylor_coefficient(lambda t: deformation.expm(t * a), n)
+        coeff = deformation.taylor_coefficient(lambda t: deformation.expm(t[:, None, None] * a), n)
         assert coeff.dtype == np.float64
         assert np.max(np.abs(coeff - power / math.factorial(n))) < 1e-12
         power = power @ a
@@ -97,6 +98,60 @@ def test_triple_closed_form_matches_expm(family):
         assert np.max(np.abs(got - expected @ deformation._BASIS)) < 1e-13
     # a single (4,) point gives its row of the stack
     assert np.max(np.abs(family.triple(0.1, x[1, 2]) - family.triple(0.1, x)[1, 2])) < 1e-14
+
+
+_NODES = {
+    "real": np.array([deformation.TAYLOR_RADIUS, -deformation.TAYLOR_RADIUS]),
+    "complex": deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NODES))
+@pytest.mark.parametrize("family", [
+    deformation.linear_gauged_family(0),
+    deformation.einstein_first_order_family(5),
+], ids=["linear", "einstein-first-order"])
+def test_triple_on_node_axis_matches_per_node(family, kind):
+    # a (m,) array of nodes with (m, ..., 4) points gives each node's triple
+    t = _NODES[kind]
+    x = 0.4 * np.random.default_rng(17).normal(size=(2, 3, 4))
+    stacked = family.triple(t, deformation.node_points(t, x))
+    assert stacked.shape == (len(t), 2, 3, 3, 6)
+    per_node = np.stack([family.triple(complex(tk) if kind == "complex" else float(tk), x)
+                         for tk in t])
+    assert np.max(np.abs(stacked - per_node)) <= 1e-15
+    metric = family.metric(t, deformation.node_points(t, x))
+    assert np.max(np.abs(metric - np.stack([family.metric(tk, x) for tk in t]))) <= 1e-15
+
+
+def test_taylor_coefficient_rejects_values_without_node_axis():
+    fam = deformation.linear_gauged_family(0)
+    # the point not broadcast to the nodes: one value for the whole contour
+    with pytest.raises(SchemaError, match=r"shape \(3, 4\) for 2 nodes"):
+        deformation.taylor_coefficient(lambda t: fam.connection(0.1)(X0), 1)
+    # the nodes on a trailing axis
+    with pytest.raises(SchemaError, match=r"shape \(4, 4, 2\) for 2 nodes"):
+        deformation.taylor_coefficient(lambda t: np.multiply.outer(np.eye(4), t), 1)
+
+
+def test_triple_rejects_points_without_node_axis():
+    fam = deformation.linear_gauged_family(0)
+    t = _NODES["complex"]
+    with pytest.raises(SchemaError, match=r"points of shape \(8, 4\) for 3 nodes"):
+        fam.triple(t, np.zeros((8, 4)))
+
+
+def test_suite_deformation_evaluates_each_contour_as_one_stack(monkeypatch):
+    calls = {"triple": 0}
+    inner = deformation.TripleFamily.triple
+
+    def counted(self, t, x):
+        calls["triple"] += 1
+        return inner(self, t, x)
+
+    monkeypatch.setattr(deformation.TripleFamily, "triple", counted)
+    assert suites.suite_deformation(1, 1.0).passed
+    assert calls["triple"] <= 40
 
 
 # --- bracket and block helpers ----------------------------------------------
@@ -145,12 +200,14 @@ def test_linearized_ric0_matches_fd_in_t():
     coeff = deformation.gauged_coefficient_field(9)
     pred = deformation.linearized_ric0_prediction(coeff, X0)
 
-    def tracefree_ricci(t: complex) -> np.ndarray:
-        metric = lambda y: np.eye(4) + t * deformation.metric_perturbation_from_coeffs(coeff(y))
-        ric = fd.ricci(metric, X0)
-        g = metric(X0)
+    def tracefree_ricci(t: np.ndarray) -> np.ndarray:
+        metric = lambda y: np.eye(4) + np.einsum(
+            "m,m...->m...", t, deformation.metric_perturbation_from_coeffs(coeff(y)))
+        x = deformation.node_points(t, X0)
+        ric = fd.ricci(metric, x)
+        g = metric(x)
         ginv = np.linalg.inv(g)
-        return ric - 0.25 * np.einsum("ab,ab->", ginv, ric) * g
+        return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 
     t_route = deformation.taylor_coefficient(tracefree_ricci, 1)
     assert np.max(np.abs(pred - t_route)) < 1e-8
@@ -161,14 +218,15 @@ def test_linearized_ric0_matches_fd_in_t():
 def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """t^2-coefficient of the anti-self-dual curvature block of the family
     metric."""
-    return deformation.taylor_coefficient(
-        lambda t: connection.curvature_block_of_metric(fam.metric_field(t), x).Rminus, 2)
+    return deformation.taylor_coefficient(lambda t: connection.curvature_block_of_metric(
+        fam.metric_field(t), deformation.node_points(t, x)).Rminus, 2)
 
 
 def _a2_field(fam: deformation.TripleFamily):
     """Second-order connection coefficients: the t^2-coefficient of the
     family's connection."""
-    return lambda y: deformation.taylor_coefficient(lambda t: fam.connection(t)(y), 2)
+    return lambda y: deformation.taylor_coefficient(
+        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2)
 
 
 def test_second_order_formula_linear_family():
@@ -195,6 +253,27 @@ def test_second_order_formula_couples_phi_and_curvature():
     uncoupled = deformation.asd_block(deformation.ric0_second_order(
         a1_field, _a2_field(fam), fam.phi_field, np.zeros((3, 3)), X0))
     assert np.max(np.abs(formula - uncoupled)) > 1e-3
+
+
+def test_constraint_matrices_match_per_vector_build():
+    # reference: one coefficient field per unit vector, each through its own
+    # stencils; the stacked build does the same arithmetic, so it is equal
+    n = deformation._UNIT_COEFFS.shape[0]
+    div_cols, asd_cols = [], []
+    for vec in np.eye(n):
+        coeff = deformation._polynomial_field(vec)
+        h_field = lambda y: deformation.metric_perturbation_from_coeffs(coeff(y))
+        div_cols.append(np.einsum("...aab->...b", fd.all_partials(
+            h_field, deformation._DIV_POINTS, 0.25)).ravel())
+        a1 = lambda y: deformation.star_d_phi(
+            lambda z: deformation.phi_comps_from_coeffs(coeff(z)), y)
+        da = np.swapaxes(fd.all_partials(a1, np.zeros(4), 0.25), 0, 1)
+        _, minus = forms.split_sd(np.eye(4), forms.tensor_to_comps(da - np.swapaxes(da, 1, 2), 2))
+        asd_cols.append(minus.ravel())
+    div = np.stack(div_cols, axis=1)
+    assert np.array_equal(deformation._divergence_matrix(), div)
+    assert np.array_equal(deformation._efo_constraint_matrix(),
+                          np.concatenate([div, np.stack(asd_cols, axis=1)]))
 
 
 def test_einstein_family_constraints():
@@ -227,12 +306,13 @@ def test_second_order_tensor_identification():
         a1_field, _a2_field(fam), fam.phi_field, None, X0)
     tensor = connection.mixed_block_to_ric0(deformation.asd_block(stack), np.eye(4))
 
-    def tracefree_ricci(t: complex) -> np.ndarray:
+    def tracefree_ricci(t: np.ndarray) -> np.ndarray:
         metric = fam.metric_field(t)
-        ric = fd.ricci(metric, X0)
-        g = metric(X0)
+        x = deformation.node_points(t, X0)
+        ric = fd.ricci(metric, x)
+        g = metric(x)
         ginv = np.linalg.inv(g)
-        return ric - 0.25 * np.einsum("ab,ab->", ginv, ric) * g
+        return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 
     oracle = deformation.taylor_coefficient(tracefree_ricci, 2)
     assert np.max(np.abs(tensor - oracle)) < 1e-6

@@ -81,6 +81,23 @@ def test_poly_product_matches_monomial_loop(subscripts, sa, sb, deg):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
+@pytest.mark.parametrize("subscripts,sa,sb,deg", PRODUCT_CASES)
+def test_poly_product_keeps_complex_parts(subscripts, sa, sb, deg):
+    # (ar + i ai)(br + i bi) = (ar br - ai bi) + i (ar bi + ai br), each
+    # product real, so a complex operand must not lose its imaginary part
+    rng = np.random.default_rng(deg + 1)
+    ar, ai = rng.normal(size=(2,) + sa + (jets.N_MONO,))
+    br, bi = rng.normal(size=(2,) + sb + (jets.N_MONO,))
+    real = lambda u, v: jets.poly_product(subscripts, u, v, deg)
+    got = jets.poly_product(subscripts, ar + 1j * ai, br + 1j * bi, deg)
+    want = (real(ar, br) - real(ai, bi)) + 1j * (real(ar, bi) + real(ai, br))
+    assert got.dtype == np.complex128 and real(ar, br).dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+    one = jets.poly_zero()
+    one[0] = 1.0
+    assert jets.poly_product("...,...->...", 1j * one, 1j * one)[0] == -1.0
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_curvature_polys_match_fd_near_origin(seed):
     """The Christoffel polynomial (degree 3) and the curvature polynomial
