@@ -192,9 +192,7 @@ def operator_blocks_from_riemann(
 def curvature_block_of_metric(metric_fn: MetricField, x: np.ndarray) -> CurvatureBlock:
     """CurvatureBlock of a metric via finite differences, (..., 3, 3)
     blocks at (..., 4) points."""
-    x = np.asarray(x, dtype=float)
-    g = float_or_complex(metric_fn(x))
-    rlow = fd.riemann_lowered(metric_fn, x)
+    g, rlow = fd.metric_and_riemann_lowered(metric_fn, x, fd.DEFAULT_STEP)
     a_sd, mixed, _ = operator_blocks_from_riemann(g, rlow)
     return CurvatureBlock(Rplus=-a_sd, Rminus=-mixed)
 

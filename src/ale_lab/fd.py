@@ -168,9 +168,16 @@ def riemann_up(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
     return _curvature(metric_fn, x, DEFAULT_STEP)[1]
 
 
-def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def metric_and_riemann_lowered(metric_fn: Callable, x: np.ndarray,
+                               h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g_ab, R_abcd = g_ae R^e_bcd) at (..., 4) points from one metric
+    call: g is the metric at x, the first point of the nested stencil."""
     g, r = _curvature(metric_fn, x, h)
-    return np.einsum("...ae,...ebcd->...abcd", g, r)
+    return g, np.einsum("...ae,...ebcd->...abcd", g, r)
+
+
+def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+    return metric_and_riemann_lowered(metric_fn, x, h)[1]
 
 
 def ricci(metric_fn: Callable, x: np.ndarray) -> np.ndarray:

@@ -9,13 +9,16 @@ S^3 is parametrized torus-style: with r1 = r cos(chi), r2 = r sin(chi),
 and u = cos(2 chi) as the Legendre variable, so the round measure is
 (r^3/4) du dt1 dt2 and polynomial integrands separate into low-degree
 factors.  The frame (d_u, d_t1, d_t2) is outward-boundary oriented for
-the standard orientation of R^4, which fixes the sign of all 3-form
-surface integrals below.
+the standard orientation of R^4, which fixes the sign of the 3-form
+pullback: its 3x3 minors are (r^2/4) *x, the Euclidean dual of the outward
+normal times the measure density.
 
 Closedness of varpi = sum_i z_i w_i (w_i the constant dual basis) is a
 fixed integer-coefficient linear system on the 3 x 10 quadratic
 coefficients; its null space is computed exactly once per duality and
 cached, so sampled triples satisfy d(varpi) = 0 to machine precision.
+The pairing int_{S^3} d^C F ^ varpi is linear in Z: it is integrated once
+per duality and radius into a (3, 4, 4) kernel K, and each pairing is <K, Z>.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .forms import (
     EUCLIDEAN,
     OMEGA_ASD,
     OMEGA_SD,
-    TUPLES,
     J_from_form,
     apply_J_covector,
+    hodge_star,
     wedge,
 )
 from .gh import gauss_legendre, potential
@@ -83,41 +86,27 @@ def _s3_nodes(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pts = radius * np.stack(
         [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
     )
-    frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
-    minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in TUPLES[3]], axis=1)
+    minors = (radius**2 / 4.0) * hodge_star(EUCLIDEAN, pts, 1)
     for table in (pts, w, minors):
         table.setflags(write=False)
     return pts, w, minors
 
 
-def integrate_S3(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    radius: float = 1.0,
-    mode: str = "scalar",
-) -> float:
-    """Integral over the radius-r sphere, on the SPHERE_ORDER product rule.
+def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
+    """Integral over the radius-r sphere against the round measure, on the
+    SPHERE_ORDER product rule.
 
     The integrand is vectorized: it maps the (N, 4) array of quadrature
-    nodes (read-only, shared between calls) to N values in one call.
-    mode "scalar": values of shape (N,), integrated against the round
-    measure.  mode "form3": degree-3 component vectors of shape (N, 4),
-    integrated as the pullback to the sphere with outward boundary
-    orientation.  Any other shape raises SchemaError.
+    nodes (read-only, shared between calls) to N values of shape (N,) in one
+    call.  Any other shape raises SchemaError.
     """
-    if mode not in ("scalar", "form3"):
-        raise SchemaError(f"unknown mode {mode!r}")
-    pts, w, minors = _s3_nodes(radius)
+    pts, w, _ = _s3_nodes(radius)
     vals = np.asarray(integrand(pts), dtype=float)
-    expected = (len(pts),) if mode == "scalar" else (len(pts), 4)
-    if vals.shape != expected:
+    if vals.shape != (len(pts),):
         raise SchemaError(
-            f"{mode} integrand returned shape {vals.shape} for {len(pts)} nodes, "
-            f"expected {expected}")
-    if mode == "scalar":
-        return float(np.sum(w * vals * (radius**3 / 4.0)))
-    # t(d_u, d_t1, d_t2) = sum_I t_I * (3x3 minor of the tangent frame on
-    # the columns I), with I running over the sorted triples
-    return float(np.sum(w * np.einsum("ni,ni->n", vals, minors)))
+            f"integrand returned shape {vals.shape} for {len(pts)} nodes, "
+            f"expected {(len(pts),)}")
+    return float(np.sum(w * vals * (radius**3 / 4.0)))
 
 
 def volume_nodes(
@@ -288,15 +277,6 @@ class QuadraticTriple:
             raise SchemaError("Z matrices must be symmetric")
         object.__setattr__(self, "Z", z)
 
-    def z_values(self, x: np.ndarray) -> np.ndarray:
-        """(..., 3) values of z_i at points x of shape (..., 4)."""
-        x = np.asarray(x, dtype=float)
-        return np.einsum("iab,...a,...b->...i", self.Z, x, x)
-
-    def varpi(self, x: np.ndarray) -> np.ndarray:
-        """(..., 6) components of varpi at points x of shape (..., 4)."""
-        return self.z_values(x) @ _dual_basis(self.duality)
-
     def d_varpi(self, x: np.ndarray) -> np.ndarray:
         """Exact exterior derivative, (..., 4) degree-3 components at x."""
         x = np.asarray(x, dtype=float)
@@ -340,19 +320,33 @@ def grad_F(x: np.ndarray) -> np.ndarray:
     return 2.0 * _F_SIGNS * x / r2**3 - 6.0 * q * x / r2**4
 
 
+@functools.lru_cache(maxsize=8)
+def _pairing_kernel(duality: str, radius: float) -> np.ndarray:
+    """Read-only (3, 4, 4) kernel K with int_{S^3} d^C F ^ varpi = <K, Z>,
+    built once per duality and radius: K_iab = sum_n weight_n g_i x_na x_nb,
+    g_i the pullback of d^C F ^ w_i at node n (varpi = sum_i x^T Z_i x w_i)."""
+    pts, w, minors = _s3_nodes(radius)
+    # table[a, i] = dx_a ^ w_i, degree-3 components
+    table = wedge(np.eye(4)[:, None, :], 1, _dual_basis(duality), 2)
+    dcf = apply_J_covector(_J1_FLAT, grad_F(pts))
+    # g[n, i]: d^C F ^ w_i pulled back at node n, in one expression so the
+    # (N, 3, 4) forms are freed before the (N, 12) outer product is built
+    g = w[:, None] * np.einsum(
+        "nik,nk->ni", (dcf @ table.reshape(4, 12)).reshape(-1, 3, 4), minors)
+    kernel = ((g[:, :, None] * pts[:, None, :]).reshape(len(pts), 12).T @ pts).reshape(3, 4, 4)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def dCF_pairing(triple: QuadraticTriple, radius: float = 1.0) -> tuple[float, float]:
     """(lhs, rhs) of the sphere pairing: lhs = int_{S^3} d^C F ^ varpi by
-    quadrature of the 3-form pullback, rhs analytic from Z_1.
+    quadrature of the 3-form pullback, as the contraction of Z with the
+    kernel of its duality and radius; rhs analytic from Z_1.
 
     The integrand is homogeneous of degree 0, so lhs is radius
     independent.  For anti-self-dual input the analytic value is 0.
     """
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        dcf = apply_J_covector(_J1_FLAT, grad_F(x))
-        return wedge(dcf, 1, triple.varpi(x), 2)
-
-    lhs = integrate_S3(integrand, radius=radius, mode="form3")
+    lhs = float(np.sum(_pairing_kernel(triple.duality, radius) * triple.Z))
     if triple.duality == "sd":
         z1 = triple.Z[0]
         rhs = math.pi**2 * (-z1[0, 0] - z1[1, 1] + z1[2, 2] + z1[3, 3])

@@ -194,11 +194,12 @@ def suite_quadrature(tol_scale: float = 1.0) -> SuiteResult:
     checks: list[CheckResult] = []
 
     cross = quadrature.integrate_S3(
-        lambda p: (p[..., 0] * p[..., 3] + p[..., 1] * p[..., 2]) ** 2)
+        lambda p: (p[..., 0] * p[..., 3] + p[..., 1] * p[..., 2]) ** 2, radius=1.0)
     checks.append(_abs_check("s3-cross-moment", cross, math.pi ** 2 / 6.0,
                              1e-8 * tol_scale, "closed-form-constant"))
     quad = quadrature.integrate_S3(
-        lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2] ** 2 - p[..., 3] ** 2) ** 2)
+        lambda p: (p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2] ** 2 - p[..., 3] ** 2) ** 2,
+        radius=1.0)
     checks.append(_abs_check("s3-quadratic-moment", quad, 2.0 * math.pi ** 2 / 3.0,
                              1e-8 * tol_scale, "closed-form-constant"))
 

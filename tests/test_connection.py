@@ -132,6 +132,25 @@ def test_stacked_frames_and_blocks_match_per_point(scale):
     assert np.max(np.abs(block.Rminus)) > 1e-3
 
 
+def test_curvature_block_makes_one_metric_call():
+    # the metric at x is the first point of the nested stencil, so the block
+    # takes g from there instead of calling the metric again
+    metric = _curved_metric(1.0)
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape)
+        return metric(y)
+
+    x = 0.3 * np.random.default_rng(9).normal(size=(2, 4))
+    block = connection.curvature_block_of_metric(counted, x)
+    assert calls == [(2, 9, 9, 4)]
+    a_sd, mixed, _ = connection.operator_blocks_from_riemann(
+        metric(x), fd.riemann_lowered(metric, x))
+    assert np.max(np.abs(block.Rplus + a_sd)) <= 1e-14
+    assert np.max(np.abs(block.Rminus + mixed)) <= 1e-14
+
+
 def test_frame_from_metric_rejects_a_degenerate_metric_in_a_stack():
     # positive determinant, split signature: a pivot of the second is not positive
     g = np.stack([np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0])])

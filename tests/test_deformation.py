@@ -142,16 +142,22 @@ def test_triple_rejects_points_without_node_axis():
 
 
 def test_suite_deformation_evaluates_each_contour_as_one_stack(monkeypatch):
-    calls = {"triple": 0}
-    inner = deformation.TripleFamily.triple
+    calls = {"triple": 0, "metric": 0}
 
-    def counted(self, t, x):
-        calls["triple"] += 1
-        return inner(self, t, x)
+    def counting(name):
+        inner = getattr(deformation.TripleFamily, name)
 
-    monkeypatch.setattr(deformation.TripleFamily, "triple", counted)
+        def counted(self, t, x):
+            calls[name] += 1
+            return inner(self, t, x)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(deformation.TripleFamily, name, counting(name))
     assert suites.suite_deformation(1, 1.0).passed
     assert calls["triple"] <= 40
+    # each curvature block takes its metric from its own stencil: one call
+    assert calls["metric"] <= 22
 
 
 # --- bracket and block helpers ----------------------------------------------

@@ -4,6 +4,7 @@ a closed dual triple."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,9 +35,32 @@ def test_sphere_moments_closed_form():
     assert quad == pytest.approx(2.0 * math.pi**2 / 3.0, abs=1e-8)
 
 
+@functools.cache
+def _det_route_nodes(radius):
+    """Nodes, weights and frame minors of the sphere rule as they were built
+    before the closed form: one 3x3 determinant of (d_u, d_t1, d_t2) per
+    node and sorted triple."""
+    u, t1, t2, w = quadrature._s3_grid()
+    c, s = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
+    pts = radius * np.stack([c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)],
+                            axis=1)
+    frame = np.stack(quadrature._s3_tangents(radius, u, t1, t2), axis=1)
+    minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in forms.TUPLES[3]], axis=1)
+    return pts, w, minors
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.6])
+def test_s3_minors_closed_form_matches_det(radius):
+    pts, w, minors = quadrature._s3_nodes(radius)
+    ref_pts, ref_w, ref_minors = _det_route_nodes(radius)
+    assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+    assert np.max(np.abs(minors - ref_minors)) <= 1e-14
+
+
 def test_form3_pullback_matches_tensor_contraction():
     # reference: expand the 3-form into its antisymmetric tensor at every
-    # node and contract it with the three tangent vectors
+    # node and contract it with the three tangent vectors; the pairing
+    # kernel pulls 3-forms back with the weighted minors of _s3_nodes
     coeffs = np.random.default_rng(4).normal(size=(4, 4))
 
     def integrand(x):
@@ -50,7 +74,8 @@ def test_form3_pullback_matches_tensor_contraction():
         wi * np.einsum("abc,a,b,c->", forms.comps_to_tensor(integrand(p), 3), a, b, d)
         for wi, p, a, b, d in zip(w, pts, du, dt1, dt2)
     )
-    got = quadrature.integrate_S3(integrand, radius=1.3, mode="form3")
+    nodes, weights, minors = quadrature._s3_nodes(1.3)
+    got = float(np.sum(weights * np.einsum("ni,ni->n", integrand(nodes), minors)))
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -73,11 +98,10 @@ def test_odd_moments_vanish():
         assert quadrature.integrate_S3(f, radius=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["scalar", "form3"])
-def test_per_point_integrand_rejected(mode):
+def test_per_point_integrand_rejected():
     # x[0] of the (N, 4) node array is the first node, not a coordinate
     with pytest.raises(SchemaError, match=r"shape \(4,\)"):
-        quadrature.integrate_S3(lambda x: x[0], mode=mode)
+        quadrature.integrate_S3(lambda x: x[0], radius=1.0)
 
 
 def test_quadratic_triple_validation():
@@ -139,6 +163,55 @@ def test_pairing_asd_null():
     lhs, rhs = quadrature.dCF_pairing(triple)
     assert rhs == 0.0
     assert abs(lhs) <= 1e-8
+
+
+def _pointwise_pairing(triple, radius):
+    """int_{S^3} d^C F ^ varpi with the 3-form d^C F ^ (sum_i z_i w_i)
+    evaluated at every node and pulled back by the determinant minors."""
+    pts, w, minors = _det_route_nodes(radius)
+    dcf = forms.apply_J_covector(quadrature._J1_FLAT, quadrature.grad_F(pts))
+    z = np.einsum("iab,na,nb->ni", triple.Z, pts, pts)
+    varpi = z @ quadrature._dual_basis(triple.duality)
+    return float(np.sum(w * np.einsum("ni,ni->n", forms.wedge(dcf, 1, varpi, 2), minors)))
+
+
+def _symmetric_triples(duality):
+    rng = np.random.default_rng(23)
+    closed = [quadrature.random_closed_quadratic(seed, duality) for seed in range(3)]
+    raw = rng.normal(size=(3, 3, 4, 4))
+    return closed + [quadrature.QuadraticTriple(Z=z + z.transpose(0, 2, 1), duality=duality)
+                     for z in raw]
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.6])
+@pytest.mark.parametrize("duality", ["sd", "asd"])
+def test_pairing_kernel_matches_pointwise_integrand(duality, radius):
+    # closed triples and non-closed symmetric Z: the kernel contraction is
+    # the quadrature of the same integrand, reordered by linearity in Z
+    for triple in _symmetric_triples(duality):
+        lhs, _ = quadrature.dCF_pairing(triple, radius=radius)
+        assert abs(lhs - _pointwise_pairing(triple, radius)) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_pairing_kernel_is_built_once_per_key_and_read_only(monkeypatch):
+    calls = []
+    inner = quadrature.grad_F
+
+    def counted(x):
+        calls.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(quadrature, "grad_F", counted)
+    sd = quadrature.random_closed_sd_quadratic(1)
+    asd = quadrature.random_closed_quadratic(1, "asd")
+    for triple in (sd, sd, asd, asd):
+        quadrature.dCF_pairing(triple, radius=1.9)
+    assert len(calls) == 2  # one kernel for each duality at the new radius
+    kernel = quadrature._pairing_kernel("sd", 1.9)
+    assert kernel.shape == (3, 4, 4)
+    assert quadrature._pairing_kernel("sd", 1.9) is kernel
+    with pytest.raises(ValueError):
+        kernel[0, 0, 0] = 0.0
 
 
 def test_pairing_radius_independent():
