@@ -12,8 +12,8 @@ direction from that center; the south gauge uses (cos th_i + 1) and is
 singular on the +x1 rays.  The gauges differ by sum_i n_i dphi_i, a
 pure fiber shift.  Points within EPS_STRING of an excluded ray raise
 OnDiracString rather than extrapolating.  Only the point layer
-(validate_base, eval_eta, potential_and_eta, metric_matrix) takes the
-gauge; everything above it works in the north gauge.
+(validate_base, potential_and_eta, metric_matrix) takes the gauge;
+everything above it works in the north gauge.
 
 The 2-form triple is w_i = dx^i ^ eta + V dx^j ^ dx^k (cyclic over the
 three base directions); it is self-dual for the volume form
@@ -199,12 +199,6 @@ def _inverse_cubes(diff: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return np.divide(diff, dists[..., None] ** 3, out=diff)
 
 
-def potential(config: GHConfig, pts: np.ndarray) -> np.ndarray:
-    """Harmonic potential (1/2) sum n_i / |x - p_i| at base points (..., 3),
-    without domain checks."""
-    return _potential_from(config.weights, _offsets(config, pts)[1])
-
-
 def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Harmonic potential at (..., 3) base points, after domain validation."""
     return _potential_from(config.weights, validate_base(config, x3)[1])
@@ -251,12 +245,6 @@ def _eta(config: GHConfig, dx: np.ndarray, patch: str) -> np.ndarray:
     out[..., 2] = np.sum(coeff * (dx[..., 1] / rho_sq), axis=-1)
     out[..., 3] = 1.0
     return out
-
-
-def eval_eta(config: GHConfig, x3: np.ndarray, patch: str = "north") -> np.ndarray:
-    """Connection coefficients A with eta = dtau + A, in the patch's gauge,
-    at (..., 3) base points: covectors (A1, A2, A3) with A1 = 0 identically."""
-    return _eta(config, validate_base(config, x3, patch)[0], patch)[..., :3]
 
 
 def potential_and_eta(config: GHConfig, x4: np.ndarray,
@@ -330,13 +318,10 @@ def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return np.sum(config.weights * _offsets(config, x3)[1], axis=-1)
 
 
-def moment_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    diff, dists = validate_base(config, x3)
-    return np.einsum("...i,...ij->...j", config.weights / dists, diff)
-
-
 def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    g = moment_grad(config, x3)
+    """dm (..., 4) at (..., 3) base points, validated; its fiber component is 0."""
+    diff, dists = validate_base(config, x3)
+    g = np.einsum("...i,...ij->...j", config.weights / dists, diff)
     return np.concatenate([g, np.zeros(g.shape[:-1] + (1,))], axis=-1)
 
 
@@ -391,7 +376,7 @@ def sigma_integrate(config: GHConfig, f: Callable[[np.ndarray], np.ndarray]) -> 
     of x1 nodes to (n,) values in one call; any other shape raises
     SchemaError.
     """
-    if config.k == 0:
+    if len(config.centers) < 2:
         raise SchemaError("single-center config has no exceptional surface")
     a, b = config.segment
     nodes, weights = gauss_legendre(a, b, SIGMA_ORDER)
@@ -414,11 +399,12 @@ def vol_sigma(config: GHConfig) -> float:
 
 def axis_link_holonomy(config: GHConfig, x1: float) -> float:
     """Integral of A, south gauge, around the base circle of radius 1e-3
-    about the axis at x1 (64 Gauss-Legendre nodes)."""
+    about the axis at x1 (64 Gauss-Legendre nodes), read off eta = dtau + A."""
     nodes, weights = gauss_legendre(0.0, 2.0 * math.pi, 64)
     cos, sin = 1e-3 * np.cos(nodes), 1e-3 * np.sin(nodes)
-    a = eval_eta(config, np.stack([np.full_like(cos, x1), cos, sin], axis=-1), "south")
-    return float(np.sum(weights * (a[:, 2] * cos - a[:, 1] * sin)))
+    x4 = np.stack([np.full_like(cos, x1), cos, sin, np.zeros_like(cos)], axis=-1)
+    _, eta = potential_and_eta(config, x4, "south")
+    return float(np.sum(weights * (eta[:, 2] * cos - eta[:, 1] * sin)))
 
 
 def center_flux(config: GHConfig, center_index: int, radius: float) -> float:

@@ -10,7 +10,8 @@ Its norm density is |Omega_raw|^2 = 2 |grad f|^2, a pure base
 quantity.  The bundle normalizes Omega = c Omega_raw so that the
 integral over the core surface equals 2 pi times the surface
 self-intersection -(k+1)/k; for the canonical configuration
-c = (k+1)/k and the total norm is ||Omega||^2 = 4 pi^2 (k+1)/k.
+c = (k+1)/k and the total norm is ||Omega||^2 = 4 pi^2 (k+1)/k, the volume
+integral 2 pi int |Omega|^2 V d^3x with V from the pass that gives grad f.
 
 Far-field models: with rhat^2 = 2(k+1) rho the exactly-fibered radial
 coordinate, the leading profile is c_Gamma d d^C (1/rhat^2) with
@@ -30,7 +31,7 @@ import numpy as np
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence, TailDominance
 from .forms import FormField, apply_J_covector, split_sd
-from .quadrature import gh_volume_integral, volume_nodes
+from .quadrature import TWO_PI, volume_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +39,15 @@ from .quadrature import gh_volume_integral, volume_nodes
 # ---------------------------------------------------------------------------
 
 
-def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    """grad f by the quotient rule, from one pass over the centers."""
+def _grad_f_and_V(config: gh.GHConfig, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad f by the quotient rule, and V, from one pass over the centers."""
     v, gv, v0, gv0 = gh.potential_and_first_center(config, pts)
-    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2
+    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2, v
+
+
+def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
+    """grad f at (..., 3) base points."""
+    return _grad_f_and_V(config, pts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +71,13 @@ class HarmonicFormBundle:
         triple = gh.form_triple(v, eta, -1.0)
         return self.normalization * np.einsum("...i,...ic->...c", grad, triple)
 
-    def field(self) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x4: self.components(x4)
-
     def norm_density(self, pts: np.ndarray) -> np.ndarray:
         """|Omega|_g^2 at (..., 3) base points (fiber-independent)."""
-        grad = vec_grad_f(self.config, pts)
-        return 2.0 * self.normalization**2 * np.sum(grad * grad, axis=-1)
+        return self._norm_density_and_V(pts)[0]
+
+    def _norm_density_and_V(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad, v = _grad_f_and_V(self.config, pts)
+        return 2.0 * self.normalization**2 * np.sum(grad * grad, axis=-1), v
 
 
 def core_self_intersection(k: int) -> float:
@@ -113,13 +119,17 @@ def omega_norm(
     rho_out: float | None = None,
     tail_tol: float = 0.1,
 ) -> float:
-    """Total square norm: volume quadrature out to rho_out plus the
-    profile tail 16 pi^2 c_Gamma^2 / ((k+1) R^4) beyond."""
+    """Total square norm: 2 pi sum w |Omega|^2 V over volume_nodes out to
+    rho_out plus the profile tail 16 pi^2 c_Gamma^2 / ((k+1) R^4) beyond."""
     cfg = bundle.config
     k = cfg.k
     if rho_out is None:
         rho_out = 40.0 * (k + 1) * cfg.lam
-    numeric = gh_volume_integral(cfg, bundle.norm_density, outer_scale=rho_out)
+    pts, w = volume_nodes(cfg, rho_out)
+    dens, v = bundle._norm_density_and_V(pts)
+    if not np.all(np.isfinite(dens)):
+        raise QuadratureDivergence("volume integrand not finite on region")
+    numeric = TWO_PI * float(np.sum(w * dens * v))
     r4_sq = 2.0 * (k + 1) * rho_out
     cg = c_gamma(k, cfg.lam)
     tail = 16.0 * math.pi**2 * cg**2 / ((k + 1) * r4_sq**2)
@@ -310,7 +320,7 @@ def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float],
     radii = np.asarray(radii_rho, dtype=float)
     base = radii[:, None, None] * _fit_directions(n_dirs, 0)  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.7)], axis=-1)
-    g = gh.metric_at(config, x4).metric
+    g = gh.metric_matrix(config, x4)
     sample_c = gh.metric_at(cone, x4)
     finv = np.linalg.inv(sample_c.coframe)
     hframe = np.swapaxes(finv, -1, -2) @ (g - sample_c.metric) @ finv

@@ -211,9 +211,6 @@ class Jet2:
     def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet2":
         return cls(H=_checked_jet(arr, "H", "quadratic", [(0, 1), (2, 3)], tol))
 
-    def metric_field(self, quartic: "Jet4 | None" = None) -> Callable[[np.ndarray], np.ndarray]:
-        return metric_fn_from_jets(self, quartic)
-
 
 @dataclass(frozen=True)
 class Jet4:

@@ -1,6 +1,6 @@
-"""Deterministic Gauss-Legendre quadrature on S^3 and over fibered volume
-regions, plus the sphere pairing identity for closed self-dual 2-forms
-with quadratic coefficients.
+"""Deterministic Gauss-Legendre quadrature on S^3, the base nodes of
+fibered volume regions of a two-cluster configuration, and the sphere
+pairing identity for closed self-dual 2-forms with quadratic coefficients.
 
 S^3 is parametrized torus-style: with r1 = r cos(chi), r2 = r sin(chi),
 
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureDivergence, SchemaError
+from .errors import SchemaError
 from .forms import (
     EUCLIDEAN,
     OMEGA_ASD,
@@ -40,7 +40,7 @@ from .forms import (
     hodge_star,
     wedge,
 )
-from .gh import gauss_legendre, potential
+from .gh import gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,78 +114,41 @@ def volume_nodes(
     outer_scale: float,
     radial_nodes: int = RADIAL_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Base nodes (N, 3) and coordinate weights (N,) of d^3x over a large
-    region: for a two-cluster config the confocal spheroid of outer scale
+    """Base nodes (N, 3) and coordinate weights (N,) of d^3x over the
+    confocal spheroid with foci at the two cluster points and outer scale
     outer_scale (its boundary lies within one focal distance of the sphere
-    of that radius); for a single center the base ball of that radius.
-    The rule has radial_nodes Legendre nodes along the radius and
-    SPHERE_ORDER along each angle, the azimuth included, so no
-    axisymmetry of the integrand is assumed."""
+    of that radius).  The rule has radial_nodes Legendre nodes along the
+    radius and SPHERE_ORDER along each angle, the azimuth included, so no
+    axisymmetry of the integrand is assumed.  A single-center config has no
+    foci and raises SchemaError."""
+    if len(config.centers) < 2:
+        raise SchemaError("volume nodes need two cluster points; the config has one center")
+    # prolate spheroidal coordinates with foci at the cluster points
+    p0, p1 = config.p0, config.p1
+    mid = 0.5 * (p0 + p1)
+    a_f = 0.5 * float(np.linalg.norm(p1 - p0))
+    xi_max = max(outer_scale / a_f, 2.0)
+    xi, wxi = gauss_legendre(1.0, xi_max, radial_nodes)
+    mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
     phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
-    if len(config.centers) == 1:
-        center = config.p0
-        rho, wrho = gauss_legendre(0.0, outer_scale, radial_nodes)
-        mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
-        R, M, P = np.meshgrid(rho, mu, phi, indexing="ij")
-        W = (
-            wrho[:, None, None]
-            * wmu[None, :, None]
-            * wphi[None, None, :]
-            * R**2
-        )
-        s = np.sqrt(1.0 - M**2)
-        pts = np.stack(
-            [
-                center[0] + R * M,
-                center[1] + R * s * np.cos(P),
-                center[2] + R * s * np.sin(P),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-    else:
-        # prolate spheroidal coordinates with foci at the cluster points
-        p0, p1 = config.p0, config.p1
-        mid = 0.5 * (p0 + p1)
-        a_f = 0.5 * float(np.linalg.norm(p1 - p0))
-        xi_max = max(outer_scale / a_f, 2.0)
-        xi, wxi = gauss_legendre(1.0, xi_max, radial_nodes)
-        mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
-        XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
-        W = (
-            wxi[:, None, None]
-            * wmu[None, :, None]
-            * wphi[None, None, :]
-            * a_f**3
-            * (XI**2 - MU**2)
-        )
-        perp = a_f * np.sqrt(np.clip((XI**2 - 1.0) * (1.0 - MU**2), 0.0, None))
-        pts = np.stack(
-            [
-                mid[0] + a_f * XI * MU,
-                mid[1] + perp * np.cos(P),
-                mid[2] + perp * np.sin(P),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
+    XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
+    W = (
+        wxi[:, None, None]
+        * wmu[None, :, None]
+        * wphi[None, None, :]
+        * a_f**3
+        * (XI**2 - MU**2)
+    )
+    perp = a_f * np.sqrt(np.clip((XI**2 - 1.0) * (1.0 - MU**2), 0.0, None))
+    pts = np.stack(
+        [
+            mid[0] + a_f * XI * MU,
+            mid[1] + perp * np.cos(P),
+            mid[2] + perp * np.sin(P),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
     return pts, W.ravel()
-
-
-def gh_volume_integral(
-    config,
-    integrand: Callable[[np.ndarray], np.ndarray],
-    outer_scale: float,
-) -> float:
-    """Fibered volume integral 2*pi * int f V d^3x over the region of
-    volume_nodes, at RADIAL_NODES.
-
-    integrand is vectorized: maps an (N, 3) array of base points to N
-    values.
-    """
-    pts, w = volume_nodes(config, outer_scale)
-    vals = np.asarray(integrand(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureDivergence("volume integrand not finite on region")
-    return TWO_PI * float(np.sum(w * vals * potential(config, pts)))
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +265,6 @@ def random_closed_quadratic(seed: int, duality: str = "sd") -> QuadraticTriple:
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=basis.shape[0]) @ basis
     return QuadraticTriple(Z=_coeffs_to_Z(coeffs), duality=duality)
-
-
-def random_closed_sd_quadratic(seed: int) -> QuadraticTriple:
-    return random_closed_quadratic(seed, "sd")
 
 
 _J1_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD[0])

@@ -205,7 +205,7 @@ def suite_quadrature(tol_scale: float = 1.0) -> SuiteResult:
 
     sd_pairings = []
     for seed in range(5):
-        triple = quadrature.random_closed_sd_quadratic(seed)
+        triple = quadrature.random_closed_quadratic(seed)
         lhs, rhs = quadrature.dCF_pairing(triple)
         sd_pairings.append((triple, lhs))
         tol = 1e-6 * max(1.0, abs(rhs)) * tol_scale
@@ -245,13 +245,13 @@ def suite_harmonic(k: int, lam: float, tol_scale: float = 1.0) -> SuiteResult:
     checks.append(_rel_check("norm-squared", norm, harmonic.closed_form_norm2(k),
                              1e-3 * tol_scale, "closed-form-constant"))
 
-    omega_field = FormField(2, bundle.field())
+    omega_field = FormField(2, bundle.components)
     geo = max(1.0, lam)
     x4 = gh.sample_chart_points(config, 5, rho_min=1.5 * geo,
                                 rho_max=4.0 * geo, min_center_dist=0.8 * geo,
                                 min_axis_dist=0.8 * geo, string_cone_cos=0.45)
     closed_res = float(np.max(np.abs(fd.fd_d(omega_field, x4))))
-    plus, _ = split_sd(gh.metric_at(config, x4).metric, omega_field(x4))
+    plus, _ = split_sd(gh.metric_matrix(config, x4), omega_field(x4))
     sd_res = float(np.max(np.abs(plus)))
     checks.append(_bound_check("omega-closed", closed_res, 1e-5 * tol_scale,
                                "trivial-identity"))

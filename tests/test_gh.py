@@ -142,10 +142,9 @@ def test_first_center_pass_is_bitwise_the_two_potentials(case):
     cfg, pts = _pass_points()[case]
     first = gh.GHConfig(k=0, lam=cfg.lam, centers=cfg.centers[:1])
     v, gv, v0, gv0 = gh.potential_and_first_center(cfg, pts)
-    assert _same_bits(v, gh.potential(cfg, pts))
     assert _same_bits(v, gh.eval_V(cfg, pts))
     assert _same_bits(gv, gh.eval_V_grad(cfg, pts))
-    assert _same_bits(v0, gh.potential(first, pts))
+    assert _same_bits(v0, gh.eval_V(first, pts))
     assert _same_bits(gv0, gh.eval_V_grad(first, pts))
 
 
@@ -244,7 +243,9 @@ def test_moment_values():
         (gh.moment_map(cfg, x + step * e) - gh.moment_map(cfg, x - step * e)) / (2 * step)
         for e in np.eye(3)
     ])
-    assert np.allclose(gh.moment_grad(cfg, x), num, atol=1e-7)
+    dm = gh.dm4(cfg, x)
+    assert np.allclose(dm[..., :3], num, atol=1e-7)
+    assert dm[..., 3] == 0.0
 
 
 def test_killing_field():
@@ -273,6 +274,19 @@ def test_surface_integrand_shape_rejected(integrand, shape):
     cfg = gh.GHConfig.canonical(1, 1.0)
     with pytest.raises(SchemaError, match=rf"shape {shape} for 96 nodes"):
         gh.sigma_integrate(cfg, integrand)
+
+
+@pytest.mark.parametrize("config", [
+    gh.GHConfig(k=0, lam=1.0, centers=(((0.0, 0.0, 0.0), 1),)),
+    harmonic.cone_config(gh.GHConfig.canonical(2, 1.0)),  # k = 2, one center of weight 3
+], ids=["k0", "cone"])
+def test_single_center_has_no_surface_or_volume_nodes(config):
+    # the core surface and the spheroidal volume nodes sit on the segment
+    # between two cluster points
+    with pytest.raises(SchemaError, match="single-center"):
+        gh.vol_sigma(config)
+    with pytest.raises(SchemaError, match="one center"):
+        quadrature.volume_nodes(config, outer_scale=10.0)
 
 
 @settings(max_examples=20, deadline=None)

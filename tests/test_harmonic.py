@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import fd, forms, gh, harmonic, suites
+from ale_lab import fd, forms, gh, harmonic, quadrature, suites
 from ale_lab.errors import SchemaError, TailDominance
 from ale_lab.forms import FormField
 
@@ -34,6 +34,20 @@ def test_norm_matches_closed_form(k, omega_bundle):
     assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-3)
 
 
+def test_norm_makes_one_pass_over_the_centers(monkeypatch, omega_bundle):
+    # V of the volume weight comes from the pass that computes grad f
+    bundle = omega_bundle(2)
+    offsets, stacks = gh._offsets, []
+
+    def counted(config, x3):
+        stacks.append(np.shape(x3))
+        return offsets(config, x3)
+
+    monkeypatch.setattr(gh, "_offsets", counted)
+    harmonic.omega_norm(bundle)
+    assert stacks == [(quadrature.RADIAL_NODES * quadrature.SPHERE_ORDER**2, 3)]
+
+
 def test_norm_tail_dominance_guard(omega_bundle):
     with pytest.raises(TailDominance):
         harmonic.omega_norm(omega_bundle(1), rho_out=2.0, tail_tol=1e-4)
@@ -46,7 +60,7 @@ def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
                                  min_center_dist=0.8, min_axis_dist=0.8,
                                  string_cone_cos=0.45)
     metric = gh.metric_fn(cfg)
-    omega_comps = bundle.field()
+    omega_comps = bundle.components
 
     for x4 in pts:
         d = fd.fd_d(FormField(2, omega_comps), x4)
@@ -171,7 +185,7 @@ def test_model_form_matches_omega_at_large_radius(canonical, omega_bundle):
     u = np.array([0.55, 0.75, 0.37])
     u /= np.linalg.norm(u)
     x4 = np.array([*(rho * u), 0.2])
-    omega_here = bundle.field()(x4)
+    omega_here = bundle.components(x4)
     model = harmonic.model_form(cfg, "lead", x4)
     num = float(np.linalg.norm(omega_here - harmonic.c_gamma(1, 1.0) * model))
     den = float(np.linalg.norm(omega_here))

@@ -123,7 +123,7 @@ def test_random_closed_quadratic_is_closed(duality):
         assert np.max(np.abs(triple.d_varpi(x))) < 1e-12
     # closed self-dual triples obey (d2_03 + d2_12) z2 - (d2_02 - d2_13) z3
     # = (1/2)(-d2_00 - d2_11 + d2_22 + d2_33) z1, with d2_ab z = 2 Z[a, b]
-    z1, z2, z3 = quadrature.random_closed_sd_quadratic(5).Z
+    z1, z2, z3 = quadrature.random_closed_quadratic(5).Z
     lhs = 2.0 * (z2[0, 3] + z2[1, 2]) - 2.0 * (z3[0, 2] - z3[1, 3])
     assert lhs == pytest.approx(-z1[0, 0] - z1[1, 1] + z1[2, 2] + z1[3, 3], abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_closedness_null_basis_matches_sympy(duality):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_pairing_matches_analytic(seed):
-    triple = quadrature.random_closed_sd_quadratic(seed)
+    triple = quadrature.random_closed_quadratic(seed)
     lhs, rhs = quadrature.dCF_pairing(triple)
     assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
 
@@ -202,7 +202,7 @@ def test_pairing_kernel_is_built_once_per_key_and_read_only(monkeypatch):
         return inner(x)
 
     monkeypatch.setattr(quadrature, "grad_F", counted)
-    sd = quadrature.random_closed_sd_quadratic(1)
+    sd = quadrature.random_closed_quadratic(1)
     asd = quadrature.random_closed_quadratic(1, "asd")
     for triple in (sd, sd, asd, asd):
         quadrature.dCF_pairing(triple, radius=1.9)
@@ -215,7 +215,7 @@ def test_pairing_kernel_is_built_once_per_key_and_read_only(monkeypatch):
 
 
 def test_pairing_radius_independent():
-    triple = quadrature.random_closed_sd_quadratic(11)
+    triple = quadrature.random_closed_quadratic(11)
     lhs1, _ = quadrature.dCF_pairing(triple, radius=1.0)
     lhs2, _ = quadrature.dCF_pairing(triple, radius=1.6)
     assert abs(lhs1 - lhs2) <= 1e-8 * max(1.0, abs(lhs1))
@@ -224,7 +224,7 @@ def test_pairing_radius_independent():
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 500), st.floats(-2.0, 2.0))
 def test_pairing_linear_in_triple(seed, scale):
-    triple = quadrature.random_closed_sd_quadratic(seed)
+    triple = quadrature.random_closed_quadratic(seed)
     scaled = quadrature.QuadraticTriple(Z=scale * triple.Z)
     lhs1, rhs1 = quadrature.dCF_pairing(triple)
     lhs2, rhs2 = quadrature.dCF_pairing(scaled)
@@ -250,7 +250,7 @@ def test_grad_F_matches_fd():
 
 
 def test_quadrature_deterministic():
-    triple = quadrature.random_closed_sd_quadratic(2)
+    triple = quadrature.random_closed_quadratic(2)
     a = quadrature.dCF_pairing(triple)
     b = quadrature.dCF_pairing(triple)
     assert a == b  # bitwise: fixed nodes, no randomness
