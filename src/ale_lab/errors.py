@@ -43,10 +43,6 @@ class NormalizationFailure(AleLabError):
     """Normalizing integral degenerate; cannot fix a scale factor."""
 
 
-class TailDominance(AleLabError):
-    """Analytic tail contributes too large a fraction of an integral."""
-
-
 class FitUnstable(AleLabError):
     """Least-squares fit ill-conditioned beyond the allowed threshold."""
 

@@ -11,7 +11,8 @@ quantity.  The bundle normalizes Omega = c Omega_raw so that the
 integral over the core surface equals 2 pi times the surface
 self-intersection -(k+1)/k; for the canonical configuration
 c = (k+1)/k and the total norm is ||Omega||^2 = 4 pi^2 (k+1)/k, the volume
-integral 2 pi int |Omega|^2 V d^3x with V from the pass that gives grad f.
+integral 2 pi int |Omega|^2 V d^3x over the whole base, with V from the
+pass that gives grad f, on one Gauss rule in 1/xi with no cutoff radius.
 
 Far-field models: with rhat^2 = 2(k+1) rho the exactly-fibered radial
 coordinate, the leading profile is c_Gamma d d^C (1/rhat^2) with
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd, gh
-from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence, TailDominance
+from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
 from .forms import FormField, apply_J_covector, split_sd
 from .quadrature import TWO_PI, volume_nodes
 
@@ -114,32 +115,14 @@ def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
     )
 
 
-def omega_norm(
-    bundle: HarmonicFormBundle,
-    rho_out: float | None = None,
-    tail_tol: float = 0.1,
-) -> float:
-    """Total square norm: 2 pi sum w |Omega|^2 V over volume_nodes out to
-    rho_out plus the profile tail 16 pi^2 c_Gamma^2 / ((k+1) R^4) beyond."""
-    cfg = bundle.config
-    k = cfg.k
-    if rho_out is None:
-        rho_out = 40.0 * (k + 1) * cfg.lam
-    pts, w = volume_nodes(cfg, rho_out)
+def omega_norm(bundle: HarmonicFormBundle) -> float:
+    """Total square norm 2 pi sum w |Omega|^2 V over the whole-space
+    volume_nodes rule, with V from the pass that gives grad f."""
+    pts, w = volume_nodes(bundle.config)
     dens, v = bundle._norm_density_and_V(pts)
     if not np.all(np.isfinite(dens)):
         raise QuadratureDivergence("volume integrand not finite on region")
-    numeric = TWO_PI * float(np.sum(w * dens * v))
-    r4_sq = 2.0 * (k + 1) * rho_out
-    cg = c_gamma(k, cfg.lam)
-    tail = 16.0 * math.pi**2 * cg**2 / ((k + 1) * r4_sq**2)
-    total = numeric + tail
-    frac = tail / total if total else float("inf")
-    if frac > tail_tol:
-        raise TailDominance(
-            f"profile tail carries {frac:.1%} of the norm; increase rho_out"
-        )
-    return float(total)
+    return TWO_PI * float(np.sum(w * dens * v))
 
 
 def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
@@ -373,32 +356,37 @@ def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: float) -> fl
     return abs(norm - rhs) / abs(rhs)
 
 
-def _bump_prime(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
+def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi = exp(-1/(s (1 - s))) on 0 < s < 1, zero outside, and dchi/ds."""
+    chi, dchi = np.zeros_like(s), np.zeros_like(s)
     inside = (s > 0.0) & (s < 1.0)
     si = s[inside]
-    out[inside] = np.exp(-1.0 / (si * (1.0 - si))) * (2.0 * si - 1.0) / (si**2 * (1.0 - si) ** 2)
-    return out
+    chi[inside] = np.exp(-1.0 / (si * (1.0 - si)))
+    dchi[inside] = chi[inside] * (1.0 - 2.0 * si) / (si**2 * (1.0 - si) ** 2)
+    return chi, dchi
 
 
 def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
-    """int_Y Omega ^ d(gamma) for gamma = bump(rho) dx^2, the bump rising
-    over 6 (k+1) lam < rho < 12 (k+1) lam, normalized by the integral of
-    the absolute integrand; vanishes for closed Omega.
+    """int_Y Omega ^ d(gamma) for gamma = chi(rho) x^2 dx^3, chi a bump
+    supported on 6 (k+1) lam < rho < 12 (k+1) lam, normalized by the
+    integral of the absolute integrand; vanishes for closed Omega.
 
     For a pure base 2-form beta, Omega ^ beta reduces to
-    -c (grad f . b) dx^123 ^ dtau with b the dual vector of beta, so no
-    connection components enter.
+    -c (grad f . b) dx^123 ^ dtau with b the dual vector of beta, here
+    b = grad(chi x^2) x e_3, so no connection components enter.  The x^2
+    factor keeps the integrand from being sin(phi) times an axisymmetric
+    function, which the azimuthal rule would integrate to 0 for any
+    axisymmetric grad f, closed or not.
     """
     cfg = bundle.config
     k1 = cfg.k + 1
-    rho_inner = 6.0 * k1 * cfg.lam
-    rho_outer = 12.0 * k1 * cfg.lam
-    pts, weights = volume_nodes(cfg, outer_scale=1.3 * rho_outer, radial_nodes=96)
+    inner, outer = 6.0 * k1 * cfg.lam, 12.0 * k1 * cfg.lam
+    pts, weights = volume_nodes(cfg, shell=(inner, outer))
     rho = np.linalg.norm(pts, axis=1)
-    s = (rho - rho_inner) / (rho_outer - rho_inner)
-    chi_p = _bump_prime(s) / (rho_outer - rho_inner)
-    bvec = np.cross(pts / rho[:, None], [0.0, 1.0, 0.0]) * chi_p[:, None]
+    chi, dchi = _bump((rho - inner) / (outer - inner))
+    grad_h = (dchi * pts[:, 1] / ((outer - inner) * rho))[:, None] * pts
+    grad_h[:, 1] += chi
+    bvec = np.cross(grad_h, [0.0, 0.0, 1.0])
     # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
     dens = -bundle.normalization * np.sum(vec_grad_f(cfg, pts) * bvec, axis=1)
     if not np.all(np.isfinite(dens)):

@@ -70,7 +70,7 @@ def ak_constants(k: int, lam: float) -> ModelConstants:
         k=k,
         provenance={
             "vol_sigma": "computed",
-            "omega_norm2": "computed",
+            "omega_norm2": "closed-form",
             "int_m_omega": "computed",
             "m_p1": "computed",
         },

@@ -1,5 +1,5 @@
-"""Deterministic Gauss-Legendre quadrature on S^3, the base nodes of
-fibered volume regions of a two-cluster configuration, and the sphere
+"""Deterministic Gauss-Legendre quadrature on S^3, the base nodes of the
+whole space or a shell of a two-cluster configuration, and the sphere
 pairing identity for closed self-dual 2-forms with quadratic coefficients.
 
 S^3 is parametrized torus-style: with r1 = r cos(chi), r2 = r sin(chi),
@@ -109,26 +109,33 @@ def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -
     return float(np.sum(w * vals * (radius**3 / 4.0)))
 
 
-def volume_nodes(
-    config,
-    outer_scale: float,
-    radial_nodes: int = RADIAL_NODES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Base nodes (N, 3) and coordinate weights (N,) of d^3x over the
-    confocal spheroid with foci at the two cluster points and outer scale
-    outer_scale (its boundary lies within one focal distance of the sphere
-    of that radius).  The rule has radial_nodes Legendre nodes along the
-    radius and SPHERE_ORDER along each angle, the azimuth included, so no
-    axisymmetry of the integrand is assumed.  A single-center config has no
-    foci and raises SchemaError."""
+def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Base nodes (N, 3) and coordinate weights (N,) of d^3x in prolate
+    spheroidal coordinates (xi, mu, phi) with foci at the two cluster points.
+
+    With shell None the rule covers the whole space: SPHERE_ORDER Legendre
+    nodes in u = 1/xi on (0, 1], weighted by 1/u^2, so an integrand that
+    decays faster than |x|^-3 is integrated with no cutoff radius.  With
+    shell = (inner, outer) it covers the spheroidal shell that contains the
+    base annulus inner <= |x| <= outer, with RADIAL_NODES nodes linear in xi.
+    Both take SPHERE_ORDER nodes along each angle, the azimuth included, so
+    no axisymmetry of the integrand is assumed.  A single-center config has
+    no foci and raises SchemaError."""
     if len(config.centers) < 2:
         raise SchemaError("volume nodes need two cluster points; the config has one center")
-    # prolate spheroidal coordinates with foci at the cluster points
     p0, p1 = config.p0, config.p1
     mid = 0.5 * (p0 + p1)
     a_f = 0.5 * float(np.linalg.norm(p1 - p0))
-    xi_max = max(outer_scale / a_f, 2.0)
-    xi, wxi = gauss_legendre(1.0, xi_max, radial_nodes)
+    if shell is None:
+        u, wu = gauss_legendre(0.0, 1.0, SPHERE_ORDER)
+        xi, wxi = 1.0 / u, wu / u**2
+    else:
+        # a_f sqrt(xi^2 - 1) <= |x - mid| <= a_f xi on the spheroid xi
+        inner, outer = shell
+        off = float(np.linalg.norm(mid))
+        xi_lo = max(1.0, (inner - off) / a_f)
+        xi_hi = math.sqrt(((outer + off) / a_f) ** 2 + 1.0)
+        xi, wxi = gauss_legendre(xi_lo, xi_hi, RADIAL_NODES)
     mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
     phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
     XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
@@ -210,7 +217,8 @@ def closedness_null_basis(duality: str = "sd") -> np.ndarray:
         pivot_row = [v / rows[p][col] for v in rows[p]]
         rows[p] = rows[r]
         rows[r] = pivot_row
-        rows = [row if i == r else [a - row[col] * b for a, b in zip(row, pivot_row)]
+        rows = [row if i == r or not row[col] else
+                [a - row[col] * b for a, b in zip(row, pivot_row)]
                 for i, row in enumerate(rows)]
         pivots.append(col)
     vecs = []

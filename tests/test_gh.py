@@ -130,7 +130,7 @@ def _pass_points():
     and the core-surface nodes of a canonical configuration, and random
     points of the off-axis one."""
     cfg = gh.GHConfig.canonical(2, 1.0)
-    nodes, _ = quadrature.volume_nodes(cfg, outer_scale=1.3 * 12.0 * 3, radial_nodes=96)
+    nodes, _ = quadrature.volume_nodes(cfg, shell=(6.0 * 3, 12.0 * 3))
     axis = gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
     rand = gh.sample_chart_points(OFF_AXIS, 64, seed=5, rho_min=0.2, rho_max=6.0,
                                   min_center_dist=0.2, min_axis_dist=0.0)[:, :3]
@@ -286,7 +286,7 @@ def test_single_center_has_no_surface_or_volume_nodes(config):
     with pytest.raises(SchemaError, match="single-center"):
         gh.vol_sigma(config)
     with pytest.raises(SchemaError, match="one center"):
-        quadrature.volume_nodes(config, outer_scale=10.0)
+        quadrature.volume_nodes(config)
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import fd, forms, gh, harmonic, quadrature, suites
-from ale_lab.errors import SchemaError, TailDominance
+from ale_lab.errors import SchemaError
 from ale_lab.forms import FormField
 
 
@@ -26,12 +26,18 @@ def test_closed_form_constants():
     assert harmonic.c_gamma(2, 0.5) == pytest.approx(4.5)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 10])
 def test_norm_matches_closed_form(k, omega_bundle):
-    # omega_norm raises TailDominance past a 10% tail share
-    # (test_norm_tail_dominance_guard), so reaching the assertion bounds it
+    # the whole-space rule has no cutoff radius, so nothing but float
+    # rounding separates it from the closed form at any k
     norm = harmonic.omega_norm(omega_bundle(k))
-    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-3)
+    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-11)
+
+
+@pytest.mark.parametrize("k,lam", [(1, 0.5), (2, 2.0), (3, 0.5), (3, 2.0)])
+def test_norm_is_independent_of_the_scale(k, lam, omega_bundle):
+    norm = harmonic.omega_norm(omega_bundle(k, lam))
+    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-11)
 
 
 def test_norm_makes_one_pass_over_the_centers(monkeypatch, omega_bundle):
@@ -45,12 +51,7 @@ def test_norm_makes_one_pass_over_the_centers(monkeypatch, omega_bundle):
 
     monkeypatch.setattr(gh, "_offsets", counted)
     harmonic.omega_norm(bundle)
-    assert stacks == [(quadrature.RADIAL_NODES * quadrature.SPHERE_ORDER**2, 3)]
-
-
-def test_norm_tail_dominance_guard(omega_bundle):
-    with pytest.raises(TailDominance):
-        harmonic.omega_norm(omega_bundle(1), rho_out=2.0, tail_tol=1e-4)
+    assert stacks == [(quadrature.SPHERE_ORDER**3, 3)]
 
 
 def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
@@ -128,6 +129,21 @@ def test_pairing_residuals(omega_bundle):
     bundle = omega_bundle(1)
     assert harmonic.intersection_pairing_residual(bundle, harmonic.omega_norm(bundle)) < 1e-4
     assert harmonic.exact_form_pairing_residual(bundle) < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exact_form_pairing_sees_an_axisymmetric_non_closed_form(k, monkeypatch, omega_bundle):
+    # grad f + 1e-6 rho^-3 e_1 is axisymmetric, but its curl is not 0, so
+    # its pairing with an exact form does not vanish
+    bundle = omega_bundle(k)
+    grad_f = harmonic.vec_grad_f
+
+    def perturbed(config, pts):
+        rho = np.linalg.norm(pts, axis=-1)
+        return grad_f(config, pts) + 1e-6 * rho[..., None] ** -3 * np.array([1.0, 0.0, 0.0])
+
+    monkeypatch.setattr(harmonic, "vec_grad_f", perturbed)
+    assert harmonic.exact_form_pairing_residual(bundle) > 1e-8
 
 
 def test_suite_harmonic_computes_each_core_quantity_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Static checks: every module of the package uses each name it imports,
 every public function, class or method has a caller outside the tests,
-every defaulted parameter of one is passed by such a caller, and every
-dataclass field is read by one."""
+every defaulted parameter of one is passed by such a caller, every
+dataclass field is read by one, and every error class is raised by the
+package."""
 
 from __future__ import annotations
 
@@ -59,8 +60,6 @@ ORACLES = {
 # program never trips, or the gauge a test compares against.
 TEST_PARAMETERS = {
     "obstruction.A_coefficient(form)": "test_obstruction.py::test_A_forms_agree",
-    "harmonic.omega_norm(rho_out)": "test_harmonic.py::test_norm_tail_dominance_guard",
-    "harmonic.omega_norm(tail_tol)": "test_harmonic.py::test_norm_tail_dominance_guard",
     "gh.metric_matrix(patch)": "test_gh.py::test_patches_agree_on_metric_invariants",
 }
 
@@ -374,6 +373,36 @@ def test_every_dataclass_field_is_read():
     # a field no program caller reads is computed for nothing on every run;
     # a test that wants the value computes it from the remaining API
     assert unread_fields(_package_modules(), _caller_sources()) == []
+
+
+def unraised_errors(errors_source: str, callers: list[str]) -> list[str]:
+    """Exception classes of the errors module, other than the AleLabError
+    base, that no raise statement of the caller sources names."""
+    raised = set()
+    for src in callers:
+        for node in ast.walk(_tree(src)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(cls.name for cls in _public(_tree(errors_source).body, (ast.ClassDef,))
+                  if cls.name != "AleLabError" and cls.name not in raised)
+
+
+def test_unraised_errors_flags_a_lone_class():
+    module = ("class AleLabError(Exception):\n    pass\n\n"
+              "class Used(AleLabError):\n    pass\n\n"
+              "class Lone(AleLabError):\n    pass\n")
+    callers = ["from m import Used\nraise Used('x')\n",
+               "import m\ntry:\n    pass\nexcept m.Lone:\n    pass\n"]
+    assert unraised_errors(module, callers) == ["Lone"]
+    assert unraised_errors(module, callers + ["import m\nraise m.Lone\n"]) == []
+
+
+def test_every_error_class_is_raised():
+    # an error class the package never raises is vocabulary for a failure
+    # that cannot happen: callers catching it guard nothing
+    modules = _package_modules()
+    assert unraised_errors(modules["errors"], list(modules.values())) == []
 
 
 def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):

@@ -34,6 +34,14 @@ def test_ak_constants_closed_forms(k, lam):
     )
 
 
+def test_ak_constants_provenance():
+    # the norm is its closed form, not a quadrature
+    provenance = {name: entry["provenance"]
+                  for name, entry in obstruction.ak_constants(2, 1.0).as_dict().items()}
+    assert provenance == {"vol_sigma": "computed", "omega_norm2": "closed-form",
+                          "int_m_omega": "computed", "m_p1": "computed"}
+
+
 def test_constants_from_overrides():
     c = obstruction.constants_from_overrides(
         {"vol_sigma": 4 * math.pi, "omega_norm2": 8 * math.pi**2,
