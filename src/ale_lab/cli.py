@@ -308,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["gh", "harmonic", "quadrature",
                                    "deformation", "all"])
     p_verify.add_argument("--tol", type=float, default=1.0,
-                          help="global tolerance scale applied to every "
-                               "check (default 1.0)")
+                          help="scale of every check tolerance but the fixed bounds of "
+                               "metric-decay-exponent, density-annulus-exponent, anisotropic-ratio, "
+                               "anisotropic-consistency and radial-contraction-decay (default 1.0)")
     p_verify.add_argument("--report", default=None,
                           help="write a deterministic JSON report here")
     p_verify.set_defaults(func=cmd_verify)

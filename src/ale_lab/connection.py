@@ -5,9 +5,11 @@ The rank-3 bundle carries the basis (v1, v2, v3) with <v_i, v_j> =
 2 delta_ij.  The connection of an orthonormal self-dual frame
 (F1, F2, F3) is
 
-    a_1 = (1/2) (delta F1 + J3 delta F2 - J2 delta F3)   (cyclic),
+    a_1 = (1/2) (delta F1 + J3 delta F2 - J2 delta F3)   (cyclic)
 
-its curvature R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
+for the metric the frame fixes (forms.metric_from_triple), where
+delta F = -*d*F = -*dF as F is self-dual, so only dF is differentiated.
+Its curvature is R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
 normalization (coefficient 1.0) is pinned numerically against the
 t^2-coefficient of the curvature of deformed metrics, taken on a circle
 of complex t (deformation.taylor_coefficient), to about 4e-9.  Blocks
@@ -47,6 +49,7 @@ from .forms import (
     comps_to_tensor,
     float_or_complex,
     hodge_star,
+    metric_from_triple,
     project_stack,
     wedge,
 )
@@ -105,29 +108,21 @@ def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
     return np.sqrt(2.0) * np.linalg.solve(chol, cands)
 
 
-def check_frame(metric: np.ndarray, triple: np.ndarray) -> None:
-    """Gram check of (..., 3, 6) frames against (..., 4, 4) metrics, to 1e-8."""
-    gram = 2.0 * project_stack(metric, triple, triple)
-    dev = float(np.max(np.abs(gram - 2.0 * np.eye(3))))
-    if dev > 1e-8:
-        raise FrameNotOrthonormal(f"frame Gram deviation {dev:.3e} exceeds 1.0e-08")
-
-
-def connection_from_Phi(phi: TripleField, metric_fn: MetricField) -> FormField:
+def connection_from_Phi(phi: TripleField) -> FormField:
     """Connection covectors of the orthonormal self-dual frame phi, as a
     degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to the (..., 3, 6) component stacks of the
-    frame (a leading node axis of the points is one more point axis);
-    every evaluation checks the frame's Gram matrix against the metric.
+    frame (a leading node axis of the points is one more point axis); g
+    comes from the frame at the base points, which checks its Gram matrix
+    there, and delta F = -*dF from one stencil of phi.
     """
 
     def components(x: np.ndarray) -> np.ndarray:
-        g = float_or_complex(metric_fn(x))
         comps = float_or_complex(phi(x))
-        check_frame(g, comps)
-        jmats = J_from_form(g[..., None, :, :], comps)
-        deltas = fd.codifferential(metric_fn, FormField(2, phi), x)
+        g = metric_from_triple(*np.moveaxis(comps, -2, 0))[..., None, :, :]
+        jmats = J_from_form(g, comps)
+        deltas = -hodge_star(g, fd.fd_d(FormField(2, phi), x), 3)
         j, k = CYCLIC
         return 0.5 * (
             deltas

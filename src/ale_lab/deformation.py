@@ -101,13 +101,10 @@ def _j_sum(a: np.ndarray) -> np.ndarray:
     return apply_J_covector(_J_SD_FLAT, a).sum(axis=-2)
 
 
-def gauge_residual(lam: ScalarField, phi: Callable[[np.ndarray], np.ndarray],
-                   x: np.ndarray) -> float:
-    """Max component of sum_i J_i(*d phi_i) + d lam over (..., 4) points."""
-    x = np.asarray(x, dtype=float)
-    total = _j_sum(star_d_phi(phi, x))
-    dlam = fd.all_partials(lam, x)
-    return float(np.max(np.abs(total + dlam)))
+def gauge_residual(lam: ScalarField, a: np.ndarray, x: np.ndarray) -> float:
+    """Max component of sum_i J_i a_i + d lam over (..., 4) points, for the
+    first-order connection a = star_d_phi(phi, x) there."""
+    return float(np.max(np.abs(_j_sum(a) + fd.all_partials(lam, x))))
 
 
 def deformation_first_order(
@@ -118,12 +115,13 @@ def deformation_first_order(
     """First-order connection a_i = *d phi_i, a (3, 4) covector stack, of
     a deformation whose gauge residual is at most GAUGE_TOL."""
     x = np.asarray(x, dtype=float)
-    res = gauge_residual(lam, phi, x)
+    a = star_d_phi(phi, x)
+    res = gauge_residual(lam, a, x)
     if res > GAUGE_TOL:
         raise GaugeViolation(
             f"deformation data violates the gauge condition: residual {res:.3e}"
         )
-    return star_d_phi(phi, x)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ class TripleFamily:
         return phi_comps_from_coeffs(self.coeff(x))
 
     def connection(self, t: complex | np.ndarray) -> FormField:
-        return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
+        return connection_from_Phi(lambda x: self.triple(t, x))
 
 
 def _at_nodes(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -300,10 +298,9 @@ def metric_perturbation_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """(d delta phi)_- for an anti-self-dual 2-form field (or a (..., 6)
-    stack of them), flat."""
-    x = np.asarray(x, dtype=float)
-    euc = lambda y: np.broadcast_to(EUCLIDEAN, y.shape[:-1] + EUCLIDEAN.shape)
-    delta_field = FormField(1, lambda y: fd.codifferential(euc, FormField(2, phi), y))
+    stack of them), flat.  As *phi = -phi, delta phi = -*d*phi = *d phi,
+    which is star_d_phi."""
+    delta_field = FormField(1, lambda y: star_d_phi(phi, y))
     _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x))
     return minus
 

@@ -142,8 +142,15 @@ class GHConfig:
 
     @property
     def segment(self) -> tuple[float, float]:
-        """x1-range of the segment between the two cluster points."""
-        return (-self.k * self.lam, self.lam)
+        """x1-range (low, high) between the two cluster points, which must lie
+        on the x1 axis, the axis of the core surface and the volume rule."""
+        if len(self.centers) < 2:
+            raise SchemaError("single-center config: one center, no segment between cluster points")
+        p0, p1 = self.p0, self.p1
+        if np.any(p0[1:] != 0.0) or np.any(p1[1:] != 0.0):
+            raise SchemaError(f"centers: cluster points {p0.tolist()} and "
+                              f"{p1.tolist()} must lie on the x1 axis")
+        return float(min(p0[0], p1[0])), float(max(p0[0], p1[0]))
 
 
 def _offsets(config: GHConfig, x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,10 +381,9 @@ def sigma_integrate(config: GHConfig, f: Callable[[np.ndarray], np.ndarray]) -> 
     back to dx1 ^ dtau, so the integral is 2*pi * int f(x1) dx1 by
     Gauss-Legendre quadrature of SIGMA_ORDER nodes.  f maps the (n,) array
     of x1 nodes to (n,) values in one call; any other shape raises
-    SchemaError.
+    SchemaError, as does one center or cluster points off the x1 axis
+    (segment).
     """
-    if len(config.centers) < 2:
-        raise SchemaError("single-center config has no exceptional surface")
     a, b = config.segment
     nodes, weights = gauss_legendre(a, b, SIGMA_ORDER)
     vals = np.asarray(f(nodes), dtype=float)

@@ -119,13 +119,12 @@ def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.n
     shell = (inner, outer) it covers the spheroidal shell that contains the
     base annulus inner <= |x| <= outer, with RADIAL_NODES nodes linear in xi.
     Both take SPHERE_ORDER nodes along each angle, the azimuth included, so
-    no axisymmetry of the integrand is assumed.  A single-center config has
-    no foci and raises SchemaError."""
-    if len(config.centers) < 2:
-        raise SchemaError("volume nodes need two cluster points; the config has one center")
-    p0, p1 = config.p0, config.p1
-    mid = 0.5 * (p0 + p1)
-    a_f = 0.5 * float(np.linalg.norm(p1 - p0))
+    no axisymmetry of the integrand is assumed.  The spheroid's axis is the
+    x1 axis: a single-center config, or cluster points off that axis, raise
+    SchemaError (GHConfig.segment)."""
+    lo, hi = config.segment
+    mid = 0.5 * (config.p0 + config.p1)
+    a_f = 0.5 * abs(hi - lo)
     if shell is None:
         u, wu = gauss_legendre(0.0, 1.0, SPHERE_ORDER)
         xi, wxi = 1.0 / u, wu / u**2

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from ale_lab import cli, jets
+from ale_lab import cli, jets, suites
 
 BLOCK0 = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -71,6 +71,26 @@ def test_verify_rejects_bad_configuration(capsys):
     for value in ("-1", "0", "nan", "inf"):
         assert cli.main(["verify", "--suite", "gh", "--tol", value]) == 2
         assert "--tol" in capsys.readouterr().err
+
+
+# bounds that --tol leaves fixed: exponents, a ratio and a sign test
+UNSCALED_CHECKS = {"metric-decay-exponent", "density-annulus-exponent", "anisotropic-ratio",
+                   "anisotropic-consistency", "radial-contraction-decay"}
+
+
+def test_tol_scales_every_tolerance_but_the_fixed_bounds():
+    # at k = 2, where the anisotropic checks run
+    def tolerances(scale):
+        return {(s.suite, c.check_id): c.tolerance
+                for s in suites.run_suites(list(suites.SUITE_NAMES), 2, 1.0, tol_scale=scale)
+                for c in s.checks}
+
+    base, scaled = tolerances(1.0), tolerances(3.0)
+    assert base.keys() == scaled.keys()
+    assert {cid for _, cid in base} >= UNSCALED_CHECKS
+    for key, tol in base.items():
+        want = tol if key[1] in UNSCALED_CHECKS else 3.0 * tol
+        assert scaled[key] == pytest.approx(want, rel=1e-12), key
 
 
 # --- obstruct ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ale_lab import connection, fd, forms, gh
+from ale_lab import connection, deformation, fd, forms, gh
 from ale_lab.errors import FrameNotOrthonormal
 
 
@@ -27,7 +27,8 @@ def test_frame_from_metric_orthonormal():
     g = gh.metric_matrix(cfg, x4)
     for duality in ("sd", "asd"):
         frame = connection.frame_from_metric(g, duality)
-        connection.check_frame(g, frame)  # raises on failure
+        gram = 2.0 * forms.project_stack(g, frame, frame)
+        assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-8
         sign = 1.0 if duality == "sd" else -1.0
         for i in range(3):
             starred = forms.hodge_star(g, frame[i], 2)
@@ -48,20 +49,61 @@ def test_frame_from_metric_complex_symmetric_metric():
         assert np.allclose(forms.hodge_star(g, frame, 2), sign * frame, atol=1e-12)
 
 
-def test_check_frame_rejects_flat_basis_under_curved_metric():
-    cfg, x4 = _gh_setup(k=2)
-    g = gh.metric_matrix(cfg, x4)
-    with pytest.raises(FrameNotOrthonormal):
-        connection.check_frame(g, np.asarray(forms.OMEGA_SD))
-
-
 def test_connection_reproduces_parallel_triple():
     # the symplectic triple is parallel: its connection must be
     # torsion-free for the frame, and its curvature self-dual block zero
     cfg, x4 = _gh_setup(k=1)
     phi = gh.triple_field(cfg)
-    a = connection.connection_from_Phi(phi, metric_fn=gh.metric_fn(cfg))
+    a = connection.connection_from_Phi(phi)
     assert connection.torsion_residual(phi, a, x4) < 1e-5
+
+
+def _connection_through_metric(phi, metric_fn, x):
+    """The frame connection with delta F = -*d*F taken on the given metric at
+    every stencil point (fd.codifferential): the route that does not use *F = F."""
+    g = metric_fn(x)[..., None, :, :]
+    jmats = forms.J_from_form(g, phi(x))
+    deltas = fd.codifferential(metric_fn, forms.FormField(2, phi), x)
+    j, k = forms.CYCLIC
+    return 0.5 * (deltas + forms.apply_J_covector(jmats[..., k, :, :], deltas[..., j, :])
+                  - forms.apply_J_covector(jmats[..., j, :, :], deltas[..., k, :]))
+
+
+@pytest.mark.parametrize("family", [
+    deformation.linear_gauged_family(0),
+    deformation.einstein_first_order_family(5),
+], ids=["linear", "einstein-first-order"])
+def test_connection_from_frame_matches_metric_codifferential_on_families(family):
+    # at the complex contour nodes, with the family's own metric as the second route
+    t = deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
+    x = deformation.node_points(t, 0.4 * np.random.default_rng(19).normal(size=(2, 4)))
+    phi = lambda y: family.triple(t, y)
+    got = connection.connection_from_Phi(phi)(x)
+    want = _connection_through_metric(phi, family.metric_field(t), x)
+    assert got.shape == (3, 2, 3, 4)
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_connection_from_frame_matches_metric_codifferential_on_multi_center():
+    # the triple is parallel, so both routes read the same O(h^2) stencil
+    # residual (about 1e-6), and they must agree far below it
+    cfg = gh.GHConfig.canonical(2, 1.0)
+    x4 = gh.sample_chart_points(cfg, 4, seed=3, rho_min=1.5, rho_max=3.0,
+                                string_cone_cos=0.45)
+    phi = gh.triple_field(cfg)
+    got = connection.connection_from_Phi(phi)(x4)
+    want = _connection_through_metric(phi, gh.metric_fn(cfg), x4)
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_connection_rejects_a_frame_that_is_not_orthonormal():
+    # the metric comes from the frame, whose Gram matrix is checked at the points
+    skewed = np.asarray(forms.OMEGA_SD) * np.array([1.0, 1.0, 1.1])[:, None]
+    a = connection.connection_from_Phi(
+        lambda y: np.broadcast_to(skewed, np.shape(y)[:-1] + skewed.shape))
+    with pytest.raises(FrameNotOrthonormal):
+        a(np.array([0.2, -0.1, 0.3, 0.4]))
 
 
 def test_hyperkahler_curvature_blocks():
@@ -185,7 +227,7 @@ def test_curvature_forms_match_operator_route():
     cfg, x4 = _gh_setup(k=1, seed=9)
     metric_fn = gh.metric_fn(cfg)
     phi = gh.triple_field(cfg)
-    a = connection.connection_from_Phi(phi, metric_fn=metric_fn)
+    a = connection.connection_from_Phi(phi)
     rforms = connection.curvature_forms(a, x4)
     dec = connection.decompose_curvature(rforms, metric_fn(x4))
     direct = connection.curvature_block_of_metric(metric_fn, x4)

@@ -37,7 +37,7 @@ def test_linear_gauged_family_satisfies_gauge():
     fam = deformation.linear_gauged_family(3)
     phi = fam.phi_field
     for x in (X0, np.array([0.7, 0.1, -0.5, 0.4])):
-        assert deformation.gauge_residual(fam.lam, phi, x) < 1e-9
+        assert deformation.gauge_residual(fam.lam, deformation.star_d_phi(phi, x), x) < 1e-9
 
 
 def test_deformation_first_order_rejects_bad_gauge():
@@ -53,7 +53,23 @@ def test_first_order_connection_matches_family_derivative():
     t_route = deformation.taylor_coefficient(
         lambda t: fam.connection(t)(deformation.node_points(t, X0)), 1)
     assert np.max(np.abs(first - t_route)) < 1e-9
-    assert deformation.gauge_residual(fam.lam, fam.phi_field, X0) < 1e-9
+    assert deformation.gauge_residual(fam.lam, first, X0) < 1e-9
+
+
+def test_connection_makes_two_triple_calls(monkeypatch):
+    # one at the base points, one on the stencil: the frame fixes its metric
+    fam = deformation.linear_gauged_family(0)
+    calls = []
+    triple = deformation.TripleFamily.triple
+
+    def counted(self, t, x):
+        calls.append(np.shape(x))
+        return triple(self, t, x)
+
+    monkeypatch.setattr(deformation.TripleFamily, "triple", counted)
+    t = _NODES["complex"]
+    fam.connection(t)(deformation.node_points(t, X0))
+    assert calls == [(3, 4), (3, 8, 4)]
 
 
 # --- t-coefficients ------------------------------------------------------------

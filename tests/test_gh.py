@@ -289,6 +289,23 @@ def test_single_center_has_no_surface_or_volume_nodes(config):
         quadrature.volume_nodes(config)
 
 
+def test_segment_is_taken_from_the_cluster_points():
+    # the canonical layout mirrored: the weight-2 center left of the simple one
+    cfg = gh.GHConfig(k=2, lam=1.0, centers=(((2.0, 0.0, 0.0), 1), ((-1.0, 0.0, 0.0), 2)))
+    assert cfg.segment == (-1.0, 2.0)
+    assert gh.vol_sigma(cfg) == pytest.approx(2 * math.pi * 3, rel=1e-12)
+
+
+def test_off_axis_cluster_points_are_rejected():
+    # the core surface and the spheroidal volume rule are built about the
+    # x1 axis; cluster points off it would be integrated about the wrong axis
+    cfg = gh.GHConfig(k=1, lam=1.0, centers=(((0.0, -1.0, 0.0), 1), ((0.0, 1.0, 0.0), 1)))
+    with pytest.raises(SchemaError, match="centers"):
+        gh.sigma_integrate(cfg, np.ones_like)
+    with pytest.raises(SchemaError, match="centers"):
+        quadrature.volume_nodes(cfg)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 3), st.floats(0.3, 3.0))
 def test_surface_volume_scales_linearly(k, lam):
