@@ -26,11 +26,20 @@ Gauss-Legendre nodes) and never evaluate A on the axis.
 
 One pass over the centers: the offsets x - p_i and distances |x - p_i| of
 a point stack are computed once (_offsets) and serve every use at that
-stack.  validate_base returns the ones it checked, so the domain check,
-V and the connection's offsets come from one evaluation;
-potential_and_first_center gives V, grad V and the first center's share
-V0 = 1/(2|x - p0|) with grad V0 from one, dividing the offsets by
-|x - p_i|^3 in place so the pass keeps no extra (..., centers, 3) array.
+stack.  They are stored center-major, the offsets as a (centers, 3, ...)
+array and the distances as (centers, ...), so each per-center,
+per-component slice is a contiguous (...) array and no reduction runs over a
+trailing axis of length 3 or of the centers.  The distances are
+sqrt(d0 d0 + d1 d1 + d2 d2), and every sum over the centers runs in center
+order from +0.0 (_center_sum): for fewer than eight centers these are the
+order and start of numpy's norm and sum over a trailing axis, so the values
+are bit-identical to the (..., centers, 3) layout.  validate_base returns
+the pass it checked, so the domain check, V and the connection's offsets
+come from one evaluation; potential_and_first_center gives V, grad V and the
+first center's share V0 = 1/(2|x - p0|) with grad V0 from one, and
+eta_and_first_center adds the north-gauge eta after domain validation.
+Both divide the offsets by |x - p_i|^3 in place, so the pass keeps no extra
+(centers, 3, ...) array.
 
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
@@ -65,6 +74,13 @@ EPS_STRING = 1e-6
 SIGMA_ORDER = 96
 
 Center = tuple[tuple[float, float, float], int]
+
+
+def _read_only(values) -> np.ndarray:
+    """A float array of the values that no caller can write to."""
+    table = np.asarray(values, dtype=float)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -124,13 +140,15 @@ class GHConfig:
             ),
         )
 
-    @property
+    @functools.cached_property
     def positions(self) -> np.ndarray:
-        return np.asarray([pos for pos, _ in self.centers], dtype=float)
+        """Center positions (centers, 3), built once per config, read-only."""
+        return _read_only([pos for pos, _ in self.centers])
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        return np.asarray([n for _, n in self.centers], dtype=float)
+        """Center weights (centers,), built once per config, read-only."""
+        return _read_only([n for _, n in self.centers])
 
     @property
     def p0(self) -> np.ndarray:
@@ -154,33 +172,55 @@ class GHConfig:
 
 
 def _offsets(config: GHConfig, x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one pass over the centers: offsets x - p_i (..., centers, 3) and
-    distances |x - p_i| (..., centers) of a (..., 3) stack of base points."""
-    diff = np.asarray(x3, dtype=float)[..., None, :] - config.positions
-    return diff, np.linalg.norm(diff, axis=-1)
+    """The one pass over the centers, center-major: offsets x - p_i as a
+    (centers, 3, ...) array and distances |x - p_i| as (centers, ...), for a
+    (..., 3) stack of base points."""
+    x3 = np.asarray(x3, dtype=float)
+    lead = x3.ndim - 1
+    positions = config.positions
+    diff = np.empty(positions.shape + x3.shape[:-1])
+    np.subtract(x3.transpose((lead, *range(lead))),
+                positions.reshape(positions.shape + (1,) * lead), out=diff)
+    dists = diff[:, 0] * diff[:, 0]
+    dists += diff[:, 1] * diff[:, 1]
+    dists += diff[:, 2] * diff[:, 2]
+    return diff, np.sqrt(dists, out=dists)
+
+
+def _center_sum(terms) -> np.ndarray:
+    """Sum of per-center terms in center order, starting from +0.0."""
+    return functools.reduce(np.add, terms, 0.0)
+
+
+def _components_last(a: np.ndarray) -> np.ndarray:
+    """A (3, ...) array as its (..., 3) view."""
+    return a.transpose((*range(1, a.ndim), 0))
 
 
 def validate_base(config: GHConfig, x3: np.ndarray,
                   patch: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Domain check of a (..., 3) stack of base points: none may lie within
     EPS_CENTER of a center, nor (given a patch) within EPS_STRING of that
-    patch's excluded rays.  The error names the first offending point.
-    Returns the offsets and distances it checked, so that callers evaluate
-    from the same pass over the centers."""
+    patch's excluded rays.  The error names the first offending point, in
+    point order, and the center.  Returns the offsets and distances it
+    checked (_offsets), so that callers evaluate from the same pass over the
+    centers."""
     diff, dists = _offsets(config, x3)
-    flat_dists = dists.reshape(-1, len(config.centers))
-    near = np.flatnonzero(np.any(flat_dists < EPS_CENTER, axis=1))
+    count = len(config.centers)
+    flat_dists = dists.reshape(count, -1)
+    near = np.flatnonzero(np.any(flat_dists < EPS_CENTER, axis=0))
     if near.size:
         n = near[0]
-        idx = int(np.argmin(flat_dists[n]))
+        idx = int(np.argmin(flat_dists[:, n]))
         raise CenterTooClose(
             f"point {np.reshape(x3, (-1, 3))[n]} within {EPS_CENTER} of center {idx} "
-            f"(distance {flat_dists[n, idx]:.3e})"
+            f"(distance {flat_dists[idx, n]:.3e})"
         )
     if patch is not None:
-        flat_diff = diff.reshape(-1, len(config.centers), 3)
-        on_ray = flat_diff[..., 0] <= 0.0 if patch == "north" else flat_diff[..., 0] >= 0.0
-        hits = np.argwhere(on_ray & (np.hypot(flat_diff[..., 1], flat_diff[..., 2]) < EPS_STRING))
+        flat_diff = diff.reshape(count, 3, -1)
+        on_ray = flat_diff[:, 0] <= 0.0 if patch == "north" else flat_diff[:, 0] >= 0.0
+        close = np.hypot(flat_diff[:, 1], flat_diff[:, 2]) < EPS_STRING
+        hits = np.argwhere((on_ray & close).T)
         if hits.size:
             n, c = hits[0]
             side = "-x1 ray" if patch == "north" else "+x1 ray"
@@ -192,18 +232,19 @@ def validate_base(config: GHConfig, x3: np.ndarray,
 
 
 def _potential_from(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """(1/2) sum n_i / |x - p_i| over the last axis of the distances."""
-    return 0.5 * np.sum(weights / dists, axis=-1)
+    """(1/2) sum n_i / |x - p_i| from the (centers, ...) distances."""
+    return 0.5 * _center_sum(n / d for n, d in zip(weights, dists))
 
 
 def _grad_from(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """-(1/2) sum n_i q_i over the centers of q = (x - p_i) / |x - p_i|^3."""
-    return -0.5 * np.einsum("c,...cd->...d", weights, q)
+    """-(1/2) sum n_i q_i (..., 3) from the (centers, 3, ...) stack of
+    q_i = (x - p_i) / |x - p_i|^3."""
+    return _components_last(-0.5 * _center_sum(n * qi for n, qi in zip(weights, q)))
 
 
 def _inverse_cubes(diff: np.ndarray, dists: np.ndarray) -> np.ndarray:
     """(x - p_i) / |x - p_i|^3, written over diff."""
-    return np.divide(diff, dists[..., None] ** 3, out=diff)
+    return np.divide(diff, (dists**3)[:, None], out=diff)
 
 
 def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
@@ -216,6 +257,22 @@ def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return _grad_from(config.weights, _inverse_cubes(*validate_base(config, x3)))
 
 
+def _first_center_from(
+        config: GHConfig, diff: np.ndarray, dists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """V, grad V, V0 and grad V0 from the offsets and distances of one pass,
+    dividing the offsets by |x - p_i|^3 in place."""
+    n0 = config.centers[0][1]
+    if n0 != 1:
+        raise SchemaError(
+            f"centers[0]: V0 = 1/(2|x - p0|) needs the first center's weight to be 1, got {n0}")
+    weights = config.weights
+    v = _potential_from(weights, dists)
+    v0 = _potential_from(weights[:1], dists[:1])
+    q = _inverse_cubes(diff, dists)
+    return v, _grad_from(weights, q), v0, _grad_from(weights[:1], q[:1])
+
+
 def potential_and_first_center(
         config: GHConfig, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -224,32 +281,25 @@ def potential_and_first_center(
     domain checks.  Each equals, bit for bit, what eval_V and eval_V_grad give
     on the whole configuration or on the first center alone, which must
     have weight 1."""
-    n0 = config.centers[0][1]
-    if n0 != 1:
-        raise SchemaError(
-            f"centers[0]: V0 = 1/(2|x - p0|) needs the first center's weight to be 1, got {n0}")
-    weights = config.weights
-    diff, dists = _offsets(config, pts)
-    v = _potential_from(weights, dists)
-    v0 = _potential_from(weights[:1], dists[..., :1])
-    q = _inverse_cubes(diff, dists)
-    del dists
-    return v, _grad_from(weights, q), v0, _grad_from(weights[:1], q[..., :1, :])
+    return _first_center_from(config, *_offsets(config, pts))
 
 
-def _eta(config: GHConfig, dx: np.ndarray, patch: str) -> np.ndarray:
-    """The 4D covector eta = dtau + A from the offsets x - p_i (..., centers, 3)
-    of a stack of base points, unchecked."""
+def _eta(config: GHConfig, diff: np.ndarray, patch: str) -> np.ndarray:
+    """The 4D covector eta = dtau + A (..., 4) from the (centers, 3, ...)
+    offsets x - p_i of a stack of base points, unchecked."""
     sign = -1.0 if patch == "north" else 1.0
-    rho_sq = dx[..., 1] ** 2 + dx[..., 2] ** 2
-    # on the regular side of the axis the coefficient vanishes in the limit
-    on_axis = rho_sq == 0.0
-    rho_sq = np.where(on_axis, 1.0, rho_sq)
-    coeff = np.where(on_axis, 0.0,
-                     0.5 * config.weights * (dx[..., 0] / np.sqrt(dx[..., 0] ** 2 + rho_sq) + sign))
-    out = np.zeros(dx.shape[:-2] + (4,))
-    out[..., 1] = np.sum(coeff * (-dx[..., 2] / rho_sq), axis=-1)
-    out[..., 2] = np.sum(coeff * (dx[..., 1] / rho_sq), axis=-1)
+    a1, a2 = [], []
+    for n, (d0, d1, d2) in zip(config.weights, diff):
+        rho_sq = d1**2 + d2**2
+        # on the regular side of the axis the coefficient vanishes in the limit
+        on_axis = rho_sq == 0.0
+        rho_sq = np.where(on_axis, 1.0, rho_sq)
+        coeff = np.where(on_axis, 0.0, 0.5 * n * (d0 / np.sqrt(d0**2 + rho_sq) + sign))
+        a1.append(coeff * (-d2 / rho_sq))
+        a2.append(coeff * (d1 / rho_sq))
+    out = np.zeros(diff.shape[2:] + (4,))
+    out[..., 1] = _center_sum(a1)
+    out[..., 2] = _center_sum(a2)
     out[..., 3] = 1.0
     return out
 
@@ -261,6 +311,17 @@ def potential_and_eta(config: GHConfig, x4: np.ndarray,
     x3 = np.asarray(x4, dtype=float)[..., :3]
     diff, dists = validate_base(config, x3, patch)
     return _potential_from(config.weights, dists), _eta(config, diff, patch)
+
+
+def eta_and_first_center(
+        config: GHConfig, x4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The north-gauge eta (..., 4) with V, grad V, V0 and grad V0 as in
+    potential_and_first_center, at (..., 4) chart points, after domain
+    validation, from one pass over the centers."""
+    diff, dists = validate_base(config, np.asarray(x4, dtype=float)[..., :3], "north")
+    eta = _eta(config, diff, "north")
+    return (eta, *_first_center_from(config, diff, dists))
 
 
 def _metric_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -322,14 +383,16 @@ def triple_field(config: GHConfig) -> FormField:
 def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Weighted distance sum at (..., 3) base points; extends continuously
     to the centers."""
-    return np.sum(config.weights * _offsets(config, x3)[1], axis=-1)
+    return _center_sum(n * d for n, d in zip(config.weights, _offsets(config, x3)[1]))
 
 
 def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """dm (..., 4) at (..., 3) base points, validated; its fiber component is 0."""
     diff, dists = validate_base(config, x3)
-    g = np.einsum("...i,...ij->...j", config.weights / dists, diff)
-    return np.concatenate([g, np.zeros(g.shape[:-1] + (1,))], axis=-1)
+    out = np.zeros(diff.shape[2:] + (4,))
+    out[..., :3] = _components_last(
+        _center_sum((n / d) * di for n, d, di in zip(config.weights, dists, diff)))
+    return out
 
 
 def alpha_covector(config: GHConfig, x4: np.ndarray) -> np.ndarray:

@@ -40,10 +40,15 @@ from .quadrature import TWO_PI, volume_nodes
 # ---------------------------------------------------------------------------
 
 
+def _quotient_rule(v: np.ndarray, gv: np.ndarray, v0: np.ndarray,
+                   gv0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad f = grad(V0/V) from V, grad V, V0 and grad V0, and V."""
+    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2, v
+
+
 def _grad_f_and_V(config: gh.GHConfig, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """grad f by the quotient rule, and V, from one pass over the centers."""
-    v, gv, v0, gv0 = gh.potential_and_first_center(config, pts)
-    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2, v
+    return _quotient_rule(*gh.potential_and_first_center(config, pts))
 
 
 def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
@@ -66,9 +71,8 @@ class HarmonicFormBundle:
 
     def components(self, x4: np.ndarray) -> np.ndarray:
         """Components (..., 6) of the normalized form at (..., 4) chart points."""
-        x4 = np.asarray(x4, dtype=float)
-        v, eta = gh.potential_and_eta(self.config, x4)
-        grad = vec_grad_f(self.config, x4[..., :3])
+        eta, *first_center = gh.eta_and_first_center(self.config, x4)
+        grad, v = _quotient_rule(*first_center)
         triple = gh.form_triple(v, eta, -1.0)
         return self.normalization * np.einsum("...i,...ic->...c", grad, triple)
 
@@ -382,13 +386,14 @@ def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
     k1 = cfg.k + 1
     inner, outer = 6.0 * k1 * cfg.lam, 12.0 * k1 * cfg.lam
     pts, weights = volume_nodes(cfg, shell=(inner, outer))
-    rho = np.linalg.norm(pts, axis=1)
+    x, y, z = pts.T
+    rho = np.sqrt(x * x + y * y + z * z)
     chi, dchi = _bump((rho - inner) / (outer - inner))
-    grad_h = (dchi * pts[:, 1] / ((outer - inner) * rho))[:, None] * pts
-    grad_h[:, 1] += chi
-    bvec = np.cross(grad_h, [0.0, 0.0, 1.0])
+    # grad(chi x^2) = s (x^1, x^2, x^3) + chi e_2, so b = (s x^2 + chi, -s x^1, 0)
+    s = dchi * y / ((outer - inner) * rho)
+    grad_f = vec_grad_f(cfg, pts)
     # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
-    dens = -bundle.normalization * np.sum(vec_grad_f(cfg, pts) * bvec, axis=1)
+    dens = -bundle.normalization * (grad_f[:, 0] * (s * y + chi) - grad_f[:, 1] * (s * x))
     if not np.all(np.isfinite(dens)):
         raise QuadratureDivergence("volume integrand not finite on region")
     total = np.sum(weights * dens)

@@ -137,24 +137,15 @@ def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.n
         xi, wxi = gauss_legendre(xi_lo, xi_hi, RADIAL_NODES)
     mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
     phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
-    XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
-    W = (
-        wxi[:, None, None]
-        * wmu[None, :, None]
-        * wphi[None, None, :]
-        * a_f**3
-        * (XI**2 - MU**2)
-    )
-    perp = a_f * np.sqrt(np.clip((XI**2 - 1.0) * (1.0 - MU**2), 0.0, None))
-    pts = np.stack(
-        [
-            mid[0] + a_f * XI * MU,
-            mid[1] + perp * np.cos(P),
-            mid[2] + perp * np.sin(P),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    return pts, W.ravel()
+    # (xi, mu) on the two leading axes, phi on the last
+    xi, wxi, mu = xi[:, None, None], wxi[:, None, None], mu[:, None]
+    W = wxi * wmu[:, None] * wphi * a_f**3 * (xi**2 - mu**2)
+    perp = a_f * np.sqrt(np.clip((xi**2 - 1.0) * (1.0 - mu**2), 0.0, None))
+    pts = np.empty(W.shape + (3,))
+    pts[..., 0] = mid[0] + a_f * xi * mu
+    pts[..., 1] = mid[1] + perp * np.cos(phi)
+    pts[..., 2] = mid[2] + perp * np.sin(phi)
+    return pts.reshape(-1, 3), W.ravel()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import fd, forms, gh, harmonic, quadrature
+from ale_lab import deformation, fd, forms, gh, harmonic, quadrature
 from ale_lab.errors import AleLabError, CenterTooClose, OnDiracString, SchemaError
 from ale_lab.forms import FormField
 
@@ -159,6 +159,103 @@ def test_first_center_pass_gradients_match_finite_differences():
         err = np.linalg.norm(fd_grad - grad, axis=-1) / np.linalg.norm(grad, axis=-1)
         assert np.max(err) < 1e-5
     assert np.all(partials[:, 3] == 0.0)
+
+
+# three off-axis centers of weights 1, 1, 2 about the origin (k = 3)
+OFF_AXIS_3 = gh.GHConfig(k=3, lam=1.0, centers=(((1.0, 0.5, -0.3), 1),
+                                                ((-0.8, 0.2, 0.9), 1),
+                                                ((-0.1, -0.35, -0.3), 2)))
+
+
+def _reference_point_layer(config, x3, patch):
+    """V, grad V, V0, grad V0, the eta components A_2, A_3, m and dm, written
+    as before the center-major layout: over (..., centers, 3) offsets, with
+    np.linalg.norm over the last axis and np.sum / einsum over the centers."""
+    w = np.array(config.weights)
+    diff = np.asarray(x3, dtype=float)[..., None, :] - np.array(config.positions)
+    dists = np.linalg.norm(diff, axis=-1)
+    sign = -1.0 if patch == "north" else 1.0
+    rho_sq = diff[..., 1] ** 2 + diff[..., 2] ** 2
+    on_axis = rho_sq == 0.0
+    rho_sq = np.where(on_axis, 1.0, rho_sq)
+    coeff = np.where(on_axis, 0.0,
+                     0.5 * w * (diff[..., 0] / np.sqrt(diff[..., 0] ** 2 + rho_sq) + sign))
+    eta1 = np.sum(coeff * (-diff[..., 2] / rho_sq), axis=-1)
+    eta2 = np.sum(coeff * (diff[..., 1] / rho_sq), axis=-1)
+    m = np.sum(w * dists, axis=-1)
+    dm = np.einsum("...i,...ij->...j", w / dists, diff)
+    q = diff / dists[..., None] ** 3
+    return {
+        "V": 0.5 * np.sum(w / dists, axis=-1),
+        "grad V": -0.5 * np.einsum("c,...cd->...d", w, q),
+        "V0": 0.5 * np.sum(w[:1] / dists[..., :1], axis=-1),
+        "grad V0": -0.5 * np.einsum("c,...cd->...d", w[:1], q[..., :1, :]),
+        "eta1": eta1, "eta2": eta2, "m": m, "dm": dm,
+    }
+
+
+def _point_layer(config, x3, patch):
+    x3 = np.asarray(x3, dtype=float)
+    v, gv, v0, gv0 = gh.potential_and_first_center(config, x3)
+    x4 = np.concatenate([x3, np.full(x3.shape[:-1] + (1,), 0.3)], axis=-1)
+    v_eta, eta = gh.potential_and_eta(config, x4, patch)
+    dm = gh.dm4(config, x3)
+    assert _same_bits(v_eta, v) and _same_bits(gh.eval_V(config, x3), v)
+    assert _same_bits(gh.eval_V_grad(config, x3), gv)
+    assert np.all(eta[..., 0] == 0.0) and np.all(eta[..., 3] == 1.0)
+    assert np.all(dm[..., 3] == 0.0)
+    return {"V": v, "grad V": gv, "V0": v0, "grad V0": gv0, "eta1": eta[..., 1],
+            "eta2": eta[..., 2], "m": gh.moment_map(config, x3), "dm": dm[..., :3]}
+
+
+def _layer_stacks(config, patch):
+    """An (n, 3) stack with a point on the regular side of a center's axis
+    ray, one point of it, and the stack repeated along a stride-0 node axis."""
+    pos = np.array(config.positions)
+    if patch == "north":
+        on_ray = pos[np.argmax(pos[:, 0])] + [0.5, 0.0, 0.0]
+    else:
+        on_ray = pos[np.argmin(pos[:, 0])] - [0.5, 0.0, 0.0]
+    pts = np.vstack([2.0 * np.random.default_rng(7).normal(size=(16, 3)), on_ray])
+    return [pts, pts[3], deformation.node_points(np.zeros(2), pts)]
+
+
+@pytest.mark.parametrize("patch", ["north", "south"])
+@pytest.mark.parametrize("config", [gh.GHConfig.canonical(2, 1.0), OFF_AXIS_3],
+                         ids=["canonical", "off-axis-3"])
+def test_point_layer_is_bitwise_the_last_axis_expressions(config, patch):
+    for x3 in _layer_stacks(config, patch):
+        ref = _reference_point_layer(config, x3, patch)
+        got = _point_layer(config, x3, patch)
+        for name in ref:
+            assert _same_bits(got[name], ref[name]), (name, np.shape(x3))
+
+
+def test_validate_base_names_the_first_offending_point_and_its_center():
+    pts = 2.0 * np.random.default_rng(8).normal(size=(6, 3))
+    pos = np.array(OFF_AXIS_3.positions)
+    near = pts.copy()
+    near[3] = pos[2] + 1e-8
+    near[5] = pos[0]
+    with pytest.raises(CenterTooClose, match=r"within 1e-06 of center 2 ") as info:
+        gh.validate_base(OFF_AXIS_3, near.reshape(2, 3, 3))
+    assert str(info.value).startswith(f"point {near[3]} ")
+    string = pts.copy()
+    string[2] = pos[1] - [0.5, 0.0, 0.0]
+    string[4] = pos[0] - [0.5, 0.0, 0.0]
+    with pytest.raises(OnDiracString, match=r"-x1 ray of center at \(-0\.8, 0\.2, 0\.9\)") as info:
+        gh.validate_base(OFF_AXIS_3, string, patch="north")
+    assert str(info.value).startswith(f"point {string[2]} ")
+    gh.validate_base(OFF_AXIS_3, string, patch="south")
+
+
+def test_positions_and_weights_are_built_once_and_read_only():
+    cfg = gh.GHConfig.canonical(2, 1.0)
+    assert cfg.positions is cfg.positions and cfg.weights is cfg.weights
+    with pytest.raises(ValueError):
+        cfg.positions[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cfg.weights[0] = 2.0
 
 
 def test_metric_determinant_is_V_squared():

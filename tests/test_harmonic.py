@@ -40,8 +40,18 @@ def test_norm_is_independent_of_the_scale(k, lam, omega_bundle):
     assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-11)
 
 
-def test_norm_makes_one_pass_over_the_centers(monkeypatch, omega_bundle):
-    # V of the volume weight comes from the pass that computes grad f
+_CHART_POINTS = np.array([[1.2, 0.7, -0.4, 0.3], [-0.8, 1.5, 0.3, 2.1], [2.5, -1.1, 0.9, 4.0]])
+
+
+@pytest.mark.parametrize("evaluate,stack", [
+    (harmonic.omega_norm, (quadrature.SPHERE_ORDER**3, 3)),
+    (harmonic.exact_form_pairing_residual,
+     (quadrature.RADIAL_NODES * quadrature.SPHERE_ORDER**2, 3)),
+    (lambda bundle: bundle.components(_CHART_POINTS), (3, 3)),
+], ids=["omega_norm", "exact_form_pairing", "components"])
+def test_makes_one_pass_over_the_centers(evaluate, stack, monkeypatch, omega_bundle):
+    # V of the volume weight, and V and eta of the form's components, come
+    # from the pass that computes grad f
     bundle = omega_bundle(2)
     offsets, stacks = gh._offsets, []
 
@@ -50,8 +60,8 @@ def test_norm_makes_one_pass_over_the_centers(monkeypatch, omega_bundle):
         return offsets(config, x3)
 
     monkeypatch.setattr(gh, "_offsets", counted)
-    harmonic.omega_norm(bundle)
-    assert stacks == [(quadrature.SPHERE_ORDER**3, 3)]
+    evaluate(bundle)
+    assert stacks == [stack]
 
 
 def test_omega_closed_and_antiselfdual(canonical, omega_bundle):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import forms, quadrature, suites
+from ale_lab import forms, gh, quadrature, suites
 from ale_lab.errors import SchemaError
 
 
@@ -91,6 +91,43 @@ def test_s3_nodes_are_shared_and_read_only():
     assert seen[0] is seen[1]
     with pytest.raises(ValueError):
         seen[0][0, 0] = 0.0
+
+
+def _meshgrid_volume_nodes(config, shell):
+    """volume_nodes written over full (xi, mu, phi) meshgrids."""
+    lo, hi = config.segment
+    mid = 0.5 * (config.p0 + config.p1)
+    a_f = 0.5 * abs(hi - lo)
+    if shell is None:
+        u, wu = gh.gauss_legendre(0.0, 1.0, quadrature.SPHERE_ORDER)
+        xi, wxi = 1.0 / u, wu / u**2
+    else:
+        inner, outer = shell
+        off = float(np.linalg.norm(mid))
+        xi_lo = max(1.0, (inner - off) / a_f)
+        xi_hi = math.sqrt(((outer + off) / a_f) ** 2 + 1.0)
+        xi, wxi = gh.gauss_legendre(xi_lo, xi_hi, quadrature.RADIAL_NODES)
+    mu, wmu = gh.gauss_legendre(-1.0, 1.0, quadrature.SPHERE_ORDER)
+    phi, wphi = gh.gauss_legendre(0.0, 2.0 * math.pi, quadrature.SPHERE_ORDER)
+    XI, MU, P = np.meshgrid(xi, mu, phi, indexing="ij")
+    W = (wxi[:, None, None] * wmu[None, :, None] * wphi[None, None, :] * a_f**3
+         * (XI**2 - MU**2))
+    perp = a_f * np.sqrt(np.clip((XI**2 - 1.0) * (1.0 - MU**2), 0.0, None))
+    pts = np.stack([mid[0] + a_f * XI * MU, mid[1] + perp * np.cos(P),
+                    mid[2] + perp * np.sin(P)], axis=-1)
+    return pts.reshape(-1, 3), W.ravel()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "shell"])
+def test_volume_nodes_are_bitwise_the_meshgrid_rule(k, lam, whole):
+    cfg = gh.GHConfig.canonical(k, lam)
+    shell = None if whole else (6.0 * (k + 1) * lam, 12.0 * (k + 1) * lam)
+    pts, w = quadrature.volume_nodes(cfg, shell)
+    ref_pts, ref_w = _meshgrid_volume_nodes(cfg, shell)
+    assert pts.tobytes() == ref_pts.tobytes() and pts.shape == ref_pts.shape
+    assert w.tobytes() == ref_w.tobytes() and w.shape == ref_w.shape
 
 
 def test_odd_moments_vanish():
