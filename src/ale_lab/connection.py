@@ -12,7 +12,7 @@ delta F = -*d*F = -*dF as F is self-dual, so only dF is differentiated.
 Its curvature is R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
 normalization (coefficient 1.0) is pinned numerically against the
 t^2-coefficient of the curvature of deformed metrics, taken on a circle
-of complex t (deformation.taylor_coefficient), to about 4e-9.  Blocks
+of complex t (deformation.taylor_coefficient), to about 7e-9.  Blocks
 follow the sign convention in which these curvature forms decompose as
 R_+ = -(Scal/12 + W_+) on the frame and R_- maps to the trace-free
 Ricci part, so a round metric has R_+ = -(Scal/12) Id and hyperkahler

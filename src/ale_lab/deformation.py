@@ -21,8 +21,16 @@ order is
 
 Both nonlinear coefficients are pinned numerically against the
 t-coefficients of actual deformed metrics, read off a circle of complex
-t by taylor_coefficient: to about 4e-9 on the linear family and 2e-6 on
+t by taylor_coefficient: to about 7e-9 on the linear family and 2e-6 on
 the coupled one, where the O(h^2) truncation of the x-differences rules.
+
+The metric fixed by the deformed triple is in closed form,
+
+    g(t) = e^(t lam) exp(t H),    H = metric_perturbation_from_coeffs(C),
+
+since H is symmetric and trace-free and acts on 2-forms as the
+off-diagonal block [[0, -C], [-C^T, 0]] of M: one real 4x4 eigh of H per
+point, with t only in the exponential.
 
 Node axis: a contour is evaluated as one stack, not node by node.  A
 (m,) array of t values goes with (m, ..., 4) point stacks whose leading
@@ -30,7 +38,10 @@ axis is the node axis (node_points repeats a point stack along it), and
 every value keeps that axis in front.  fd appends its stencil axes after
 the point axes, so each fd operator and each (..., 4, 4) stack of
 connection serves all nodes of a contour in one call; a scalar t takes
-any point stack, as before.
+any point stack, as before.  The m rows of such a stack are one point
+stack, bit for bit, for node_points and every stencil built on it, so a
+family takes its t-independent part (C, lam and their eigendecompositions)
+once, on the first row, and raises SchemaError when the rows differ.
 
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
@@ -58,7 +69,6 @@ from .forms import (
     apply_J_covector,
     float_or_complex,
     hodge_star,
-    metric_from_triple,
     project_stack,
     split_sd,
     tensor_to_comps,
@@ -78,8 +88,8 @@ TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a (..., n, n) stack, by scipy.linalg (imported
-    here, on first use): the second route for TripleFamily.triple, which
-    takes exp(t M) in closed form."""
+    here, on first use): the second route for TripleFamily.triple and
+    metric, which take exp(t M) and exp(t H) in closed form."""
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
@@ -129,17 +139,27 @@ def deformation_first_order(
 # ---------------------------------------------------------------------------
 
 
-def _node_axis(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """t shaped to broadcast over the point axes of a (..., 4) stack: a
-    scalar t as it is, a (m,) array of contour nodes against the leading
-    axis of an (m, ..., 4) stack."""
+def _node_rows(t: complex | np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, points) for the t-independent part of a family at (..., 4) points
+    x: a scalar t with x itself; a (m,) array of contour nodes shaped to
+    broadcast, node axis first, over the point axes of x[0], with x[0].
+    The leading axis of x must be the node axis, and its m rows the same
+    point stack (node_points, or any fd stencil built on it)."""
+    x = np.asarray(x, dtype=float)
     t = np.asarray(t)
-    if t.ndim and np.shape(x)[:1] != t.shape:
+    if not t.ndim:
+        return t, x
+    if x.shape[:1] != t.shape:
         raise SchemaError(
-            f"points of shape {np.shape(x)} for {t.size} nodes; "
+            f"points of shape {x.shape} for {t.size} nodes; "
             f"their leading axis must be the node axis, of length {t.size}"
         )
-    return t.reshape(t.shape + (1,) * (np.ndim(x) - 1 - t.ndim))
+    if not np.array_equal(x, np.broadcast_to(x[0], x.shape), equal_nan=True):
+        raise SchemaError(
+            f"points of shape {x.shape} differ along the node axis; its "
+            f"{t.size} rows must be one point stack (node_points)"
+        )
+    return t.reshape(t.shape + (1,) * (x.ndim - 2)), x[0]
 
 
 def node_points(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,11 +173,21 @@ class TripleFamily:
     """Phi(t) = exp(t M(x)) omega for M built from (lam, C).  As M = lam I +
     [[0, -C], [-C^T, 0]], the columns of exp(t M) that act on omega_+ are
     e^(t lam) [cosh(t sqrt A) ; -C^T sinh(t sqrt A) / sqrt A] with A = C C^T,
-    both entire in A, and triple takes them in closed form.
+    both entire in A, and triple takes them in closed form.  The metric
+    that Phi(t) fixes is
+
+        g(t) = e^(t lam) exp(t H),    H = metric_perturbation_from_coeffs(C),
+
+    as H is symmetric and trace-free and acts on 2-forms as the
+    off-diagonal block of M; metric takes it from one real 4x4 eigh of H.
 
     Every t-method takes a scalar t, real or complex, or a (m,) array of
     contour nodes; the nodes go with (m, ..., 4) point stacks whose leading
-    axis is the node axis (node_points), and the values keep it in front."""
+    axis is the node axis and whose m rows are one point stack
+    (node_points, and every fd stencil built on it), and the values keep
+    the node axis in front.  triple and metric take C, lam and their
+    eigendecompositions once, on the first row, and raise SchemaError when
+    the rows differ."""
 
     lam: ScalarField
     coeff: MatrixField  # C(x)
@@ -173,8 +203,7 @@ class TripleFamily:
         of A for all nodes of t, with cosh(t s) and sinh(t s) / s broadcast
         over them; a rounding-negative eigenvalue is clipped to 0, where
         sinh(t s) / s takes its limit t."""
-        x = np.asarray(x, dtype=float)
-        t = _node_axis(t, x)
+        t, x = _node_rows(t, x)
         c = np.asarray(self.coeff(x), dtype=float)
         mu, v = np.linalg.eigh(c @ np.swapaxes(c, -1, -2))
         s = np.sqrt(np.maximum(mu, 0.0))
@@ -187,8 +216,15 @@ class TripleFamily:
         return scale * (np.concatenate([cosh_a, -sinh_a_c], axis=-1) @ _BASIS)
 
     def metric(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        tr = self.triple(t, x)
-        return metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
+        """(..., 4, 4) metrics g(t) = W W^T at (..., 4) points, with
+        W = V e^(t (lam + mu) / 2) from H = V diag(mu) V^T, so each g is
+        symmetric and t enters only through the exponential."""
+        t, x = _node_rows(t, x)
+        mu, v = np.linalg.eigh(metric_perturbation_from_coeffs(
+            np.asarray(self.coeff(x), dtype=float)))
+        lam = np.asarray(self.lam(x), dtype=float)[..., None]
+        w = v * np.exp(0.5 * t[..., None] * (lam + mu))[..., None, :]
+        return w @ np.swapaxes(w, -1, -2)
 
     def metric_field(self, t: complex | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
@@ -356,15 +392,24 @@ def _divergence_matrix() -> np.ndarray:
     return div.reshape(-1, div.shape[-1])
 
 
+@functools.cache
+def _gauge_null_space() -> np.ndarray:
+    """(90, n) orthonormal basis, as columns, of the coefficient vectors
+    with delta h = 0, from the SVD of _divergence_matrix; built on first
+    use and read-only."""
+    _, s, vt = np.linalg.svd(_divergence_matrix())
+    rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+    null = vt[rank:].T
+    null.setflags(write=False)
+    return null
+
+
 def gauged_coefficient_field(seed: int) -> MatrixField:
     """Random homogeneous quadratic C(x) with delta h = 0 for h = map(C)
     (flat gauge)."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(3, 3, len(_QUAD_P)))
-
-    _, s, vt = np.linalg.svd(_divergence_matrix())
-    rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
-    null = vt[rank:].T
+    null = _gauge_null_space()
     target = raw.reshape(-1)
     vec = null @ (null.T @ target)
     norm = np.linalg.norm(vec)

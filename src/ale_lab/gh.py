@@ -522,13 +522,17 @@ def sample_chart_points(
     is below string_cone_cos.
     """
     rng = np.random.default_rng(seed)
+    positions = config.positions.tolist()
     points: list[list[float]] = []
     while len(points) < count:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         rho = rng.uniform(rho_min, rho_max)
         x3 = rho * direction
-        if np.min(_offsets(config, x3)[1]) < min_center_dist:
+        # the distances of _offsets, in scalar arithmetic on the candidate
+        a, b, c = x3.tolist()
+        if any(math.sqrt((a - p) * (a - p) + (b - q) * (b - q) + (c - r) * (c - r))
+               < min_center_dist for p, q, r in positions):
             continue
         if math.hypot(x3[1], x3[2]) < min_axis_dist:
             continue

@@ -94,19 +94,29 @@ def _rank_one_coefficient(x: np.ndarray) -> np.ndarray:
     return np.einsum("...,ij->...ij", x[..., 1], np.outer([1.0, 2.0, 0.0], [0.5, -1.0, 2.0]))
 
 
-@pytest.mark.parametrize("family", [
+_FAMILIES = pytest.mark.parametrize("family", [
     deformation.linear_gauged_family(0),
     deformation.einstein_first_order_family(5),
     deformation.TripleFamily(lam=lambda x: 0.3 * x[..., 0], coeff=_zero_coefficient),
     deformation.TripleFamily(lam=lambda x: 0.3 * x[..., 0], coeff=_rank_one_coefficient),
 ], ids=["linear", "einstein-first-order", "zero-C", "rank-one-C"])
-def test_triple_closed_form_matches_expm(family):
-    # the closed form against scipy's exp(t M) on the first three columns
+
+
+def _closed_form_points_and_times():
+    """(2, 3, 4) points, one with C = 0 for the rank-one family, and the
+    real times 0, 0.1, -0.25 and the TAYLOR_NODES contour nodes."""
     x = np.random.default_rng(11).normal(size=(2, 3, 4))
-    x[0, 0, 1] = 0.0  # C = 0 at this point for the rank-one family
+    x[0, 0, 1] = 0.0
     contour = [deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * k / deformation.TAYLOR_NODES)
                for k in range(deformation.TAYLOR_NODES)]
-    for t in [0.0, 0.1, -0.25, *contour]:
+    return x, [0.0, 0.1, -0.25, *contour]
+
+
+@_FAMILIES
+def test_triple_closed_form_matches_expm(family):
+    # the closed form against scipy's exp(t M) on the first three columns
+    x, times = _closed_form_points_and_times()
+    for t in times:
         expected = np.swapaxes(deformation.expm(t * family.generator(x))[..., :, :3], -1, -2)
         got = family.triple(t, x)
         assert got.shape == (2, 3, 3, 6)
@@ -114,6 +124,27 @@ def test_triple_closed_form_matches_expm(family):
         assert np.max(np.abs(got - expected @ deformation._BASIS)) < 1e-13
     # a single (4,) point gives its row of the stack
     assert np.max(np.abs(family.triple(0.1, x[1, 2]) - family.triple(0.1, x)[1, 2])) < 1e-14
+
+
+@_FAMILIES
+def test_metric_closed_form_matches_reconstruction_and_expm(family):
+    # g(t) = e^(t lam) exp(t H) against the metric the triple fixes and
+    # against scipy's exponential of t H, relative to the largest entry (25
+    # at t = -0.25 on the einstein-first-order family, where scipy's expm
+    # is 7e-13 off the reconstruction)
+    x, times = _closed_form_points_and_times()
+    h = deformation.metric_perturbation_from_coeffs(family.coeff(x))
+    for t in times:
+        got = family.metric(t, x)
+        assert got.shape == (2, 3, 4, 4)
+        assert np.iscomplexobj(got) == isinstance(t, complex)
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        scale = max(1.0, float(np.max(np.abs(got))))
+        tr = family.triple(t, x)
+        rebuilt = forms.metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
+        assert np.max(np.abs(got - rebuilt)) <= 1e-13 * scale
+        expm = np.exp(t * family.lam(x))[..., None, None] * deformation.expm(t * h)
+        assert np.max(np.abs(got - expm)) <= 1e-13 * scale
 
 
 _NODES = {
@@ -155,6 +186,39 @@ def test_triple_rejects_points_without_node_axis():
     t = _NODES["complex"]
     with pytest.raises(SchemaError, match=r"points of shape \(8, 4\) for 3 nodes"):
         fam.triple(t, np.zeros((8, 4)))
+
+
+@pytest.mark.parametrize("method", ["triple", "metric"])
+def test_node_rows_must_be_one_point_stack(method):
+    # the t-independent part is taken on the first row of the node axis, so
+    # rows that differ would be answered for the wrong points
+    fam = deformation.linear_gauged_family(0)
+    t = _NODES["complex"]
+    x = np.array(deformation.node_points(t, 0.4 * np.random.default_rng(23).normal(size=(2, 4))))
+    getattr(fam, method)(t, x)
+    x[2, 1, 3] += 1e-12
+    with pytest.raises(SchemaError, match=r"points of shape \(3, 2, 4\) differ along the node axis"):
+        getattr(fam, method)(t, x)
+    with pytest.raises(SchemaError, match=r"points of shape \(8, 4\) for 3 nodes"):
+        getattr(fam, method)(t, np.zeros((8, 4)))
+
+
+def test_curvature_contour_decomposes_once_per_point(monkeypatch):
+    # one curvature block on a contour: its metric call gets the nested
+    # stencil with the node axis in front, and eigh sees each point once,
+    # not once per node
+    fam = deformation.einstein_first_order_family(5)
+    t = _NODES["complex"]
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    connection.curvature_block_of_metric(fam.metric_field(t), deformation.node_points(t, X0))
+    assert sum(sizes) == 9 * 9  # the nested stencil of one point
 
 
 def test_suite_deformation_evaluates_each_contour_as_one_stack(monkeypatch):

@@ -451,6 +451,50 @@ def test_sampling_deterministic():
     assert np.array_equal(a, b)
 
 
+def _sample_by_offsets(config, count, seed=0, rho_min=0.5, rho_max=10.0,
+                       min_center_dist=0.3, min_axis_dist=0.05, string_cone_cos=1.0):
+    """The sampling loop with its distance test on the _offsets pass: the
+    points and the number of candidates that test rejected."""
+    rng = np.random.default_rng(seed)
+    points, near = [], 0
+    while len(points) < count:
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        rho = rng.uniform(rho_min, rho_max)
+        x3 = rho * direction
+        if np.min(gh._offsets(config, x3)[1]) < min_center_dist:
+            near += 1
+            continue
+        if math.hypot(x3[1], x3[2]) < min_axis_dist:
+            continue
+        if -direction[0] > string_cone_cos:
+            continue
+        points.append([*x3, rng.uniform(0.0, gh.FIBER_PERIOD)])
+    return np.array(points).reshape(count, 4), near
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_sample_chart_points_are_bitwise_the_offsets_rule(k, lam):
+    # the suites' calls: gh's 20 points, the cone's 4 (seed 1), harmonic's 5
+    cfg = gh.GHConfig.canonical(k, lam)
+    geo = max(1.0, lam)
+    chart = dict(rho_min=1.5 * geo, rho_max=4.0 * geo, min_center_dist=0.8 * geo,
+                 min_axis_dist=0.8 * geo, string_cone_cos=0.45)
+    cone = harmonic.cone_config(cfg)
+    for config, count, kwargs in [(cfg, 20, chart), (cone, 4, dict(seed=1)), (cfg, 5, chart)]:
+        np.testing.assert_array_equal(gh.sample_chart_points(config, count, **kwargs),
+                                      _sample_by_offsets(config, count, **kwargs)[0])
+
+
+def test_sample_chart_points_reject_near_centers_as_the_offsets_rule():
+    # the suites' calls reject no candidate near a center; this one does
+    kwargs = dict(seed=5, rho_min=0.2, rho_max=6.0, min_center_dist=0.6, min_axis_dist=0.0)
+    expected, near = _sample_by_offsets(OFF_AXIS, 64, **kwargs)
+    assert near > 0
+    np.testing.assert_array_equal(gh.sample_chart_points(OFF_AXIS, 64, **kwargs), expected)
+
+
 def test_cone_config_matches_total_weight(canonical):
     cfg = canonical(2)
     cone = harmonic.cone_config(cfg)
