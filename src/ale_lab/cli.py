@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -291,7 +292,10 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace from the defaults on every call, so main may reuse it."""
     parser = argparse.ArgumentParser(
         prog="ale-lab",
         description="Verification suites and obstruction reports for "

@@ -113,16 +113,17 @@ def connection_from_Phi(phi: TripleField) -> FormField:
     degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to the (..., 3, 6) component stacks of the
-    frame (a leading node axis of the points is one more point axis); g
-    comes from the frame at the base points, which checks its Gram matrix
-    there, and delta F = -*dF from one stencil of phi.
+    frame (a leading node axis of the points is one more point axis).  One
+    call of phi on the points and their stencil (fd.value_and_d) gives the
+    frame and dF; g comes from the frame at the base points, which checks
+    its Gram matrix there, and delta F = -*dF.
     """
 
     def components(x: np.ndarray) -> np.ndarray:
-        comps = float_or_complex(phi(x))
+        comps, dphi = fd.value_and_d(FormField(2, phi), x)
         g = metric_from_triple(*np.moveaxis(comps, -2, 0))[..., None, :, :]
         jmats = J_from_form(g, comps)
-        deltas = -hodge_star(g, fd.fd_d(FormField(2, phi), x), 3)
+        deltas = -hodge_star(g, dphi, 3)
         j, k = CYCLIC
         return 0.5 * (
             deltas

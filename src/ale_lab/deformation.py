@@ -236,17 +236,6 @@ class TripleFamily:
         return connection_from_Phi(lambda x: self.triple(t, x))
 
 
-def _at_nodes(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
-    """f on an array of nodes; its values must lead with the node axis."""
-    out = np.asarray(f(t))
-    if out.shape[:1] != t.shape:
-        raise SchemaError(
-            f"taylor_coefficient: f returned shape {out.shape} for {t.size} nodes; "
-            f"its leading axis must be the node axis, of length {t.size}"
-        )
-    return out
-
-
 def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
     real t, from N = TAYLOR_NODES points of radius r = TAYLOR_RADIUS:
@@ -255,18 +244,25 @@ def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndar
 
     (Lyness & Moler 1967; Fornberg 1981), exact up to the aliased
     c_(n+N) r^N.  As f(conj t) = conj f(t), the nodes k and N - k pair:
-    five nodes and a real result.  f takes a (m,) array of nodes and
-    returns its values with the node axis leading; it is called twice,
-    on the real nodes [r, -r] and on the complex nodes r w^k, k = 1..N/2-1,
-    and a value without that leading axis raises SchemaError.
+    N/2 + 1 nodes and a real result.  f is called once, on the complex
+    array of the nodes r w^k, k = 0..N/2, with w^0 = 1 and w^(N/2) = -1
+    exactly, and returns its values with the node axis leading; the two
+    real nodes contribute their real parts, and a value without that
+    leading axis raises SchemaError.
     """
     r, nodes = TAYLOR_RADIUS, TAYLOR_NODES
-    real = _at_nodes(f, np.array([r, -r]))
-    w = np.exp(2j * np.pi * np.arange(1, nodes // 2) / nodes)
-    cplx = _at_nodes(f, r * w)
-    total = real[0] + (-1) ** n * real[1]
-    for k in range(nodes // 2 - 1):
-        total = total + 2.0 * (cplx[k] * w[k] ** -n).real
+    half = nodes // 2
+    w = np.exp(2j * np.pi * np.arange(half + 1) / nodes)
+    w[0], w[half] = 1.0, -1.0
+    vals = np.asarray(f(r * w))
+    if vals.shape[:1] != w.shape:
+        raise SchemaError(
+            f"taylor_coefficient: f returned shape {vals.shape} for {w.size} nodes; "
+            f"its leading axis must be the node axis, of length {w.size}"
+        )
+    total = vals[0].real + (-1) ** n * vals[half].real
+    for k in range(1, half):
+        total = total + 2.0 * (vals[k] * w[k] ** -n).real
     return total / (nodes * r**n)
 
 
@@ -308,12 +304,16 @@ def ric0_second_order(
             sign convention as the curvature blocks elsewhere in the package
             (the negated pairing coefficients of d a1); computed from d a1
             when None.
+
+    a1 and d a1 come from one call of a1 on x and its stencil
+    (fd.value_and_d).
     """
     x = np.asarray(x, dtype=float)
+    a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
     if rplus1 is None:
-        rplus1 = -sd_block(fd.fd_d(FormField(1, a1), x))
+        rplus1 = -sd_block(da1)
     _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x))
-    return da2_minus + bracket_minus(a1(x)) - rplus1 @ float_or_complex(phi(x))
+    return da2_minus + bracket_minus(a1_here) - rplus1 @ float_or_complex(phi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +392,21 @@ def _divergence_matrix() -> np.ndarray:
     return div.reshape(-1, div.shape[-1])
 
 
-@functools.cache
-def _gauge_null_space() -> np.ndarray:
-    """(90, n) orthonormal basis, as columns, of the coefficient vectors
-    with delta h = 0, from the SVD of _divergence_matrix; built on first
-    use and read-only."""
-    _, s, vt = np.linalg.svd(_divergence_matrix())
+def _null_space(constraints: np.ndarray) -> np.ndarray:
+    """(90, n) orthonormal basis, as columns, of the coefficient vectors a
+    (rows, 90) constraint matrix annihilates, from its SVD; read-only."""
+    _, s, vt = np.linalg.svd(constraints)
     rank = int(np.sum(s > 1e-9 * s[0])) if s.size else 0
     null = vt[rank:].T
     null.setflags(write=False)
     return null
+
+
+@functools.cache
+def _gauge_null_space() -> np.ndarray:
+    """Null space of _divergence_matrix: the coefficient vectors with
+    delta h = 0; built on first use and read-only."""
+    return _null_space(_divergence_matrix())
 
 
 def gauged_coefficient_field(seed: int) -> MatrixField:
@@ -436,36 +441,39 @@ def linear_gauged_family(seed: int) -> TripleFamily:
     return TripleFamily(lam=lambda x: -np.einsum("...a,a->...", x, csum), coeff=coeff)
 
 
-@functools.cache
 def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
     perturbation and vanishing anti-self-dual part of d a^(1) at the
-    origin, one column per unit coefficient vector; built on first use and
-    read-only."""
+    origin, one column per unit coefficient vector."""
     phi = lambda x: phi_comps_from_coeffs(_unit_coefficient_fields(x))
     a1 = lambda x: star_d_phi(phi, x)
     da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
     _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
-    out = np.concatenate([_divergence_matrix(), minus.reshape(len(minus), -1).T])
-    out.setflags(write=False)
-    return out
+    return np.concatenate([_divergence_matrix(), minus.reshape(len(minus), -1).T])
+
+
+@functools.cache
+def _efo_null_space() -> np.ndarray:
+    """Null space of _efo_constraint_matrix; built on first use and
+    read-only."""
+    return _null_space(_efo_constraint_matrix())
 
 
 def einstein_first_order_family(seed: int) -> TripleFamily:
     """Family that solves the linearized equation at first order.
 
     The quadratic coefficient part (normal entries of scale 0.6) is
-    projected onto divergence-free fields whose first-order curvature is
-    purely self-dual, so the second-order trace-free Ricci formula applies
-    with a nonvanishing phi/self-dual-block coupling; a gauged linear part
-    (linear_gauged_family of the next seed) keeps the connection bracket
-    nonzero.
+    projected orthogonally, through the null space of the constraint
+    matrix (built once), onto divergence-free fields whose first-order
+    curvature is purely self-dual, so the second-order trace-free Ricci
+    formula applies with a nonvanishing phi/self-dual-block coupling; a
+    gauged linear part (linear_gauged_family of the next seed) keeps the
+    connection bracket nonzero.
     """
-    amat = _efo_constraint_matrix()
+    null = _efo_null_space()
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=amat.shape[1]) * 0.6
-    sol, *_ = np.linalg.lstsq(amat, amat @ q, rcond=None)
-    cquad = _polynomial_field(q - sol)
+    q = rng.normal(size=null.shape[0]) * 0.6
+    cquad = _polynomial_field(null @ (null.T @ q))
 
     lin = linear_gauged_family(seed + 1)
     lin_coeff, lin_lam = lin.coeff, lin.lam

@@ -7,7 +7,9 @@ points and returns (..., *result); e.g. ricci on (N, 4) points gives
 (N, 4, 4).  An operator builds its whole stencil, with per-point steps,
 as one point array and calls the field once on it: riemann_up and ricci
 evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
-point) in one metric call.  A field whose output's leading axes do not
+point) in one metric call, and value_and_d gives a field and its
+exterior derivative from one call on the points and their eight
+neighbours.  A field whose output's leading axes do not
 match the points it was given raises SchemaError, and a stencil point
 outside the chart raises EvaluationDomain naming that point.
 
@@ -121,9 +123,21 @@ def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP) -> np.nda
     from one stencil of eight evaluations per point.  The derivative of a
     4-form is the zero 4-form.
     """
-    partials = all_partials(field, point, h)  # (..., 4, *shape, n_p)
-    moved = np.moveaxis(partials, np.ndim(point) - 1, -2)
-    return np.tensordot(moved, _D_TABLE[field.degree], axes=2)
+    return _d_from_partials(field.degree, all_partials(field, point, h), np.ndim(point))
+
+
+def _d_from_partials(degree: int, partials: np.ndarray, point_ndim: int) -> np.ndarray:
+    """(..., *shape, n_{p+1}) exterior derivatives from the (..., 4, *shape,
+    n_p) partials of a degree-p field at points with point_ndim axes."""
+    moved = np.moveaxis(partials, point_ndim - 1, -2)
+    return np.tensordot(moved, _D_TABLE[degree], axes=2)
+
+
+def value_and_d(field: FormField, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(field, fd_d(field)) at (..., 4) points from one call of the field on
+    the points and their eight stencil neighbours."""
+    value, partials = _value_and_partials(field, point, DEFAULT_STEP)
+    return value, _d_from_partials(field.degree, partials, np.ndim(point))
 
 
 def richardson(eval_at: Callable[[float], np.ndarray], h: float) -> np.ndarray:

@@ -147,11 +147,15 @@ def s_ratio(bundle: HarmonicFormBundle) -> float:
 
 def dC_scalar_field(config: gh.GHConfig,
                     grad4: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Covector field J_1(d u) for a scalar with known 4D gradient."""
+    """Covector field J_1(d u) for a scalar with known 4D gradient, or for
+    a stack of scalars whose gradients grad4 returns as (..., *shape, 4)
+    at (..., 4) points."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
         j1 = gh.metric_at(config, x4).J[..., 0, :, :]
-        return apply_J_covector(j1, grad4(x4))
+        du = grad4(x4)
+        j1 = j1.reshape(j1.shape[:-2] + (1,) * (du.ndim - x4.ndim) + j1.shape[-2:])
+        return apply_J_covector(j1, du)
 
     return ev
 
@@ -211,14 +215,16 @@ def _sub_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     return grad4
 
 
-def model_form(config: gh.GHConfig, which: str, x4: np.ndarray) -> np.ndarray:
-    """d d^C of the lead (1/rhat^2) or sub (phi1/rhat^6) potential at
-    (..., 4) points.
+def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
+    """d d^C of the lead (1/rhat^2) and sub (phi1/rhat^6) potentials at
+    (..., 4) points, stacked as (..., 2, 6): one degree-1 field, so one
+    stencil and one gh.metric_at call for both.
 
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
-    grad4 = _lead_grad4(config) if which == "lead" else _sub_grad4(config)
+    lead, sub = _lead_grad4(config), _sub_grad4(config)
+    grad4 = lambda y: np.stack([lead(y), sub(y)], axis=-2)
     fld = FormField(1, dC_scalar_field(config, grad4))
     return fd.fd_d(fld, np.asarray(x4, dtype=float))
 
@@ -264,9 +270,8 @@ def asymptotic_fit(
     base = radii * _fit_directions(6, 0)  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (k + 1) * radii) ** 2  # rhat^4: puts radii on equal footing
-    lead = weight * model_form(cfg, "lead", x4)
-    sub = weight * model_form(cfg, "sub", x4)
-    amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
+    models = weight[..., None] * model_form(cfg, x4)  # (radius, direction, model, 6)
+    amat = np.moveaxis(models, -2, -1).reshape(-1, 2)
     bvec = (weight * bundle.components(x4)).ravel()
     sol, _res, rank, _sv = np.linalg.lstsq(amat, bvec, rcond=None)
     if rank < 2 or not np.all(np.isfinite(sol)):

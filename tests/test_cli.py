@@ -73,6 +73,26 @@ def test_verify_rejects_bad_configuration(capsys):
         assert "--tol" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_each_call_gets_the_defaults(tmp_path, capsys):
+    # the cached parser fills a new namespace per call: flags of one call
+    # do not leak into the next, and a bad flag still exits 2
+    assert cli.build_parser() is cli.build_parser()
+
+    def report(*flags):
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "quadrature", *flags, "--report", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        return payload["k"], payload["tol_scale"]
+
+    assert report("--k", "3", "--tol", "2") == (3, 2.0)
+    assert report() == (1, 1.0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert report() == (1, 1.0)
+
+
 # bounds that --tol leaves fixed: exponents, a ratio and a sign test
 UNSCALED_CHECKS = {"metric-decay-exponent", "density-annulus-exponent", "anisotropic-ratio",
                    "anisotropic-consistency", "radial-contraction-decay"}

@@ -56,8 +56,8 @@ def test_first_order_connection_matches_family_derivative():
     assert deformation.gauge_residual(fam.lam, first, X0) < 1e-9
 
 
-def test_connection_makes_two_triple_calls(monkeypatch):
-    # one at the base points, one on the stencil: the frame fixes its metric
+def test_connection_makes_one_triple_call(monkeypatch):
+    # one on the base points and their stencil: the frame fixes its metric
     fam = deformation.linear_gauged_family(0)
     calls = []
     triple = deformation.TripleFamily.triple
@@ -69,7 +69,7 @@ def test_connection_makes_two_triple_calls(monkeypatch):
     monkeypatch.setattr(deformation.TripleFamily, "triple", counted)
     t = _NODES["complex"]
     fam.connection(t)(deformation.node_points(t, X0))
-    assert calls == [(3, 4), (3, 8, 4)]
+    assert calls == [(3, 9, 4)]
 
 
 # --- t-coefficients ------------------------------------------------------------
@@ -174,11 +174,32 @@ def test_triple_on_node_axis_matches_per_node(family, kind):
 def test_taylor_coefficient_rejects_values_without_node_axis():
     fam = deformation.linear_gauged_family(0)
     # the point not broadcast to the nodes: one value for the whole contour
-    with pytest.raises(SchemaError, match=r"shape \(3, 4\) for 2 nodes"):
+    with pytest.raises(SchemaError, match=r"shape \(3, 4\) for 5 nodes"):
         deformation.taylor_coefficient(lambda t: fam.connection(0.1)(X0), 1)
     # the nodes on a trailing axis
-    with pytest.raises(SchemaError, match=r"shape \(4, 4, 2\) for 2 nodes"):
+    with pytest.raises(SchemaError, match=r"shape \(4, 4, 5\) for 5 nodes"):
         deformation.taylor_coefficient(lambda t: np.multiply.outer(np.eye(4), t), 1)
+
+
+def test_taylor_coefficient_calls_f_once_on_the_nodes():
+    # one complex array of the N/2 + 1 nodes r w^k, k = 0..N/2, in order,
+    # with the real nodes r and -r exact
+    calls = []
+
+    def f(t):
+        calls.append(np.array(t))
+        return np.exp(t)
+
+    coeff = deformation.taylor_coefficient(f, 2)
+    assert len(calls) == 1
+    (t,) = calls
+    half = deformation.TAYLOR_NODES // 2
+    r = deformation.TAYLOR_RADIUS
+    assert t.dtype == np.complex128 and t.shape == (half + 1,)
+    assert t[0] == r and t[half] == -r
+    k = np.arange(1, half)
+    assert np.max(np.abs(t[1:half] - r * np.exp(2j * np.pi * k / deformation.TAYLOR_NODES))) == 0.0
+    assert coeff.dtype == np.float64 and abs(coeff - 0.5) < 1e-12
 
 
 def test_triple_rejects_points_without_node_axis():
@@ -360,6 +381,24 @@ def test_constraint_matrices_match_per_vector_build():
     assert np.array_equal(deformation._divergence_matrix(), div)
     assert np.array_equal(deformation._efo_constraint_matrix(),
                           np.concatenate([div, np.stack(asd_cols, axis=1)]))
+
+
+def test_einstein_family_projects_onto_the_constraint_null_space():
+    # the family's quadratic part is the orthogonal projection of its draw
+    # onto the constraints' null space, as the least-squares route gives it
+    seed = 5
+    amat = deformation._efo_constraint_matrix()
+    q = np.random.default_rng(seed).normal(size=amat.shape[1]) * 0.6
+    null = deformation._efo_null_space()
+    assert not null.flags.writeable
+    proj = null @ (null.T @ q)
+    assert np.max(np.abs(amat @ proj)) <= 1e-12
+    sol, *_ = np.linalg.lstsq(amat, amat @ q, rcond=None)
+    assert np.max(np.abs(proj - (q - sol))) <= 1e-12
+    fam = deformation.einstein_first_order_family(seed)
+    lin = deformation.linear_gauged_family(seed + 1)
+    x = np.random.default_rng(3).normal(size=(4, 4))
+    assert np.array_equal(fam.coeff(x), lin.coeff(x) + deformation._polynomial_field(proj)(x))
 
 
 def test_einstein_family_constraints():

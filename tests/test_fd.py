@@ -160,6 +160,30 @@ def test_stacked_field_matches_row_by_row():
                        rtol=1e-13, atol=1e-13)
 
 
+def test_value_and_d_matches_value_and_fd_d():
+    # one stencil call with the center first gives the field and its
+    # derivative bit for bit as the two separate calls
+    rng = np.random.default_rng(4)
+    lin, quad = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4, 4))
+
+    def stack(x):
+        return np.einsum("ina,...a->...in", lin, x) + np.einsum("inab,...a,...b->...in", quad, x, x)
+
+    field = forms.FormField(1, stack)
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return stack(x)
+
+    for x in (np.array([0.3, -0.2, 0.5, 0.1]), rng.normal(size=(2, 3, 4))):
+        calls.clear()
+        value, d = fd.value_and_d(forms.FormField(1, counted), x)
+        assert calls == [x.shape[:-1] + (9, 4)]
+        assert np.array_equal(value, field(x))
+        assert np.array_equal(d, fd.fd_d(field, x))
+
+
 def test_laplace_beltrami_flat():
     x = np.array([0.1, -0.2, 0.3, 0.05])
     assert fd.laplace_beltrami(FLAT, lambda x: np.sum(x * x, axis=-1), x) == pytest.approx(8.0, abs=1e-7)

@@ -120,6 +120,40 @@ def test_asymptotic_fit(k, canonical, omega_bundle):
         assert 0.5 <= abs(ratio / -(k**2 - 1)) <= 2.0
 
 
+def _two_model_fit(cfg, bundle):
+    """The joint fit with the lead and sub models as two fields, each with
+    its own stencil and metric call."""
+    radii = 20.0 * (cfg.k + 1) * cfg.lam * np.array([1.0, 1.5, 2.25])[:, None, None]
+    base = radii * harmonic._fit_directions(6, 0)
+    x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
+    weight = (2.0 * (cfg.k + 1) * radii) ** 2
+    lead, sub = (weight * fd.fd_d(FormField(1, harmonic.dC_scalar_field(cfg, grad4)), x4)
+                 for grad4 in (harmonic._lead_grad4(cfg), harmonic._sub_grad4(cfg)))
+    amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
+    sol, *_ = np.linalg.lstsq(amat, (weight * bundle.components(x4)).ravel(), rcond=None)
+    return sol
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, monkeypatch):
+    # both models are one stacked field: one stencil, one gh.metric_at call,
+    # and the coefficients of the two-field route bit for bit
+    cfg, bundle = canonical(k), omega_bundle(k)
+    calls = []
+    metric_at = gh.metric_at
+
+    def counted(config, x4):
+        calls.append(np.shape(x4))
+        return metric_at(config, x4)
+
+    monkeypatch.setattr(gh, "metric_at", counted)
+    fit = harmonic.asymptotic_fit(cfg, bundle)
+    assert calls == [(3, 6, 8, 4)]
+    monkeypatch.setattr(gh, "metric_at", metric_at)
+    c_gamma, a1 = _two_model_fit(cfg, bundle)
+    assert (fit.c_gamma, fit.a1) == (float(c_gamma), float(a1))
+
+
 def test_decay_profile_exponents(canonical):
     cfg = canonical(2)
     radii = [24.0 * 1.6**j for j in range(4)]
@@ -212,7 +246,7 @@ def test_model_form_matches_omega_at_large_radius(canonical, omega_bundle):
     u /= np.linalg.norm(u)
     x4 = np.array([*(rho * u), 0.2])
     omega_here = bundle.components(x4)
-    model = harmonic.model_form(cfg, "lead", x4)
+    model = harmonic.model_form(cfg, x4)[0]  # the lead model
     num = float(np.linalg.norm(omega_here - harmonic.c_gamma(1, 1.0) * model))
     den = float(np.linalg.norm(omega_here))
     assert num / den < 0.05
