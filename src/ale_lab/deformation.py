@@ -507,9 +507,9 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
     c = float_or_complex(coeff)
     a = moment_connection(config, coeff)
     triple = gh.triple_field(config)(x4)
-    mfn = gh.metric_fn(config)
-    d_res = float(np.max(np.abs(fd.fd_d(a, x4, h) - c @ triple)))
-    delta_res = float(np.max(np.abs(fd.codifferential(mfn, a, x4, h))))
+    d_a, delta_a = fd.d_and_codifferential(gh.metric_fn(config), a, x4, h)
+    d_res = float(np.max(np.abs(d_a - c @ triple)))
+    delta_res = float(np.max(np.abs(delta_a)))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}
 
 

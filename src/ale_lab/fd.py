@@ -7,10 +7,11 @@ points and returns (..., *result); e.g. ricci on (N, 4) points gives
 (N, 4, 4).  An operator builds its whole stencil, with per-point steps,
 as one point array and calls the field once on it: riemann_up and ricci
 evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
-point) in one metric call, and value_and_d gives a field and its
-exterior derivative from one call on the points and their eight
-neighbours.  A field whose output's leading axes do not
-match the points it was given raises SchemaError, and a stencil point
+point) in one metric call, value_and_d gives a field and its exterior
+derivative from one call on the points and their eight neighbours, and
+d_and_codifferential a form's d and delta from one field call and one
+metric call on those neighbours.  A field whose output's leading axes do
+not match the points it was given raises SchemaError, and a stencil point
 outside the chart raises EvaluationDomain naming that point.
 
 The step is DEFAULT_STEP = 1e-3 at unit scale, and the operators that a
@@ -115,15 +116,15 @@ def _d_table(p: int) -> np.ndarray:
 _D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
 
 
-def fd_d(field: FormField, point: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Exterior derivative at (..., 4) points, error O(h^2).
+def fd_d(field: FormField, point: np.ndarray) -> np.ndarray:
+    """Exterior derivative at (..., 4) points, error O(h^2) in DEFAULT_STEP.
 
     A field returning (..., *shape, n_p) components gives
     (..., *shape, n_{p+1}): a stack of forms is differentiated row by row
     from one stencil of eight evaluations per point.  The derivative of a
     4-form is the zero 4-form.
     """
-    return _d_from_partials(field.degree, all_partials(field, point, h), np.ndim(point))
+    return _d_from_partials(field.degree, all_partials(field, point), np.ndim(point))
 
 
 def _d_from_partials(degree: int, partials: np.ndarray, point_ndim: int) -> np.ndarray:
@@ -216,23 +217,21 @@ def _per_point(g: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray
     return g.reshape(g.shape[:-2] + (1,) * (values.ndim - pts.ndim) + g.shape[-2:])
 
 
-def codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
-                   h: float = DEFAULT_STEP) -> np.ndarray:
-    """delta = -*d* on forms of degree 1-4 (Riemannian signature,
-    dimension 4); a field of (..., *shape, n) stacks gives the stack of
-    codifferentials."""
+def d_and_codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
+                         h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """(d, delta = -*d*) of a form of degree 1-4 (Riemannian, dimension 4)
+    at (..., 4) points, from one field call and one metric call on the
+    stencil; a field of (..., *shape, n) stacks gives stacks of both."""
     if not 1 <= field.degree <= DIM:
         raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {field.degree}")
-
-    def starred(y: np.ndarray) -> np.ndarray:
-        w = _call(field, y)
-        return hodge_star(_per_point(_call(metric_fn, y), w, y), w, field.degree)
-
-    inner = FormField(degree=DIM - field.degree, evaluator=starred)
-    d_star = fd_d(inner, x, h)
+    pts, he = _stencil(x, h)
+    w = _call(field, pts)
+    starred = hodge_star(_per_point(_call(metric_fn, pts), w, pts), w, field.degree)
     x = np.asarray(x, dtype=float)
+    d_w = _d_from_partials(field.degree, _central(w, he), x.ndim)
+    d_star = _d_from_partials(DIM - field.degree, _central(starred, he), x.ndim)
     g = _per_point(_call(metric_fn, x), d_star, x)
-    return -hodge_star(g, d_star, DIM - field.degree + 1)
+    return d_w, -hodge_star(g, d_star, DIM - field.degree + 1)
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
 from .forms import FormField, apply_J_covector, split_sd
-from .quadrature import TWO_PI, volume_nodes
+from .quadrature import TWO_PI, volume_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +120,15 @@ def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
 
 
 def omega_norm(bundle: HarmonicFormBundle) -> float:
-    """Total square norm 2 pi sum w |Omega|^2 V over the whole-space
-    volume_nodes rule, with V from the pass that gives grad f."""
-    pts, w = volume_nodes(bundle.config)
-    dens, v = bundle._norm_density_and_V(pts)
-    if not np.all(np.isfinite(dens)):
-        raise QuadratureDivergence("volume integrand not finite on region")
-    return TWO_PI * float(np.sum(w * dens * v))
+    """Total square norm 2 pi sum w |Omega|^2 V over the whole-space volume
+    rule, with V from the pass that gives grad f, one block at a time."""
+    terms = []
+    for pts, w in volume_blocks(bundle.config):
+        dens, v = bundle._norm_density_and_V(pts)
+        if not np.all(np.isfinite(dens)):
+            raise QuadratureDivergence("volume integrand not finite on region")
+        terms.append(w * dens * v)
+    return TWO_PI * float(np.sum(np.concatenate(terms)))
 
 
 def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
@@ -390,20 +392,21 @@ def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
     cfg = bundle.config
     k1 = cfg.k + 1
     inner, outer = 6.0 * k1 * cfg.lam, 12.0 * k1 * cfg.lam
-    pts, weights = volume_nodes(cfg, shell=(inner, outer))
-    x, y, z = pts.T
-    rho = np.sqrt(x * x + y * y + z * z)
-    chi, dchi = _bump((rho - inner) / (outer - inner))
-    # grad(chi x^2) = s (x^1, x^2, x^3) + chi e_2, so b = (s x^2 + chi, -s x^1, 0)
-    s = dchi * y / ((outer - inner) * rho)
-    grad_f = vec_grad_f(cfg, pts)
-    # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
-    dens = -bundle.normalization * (grad_f[:, 0] * (s * y + chi) - grad_f[:, 1] * (s * x))
-    if not np.all(np.isfinite(dens)):
-        raise QuadratureDivergence("volume integrand not finite on region")
-    total = np.sum(weights * dens)
-    scale = np.sum(weights * np.abs(dens))
-    return float(abs(total) / max(scale, 1e-300))
+    terms = []
+    for pts, weights in volume_blocks(cfg, shell=(inner, outer)):
+        x, y, z = pts.T
+        rho = np.sqrt(x * x + y * y + z * z)
+        chi, dchi = _bump((rho - inner) / (outer - inner))
+        # grad(chi x^2) = s (x^1, x^2, x^3) + chi e_2, so b = (s x^2 + chi, -s x^1, 0)
+        s = dchi * y / ((outer - inner) * rho)
+        grad_f = vec_grad_f(cfg, pts)
+        # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
+        dens = -bundle.normalization * (grad_f[:, 0] * (s * y + chi) - grad_f[:, 1] * (s * x))
+        if not np.all(np.isfinite(dens)):
+            raise QuadratureDivergence("volume integrand not finite on region")
+        terms.append(weights * dens)
+    wd = np.concatenate(terms)  # |w d| = w |d| exactly: every weight is positive
+    return float(abs(np.sum(wd)) / max(np.sum(np.abs(wd)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,6 +49,8 @@ TWO_PI = 2.0 * math.pi
 # 2 * order - 1
 SPHERE_ORDER = 24
 RADIAL_NODES = 48
+# xi-shells per block of the volume rule: 8 x SPHERE_ORDER^2 = 4608 nodes
+VOLUME_BLOCK_SHELLS = 8
 
 
 def _s3_grid():
@@ -109,9 +111,11 @@ def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -
     return float(np.sum(w * vals * (radius**3 / 4.0)))
 
 
-def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Base nodes (N, 3) and coordinate weights (N,) of d^3x in prolate
-    spheroidal coordinates (xi, mu, phi) with foci at the two cluster points.
+def volume_blocks(config, shell: tuple[float, float] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Base nodes (n, 3) and coordinate weights (n,) of d^3x in prolate
+    spheroidal coordinates (xi, mu, phi) with foci at the two cluster points,
+    yielded in blocks of VOLUME_BLOCK_SHELLS whole xi-shells in xi-major
+    node order, so that an integrand's working set is one block.
 
     With shell None the rule covers the whole space: SPHERE_ORDER Legendre
     nodes in u = 1/xi on (0, 1], weighted by 1/u^2, so an integrand that
@@ -121,7 +125,7 @@ def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.n
     Both take SPHERE_ORDER nodes along each angle, the azimuth included, so
     no axisymmetry of the integrand is assumed.  The spheroid's axis is the
     x1 axis: a single-center config, or cluster points off that axis, raise
-    SchemaError (GHConfig.segment)."""
+    SchemaError (GHConfig.segment) at the first block."""
     lo, hi = config.segment
     mid = 0.5 * (config.p0 + config.p1)
     a_f = 0.5 * abs(hi - lo)
@@ -139,13 +143,16 @@ def volume_nodes(config, shell: tuple[float, float] | None = None) -> tuple[np.n
     phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
     # (xi, mu) on the two leading axes, phi on the last
     xi, wxi, mu = xi[:, None, None], wxi[:, None, None], mu[:, None]
-    W = wxi * wmu[:, None] * wphi * a_f**3 * (xi**2 - mu**2)
-    perp = a_f * np.sqrt(np.clip((xi**2 - 1.0) * (1.0 - mu**2), 0.0, None))
-    pts = np.empty(W.shape + (3,))
-    pts[..., 0] = mid[0] + a_f * xi * mu
-    pts[..., 1] = mid[1] + perp * np.cos(phi)
-    pts[..., 2] = mid[2] + perp * np.sin(phi)
-    return pts.reshape(-1, 3), W.ravel()
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    for s in range(0, len(xi), VOLUME_BLOCK_SHELLS):
+        x, wx = xi[s:s + VOLUME_BLOCK_SHELLS], wxi[s:s + VOLUME_BLOCK_SHELLS]
+        W = wx * wmu[:, None] * wphi * a_f**3 * (x**2 - mu**2)
+        perp = a_f * np.sqrt(np.clip((x**2 - 1.0) * (1.0 - mu**2), 0.0, None))
+        pts = np.empty(W.shape + (3,))
+        pts[..., 0] = mid[0] + a_f * x * mu
+        pts[..., 1] = mid[1] + perp * cos_phi
+        pts[..., 2] = mid[2] + perp * sin_phi
+        yield pts.reshape(-1, 3), W.ravel()
 
 
 # ----------------------------------------------------------------------

@@ -60,10 +60,10 @@ def test_connection_reproduces_parallel_triple():
 
 def _connection_through_metric(phi, metric_fn, x):
     """The frame connection with delta F = -*d*F taken on the given metric at
-    every stencil point (fd.codifferential): the route that does not use *F = F."""
+    every stencil point (fd.d_and_codifferential): the route that does not use *F = F."""
     g = metric_fn(x)[..., None, :, :]
     jmats = forms.J_from_form(g, phi(x))
-    deltas = fd.codifferential(metric_fn, forms.FormField(2, phi), x)
+    deltas = fd.d_and_codifferential(metric_fn, forms.FormField(2, phi), x)[1]
     j, k = forms.CYCLIC
     return 0.5 * (deltas + forms.apply_J_covector(jmats[..., k, :, :], deltas[..., j, :])
                   - forms.apply_J_covector(jmats[..., j, :, :], deltas[..., k, :]))

@@ -460,6 +460,32 @@ def test_moment_connection_curvature_and_coclosed():
     assert res["coclosed_residual"] < 1e-5
 
 
+def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
+    # d a and delta a = -*d*a come from one evaluation of the connection on
+    # the stencil, bit for bit the residuals of fd_d and of the codifferential
+    # taken through a second evaluation of a on the stencil
+    cfg = gh.GHConfig.canonical(1, 1.0)
+    coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
+    x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
+    a = deformation.moment_connection(cfg, coeff)
+    mfn = gh.metric_fn(cfg)
+    starred = forms.FormField(3, lambda y: forms.hodge_star(mfn(y)[..., None, :, :], a(y), 1))
+    delta = -forms.hodge_star(mfn(x4)[..., None, :, :], fd.fd_d(starred, x4), 4)
+    d_res = np.max(np.abs(fd.fd_d(a, x4) - coeff @ gh.triple_field(cfg)(x4)))
+    calls = []
+    alpha = gh.alpha_covector
+
+    def counted(config, y):
+        calls.append(np.shape(y))
+        return alpha(config, y)
+
+    monkeypatch.setattr(gh, "alpha_covector", counted)
+    res = deformation.moment_connection_checks(cfg, coeff, x4)
+    assert calls == [(3, 8, 4)]
+    assert res == {"curvature_residual": float(d_res),
+                   "coclosed_residual": float(np.max(np.abs(delta)))}
+
+
 def test_radial_contraction_decay_rate():
     cfg = gh.GHConfig.canonical(1, 1.0)
     slope = deformation.radial_contraction_decay(cfg)

@@ -130,7 +130,8 @@ def _pass_points():
     and the core-surface nodes of a canonical configuration, and random
     points of the off-axis one."""
     cfg = gh.GHConfig.canonical(2, 1.0)
-    nodes, _ = quadrature.volume_nodes(cfg, shell=(6.0 * 3, 12.0 * 3))
+    shell = (6.0 * 3, 12.0 * 3)
+    nodes = np.concatenate([p for p, _ in quadrature.volume_blocks(cfg, shell)])
     axis = gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
     rand = gh.sample_chart_points(OFF_AXIS, 64, seed=5, rho_min=0.2, rho_max=6.0,
                                   min_center_dist=0.2, min_axis_dist=0.0)[:, :3]
@@ -383,7 +384,7 @@ def test_single_center_has_no_surface_or_volume_nodes(config):
     with pytest.raises(SchemaError, match="single-center"):
         gh.vol_sigma(config)
     with pytest.raises(SchemaError, match="one center"):
-        quadrature.volume_nodes(config)
+        next(quadrature.volume_blocks(config))
 
 
 def test_segment_is_taken_from_the_cluster_points():
@@ -400,7 +401,7 @@ def test_off_axis_cluster_points_are_rejected():
     with pytest.raises(SchemaError, match="centers"):
         gh.sigma_integrate(cfg, np.ones_like)
     with pytest.raises(SchemaError, match="centers"):
-        quadrature.volume_nodes(cfg)
+        next(quadrature.volume_blocks(cfg))
 
 
 @settings(max_examples=20, deadline=None)

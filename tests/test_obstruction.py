@@ -240,3 +240,57 @@ def test_scaling_covariance(c_scale, seed):
     base = obstruction.mu1_Ak(block, 0.0, consts)
     scaled = obstruction.mu1_Ak(c_scale * block, 0.0, consts)
     assert scaled == pytest.approx(c_scale**2 * base, rel=1e-9)
+
+
+# --- metamorphic laws of the report ----------------------------------------------
+
+_UNIT_QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(lambda q: np.asarray(q) / np.linalg.norm(q))
+
+
+def _left_mult_matrix(q):
+    """Matrix of x -> q x on R^4 identified with the quaternions."""
+    a, b, c, d = q
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+
+
+def _rplus(jet):
+    return obstruction.compute_report(jet, k=2, lam=1.0).Rplus_block
+
+
+@settings(max_examples=10, deadline=None)
+@given(_UNIT_QUATERNIONS, _UNIT_QUATERNIONS, st.integers(0, 100))
+def test_rplus_is_right_invariant_and_left_conjugated(p, q, seed):
+    # right multiplication by a unit quaternion fixes every self-dual form,
+    # so it leaves R+ fixed; left multiplication rotates the self-dual forms
+    # and conjugates R+ by an SO(3) rotation
+    left, right = _left_mult_matrix(p), jets.right_mult_matrix(q)
+    assert np.max(np.abs(left @ right - right @ left)) < 1e-15  # the two actions commute
+    jet = jets.random_jet2(seed)
+    block = _rplus(jet)
+    assert np.max(np.abs(_rplus(jets.pullback_jet2(jet, right)) - block)) < 1e-14
+    conjugated = _rplus(jets.pullback_jet2(jet, left))
+    assert np.max(np.abs(np.linalg.eigvalsh(conjugated) - np.linalg.eigvalsh(block))) < 1e-14
+    assert np.linalg.det(conjugated) == pytest.approx(np.linalg.det(block), rel=1e-12, abs=1e-18)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate"])
+def test_report_lambda_weights(degenerate):
+    # x -> lam x pulls the lam-scaled model back to lam times the unit one:
+    # lambda, A and the t^4 coefficient scale as lam, mu1 and mu1_generic as
+    # lam^2, and the block, D and the wall side do not move
+    if degenerate:
+        jet, quartic = jets.gauge_project(jets.jet2_first_row_zero(2)).jet, jets.random_jet4(4)
+    else:
+        jet, quartic = jets.random_jet2(3), None
+    weights = {"lambda": 1, "A": 1, "det_leading_t4_coefficient": 1,
+               "mu1": 2, "mu1_generic": 2, "Rplus_block": 0, "minor": 0, "D": 0}
+    one = obstruction.compute_report(jet, quartic, k=2, lam=1.0).to_dict()
+    three = obstruction.compute_report(jet, quartic, k=2, lam=3.0).to_dict()
+    assert three["wall_side"] == one["wall_side"]
+    for key, weight in weights.items():
+        if one[key] is None:
+            assert three[key] is None, key
+            continue
+        expected = 3.0**weight * np.asarray(one[key])
+        assert np.allclose(three[key], expected, rtol=1e-12, atol=1e-15), key

@@ -94,7 +94,7 @@ def test_s3_nodes_are_shared_and_read_only():
 
 
 def _meshgrid_volume_nodes(config, shell):
-    """volume_nodes written over full (xi, mu, phi) meshgrids."""
+    """The volume rule written as one stack over full (xi, mu, phi) meshgrids."""
     lo, hi = config.segment
     mid = 0.5 * (config.p0 + config.p1)
     a_f = 0.5 * abs(hi - lo)
@@ -122,9 +122,15 @@ def _meshgrid_volume_nodes(config, shell):
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 @pytest.mark.parametrize("whole", [True, False], ids=["whole", "shell"])
 def test_volume_nodes_are_bitwise_the_meshgrid_rule(k, lam, whole):
+    # the blocks are whole xi-shells, at most VOLUME_BLOCK_SHELLS of them,
+    # and concatenate to the meshgrid rule in its node order
     cfg = gh.GHConfig.canonical(k, lam)
     shell = None if whole else (6.0 * (k + 1) * lam, 12.0 * (k + 1) * lam)
-    pts, w = quadrature.volume_nodes(cfg, shell)
+    blocks = list(quadrature.volume_blocks(cfg, shell))
+    shell_size = quadrature.SPHERE_ORDER**2
+    assert all(len(p) % shell_size == 0 and len(p) == len(w)
+               and len(p) <= quadrature.VOLUME_BLOCK_SHELLS * shell_size for p, w in blocks)
+    pts, w = (np.concatenate(part) for part in zip(*blocks))
     ref_pts, ref_w = _meshgrid_volume_nodes(cfg, shell)
     assert pts.tobytes() == ref_pts.tobytes() and pts.shape == ref_pts.shape
     assert w.tobytes() == ref_w.tobytes() and w.shape == ref_w.shape
