@@ -311,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           choices=["gh", "harmonic", "quadrature",
                                    "deformation", "all"])
+    # the scaled=False rows of suites.CHECKS, written out: importing suites
+    # here would load numpy and the geometry modules for every command
     p_verify.add_argument("--tol", type=float, default=1.0,
                           help="scale of every check tolerance but the fixed bounds of "
                                "metric-decay-exponent, density-annulus-exponent, anisotropic-ratio, "

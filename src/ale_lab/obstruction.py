@@ -202,17 +202,13 @@ def bold_det_from_block(block: np.ndarray) -> float:
     return float(-np.linalg.det(_check_block(block)))
 
 
-WALL_DOCUMENTATION = {
-    "transversal_derivative": (
-        "d/dt det R_+ = -a (R22 R33 - R23^2)^2 < 0 with a > 0: the "
-        "determinant strictly decreases through the wall"
-    ),
-    "z_leading_order": "z(t) = -mu1 t + O(t^(3/2))",
-}
-
-
 def wall_side(det_bold: float) -> str:
-    """The side of the wall det = 0, within 1e-8 of it counting as on it."""
+    """The side of the wall det = 0, within 1e-8 of it counting as on it.
+
+    Through the wall, d/dt det R_+ = -a (R22 R33 - R23^2)^2 < 0 with a > 0,
+    so the determinant strictly decreases, and z(t) = -mu1 t + O(t^(3/2))
+    to leading order; neither claim is computed here.
+    """
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
     if det_bold > 1e-8:
@@ -287,7 +283,7 @@ def compute_report(
     mu1_gen = None
     a_val = None
     det_coeff = None
-    notes = dict(WALL_DOCUMENTATION)
+    notes = {}
     if first_row_vanishes(block):
         mu1_gen = mu1_generic(block, constants)
         if quartic is not None:

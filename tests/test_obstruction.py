@@ -294,3 +294,43 @@ def test_report_lambda_weights(degenerate):
             continue
         expected = 3.0**weight * np.asarray(one[key])
         assert np.allclose(three[key], expected, rtol=1e-12, atol=1e-15), key
+
+
+def _u1_actions(theta):
+    """Left and right multiplication by e^(i theta) = (cos theta, sin theta, 0, 0)."""
+    unit = [math.cos(theta), math.sin(theta), 0.0, 0.0]
+    return {"left": _left_mult_matrix(unit), "right": jets.right_mult_matrix(unit)}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0, 2 * math.pi), st.integers(0, 100))
+def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
+    # e^(i theta) on either side fixes the first self-dual form: on the left
+    # it rotates the other two, on the right it fixes all three; so R+_00,
+    # the minor R22 R33 - R23^2 and the length of the first row stay, and in
+    # the degenerate regime, where the (1, 1, -1, -1) split is kept, so does D
+    generic = jets.random_jet2(seed)
+    jet = jets.gauge_project(jets.jet2_first_row_zero(seed)).jet
+    quartic = jets.random_jet4(seed)
+    block = _rplus(generic)
+    d_one = obstruction.compute_report(jet, quartic, k=2, lam=1.0).D
+    for side, mat in _u1_actions(theta).items():
+        moved = _rplus(jets.average_jet2(generic, [mat]))
+        assert moved[0, 0] == pytest.approx(block[0, 0], abs=1e-15), side
+        assert obstruction.minor_of(moved) == pytest.approx(obstruction.minor_of(block),
+                                                            abs=1e-15), side
+        assert np.linalg.norm(moved[0]) == pytest.approx(np.linalg.norm(block[0]), abs=1e-15), side
+        d_moved = obstruction.compute_report(jets.average_jet2(jet, [mat]),
+                                             jets.average_jet4(quartic, [mat]), k=2, lam=1.0).D
+        assert d_moved == pytest.approx(d_one, abs=1e-13), side
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 100), st.integers(0, 100))
+def test_lambda_and_rplus_are_linear_in_H(a, b, seed_a, seed_b):
+    one, two = jets.random_jet2(seed_a), jets.random_jet2(seed_b)
+    mixed = jets.Jet2.from_array(a * one.H + b * two.H)
+    r_one, r_two, r_mixed = (obstruction.compute_report(j, k=2, lam=1.0) for j in (one, two, mixed))
+    for field in ("Rplus_block", "lam_coeffs"):
+        want = a * getattr(r_one, field) + b * getattr(r_two, field)
+        assert np.max(np.abs(getattr(r_mixed, field) - want)) < 1e-14, field
