@@ -15,15 +15,17 @@ h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
   degree d takes a prefix of the table.  The curvature route truncates the
   Christoffel symbols at degree 3 and the curvature at degree 2, the
   degrees the second-derivative invariant reads,
-* the linear Bianchi gauge projection by a cubic vector-field
-  corrector (divergence + half trace-gradient annihilated),
+* the linear Bianchi gauge projection by a cubic vector-field corrector
+  (divergence + half trace-gradient annihilated), through delta_star, the
+  symmetrized gradient of a polynomial vector field of any degree,
 * the curvature block of a quadratic jet at the origin,
 * the signature-split second covariant derivative invariant
   D = <(D^2_11 + D^2_22 - D^2_33 - D^2_44) R (b_1), b_1> computed two
   independent ways (finite differences with Christoffel corrections,
   and the polynomial expansion), and
 * finite-group averaging (cyclic and binary-dihedral right quaternion
-  actions) for invariant jets and gauge fields.
+  actions) of jets and gauge fields by one pullback rule: every axis of the
+  array is contracted against the first index of the matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,11 +122,12 @@ def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_D
 
     ``subscripts`` names the tensor axes only, e.g. ``"fc,cab->fab"`` or
     ``"...,...->..."``; the monomial axis is last in a, b and the result
-    and takes the letter ``z``, which the subscripts must not use.  One gather forms a[..., L] * b[..., R]
-    over the table's (left, right) pairs, the einsum contracts the tensor
-    axes pair by pair, and one reduceat sums the pairs of each product
-    monomial.  Coefficients above degree ``deg`` are zero.  The result
-    takes the dtype of the product, so complex operands stay complex.
+    and takes the letter ``z``, which the subscripts must not use.  One
+    gather forms a[..., L] * b[..., R] over the table's (left, right) pairs,
+    the einsum contracts the tensor axes pair by pair, and one reduceat sums
+    the pairs of each product monomial.  Coefficients above degree ``deg``
+    are zero.  The result takes the dtype of the product, so complex
+    operands stay complex.
     """
     n = _N_UPTO[deg]
     pairs = _PROD_START[n]
@@ -178,13 +181,41 @@ def _symmetrize_pairs(arr: np.ndarray, groups: Sequence[Sequence[int]]) -> np.nd
     return out / len(table)
 
 
+# Index symmetries as groups of commuting axes, covering the axes in order: a jet
+# in its point indices and its metric pair, a field X[n][i][j]... in its points.
+_JET2_GROUPS = ((0, 1), (2, 3))
+_JET4_GROUPS = ((0, 1, 2, 3), (4, 5))
+
+
+def _field_groups(ndim: int) -> tuple[tuple[int, ...], ...]:
+    return ((0,), tuple(range(1, ndim)))
+
+
+def _symmetric_basis(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Basis of the arrays symmetric within each group: the symmetrized unit
+    array of every sorted index tuple per group, in itertools.product order."""
+    per_group = (itertools.combinations_with_replacement(range(DIM), len(g)) for g in groups)
+    basis = []
+    for combo in itertools.product(*per_group):
+        unit = np.zeros((DIM,) * sum(map(len, groups)))
+        unit[tuple(itertools.chain(*combo))] = 1.0
+        basis.append(_symmetrize_pairs(unit, groups))
+    return np.array(basis)
+
+
+def _random_symmetric(seed: int, scale: float, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Normal entries of the given scale, symmetrized within the groups."""
+    raw = scale * np.random.default_rng(seed).normal(size=(DIM,) * sum(map(len, groups)))
+    return _symmetrize_pairs(raw, groups)
+
+
 def _checked_jet(arr: np.ndarray, name: str, kind: str,
-                 groups: list[tuple[int, ...]], tol: float) -> np.ndarray:
+                 groups: tuple[tuple[int, ...], ...], tol: float) -> np.ndarray:
     """The symmetrized, read-only jet array after checking its shape,
     finiteness and index symmetries; every message starts with the field
     name."""
     arr = np.asarray(arr, dtype=float)
-    shape = (4,) * sum(len(g) for g in groups)
+    shape = (DIM,) * sum(len(g) for g in groups)
     if arr.shape != shape:
         raise SchemaError(f"{name}: {kind} jet must have shape {shape}, got {arr.shape}")
     bad = np.argwhere(~np.isfinite(arr))
@@ -209,7 +240,7 @@ class Jet2:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet2":
-        return cls(H=_checked_jet(arr, "H", "quadratic", [(0, 1), (2, 3)], tol))
+        return cls(H=_checked_jet(arr, "H", "quadratic", _JET2_GROUPS, tol))
 
 
 @dataclass(frozen=True)
@@ -220,7 +251,7 @@ class Jet4:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet4":
-        return cls(H2=_checked_jet(arr, "H2", "quartic", [(0, 1, 2, 3), (4, 5)], tol))
+        return cls(H2=_checked_jet(arr, "H2", "quartic", _JET4_GROUPS, tol))
 
 
 def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
@@ -235,15 +266,12 @@ def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    hq = jet.H
-    h4 = quartic.H2 if quartic is not None else None
-
     def ev(x: np.ndarray) -> np.ndarray:
         """Metrics (..., 4, 4) at (..., 4) points."""
         x = np.asarray(x, dtype=float)
-        g = np.eye(4) + _contract_points(hq, x, 2)
-        if h4 is not None:
-            g = g + _contract_points(h4, x, 4)
+        g = np.eye(4) + _contract_points(jet.H, x, 2)
+        if quartic is not None:
+            g = g + _contract_points(quartic.H2, x, 4)
         return g
 
     return ev
@@ -266,40 +294,24 @@ def metric_poly(jet: Jet2, quartic: Jet4 | None = None) -> np.ndarray:
 
 def bianchi_form(jet: Jet2) -> np.ndarray:
     """Coefficients B[j][c] of (div-trace form)(x) = B[j][c] x^j dx^c."""
-    h = jet.H
-    div = -2.0 * np.einsum("ajac->jc", h)
-    trgrad = np.einsum("cjaa->jc", h)
-    return div + trgrad
+    return -2.0 * np.einsum("ajac->jc", jet.H) + np.einsum("cjaa->jc", jet.H)
 
 
-def delta_star_cubic(xfield: np.ndarray) -> np.ndarray:
-    """Symmetrized gradient jet of the cubic field X_l = X[l][i][j][k] x^i x^j x^k.
-
-    Returns the quadratic-jet array of (1/2)(d_k X_l + d_l X_k).
-    """
-    xs = _symmetrize_pairs(np.asarray(xfield, dtype=float), [(1, 2, 3)])
-    grad = 3.0 * np.einsum("lkij->ijkl", xs)  # d_k X_l = 3 X[l][k][i][j] x^i x^j
-    return 0.5 * (grad + np.einsum("ijkl->ijlk", grad))
-
-
-def _cubic_field_basis() -> np.ndarray:
-    """Basis of symmetric cubic vector fields, shape (n_basis, 4, 4, 4, 4)."""
-    combos = list(itertools.combinations_with_replacement(range(4), 3))
-    basis = []
-    for comp in range(4):
-        for combo in combos:
-            x = np.zeros((4, 4, 4, 4))
-            x[comp][combo] = 1.0
-            basis.append(_symmetrize_pairs(x, [(1, 2, 3)]))
-    return np.array(basis)
+def delta_star(xfield: np.ndarray) -> np.ndarray:
+    """Symmetrized gradient (1/2)(d_m X_n + d_n X_m) of the vector field
+    X_n = X[n][i][j]... x^i x^j ... of degree r = xfield.ndim - 1, as the
+    jet array of degree r - 1 with the metric pair (m, n) last."""
+    xs = _symmetrize_pairs(np.asarray(xfield, dtype=float), _field_groups(np.ndim(xfield)))
+    grad = (xs.ndim - 1) * np.moveaxis(xs, (0, 1), (-1, -2))  # d_m X_n = r X[n][m][i]... x^i ...
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
 @functools.cache
 def _gauge_system() -> tuple[np.ndarray, np.ndarray]:
     """The cubic-field basis and the least-squares columns of its Bianchi
     forms, built on first use and read-only."""
-    basis = _cubic_field_basis()
-    columns = np.array([bianchi_form(Jet2(H=delta_star_cubic(x))).ravel() for x in basis]).T
+    basis = _symmetric_basis(_field_groups(4))
+    columns = np.array([bianchi_form(Jet2(H=delta_star(x))).ravel() for x in basis]).T
     basis.setflags(write=False)
     columns.setflags(write=False)
     return basis, columns
@@ -317,7 +329,7 @@ def gauge_project(jet: Jet2) -> GaugeProjection:
     target = -bianchi_form(jet).ravel()
     sol, *_ = np.linalg.lstsq(columns, target, rcond=None)
     corrector = np.einsum("b,bcijk->cijk", sol, basis)
-    return GaugeProjection(jet=Jet2.from_array(jet.H + delta_star_cubic(corrector)))
+    return GaugeProjection(jet=Jet2.from_array(jet.H + delta_star(corrector)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +384,12 @@ def _hessian_correction(riem0: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     derivative index contracted against the first lower index.
     """
     wdg = np.einsum("e,efea->fa", _SIGNATURE, dgamma)
-    corr = (
+    return (
         np.einsum("fa,fbcd->abcd", wdg, riem0)
         + np.einsum("fb,afcd->abcd", wdg, riem0)
         + np.einsum("fc,abfd->abcd", wdg, riem0)
         + np.einsum("fd,abcf->abcd", wdg, riem0)
     )
-    return corr
 
 
 _D2_OUTER_STEP = 0.16  # d2_invariant_fd: outer second differences
@@ -399,14 +410,10 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     origin = np.zeros(4)
 
     def riem_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(
-            lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP
-        )
+        return fd.richardson(lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP)
 
     def gamma_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(
-            lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP
-        )
+        return fd.richardson(lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP)
 
     riem0 = riem_at(origin)
 
@@ -475,10 +482,9 @@ def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
     gamma, riem = _curvature_polys(jet, quartic)
     riem0 = riem[..., _MONO_INDEX[(0, 0, 0, 0)]]
     hess = np.zeros((4, 4, 4, 4))
-    for e in range(4):
-        mono = [0, 0, 0, 0]
-        mono[e] = 2
-        hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[tuple(mono)]]
+    for e in range(DIM):  # d_e d_e R at the origin is twice the x_e^2 coefficient
+        square = tuple(2 * (v == e) for v in range(DIM))
+        hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[square]]
     # d_e Gamma^f_ab at the origin: the linear coefficients, as [e, f, a, b]
     linear = [_MONO_INDEX[tuple(int(v == e) for v in range(DIM))] for e in range(DIM)]
     dgamma = np.moveaxis(gamma[..., linear], -1, 0)
@@ -492,91 +498,42 @@ def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quat_mul(p: Sequence[float], q: Sequence[float]) -> np.ndarray:
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return np.array(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ]
-    )
-
-
 def right_mult_matrix(q: Sequence[float]) -> np.ndarray:
     """Matrix of x -> x q on R^4 identified with the quaternions."""
-    cols = [_quat_mul(basis, q) for basis in np.eye(4)]
-    return np.array(cols).T
+    a, b, c, d = q
+    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]], dtype=float)
 
 
 def cyclic_group(k: int) -> list[np.ndarray]:
     """Right multiplications by the (k+1)-th roots of unity in the
     i-complex line."""
-    mats = []
-    for m in range(k + 1):
-        theta = 2.0 * math.pi * m / (k + 1)
-        mats.append(right_mult_matrix([math.cos(theta), math.sin(theta), 0.0, 0.0]))
-    return mats
+    angles = (2.0 * math.pi * m / (k + 1) for m in range(k + 1))
+    return [right_mult_matrix([math.cos(t), math.sin(t), 0.0, 0.0]) for t in angles]
 
 
 def binary_dihedral_group() -> list[np.ndarray]:
     """The order-8 right-quaternion group {+-1, +-i, +-j, +-k}."""
-    units = [
-        [1, 0, 0, 0],
-        [-1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, -1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, -1, 0],
-        [0, 0, 0, 1],
-        [0, 0, 0, -1],
-    ]
-    return [right_mult_matrix(u) for u in units]
+    return [right_mult_matrix(sign * unit) for unit in np.eye(4) for sign in (1.0, -1.0)]
 
 
-def _pullback_h2(h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quadratic-jet arrays pulled back by a (..., 4, 4) stack of matrices."""
-    return np.einsum("mnab,...mi,...nj,...ak,...bl->...ijkl", h, q, q, q, q, optimize=True)
+def _pullback(arr: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """arr with every axis contracted against the first index of Q (one matrix
+    or a (..., 4, 4) stack): a jet pulled back by x -> Q x, or, for orthogonal
+    Q, the field Q^-1 X(Q x).  numpy lays out intermediates by letter, so the
+    metric pair sums as "ab", below the kept "ijklmn", the rest as "pqrs"."""
+    summed = "pqrs"[: arr.ndim - 2] + "ab"
+    kept = "ijklmn"[: arr.ndim]
+    operands = ",".join([summed] + [f"...{s}{t}" for s, t in zip(summed, kept)])
+    return np.einsum(f"{operands}->...{kept}", arr, *[Q] * arr.ndim, optimize=True)
 
 
 def pullback_jet2(jet: Jet2, Q: np.ndarray) -> Jet2:
-    return Jet2.from_array(_pullback_h2(jet.H, Q), tol=1e-9)
+    return Jet2.from_array(_pullback(jet.H, Q), tol=1e-9)
 
 
-def average_jet2(jet: Jet2, mats: Iterable[np.ndarray]) -> Jet2:
-    return Jet2.from_array(np.mean(_pullback_h2(jet.H, np.array(list(mats))), axis=0))
-
-
-def average_jet4(quartic: Jet4, mats: Iterable[np.ndarray]) -> Jet4:
-    q = np.array(list(mats))
-    h = np.einsum(
-        "pqrsab,...pi,...qj,...rk,...sl,...am,...bn->...ijklmn",
-        quartic.H2, q, q, q, q, q, q, optimize=True,
-    )
-    return Jet4.from_array(np.mean(h, axis=0))
-
-
-def pullback_quintic_field(xfield: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(Q . X)(x) = Q^{-1} X(Q x) on quintic coefficient arrays
-    X[m][i][j][k][l][p], for one matrix or a (..., 4, 4) stack."""
-    return np.einsum(
-        "nabcde,...nm,...ai,...bj,...ck,...dl,...ep->...mijklp",
-        xfield, Q, Q, Q, Q, Q, Q, optimize=True,
-    )
-
-
-def average_quintic_field(xfield: np.ndarray, mats: Iterable[np.ndarray]) -> np.ndarray:
-    return np.mean(pullback_quintic_field(xfield, np.array(list(mats))), axis=0)
-
-
-def delta_star_quintic(xfield: np.ndarray) -> np.ndarray:
-    """Quartic-jet array of (1/2)(d_m X_n + d_n X_m) for the quintic
-    field X_n = X[n][i][j][k][l][p] x^i x^j x^k x^l x^p."""
-    xs = _symmetrize_pairs(np.asarray(xfield, dtype=float), [(1, 2, 3, 4, 5)])
-    grad = 5.0 * np.einsum("nmijkl->ijklmn", xs)
-    return 0.5 * (grad + np.einsum("ijklmn->ijklnm", grad))
+def average(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean over the group of the pullbacks of a jet or field array."""
+    return np.mean(_pullback(arr, np.array(mats)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +543,17 @@ def delta_star_quintic(xfield: np.ndarray) -> np.ndarray:
 
 def random_jet2(seed: int) -> Jet2:
     """Symmetrized normal entries of scale 0.05."""
-    rng = np.random.default_rng(seed)
-    raw = 0.05 * rng.normal(size=(4, 4, 4, 4))
-    return Jet2.from_array(_symmetrize_pairs(raw, [(0, 1), (2, 3)]))
+    return Jet2.from_array(_random_symmetric(seed, 0.05, _JET2_GROUPS))
 
 
 def random_jet4(seed: int) -> Jet4:
     """Symmetrized normal entries of scale 0.02."""
-    rng = np.random.default_rng(seed)
-    raw = 0.02 * rng.normal(size=(4,) * 6)
-    return Jet4.from_array(_symmetrize_pairs(raw, [(0, 1, 2, 3), (4, 5)]))
+    return Jet4.from_array(_random_symmetric(seed, 0.02, _JET4_GROUPS))
 
 
-def _sym_basis_jet2() -> np.ndarray:
-    pairs = list(itertools.combinations_with_replacement(range(4), 2))
-    basis = []
-    for i, j in pairs:
-        for k, l in pairs:
-            b = np.zeros((4, 4, 4, 4))
-            b[i, j, k, l] = 1.0
-            basis.append(_symmetrize_pairs(b, [(0, 1), (2, 3)]))
-    return np.array(basis)
+def random_quintic_field(seed: int) -> np.ndarray:
+    """Symmetrized normal entries of scale 0.02."""
+    return _random_symmetric(seed, 0.02, _field_groups(6))
 
 
 # upper-triangle entries of a 3x3 block, first row first: 00 01 02 11 12 22
@@ -618,22 +565,27 @@ def _block_functionals() -> tuple[np.ndarray, np.ndarray]:
     """The symmetric quadratic-jet basis and the (6, n) matrix of the
     upper-triangle R_+ entries of its elements, built on first use and
     read-only; the first three rows are the first block row."""
-    basis = _sym_basis_jet2()
+    basis = _symmetric_basis(_JET2_GROUPS)
     amat = np.array([curvature_from_jet2(Jet2(H=b)).Rplus[_UPPER] for b in basis]).T
     basis.setflags(write=False)
     amat.setflags(write=False)
     return amat, basis
 
 
-def jet2_first_row_zero(seed: int) -> Jet2:
-    """Random symmetric jet corrected so R_+(H) annihilates the first
-    self-dual generator (minimum-norm coefficient correction)."""
+def _fit_block(seed: int, rows: slice, target: np.ndarray | float) -> Jet2:
+    """random_jet2(seed) minus the minimum-norm combination of the basis
+    that moves the upper-triangle R_+ entries ``rows`` to ``target``."""
     jet = random_jet2(seed)
     amat, basis = _block_functionals()
-    row = curvature_from_jet2(jet).Rplus[0, :]
-    sol, *_ = np.linalg.lstsq(amat[:3], row, rcond=None)
-    corrected = jet.H - np.einsum("b,bijkl->ijkl", sol, basis)
-    out = Jet2.from_array(corrected)
+    current = curvature_from_jet2(jet).Rplus[_UPPER][rows]
+    sol, *_ = np.linalg.lstsq(amat[rows], current - target, rcond=None)
+    return Jet2.from_array(jet.H - np.einsum("b,bijkl->ijkl", sol, basis))
+
+
+def jet2_first_row_zero(seed: int) -> Jet2:
+    """Random symmetric jet corrected so R_+(H) annihilates the first
+    self-dual generator."""
+    out = _fit_block(seed, slice(0, 3), 0.0)
     if first_row_norm(curvature_from_jet2(out).Rplus) > 1e-10:
         raise FitUnstable("first-row projection failed to converge")
     return out
@@ -644,16 +596,4 @@ def jet2_with_block(target: np.ndarray, seed: int = 0) -> Jet2:
     target = np.asarray(target, dtype=float)
     if target.shape != (3, 3) or np.max(np.abs(target - target.T)) > 1e-12:
         raise SchemaError("target block must be a symmetric 3x3 matrix")
-    jet = random_jet2(seed)
-    amat, basis = _block_functionals()
-    current = curvature_from_jet2(jet).Rplus[_UPPER]
-    sol, *_ = np.linalg.lstsq(amat, current - target[_UPPER], rcond=None)
-    corrected = jet.H - np.einsum("b,bijkl->ijkl", sol, basis)
-    return Jet2.from_array(corrected)
-
-
-def random_quintic_field(seed: int) -> np.ndarray:
-    """Symmetrized normal entries of scale 0.02."""
-    rng = np.random.default_rng(seed)
-    raw = 0.02 * rng.normal(size=(4,) * 6)
-    return _symmetrize_pairs(raw, [(1, 2, 3, 4, 5)])
+    return _fit_block(seed, slice(None), target[_UPPER])

@@ -98,6 +98,8 @@ def _check_block(block: np.ndarray) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
         raise SchemaError(f"curvature block must be 3x3, got {block.shape}")
+    if not np.all(np.isfinite(block)):
+        raise SchemaError("curvature block has a non-finite entry")
     if np.max(np.abs(block - block.T)) > 1e-10 * max(1.0, float(np.max(np.abs(block)))):
         raise SchemaError("curvature block must be symmetric")
     return block
@@ -110,7 +112,9 @@ def minor_of(block: np.ndarray) -> float:
 
 
 def first_row_norm(block: np.ndarray) -> float:
-    return float(np.max(np.abs(_check_block(block)[0, :])))
+    """Euclidean length of the first row, which the rotations fixing the
+    first self-dual direction keep."""
+    return float(np.linalg.norm(_check_block(block)[0, :]))
 
 
 def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarray:
@@ -123,10 +127,10 @@ def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarr
 
 
 def first_row_vanishes(block: np.ndarray) -> bool:
-    """The degenerate regime: first row within 1e-8 of zero, relative to
-    the block's largest entry when that exceeds 1.  The one rule for every
-    degenerate-regime quantity, here and in jets."""
-    return first_row_norm(block) <= 1e-8 * max(float(np.max(np.abs(block))), 1.0)
+    """The degenerate regime: first row of length at most 1e-8 times the
+    block's largest entry, so scaling H does not move it.  The one rule for
+    every degenerate-regime quantity, here and in jets."""
+    return first_row_norm(block) <= 1e-8 * float(np.max(np.abs(block)))
 
 
 def require_first_row_zero(block: np.ndarray) -> None:
@@ -202,20 +206,24 @@ def bold_det_from_block(block: np.ndarray) -> float:
     return float(-np.linalg.det(_check_block(block)))
 
 
-def wall_side(det_bold: float) -> str:
-    """The side of the wall det = 0, within 1e-8 of it counting as on it.
+def wall_side(block: np.ndarray) -> str:
+    """The side of the wall det = 0 for the determinant of the negated
+    block, within 1e-8 max|R_+|^3 of it counting as on it, so scaling H does
+    not move the side.  A zero first row makes det R_+ = 0, so a block of
+    the degenerate regime (first_row_vanishes) reads on_wall, though the
+    rounding that rule allows can leave |det| above the floor; its side is
+    carried by the sign of the t^4 coefficient instead.
 
     Through the wall, d/dt det R_+ = -a (R22 R33 - R23^2)^2 < 0 with a > 0,
     so the determinant strictly decreases, and z(t) = -mu1 t + O(t^(3/2))
     to leading order; neither claim is computed here.
     """
+    det_bold = bold_det_from_block(block)
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
-    if det_bold > 1e-8:
-        return "einstein_side"
-    if det_bold < -1e-8:
-        return "empty_side"
-    return "on_wall"
+    if first_row_vanishes(block) or abs(det_bold) <= 1e-8 * float(np.max(np.abs(block))) ** 3:
+        return "on_wall"
+    return "einstein_side" if det_bold > 0 else "empty_side"
 
 
 @dataclass
@@ -310,7 +318,7 @@ def compute_report(
         mu1_generic_value=mu1_gen,
         A=a_val,
         det_leading_coefficient=det_coeff,
-        wall_side=wall_side(bold_det_from_block(block)),
+        wall_side=wall_side(block),
         constants=constants.as_dict(),
         first_row_norm=first_row_norm(block),
         gauge_projected=apply_gauge,

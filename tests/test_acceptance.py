@@ -99,7 +99,7 @@ def test_criterion_5_obstruction_pipeline():
     # cubic gauge shifts leave the curvature block untouched
     for seed in range(20):
         jet = jets.random_jet2(seed)
-        shift = jets.delta_star_cubic(0.05 * rng.normal(size=(4, 4, 4, 4)))
+        shift = jets.delta_star(0.05 * rng.normal(size=(4, 4, 4, 4)))
         shifted = jets.Jet2.from_array(jet.H + shift)
         assert np.max(np.abs(jets.curvature_from_jet2(jet).Rplus
                              - jets.curvature_from_jet2(shifted).Rplus)) < 1e-10
@@ -145,9 +145,9 @@ def test_criterion_5_obstruction_pipeline():
         assert c.int_m_omega == pytest.approx(
             math.pi * (k + 1) * (c.vol_sigma / (2.0 * math.pi)) ** 2, rel=1e-8)
 
-    assert obstruction.wall_side(+0.5) == "einstein_side"
-    assert obstruction.wall_side(0.0) == "on_wall"
-    assert obstruction.wall_side(-0.5) == "empty_side"
+    # the side of det of the negated block: diag(-d, 1, 1) has it equal to d
+    for det_bold, side in ((+0.5, "einstein_side"), (0.0, "on_wall"), (-0.5, "empty_side")):
+        assert obstruction.wall_side(np.diag([-det_bold, 1.0, 1.0])) == side
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -174,19 +174,18 @@ def test_criterion_7_quartic_invariant_routes():
     # averaging over the order-8 quaternion group forces the invariant to 0
     q8 = jets.binary_dihedral_group()
     for seed in (0, 1):
-        jet = jets.average_jet2(jets.jet2_first_row_zero(seed), q8)
-        quartic = jets.average_jet4(jets.random_jet4(seed + 50), q8)
+        jet = jets.Jet2.from_array(jets.average(jets.jet2_first_row_zero(seed).H, q8))
+        quartic = jets.Jet4.from_array(jets.average(jets.random_jet4(seed + 50).H2, q8))
         assert abs(jets.d2_invariant_symbolic(jet, quartic)) < 1e-8
 
     # invariance under symmetry-compatible quintic gauge shifts
     mats = jets.cyclic_group(2)
     for seed in (0, 1):
-        jet = jets.average_jet2(jets.jet2_first_row_zero(seed), mats)
-        quartic = jets.average_jet4(jets.random_jet4(seed + 50), mats)
-        x5 = jets.average_quintic_field(jets.random_quintic_field(seed + 200),
-                                        mats)
+        jet = jets.Jet2.from_array(jets.average(jets.jet2_first_row_zero(seed).H, mats))
+        quartic = jets.Jet4.from_array(jets.average(jets.random_jet4(seed + 50).H2, mats))
+        x5 = jets.average(jets.random_quintic_field(seed + 200), mats)
         shifted = jets.Jet4.from_array(
-            quartic.H2 + jets.delta_star_quintic(x5))
+            quartic.H2 + jets.delta_star(x5))
         base = jets.d2_invariant_symbolic(jet, quartic)
         moved = jets.d2_invariant_symbolic(jet, shifted)
         assert abs(moved - base) <= 1e-6 * max(1.0, abs(base))

@@ -40,11 +40,7 @@ ORACLES = {
     "jets.cyclic_group": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.binary_dihedral_group":
         "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
-    "jets.average_jet2": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
-    "jets.average_jet4": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
-    "jets.average_quintic_field":
-        "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
-    "jets.delta_star_quintic": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
+    "jets.average": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.jet2_first_row_zero": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.random_quintic_field":
         "test_acceptance.py::test_criterion_7_quartic_invariant_routes",

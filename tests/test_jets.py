@@ -225,7 +225,7 @@ def test_jet_curvature_linear_in_jet(seed, s, t):
 def test_pure_gauge_jet_is_flat():
     rng = np.random.default_rng(4)
     xfield = 0.05 * rng.normal(size=(4, 4, 4, 4))
-    jet = jets.Jet2(H=jets.delta_star_cubic(xfield))
+    jet = jets.Jet2(H=jets.delta_star(xfield))
     blocks = jets.curvature_from_jet2(jet)
     assert np.max(np.abs(blocks.Rplus)) < 1e-12
     assert np.max(np.abs(blocks.Rminus)) < 1e-12
@@ -235,7 +235,7 @@ def test_gauge_shift_preserves_curvature():
     rng = np.random.default_rng(5)
     jet = jets.random_jet2(7)
     xfield = 0.05 * rng.normal(size=(4, 4, 4, 4))
-    shifted = jets.Jet2.from_array(jet.H + jets.delta_star_cubic(xfield))
+    shifted = jets.Jet2.from_array(jet.H + jets.delta_star(xfield))
     b0 = jets.curvature_from_jet2(jet)
     b1 = jets.curvature_from_jet2(shifted)
     assert np.max(np.abs(b0.Rplus - b1.Rplus)) < 1e-10
@@ -306,8 +306,8 @@ def test_d2_and_the_report_share_the_first_row_rule():
 def test_d2_vanishes_for_binary_dihedral_symmetry():
     mats = jets.binary_dihedral_group()
     for seed in range(2):
-        jet = jets.average_jet2(jets.jet2_first_row_zero(seed), mats)
-        quartic = jets.average_jet4(jets.random_jet4(seed + 10), mats)
+        jet = jets.Jet2.from_array(jets.average(jets.jet2_first_row_zero(seed).H, mats))
+        quartic = jets.Jet4.from_array(jets.average(jets.random_jet4(seed + 10).H2, mats))
         assert _first_row_norm(jet) < 1e-8
         assert abs(jets.d2_invariant_symbolic(jet, quartic)) < 1e-8
 
@@ -315,11 +315,11 @@ def test_d2_vanishes_for_binary_dihedral_symmetry():
 def test_d2_gauge_invariance_under_invariant_quintic():
     mats = jets.cyclic_group(2)
     for seed in range(2):
-        jet = jets.average_jet2(jets.jet2_first_row_zero(seed), mats)
+        jet = jets.Jet2.from_array(jets.average(jets.jet2_first_row_zero(seed).H, mats))
         assert _first_row_norm(jet) < 1e-8
-        quartic = jets.average_jet4(jets.random_jet4(seed + 50), mats)
-        x5 = jets.average_quintic_field(jets.random_quintic_field(seed + 200), mats)
-        shifted = jets.Jet4.from_array(quartic.H2 + jets.delta_star_quintic(x5))
+        quartic = jets.Jet4.from_array(jets.average(jets.random_jet4(seed + 50).H2, mats))
+        x5 = jets.average(jets.random_quintic_field(seed + 200), mats)
+        shifted = jets.Jet4.from_array(quartic.H2 + jets.delta_star(x5))
         d0 = jets.d2_invariant_symbolic(jet, quartic)
         d1 = jets.d2_invariant_symbolic(jet, shifted)
         assert abs(d1 - d0) < 1e-6 * max(1.0, abs(d0))
@@ -355,8 +355,47 @@ def test_pullback_consistency():
     assert np.allclose(g_pulled, Q.T @ g_orig @ Q, atol=1e-12)
 
 
+def _orthogonal(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    return q
+
+
+_PULLBACK_ARRAYS = {
+    "jet2": lambda seed: jets.random_jet2(seed).H,
+    "jet4": lambda seed: jets.random_jet4(seed).H2,
+    "quintic": jets.random_quintic_field,
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_PULLBACK_ARRAYS)), st.integers(0, 1000), st.integers(0, 1000),
+       st.integers(0, 1000))
+def test_pullback_composes_and_stacks(kind, seed, seed_1, seed_2):
+    # pulling back by Q1 then Q2 is pulling back by Q1 Q2, and a stack pulls
+    # back by each of its matrices (both measured below 7e-17)
+    arr = _PULLBACK_ARRAYS[kind](seed)
+    q1, q2 = _orthogonal(seed_1), _orthogonal(seed_2)
+    twice = jets._pullback(jets._pullback(arr, q1), q2)
+    assert np.max(np.abs(twice - jets._pullback(arr, q1 @ q2))) < 1e-14
+    stacked = jets._pullback(arr, np.stack([q1, q2]))
+    for q, pulled in zip((q1, q2), stacked):
+        assert np.max(np.abs(pulled - jets._pullback(arr, q))) < 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(0, 1000), st.integers(0, 1000))
+def test_delta_star_commutes_with_pullback(degree, seed, seed_q):
+    # delta*(Q . X) = Q . delta*(X) for orthogonal Q, on cubic and quintic
+    # fields (measured up to 6.3e-16 and 4.2e-15 of the largest entry)
+    xfield = np.random.default_rng(seed).normal(size=(4,) * (degree + 1))
+    q = _orthogonal(seed_q)
+    moved = jets.delta_star(jets._pullback(xfield, q))
+    expected = jets._pullback(jets.delta_star(xfield), q)
+    assert np.max(np.abs(moved - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
 def test_average_is_idempotent():
     mats = jets.cyclic_group(2)
-    jet = jets.average_jet2(jets.random_jet2(8), mats)
-    again = jets.average_jet2(jet, mats)
+    jet = jets.Jet2.from_array(jets.average(jets.random_jet2(8).H, mats))
+    again = jets.Jet2.from_array(jets.average(jet.H, mats))
     assert np.allclose(jet.H, again.H, atol=1e-14)

@@ -141,13 +141,36 @@ def test_det_leading():
 
 # --- wall side --------------------------------------------------------------------
 
+def _block_with_bold_det(det_bold):
+    """A block whose negated determinant is det_bold."""
+    return np.diag([-det_bold, 1.0, 1.0])
+
+
 def test_wall_side_signs():
-    assert obstruction.wall_side(+0.5) == "einstein_side"
-    assert obstruction.wall_side(0.0) == "on_wall"
-    assert obstruction.wall_side(-0.5) == "empty_side"
+    assert obstruction.wall_side(_block_with_bold_det(+0.5)) == "einstein_side"
+    assert obstruction.wall_side(_block_with_bold_det(0.0)) == "on_wall"
+    assert obstruction.wall_side(_block_with_bold_det(-0.5)) == "empty_side"
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(SchemaError):
-            obstruction.wall_side(value)
+            obstruction.wall_side(_block_with_bold_det(value))
+    # a first row inside the degenerate-regime rule, and det -2e-8 beyond the floor
+    degenerate = np.array([[1e-8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
+    assert obstruction.first_row_vanishes(degenerate)
+    assert obstruction.wall_side(degenerate) == "on_wall"
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-2, 1.0, 1e2, 1e4])
+def test_wall_side_and_first_row_rule_do_not_depend_on_units(scale):
+    # det is cubic and the first row linear in H, and each is compared with
+    # the block's own size: random_jet2(3) scaled by 0.01 once read on_wall
+    generic = jets.curvature_from_jet2(jets.random_jet2(3)).Rplus
+    degenerate = jets.curvature_from_jet2(jets.jet2_first_row_zero(3)).Rplus
+    assert obstruction.wall_side(scale * generic) == obstruction.wall_side(generic) == "einstein_side"
+    assert obstruction.wall_side(scale * degenerate) == "on_wall"
+    assert not obstruction.first_row_vanishes(scale * generic)
+    assert obstruction.first_row_vanishes(scale * degenerate)
+    scaled = obstruction.compute_report(jets.Jet2.from_array(0.01 * jets.random_jet2(3).H), k=1)
+    assert scaled.wall_side == obstruction.compute_report(jets.random_jet2(3), k=1).wall_side
 
 
 def test_bold_det_is_negated_det():
@@ -184,7 +207,7 @@ def test_report_gauge_invariance():
     for seed in range(20):
         jet = jets.random_jet2(seed)
         xfield = 0.05 * rng.normal(size=(4, 4, 4, 4))
-        shifted = jets.Jet2.from_array(jet.H + jets.delta_star_cubic(xfield))
+        shifted = jets.Jet2.from_array(jet.H + jets.delta_star(xfield))
         r0 = obstruction.compute_report(jet, k=1, lam=1.0)
         r1 = obstruction.compute_report(shifted, k=1, lam=1.0)
         assert np.max(np.abs(r0.Rplus_block - r1.Rplus_block)) < 1e-10
@@ -307,21 +330,24 @@ def _u1_actions(theta):
 def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
     # e^(i theta) on either side fixes the first self-dual form: on the left
     # it rotates the other two, on the right it fixes all three; so R+_00,
-    # the minor R22 R33 - R23^2 and the length of the first row stay, and in
-    # the degenerate regime, where the (1, 1, -1, -1) split is kept, so does D
+    # the minor R22 R33 - R23^2 and first_row_norm, the length of the first
+    # row, stay, and in the degenerate regime, where the (1, 1, -1, -1) split
+    # is kept, so does D
     generic = jets.random_jet2(seed)
     jet = jets.gauge_project(jets.jet2_first_row_zero(seed)).jet
     quartic = jets.random_jet4(seed)
     block = _rplus(generic)
     d_one = obstruction.compute_report(jet, quartic, k=2, lam=1.0).D
     for side, mat in _u1_actions(theta).items():
-        moved = _rplus(jets.average_jet2(generic, [mat]))
+        moved = _rplus(jets.pullback_jet2(generic, mat))
         assert moved[0, 0] == pytest.approx(block[0, 0], abs=1e-15), side
         assert obstruction.minor_of(moved) == pytest.approx(obstruction.minor_of(block),
                                                             abs=1e-15), side
-        assert np.linalg.norm(moved[0]) == pytest.approx(np.linalg.norm(block[0]), abs=1e-15), side
-        d_moved = obstruction.compute_report(jets.average_jet2(jet, [mat]),
-                                             jets.average_jet4(quartic, [mat]), k=2, lam=1.0).D
+        assert obstruction.first_row_norm(moved) == pytest.approx(
+            obstruction.first_row_norm(block), abs=1e-15), side
+        d_moved = obstruction.compute_report(
+            jets.pullback_jet2(jet, mat), jets.Jet4.from_array(jets.average(quartic.H2, [mat])),
+            k=2, lam=1.0).D
         assert d_moved == pytest.approx(d_one, abs=1e-13), side
 
 
