@@ -41,7 +41,7 @@ import numpy as np
 from . import connection, fd
 from .errors import FitUnstable, SchemaError, SymmetryError
 from .forms import OMEGA_ASD, OMEGA_SD, comps_to_tensor
-from .obstruction import first_row_norm, require_first_row_zero
+from .obstruction import first_row_norm, in_jet_units, require_first_row_zero
 
 DIM = 4
 
@@ -122,12 +122,11 @@ def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_D
 
     ``subscripts`` names the tensor axes only, e.g. ``"fc,cab->fab"`` or
     ``"...,...->..."``; the monomial axis is last in a, b and the result
-    and takes the letter ``z``, which the subscripts must not use.  One
-    gather forms a[..., L] * b[..., R] over the table's (left, right) pairs,
-    the einsum contracts the tensor axes pair by pair, and one reduceat sums
-    the pairs of each product monomial.  Coefficients above degree ``deg``
-    are zero.  The result takes the dtype of the product, so complex
-    operands stay complex.
+    and takes the letter ``z``, which the subscripts must not use.  One gather forms a[..., L] * b[..., R]
+    over the table's (left, right) pairs, the einsum contracts the tensor
+    axes pair by pair, and one reduceat sums the pairs of each product
+    monomial.  Coefficients above degree ``deg`` are zero.  The result
+    takes the dtype of the product, so complex operands stay complex.
     """
     n = _N_UPTO[deg]
     pairs = _PROD_START[n]
@@ -215,7 +214,7 @@ def _checked_jet(arr: np.ndarray, name: str, kind: str,
     finiteness and index symmetries; every message starts with the field
     name."""
     arr = np.asarray(arr, dtype=float)
-    shape = (DIM,) * sum(len(g) for g in groups)
+    shape = (4,) * sum(len(g) for g in groups)
     if arr.shape != shape:
         raise SchemaError(f"{name}: {kind} jet must have shape {shape}, got {arr.shape}")
     bad = np.argwhere(~np.isfinite(arr))
@@ -266,12 +265,15 @@ def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    hq = jet.H
+    h4 = quartic.H2 if quartic is not None else None
+
     def ev(x: np.ndarray) -> np.ndarray:
         """Metrics (..., 4, 4) at (..., 4) points."""
         x = np.asarray(x, dtype=float)
-        g = np.eye(4) + _contract_points(jet.H, x, 2)
-        if quartic is not None:
-            g = g + _contract_points(quartic.H2, x, 4)
+        g = np.eye(4) + _contract_points(hq, x, 2)
+        if h4 is not None:
+            g = g + _contract_points(h4, x, 4)
         return g
 
     return ev
@@ -294,7 +296,10 @@ def metric_poly(jet: Jet2, quartic: Jet4 | None = None) -> np.ndarray:
 
 def bianchi_form(jet: Jet2) -> np.ndarray:
     """Coefficients B[j][c] of (div-trace form)(x) = B[j][c] x^j dx^c."""
-    return -2.0 * np.einsum("ajac->jc", jet.H) + np.einsum("cjaa->jc", jet.H)
+    h = jet.H
+    div = -2.0 * np.einsum("ajac->jc", h)
+    trgrad = np.einsum("cjaa->jc", h)
+    return div + trgrad
 
 
 def delta_star(xfield: np.ndarray) -> np.ndarray:
@@ -384,12 +389,13 @@ def _hessian_correction(riem0: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     derivative index contracted against the first lower index.
     """
     wdg = np.einsum("e,efea->fa", _SIGNATURE, dgamma)
-    return (
+    corr = (
         np.einsum("fa,fbcd->abcd", wdg, riem0)
         + np.einsum("fb,afcd->abcd", wdg, riem0)
         + np.einsum("fc,abfd->abcd", wdg, riem0)
         + np.einsum("fd,abcf->abcd", wdg, riem0)
     )
+    return corr
 
 
 _D2_OUTER_STEP = 0.16  # d2_invariant_fd: outer second differences
@@ -405,15 +411,19 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     large because inner round-off is amplified by 1/h^2.  Every stencil
     point lies within |x| < 1, where fd.step_at leaves the step unscaled.
     """
-    require_first_row_zero(curvature_from_jet2(jet).Rplus)
+    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
     metric = metric_fn_from_jets(jet, quartic)
     origin = np.zeros(4)
 
     def riem_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP)
+        return fd.richardson(
+            lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP
+        )
 
     def gamma_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP)
+        return fd.richardson(
+            lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP
+        )
 
     riem0 = riem_at(origin)
 
@@ -478,13 +488,14 @@ def _curvature_polys(jet: Jet2, quartic: Jet4 | None) -> tuple[np.ndarray, np.nd
 
 def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
     """Polynomial-exact route: curvature expanded to quadratic order."""
-    require_first_row_zero(curvature_from_jet2(jet).Rplus)
+    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
     gamma, riem = _curvature_polys(jet, quartic)
     riem0 = riem[..., _MONO_INDEX[(0, 0, 0, 0)]]
     hess = np.zeros((4, 4, 4, 4))
-    for e in range(DIM):  # d_e d_e R at the origin is twice the x_e^2 coefficient
-        square = tuple(2 * (v == e) for v in range(DIM))
-        hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[square]]
+    for e in range(4):
+        mono = [0, 0, 0, 0]
+        mono[e] = 2
+        hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[tuple(mono)]]
     # d_e Gamma^f_ab at the origin: the linear coefficients, as [e, f, a, b]
     linear = [_MONO_INDEX[tuple(int(v == e) for v in range(DIM))] for e in range(DIM)]
     dgamma = np.moveaxis(gamma[..., linear], -1, 0)
@@ -507,8 +518,11 @@ def right_mult_matrix(q: Sequence[float]) -> np.ndarray:
 def cyclic_group(k: int) -> list[np.ndarray]:
     """Right multiplications by the (k+1)-th roots of unity in the
     i-complex line."""
-    angles = (2.0 * math.pi * m / (k + 1) for m in range(k + 1))
-    return [right_mult_matrix([math.cos(t), math.sin(t), 0.0, 0.0]) for t in angles]
+    mats = []
+    for m in range(k + 1):
+        theta = 2.0 * math.pi * m / (k + 1)
+        mats.append(right_mult_matrix([math.cos(theta), math.sin(theta), 0.0, 0.0]))
+    return mats
 
 
 def binary_dihedral_group() -> list[np.ndarray]:

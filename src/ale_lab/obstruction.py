@@ -126,11 +126,21 @@ def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarr
     return factor * _INNER_SCALE * block[0, :]
 
 
+def in_jet_units(block: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The block over the largest entry of the jet H it is read from (the
+    block itself when H = 0).  R_+ is linear in H, so the floors that
+    first_row_vanishes and wall_side set on this are free of units, and a
+    block that is zero up to rounding, as for a pure-gauge or an
+    anti-self-dual H, reads as zero."""
+    size = float(np.max(np.abs(H)))
+    return block / size if size > 0.0 else block
+
+
 def first_row_vanishes(block: np.ndarray) -> bool:
-    """The degenerate regime: first row of length at most 1e-8 times the
-    block's largest entry, so scaling H does not move it.  The one rule for
-    every degenerate-regime quantity, here and in jets."""
-    return first_row_norm(block) <= 1e-8 * float(np.max(np.abs(block)))
+    """The degenerate regime: first row of length at most 1e-8, for a block
+    in units of its jet (in_jet_units).  The one rule for every
+    degenerate-regime quantity, here and in jets."""
+    return first_row_norm(block) <= 1e-8
 
 
 def require_first_row_zero(block: np.ndarray) -> None:
@@ -208,10 +218,10 @@ def bold_det_from_block(block: np.ndarray) -> float:
 
 def wall_side(block: np.ndarray) -> str:
     """The side of the wall det = 0 for the determinant of the negated
-    block, within 1e-8 max|R_+|^3 of it counting as on it, so scaling H does
-    not move the side.  A zero first row makes det R_+ = 0, so a block of
+    block, within 1e-8 of it counting as on it, for a block in units of its
+    jet (in_jet_units).  A zero first row makes det R_+ = 0, so a block of
     the degenerate regime (first_row_vanishes) reads on_wall, though the
-    rounding that rule allows can leave |det| above the floor; its side is
+    first row that rule allows can leave |det| above the floor; its side is
     carried by the sign of the t^4 coefficient instead.
 
     Through the wall, d/dt det R_+ = -a (R22 R33 - R23^2)^2 < 0 with a > 0,
@@ -221,7 +231,7 @@ def wall_side(block: np.ndarray) -> str:
     det_bold = bold_det_from_block(block)
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
-    if first_row_vanishes(block) or abs(det_bold) <= 1e-8 * float(np.max(np.abs(block))) ** 3:
+    if first_row_vanishes(block) or abs(det_bold) <= 1e-8:
         return "on_wall"
     return "einstein_side" if det_bold > 0 else "empty_side"
 
@@ -274,6 +284,7 @@ def compute_report(
     if apply_gauge:
         jet = jets_mod.gauge_project(jet).jet
     block = jets_mod.curvature_from_jet2(jet).Rplus
+    unit = in_jet_units(block, jet.H)
 
     if overrides is not None:
         constants = constants_from_overrides(overrides)
@@ -292,15 +303,19 @@ def compute_report(
     a_val = None
     det_coeff = None
     notes = {}
-    if first_row_vanishes(block):
-        mu1_gen = mu1_generic(block, constants)
+    if first_row_vanishes(unit):
+        # the formulas read R22, R33 and R23 alone; they get the block with
+        # the first row and column the rule reads as zero set to zero
+        regime = block.copy()
+        regime[0, :] = regime[:, 0] = 0.0
+        mu1_gen = mu1_generic(regime, constants)
         if quartic is not None:
             d_val = jets_mod.d2_invariant_symbolic(jet, quartic)
         if constants.k is not None:
             d_for_ak = d_val if d_val is not None else 0.0
-            mu1_val = mu1_Ak(block, d_for_ak, constants)
-            a_val = A_coefficient(block, d_for_ak, constants)
-            det_coeff = det_leading(block, a_val)
+            mu1_val = mu1_Ak(regime, d_for_ak, constants)
+            a_val = A_coefficient(regime, d_for_ak, constants)
+            det_coeff = det_leading(regime, a_val)
             if d_val is None:
                 notes["quartic"] = "no quartic jet supplied; D treated as 0"
     else:
@@ -318,7 +333,7 @@ def compute_report(
         mu1_generic_value=mu1_gen,
         A=a_val,
         det_leading_coefficient=det_coeff,
-        wall_side=wall_side(block),
+        wall_side=wall_side(unit),
         constants=constants.as_dict(),
         first_row_norm=first_row_norm(block),
         gauge_projected=apply_gauge,

@@ -293,8 +293,8 @@ def test_d2_requires_degenerate_first_row():
 
 
 def test_d2_and_the_report_share_the_first_row_rule():
-    # a first row of 1e-7 beside an entry of 50 is degenerate by the
-    # block-relative rule, for the report and for the invariant alike
+    # a first row of 1e-7 in a jet whose largest entry is 18.6 is degenerate
+    # by the rule in units of the jet, for the report and the invariant alike
     block = np.array([[0.0, 1e-7, 0.0], [1e-7, 50.0, 0.0], [0.0, 0.0, 1.0]])
     jet = jets.jet2_with_block(block, seed=0)
     quartic = jets.random_jet4(0)

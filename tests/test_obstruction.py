@@ -159,18 +159,26 @@ def test_wall_side_signs():
     assert obstruction.wall_side(degenerate) == "on_wall"
 
 
+def _pure_gauge_jet(seed):
+    """delta* of a random cubic field: R_+ is zero but for rounding."""
+    return jets.Jet2(H=jets.delta_star(0.05 * np.random.default_rng(seed).normal(size=(4,) * 4)))
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1e-2, 1.0, 1e2, 1e4])
 def test_wall_side_and_first_row_rule_do_not_depend_on_units(scale):
-    # det is cubic and the first row linear in H, and each is compared with
-    # the block's own size: random_jet2(3) scaled by 0.01 once read on_wall
-    generic = jets.curvature_from_jet2(jets.random_jet2(3)).Rplus
-    degenerate = jets.curvature_from_jet2(jets.jet2_first_row_zero(3)).Rplus
-    assert obstruction.wall_side(scale * generic) == obstruction.wall_side(generic) == "einstein_side"
-    assert obstruction.wall_side(scale * degenerate) == "on_wall"
-    assert not obstruction.first_row_vanishes(scale * generic)
-    assert obstruction.first_row_vanishes(scale * degenerate)
-    scaled = obstruction.compute_report(jets.Jet2.from_array(0.01 * jets.random_jet2(3).H), k=1)
-    assert scaled.wall_side == obstruction.compute_report(jets.random_jet2(3), k=1).wall_side
+    # the first row and det are measured in units of the jet's largest
+    # entry: random_jet2(3) scaled by 0.01 once read on_wall, and a block
+    # measured against itself reads a pure-gauge jet's rounding as a nonzero
+    # first row and a det of either sign
+    for jet, side, degenerate in ((jets.random_jet2(3), "einstein_side", False),
+                                  (jets.jet2_first_row_zero(3), "on_wall", True),
+                                  (_pure_gauge_jet(4), "on_wall", True),
+                                  (_pure_gauge_jet(5), "on_wall", True)):
+        report = obstruction.compute_report(jets.Jet2(H=scale * jet.H), k=1)
+        assert report.wall_side == side
+        assert (report.mu1 is not None) == degenerate
+        assert obstruction.first_row_vanishes(
+            obstruction.in_jet_units(report.Rplus_block, scale * jet.H)) == degenerate
 
 
 def test_bold_det_is_negated_det():
