@@ -367,29 +367,43 @@ def _polynomial_field(vec: np.ndarray) -> MatrixField:
     return coeff
 
 
-# C(x) for every unit coefficient vector at once: [n, i, j, m] = 1 where the
-# n-th of the 90 coefficients of _polynomial_field is (i, j, monomial m)
+# unit coefficient vectors: [n, i, j, m] = 1 where the n-th of the 90
+# coefficients of _polynomial_field is (i, j, monomial m); n runs over the
+# monomials of entry (i, j) in the block 10 (3 i + j) ... 10 (3 i + j) + 9
 _UNIT_COEFFS = np.eye(9 * len(_QUAD_P)).reshape(-1, 3, 3, len(_QUAD_P))
 
 
-def _unit_coefficient_fields(x: np.ndarray) -> np.ndarray:
-    """(..., 90, 3, 3): the polynomial field C of every unit coefficient
-    vector at (..., 4) points, the basis axis after the point axes."""
+def _unit_coefficient_fields(x: np.ndarray, entry: int) -> np.ndarray:
+    """(..., 10, 3, 3): the polynomial field C of each unit coefficient
+    vector of matrix entry (i, j) = divmod(entry, 3), one per monomial, at
+    (..., 4) points, the basis axis after the point axes."""
     x = np.asarray(x, dtype=float)
-    return np.einsum("nijm,...m->...nij", _UNIT_COEFFS, x[..., _QUAD_P] * x[..., _QUAD_Q])
+    units = _UNIT_COEFFS[len(_QUAD_P) * entry:len(_QUAD_P) * (entry + 1)]
+    return np.einsum("nijm,...m->...nij", units, x[..., _QUAD_P] * x[..., _QUAD_Q])
+
+
+def _by_entry(columns: Callable[[MatrixField], np.ndarray]) -> np.ndarray:
+    """(rows, 90) constraint matrix, one column per unit coefficient vector:
+    columns(C) for the 10 unit fields C of each matrix entry in turn, so
+    one stencil carries 10 fields, not 90."""
+    return np.concatenate([columns(functools.partial(_unit_coefficient_fields, entry=entry))
+                           for entry in range(9)], axis=1)
 
 
 def _divergence_matrix() -> np.ndarray:
     """(samples, 90): d_a h_ab for h = map(C) at fixed sample points, one
-    column per unit coefficient vector, from one stencil.
+    column per unit coefficient vector.
 
     The centered stencil of step 0.25 differentiates polynomial
     coefficients of degree <= 2 exactly, so these samples express the
     constraint delta h = 0 as a linear map on the coefficient vector.
     """
-    h_fields = lambda y: metric_perturbation_from_coeffs(_unit_coefficient_fields(y))
-    div = np.einsum("...anab->...bn", fd.all_partials(h_fields, _DIV_POINTS, 0.25))
-    return div.reshape(-1, div.shape[-1])
+    def columns(coeffs: MatrixField) -> np.ndarray:
+        h_fields = lambda y: metric_perturbation_from_coeffs(coeffs(y))
+        div = np.einsum("...anab->...bn", fd.all_partials(h_fields, _DIV_POINTS, 0.25))
+        return div.reshape(-1, div.shape[-1])
+
+    return _by_entry(columns)
 
 
 def _null_space(constraints: np.ndarray) -> np.ndarray:
@@ -445,11 +459,14 @@ def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
     perturbation and vanishing anti-self-dual part of d a^(1) at the
     origin, one column per unit coefficient vector."""
-    phi = lambda x: phi_comps_from_coeffs(_unit_coefficient_fields(x))
-    a1 = lambda x: star_d_phi(phi, x)
-    da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
-    _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
-    return np.concatenate([_divergence_matrix(), minus.reshape(len(minus), -1).T])
+    def columns(coeffs: MatrixField) -> np.ndarray:
+        phi = lambda x: phi_comps_from_coeffs(coeffs(x))
+        a1 = lambda x: star_d_phi(phi, x)
+        da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
+        _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
+        return minus.reshape(len(minus), -1).T
+
+    return np.concatenate([_divergence_matrix(), _by_entry(columns)])
 
 
 @functools.cache
@@ -489,26 +506,32 @@ def einstein_first_order_family(seed: int) -> TripleFamily:
 # ---------------------------------------------------------------------------
 
 
-def moment_connection(config: gh.GHConfig, coeff: np.ndarray) -> FormField:
-    """a_i = sum_j coeff[i, j] alpha_j with alpha_j = (1/2) J_j dm.
-
-    coeff is symmetric with vanishing first row/column in the intended
-    use (deformations transverse to the first curvature row).
-    """
-    c = float_or_complex(coeff)
-    return FormField(1, lambda x4: c @ gh.alpha_covector(config, x4))
-
-
 def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
                              x4: np.ndarray, h: float = fd.DEFAULT_STEP) -> dict:
     """Residuals of d a_i = sum_j coeff[i,j] w_j and of coclosedness, the
-    max over a (..., 4) stack of points."""
+    max over a (..., 4) stack of points, for the connection
+    a_i = sum_j coeff[i, j] alpha_j with alpha_j = (1/2) J_j dm.
+
+    coeff is symmetric with vanishing first row/column in the intended
+    use (deformations transverse to the first curvature row).  The GH
+    metric is built once per point stack, by gh.metric_at: its frame gives
+    a on the stencil and the triple at the points, and its metric serves
+    the codifferential there.
+    """
     x4 = np.asarray(x4, dtype=float)
     c = float_or_complex(coeff)
-    a = moment_connection(config, coeff)
-    triple = gh.triple_field(config)(x4)
-    d_a, delta_a = fd.d_and_codifferential(gh.metric_fn(config), a, x4, h)
-    d_res = float(np.max(np.abs(d_a - c @ triple)))
+    frames: list[tuple[np.ndarray, gh.FrameSample]] = []
+
+    def frame(y: np.ndarray) -> gh.FrameSample:
+        for pts, sample in frames:
+            if np.array_equal(pts, y):
+                return sample
+        frames.append((y, gh.metric_at(config, y)))
+        return frames[-1][1]
+
+    a = FormField(1, lambda y: c @ gh.alpha_covector(config, y, frame(y)))
+    d_a, delta_a = fd.d_and_codifferential(lambda y: frame(y).metric, a, x4, h)
+    d_res = float(np.max(np.abs(d_a - c @ frame(x4).triple)))
     delta_res = float(np.max(np.abs(delta_a)))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}
 

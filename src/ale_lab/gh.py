@@ -395,10 +395,13 @@ def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return out
 
 
-def alpha_covector(config: GHConfig, x4: np.ndarray) -> np.ndarray:
-    """alpha_i = (1/2) J_i dm as chart covectors, a (..., 3, 4) stack."""
+def alpha_covector(config: GHConfig, x4: np.ndarray,
+                   sample: FrameSample | None = None) -> np.ndarray:
+    """alpha_i = (1/2) J_i dm as chart covectors, a (..., 3, 4) stack; J is
+    read from sample, metric_at of the same points, when the caller has it."""
     x4 = np.asarray(x4, dtype=float)
-    sample = metric_at(config, x4)
+    if sample is None:
+        sample = metric_at(config, x4)
     return 0.5 * apply_J_covector(sample.J, dm4(config, x4[..., :3])[..., None, :])
 
 

@@ -13,12 +13,17 @@ the standard orientation of R^4, which fixes the sign of the 3-form
 pullback: its 3x3 minors are (r^2/4) *x, the Euclidean dual of the outward
 normal times the measure density.
 
+The S^3 rule is streamed in blocks of whole u-shells, like the volume
+rule: integrate_S3 reads node and weight tables filled from the blocks
+once per radius, and the pairing kernels sum over the blocks without them.
+
 Closedness of varpi = sum_i z_i w_i (w_i the constant dual basis) is a
 fixed integer-coefficient linear system on the 3 x 10 quadratic
-coefficients; its null space is computed exactly once per duality and
-cached, so sampled triples satisfy d(varpi) = 0 to machine precision.
-The pairing int_{S^3} d^C F ^ varpi is linear in Z: it is integrated once
-per duality and radius into a (3, 4, 4) kernel K, and each pairing is <K, Z>.
+coefficients; its null space is computed exactly once per duality, by
+fraction-free integer elimination, and cached, so sampled triples satisfy
+d(varpi) = 0 to machine precision.  The pairing int_{S^3} d^C F ^ varpi
+is linear in Z: it is summed block by block once per duality and radius
+into a (3, 4, 4) kernel K, and each pairing is <K, Z>.
 """
 
 from __future__ import annotations
@@ -49,49 +54,56 @@ TWO_PI = 2.0 * math.pi
 # 2 * order - 1
 SPHERE_ORDER = 24
 RADIAL_NODES = 48
-# xi-shells per block of the volume rule: 8 x SPHERE_ORDER^2 = 4608 nodes
+# xi-shells per block of the volume rule, and u-shells per block of the
+# S^3 rule: 8 x SPHERE_ORDER^2 = 4608 nodes
 VOLUME_BLOCK_SHELLS = 8
 
 
-def _s3_grid():
+def _s3_blocks(radius: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Nodes (n, 4), weights (n,) and the 3x3 minors (n, 4) of the tangent
+    frame (d_u, d_t1, d_t2) on the columns of each sorted triple, of the
+    radius-r sphere on the SPHERE_ORDER product rule, yielded in blocks of
+    VOLUME_BLOCK_SHELLS whole u-shells in (u, t1, t2)-major node order, so
+    that a caller's working set is one block; cos and sin are taken once
+    per angle node."""
     u, wu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
     t1, w1 = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
     t2, w2 = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
-    U, T1, T2 = np.meshgrid(u, t1, t2, indexing="ij")
-    W = wu[:, None, None] * w1[None, :, None] * w2[None, None, :]
-    return U.ravel(), T1.ravel(), T2.ravel(), W.ravel()
-
-
-def _s3_tangents(radius: float, u, t1, t2):
-    """Coordinate tangent vectors (d_u, d_t1, d_t2) at each node."""
-    c = np.sqrt((1.0 + u) / 2.0)
-    s = np.sqrt((1.0 - u) / 2.0)
-    # dc/du = 1/(4c), ds/du = -1/(4s); both stay finite away from GL endpoints
-    dc = 1.0 / (4.0 * c)
-    ds = -1.0 / (4.0 * s)
-    zero = np.zeros_like(u)
-    du = radius * np.stack([dc * np.cos(t1), dc * np.sin(t1), ds * np.cos(t2), ds * np.sin(t2)], axis=1)
-    dt1 = radius * np.stack([-c * np.sin(t1), c * np.cos(t1), zero, zero], axis=1)
-    dt2 = radius * np.stack([zero, zero, -s * np.sin(t2), s * np.cos(t2)], axis=1)
-    return du, dt1, dt2
+    # u on the leading axis, t1 on the middle one, t2 on the last
+    c, s = np.sqrt((1.0 + u) / 2.0)[:, None, None], np.sqrt((1.0 - u) / 2.0)[:, None, None]
+    wu, w1 = wu[:, None, None], w1[:, None]
+    cos1, sin1 = np.cos(t1)[:, None], np.sin(t1)[:, None]
+    cos2, sin2 = np.cos(t2), np.sin(t2)
+    for b in range(0, SPHERE_ORDER, VOLUME_BLOCK_SHELLS):
+        shells = slice(b, b + VOLUME_BLOCK_SHELLS)
+        cb, sb = c[shells], s[shells]
+        pts = np.empty(cb.shape[:1] + (SPHERE_ORDER, SPHERE_ORDER, 4))
+        pts[..., 0] = cb * cos1
+        pts[..., 1] = cb * sin1
+        pts[..., 2] = sb * cos2
+        pts[..., 3] = sb * sin2
+        pts = pts.reshape(-1, 4)
+        pts *= radius
+        minors = hodge_star(EUCLIDEAN, pts, 1)
+        minors *= radius**2 / 4.0
+        yield pts, (wu[shells] * w1 * w2).ravel(), minors
 
 
 @functools.lru_cache(maxsize=8)
-def _s3_nodes(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (N, 4) and weights (N,) of the radius-r sphere on the
-    SPHERE_ORDER product rule, and the 3x3 minors (N, 4) of the tangent frame
-    (d_u, d_t1, d_t2) on the columns of each sorted triple; built once per
-    radius and read-only."""
-    u, t1, t2, w = _s3_grid()
-    c = np.sqrt((1.0 + u) / 2.0)
-    s = np.sqrt((1.0 - u) / 2.0)
-    pts = radius * np.stack(
-        [c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1
-    )
-    minors = (radius**2 / 4.0) * hodge_star(EUCLIDEAN, pts, 1)
-    for table in (pts, w, minors):
+def _s3_nodes(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, 4) and weights (N,) of the radius-r sphere on the whole
+    SPHERE_ORDER product rule, filled block by block from _s3_blocks; built
+    once per radius that integrate_S3 reads, and read-only."""
+    n = SPHERE_ORDER**3
+    pts, w = np.empty((n, 4)), np.empty(n)
+    start = 0
+    for block_pts, block_w, _ in _s3_blocks(radius):
+        stop = start + len(block_w)
+        pts[start:stop], w[start:stop] = block_pts, block_w
+        start = stop
+    for table in (pts, w):
         table.setflags(write=False)
-    return pts, w, minors
+    return pts, w
 
 
 def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -> float:
@@ -102,7 +114,7 @@ def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -
     nodes (read-only, shared between calls) to N values of shape (N,) in one
     call.  Any other shape raises SchemaError.
     """
-    pts, w, _ = _s3_nodes(radius)
+    pts, w = _s3_nodes(radius)
     vals = np.asarray(integrand(pts), dtype=float)
     if vals.shape != (len(pts),):
         raise SchemaError(
@@ -197,34 +209,37 @@ def _closedness_matrix(duality: str) -> np.ndarray:
 
 @functools.cache
 def closedness_null_basis(duality: str = "sd") -> np.ndarray:
-    """Exact rational null-space basis of the closedness system, as a
-    read-only float array of shape (dim, 30) with integer entries: one vector
-    per free column of the reduced row echelon form (Fraction Gauss-Jordan),
-    scaled by the LCM of its denominators."""
-    from fractions import Fraction  # about 3 ms to import; only this needs it
+    """Exact null-space basis of the closedness system, as a read-only
+    float array of shape (dim, 30) with integer entries: one vector per
+    free column of the reduced row echelon form, scaled to the smallest
+    integers with a positive free entry.
 
-    rows = [[Fraction(int(v)) for v in row] for row in _closedness_matrix(duality)]
+    Fraction-free Gauss-Jordan elimination (Bareiss) on Python integers:
+    each step divides exactly by the previous pivot, so every entry stays
+    an integer and the pivot columns end as d times the identity, d the
+    last pivot; the free column f then gives d e_f - sum_r M[r, f] e_(pivot r)."""
+    rows = [[int(v) for v in row] for row in _closedness_matrix(duality)]
     ncols = len(rows[0])
     pivots: list[int] = []
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
-        pivot_row = [v / rows[p][col] for v in rows[p]]
-        rows[p] = rows[r]
-        rows[r] = pivot_row
-        rows = [row if i == r or not row[col] else
-                [a - row[col] * b for a, b in zip(row, pivot_row)]
+        rows[p], rows[r] = rows[r], rows[p]
+        piv = rows[r]
+        rows = [row if i == r else [(piv[col] * a - row[col] * b) // prev for a, b in zip(row, piv)]
                 for i, row in enumerate(rows)]
+        prev = piv[col]
         pivots.append(col)
     vecs = []
     for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(int(c == free)) for c in range(ncols)]
+        v = [prev * (c == free) for c in range(ncols)]
         for row, col in zip(rows, pivots):
             v[col] = -row[free]
-        scale = math.lcm(*(x.denominator for x in v))
-        vecs.append([int(x * scale) for x in v])
+        scale = math.gcd(*v) * (1 if prev > 0 else -1)
+        vecs.append([x // scale for x in v])
     out = np.asarray(vecs, dtype=float)
     out.setflags(write=False)
     return out
@@ -288,16 +303,18 @@ def grad_F(x: np.ndarray) -> np.ndarray:
 def _pairing_kernel(duality: str, radius: float) -> np.ndarray:
     """Read-only (3, 4, 4) kernel K with int_{S^3} d^C F ^ varpi = <K, Z>,
     built once per duality and radius: K_iab = sum_n weight_n g_i x_na x_nb,
-    g_i the pullback of d^C F ^ w_i at node n (varpi = sum_i x^T Z_i x w_i)."""
-    pts, w, minors = _s3_nodes(radius)
+    g_i the pullback of d^C F ^ w_i at node n (varpi = sum_i x^T Z_i x w_i),
+    summed block by block over _s3_blocks, so no table of the whole rule is
+    built or kept."""
     # table[a, i] = dx_a ^ w_i, degree-3 components
-    table = wedge(np.eye(4)[:, None, :], 1, _dual_basis(duality), 2)
-    dcf = apply_J_covector(_J1_FLAT, grad_F(pts))
-    # g[n, i]: d^C F ^ w_i pulled back at node n, in one expression so the
-    # (N, 3, 4) forms are freed before the (N, 12) outer product is built
-    g = w[:, None] * np.einsum(
-        "nik,nk->ni", (dcf @ table.reshape(4, 12)).reshape(-1, 3, 4), minors)
-    kernel = ((g[:, :, None] * pts[:, None, :]).reshape(len(pts), 12).T @ pts).reshape(3, 4, 4)
+    table = wedge(np.eye(4)[:, None, :], 1, _dual_basis(duality), 2).reshape(4, 12)
+    kernel = np.zeros((12, 4))
+    for pts, w, minors in _s3_blocks(radius):
+        dcf = apply_J_covector(_J1_FLAT, grad_F(pts))
+        # g[n, i]: d^C F ^ w_i pulled back at node n
+        g = w[:, None] * np.einsum("nik,nk->ni", (dcf @ table).reshape(-1, 3, 4), minors)
+        kernel += (g[:, :, None] * pts[:, None, :]).reshape(len(pts), 12).T @ pts
+    kernel = kernel.reshape(3, 4, 4)
     kernel.setflags(write=False)
     return kernel
 

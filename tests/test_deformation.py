@@ -5,6 +5,7 @@ moment-map connection on the curved background."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,24 @@ def test_constraint_matrices_match_per_vector_build():
                           np.concatenate([div, np.stack(asd_cols, axis=1)]))
 
 
+@pytest.mark.parametrize("null_space", [deformation._gauge_null_space,
+                                        deformation._efo_null_space], ids=["gauge", "efo"])
+def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
+    # one matrix entry's 10 unit fields per stencil: traced peaks 0.25 MiB
+    # (gauge) and 0.30 MiB (efo), where all 90 fields in one stencil peaked
+    # at 1.85 and 2.38 MiB
+    built = null_space()
+    null_space.cache_clear()
+    tracemalloc.start()
+    try:
+        rebuilt = null_space()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
+    assert np.array_equal(rebuilt, built)
+
+
 def test_einstein_family_projects_onto_the_constraint_null_space():
     # the family's quadratic part is the orthogonal projection of its draw
     # onto the constraints' null space, as the least-squares route gives it
@@ -467,7 +486,7 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
     cfg = gh.GHConfig.canonical(1, 1.0)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
-    a = deformation.moment_connection(cfg, coeff)
+    a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
     mfn = gh.metric_fn(cfg)
     starred = forms.FormField(3, lambda y: forms.hodge_star(mfn(y)[..., None, :, :], a(y), 1))
     delta = -forms.hodge_star(mfn(x4)[..., None, :, :], fd.fd_d(starred, x4), 4)
@@ -475,15 +494,38 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
     calls = []
     alpha = gh.alpha_covector
 
-    def counted(config, y):
+    def counted(config, y, *sample):
         calls.append(np.shape(y))
-        return alpha(config, y)
+        return alpha(config, y, *sample)
 
     monkeypatch.setattr(gh, "alpha_covector", counted)
     res = deformation.moment_connection_checks(cfg, coeff, x4)
     assert calls == [(3, 8, 4)]
     assert res == {"curvature_residual": float(d_res),
                    "coclosed_residual": float(np.max(np.abs(delta)))}
+
+
+def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypatch):
+    # one GH potential pass on the stencil serves a and the metric of the
+    # codifferential there, and one at the points serves the triple and the
+    # metric there; the residuals are bitwise those of separate passes
+    cfg = gh.GHConfig.canonical(2, 0.7)
+    coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.0, 0.6, -0.5]])
+    x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
+    a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
+    d_a, delta_a = fd.d_and_codifferential(gh.metric_fn(cfg), a, x4, 5e-4)
+    expected = {"curvature_residual": float(np.max(np.abs(d_a - coeff @ gh.triple_field(cfg)(x4)))),
+                "coclosed_residual": float(np.max(np.abs(delta_a)))}
+    calls = []
+    inner = gh.potential_and_eta
+
+    def counted(config, y, *patch):
+        calls.append(np.shape(y))
+        return inner(config, y, *patch)
+
+    monkeypatch.setattr(gh, "potential_and_eta", counted)
+    assert deformation.moment_connection_checks(cfg, coeff, x4, h=5e-4) == expected
+    assert sorted(calls) == [(3, 4), (3, 8, 4)]
 
 
 def test_radial_contraction_decay_rate():

@@ -403,7 +403,7 @@ def test_every_error_class_is_raised():
 
 def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):
     # the triple families take exp(t M) in closed form and the closedness
-    # null space is exact Fraction elimination, so `verify --suite all`
+    # null space is exact integer elimination, so `verify --suite all`
     # imports neither scipy.linalg nor sympy (about half a second); they
     # serve only as test oracles
     report = tmp_path / "report.json"

@@ -6,6 +6,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,23 +40,50 @@ def test_sphere_moments_closed_form():
     assert quad == pytest.approx(2.0 * math.pi**2 / 3.0, abs=1e-8)
 
 
+def _s3_grid():
+    """(u, t1, t2, weight) of every node of the sphere rule, from full
+    meshgrids in one stack."""
+    u, wu = gh.gauss_legendre(-1.0, 1.0, quadrature.SPHERE_ORDER)
+    t1, w1 = gh.gauss_legendre(0.0, 2.0 * math.pi, quadrature.SPHERE_ORDER)
+    t2, w2 = gh.gauss_legendre(0.0, 2.0 * math.pi, quadrature.SPHERE_ORDER)
+    U, T1, T2 = np.meshgrid(u, t1, t2, indexing="ij")
+    W = wu[:, None, None] * w1[None, :, None] * w2[None, None, :]
+    return U.ravel(), T1.ravel(), T2.ravel(), W.ravel()
+
+
+def _s3_tangents(radius, u, t1, t2):
+    """Coordinate tangent vectors (d_u, d_t1, d_t2) at each node."""
+    c = np.sqrt((1.0 + u) / 2.0)
+    s = np.sqrt((1.0 - u) / 2.0)
+    # dc/du = 1/(4c), ds/du = -1/(4s); both stay finite away from GL endpoints
+    dc = 1.0 / (4.0 * c)
+    ds = -1.0 / (4.0 * s)
+    zero = np.zeros_like(u)
+    du = radius * np.stack([dc * np.cos(t1), dc * np.sin(t1), ds * np.cos(t2), ds * np.sin(t2)],
+                           axis=1)
+    dt1 = radius * np.stack([-c * np.sin(t1), c * np.cos(t1), zero, zero], axis=1)
+    dt2 = radius * np.stack([zero, zero, -s * np.sin(t2), s * np.cos(t2)], axis=1)
+    return du, dt1, dt2
+
+
 @functools.cache
 def _det_route_nodes(radius):
     """Nodes, weights and frame minors of the sphere rule as they were built
-    before the closed form: one 3x3 determinant of (d_u, d_t1, d_t2) per
-    node and sorted triple."""
-    u, t1, t2, w = quadrature._s3_grid()
+    before the closed form and the blocks: one stack over full meshgrids,
+    and one 3x3 determinant of (d_u, d_t1, d_t2) per node and sorted triple."""
+    u, t1, t2, w = _s3_grid()
     c, s = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
     pts = radius * np.stack([c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)],
                             axis=1)
-    frame = np.stack(quadrature._s3_tangents(radius, u, t1, t2), axis=1)
+    frame = np.stack(_s3_tangents(radius, u, t1, t2), axis=1)
     minors = np.stack([np.linalg.det(frame[:, :, cols]) for cols in forms.TUPLES[3]], axis=1)
     return pts, w, minors
 
 
 @pytest.mark.parametrize("radius", [1.0, 1.6])
 def test_s3_minors_closed_form_matches_det(radius):
-    pts, w, minors = quadrature._s3_nodes(radius)
+    pts, w = quadrature._s3_nodes(radius)
+    minors = np.concatenate([m for _, _, m in quadrature._s3_blocks(radius)])
     ref_pts, ref_w, ref_minors = _det_route_nodes(radius)
     assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
     assert np.max(np.abs(minors - ref_minors)) <= 1e-14
@@ -60,23 +92,66 @@ def test_s3_minors_closed_form_matches_det(radius):
 def test_form3_pullback_matches_tensor_contraction():
     # reference: expand the 3-form into its antisymmetric tensor at every
     # node and contract it with the three tangent vectors; the pairing
-    # kernel pulls 3-forms back with the weighted minors of _s3_nodes
+    # kernel pulls 3-forms back with the weighted minors of _s3_blocks
     coeffs = np.random.default_rng(4).normal(size=(4, 4))
 
     def integrand(x):
         return (x + x**2) @ coeffs.T
 
-    u, t1, t2, w = quadrature._s3_grid()
-    du, dt1, dt2 = quadrature._s3_tangents(1.3, u, t1, t2)
+    u, t1, t2, w = _s3_grid()
+    du, dt1, dt2 = _s3_tangents(1.3, u, t1, t2)
     c, s = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
     pts = 1.3 * np.stack([c * np.cos(t1), c * np.sin(t1), s * np.cos(t2), s * np.sin(t2)], axis=1)
     ref = sum(
         wi * np.einsum("abc,a,b,c->", forms.comps_to_tensor(integrand(p), 3), a, b, d)
         for wi, p, a, b, d in zip(w, pts, du, dt1, dt2)
     )
-    nodes, weights, minors = quadrature._s3_nodes(1.3)
+    nodes, weights, minors = (np.concatenate(t) for t in zip(*quadrature._s3_blocks(1.3)))
     got = float(np.sum(weights * np.einsum("ni,ni->n", integrand(nodes), minors)))
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def _traced_peak(build):
+    """Traced high-water mark, in bytes, of Python allocations during build()."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_s3_nodes_are_filled_in_bounded_memory():
+    # the node and weight tables take 0.53 MiB; filled block by block the
+    # build's traced peak is 1.24 MiB, where one stack of the whole rule,
+    # with a table of its frame minors, peaked at 1.90 MiB
+    quadrature._s3_nodes(1.0)
+    quadrature._s3_nodes.cache_clear()
+    assert _traced_peak(lambda: quadrature._s3_nodes(1.0)) <= 1.4 * 2**20
+
+
+def test_pairing_kernel_is_summed_in_bounded_memory():
+    # block by block, a new key's kernel peaks at 1.16 MiB traced and keeps
+    # no node table; built over the cached table of its radius, it peaked
+    # at 3.1 MiB
+    quadrature._pairing_kernel("sd", 1.0)
+    quadrature._pairing_kernel.cache_clear()
+    quadrature._s3_nodes.cache_clear()
+    assert _traced_peak(lambda: quadrature._pairing_kernel("asd", 1.6)) <= 1.5 * 2**20
+    assert quadrature._s3_nodes.cache_info().currsize == 0
+
+
+def test_quadrature_suite_loads_no_fractions():
+    # the closedness null space is fraction-free integer elimination, so a
+    # fresh `verify --suite quadrature` never imports fractions
+    code = ("import sys\nfrom ale_lab import suites\n"
+            "assert suites.run_suites(['quadrature'], 1, 1.0)[0].passed\n"
+            "print('fractions' in sys.modules)")
+    src = pathlib.Path(quadrature.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_s3_nodes_are_shared_and_read_only():
@@ -241,15 +316,22 @@ def test_pairing_kernel_is_built_once_per_key_and_read_only(monkeypatch):
     inner = quadrature.grad_F
 
     def counted(x):
-        calls.append(x)
+        calls.append(x.copy())
         return inner(x)
 
     monkeypatch.setattr(quadrature, "grad_F", counted)
+    nodes = _det_route_nodes(1.9)[0]
     sd = quadrature.random_closed_quadratic(1)
     asd = quadrature.random_closed_quadratic(1, "asd")
     for triple in (sd, sd, asd, asd):
         quadrature.dCF_pairing(triple, radius=1.9)
-    assert len(calls) == 2  # one kernel for each duality at the new radius
+    # one kernel for each duality at the new radius, each taking grad F at
+    # every node of the rule exactly once, in node order
+    assert np.array_equal(np.concatenate(calls), np.concatenate([nodes, nodes]))
+    calls.clear()
+    for triple in (sd, asd):
+        quadrature.dCF_pairing(triple, radius=1.9)
+    assert calls == []  # no node on a cached key
     kernel = quadrature._pairing_kernel("sd", 1.9)
     assert kernel.shape == (3, 4, 4)
     assert quadrature._pairing_kernel("sd", 1.9) is kernel
