@@ -200,11 +200,16 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
     try:
         jet, quartic, k, lam, overrides, gauge = _load_jet_input(args.jet)
+        import numpy as np
+
         from . import obstruction
 
-        report = obstruction.compute_report(
-            jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
-            apply_gauge=gauge)
+        # a jet too large for its products overflows; the report check
+        # below names the field instead of a warning per operation
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = obstruction.compute_report(
+                jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
+                apply_gauge=gauge)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -214,6 +219,13 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
     payload = {"schema_version": SCHEMA_VERSION, "command": "obstruct"}
     payload.update(report.to_dict())
+    for key in sorted(payload):
+        try:
+            json.dumps(payload[key], allow_nan=False)
+        except ValueError:
+            print(f"schema error: H: the jet is out of range, report field {key} is not "
+                  "finite", file=sys.stderr)
+            return 2
     _emit(_json_text(payload), args.report)
     det_bold = obstruction.bold_det_from_block(report.Rplus_block)
     print(f"wall side: {report.wall_side} "

@@ -27,7 +27,9 @@ constant-curvature jet and a conformal non-Einstein oracle).
 Frames, operator blocks and curvature blocks take (..., 4, 4) metric
 stacks and (..., 4) point stacks, so one call serves every point of a
 stencil, or every node of a contour when the leading axis is the node
-axis of deformation.taylor_coefficient.
+axis of deformation.taylor_coefficient.  Every g^{-1} comes from
+forms.metric_inverse, and frame_from_metric gives both duality frames
+from one of them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ from .forms import (
     float_or_complex,
     hodge_star,
     metric_from_triple,
+    metric_inverse,
     project_stack,
+    project_with,
+    star_with,
     wedge,
 )
 
@@ -89,23 +94,24 @@ def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
     return chol
 
 
-def frame_from_metric(metric: np.ndarray, duality: str = "sd") -> np.ndarray:
-    """Orthonormal duality frames (rows, <b_i,b_i> = 2), (..., 3, 6) for
-    (..., 4, 4) metrics, by Gram-Schmidt of the projected flat basis;
-    deterministic and smooth in the metric.
+def frame_from_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal self-dual and anti-self-dual frames (rows,
+    <b_i,b_i> = 2), each (..., 3, 6) for (..., 4, 4) metrics, by
+    Gram-Schmidt of the projected flat bases; deterministic and smooth in
+    the metric, and both from one metric_inverse.
 
     Gram-Schmidt in this order is the Cholesky factor L of the Gram
     matrix of the projections: frame = sqrt(2) L^{-1} projections."""
-    g = float_or_complex(metric)
-    seeds = OMEGA_SD if duality == "sd" else OMEGA_ASD
-    sign = 1.0 if duality == "sd" else -1.0
-    cands = 0.5 * (seeds + sign * hodge_star(g[..., None, :, :], seeds, 2))
-    chol = _cholesky3(2.0 * project_stack(g, cands, cands))
-    if chol is None:
-        raise FrameNotOrthonormal(
-            f"projected flat basis degenerate for duality {duality!r}"
-        )
-    return np.sqrt(2.0) * np.linalg.solve(chol, cands)
+    ginv, det = metric_inverse(metric)
+    stacked = (ginv[..., None, :, :], det[..., None])
+    frames = []
+    for seeds, sign, duality in ((OMEGA_SD, 1.0, "sd"), (OMEGA_ASD, -1.0, "asd")):
+        cands = 0.5 * (seeds + sign * star_with(stacked, seeds, 2))
+        chol = _cholesky3(2.0 * project_with(ginv, cands, cands))
+        if chol is None:
+            raise FrameNotOrthonormal(f"projected flat basis degenerate for duality {duality!r}")
+        frames.append(np.sqrt(2.0) * np.linalg.solve(chol, cands))
+    return tuple(frames)
 
 
 def connection_from_Phi(phi: TripleField) -> FormField:
@@ -156,25 +162,22 @@ def curvature_forms(a: FormField, x: np.ndarray) -> np.ndarray:
 
 def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:
     """Blocks of the curvature forms on duality bases of the metric."""
-    g = float_or_complex(metric)
-    rp = project_stack(g, rforms, frame_from_metric(g, "sd"))
-    rm = project_stack(g, rforms, frame_from_metric(g, "asd"))
-    return CurvatureBlock(Rplus=rp, Rminus=rm)
+    sd, asd = frame_from_metric(metric)
+    return CurvatureBlock(Rplus=project_stack(metric, rforms, sd),
+                          Rminus=project_stack(metric, rforms, asd))
 
 
 def operator_blocks_from_riemann(
     metric: np.ndarray,
     riemann_low: np.ndarray,
-    sd_basis: np.ndarray | None = None,
-    asd_basis: np.ndarray | None = None,
+    frames: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SD block, mixed block, ASD block) of the curvature operator
     A_ij = (1/8) R_abcd b_i^ab b_j^cd on orthonormal duality bases, each
-    (..., 3, 3) for (..., 4, 4) metrics and (..., 4, 4, 4, 4) tensors."""
-    g = float_or_complex(metric)
-    ginv = np.linalg.inv(g)
-    sd = frame_from_metric(g, "sd") if sd_basis is None else float_or_complex(sd_basis)
-    asd = frame_from_metric(g, "asd") if asd_basis is None else float_or_complex(asd_basis)
+    (..., 3, 3) for (..., 4, 4) metrics and (..., 4, 4, 4, 4) tensors; the
+    bases are frames = (sd, asd), frame_from_metric(metric) when None."""
+    ginv, _ = metric_inverse(metric)
+    sd, asd = frame_from_metric(metric) if frames is None else frames
 
     # raise both indices of every basis form, then contract pairwise
     raised = (ginv[..., None, :, :] @ comps_to_tensor(np.concatenate([sd, asd], axis=-2), 2)
@@ -197,8 +200,7 @@ def bianchi_gauge(metric_fn: MetricField, h_field: Callable[[np.ndarray], np.nda
                   x: np.ndarray) -> np.ndarray:
     """B h = delta_g h + (1/2) d Tr_g h as covectors at (..., 4) points."""
     x = np.asarray(x, dtype=float)
-    g = float_or_complex(metric_fn(x))
-    ginv = np.linalg.inv(g)
+    ginv, _ = metric_inverse(metric_fn(x))
     gamma = fd.christoffel(metric_fn, x)
     dh = fd.all_partials(h_field, x)  # dh[a, b, c] = d_a h_bc
     hval = float_or_complex(h_field(x))
@@ -208,8 +210,7 @@ def bianchi_gauge(metric_fn: MetricField, h_field: Callable[[np.ndarray], np.nda
     delta = -np.einsum("...ab,...abc->...c", ginv, nabla)
 
     def trace_fn(y: np.ndarray) -> np.ndarray:
-        gy = float_or_complex(metric_fn(y))
-        return np.einsum("...ab,...ab->...", np.linalg.inv(gy), h_field(y))
+        return np.einsum("...ab,...ab->...", metric_inverse(metric_fn(y))[0], h_field(y))
 
     return delta + 0.5 * fd.all_partials(trace_fn, x)
 
@@ -222,7 +223,7 @@ def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:
     non-Einstein oracle.
     """
     g = float_or_complex(metric)
-    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, frame_from_metric(g, "asd")),
-                     J_from_form(g, frame_from_metric(g, "sd")))
+    sd, asd = frame_from_metric(g)
+    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, asd), J_from_form(g, sd))
     ric0 = g @ endo
     return 0.5 * (ric0 + ric0.T)

@@ -62,15 +62,13 @@ from .errors import GaugeViolation, SchemaError
 from .forms import (
     CYCLIC,
     EUCLIDEAN,
+    FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
     FormField,
     J_from_form,
     apply_J_covector,
     float_or_complex,
-    hodge_star,
-    project_stack,
-    split_sd,
     tensor_to_comps,
     wedge,
 )
@@ -103,7 +101,7 @@ def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """a_i = *d phi_i on the flat background; returns a (..., 3, 4) stack."""
-    return hodge_star(EUCLIDEAN, fd.fd_d(FormField(2, phi), x), 3)
+    return fd.fd_d(FormField(2, phi), x) @ FLAT_STAR[3].T
 
 
 def _j_sum(a: np.ndarray) -> np.ndarray:
@@ -276,17 +274,22 @@ def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     (a_j ^ a_k)_- per cyclic component, from a (..., 3, 4) covector stack."""
     a = float_or_complex(a_values)
     j, k = CYCLIC
-    _, minus = split_sd(EUCLIDEAN, wedge(a[..., j, :], 1, a[..., k, :], 1))
-    return minus
+    return _flat_asd_part(wedge(a[..., j, :], 1, a[..., k, :], 1))
+
+
+def _flat_asd_part(comps: np.ndarray) -> np.ndarray:
+    """Anti-self-dual part (w - *w) / 2 of 2-forms on the flat metric."""
+    comps = float_or_complex(comps)
+    return (comps - comps @ FLAT_STAR[2].T) / 2.0
 
 
 def asd_block(stack: np.ndarray) -> np.ndarray:
     """Components of a (3, 6) 2-form stack on the flat anti-self-dual basis."""
-    return project_stack(EUCLIDEAN, stack, OMEGA_ASD)
+    return 0.5 * float_or_complex(stack) @ OMEGA_ASD.T
 
 
 def sd_block(stack: np.ndarray) -> np.ndarray:
-    return project_stack(EUCLIDEAN, stack, OMEGA_SD)
+    return 0.5 * float_or_complex(stack) @ OMEGA_SD.T
 
 
 def ric0_second_order(
@@ -312,8 +315,8 @@ def ric0_second_order(
     a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
     if rplus1 is None:
         rplus1 = -sd_block(da1)
-    _, da2_minus = split_sd(EUCLIDEAN, fd.fd_d(FormField(1, a2), x))
-    return da2_minus + bracket_minus(a1_here) - rplus1 @ float_or_complex(phi(x))
+    return (_flat_asd_part(fd.fd_d(FormField(1, a2), x)) + bracket_minus(a1_here)
+            - rplus1 @ float_or_complex(phi(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +340,7 @@ def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     stack of them), flat.  As *phi = -phi, delta phi = -*d*phi = *d phi,
     which is star_d_phi."""
     delta_field = FormField(1, lambda y: star_d_phi(phi, y))
-    _, minus = split_sd(EUCLIDEAN, fd.fd_d(delta_field, x))
-    return minus
+    return _flat_asd_part(fd.fd_d(delta_field, x))
 
 
 def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
@@ -390,9 +392,11 @@ def _by_entry(columns: Callable[[MatrixField], np.ndarray]) -> np.ndarray:
                            for entry in range(9)], axis=1)
 
 
+@functools.cache
 def _divergence_matrix() -> np.ndarray:
     """(samples, 90): d_a h_ab for h = map(C) at fixed sample points, one
-    column per unit coefficient vector.
+    column per unit coefficient vector; built on first use, read-only, and
+    shared by both null spaces.
 
     The centered stencil of step 0.25 differentiates polynomial
     coefficients of degree <= 2 exactly, so these samples express the
@@ -403,7 +407,9 @@ def _divergence_matrix() -> np.ndarray:
         div = np.einsum("...anab->...bn", fd.all_partials(h_fields, _DIV_POINTS, 0.25))
         return div.reshape(-1, div.shape[-1])
 
-    return _by_entry(columns)
+    matrix = _by_entry(columns)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _null_space(constraints: np.ndarray) -> np.ndarray:
@@ -463,7 +469,7 @@ def _efo_constraint_matrix() -> np.ndarray:
         phi = lambda x: phi_comps_from_coeffs(coeffs(x))
         a1 = lambda x: star_d_phi(phi, x)
         da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
-        _, minus = split_sd(EUCLIDEAN, tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
+        minus = _flat_asd_part(tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
         return minus.reshape(len(minus), -1).T
 
     return np.concatenate([_divergence_matrix(), _by_entry(columns)])

@@ -5,7 +5,7 @@ evaluator maps a (..., 4) stack of chart points to a (..., *shape) stack
 of values, one per point, and every operator here accepts (..., 4) base
 points and returns (..., *result); e.g. ricci on (N, 4) points gives
 (N, 4, 4).  An operator builds its whole stencil, with per-point steps,
-as one point array and calls the field once on it: riemann_up and ricci
+as one point array and calls the field once on it: the curvature operators
 evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
 point) in one metric call, value_and_d gives a field and its exterior
 derivative from one call on the points and their eight neighbours, and
@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
-from .forms import DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, float_or_complex, hodge_star
+from .forms import (DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, float_or_complex, hodge_star,
+                    metric_inverse)
 
 DEFAULT_STEP = 1e-3
 
@@ -147,12 +148,14 @@ def richardson(eval_at: Callable[[float], np.ndarray], h: float) -> np.ndarray:
 
 
 def _gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^a_{bc} from g_ab and dg[c, a, b] = d_c g_ab (leading axes a stack)."""
+    """Gamma^a_{bc} from g_ab and dg[c, a, b] = d_c g_ab (leading axes a stack);
+    g^{-1} from forms.metric_inverse, so a singular or non-finite metric
+    raises SingularMetric."""
     # 2 Gamma_{dbc} = d_b g_dc + d_c g_db - d_d g_bc
     low = 0.5 * (
         np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     )
-    return np.einsum("...ad,...dbc->...abc", np.linalg.inv(g), low)
+    return np.einsum("...ad,...dbc->...abc", metric_inverse(g)[0], low)
 
 
 def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -178,11 +181,6 @@ def _curvature(metric_fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray
     return g[..., 0, :, :], r
 
 
-def riemann_up(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
-    """R[..., a, b, c, d] = R^a_{bcd}; nested differences of Christoffel symbols."""
-    return _curvature(metric_fn, x, DEFAULT_STEP)[1]
-
-
 def metric_and_riemann_lowered(metric_fn: Callable, x: np.ndarray,
                                h: float) -> tuple[np.ndarray, np.ndarray]:
     """(g_ab, R_abcd = g_ae R^e_bcd) at (..., 4) points from one metric
@@ -196,7 +194,8 @@ def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP)
 
 
 def ricci(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
-    return np.einsum("...abad->...bd", riemann_up(metric_fn, x))
+    """Ric_bd = R^a_{bad}, R^a_{bcd} from nested differences of Christoffels."""
+    return np.einsum("...abad->...bd", _curvature(metric_fn, x, DEFAULT_STEP)[1])
 
 
 def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
@@ -235,13 +234,7 @@ def d_and_codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:
-    """Scalar Laplacian via div(grad): sign convention Delta f = +f'' on R."""
-    def flux(y: np.ndarray) -> np.ndarray:
-        g = _call(metric_fn, y)
-        df = all_partials(f, y)
-        return np.sqrt(np.linalg.det(g))[..., None] * np.einsum(
-            "...ab,...b->...a", np.linalg.inv(g), df)
-
-    g0 = _call(metric_fn, np.asarray(x, dtype=float))
-    div = np.einsum("...aa->...", all_partials(flux, x))
-    return div / np.sqrt(np.linalg.det(g0))
+    """Scalar Laplacian -delta(df), by d_and_codifferential of the 1-form
+    df (itself by differences): sign convention Delta f = +f'' on R."""
+    df = FormField(1, lambda y: all_partials(f, y))
+    return -d_and_codifferential(metric_fn, df, x)[1][..., 0]

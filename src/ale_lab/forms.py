@@ -21,10 +21,13 @@ Metric operations go through fixed index tables built once at import:
     the induced inner product of p-forms is <a, b> = a . C_p(g^{-1}) . b;
   - the complement table sends each sorted (4-p)-tuple K to the index of
     its sorted complement I with the sign eps(I, K) of the permutation
-    (I, K), so (*a)_K = sqrt(det g) eps(I, K) (C_p(g^{-1}) a)_I;
+    (I, K), so (*a)_K = sqrt(det g) eps(I, K) (C_p(g^{-1}) a)_I, and on
+    the flat metric * is the signed permutation FLAT_STAR[p];
   - comps_to_tensor scatters components into the full antisymmetric
     array, and tensor_to_comps gathers them back, through one index and
     sign table per degree.
+g^{-1} and det g come from metric_inverse, the package's one checked metric
+inversion; star_with and project_with take its result to share it.
 
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
@@ -176,10 +179,10 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (-1,)) @ _WEDGE[(p, q)]
 
 
-def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g^{-1} and det g of (..., 4, 4) metrics, after checking that every
-    det g is finite and positive (its real part, for the complex metrics
-    of the contour oracles)."""
+def metric_inverse(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g^{-1} and det g of (..., 4, 4) metrics; a det g that is not finite
+    with positive real part (a NaN or singular metric; the real part for the
+    complex contour metrics) raises SingularMetric, naming it."""
     g = float_or_complex(metric)
     det = np.linalg.det(g)
     bad = (det.real <= 0.0) | ~np.isfinite(det)
@@ -188,28 +191,48 @@ def _check_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.inv(g), det
 
 
-def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
-    """Hodge dual of degree-p component vectors (..., n) for (..., 4, 4)
-    metrics, leading axes broadcast."""
-    ginv, det = _check_metric(metric)
+def _star_matrix(ginv: np.ndarray, det: np.ndarray, degree: int) -> np.ndarray:
+    """(..., n_{4-p}, n_p) matrices of * on degree-p components."""
     idx, sign = _COMPLEMENT[degree]
-    star = np.sqrt(det)[..., None, None] * sign[:, None] * compound(ginv, degree)[..., idx, :]
+    return np.sqrt(det)[..., None, None] * sign[:, None] * compound(ginv, degree)[..., idx, :]
+
+
+# * on the flat metric, a signed permutation: comps @ FLAT_STAR[p].T
+FLAT_STAR = {p: _star_matrix(np.eye(DIM), np.float64(1.0), p) for p in range(DIM + 1)}
+for _table in FLAT_STAR.values():
+    _table.setflags(write=False)
+
+
+def star_with(inverse: tuple[np.ndarray, np.ndarray], comps: np.ndarray, degree: int) -> np.ndarray:
+    """hodge_star for the metrics whose (g^{-1}, det g) is inverse, as
+    metric_inverse returns it, so that one inversion serves several duals."""
+    star = _star_matrix(*inverse, degree)
     comps = float_or_complex(comps)
     return (comps[..., None, :] @ np.swapaxes(star, -1, -2))[..., 0, :]
 
 
+def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
+    """Hodge dual of degree-p component vectors (..., n) for (..., 4, 4)
+    metrics, leading axes broadcast."""
+    return star_with(metric_inverse(metric), comps, degree)
+
+
 def form_inner(metric: np.ndarray, a: np.ndarray, b: np.ndarray, degree: int) -> float:
     """Pointwise inner product <a, b> = a_I b^I / p! for degree-p forms."""
-    ginv, _ = _check_metric(metric)
+    ginv, _ = metric_inverse(metric)
     return float(float_or_complex(a) @ compound(ginv, degree) @ float_or_complex(b))
+
+
+def project_with(ginv: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """project_stack for the metrics whose inverse is ginv (metric_inverse)."""
+    stack = float_or_complex(stack)
+    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
 
 
 def project_stack(metric: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
     with <b_i, b_j> = 2 delta_ij; stack may be one form or a stack."""
-    ginv, _ = _check_metric(metric)
-    stack = float_or_complex(stack)
-    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
+    return project_with(metric_inverse(metric)[0], stack, basis)
 
 
 def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +272,7 @@ CYCLIC = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible.
     A (..., 6) stack of forms gives a (..., 4, 4) stack of matrices."""
-    ginv, _ = _check_metric(metric)
+    ginv, _ = metric_inverse(metric)
     return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
 
 

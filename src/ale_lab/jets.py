@@ -361,7 +361,7 @@ def riemann_from_jet2(jet: Jet2) -> np.ndarray:
 def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
     riem = riemann_from_jet2(jet)
     sd, mixed, _asd = connection.operator_blocks_from_riemann(
-        np.eye(4), riem, OMEGA_SD, OMEGA_ASD
+        np.eye(4), riem, (OMEGA_SD, OMEGA_ASD)
     )
     return connection.CurvatureBlock(Rplus=-sd, Rminus=-mixed)
 

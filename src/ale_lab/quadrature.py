@@ -38,11 +38,11 @@ import numpy as np
 from .errors import SchemaError
 from .forms import (
     EUCLIDEAN,
+    FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
     J_from_form,
     apply_J_covector,
-    hodge_star,
     wedge,
 )
 from .gh import gauss_legendre
@@ -84,7 +84,7 @@ def _s3_blocks(radius: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
         pts[..., 3] = sb * sin2
         pts = pts.reshape(-1, 4)
         pts *= radius
-        minors = hodge_star(EUCLIDEAN, pts, 1)
+        minors = pts @ FLAT_STAR[1].T
         minors *= radius**2 / 4.0
         yield pts, (wu[shells] * w1 * w2).ravel(), minors
 

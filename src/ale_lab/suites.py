@@ -133,7 +133,7 @@ CHECKS = {
     "pairing-asd-null": Check("abs", 1e-8, _IDENTITY),
     "pairing-radius-independent": Check("floor", 1e-8, _IDENTITY),
     # harmonic
-    "norm-squared": Check("rel", 1e-3, _CLOSED),
+    "norm-squared": Check("rel", 2e-11, _CLOSED),
     "omega-closed": Check("upper", 1e-5, _IDENTITY),
     "omega-antiselfdual": Check("upper", 1e-5, _IDENTITY),
     "alpha-selfdual-part": Check("upper", 1e-4, _ORACLE),

@@ -162,6 +162,19 @@ def test_obstruct_rejects_non_finite_jet(tmp_path, capsys, field, value):
     assert not report.exists()
 
 
+def test_obstruct_rejects_a_jet_whose_report_overflows(tmp_path, capsys):
+    # every entry finite (max 4.8e199), but the minor R22 R33 - R23^2 and
+    # the values built on it overflow to inf - inf
+    jet = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0)
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps({"k": 1, "H": (jet.H * 1e200).tolist()}))
+    report = tmp_path / "report.json"
+    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "schema error: H:" in err and "report field A is not finite" in err
+    assert not report.exists()
+
+
 def test_obstruct_rejects_bad_shape(tmp_path, capsys):
     jet_path = tmp_path / "jet.json"
     jet_path.write_text(json.dumps({"H": [[0.0] * 4] * 4}))

@@ -25,11 +25,9 @@ def _gh_setup(k=1, lam=1.0, seed=5):
 def test_frame_from_metric_orthonormal():
     cfg, x4 = _gh_setup()
     g = gh.metric_matrix(cfg, x4)
-    for duality in ("sd", "asd"):
-        frame = connection.frame_from_metric(g, duality)
+    for frame, sign in zip(connection.frame_from_metric(g), (1.0, -1.0)):
         gram = 2.0 * forms.project_stack(g, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-8
-        sign = 1.0 if duality == "sd" else -1.0
         for i in range(3):
             starred = forms.hodge_star(g, frame[i], 2)
             assert np.allclose(starred, sign * frame[i], atol=1e-10)
@@ -41,11 +39,9 @@ def test_frame_from_metric_complex_symmetric_metric():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(4, 4))
     g = np.eye(4) + (0.06 + 0.08j) * (h + h.T)
-    for duality in ("sd", "asd"):
-        frame = connection.frame_from_metric(g, duality)
+    for frame, sign in zip(connection.frame_from_metric(g), (1.0, -1.0)):
         gram = 2.0 * forms.project_stack(g, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-12
-        sign = 1.0 if duality == "sd" else -1.0
         assert np.allclose(forms.hodge_star(g, frame, 2), sign * frame, atol=1e-12)
 
 
@@ -159,12 +155,10 @@ def test_stacked_frames_and_blocks_match_per_point(scale):
     metric = _curved_metric(scale)
     x = 0.3 * np.random.default_rng(8).normal(size=(2, 3, 4))
     g = metric(x)
-    for duality in ("sd", "asd"):
-        stacked = connection.frame_from_metric(g, duality)
-        assert stacked.shape == (2, 3, 3, 6)
-        per_point = np.stack([[connection.frame_from_metric(gij, duality) for gij in gi]
-                              for gi in g])
-        assert np.max(np.abs(stacked - per_point)) <= 1e-15
+    stacked = np.stack(connection.frame_from_metric(g))
+    assert stacked.shape == (2, 2, 3, 3, 6)
+    per_point = np.stack([[connection.frame_from_metric(gij) for gij in gi] for gi in g])
+    assert np.max(np.abs(stacked - np.moveaxis(per_point, 2, 0))) <= 1e-15
     block = connection.curvature_block_of_metric(metric, x)
     assert block.Rplus.shape == block.Rminus.shape == (2, 3, 3, 3)
     for i, j in np.ndindex(2, 3):
@@ -197,7 +191,7 @@ def test_frame_from_metric_rejects_a_degenerate_metric_in_a_stack():
     # positive determinant, split signature: a pivot of the second is not positive
     g = np.stack([np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0])])
     with pytest.raises(FrameNotOrthonormal):
-        connection.frame_from_metric(g, "sd")
+        connection.frame_from_metric(g)
 
 
 def test_mixed_block_identifies_tracefree_ricci():

@@ -392,6 +392,7 @@ def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
     # at 1.85 and 2.38 MiB
     built = null_space()
     null_space.cache_clear()
+    deformation._divergence_matrix.cache_clear()
     tracemalloc.start()
     try:
         rebuilt = null_space()
@@ -400,6 +401,27 @@ def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
         tracemalloc.stop()
     assert peak <= 0.5 * 2**20
     assert np.array_equal(rebuilt, built)
+
+
+def test_divergence_matrix_is_built_once_for_both_null_spaces(monkeypatch):
+    # one build (one stencil per matrix entry on the sample points) serves
+    # the gauge null space and the Einstein constraint matrix
+    gauge, efo = deformation._gauge_null_space(), deformation._efo_null_space()
+    for cached in (deformation._divergence_matrix, deformation._gauge_null_space,
+                   deformation._efo_null_space):
+        cached.cache_clear()
+    stencils = []
+    all_partials = fd.all_partials
+
+    def counted(fn, x, h=fd.DEFAULT_STEP):
+        stencils.append(x is deformation._DIV_POINTS)
+        return all_partials(fn, x, h)
+
+    monkeypatch.setattr(fd, "all_partials", counted)
+    assert np.array_equal(deformation._gauge_null_space(), gauge)
+    assert np.array_equal(deformation._efo_null_space(), efo)
+    assert sum(stencils) == 9
+    assert not deformation._divergence_matrix().flags.writeable
 
 
 def test_einstein_family_projects_onto_the_constraint_null_space():

@@ -259,7 +259,7 @@ def test_closedness_null_basis_dimensions():
 @pytest.mark.parametrize("duality", ["sd", "asd"])
 def test_closedness_null_basis_matches_sympy(duality):
     # sympy's exact null space, each vector scaled to integers by the LCM of
-    # its denominators, is the second route for the Fraction elimination
+    # its denominators, is the second route for the Bareiss integer elimination
     sympy = pytest.importorskip("sympy")
     null = sympy.Matrix(quadrature._closedness_matrix(duality).tolist()).nullspace()
     vecs = []
