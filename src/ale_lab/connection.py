@@ -28,8 +28,10 @@ Frames, operator blocks and curvature blocks take (..., 4, 4) metric
 stacks and (..., 4) point stacks, so one call serves every point of a
 stencil, or every node of a contour when the leading axis is the node
 axis of deformation.taylor_coefficient.  Every g^{-1} comes from
-forms.metric_inverse, and frame_from_metric gives both duality frames
-from one of them.
+forms.metric_inverse, taken once per metric stack: frame_from_metric and
+operator_blocks_from_riemann take the caller's (g^{-1}, det g), as
+forms.star_with does, and frame_from_metric gives both duality frames from
+it.  The flat bases take the flat pair (EUCLIDEAN, 1.0) and invert nothing.
 """
 
 from __future__ import annotations
@@ -46,14 +48,12 @@ from .forms import (
     OMEGA_ASD,
     OMEGA_SD,
     FormField,
-    J_from_form,
+    J_with,
     apply_J_covector,
     comps_to_tensor,
     float_or_complex,
-    hodge_star,
     metric_from_triple,
     metric_inverse,
-    project_stack,
     project_with,
     star_with,
     wedge,
@@ -94,15 +94,16 @@ def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
     return chol
 
 
-def frame_from_metric(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def frame_from_metric(inverse: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal self-dual and anti-self-dual frames (rows,
-    <b_i,b_i> = 2), each (..., 3, 6) for (..., 4, 4) metrics, by
+    <b_i,b_i> = 2), each (..., 3, 6) for the (..., 4, 4) metrics whose
+    (g^{-1}, det g) is inverse, as metric_inverse returns it, by
     Gram-Schmidt of the projected flat bases; deterministic and smooth in
-    the metric, and both from one metric_inverse.
+    the metric.
 
     Gram-Schmidt in this order is the Cholesky factor L of the Gram
     matrix of the projections: frame = sqrt(2) L^{-1} projections."""
-    ginv, det = metric_inverse(metric)
+    ginv, det = inverse
     stacked = (ginv[..., None, :, :], det[..., None])
     frames = []
     for seeds, sign, duality in ((OMEGA_SD, 1.0, "sd"), (OMEGA_ASD, -1.0, "asd")):
@@ -122,14 +123,15 @@ def connection_from_Phi(phi: TripleField) -> FormField:
     frame (a leading node axis of the points is one more point axis).  One
     call of phi on the points and their stencil (fd.value_and_d) gives the
     frame and dF; g comes from the frame at the base points, which checks
-    its Gram matrix there, and delta F = -*dF.
+    its Gram matrix there, and delta F = -*dF; J and * share one inverse of g.
     """
 
     def components(x: np.ndarray) -> np.ndarray:
         comps, dphi = fd.value_and_d(FormField(2, phi), x)
-        g = metric_from_triple(*np.moveaxis(comps, -2, 0))[..., None, :, :]
-        jmats = J_from_form(g, comps)
-        deltas = -hodge_star(g, dphi, 3)
+        ginv, det = metric_inverse(metric_from_triple(*np.moveaxis(comps, -2, 0)))
+        ginv, det = ginv[..., None, :, :], det[..., None]
+        jmats = J_with(ginv, comps)
+        deltas = -star_with((ginv, det), dphi, 3)
         j, k = CYCLIC
         return 0.5 * (
             deltas
@@ -162,22 +164,24 @@ def curvature_forms(a: FormField, x: np.ndarray) -> np.ndarray:
 
 def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:
     """Blocks of the curvature forms on duality bases of the metric."""
-    sd, asd = frame_from_metric(metric)
-    return CurvatureBlock(Rplus=project_stack(metric, rforms, sd),
-                          Rminus=project_stack(metric, rforms, asd))
+    inverse = metric_inverse(metric)
+    sd, asd = frame_from_metric(inverse)
+    return CurvatureBlock(Rplus=project_with(inverse[0], rforms, sd),
+                          Rminus=project_with(inverse[0], rforms, asd))
 
 
 def operator_blocks_from_riemann(
-    metric: np.ndarray,
+    inverse: tuple[np.ndarray, np.ndarray],
     riemann_low: np.ndarray,
     frames: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SD block, mixed block, ASD block) of the curvature operator
     A_ij = (1/8) R_abcd b_i^ab b_j^cd on orthonormal duality bases, each
-    (..., 3, 3) for (..., 4, 4) metrics and (..., 4, 4, 4, 4) tensors; the
-    bases are frames = (sd, asd), frame_from_metric(metric) when None."""
-    ginv, _ = metric_inverse(metric)
-    sd, asd = frame_from_metric(metric) if frames is None else frames
+    (..., 3, 3) for the (..., 4, 4) metrics whose (g^{-1}, det g) is inverse
+    and (..., 4, 4, 4, 4) tensors; the bases are frames = (sd, asd),
+    frame_from_metric(inverse) when None."""
+    ginv, _ = inverse
+    sd, asd = frame_from_metric(inverse) if frames is None else frames
 
     # raise both indices of every basis form, then contract pairwise
     raised = (ginv[..., None, :, :] @ comps_to_tensor(np.concatenate([sd, asd], axis=-2), 2)
@@ -192,7 +196,7 @@ def curvature_block_of_metric(metric_fn: MetricField, x: np.ndarray) -> Curvatur
     """CurvatureBlock of a metric via finite differences, (..., 3, 3)
     blocks at (..., 4) points."""
     g, rlow = fd.metric_and_riemann_lowered(metric_fn, x, fd.DEFAULT_STEP)
-    a_sd, mixed, _ = operator_blocks_from_riemann(g, rlow)
+    a_sd, mixed, _ = operator_blocks_from_riemann(metric_inverse(g), rlow)
     return CurvatureBlock(Rplus=-a_sd, Rminus=-mixed)
 
 
@@ -223,7 +227,8 @@ def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:
     non-Einstein oracle.
     """
     g = float_or_complex(metric)
-    sd, asd = frame_from_metric(g)
-    endo = np.einsum("kj,jab,kbc->ac", rminus, J_from_form(g, asd), J_from_form(g, sd))
+    ginv, det = metric_inverse(g)
+    sd, asd = frame_from_metric((ginv, det))
+    endo = np.einsum("kj,jab,kbc->ac", rminus, J_with(ginv, asd), J_with(ginv, sd))
     ric0 = g @ endo
     return 0.5 * (ric0 + ric0.T)

@@ -27,7 +27,7 @@ Metric operations go through fixed index tables built once at import:
     array, and tensor_to_comps gathers them back, through one index and
     sign table per degree.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
-inversion; star_with and project_with take its result to share it.
+inversion; star_with, project_with and J_with take its result to share it.
 
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
@@ -182,9 +182,11 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
 def metric_inverse(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g^{-1} and det g of (..., 4, 4) metrics; a det g that is not finite
     with positive real part (a NaN or singular metric; the real part for the
-    complex contour metrics) raises SingularMetric, naming it."""
+    complex contour metrics) raises SingularMetric, naming it, and no
+    RuntimeWarning before it."""
     g = float_or_complex(metric)
-    det = np.linalg.det(g)
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(g)
     bad = (det.real <= 0.0) | ~np.isfinite(det)
     if np.any(bad):
         raise SingularMetric(f"det g = {det[bad].flat[0] if det.ndim else det}")
@@ -269,11 +271,15 @@ EUCLIDEAN.setflags(write=False)
 CYCLIC = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 
 
+def J_with(ginv: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """J_from_form for the metrics whose inverse is ginv (metric_inverse)."""
+    return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
+
+
 def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible.
     A (..., 6) stack of forms gives a (..., 4, 4) stack of matrices."""
-    ginv, _ = metric_inverse(metric)
-    return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
+    return J_with(metric_inverse(metric)[0], comps)
 
 
 def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -35,11 +35,15 @@ order from +0.0 (_center_sum): for fewer than eight centers these are the
 order and start of numpy's norm and sum over a trailing axis, so the values
 are bit-identical to the (..., centers, 3) layout.  validate_base returns
 the pass it checked, so the domain check, V and the connection's offsets
-come from one evaluation; potential_and_first_center gives V, grad V and the
-first center's share V0 = 1/(2|x - p0|) with grad V0 from one, and
-eta_and_first_center adds the north-gauge eta after domain validation.
-Both divide the offsets by |x - p_i|^3 in place, so the pass keeps no extra
-(centers, 3, ...) array.
+come from one evaluation.  grad f, for f = V0/V with V0 = 1/(2|x - p0|) the
+first center's share of V, comes from the same pass (_grad_f_from, which
+writes over it): per component read, the offsets over |x - p_i|^3 weighted
+by n_i, their sum over the centers and the quotient rule, each one
+contiguous (...) array.  Up to exact factors of 2 these are the operations
+of eval_V and eval_V_grad, so V and grad f are theirs bit for bit; dividing
+by r_i^2 instead would move finite-difference residuals such as
+omega-closed by up to 1e-7 of themselves.  grad_f_and_potential gives them
+unchecked, eta_and_grad_f with the north-gauge eta after domain validation.
 
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
@@ -208,9 +212,9 @@ def validate_base(config: GHConfig, x3: np.ndarray,
     diff, dists = _offsets(config, x3)
     count = len(config.centers)
     flat_dists = dists.reshape(count, -1)
-    near = np.flatnonzero(np.any(flat_dists < EPS_CENTER, axis=0))
-    if near.size:
-        n = near[0]
+    near = flat_dists < EPS_CENTER
+    if near.any():  # the point order is searched only when a point fails
+        n = np.flatnonzero(near.any(axis=0))[0]
         idx = int(np.argmin(flat_dists[:, n]))
         raise CenterTooClose(
             f"point {np.reshape(x3, (-1, 3))[n]} within {EPS_CENTER} of center {idx} "
@@ -219,10 +223,9 @@ def validate_base(config: GHConfig, x3: np.ndarray,
     if patch is not None:
         flat_diff = diff.reshape(count, 3, -1)
         on_ray = flat_diff[:, 0] <= 0.0 if patch == "north" else flat_diff[:, 0] >= 0.0
-        close = np.hypot(flat_diff[:, 1], flat_diff[:, 2]) < EPS_STRING
-        hits = np.argwhere((on_ray & close).T)
-        if hits.size:
-            n, c = hits[0]
+        on_string = on_ray & (np.hypot(flat_diff[:, 1], flat_diff[:, 2]) < EPS_STRING)
+        if on_string.any():
+            n, c = np.argwhere(on_string.T)[0]
             side = "-x1 ray" if patch == "north" else "+x1 ray"
             raise OnDiracString(
                 f"point {np.reshape(x3, (-1, 3))[n]} on the {side} of center at "
@@ -236,70 +239,74 @@ def _potential_from(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return 0.5 * _center_sum(n / d for n, d in zip(weights, dists))
 
 
-def _grad_from(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """-(1/2) sum n_i q_i (..., 3) from the (centers, 3, ...) stack of
-    q_i = (x - p_i) / |x - p_i|^3."""
-    return _components_last(-0.5 * _center_sum(n * qi for n, qi in zip(weights, q)))
-
-
-def _inverse_cubes(diff: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """(x - p_i) / |x - p_i|^3, written over diff."""
-    return np.divide(diff, (dists**3)[:, None], out=diff)
-
-
 def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Harmonic potential at (..., 3) base points, after domain validation."""
     return _potential_from(config.weights, validate_base(config, x3)[1])
 
 
 def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    """Gradient of the potential at (..., 3) base points, after domain validation."""
-    return _grad_from(config.weights, _inverse_cubes(*validate_base(config, x3)))
+    """Gradient of the potential at (..., 3) base points, after domain
+    validation: -(1/2) sum n_i (x - p_i) / |x - p_i|^3."""
+    diff, dists = validate_base(config, x3)
+    q = np.divide(diff, (dists**3)[:, None], out=diff)
+    return _components_last(-0.5 * _center_sum(n * qi for n, qi in zip(config.weights, q)))
 
 
-def _first_center_from(
-        config: GHConfig, diff: np.ndarray, dists: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V, grad V, V0 and grad V0 from the offsets and distances of one pass,
-    dividing the offsets by |x - p_i|^3 in place."""
+def _grad_f_from(config: GHConfig, diff: np.ndarray, dists: np.ndarray,
+                 components: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The listed components of grad f, f = V0/V, one (...) array each, and
+    V, from the offsets and distances of one pass over the centers, which it
+    writes over."""
     n0 = config.centers[0][1]
     if n0 != 1:
         raise SchemaError(
             f"centers[0]: V0 = 1/(2|x - p0|) needs the first center's weight to be 1, got {n0}")
-    weights = config.weights
-    v = _potential_from(weights, dists)
-    v0 = _potential_from(weights[:1], dists[:1])
-    q = _inverse_cubes(diff, dists)
-    return v, _grad_from(weights, q), v0, _grad_from(weights[:1], q[:1])
+    # points on one flat axis, so that every slice below is an array
+    shape, count = dists.shape[1:], len(dists)
+    diff, dists = diff.reshape(count, 3, -1), dists.reshape(count, -1)
+    weights = config.weights[:, None]
+    # s = 2 V, s0 = 2 V0 and, per component, q = -2 grad V and q0 = -2 grad V0
+    # take the operations of eval_V and eval_V_grad up to exact factors of 2,
+    # so V and grad f are those of the two potentials' quotient rule bit for bit
+    shares = weights / dists
+    s = _center_sum(shares)
+    s_sq = s * s
+    cubes = np.power(dists, 3, out=dists)
+    grads = []
+    for c in components:
+        # n_i (x - p_i) / r_i^3 over the offsets; n_0 = 1 leaves q0 in row 0
+        q_i = np.multiply(weights, np.divide(diff[:, c], cubes, out=diff[:, c]), out=diff[:, c])
+        q = q_i.sum(axis=0)
+        # grad f = (V grad V0 - V0 grad V) / V^2 = (s0 q - q0 s) / s^2
+        q *= shares[0]
+        q -= np.multiply(q_i[0], s, out=q_i[0])
+        grads.append(np.divide(q, s_sq, out=q).reshape(shape))
+    return grads, np.multiply(0.5, s, out=s).reshape(shape)
 
 
-def potential_and_first_center(
-        config: GHConfig, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V, grad V, and the first center's share V0 = 1/(2|x - p0|) and
-    grad V0, at (..., 3) base points from one pass over the centers, without
-    domain checks.  Each equals, bit for bit, what eval_V and eval_V_grad give
-    on the whole configuration or on the first center alone, which must
-    have weight 1."""
-    return _first_center_from(config, *_offsets(config, pts))
+def grad_f_and_potential(config: GHConfig, pts: np.ndarray, components: tuple[int, ...] = (0, 1, 2)
+                         ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The listed components of grad f, f = V0/V with V0 = 1/(2|x - p0|) the
+    first center's share of V (whose weight must be 1), one (...) array
+    each, and V, equal bit for bit to eval_V, at (..., 3) base points from one
+    pass over the centers, without domain checks."""
+    return _grad_f_from(config, *_offsets(config, pts), components)
 
 
 def _eta(config: GHConfig, diff: np.ndarray, patch: str) -> np.ndarray:
     """The 4D covector eta = dtau + A (..., 4) from the (centers, 3, ...)
     offsets x - p_i of a stack of base points, unchecked."""
     sign = -1.0 if patch == "north" else 1.0
-    a1, a2 = [], []
-    for n, (d0, d1, d2) in zip(config.weights, diff):
-        rho_sq = d1**2 + d2**2
-        # on the regular side of the axis the coefficient vanishes in the limit
-        on_axis = rho_sq == 0.0
-        rho_sq = np.where(on_axis, 1.0, rho_sq)
-        coeff = np.where(on_axis, 0.0, 0.5 * n * (d0 / np.sqrt(d0**2 + rho_sq) + sign))
-        a1.append(coeff * (-d2 / rho_sq))
-        a2.append(coeff * (d1 / rho_sq))
+    d0, d1, d2 = diff[:, 0], diff[:, 1], diff[:, 2]
+    rho_sq = d1**2 + d2**2
+    # on the regular side of the axis the coefficient vanishes in the limit
+    on_axis = rho_sq == 0.0
+    rho_sq = np.where(on_axis, 1.0, rho_sq)
+    half_n = 0.5 * config.weights.reshape((-1,) + (1,) * (diff.ndim - 2))
+    coeff = np.where(on_axis, 0.0, half_n * (d0 / np.sqrt(d0**2 + rho_sq) + sign))
     out = np.zeros(diff.shape[2:] + (4,))
-    out[..., 1] = _center_sum(a1)
-    out[..., 2] = _center_sum(a2)
+    out[..., 1] = _center_sum(coeff * (-d2 / rho_sq))
+    out[..., 2] = _center_sum(coeff * (d1 / rho_sq))
     out[..., 3] = 1.0
     return out
 
@@ -313,15 +320,14 @@ def potential_and_eta(config: GHConfig, x4: np.ndarray,
     return _potential_from(config.weights, dists), _eta(config, diff, patch)
 
 
-def eta_and_first_center(
-        config: GHConfig, x4: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The north-gauge eta (..., 4) with V, grad V, V0 and grad V0 as in
-    potential_and_first_center, at (..., 4) chart points, after domain
+def eta_and_grad_f(config: GHConfig, x4: np.ndarray
+                   ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The north-gauge eta (..., 4) with the three components of grad f and
+    V as in grad_f_and_potential, at (..., 4) chart points, after domain
     validation, from one pass over the centers."""
     diff, dists = validate_base(config, np.asarray(x4, dtype=float)[..., :3], "north")
     eta = _eta(config, diff, "north")
-    return (eta, *_first_center_from(config, diff, dists))
+    return (eta, *_grad_f_from(config, diff, dists, (0, 1, 2)))
 
 
 def _metric_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -344,22 +350,30 @@ def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 @dataclass
 class FrameSample:
     """Metric data at a stack of chart points, with the orthonormal coframe,
-    the self-dual 2-form triple and its complex structures."""
+    the self-dual 2-form triple and its complex structures J, which invert
+    the metric and so are taken on first read."""
 
     coframe: np.ndarray  # (..., 4, 4), rows e^1, e^2, e^3, e^0; e^0 = V^{-1/2} eta
     metric: np.ndarray  # (..., 4, 4)
     triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
-    J: np.ndarray  # (..., 3, 4, 4)
+
+    @functools.cached_property
+    def J(self) -> np.ndarray:
+        """(..., 3, 4, 4) complex structures of the triple."""
+        return J_from_form(self.metric[..., None, :, :], self.triple)
+
+
+# dx^i and the cyclic base 2-forms dx^j ^ dx^k, rows i = 1, 2, 3
+_DX = _read_only(np.eye(4)[:3])
+_DX_PAIRS = _read_only(wedge(_DX[CYCLIC[0]], 1, _DX[CYCLIC[1]], 1))
 
 
 def form_triple(v: np.ndarray, eta: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """w_i = dx^i ^ eta + sign V dx^j ^ dx^k (cyclic) as a (..., 3, 6) stack
     from V (...) and eta (..., 4): the self-dual triple for sign +1, the
     anti-self-dual one for -1."""
-    dx = np.eye(4)[:3]
-    j, k = CYCLIC
     v = np.asarray(v, dtype=float)[..., None, None]
-    return wedge(dx, 1, np.asarray(eta)[..., None, :], 1) + sign * v * wedge(dx[j], 1, dx[k], 1)
+    return wedge(_DX, 1, np.asarray(eta)[..., None, :], 1) + sign * v * _DX_PAIRS
 
 
 def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
@@ -370,9 +384,7 @@ def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
     diag = np.arange(3)
     coframe[..., diag, diag] = sqv
     coframe[..., 3, :] = eta / sqv
-    triple = form_triple(v, eta)
-    return FrameSample(coframe=coframe, metric=g, triple=triple,
-                       J=J_from_form(g[..., None, :, :], triple))
+    return FrameSample(coframe=coframe, metric=g, triple=form_triple(v, eta))
 
 
 def triple_field(config: GHConfig) -> FormField:
@@ -411,7 +423,8 @@ def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     def ev(x4: np.ndarray) -> np.ndarray:
         x4 = np.asarray(x4, dtype=float)
         sample = metric_at(config, x4)
-        jdm = apply_J_covector(sample.J[..., 0, :, :], dm4(config, x4[..., :3]))
+        j1 = J_from_form(sample.metric, sample.triple[..., 0, :])
+        jdm = apply_J_covector(j1, dm4(config, x4[..., :3]))
         return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
 
     return ev

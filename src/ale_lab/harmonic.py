@@ -14,6 +14,11 @@ c = (k+1)/k and the total norm is ||Omega||^2 = 4 pi^2 (k+1)/k, the volume
 integral 2 pi int |Omega|^2 V d^3x over the whole base, with V from the
 pass that gives grad f, on one Gauss rule in 1/xi with no cutoff radius.
 
+grad f and V come from one pass over the centers per block of nodes, the
+grad f pass of gh (grad_f_and_potential, or eta_and_grad_f with eta), as
+one array per component read: the norm density reads three, the
+exact-form pairing two, the core-surface integral one.
+
 Far-field models: with rhat^2 = 2(k+1) rho the exactly-fibered radial
 coordinate, the leading profile is c_Gamma d d^C (1/rhat^2) with
 c_Gamma = (k+1)^2 lam, and the subleading one is
@@ -31,29 +36,8 @@ import numpy as np
 
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
-from .forms import FormField, apply_J_covector, split_sd
+from .forms import FormField, J_from_form, apply_J_covector, split_sd
 from .quadrature import TWO_PI, volume_blocks
-
-
-# ---------------------------------------------------------------------------
-# Vectorized helpers for f = V0 / V ((..., 3) arrays of base points)
-# ---------------------------------------------------------------------------
-
-
-def _quotient_rule(v: np.ndarray, gv: np.ndarray, v0: np.ndarray,
-                   gv0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """grad f = grad(V0/V) from V, grad V, V0 and grad V0, and V."""
-    return (gv0 * v[..., None] - v0[..., None] * gv) / v[..., None] ** 2, v
-
-
-def _grad_f_and_V(config: gh.GHConfig, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """grad f by the quotient rule, and V, from one pass over the centers."""
-    return _quotient_rule(*gh.potential_and_first_center(config, pts))
-
-
-def vec_grad_f(config: gh.GHConfig, pts: np.ndarray) -> np.ndarray:
-    """grad f at (..., 3) base points."""
-    return _grad_f_and_V(config, pts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +55,17 @@ class HarmonicFormBundle:
 
     def components(self, x4: np.ndarray) -> np.ndarray:
         """Components (..., 6) of the normalized form at (..., 4) chart points."""
-        eta, *first_center = gh.eta_and_first_center(self.config, x4)
-        grad, v = _quotient_rule(*first_center)
+        eta, grad, v = gh.eta_and_grad_f(self.config, x4)
         triple = gh.form_triple(v, eta, -1.0)
-        return self.normalization * np.einsum("...i,...ic->...c", grad, triple)
+        return self.normalization * np.einsum("...i,...ic->...c", np.stack(grad, axis=-1), triple)
 
     def norm_density(self, pts: np.ndarray) -> np.ndarray:
         """|Omega|_g^2 at (..., 3) base points (fiber-independent)."""
         return self._norm_density_and_V(pts)[0]
 
     def _norm_density_and_V(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad, v = _grad_f_and_V(self.config, pts)
-        return 2.0 * self.normalization**2 * np.sum(grad * grad, axis=-1), v
+        (g1, g2, g3), v = gh.grad_f_and_potential(self.config, pts)
+        return 2.0 * self.normalization**2 * (g1 * g1 + g2 * g2 + g3 * g3), v
 
 
 def core_self_intersection(k: int) -> float:
@@ -101,7 +84,8 @@ def c_gamma(k: int, lam: float) -> float:
 
 def _raw_sigma_integral(config: gh.GHConfig) -> float:
     """Core-surface integral of Omega_raw, whose pullback is (d_1 f) dx1 ^ dtau."""
-    return gh.sigma_integrate(config, lambda x1: vec_grad_f(config, gh.axis_points(x1))[..., 0])
+    return gh.sigma_integrate(
+        config, lambda x1: gh.grad_f_and_potential(config, gh.axis_points(x1), (0,))[0][0])
 
 
 def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
@@ -154,7 +138,8 @@ def dC_scalar_field(config: gh.GHConfig,
     at (..., 4) points."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
-        j1 = gh.metric_at(config, x4).J[..., 0, :, :]
+        sample = gh.metric_at(config, x4)
+        j1 = J_from_form(sample.metric, sample.triple[..., 0, :])
         du = grad4(x4)
         j1 = j1.reshape(j1.shape[:-2] + (1,) * (du.ndim - x4.ndim) + j1.shape[-2:])
         return apply_J_covector(j1, du)
@@ -369,12 +354,11 @@ def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: float) -> fl
 
 def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi = exp(-1/(s (1 - s))) on 0 < s < 1, zero outside, and dchi/ds."""
-    chi, dchi = np.zeros_like(s), np.zeros_like(s)
     inside = (s > 0.0) & (s < 1.0)
-    si = s[inside]
-    chi[inside] = np.exp(-1.0 / (si * (1.0 - si)))
-    dchi[inside] = chi[inside] * (1.0 - 2.0 * si) / (si**2 * (1.0 - si) ** 2)
-    return chi, dchi
+    si = np.where(inside, s, 0.5)  # any point inside (0, 1) keeps the outside finite
+    rest = 1.0 - si
+    chi = np.where(inside, np.exp(-1.0 / (si * rest)), 0.0)
+    return chi, chi * (1.0 - 2.0 * si) / (si**2 * rest**2)
 
 
 def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
@@ -399,9 +383,9 @@ def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
         chi, dchi = _bump((rho - inner) / (outer - inner))
         # grad(chi x^2) = s (x^1, x^2, x^3) + chi e_2, so b = (s x^2 + chi, -s x^1, 0)
         s = dchi * y / ((outer - inner) * rho)
-        grad_f = vec_grad_f(cfg, pts)
+        (f1, f2), _ = gh.grad_f_and_potential(cfg, pts, (0, 1))
         # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
-        dens = -bundle.normalization * (grad_f[:, 0] * (s * y + chi) - grad_f[:, 1] * (s * x))
+        dens = -bundle.normalization * (f1 * (s * y + chi) - f2 * (s * x))
         if not np.all(np.isfinite(dens)):
             raise QuadratureDivergence("volume integrand not finite on region")
         terms.append(weights * dens)

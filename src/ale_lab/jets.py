@@ -40,7 +40,7 @@ import numpy as np
 
 from . import connection, fd
 from .errors import FitUnstable, SchemaError, SymmetryError
-from .forms import OMEGA_ASD, OMEGA_SD, comps_to_tensor
+from .forms import EUCLIDEAN, OMEGA_ASD, OMEGA_SD, comps_to_tensor
 from .obstruction import first_row_norm, in_jet_units, require_first_row_zero
 
 DIM = 4
@@ -145,11 +145,6 @@ def poly_diff(a: np.ndarray, v: int) -> np.ndarray:
     out = np.zeros_like(a)
     out[..., dst] = a[..., src] * coef
     return out
-
-
-def poly_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    vals = np.array([math.prod(xi**e for xi, e in zip(x, mono)) for mono in MONOS])
-    return a @ vals
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +356,7 @@ def riemann_from_jet2(jet: Jet2) -> np.ndarray:
 def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
     riem = riemann_from_jet2(jet)
     sd, mixed, _asd = connection.operator_blocks_from_riemann(
-        np.eye(4), riem, (OMEGA_SD, OMEGA_ASD)
+        (EUCLIDEAN, 1.0), riem, (OMEGA_SD, OMEGA_ASD)
     )
     return connection.CurvatureBlock(Rplus=-sd, Rminus=-mixed)
 

@@ -127,7 +127,9 @@ def volume_blocks(config, shell: tuple[float, float] | None = None) -> Iterator[
     """Base nodes (n, 3) and coordinate weights (n,) of d^3x in prolate
     spheroidal coordinates (xi, mu, phi) with foci at the two cluster points,
     yielded in blocks of VOLUME_BLOCK_SHELLS whole xi-shells in xi-major
-    node order, so that an integrand's working set is one block.
+    node order, so that an integrand's working set is one block.  The nodes
+    of a block are the (n, 3) view of a (3, n) array, so each coordinate is
+    one contiguous (n,) array, the layout of the offsets pass (gh._offsets).
 
     With shell None the rule covers the whole space: SPHERE_ORDER Legendre
     nodes in u = 1/xi on (0, 1], weighted by 1/u^2, so an integrand that
@@ -160,11 +162,11 @@ def volume_blocks(config, shell: tuple[float, float] | None = None) -> Iterator[
         x, wx = xi[s:s + VOLUME_BLOCK_SHELLS], wxi[s:s + VOLUME_BLOCK_SHELLS]
         W = wx * wmu[:, None] * wphi * a_f**3 * (x**2 - mu**2)
         perp = a_f * np.sqrt(np.clip((x**2 - 1.0) * (1.0 - mu**2), 0.0, None))
-        pts = np.empty(W.shape + (3,))
-        pts[..., 0] = mid[0] + a_f * x * mu
-        pts[..., 1] = mid[1] + perp * cos_phi
-        pts[..., 2] = mid[2] + perp * sin_phi
-        yield pts.reshape(-1, 3), W.ravel()
+        coords = np.empty((3,) + W.shape)
+        coords[0] = mid[0] + a_f * x * mu
+        coords[1] = mid[1] + perp * cos_phi
+        coords[2] = mid[2] + perp * sin_phi
+        yield coords.reshape(3, -1).T, W.ravel()
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ def _gh_setup(k=1, lam=1.0, seed=5):
 def test_frame_from_metric_orthonormal():
     cfg, x4 = _gh_setup()
     g = gh.metric_matrix(cfg, x4)
-    for frame, sign in zip(connection.frame_from_metric(g), (1.0, -1.0)):
+    for frame, sign in zip(connection.frame_from_metric(forms.metric_inverse(g)), (1.0, -1.0)):
         gram = 2.0 * forms.project_stack(g, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-8
         for i in range(3):
@@ -39,7 +39,7 @@ def test_frame_from_metric_complex_symmetric_metric():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(4, 4))
     g = np.eye(4) + (0.06 + 0.08j) * (h + h.T)
-    for frame, sign in zip(connection.frame_from_metric(g), (1.0, -1.0)):
+    for frame, sign in zip(connection.frame_from_metric(forms.metric_inverse(g)), (1.0, -1.0)):
         gram = 2.0 * forms.project_stack(g, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-12
         assert np.allclose(forms.hodge_star(g, frame, 2), sign * frame, atol=1e-12)
@@ -114,7 +114,7 @@ def test_hyperkahler_curvature_blocks():
     assert abs(-4.0 * np.trace(block.Rplus)) < 1e-4
     g = metric_fn(x4)
     riem = fd.riemann_lowered(metric_fn, x4)
-    _, _, a_asd = connection.operator_blocks_from_riemann(g, riem)
+    _, _, a_asd = connection.operator_blocks_from_riemann(forms.metric_inverse(g), riem)
     assert np.max(np.abs(a_asd)) > 1e-3  # genuinely curved
 
 
@@ -134,7 +134,7 @@ def test_operator_blocks_symmetries():
     x = np.array([0.2, -0.1, 0.3, 0.15])
     g = metric(x)
     riem = fd.riemann_lowered(metric, x, h=5e-3)
-    a_sd, mixed, a_asd = connection.operator_blocks_from_riemann(g, riem)
+    a_sd, mixed, a_asd = connection.operator_blocks_from_riemann(forms.metric_inverse(g), riem)
     assert np.allclose(a_sd, a_sd.T, atol=1e-6)
     assert np.allclose(a_asd, a_asd.T, atol=1e-6)
     assert np.max(np.abs(mixed)) > 0
@@ -155,9 +155,10 @@ def test_stacked_frames_and_blocks_match_per_point(scale):
     metric = _curved_metric(scale)
     x = 0.3 * np.random.default_rng(8).normal(size=(2, 3, 4))
     g = metric(x)
-    stacked = np.stack(connection.frame_from_metric(g))
+    stacked = np.stack(connection.frame_from_metric(forms.metric_inverse(g)))
     assert stacked.shape == (2, 2, 3, 3, 6)
-    per_point = np.stack([[connection.frame_from_metric(gij) for gij in gi] for gi in g])
+    per_point = np.stack([[connection.frame_from_metric(forms.metric_inverse(gij)) for gij in gi]
+                          for gi in g])
     assert np.max(np.abs(stacked - np.moveaxis(per_point, 2, 0))) <= 1e-15
     block = connection.curvature_block_of_metric(metric, x)
     assert block.Rplus.shape == block.Rminus.shape == (2, 3, 3, 3)
@@ -182,7 +183,7 @@ def test_curvature_block_makes_one_metric_call():
     block = connection.curvature_block_of_metric(counted, x)
     assert calls == [(2, 9, 9, 4)]
     a_sd, mixed, _ = connection.operator_blocks_from_riemann(
-        metric(x), fd.riemann_lowered(metric, x))
+        forms.metric_inverse(metric(x)), fd.riemann_lowered(metric, x))
     assert np.max(np.abs(block.Rplus + a_sd)) <= 1e-14
     assert np.max(np.abs(block.Rminus + mixed)) <= 1e-14
 
@@ -191,7 +192,7 @@ def test_frame_from_metric_rejects_a_degenerate_metric_in_a_stack():
     # positive determinant, split signature: a pivot of the second is not positive
     g = np.stack([np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0])])
     with pytest.raises(FrameNotOrthonormal):
-        connection.frame_from_metric(g)
+        connection.frame_from_metric(forms.metric_inverse(g))
 
 
 def test_mixed_block_identifies_tracefree_ricci():

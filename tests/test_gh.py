@@ -125,40 +125,67 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _pass_points():
-    """(config, (N, 3) points): the volume nodes of the exact-form pairing
-    and the core-surface nodes of a canonical configuration, and random
-    points of the off-axis one."""
+def _first_center(config):
+    """The first center alone, the configuration of V0."""
+    return gh.GHConfig(k=0, lam=config.lam, centers=config.centers[:1])
+
+
+def _pass_points(case):
+    """(config, (N, 3) points) of one case: the whole-space volume nodes, the
+    shell nodes of the exact-form pairing or the core-surface nodes of the
+    canonical configuration at k = 1, 2, 3 ("volume-2"), or random points of
+    an off-axis one."""
+    if case.startswith("off-axis"):
+        cfg = OFF_AXIS_3 if case == "off-axis-3" else OFF_AXIS
+        return cfg, gh.sample_chart_points(cfg, 64, seed=5, rho_min=0.2, rho_max=6.0,
+                                           min_center_dist=0.2, min_axis_dist=0.0)[:, :3]
+    rule, k = case.split("-")
+    cfg = gh.GHConfig.canonical(int(k), 1.0)
+    if rule == "axis":
+        return cfg, gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
+    shell = None if rule == "volume" else (6.0 * (cfg.k + 1), 12.0 * (cfg.k + 1))
+    return cfg, np.concatenate([p for p, _ in quadrature.volume_blocks(cfg, shell)])
+
+
+@pytest.mark.parametrize("case", ["volume-1", "volume-2", "volume-3", "shell-1", "shell-2",
+                                  "shell-3", "axis-1", "axis-2", "axis-3", "off-axis",
+                                  "off-axis-3"])
+def test_grad_f_pass_is_the_quotient_rule_of_eval_V(case):
+    # V and grad f bit for bit, so far within 1e-14: the pass takes the
+    # operations of the two potentials up to exact factors of 2
+    cfg, pts = _pass_points(case)
+    first = _first_center(cfg)
+    v, gv = gh.eval_V(cfg, pts), gh.eval_V_grad(cfg, pts)
+    v0, gv0 = gh.eval_V(first, pts), gh.eval_V_grad(first, pts)
+    quotient = (gv0 * v[:, None] - v0[:, None] * gv) / v[:, None] ** 2
+    grads, v_pass = gh.grad_f_and_potential(cfg, pts)
+    assert _same_bits(v_pass, v)
+    assert _same_bits(np.stack(grads, axis=-1), quotient)
+    # the components a caller reads are those of the whole gradient
+    (g2,), _ = gh.grad_f_and_potential(cfg, pts, (1,))
+    assert _same_bits(g2, grads[1])
+
+
+def test_frame_sample_takes_J_on_first_read():
+    # one structure alone, as the d^C fields take it, is that row of J
     cfg = gh.GHConfig.canonical(2, 1.0)
-    shell = (6.0 * 3, 12.0 * 3)
-    nodes = np.concatenate([p for p, _ in quadrature.volume_blocks(cfg, shell)])
-    axis = gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
-    rand = gh.sample_chart_points(OFF_AXIS, 64, seed=5, rho_min=0.2, rho_max=6.0,
-                                  min_center_dist=0.2, min_axis_dist=0.0)[:, :3]
-    return [(cfg, nodes), (cfg, axis), (OFF_AXIS, rand)]
-
-
-@pytest.mark.parametrize("case", range(3))
-def test_first_center_pass_is_bitwise_the_two_potentials(case):
-    cfg, pts = _pass_points()[case]
-    first = gh.GHConfig(k=0, lam=cfg.lam, centers=cfg.centers[:1])
-    v, gv, v0, gv0 = gh.potential_and_first_center(cfg, pts)
-    assert _same_bits(v, gh.eval_V(cfg, pts))
-    assert _same_bits(gv, gh.eval_V_grad(cfg, pts))
-    assert _same_bits(v0, gh.eval_V(first, pts))
-    assert _same_bits(gv0, gh.eval_V_grad(first, pts))
+    sample = gh.metric_at(cfg, gh.sample_chart_points(cfg, 6, seed=4).reshape(2, 3, 4))
+    assert "J" not in vars(sample)
+    j1 = forms.J_from_form(sample.metric, sample.triple[..., 0, :])
+    assert _same_bits(j1, sample.J[..., 0, :, :])
+    assert sample.J is sample.J
 
 
 def test_first_center_pass_gradients_match_finite_differences():
     pts = gh.sample_chart_points(OFF_AXIS, 16, seed=6, rho_min=0.5, rho_max=4.0,
                                  min_center_dist=0.5)
-    _, gv, _, gv0 = gh.potential_and_first_center(OFF_AXIS, pts[:, :3])
-    v_and_v0 = lambda x4: np.stack(gh.potential_and_first_center(OFF_AXIS, x4[..., :3])[::2],
-                                   axis=-1)
-    partials = fd.all_partials(v_and_v0, pts)  # (N, 4, 2)
-    for grad, fd_grad in ((gv, partials[:, :3, 0]), (gv0, partials[:, :3, 1])):
-        err = np.linalg.norm(fd_grad - grad, axis=-1) / np.linalg.norm(grad, axis=-1)
-        assert np.max(err) < 1e-5
+    grads, _ = gh.grad_f_and_potential(OFF_AXIS, pts[:, :3])
+    grad = np.stack(grads, axis=-1)
+    first = _first_center(OFF_AXIS)
+    f = lambda x4: gh.eval_V(first, x4[..., :3]) / gh.eval_V(OFF_AXIS, x4[..., :3])
+    partials = fd.all_partials(f, pts)  # (N, 4)
+    err = np.linalg.norm(partials[:, :3] - grad, axis=-1) / np.linalg.norm(grad, axis=-1)
+    assert np.max(err) < 1e-5
     assert np.all(partials[:, 3] == 0.0)
 
 
@@ -197,12 +224,14 @@ def _reference_point_layer(config, x3, patch):
 
 def _point_layer(config, x3, patch):
     x3 = np.asarray(x3, dtype=float)
-    v, gv, v0, gv0 = gh.potential_and_first_center(config, x3)
+    _, v = gh.grad_f_and_potential(config, x3)
+    gv = gh.eval_V_grad(config, x3)
+    first = _first_center(config)
+    v0, gv0 = gh.eval_V(first, x3), gh.eval_V_grad(first, x3)
     x4 = np.concatenate([x3, np.full(x3.shape[:-1] + (1,), 0.3)], axis=-1)
     v_eta, eta = gh.potential_and_eta(config, x4, patch)
     dm = gh.dm4(config, x3)
     assert _same_bits(v_eta, v) and _same_bits(gh.eval_V(config, x3), v)
-    assert _same_bits(gh.eval_V_grad(config, x3), gv)
     assert np.all(eta[..., 0] == 0.0) and np.all(eta[..., 3] == 1.0)
     assert np.all(dm[..., 3] == 0.0)
     return {"V": v, "grad V": gv, "V0": v0, "grad V0": gv0, "eta1": eta[..., 1],

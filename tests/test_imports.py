@@ -35,7 +35,6 @@ ORACLES = {
     "deformation.TripleFamily.generator":
         "test_deformation.py::test_triple_closed_form_matches_expm",
     "forms.form_inner": "test_forms.py::test_star_and_inner_on_curved_metrics",
-    "jets.poly_eval": "test_jets.py::test_curvature_polys_match_fd_near_origin",
     "jets.pullback_jet2": "test_jets.py::test_pullback_consistency",
     "jets.cyclic_group": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.binary_dihedral_group":

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from ale_lab import connection, fd
+from ale_lab import connection, fd, forms, jets
 from ale_lab.errors import SingularMetric
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
@@ -52,6 +53,10 @@ def _nan_metric(y):
     return np.full(np.shape(y)[:-1] + (4, 4), np.nan)
 
 
+def _flat_metric(y):
+    return np.broadcast_to(np.eye(4), np.shape(y)[:-1] + (4, 4))
+
+
 def _singular_metric(y):
     return np.broadcast_to(np.diag([1.0, 1.0, 1.0, 0.0]), np.shape(y)[:-1] + (4, 4))
 
@@ -64,3 +69,36 @@ def test_nan_or_singular_metric_raises_singular_metric(operator):
     for metric in (_nan_metric, _singular_metric):
         with pytest.raises(SingularMetric, match="det g"):
             operator(metric, x)
+
+
+def test_nan_metric_raises_singular_metric_before_any_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric, match="det g = nan"):
+            forms.metric_inverse(_nan_metric(np.zeros((2, 4))))
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def test_flat_curvature_blocks_invert_nothing(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    jets.curvature_from_jet2(jets.random_jet2(0))
+    assert calls == []
+
+
+def test_curvature_block_inverts_its_metric_once(monkeypatch):
+    # the Christoffels invert the nested stencil's metrics, the blocks the
+    # metric at x, once for the frames and the raised bases together
+    calls = _count_inversions(monkeypatch)
+    connection.curvature_block_of_metric(_flat_metric, np.zeros((3, 4)))
+    assert calls == [(3, 9, 4, 4), (3, 4, 4)]
