@@ -43,6 +43,11 @@ stack, bit for bit, for node_points and every stencil built on it, so a
 family takes its t-independent part (C, lam and their eigendecompositions)
 once, on the first row, and raises SchemaError when the rows differ.
 
+The gauged families project seeded quadratic C onto the null spaces of
+two linear constraints, delta h = 0 and (d a^(1))_- = 0.  Both are exact
+tables on the 90 coefficients, from the constant second derivatives of
+x_p x_q (fd.DQUAD) and the constant form tables: no field is evaluated.
+
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
 d alpha_i = w_i and are coclosed.
@@ -69,7 +74,6 @@ from .forms import (
     J_from_form,
     apply_J_covector,
     float_or_complex,
-    tensor_to_comps,
     wedge,
 )
 
@@ -353,63 +357,26 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
     return metric_perturbation_from_coeffs(rows)
 
 
-_QUAD_P, _QUAD_Q = np.triu_indices(4)  # monomials x_p x_q with p <= q
-_DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
-                         [-1.1, 0.2, -0.5, 0.6]])
-
-
 def _polynomial_field(vec: np.ndarray) -> MatrixField:
-    """C(x) = sum_n vec[i, j, n] x_p x_q over the monomials n = (p, q), p <= q."""
+    """C(x) = sum_m vec[i, j, m] x_p x_q over the monomials m = (p, q) of
+    fd.QUAD_P, fd.QUAD_Q."""
     v = vec.reshape(3, 3, -1)
 
     def coeff(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.einsum("ijn,...n->...ij", v, x[..., _QUAD_P] * x[..., _QUAD_Q])
+        return np.einsum("ijn,...n->...ij", v, x[..., fd.QUAD_P] * x[..., fd.QUAD_Q])
 
     return coeff
 
 
-# unit coefficient vectors: [n, i, j, m] = 1 where the n-th of the 90
-# coefficients of _polynomial_field is (i, j, monomial m); n runs over the
-# monomials of entry (i, j) in the block 10 (3 i + j) ... 10 (3 i + j) + 9
-_UNIT_COEFFS = np.eye(9 * len(_QUAD_P)).reshape(-1, 3, 3, len(_QUAD_P))
-
-
-def _unit_coefficient_fields(x: np.ndarray, entry: int) -> np.ndarray:
-    """(..., 10, 3, 3): the polynomial field C of each unit coefficient
-    vector of matrix entry (i, j) = divmod(entry, 3), one per monomial, at
-    (..., 4) points, the basis axis after the point axes."""
-    x = np.asarray(x, dtype=float)
-    units = _UNIT_COEFFS[len(_QUAD_P) * entry:len(_QUAD_P) * (entry + 1)]
-    return np.einsum("nijm,...m->...nij", units, x[..., _QUAD_P] * x[..., _QUAD_Q])
-
-
-def _by_entry(columns: Callable[[MatrixField], np.ndarray]) -> np.ndarray:
-    """(rows, 90) constraint matrix, one column per unit coefficient vector:
-    columns(C) for the 10 unit fields C of each matrix entry in turn, so
-    one stencil carries 10 fields, not 90."""
-    return np.concatenate([columns(functools.partial(_unit_coefficient_fields, entry=entry))
-                           for entry in range(9)], axis=1)
-
-
-@functools.cache
 def _divergence_matrix() -> np.ndarray:
-    """(samples, 90): d_a h_ab for h = map(C) at fixed sample points, one
-    column per unit coefficient vector; built on first use, read-only, and
-    shared by both null spaces.
+    """(16, 90): the x_r coefficient, in row 4 b + r, of d_a h_ab for
+    h = map(C), one column per coefficient (i, j, m) of _polynomial_field.
 
-    The centered stencil of step 0.25 differentiates polynomial
-    coefficients of degree <= 2 exactly, so these samples express the
-    constraint delta h = 0 as a linear map on the coefficient vector.
-    """
-    def columns(coeffs: MatrixField) -> np.ndarray:
-        h_fields = lambda y: metric_perturbation_from_coeffs(coeffs(y))
-        div = np.einsum("...anab->...bn", fd.all_partials(h_fields, _DIV_POINTS, 0.25))
-        return div.reshape(-1, div.shape[-1])
-
-    matrix = _by_entry(columns)
-    matrix.setflags(write=False)
-    return matrix
+    d_a h_ab is linear in x with the exact coefficients of fd.DQUAD, so
+    these rows express the constraint delta h = 0 as a linear map on the
+    coefficient vector."""
+    return np.einsum("ijab,mar->brijm", _EIJ, fd.DQUAD).reshape(16, -1)
 
 
 def _null_space(constraints: np.ndarray) -> np.ndarray:
@@ -433,7 +400,7 @@ def gauged_coefficient_field(seed: int) -> MatrixField:
     """Random homogeneous quadratic C(x) with delta h = 0 for h = map(C)
     (flat gauge)."""
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(3, 3, len(_QUAD_P)))
+    raw = rng.normal(size=(3, 3, len(fd.QUAD_P)))
     null = _gauge_null_space()
     target = raw.reshape(-1)
     vec = null @ (null.T @ target)
@@ -463,16 +430,15 @@ def linear_gauged_family(seed: int) -> TripleFamily:
 
 def _efo_constraint_matrix() -> np.ndarray:
     """Linear constraints on homogeneous quadratic C: divergence-free
-    perturbation and vanishing anti-self-dual part of d a^(1) at the
-    origin, one column per unit coefficient vector."""
-    def columns(coeffs: MatrixField) -> np.ndarray:
-        phi = lambda x: phi_comps_from_coeffs(coeffs(x))
-        a1 = lambda x: star_d_phi(phi, x)
-        da = np.moveaxis(fd.all_partials(a1, np.zeros(4), 0.25), 0, -2)  # [n, i, a, b]
-        minus = _flat_asd_part(tensor_to_comps(da - np.swapaxes(da, -1, -2), 2))
-        return minus.reshape(len(minus), -1).T
-
-    return np.concatenate([_divergence_matrix(), _by_entry(columns)])
+    perturbation and vanishing anti-self-dual part of d a^(1), one column
+    per coefficient (i, j, m).  For quadratic C, a^(1)_i = *d phi_i is
+    linear in x and d a^(1) is constant, so its rows (i, component) follow
+    exactly from fd.DQUAD and the constant form tables."""
+    # [j, m, r, c]: the x_r coefficient of *d(x_p x_q wt_j), component c
+    a1 = np.einsum("mar,jI,aIK->jmrK", fd.DQUAD, OMEGA_ASD, fd.D_TABLE[2]) @ FLAT_STAR[3].T
+    minus = _flat_asd_part(np.einsum("jmrc,rcL->jmL", a1, fd.D_TABLE[1]))
+    asd = np.einsum("ik,jmL->iLkjm", np.eye(3), minus).reshape(3 * minus.shape[-1], -1)
+    return np.concatenate([_divergence_matrix(), asd])
 
 
 @functools.cache

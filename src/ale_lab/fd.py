@@ -23,6 +23,11 @@ continuum, so plain O(h^2) accuracy suffices at the tolerances used in
 the suites; richardson adds one extrapolation level where a route needs
 more.
 
+Quadratic coefficients need no stencil: DQUAD holds the constant second
+derivatives of the 10 monomials x_p x_q (QUAD_P, QUAD_Q), and with the
+sign tables D_TABLE it gives d of a form with quadratic coefficients
+exactly, as deformation and quadrature use it for their constraints.
+
 Curvature conventions: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
 nabla_[X,Y] with R(e_c, e_d) e_b = R^a_{bcd} e_a, Ricci R_bd = R^a_{bad}.
 The round metric then has positive scalar curvature.
@@ -97,10 +102,10 @@ def _value_and_partials(fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarr
     return vals[lead + (0,)], _central(vals[lead + (slice(1, None),)], he)
 
 
-def all_partials(fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def all_partials(fn: Callable, x: np.ndarray) -> np.ndarray:
     """The four first partials at (..., 4) points as (..., 4, *shape):
     the direction axis follows the point axes."""
-    pts, he = _stencil(x, h)
+    pts, he = _stencil(x, DEFAULT_STEP)
     return _central(_call(fn, pts), he)
 
 
@@ -114,7 +119,15 @@ def _d_table(p: int) -> np.ndarray:
     return table
 
 
-_D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
+D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
+
+# The 10 monomials x_p x_q, p <= q, of a quadratic coefficient, and
+# DQUAD[m, a, r] = d_a d_r (x_p x_q) for m = (p, q), the x_r coefficient of
+# d_a (x_p x_q), read-only: exact derivatives of quadratic coefficients.
+QUAD_P, QUAD_Q = np.triu_indices(DIM)
+_PQ = np.eye(DIM)[QUAD_P][:, :, None] * np.eye(DIM)[QUAD_Q][:, None, :]  # delta_ap delta_rq
+DQUAD = _PQ + np.swapaxes(_PQ, 1, 2)
+DQUAD.setflags(write=False)
 
 
 def fd_d(field: FormField, point: np.ndarray) -> np.ndarray:
@@ -132,7 +145,7 @@ def _d_from_partials(degree: int, partials: np.ndarray, point_ndim: int) -> np.n
     """(..., *shape, n_{p+1}) exterior derivatives from the (..., 4, *shape,
     n_p) partials of a degree-p field at points with point_ndim axes."""
     moved = np.moveaxis(partials, point_ndim - 1, -2)
-    return np.tensordot(moved, _D_TABLE[degree], axes=2)
+    return np.tensordot(moved, D_TABLE[degree], axes=2)
 
 
 def value_and_d(field: FormField, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,7 @@ Metric operations go through fixed index tables built once at import:
     (I, K), so (*a)_K = sqrt(det g) eps(I, K) (C_p(g^{-1}) a)_I, and on
     the flat metric * is the signed permutation FLAT_STAR[p];
   - comps_to_tensor scatters components into the full antisymmetric
-    array, and tensor_to_comps gathers them back, through one index and
-    sign table per degree.
+    array through one index and sign table per degree.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
 inversion; star_with, project_with and J_with take its result to share it.
 
@@ -115,7 +114,6 @@ def _complement_table(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SCATTER = {p: _scatter_table(p) for p in range(DIM + 1)}
-_GATHER = {p: np.array([_flat_index(t) for t in TUPLES[p]]) for p in range(DIM + 1)}
 _COMPOUND = {p: _compound_table(p) for p in range(DIM + 1)}
 _COMPLEMENT = {p: _complement_table(p) for p in range(DIM + 1)}
 
@@ -138,12 +136,6 @@ def comps_to_tensor(comps: np.ndarray, degree: int) -> np.ndarray:
     out = np.zeros(lead + (DIM**degree,), dtype=comps.dtype)
     out[..., flat] = sign * comps[..., src]
     return out.reshape(lead + (DIM,) * degree)
-
-
-def tensor_to_comps(tensor: np.ndarray, degree: int) -> np.ndarray:
-    tensor = float_or_complex(tensor)
-    lead = tensor.shape[: tensor.ndim - degree]
-    return tensor.reshape(lead + (DIM**degree,))[..., _GATHER[degree]]
 
 
 def compound(matrix: np.ndarray, p: int) -> np.ndarray:

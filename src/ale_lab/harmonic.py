@@ -353,12 +353,13 @@ def intersection_pairing_residual(bundle: HarmonicFormBundle, norm: float) -> fl
 
 
 def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi = exp(-1/(s (1 - s))) on 0 < s < 1, zero outside, and dchi/ds."""
+    """chi = exp(-1/(s (1 - s))) on 0 < s < 1, zero outside, and dchi/ds,
+    which is 0 wherever chi is (also where s^2 (1 - s)^2 underflows)."""
     inside = (s > 0.0) & (s < 1.0)
     si = np.where(inside, s, 0.5)  # any point inside (0, 1) keeps the outside finite
     rest = 1.0 - si
     chi = np.where(inside, np.exp(-1.0 / (si * rest)), 0.0)
-    return chi, chi * (1.0 - 2.0 * si) / (si**2 * rest**2)
+    return chi, chi * (1.0 - 2.0 * si) / np.where(chi > 0.0, si**2 * rest**2, 1.0)
 
 
 def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:

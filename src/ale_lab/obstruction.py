@@ -36,6 +36,7 @@ from . import gh, harmonic
 from .errors import FirstObstructionNonzero, MissingConstants, SchemaError
 
 _INNER_SCALE = 2.0  # <b_i, b_j> = 2 delta_ij on the unit-normalized basis
+_CONSTANT_NAMES = ("vol_sigma", "omega_norm2", "int_m_omega", "m_p1")
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,9 @@ class ModelConstants:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "vol_sigma": {"value": self.vol_sigma, "provenance": self.provenance.get("vol_sigma", "user-supplied")},
-            "omega_norm2": {"value": self.omega_norm2, "provenance": self.provenance.get("omega_norm2", "user-supplied")},
-            "int_m_omega": {"value": self.int_m_omega, "provenance": self.provenance.get("int_m_omega", "user-supplied")},
-            "m_p1": {"value": self.m_p1, "provenance": self.provenance.get("m_p1", "user-supplied")},
-        }
+        return {name: {"value": getattr(self, name),
+                       "provenance": self.provenance.get(name, "user-supplied")}
+                for name in _CONSTANT_NAMES}
 
 
 def ak_constants(k: int, lam: float) -> ModelConstants:
@@ -79,19 +77,13 @@ def ak_constants(k: int, lam: float) -> ModelConstants:
 
 def constants_from_overrides(overrides: Mapping[str, float]) -> ModelConstants:
     """User-supplied constants for non-cyclic symmetry groups."""
-    required = ("vol_sigma", "omega_norm2", "int_m_omega", "m_p1")
-    missing = [name for name in required if name not in overrides]
+    missing = [name for name in _CONSTANT_NAMES if name not in overrides]
     if missing:
         raise MissingConstants(
             f"constants {missing} must be supplied for non-two-cluster models"
         )
-    return ModelConstants(
-        vol_sigma=float(overrides["vol_sigma"]),
-        omega_norm2=float(overrides["omega_norm2"]),
-        int_m_omega=float(overrides["int_m_omega"]),
-        m_p1=float(overrides["m_p1"]),
-        provenance={name: "user-supplied" for name in required},
-    )
+    return ModelConstants(**{name: float(overrides[name]) for name in _CONSTANT_NAMES},
+                          provenance={name: "user-supplied" for name in _CONSTANT_NAMES})
 
 
 def _check_block(block: np.ndarray) -> np.ndarray:

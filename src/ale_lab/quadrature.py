@@ -19,9 +19,10 @@ once per radius, and the pairing kernels sum over the blocks without them.
 
 Closedness of varpi = sum_i z_i w_i (w_i the constant dual basis) is a
 fixed integer-coefficient linear system on the 3 x 10 quadratic
-coefficients; its null space is computed exactly once per duality, by
-fraction-free integer elimination, and cached, so sampled triples satisfy
-d(varpi) = 0 to machine precision.  The pairing int_{S^3} d^C F ^ varpi
+coefficients, read off the exact derivative table fd.DQUAD; its null
+space is computed exactly once per duality, by fraction-free integer
+elimination, and cached, so sampled triples satisfy d(varpi) = 0 to
+machine precision.  The pairing int_{S^3} d^C F ^ varpi
 is linear in Z: it is summed block by block once per duality and radius
 into a (3, 4, 4) kernel K, and each pairing is <K, Z>.
 """
@@ -35,6 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import fd
 from .errors import SchemaError
 from .forms import (
     EUCLIDEAN,
@@ -173,9 +175,6 @@ def volume_blocks(config, shell: tuple[float, float] | None = None) -> Iterator[
 # Closed (anti-)self-dual 2-forms with quadratic coefficients
 # ----------------------------------------------------------------------
 
-_SYM_SLOTS = tuple((p, q) for p in range(4) for q in range(p, 4))  # 10 slots
-
-
 def _dual_basis(duality: str) -> np.ndarray:
     if duality == "sd":
         return OMEGA_SD
@@ -187,26 +186,13 @@ def _dual_basis(duality: str) -> np.ndarray:
 def _closedness_matrix(duality: str) -> np.ndarray:
     """Integer matrix of the linear system d(varpi) = 0 on coefficients.
 
-    Unknown layout: 3 forms x 10 symmetric slots.  Equations: the four
-    degree-3 components of d(varpi), each linear in x, give 16 scalar
-    conditions (4 components x 4 coordinate directions).
+    Unknown layout: 3 forms x 10 monomials x_p x_q (fd.QUAD_P, fd.QUAD_Q).
+    Equations: the four degree-3 components of d(varpi), each linear in x,
+    give 16 scalar conditions, row 4 (component) + r for the x_r
+    coefficient, exact from fd.DQUAD and fd.D_TABLE.
     """
-    basis = _dual_basis(duality)
-    rows = np.zeros((16, 30), dtype=np.int64)
-    dx = np.eye(4)
-    for i in range(3):
-        for slot, (p, q) in enumerate(_SYM_SLOTS):
-            col = 10 * i + slot
-            # z = x_p x_q (p == q) or 2 x_p x_q (both symmetric entries set)
-            # d_a z = delta_ap x_q + delta_aq x_p, doubled off-diagonal
-            for a, m, factor in ((p, q, 1), (q, p, 1)):
-                # term factor * x_m dx_a ^ w_i
-                three = wedge(dx[a], 1, basis[i], 2)
-                for t_idx in range(4):
-                    c = three[t_idx]
-                    if c != 0.0:
-                        rows[4 * t_idx + m, col] += int(round(factor * c))
-    return rows
+    rows = np.einsum("mar,iI,aIt->trim", fd.DQUAD, _dual_basis(duality), fd.D_TABLE[2])
+    return np.rint(rows).astype(np.int64).reshape(16, 30)
 
 
 @functools.cache
@@ -270,15 +256,10 @@ class QuadraticTriple:
 
 
 def _coeffs_to_Z(coeffs: np.ndarray) -> np.ndarray:
-    # slot value v is the coefficient of the monomial x_p x_q, so the
-    # symmetric matrix carries v/2 on each of the two off-diagonal entries
-    z = np.zeros((3, 4, 4))
-    for i in range(3):
-        for slot, (p, q) in enumerate(_SYM_SLOTS):
-            v = coeffs[10 * i + slot]
-            z[i, p, q] += v / 2.0
-            z[i, q, p] += v / 2.0
-    return z
+    # the coefficient of the monomial x_p x_q goes half to Z_pq, half to Z_qp
+    half = np.zeros((3, 4, 4))
+    half[:, fd.QUAD_P, fd.QUAD_Q] = np.reshape(coeffs, (3, -1)) / 2.0
+    return half + np.swapaxes(half, 1, 2)
 
 
 def random_closed_quadratic(seed: int, duality: str = "sd") -> QuadraticTriple:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,15 +58,7 @@ class CheckResult:
     advisory: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "provenance": self.provenance,
-            "advisory": self.advisory,
-        }
+        return asdict(self)
 
 
 @dataclass

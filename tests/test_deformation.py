@@ -363,36 +363,48 @@ def test_second_order_formula_couples_phi_and_curvature():
     assert np.max(np.abs(formula - uncoupled)) > 1e-3
 
 
+_DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
+                         [-1.1, 0.2, -0.5, 0.6]])
+
+
+def _centered_partials(fn, x, h):
+    """(..., 4, *shape) centered differences of fn at (..., 4) points, step h,
+    the direction axis after the point axes."""
+    e = h * np.eye(4)
+    return np.stack([(fn(x + e[a]) - fn(x - e[a])) / (2.0 * h) for a in range(4)],
+                    axis=x.ndim - 1)
+
+
 def test_constraint_matrices_match_per_vector_build():
-    # reference: one coefficient field per unit vector, each through its own
-    # stencils; the stacked build does the same arithmetic, so it is equal
-    n = deformation._UNIT_COEFFS.shape[0]
+    # second route: one coefficient field per unit vector, each through its
+    # own stencils of step 0.25, which differentiate quadratics exactly up
+    # to rounding; the divergence rows compared at the sample points
+    pairs = np.array(forms.TUPLES[2])
     div_cols, asd_cols = [], []
-    for vec in np.eye(n):
+    for vec in np.eye(9 * len(fd.QUAD_P)):
         coeff = deformation._polynomial_field(vec)
         h_field = lambda y: deformation.metric_perturbation_from_coeffs(coeff(y))
-        div_cols.append(np.einsum("...aab->...b", fd.all_partials(
-            h_field, deformation._DIV_POINTS, 0.25)).ravel())
+        div_cols.append(np.einsum("...aab->...b", _centered_partials(
+            h_field, _DIV_POINTS, 0.25)).ravel())
         a1 = lambda y: deformation.star_d_phi(
             lambda z: deformation.phi_comps_from_coeffs(coeff(z)), y)
-        da = np.swapaxes(fd.all_partials(a1, np.zeros(4), 0.25), 0, 1)
-        _, minus = forms.split_sd(np.eye(4), forms.tensor_to_comps(da - np.swapaxes(da, 1, 2), 2))
-        asd_cols.append(minus.ravel())
-    div = np.stack(div_cols, axis=1)
-    assert np.array_equal(deformation._divergence_matrix(), div)
-    assert np.array_equal(deformation._efo_constraint_matrix(),
-                          np.concatenate([div, np.stack(asd_cols, axis=1)]))
+        da = np.swapaxes(_centered_partials(a1, np.zeros(4), 0.25), 0, 1)
+        curl = (da - np.swapaxes(da, 1, 2))[:, pairs[:, 0], pairs[:, 1]]
+        asd_cols.append(forms.split_sd(np.eye(4), curl)[1].ravel())
+    div = deformation._divergence_matrix()
+    at_points = np.einsum("brn,kr->kbn", div.reshape(4, 4, -1), _DIV_POINTS)
+    assert np.max(np.abs(at_points.reshape(-1, div.shape[1]) - np.stack(div_cols, axis=1))) <= 1e-13
+    efo = deformation._efo_constraint_matrix()
+    assert np.array_equal(efo[:len(div)], div)
+    assert np.max(np.abs(efo[len(div):] - np.stack(asd_cols, axis=1))) <= 1e-13
 
 
 @pytest.mark.parametrize("null_space", [deformation._gauge_null_space,
                                         deformation._efo_null_space], ids=["gauge", "efo"])
 def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
-    # one matrix entry's 10 unit fields per stencil: traced peaks 0.25 MiB
-    # (gauge) and 0.30 MiB (efo), where all 90 fields in one stencil peaked
-    # at 1.85 and 2.38 MiB
+    # exact tables: traced peaks 0.08 MiB (gauge) and 0.10 MiB (efo)
     built = null_space()
     null_space.cache_clear()
-    deformation._divergence_matrix.cache_clear()
     tracemalloc.start()
     try:
         rebuilt = null_space()
@@ -403,25 +415,20 @@ def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
     assert np.array_equal(rebuilt, built)
 
 
-def test_divergence_matrix_is_built_once_for_both_null_spaces(monkeypatch):
-    # one build (one stencil per matrix entry on the sample points) serves
-    # the gauge null space and the Einstein constraint matrix
+def test_constraint_null_spaces_are_built_without_a_stencil(monkeypatch):
+    # the constraint matrices are exact tables: no field is evaluated
     gauge, efo = deformation._gauge_null_space(), deformation._efo_null_space()
-    for cached in (deformation._divergence_matrix, deformation._gauge_null_space,
-                   deformation._efo_null_space):
+    for cached in (deformation._gauge_null_space, deformation._efo_null_space):
         cached.cache_clear()
-    stencils = []
-    all_partials = fd.all_partials
 
-    def counted(fn, x, h=fd.DEFAULT_STEP):
-        stencils.append(x is deformation._DIV_POINTS)
-        return all_partials(fn, x, h)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constraint matrix evaluated a field")
 
-    monkeypatch.setattr(fd, "all_partials", counted)
+    monkeypatch.setattr(fd, "all_partials", refuse)
+    monkeypatch.setattr(fd, "fd_d", refuse)
     assert np.array_equal(deformation._gauge_null_space(), gauge)
     assert np.array_equal(deformation._efo_null_space(), efo)
-    assert sum(stencils) == 9
-    assert not deformation._divergence_matrix().flags.writeable
+    assert not deformation._gauge_null_space().flags.writeable
 
 
 def test_einstein_family_projects_onto_the_constraint_null_space():

@@ -94,6 +94,14 @@ def test_bump_is_bitwise_the_masked_bump():
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-200])
+def test_bump_derivative_is_zero_where_chi_underflows(s):
+    # s^2 (1 - s)^2 underflows to 0 here, as chi does: dchi/ds is 0, not 0/0
+    chi, dchi = harmonic._bump(np.array([s]))
+    assert chi[0] == 0.0
+    assert dchi[0] == 0.0
+
+
 def _one_stack_norm(bundle):
     """omega_norm with the whole-space rule evaluated as one stack."""
     pts, w = _volume_rule(bundle.config)

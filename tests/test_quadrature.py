@@ -256,6 +256,34 @@ def test_closedness_null_basis_dimensions():
         assert np.max(np.abs(triple.d_varpi(np.array([0.3, -0.7, 0.4, 0.9])))) < 1e-12
 
 
+_SLOTS = [(p, q) for p in range(4) for q in range(p, 4)]
+
+
+@pytest.mark.parametrize("duality", ["sd", "asd"])
+def test_closedness_matrix_matches_term_by_term_build(duality):
+    # second route: d(x_p x_q w_i) = x_q dx_p ^ w_i + x_p dx_q ^ w_i, each
+    # term's 3-form components added to the rows of its x_m coefficient
+    basis = quadrature._dual_basis(duality)
+    rows = np.zeros((16, 30), dtype=np.int64)
+    for i in range(3):
+        for slot, (p, q) in enumerate(_SLOTS):
+            for a, m in ((p, q), (q, p)):
+                three = forms.wedge(np.eye(4)[a], 1, basis[i], 2)
+                for t in range(4):
+                    rows[4 * t + m, 10 * i + slot] += int(round(three[t]))
+    assert np.array_equal(quadrature._closedness_matrix(duality), rows)
+
+
+def test_coefficients_to_Z_matches_entry_by_entry_build():
+    coeffs = np.random.default_rng(0).normal(size=30)
+    z = np.zeros((3, 4, 4))
+    for i in range(3):
+        for slot, (p, q) in enumerate(_SLOTS):
+            z[i, p, q] += coeffs[10 * i + slot] / 2.0
+            z[i, q, p] += coeffs[10 * i + slot] / 2.0
+    assert quadrature._coeffs_to_Z(coeffs).tobytes() == z.tobytes()
+
+
 @pytest.mark.parametrize("duality", ["sd", "asd"])
 def test_closedness_null_basis_matches_sympy(duality):
     # sympy's exact null space, each vector scaled to integers by the LCM of
