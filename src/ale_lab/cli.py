@@ -196,7 +196,7 @@ def _load_jet_input(path: str):
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    from .errors import AleLabError, SchemaError
+    from .errors import AleLabError, QuadratureDivergence, SchemaError
 
     try:
         jet, quartic, k, lam, overrides, gauge = _load_jet_input(args.jet)
@@ -210,6 +210,12 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
             report = obstruction.compute_report(
                 jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
                 apply_gauge=gauge)
+    except QuadratureDivergence as exc:
+        # the Sigma constants are the one quadrature of obstruct, and they
+        # read only k and lambda from the input
+        print(f"schema error: lambda: {lam!r} at k = {k} is out of range, the Sigma "
+              f"constants are not finite ({exc})", file=sys.stderr)
+        return 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

@@ -194,12 +194,6 @@ class TripleFamily:
     lam: ScalarField
     coeff: MatrixField  # C(x)
 
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        """M(x) as (..., 6, 6) matrices at (..., 4) points."""
-        c = float_or_complex(self.coeff(x))
-        lam = float_or_complex(self.lam(x))[..., None, None] * np.eye(3)
-        return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
-
     def triple(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
         """(..., 3, 6) triples Phi(t) at (..., 4) points from one stacked eigh
         of A for all nodes of t, with cosh(t s) and sinh(t s) / s broadcast

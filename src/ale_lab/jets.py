@@ -5,24 +5,16 @@ perturbation h_kl(x) = H_ijkl x^i x^j (symmetric in (i, j) and (k, l));
 a quartic jet stores H2[i][j][k][l][m][n] for
 h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
 
-* exact truncated polynomial arithmetic (degree <= 4 in 4 variables)
-  used as the symbolic oracle for curvature expansions: a polynomial
-  tensor carries its 70 monomial coefficients on the last axis, and every
-  product goes through one gathered table built at import, the (left,
-  right) monomial pairs sorted by product monomial.  poly_product gathers
-  a[..., left] * b[..., right], contracts the tensor axes in the same
-  einsum and sums each product monomial with one reduceat; truncating at
-  degree d takes a prefix of the table.  The curvature route truncates the
-  Christoffel symbols at degree 3 and the curvature at degree 2, the
-  degrees the second-derivative invariant reads,
 * the linear Bianchi gauge projection by a cubic vector-field corrector
   (divergence + half trace-gradient annihilated), through delta_star, the
   symmetrized gradient of a polynomial vector field of any degree,
 * the curvature block of a quadratic jet at the origin,
 * the signature-split second covariant derivative invariant
   D = <(D^2_11 + D^2_22 - D^2_33 - D^2_44) R (b_1), b_1> computed two
-  independent ways (finite differences with Christoffel corrections,
-  and the polynomial expansion), and
+  independent ways: finite differences with Christoffel corrections, and a
+  closed form in H and H2 (at the origin g = I and dg = 0, so the
+  curvature, d Gamma and the second derivatives of the curvature are
+  short contractions of the jet coefficients), and
 * finite-group averaging (cyclic and binary-dihedral right quaternion
   actions) of jets and gauge fields by one pullback rule: every axis of the
   array is contracted against the first index of the matrix.
@@ -44,108 +36,6 @@ from .forms import EUCLIDEAN, OMEGA_ASD, OMEGA_SD, comps_to_tensor
 from .obstruction import first_row_norm, in_jet_units, require_first_row_zero
 
 DIM = 4
-
-# ---------------------------------------------------------------------------
-# Truncated polynomial algebra: degree <= 4 in 4 variables
-# ---------------------------------------------------------------------------
-
-MAX_DEG = 4
-MONOS: tuple[tuple[int, int, int, int], ...] = tuple(
-    sorted(
-        (e for e in itertools.product(range(MAX_DEG + 1), repeat=DIM) if sum(e) <= MAX_DEG),
-        key=lambda e: (sum(e), e),
-    )
-)
-N_MONO = len(MONOS)
-_MONO_INDEX = {e: i for i, e in enumerate(MONOS)}
-# MONOS is sorted by degree: the monomials of degree <= d are its first _N_UPTO[d]
-_N_UPTO = [sum(1 for e in MONOS if sum(e) <= d) for d in range(MAX_DEG + 1)]
-
-
-def _build_product_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, starts): the monomial pairs whose product has degree
-    <= MAX_DEG, grouped by product monomial; the pairs of product m are
-    left[starts[m]:starts[m + 1]], right[...].  The pairs of degree <= d are
-    the prefix up to starts[_N_UPTO[d]]."""
-    left, right, starts = [], [], [0]
-    for e in MONOS:
-        for i, ei in enumerate(MONOS):
-            rest = tuple(a - b for a, b in zip(e, ei))
-            if min(rest) >= 0:
-                left.append(i)
-                right.append(_MONO_INDEX[rest])
-        starts.append(len(left))
-    return np.array(left), np.array(right), np.array(starts)
-
-
-_PROD_L, _PROD_R, _PROD_START = _build_product_table()
-
-
-def _build_diff_table() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    tables = []
-    for v in range(DIM):
-        src, dst, coef = [], [], []
-        for i, e in enumerate(MONOS):
-            if e[v] == 0:
-                continue
-            lower = list(e)
-            lower[v] -= 1
-            src.append(i)
-            dst.append(_MONO_INDEX[tuple(lower)])
-            coef.append(float(e[v]))
-        tables.append((np.array(src), np.array(dst), np.array(coef)))
-    return tables
-
-
-_DIFF_TABLES = _build_diff_table()
-
-
-def _jet_monomials(order: int) -> np.ndarray:
-    """Monomial index of x^i x^j ... for every index tuple (i, j, ...) of the
-    given order, flattened in row-major order."""
-    return np.array([
-        _MONO_INDEX[tuple(idx.count(v) for v in range(DIM))]
-        for idx in itertools.product(range(DIM), repeat=order)
-    ])
-
-
-_QUADRATIC_MONOS = _jet_monomials(2)
-_QUARTIC_MONOS = _jet_monomials(4)
-
-
-def poly_zero(shape: tuple[int, ...] = ()) -> np.ndarray:
-    return np.zeros(shape + (N_MONO,))
-
-
-def poly_product(subscripts: str, a: np.ndarray, b: np.ndarray, deg: int = MAX_DEG) -> np.ndarray:
-    """Product of two polynomial tensors, contracted as in ``np.einsum``.
-
-    ``subscripts`` names the tensor axes only, e.g. ``"fc,cab->fab"`` or
-    ``"...,...->..."``; the monomial axis is last in a, b and the result
-    and takes the letter ``z``, which the subscripts must not use.  One gather forms a[..., L] * b[..., R]
-    over the table's (left, right) pairs, the einsum contracts the tensor
-    axes pair by pair, and one reduceat sums the pairs of each product
-    monomial.  Coefficients above degree ``deg`` are zero.  The result
-    takes the dtype of the product, so complex operands stay complex.
-    """
-    n = _N_UPTO[deg]
-    pairs = _PROD_START[n]
-    operands, result = subscripts.split("->")
-    sa, sb = operands.split(",")
-    gathered = np.einsum(
-        f"{sa}z,{sb}z->{result}z", a[..., _PROD_L[:pairs]], b[..., _PROD_R[:pairs]]
-    )
-    out = np.zeros(gathered.shape[:-1] + (N_MONO,), dtype=gathered.dtype)
-    out[..., :n] = np.add.reduceat(gathered, _PROD_START[:n], axis=-1)
-    return out
-
-
-def poly_diff(a: np.ndarray, v: int) -> np.ndarray:
-    src, dst, coef = _DIFF_TABLES[v]
-    out = np.zeros_like(a)
-    out[..., dst] = a[..., src] * coef
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Jet containers
@@ -274,16 +164,6 @@ def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.
     return ev
 
 
-def metric_poly(jet: Jet2, quartic: Jet4 | None = None) -> np.ndarray:
-    """(4, 4, N_MONO) coefficient array of euc + h2 (+ h4)."""
-    out = poly_zero((4, 4))
-    out[:, :, _MONO_INDEX[(0, 0, 0, 0)]] = np.eye(4)
-    np.add.at(out, (..., _QUADRATIC_MONOS), np.moveaxis(jet.H.reshape(-1, 4, 4), 0, -1))
-    if quartic is not None:
-        np.add.at(out, (..., _QUARTIC_MONOS), np.moveaxis(quartic.H2.reshape(-1, 4, 4), 0, -1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bianchi gauge: divergence + half trace-gradient as a linear form
 # ---------------------------------------------------------------------------
@@ -397,8 +277,10 @@ _D2_OUTER_STEP = 0.16  # d2_invariant_fd: outer second differences
 _D2_INNER_STEP = 5e-3  # d2_invariant_fd: curvature and Christoffel stencils
 
 
-def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
-    """Finite-difference route with Christoffel corrections.
+def _d2_tensor_fd(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
+    """The signature-split second covariant derivative of the curvature at
+    the origin, sum_e sigma_e (D_e D_e R)_abcd, by finite differences with
+    Christoffel corrections.
 
     The inner curvature and Christoffel evaluations use one Richardson
     level (steps h, h/2); the outer second differences use two levels
@@ -406,7 +288,6 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     large because inner round-off is amplified by 1/h^2.  Every stencil
     point lies within |x| < 1, where fd.step_at leaves the step unscaled.
     """
-    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
     metric = metric_fn_from_jets(jet, quartic)
     origin = np.zeros(4)
 
@@ -442,61 +323,38 @@ def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
 
     hess = two_level(hess_at, _D2_OUTER_STEP)
     dgamma = two_level(dgamma_at, _D2_OUTER_STEP)
-    tens = hess - _hessian_correction(riem0, dgamma)
-    return _contract_invariant(tens)
+    return hess - _hessian_correction(riem0, dgamma)
 
 
-# Degrees of the polynomial route: d2_invariant_symbolic reads the curvature
-# to degree 2, and its derivative term needs the Christoffels to degree 3.
-_CURV_DEG = 2
-_GAMMA_DEG = _CURV_DEG + 1
+def _d2_tensor_exact(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
+    """The same tensor in closed form from the jet coefficients.
+
+    At the origin g = I, dg = 0, d_i d_j g_ab = 2 H_ijab and
+    d_i d_j d_k d_l g_ab = 24 H2_ijklab, so L[e, f, a, b] = d_e Gamma^f_ab
+    = H_eafb + H_ebfa - H_efab, and d_e^2 R_abcd is the linear curvature of
+    d_e^2 h4 (second partials 24 H2_eeijab) plus the second derivative of
+    the Gamma Gamma terms, 2 sum_f (L_efda L_efcb - L_efca L_efdb).
+    """
+    h = jet.H
+    dgamma = np.einsum("eafb->efab", h) + np.einsum("ebfa->efab", h) - h
+    quad = np.einsum("e,efda,efcb->abcd", _SIGNATURE, dgamma, dgamma)
+    hess = 2.0 * (quad - np.swapaxes(quad, 2, 3))
+    if quartic is not None:
+        hess = hess + riemann_from_jet2(
+            Jet2(H=12.0 * np.einsum("e,eeijab->ijab", _SIGNATURE, quartic.H2)))
+    return hess - _hessian_correction(riemann_from_jet2(jet), dgamma)
 
 
-def _curvature_polys(jet: Jet2, quartic: Jet4 | None) -> tuple[np.ndarray, np.ndarray]:
-    """Christoffel symbols gamma[f, a, b] = Gamma^f_ab to degree _GAMMA_DEG
-    and the lowered curvature tensor to degree _CURV_DEG, as (..., N_MONO)
-    coefficients, exact up to those degrees and zero above them."""
-    g = metric_poly(jet, quartic)
-    # g^-1 = I - h + h h - ... = 2 I - g + O(h^2): h starts at degree 2 and
-    # each Christoffel term carries a derivative of g, so h h reaches the
-    # Christoffels only from degree 5 on.
-    ginv = -g
-    ginv[:, :, _MONO_INDEX[(0, 0, 0, 0)]] += 2.0 * np.eye(4)
-
-    dg = np.stack([poly_diff(g, v) for v in range(4)])  # [c, a, b, mono]
-    # sym[c, a, b] = d_a g_bc + d_b g_ac - d_c g_ab
-    sym = np.einsum("abcm->cabm", dg) + np.einsum("bacm->cabm", dg) - dg
-    gamma = 0.5 * poly_product("fc,cab->fab", ginv, sym, _GAMMA_DEG)
-
-    dgamma = np.stack([poly_diff(gamma, v) for v in range(4)])  # [c, a, d, b, mono]
-    # gg[a, c, d, b] = Gamma^a_ce Gamma^e_db
-    gg = poly_product("ace,edb->acdb", gamma, gamma, _CURV_DEG)
-    riem_up = (
-        np.einsum("cadbm->abcdm", dgamma)
-        - np.einsum("dacbm->abcdm", dgamma)
-        + np.einsum("acdbm->abcdm", gg)
-        - np.einsum("adcbm->abcdm", gg)
-    )
-    riem_low = poly_product("ae,ebcd->abcd", g, riem_up, _CURV_DEG)
-    return gamma, riem_low
+def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
+    """Finite-difference route: the contraction of _d2_tensor_fd."""
+    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
+    return _contract_invariant(_d2_tensor_fd(jet, quartic))
 
 
 def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
-    """Polynomial-exact route: curvature expanded to quadratic order."""
+    """Exact route: the contraction of _d2_tensor_exact."""
     require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
-    gamma, riem = _curvature_polys(jet, quartic)
-    riem0 = riem[..., _MONO_INDEX[(0, 0, 0, 0)]]
-    hess = np.zeros((4, 4, 4, 4))
-    for e in range(4):
-        mono = [0, 0, 0, 0]
-        mono[e] = 2
-        hess += _SIGNATURE[e] * 2.0 * riem[..., _MONO_INDEX[tuple(mono)]]
-    # d_e Gamma^f_ab at the origin: the linear coefficients, as [e, f, a, b]
-    linear = [_MONO_INDEX[tuple(int(v == e) for v in range(DIM))] for e in range(DIM)]
-    dgamma = np.moveaxis(gamma[..., linear], -1, 0)
-
-    tens = hess - _hessian_correction(riem0, dgamma)
-    return _contract_invariant(tens)
+    return _contract_invariant(_d2_tensor_exact(jet, quartic))
 
 
 # ---------------------------------------------------------------------------

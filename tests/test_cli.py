@@ -201,6 +201,7 @@ def _overrides(vol_sigma, omega_norm2):
     (_overrides(1.0, 0), "constants_override.omegaNorm2: expected positive number, got 0.0"),
     (_overrides(0, 1.0), "constants_override.volSigma: expected positive number, got 0.0"),
     (_overrides(-1, -2), "constants_override.volSigma: expected positive number, got -1.0"),
+    ({"lambda": 1e200}, "lambda: 1e+200 at k = 1 is out of range"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface

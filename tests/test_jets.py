@@ -1,12 +1,11 @@
-"""Polynomial metric jets: exact polynomial algebra, curvature at the
-origin versus the finite-difference route, gauge projection, the
-second-derivative determinant invariant via two independent routes, and
-the symmetry-group machinery."""
+"""Polynomial metric jets: curvature at the origin versus the
+finite-difference route, gauge projection, the second-derivative
+determinant invariant via two independent routes, and the symmetry-group
+machinery."""
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -15,112 +14,6 @@ from hypothesis import strategies as st
 
 from ale_lab import connection, fd, gh, jets, obstruction
 from ale_lab.errors import AleLabError, FirstObstructionNonzero, SchemaError, SymmetryError
-
-
-# --- polynomial algebra -------------------------------------------------------
-
-def poly_eval(a, x):
-    """The polynomial with coefficients a (over jets.MONOS) at the point x,
-    one monomial at a time."""
-    vals = np.array([math.prod(xi**e for xi, e in zip(x, mono)) for mono in jets.MONOS])
-    return a @ vals
-
-
-def test_poly_mul_diff_eval():
-    rng = np.random.default_rng(0)
-    a = jets.poly_zero()
-    a[jets._MONO_INDEX[(1, 0, 0, 0)]] = 2.0      # 2 x0
-    a[jets._MONO_INDEX[(0, 1, 1, 0)]] = -1.0     # - x1 x2
-    b = jets.poly_zero()
-    b[jets._MONO_INDEX[(0, 0, 0, 1)]] = 3.0      # 3 x3
-    prod = jets.poly_product("...,...->...", a, b)
-    for _ in range(4):
-        x = rng.normal(size=4)
-        va = 2 * x[0] - x[1] * x[2]
-        vb = 3 * x[3]
-        assert poly_eval(prod, x) == pytest.approx(va * vb, rel=1e-12)
-    d0 = jets.poly_diff(prod, 0)
-    x = rng.normal(size=4)
-    assert poly_eval(d0, x) == pytest.approx(2 * 3 * x[3], rel=1e-12)
-
-
-def test_poly_diff_commutes():
-    rng = np.random.default_rng(1)
-    p = rng.normal(size=jets.N_MONO)
-    d01 = jets.poly_diff(jets.poly_diff(p, 0), 1)
-    d10 = jets.poly_diff(jets.poly_diff(p, 1), 0)
-    assert np.allclose(d01, d10)
-
-
-def _product_by_monomial_loop(subscripts, a, b, deg):
-    """Reference product: exponent addition over every pair of monomials."""
-    index = {e: i for i, e in enumerate(jets.MONOS)}
-    terms = {}
-    for i, ei in enumerate(jets.MONOS):
-        for j, ej in enumerate(jets.MONOS):
-            e = tuple(u + v for u, v in zip(ei, ej))
-            if sum(e) <= deg:
-                term = np.einsum(subscripts, a[..., i], b[..., j])
-                terms[index[e]] = terms.get(index[e], 0.0) + term
-    shape = np.einsum(subscripts, a[..., 0], b[..., 0]).shape
-    out = np.zeros(shape + (jets.N_MONO,))
-    for m, val in terms.items():
-        out[..., m] = val
-    return out
-
-
-# every (contraction, degree) the curvature route uses, and the elementwise product
-PRODUCT_CASES = [
-    ("fc,cab->fab", (4, 4), (4, 4, 4), jets._GAMMA_DEG),
-    ("ace,edb->acdb", (4, 4, 4), (4, 4, 4), jets._CURV_DEG),
-    ("ae,ebcd->abcd", (4, 4), (4, 4, 4, 4), jets._CURV_DEG),
-    ("...,...->...", (3, 1), (2,), jets.MAX_DEG),
-]
-
-
-@pytest.mark.parametrize("subscripts,sa,sb,deg", PRODUCT_CASES)
-def test_poly_product_matches_monomial_loop(subscripts, sa, sb, deg):
-    rng = np.random.default_rng(deg)
-    a = rng.normal(size=sa + (jets.N_MONO,))
-    b = rng.normal(size=sb + (jets.N_MONO,))
-    got = jets.poly_product(subscripts, a, b, deg)
-    want = _product_by_monomial_loop(subscripts, a, b, deg)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
-
-
-@pytest.mark.parametrize("subscripts,sa,sb,deg", PRODUCT_CASES)
-def test_poly_product_keeps_complex_parts(subscripts, sa, sb, deg):
-    # (ar + i ai)(br + i bi) = (ar br - ai bi) + i (ar bi + ai br), each
-    # product real, so a complex operand must not lose its imaginary part
-    rng = np.random.default_rng(deg + 1)
-    ar, ai = rng.normal(size=(2,) + sa + (jets.N_MONO,))
-    br, bi = rng.normal(size=(2,) + sb + (jets.N_MONO,))
-    real = lambda u, v: jets.poly_product(subscripts, u, v, deg)
-    got = jets.poly_product(subscripts, ar + 1j * ai, br + 1j * bi, deg)
-    want = (real(ar, br) - real(ai, bi)) + 1j * (real(ar, bi) + real(ai, br))
-    assert got.dtype == np.complex128 and real(ar, br).dtype == np.float64
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
-    one = jets.poly_zero()
-    one[0] = 1.0
-    assert jets.poly_product("...,...->...", 1j * one, 1j * one)[0] == -1.0
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_curvature_polys_match_fd_near_origin(seed):
-    """The Christoffel polynomial (degree 3) and the curvature polynomial
-    (degree 2) against finite differences of the metric at small points,
-    where the dropped degrees leave errors of order |x|^4 and |x|^3."""
-    jet, quartic = jets.random_jet2(seed), jets.random_jet4(seed + 1)
-    metric = jets.metric_fn_from_jets(jet, quartic)
-    gamma, riem = jets._curvature_polys(jet, quartic)
-    x = 0.05 * np.random.default_rng(seed).normal(size=(4, 4))
-    fd_gamma = fd.richardson(lambda h: fd.christoffel(metric, x, h), 5e-3)
-    fd_riem = fd.richardson(lambda h: fd.riemann_lowered(metric, x, h), 5e-3)
-    poly_gamma = np.array([poly_eval(gamma, p) for p in x])
-    poly_riem = np.array([poly_eval(riem, p) for p in x])
-    assert np.max(np.abs(poly_gamma - fd_gamma)) < 2e-6
-    assert np.max(np.abs(poly_riem - fd_riem)) < 3e-5
 
 
 def test_cached_tables_are_read_only():
@@ -292,6 +185,36 @@ def test_d2_invariant_dual_routes(seed):
     sym = jets.d2_invariant_symbolic(jet, quartic)
     fdv = jets.d2_invariant_fd(jet, quartic)
     assert fdv == pytest.approx(sym, abs=1e-6 * max(1.0, abs(sym)))
+
+
+# D of criterion 7's draws (jet2_first_row_zero(s), random_jet4(s + 100)),
+# s = 0..9, then of jet2_first_row_zero(0) and (1) without a quartic, as the
+# truncated polynomial expansion of the curvature computed them
+D_PINS = [
+    *[(s, s + 100, d) for s, d in enumerate([
+        0.5884662403022978, 0.8175170323704914, 1.1766305706450826, 0.7023724591609941,
+        -0.8655857934116469, -0.8348666192144475, 0.1714300151860734, 0.6813548955334909,
+        1.2211926713434653, -0.16765978685371963])],
+    (0, None, -0.06522983139303486),
+    (1, None, -0.01061529837301839),
+]
+
+
+@pytest.mark.parametrize("seed,quartic_seed,want", D_PINS)
+def test_d2_closed_form_matches_the_polynomial_expansion(seed, quartic_seed, want):
+    quartic = None if quartic_seed is None else jets.random_jet4(quartic_seed)
+    got = jets.d2_invariant_symbolic(jets.jet2_first_row_zero(seed), quartic)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_d2_tensor_routes_agree_entrywise(seed):
+    # the whole signature-split second derivative, not only its contraction
+    # with w1, so an error in an entry the contraction misses shows too
+    jet, quartic = jets.jet2_first_row_zero(seed), jets.random_jet4(seed + 100)
+    exact = jets._d2_tensor_exact(jet, quartic)
+    num = jets._d2_tensor_fd(jet, quartic)
+    assert np.max(np.abs(exact - num)) <= 1e-6 * max(1.0, float(np.max(np.abs(exact))))
 
 
 def test_d2_requires_degenerate_first_row():
