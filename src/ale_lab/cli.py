@@ -58,15 +58,13 @@ def _configure_threads() -> None:
 
 
 def _emit(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _json_text(payload: dict) -> str:
@@ -86,8 +84,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = suites.run_suites(names, args.k, args.lam,
                                     tol_scale=args.tol)
-    except (AleLabError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (AleLabError, ValueError, OverflowError) as exc:
+        # OverflowError: a --k too large for a float, where it meets one
+        print(f"configuration error: --k {args.k} --lambda {args.lam!r}: {exc}", file=sys.stderr)
         return 2
 
     for res in results:
@@ -167,6 +166,8 @@ def _load_jet_input(path: str):
     k = raw.get("k")
     if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
         raise SchemaError(f"k: expected positive integer, got {k!r}")
+    if k is not None and k > sys.float_info.max:
+        raise SchemaError(f"k: {k} is too large to convert to a float")
     lam = _number(raw.get("lambda", 1.0), "lambda", positive=True)
 
     if raw.get("H") is None:
@@ -212,9 +213,16 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
                 apply_gauge=gauge)
     except QuadratureDivergence as exc:
         # the Sigma constants are the one quadrature of obstruct, and they
-        # read only k and lambda from the input
-        print(f"schema error: lambda: {lam!r} at k = {k} is out of range, the Sigma "
-              f"constants are not finite ({exc})", file=sys.stderr)
+        # read only k and lambda from the input: k is at fault when they
+        # are not finite at lambda = 1 either
+        field = f"lambda: {lam!r} at k = {k} is out of range"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                obstruction.ak_constants(k, 1.0)
+        except QuadratureDivergence:
+            field = f"k: {k} is too large even at lambda = 1"
+        print(f"schema error: {field}, the Sigma constants are not finite ({exc})",
+              file=sys.stderr)
         return 2
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
@@ -270,8 +278,8 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         k1 = args.k + 1
         rho = [r * r / (2.0 * k1) for r in sorted(radii_f)]
         profiles = harmonic.decay_profiles(config, rho)
-    except (AleLabError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (AleLabError, ValueError, OverflowError) as exc:
+        print(f"configuration error: --k {args.k} --lambda {args.lam!r}: {exc}", file=sys.stderr)
         return 2
 
     flag = ""

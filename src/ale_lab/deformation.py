@@ -66,6 +66,7 @@ from .connection import connection_from_Phi
 from .errors import GaugeViolation, SchemaError
 from .forms import (
     CYCLIC,
+    D_TABLE,
     EUCLIDEAN,
     FLAT_STAR,
     OMEGA_ASD,
@@ -294,27 +295,21 @@ def ric0_second_order(
     a1: Callable[[np.ndarray], np.ndarray],
     a2: Callable[[np.ndarray], np.ndarray],
     phi: Callable[[np.ndarray], np.ndarray],
-    rplus1: np.ndarray | None,
     x: np.ndarray,
 ) -> np.ndarray:
     """(3, 6) anti-self-dual stack of the second-order trace-free Ricci.
 
     a1, a2: first/second order connection coefficient fields (x -> (3,4));
-    phi:    anti-self-dual data field (x -> (3,6));
-    rplus1: 3x3 first-order self-dual curvature operator block, in the same
-            sign convention as the curvature blocks elsewhere in the package
-            (the negated pairing coefficients of d a1); computed from d a1
-            when None.
+    phi:    anti-self-dual data field (x -> (3,6)).
 
-    a1 and d a1 come from one call of a1 on x and its stencil
-    (fd.value_and_d).
+    Rplus1 = -sd_block(d a1) is the first-order self-dual curvature block,
+    so the coupling term -Rplus1 phi is + sd_block(d a1) phi.  a1 and d a1
+    come from one call of a1 on x and its stencil (fd.value_and_d).
     """
     x = np.asarray(x, dtype=float)
     a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
-    if rplus1 is None:
-        rplus1 = -sd_block(da1)
     return (_flat_asd_part(fd.fd_d(FormField(1, a2), x)) + bracket_minus(a1_here)
-            - rplus1 @ float_or_complex(phi(x)))
+            + sd_block(da1) @ float_or_complex(phi(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +424,8 @@ def _efo_constraint_matrix() -> np.ndarray:
     linear in x and d a^(1) is constant, so its rows (i, component) follow
     exactly from fd.DQUAD and the constant form tables."""
     # [j, m, r, c]: the x_r coefficient of *d(x_p x_q wt_j), component c
-    a1 = np.einsum("mar,jI,aIK->jmrK", fd.DQUAD, OMEGA_ASD, fd.D_TABLE[2]) @ FLAT_STAR[3].T
-    minus = _flat_asd_part(np.einsum("jmrc,rcL->jmL", a1, fd.D_TABLE[1]))
+    a1 = np.einsum("mar,jI,aIK->jmrK", fd.DQUAD, OMEGA_ASD, D_TABLE[2]) @ FLAT_STAR[3].T
+    minus = _flat_asd_part(np.einsum("jmrc,rcL->jmL", a1, D_TABLE[1]))
     asd = np.einsum("ik,jmL->iLkjm", np.eye(3), minus).reshape(3 * minus.shape[-1], -1)
     return np.concatenate([_divergence_matrix(), asd])
 

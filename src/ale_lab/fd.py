@@ -24,8 +24,8 @@ the suites; richardson adds one extrapolation level where a route needs
 more.
 
 Quadratic coefficients need no stencil: DQUAD holds the constant second
-derivatives of the 10 monomials x_p x_q (QUAD_P, QUAD_Q), and with the
-sign tables D_TABLE it gives d of a form with quadratic coefficients
+derivatives of the 10 monomials x_p x_q (QUAD_P, QUAD_Q); with the sign
+tables forms.D_TABLE, which fd_d also reads, it gives d of such a form
 exactly, as deformation and quadrature use it for their constraints.
 
 Curvature conventions: R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
@@ -40,8 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
-from .forms import (DEGREE_SIZES, DIM, TUPLE_INDEX, TUPLES, FormField, float_or_complex, hodge_star,
-                    metric_inverse)
+from .forms import D_TABLE, DIM, FormField, float_or_complex, hodge_star, metric_inverse
 
 DEFAULT_STEP = 1e-3
 
@@ -108,18 +107,6 @@ def all_partials(fn: Callable, x: np.ndarray) -> np.ndarray:
     pts, he = _stencil(x, DEFAULT_STEP)
     return _central(_call(fn, pts), he)
 
-
-def _d_table(p: int) -> np.ndarray:
-    """Sign table D[a, I, K]: (d w)_K = sum_{a, I} d_a w_I D[a, I, K]."""
-    table = np.zeros((DIM, DEGREE_SIZES[p], DEGREE_SIZES[min(p + 1, DIM)]))
-    for out_idx, tup in enumerate(TUPLES.get(p + 1, ())):
-        for pos in range(p + 1):
-            rest = tup[:pos] + tup[pos + 1:]
-            table[tup[pos], TUPLE_INDEX[p][rest], out_idx] = (-1) ** pos
-    return table
-
-
-D_TABLE = {p: _d_table(p) for p in range(DIM + 1)}
 
 # The 10 monomials x_p x_q, p <= q, of a quadratic coefficient, and
 # DQUAD[m, a, r] = d_a d_r (x_p x_q) for m = (p, q), the x_r coefficient of

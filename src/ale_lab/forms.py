@@ -15,14 +15,17 @@ same rule ((..., 4), (..., 4, 4) and (..., 4, 4)): a stack of metrics
 broadcasts against a stack of forms with its own leading axes, so
 g[..., None, :, :] pairs one metric per point with a (..., 3, 6) triple.
 
-Metric operations go through fixed index tables built once at import:
+The wedge table _WEDGE[(p, q)] of basis products is the one sign source
+for wedge, d and *; it and the metric's index tables are built at import:
+  - D_TABLE[p] is _WEDGE[(1, p)] read as [a, I, K], the sign of
+    dx^a ^ dx^I, so (d w)_K = sum_{a, I} d_a w_I D_TABLE[p][a, I, K];
+  - each sorted (4-p)-tuple K has one p-tuple I with dx^I ^ dx^K =
+    eps(I, K) dx^0123 nonzero, so (*a)_K = sqrt(det g) eps(I, K)
+    (C_p(g^{-1}) a)_I, and on the flat metric * is the signed permutation
+    FLAT_STAR[p];
   - the p-th compound C_p(A) of a 4x4 matrix A is the matrix of its
     p x p minors, C_p(A)[I, J] = det A[I, J] over sorted tuples I, J;
     the induced inner product of p-forms is <a, b> = a . C_p(g^{-1}) . b;
-  - the complement table sends each sorted (4-p)-tuple K to the index of
-    its sorted complement I with the sign eps(I, K) of the permutation
-    (I, K), so (*a)_K = sqrt(det g) eps(I, K) (C_p(g^{-1}) a)_I, and on
-    the flat metric * is the signed permutation FLAT_STAR[p];
   - comps_to_tensor scatters components into the full antisymmetric
     array through one index and sign table per degree.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
@@ -102,20 +105,8 @@ def _compound_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, np.array([_perm_sign(perm) for perm in perms], dtype=float)
 
 
-def _complement_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each sorted (4-p)-tuple K: the index of its sorted complement I
-    among the p-tuples and the sign of the permutation (I, K)."""
-    idx, sign = [], []
-    for tup in TUPLES[DIM - p]:
-        comp = tuple(i for i in range(DIM) if i not in tup)
-        idx.append(TUPLE_INDEX[p][comp])
-        sign.append(_perm_sign(comp + tup))
-    return np.array(idx), np.array(sign, dtype=float)
-
-
 _SCATTER = {p: _scatter_table(p) for p in range(DIM + 1)}
 _COMPOUND = {p: _compound_table(p) for p in range(DIM + 1)}
-_COMPLEMENT = {p: _complement_table(p) for p in range(DIM + 1)}
 
 
 def float_or_complex(values) -> np.ndarray:
@@ -159,6 +150,20 @@ def _wedge_table(p: int, q: int) -> np.ndarray:
 
 _WEDGE = {(p, q): _wedge_table(p, q) for p in range(DIM + 1) for q in range(DIM + 1 - p)}
 
+# read-only like FLAT_STAR; d of a 4-form is the zero 4-form
+D_TABLE = {p: _WEDGE[(1, p)].reshape(DIM, DEGREE_SIZES[p], -1) for p in range(DIM)}
+D_TABLE[DIM] = np.zeros((DIM, 1, 1))
+
+
+def _complement(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the complement I of each sorted (4-p)-tuple K and eps(I, K):
+    the one nonzero entry of column K of the wedge table of (p, 4-p)."""
+    eps = _WEDGE[(p, DIM - p)].reshape(DEGREE_SIZES[p], -1).T  # [K, I] = eps(I, K)
+    return np.nonzero(eps)[1], eps[eps != 0]
+
+
+_COMPLEMENT = {p: _complement(p) for p in range(DIM + 1)}
+
 
 def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     """Wedge product of component arrays (..., n_p) and (..., n_q); the
@@ -193,7 +198,7 @@ def _star_matrix(ginv: np.ndarray, det: np.ndarray, degree: int) -> np.ndarray:
 
 # * on the flat metric, a signed permutation: comps @ FLAT_STAR[p].T
 FLAT_STAR = {p: _star_matrix(np.eye(DIM), np.float64(1.0), p) for p in range(DIM + 1)}
-for _table in FLAT_STAR.values():
+for _table in (*FLAT_STAR.values(), *D_TABLE.values()):
     _table.setflags(write=False)
 
 
@@ -209,12 +214,6 @@ def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray
     """Hodge dual of degree-p component vectors (..., n) for (..., 4, 4)
     metrics, leading axes broadcast."""
     return star_with(metric_inverse(metric), comps, degree)
-
-
-def form_inner(metric: np.ndarray, a: np.ndarray, b: np.ndarray, degree: int) -> float:
-    """Pointwise inner product <a, b> = a_I b^I / p! for degree-p forms."""
-    ginv, _ = metric_inverse(metric)
-    return float(float_or_complex(a) @ compound(ginv, degree) @ float_or_complex(b))
 
 
 def project_with(ginv: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:

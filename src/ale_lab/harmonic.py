@@ -59,11 +59,8 @@ class HarmonicFormBundle:
         triple = gh.form_triple(v, eta, -1.0)
         return self.normalization * np.einsum("...i,...ic->...c", np.stack(grad, axis=-1), triple)
 
-    def norm_density(self, pts: np.ndarray) -> np.ndarray:
-        """|Omega|_g^2 at (..., 3) base points (fiber-independent)."""
-        return self._norm_density_and_V(pts)[0]
-
-    def _norm_density_and_V(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def norm_density(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(|Omega|_g^2, V) at (..., 3) base points from one grad f pass."""
         (g1, g2, g3), v = gh.grad_f_and_potential(self.config, pts)
         return 2.0 * self.normalization**2 * (g1 * g1 + g2 * g2 + g3 * g3), v
 
@@ -108,7 +105,7 @@ def omega_norm(bundle: HarmonicFormBundle) -> float:
     rule, with V from the pass that gives grad f, one block at a time."""
     terms = []
     for pts, w in volume_blocks(bundle.config):
-        dens, v = bundle._norm_density_and_V(pts)
+        dens, v = bundle.norm_density(pts)
         if not np.all(np.isfinite(dens)):
             raise QuadratureDivergence("volume integrand not finite on region")
         terms.append(w * dens * v)
@@ -175,31 +172,16 @@ def alpha_split_residuals(config: gh.GHConfig, bundle: HarmonicFormBundle,
 # ---------------------------------------------------------------------------
 
 
-def _lead_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
+def _model_grads(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
+    """(..., 2, 4) gradients of the lead and sub potentials at (..., 4) points."""
     k1 = config.k + 1
-
-    def grad4(x4: np.ndarray) -> np.ndarray:
-        x = x4[..., :3]
-        rho = np.linalg.norm(x, axis=-1)[..., None]
-        out = np.zeros(x4.shape)
-        out[..., :3] = -x / (2.0 * k1 * rho**3)
-        return out
-
-    return grad4
-
-
-def _sub_grad4(config: gh.GHConfig) -> Callable[[np.ndarray], np.ndarray]:
-    k1 = config.k + 1
-
-    def grad4(x4: np.ndarray) -> np.ndarray:
-        x = x4[..., :3]
-        rho = np.linalg.norm(x, axis=-1)[..., None]
-        out = np.zeros(x4.shape)
-        out[..., :3] = -3.0 * x[..., :1] * x / (4.0 * k1**2 * rho**5)
-        out[..., :1] += 1.0 / (4.0 * k1**2 * rho**3)
-        return out
-
-    return grad4
+    x = x4[..., :3]
+    rho = np.linalg.norm(x, axis=-1)[..., None]
+    out = np.zeros(x4.shape[:-1] + (2, 4))
+    out[..., 0, :3] = -x / (2.0 * k1 * rho**3)
+    out[..., 1, :3] = -3.0 * x[..., :1] * x / (4.0 * k1**2 * rho**5)
+    out[..., 1, :1] += 1.0 / (4.0 * k1**2 * rho**3)
+    return out
 
 
 def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
@@ -210,9 +192,7 @@ def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
-    lead, sub = _lead_grad4(config), _sub_grad4(config)
-    grad4 = lambda y: np.stack([lead(y), sub(y)], axis=-2)
-    fld = FormField(1, dC_scalar_field(config, grad4))
+    fld = FormField(1, dC_scalar_field(config, lambda y: _model_grads(config, y)))
     return fd.fd_d(fld, np.asarray(x4, dtype=float))
 
 
@@ -306,7 +286,7 @@ def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float],
     gdev = np.mean(np.max(np.abs(hframe), axis=(-2, -1)), axis=-1)
     mdev = np.mean(np.abs(gh.moment_map(config, base) - k1 * radii[:, None]), axis=-1)
     r4 = np.sqrt(2.0 * k1 * radii)
-    oprof = np.mean(np.sqrt(bundle.norm_density(base)) * r4[:, None] ** 4 / np.sqrt(32.0), axis=-1)
+    oprof = np.mean(np.sqrt(bundle.norm_density(base)[0]) * r4[:, None] ** 4 / np.sqrt(32.0), axis=-1)
     return [
         DecayProfile(r=float(r), metric_deviation=float(gd), moment_deviation=float(md),
                      omega_profile_coeff=float(op))
@@ -336,7 +316,7 @@ def annulus_density_exponent(bundle: HarmonicFormBundle) -> float:
     k1 = cfg.k + 1
     base = 10.0 * k1 * cfg.lam
     radii = np.asarray((base, 2 * base, 4 * base, 8 * base), dtype=float)
-    dens = bundle.norm_density(radii[:, None, None] * _fit_directions(8, 1))
+    dens = bundle.norm_density(radii[:, None, None] * _fit_directions(8, 1))[0]
     return _slope(0.5 * np.log(2.0 * k1 * radii), np.log(np.mean(dens, axis=-1)))
 
 

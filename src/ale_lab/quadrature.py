@@ -39,6 +39,7 @@ import numpy as np
 from . import fd
 from .errors import SchemaError
 from .forms import (
+    D_TABLE,
     EUCLIDEAN,
     FLAT_STAR,
     OMEGA_ASD,
@@ -189,9 +190,9 @@ def _closedness_matrix(duality: str) -> np.ndarray:
     Unknown layout: 3 forms x 10 monomials x_p x_q (fd.QUAD_P, fd.QUAD_Q).
     Equations: the four degree-3 components of d(varpi), each linear in x,
     give 16 scalar conditions, row 4 (component) + r for the x_r
-    coefficient, exact from fd.DQUAD and fd.D_TABLE.
+    coefficient, exact from fd.DQUAD and forms.D_TABLE.
     """
-    rows = np.einsum("mar,iI,aIt->trim", fd.DQUAD, _dual_basis(duality), fd.D_TABLE[2])
+    rows = np.einsum("mar,iI,aIt->trim", fd.DQUAD, _dual_basis(duality), D_TABLE[2])
     return np.rint(rows).astype(np.int64).reshape(16, 30)
 
 

@@ -354,8 +354,7 @@ def suite_deformation(k: int, lam: float):
         a1_field = lambda x: deformation.star_d_phi(fam.phi_field, x)
         a2_field = lambda x: deformation.taylor_coefficient(
             lambda t: fam.connection(t)(nodes(t, x)), 2)
-        stack = deformation.ric0_second_order(
-            a1_field, a2_field, fam.phi_field, None, x0)
+        stack = deformation.ric0_second_order(a1_field, a2_field, fam.phi_field, x0)
         oracle = deformation.taylor_coefficient(
             lambda t: connection.curvature_block_of_metric(fam.metric_field(t),
                                                            nodes(t, x0)).Rminus, 2)

@@ -71,6 +71,22 @@ def test_verify_rejects_bad_configuration(capsys):
     for value in ("-1", "0", "nan", "inf"):
         assert cli.main(["verify", "--suite", "gh", "--tol", value]) == 2
         assert "--tol" in capsys.readouterr().err
+    # a k too large for a float overflows inside the suite
+    assert cli.main(["verify", "--suite", "gh", "--k", str(10**400)]) == 2
+    assert f"configuration error: --k {10**400} --lambda 1.0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["verify", "--suite", "gh", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
+    (["verify", "--suite", "gh", "--lambda", "1e-9"], "--k 1 --lambda 1e-09: "),
+    (["asympt", "--k", str(10**400), "--radii", "10"], f"--k {10**400} --lambda 1.0: "),
+], ids=["verify-large-lambda", "verify-small-lambda", "asympt-k-beyond-float"])
+def test_configuration_errors_name_the_flags(capsys, argv, prefix):
+    # errors raised inside the computation carry the flags they were run
+    # with; at lambda = 1e200 numpy warns of the overflow on the way there
+    with np.errstate(over="ignore"):
+        assert cli.main(argv) == 2
+    assert f"configuration error: {prefix}" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_each_call_gets_the_defaults(tmp_path, capsys):
@@ -202,6 +218,11 @@ def _overrides(vol_sigma, omega_norm2):
     (_overrides(0, 1.0), "constants_override.volSigma: expected positive number, got 0.0"),
     (_overrides(-1, -2), "constants_override.volSigma: expected positive number, got -1.0"),
     ({"lambda": 1e200}, "lambda: 1e+200 at k = 1 is out of range"),
+    pytest.param({"k": 10**400}, f"k: {10**400} is too large to convert to a float",
+                 id="k-beyond-float"),
+    pytest.param({"k": 10**160, "lambda": 1.0},
+                 f"k: {10**160} is too large even at lambda = 1, the Sigma constants are "
+                 "not finite", id="k-sigma-overflow"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface

@@ -348,7 +348,7 @@ def test_second_order_formula_linear_family():
     fam = deformation.linear_gauged_family(2)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, None, X0))
+        a1_field, _a2_field(fam), fam.phi_field, X0))
     oracle = _second_order_oracle(fam, X0)
     assert np.max(np.abs(formula - oracle)) < 1e-6
 
@@ -359,15 +359,14 @@ def test_second_order_formula_couples_phi_and_curvature():
     fam = deformation.einstein_first_order_family(8)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, None, X0))
+        a1_field, _a2_field(fam), fam.phi_field, X0))
     oracle = _second_order_oracle(fam, X0)
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(formula - oracle)) < 1e-4 * scale
-    # the coupling term must actually matter for this family: dropping it
-    # (zero block) changes the prediction measurably
-    uncoupled = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, np.zeros((3, 3)), X0))
-    assert np.max(np.abs(formula - uncoupled)) > 1e-3
+    # the coupling term must actually matter for this family: it changes
+    # the prediction measurably
+    coupling = deformation.sd_block(fd.fd_d(forms.FormField(1, a1_field), X0)) @ fam.phi_field(X0)
+    assert np.max(np.abs(coupling)) > 1e-3
 
 
 _DIV_POINTS = np.vstack([np.zeros(4), np.eye(4), [0.3, -0.7, 0.4, 0.9],
@@ -482,8 +481,7 @@ def test_second_order_tensor_identification():
     # t^2-coefficient of the nonlinear tracefree Ricci with factor one
     fam = deformation.linear_gauged_family(12)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
-    stack = deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, None, X0)
+    stack = deformation.ric0_second_order(a1_field, _a2_field(fam), fam.phi_field, X0)
     tensor = connection.mixed_block_to_ric0(deformation.asd_block(stack), np.eye(4))
 
     def tracefree_ricci(t: np.ndarray) -> np.ndarray:

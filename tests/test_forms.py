@@ -98,7 +98,7 @@ def test_duality_bases_are_star_eigenvectors():
         assert np.allclose(
             forms.hodge_star(FLAT, forms.OMEGA_ASD[i], 2), -forms.OMEGA_ASD[i]
         )
-        assert forms.form_inner(FLAT, forms.OMEGA_SD[i], forms.OMEGA_SD[i], 2) == pytest.approx(2.0)
+        assert _reference_inner(FLAT, forms.OMEGA_SD[i], forms.OMEGA_SD[i], 2) == pytest.approx(2.0)
 
 
 def _perm_sign(perm) -> int:
@@ -139,6 +139,39 @@ def _reference_inner(g, a, b, p):
     return float(np.sum(full_a * raised_b)) / math.factorial(p)
 
 
+def _reference_d_table(p):
+    """Sign table D[a, I, K]: (d w)_K = sum_{a, I} d_a w_I D[a, I, K], from
+    each index a at each position of every sorted (p+1)-tuple K."""
+    table = np.zeros((4, forms.DEGREE_SIZES[p], forms.DEGREE_SIZES[min(p + 1, 4)]))
+    for out_idx, tup in enumerate(forms.TUPLES.get(p + 1, ())):
+        for pos in range(p + 1):
+            rest = tup[:pos] + tup[pos + 1:]
+            table[tup[pos], forms.TUPLE_INDEX[p][rest], out_idx] = (-1) ** pos
+    return table
+
+
+def _reference_complement(p):
+    """For each sorted (4-p)-tuple K: the index of its sorted complement I
+    among the p-tuples and the sign of the permutation (I, K)."""
+    idx, sign = [], []
+    for tup in forms.TUPLES[4 - p]:
+        comp = tuple(i for i in range(4) if i not in tup)
+        idx.append(forms.TUPLE_INDEX[p][comp])
+        sign.append(_perm_sign(comp + tup))
+    return np.array(idx), np.array(sign, dtype=float)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_d_and_complement_tables_equal_the_direct_loops(p):
+    # both tables are read off the wedge table; the loops that build them
+    # directly give the same values, shapes and dtypes
+    pairs = [(forms.D_TABLE[p], _reference_d_table(p)),
+             *zip(forms._COMPLEMENT[p], _reference_complement(p))]
+    for got, ref in pairs:
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert np.array_equal(got, ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
 def test_star_and_inner_on_curved_metrics(seed, degree):
@@ -149,7 +182,7 @@ def test_star_and_inner_on_curved_metrics(seed, degree):
     star_b = forms.hodge_star(g, b, degree)
     ref = _reference_star(g, b, degree)
     assert np.allclose(star_b, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
-    inner = forms.form_inner(g, a, b, degree)
+    inner = float(a @ forms.compound(forms.metric_inverse(g)[0], degree) @ b)
     assert inner == pytest.approx(_reference_inner(g, a, b, degree), rel=1e-9, abs=1e-12)
     # ** = (-1)^{p(4-p)} in Riemannian signature
     sign = (-1) ** (degree * (4 - degree))
@@ -168,9 +201,9 @@ def test_split_sd_reconstructs_and_projects():
     assert np.allclose(forms.hodge_star(FLAT, plus, 2), plus, atol=1e-12)
     assert np.allclose(forms.hodge_star(FLAT, minus, 2), -minus, atol=1e-12)
     # orthogonal decomposition of the norm
-    total = forms.form_inner(FLAT, comps, comps, 2)
+    total = _reference_inner(FLAT, comps, comps, 2)
     assert total == pytest.approx(
-        forms.form_inner(FLAT, plus, plus, 2) + forms.form_inner(FLAT, minus, minus, 2)
+        _reference_inner(FLAT, plus, plus, 2) + _reference_inner(FLAT, minus, minus, 2)
     )
 
 

@@ -106,7 +106,7 @@ def _one_stack_norm(bundle):
     """omega_norm with the whole-space rule evaluated as one stack."""
     pts, w = _volume_rule(bundle.config)
     v = gh.eval_V(bundle.config, pts)
-    return quadrature.TWO_PI * float(np.sum(w * bundle.norm_density(pts) * v))
+    return quadrature.TWO_PI * float(np.sum(w * bundle.norm_density(pts)[0] * v))
 
 
 def _one_stack_pairing(bundle):
@@ -220,8 +220,8 @@ def _two_model_fit(cfg, bundle):
     base = radii * harmonic._fit_directions(6, 0)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (cfg.k + 1) * radii) ** 2
-    lead, sub = (weight * fd.fd_d(FormField(1, harmonic.dC_scalar_field(cfg, grad4)), x4)
-                 for grad4 in (harmonic._lead_grad4(cfg), harmonic._sub_grad4(cfg)))
+    lead, sub = (weight * fd.fd_d(FormField(1, harmonic.dC_scalar_field(
+        cfg, lambda y, m=m: harmonic._model_grads(cfg, y)[..., m, :])), x4) for m in (0, 1))
     amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
     sol, *_ = np.linalg.lstsq(amat, (weight * bundle.components(x4)).ravel(), rcond=None)
     return sol

@@ -32,7 +32,6 @@ ORACLES = {
     "connection.mixed_block_to_ric0":
         "test_connection.py::test_mixed_block_identifies_tracefree_ricci",
     "deformation.expm": "test_deformation.py::test_triple_closed_form_matches_expm",
-    "forms.form_inner": "test_forms.py::test_star_and_inner_on_curved_metrics",
     "jets.pullback_jet2": "test_jets.py::test_pullback_consistency",
     "jets.cyclic_group": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.binary_dihedral_group":
