@@ -123,6 +123,8 @@ def _number(value, name: str, positive: bool = False) -> float:
     from .errors import SchemaError
 
     if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            raise SchemaError(f"{name}: {value} is too large to convert to a float")
         value = float(value)
     if not isinstance(value, float) or not math.isfinite(value) or (positive and value <= 0):
         kind = "positive" if positive else "finite"
@@ -139,7 +141,7 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
 
     try:
         arr = np.asarray(raw[name], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{name}: non-numeric entries ({exc})") from exc
     if arr.shape != (4,) * rank:
         raise SchemaError(f"{name}: expected shape {'[4]' * rank}, got {list(arr.shape)}")
@@ -150,7 +152,9 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
 
 
 def _load_jet_input(path: str):
-    from . import jets
+    import dataclasses
+
+    from . import jets, obstruction
     from .errors import SchemaError
 
     try:
@@ -188,11 +192,23 @@ def _load_jet_input(path: str):
                     f"(expected one of {sorted(_OVERRIDE_KEYS)})")
             overrides[_OVERRIDE_KEYS[key]] = _number(value, f"constants_override.{key}",
                                                      positive=key in _POSITIVE_OVERRIDES)
+    elif k is not None and math.isinf(k * lam):
+        # the two-cluster centers sit at -k lambda and lambda
+        raise SchemaError(f"k and lambda: {k} * {lam!r} is out of range, the center "
+                          "-k * lambda is not finite")
 
     gauge = raw.get("gauge_project", False)
     if not isinstance(gauge, bool):
         raise SchemaError(
             f"gauge_project: expected boolean, got {type(gauge).__name__}")
+    if overrides is not None:
+        # raises MissingConstants first when a constant is missing
+        constants = obstruction.constants_from_overrides(overrides)
+        names, factor = obstruction.factor_faults(dataclasses.replace(constants, k=k))
+        if names:
+            keys = ", ".join(f"constants_override.{key}"
+                             for key, name in _OVERRIDE_KEYS.items() if name in names)
+            raise SchemaError(f"{keys}: out of range, the factor {factor} is not finite")
     return jet, quartic, k, lam, overrides, gauge
 
 
@@ -207,10 +223,16 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
         # a jet too large for its products overflows; the report check
         # below names the field instead of a warning per operation
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = obstruction.compute_report(
-                jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
-                apply_gauge=gauge)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = obstruction.compute_report(
+                    jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
+                    apply_gauge=gauge)
+        except OverflowError as exc:
+            # the overrides were checked on load, and k is small once the
+            # Sigma constants are finite: lambda makes vol_sigma^2 overflow
+            raise SchemaError(f"lambda: {lam!r} at k = {k} is out of range, the factor "
+                              "vol_sigma^2 is not finite") from exc
     except QuadratureDivergence as exc:
         # the Sigma constants are the one quadrature of obstruct, and they
         # read only k and lambda from the input: k is at fault when they

@@ -72,7 +72,7 @@ from .forms import (
     OMEGA_ASD,
     OMEGA_SD,
     FormField,
-    J_from_form,
+    J_with,
     apply_J_covector,
     float_or_complex,
     wedge,
@@ -81,8 +81,8 @@ from .forms import (
 ScalarField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (...)
 MatrixField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (..., 3, 3)
 
-_J_SD_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD)
-_J_ASD_FLAT = J_from_form(EUCLIDEAN, OMEGA_ASD)
+_J_SD_FLAT = J_with(EUCLIDEAN, OMEGA_SD)
+_J_ASD_FLAT = J_with(EUCLIDEAN, OMEGA_ASD)
 _BASIS = np.vstack([OMEGA_SD, OMEGA_ASD])
 
 GAUGE_TOL = 1e-6  # largest gauge residual deformation_first_order accepts

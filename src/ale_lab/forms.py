@@ -15,26 +15,31 @@ same rule ((..., 4), (..., 4, 4) and (..., 4, 4)): a stack of metrics
 broadcasts against a stack of forms with its own leading axes, so
 g[..., None, :, :] pairs one metric per point with a (..., 3, 6) triple.
 
-The wedge table _WEDGE[(p, q)] of basis products is the one sign source
-for wedge, d and *; it and the metric's index tables are built at import:
-  - D_TABLE[p] is _WEDGE[(1, p)] read as [a, I, K], the sign of
+The wedge table _WEDGE[(p, q)] of basis products is the one sign table
+built by hand; every other table is read off it at import:
+  - d: D_TABLE[p] is _WEDGE[(1, p)] read as [a, I, K], the sign of
     dx^a ^ dx^I, so (d w)_K = sum_{a, I} d_a w_I D_TABLE[p][a, I, K];
-  - each sorted (4-p)-tuple K has one p-tuple I with dx^I ^ dx^K =
-    eps(I, K) dx^0123 nonzero, so (*a)_K = sqrt(det g) eps(I, K)
-    (C_p(g^{-1}) a)_I, and on the flat metric * is the signed permutation
-    FLAT_STAR[p];
-  - the p-th compound C_p(A) of a 4x4 matrix A is the matrix of its
-    p x p minors, C_p(A)[I, J] = det A[I, J] over sorted tuples I, J;
-    the induced inner product of p-forms is <a, b> = a . C_p(g^{-1}) . b;
-  - comps_to_tensor scatters components into the full antisymmetric
-    array through one index and sign table per degree.
+  - the * complement: each sorted (4-p)-tuple K has one p-tuple I with
+    dx^I ^ dx^K = eps(I, K) dx^0123 nonzero, so (*a)_K = sqrt(det g)
+    eps(I, K) (C_p(g^{-1}) a)_I, and on the flat metric * is the signed
+    permutation FLAT_STAR[p];
+  - the tensor scatter: _TENSOR[p] holds dx^a1 ^ ... ^ dx^ap for every
+    index tuple (a1, ..., ap), by iterated wedge, and comps_to_tensor
+    scatters components into the full antisymmetric array through its
+    nonzero entries;
+  - the Leibniz minors: the p-th compound C_p(A) of a 4x4 matrix A is the
+    matrix of its p x p minors, C_p(A)[I, J] = det A[I, J] over sorted
+    tuples I, J, a signed sum over the nonzero entries of column J of
+    _TENSOR[p]; the induced inner product of p-forms is
+    <a, b> = a . C_p(g^{-1}) . b.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
 inversion; star_with, project_with and J_with take its result to share it.
 
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
-    w3 = e03+e12 (anti-self-dual partners flip the second sign), with
-    <wi, wj> = 2 delta_ij for the euclidean metric;
+    w3 = e03+e12, and its anti-self-dual partners are w~1 = e01-e23,
+    w~2 = -e02-e13, w~3 = e03-e12, with <wi, wj> = 2 delta_ij for the
+    euclidean metric;
   - a 2-form W and a compatible almost-complex structure J are related
     by W(X, Y) = g(JX, Y), i.e. J = g^{-1} W^T on column vectors;
   - on covectors, (J b)(X) = -b(JX).
@@ -71,44 +76,6 @@ def _perm_sign(seq: tuple[int, ...]) -> int:
     return sign
 
 
-def _flat_index(idx: tuple[int, ...]) -> int:
-    out = 0
-    for i in idx:
-        out = out * DIM + i
-    return out
-
-
-def _scatter_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat position, source component, sign) of every nonzero entry of
-    the full antisymmetric degree-p array."""
-    entries = [
-        (_flat_index(perm), idx, _perm_sign(perm))
-        for idx, tup in enumerate(TUPLES[p])
-        for perm in itertools.permutations(tup)
-    ]
-    flat, src, sign = zip(*entries)
-    return np.array(flat), np.array(src), np.array(sign, dtype=float)
-
-
-def _compound_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices (I, J, permutation, slot) and permutation
-    signs of the Leibniz expansion of every p x p minor."""
-    perms = list(itertools.permutations(range(p)))
-    n = DEGREE_SIZES[p]
-    rows = np.empty((n, n, len(perms), p), dtype=int)
-    cols = np.empty_like(rows)
-    for i, tup_i in enumerate(TUPLES[p]):
-        for j, tup_j in enumerate(TUPLES[p]):
-            for s, perm in enumerate(perms):
-                rows[i, j, s] = tup_i
-                cols[i, j, s] = [tup_j[k] for k in perm]
-    return rows, cols, np.array([_perm_sign(perm) for perm in perms], dtype=float)
-
-
-_SCATTER = {p: _scatter_table(p) for p in range(DIM + 1)}
-_COMPOUND = {p: _compound_table(p) for p in range(DIM + 1)}
-
-
 def float_or_complex(values) -> np.ndarray:
     """values as a float array, or a complex one when they are complex: the
     value casts of forms, fd, connection and deformation, so that a family
@@ -132,7 +99,7 @@ def comps_to_tensor(comps: np.ndarray, degree: int) -> np.ndarray:
 def compound(matrix: np.ndarray, p: int) -> np.ndarray:
     """p-th compound of (..., 4, 4) matrices: the p x p minors, rows and
     columns ordered like TUPLES[p]."""
-    rows, cols, signs = _COMPOUND[p]
+    rows, cols, signs = _LEIBNIZ[p]
     entries = float_or_complex(matrix)[..., rows, cols]
     return (entries.prod(axis=-1) * signs).sum(axis=-1)
 
@@ -176,6 +143,34 @@ def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (-1,)) @ _WEDGE[(p, q)]
 
 
+# _TENSOR[p][a1 4^(p-1) + ... + ap, I]: component I of dx^a1 ^ ... ^ dx^ap
+_TENSOR = {0: np.ones((1, 1))}
+for _p in range(1, DIM + 1):
+    _rows = wedge(np.eye(DIM)[:, None, :], 1, _TENSOR[_p - 1], _p - 1)
+    _TENSOR[_p] = _rows.reshape(-1, DEGREE_SIZES[_p])
+
+
+def _scatter(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat position, source component, sign) of each nonzero of _TENSOR[p]."""
+    flat, src = np.nonzero(_TENSOR[p])
+    return flat, src, _TENSOR[p][flat, src]
+
+
+def _leibniz(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices (I, J, term, slot) and signs (J, term) of the
+    Leibniz expansion of every p x p minor: the nonzero entries of column J
+    of _TENSOR[p], in lexicographic order of (a1..ap), which fixes the sum's bits."""
+    col, flat = np.nonzero(_TENSOR[p].T)
+    shape = (DEGREE_SIZES[p], math.factorial(p))
+    cols = flat.reshape(shape + (1,)) // DIM ** np.arange(p - 1, -1, -1) % DIM
+    rows, cols = np.broadcast_arrays(np.array(TUPLES[p], dtype=int)[:, None, None, :], cols)
+    return rows.copy(), cols.copy(), _TENSOR[p][flat, col].reshape(shape)
+
+
+_SCATTER = {p: _scatter(p) for p in range(DIM + 1)}
+_LEIBNIZ = {p: _leibniz(p) for p in range(DIM + 1)}
+
+
 def metric_inverse(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g^{-1} and det g of (..., 4, 4) metrics; a det g that is not finite
     with positive real part (a NaN or singular metric; the real part for the
@@ -217,15 +212,10 @@ def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray
 
 
 def project_with(ginv: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """project_stack for the metrics whose inverse is ginv (metric_inverse)."""
+    """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
+    with <b_i, b_j> = 2 delta_ij, for the inverse metrics ginv (metric_inverse)."""
     stack = float_or_complex(stack)
     return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
-
-
-def project_stack(metric: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
-    with <b_i, b_j> = 2 delta_ij; stack may be one form or a stack."""
-    return project_with(metric_inverse(metric)[0], stack, basis)
 
 
 def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +298,7 @@ def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.nda
     g = w1 @ j1
     g = (g + np.swapaxes(g, -1, -2)) / 2.0
     g = np.where((np.trace(g, axis1=-2, axis2=-1).real < 0)[..., None, None], -g, g)
-    gram = 2.0 * project_stack(g, triple, triple)
+    gram = 2.0 * project_with(metric_inverse(g)[0], triple, triple)
     norm1 = gram[..., 0, 0]
     if np.any(norm1.real <= 0):
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")

@@ -86,6 +86,28 @@ def constants_from_overrides(overrides: Mapping[str, float]) -> ModelConstants:
                           provenance={name: "user-supplied" for name in _CONSTANT_NAMES})
 
 
+def factor_faults(constants: ModelConstants) -> tuple[tuple[str, ...], str]:
+    """The first factor that the report formulas take from the constants
+    alone and that is not finite, as (the constants it reads, the factor),
+    or ((), ""): 4 pi / omega_norm2 (mu1_generic), pi vol_sigma /
+    omega_norm2 (lambda_obstruction) and, given k, vol_sigma^2 and
+    vol_sigma^2 / omega_norm2 (mu1_Ak), whatever the regime of the jet."""
+    vol, norm = constants.vol_sigma, constants.omega_norm2
+    if not math.isfinite(4.0 * math.pi / norm):
+        return ("omega_norm2",), "4 pi / omega_norm2"
+    if not math.isfinite(math.pi * vol / norm):
+        return ("vol_sigma", "omega_norm2"), "pi vol_sigma / omega_norm2"
+    if constants.k is None:
+        return (), ""
+    try:
+        square = vol**2
+    except OverflowError:
+        return ("vol_sigma",), "vol_sigma^2"
+    if not math.isfinite(square / norm):
+        return ("vol_sigma", "omega_norm2"), "vol_sigma^2 / omega_norm2"
+    return (), ""
+
+
 def _check_block(block: np.ndarray) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):

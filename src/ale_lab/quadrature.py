@@ -44,7 +44,7 @@ from .forms import (
     FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
-    J_from_form,
+    J_with,
     apply_J_covector,
     wedge,
 )
@@ -271,7 +271,7 @@ def random_closed_quadratic(seed: int, duality: str = "sd") -> QuadraticTriple:
     return QuadraticTriple(Z=_coeffs_to_Z(coeffs), duality=duality)
 
 
-_J1_FLAT = J_from_form(EUCLIDEAN, OMEGA_SD[0])
+_J1_FLAT = J_with(EUCLIDEAN, OMEGA_SD[0])
 _F_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # F = (x . _F_SIGNS x) / r^6
 
 

@@ -184,6 +184,16 @@ def _suite(values):
     return run
 
 
+def _check_points(config: gh.GHConfig, n: int) -> np.ndarray:
+    """The n chart points (seed 0) the gh and harmonic suites check at: on
+    rho in [1.5, 4] geo, at least 0.8 geo from the centers and the axis and
+    outside the string cone of cosine 0.45, with geo = max(1, lambda)."""
+    geo = max(1.0, config.lam)
+    return gh.sample_chart_points(config, n, rho_min=1.5 * geo,
+                                  rho_max=4.0 * geo, min_center_dist=0.8 * geo,
+                                  min_axis_dist=0.8 * geo, string_cone_cos=0.45)
+
+
 # ---------------------------------------------------------------------------
 # Multi-center geometry suite
 # ---------------------------------------------------------------------------
@@ -207,10 +217,7 @@ def suite_gh(k: int, lam: float):
     yield "moment-at-far-center", consts.m_p1, k1 * lam
 
     metric = gh.metric_fn(config)
-    geo = max(1.0, lam)
-    x4 = gh.sample_chart_points(config, 20, rho_min=1.5 * geo,
-                                rho_max=4.0 * geo, min_center_dist=0.8 * geo,
-                                min_axis_dist=0.8 * geo, string_cone_cos=0.45)
+    x4 = _check_points(config, 20)
     yield "ricci-flat", float(np.max(np.abs(fd.ricci(metric, x4))))
 
     sub = x4[:6]
@@ -284,10 +291,7 @@ def suite_harmonic(k: int, lam: float):
     yield "norm-squared", norm, harmonic.closed_form_norm2(k)
 
     omega_field = FormField(2, bundle.components)
-    geo = max(1.0, lam)
-    x4 = gh.sample_chart_points(config, 5, rho_min=1.5 * geo,
-                                rho_max=4.0 * geo, min_center_dist=0.8 * geo,
-                                min_axis_dist=0.8 * geo, string_cone_cos=0.45)
+    x4 = _check_points(config, 5)
     yield "omega-closed", float(np.max(np.abs(fd.fd_d(omega_field, x4))))
     plus, _ = split_sd(gh.metric_matrix(config, x4), omega_field(x4))
     yield "omega-antiselfdual", float(np.max(np.abs(plus)))

@@ -223,6 +223,29 @@ def _overrides(vol_sigma, omega_norm2):
     pytest.param({"k": 10**160, "lambda": 1.0},
                  f"k: {10**160} is too large even at lambda = 1, the Sigma constants are "
                  "not finite", id="k-sigma-overflow"),
+    # the factors the report takes from the overrides alone overflow: vol^2
+    # in mu1 raised OverflowError, 4 pi / norm gave a report blaming H
+    pytest.param(_overrides(1e200, 1.0),
+                 "constants_override.volSigma: out of range, the factor vol_sigma^2",
+                 id="override-vol-squared-overflow"),
+    pytest.param(_overrides(1.0, 1e-320),
+                 "constants_override.omegaNorm2: out of range, the factor 4 pi / omega_norm2",
+                 id="override-norm-factor-overflow"),
+    pytest.param({"k": 10**308, "lambda": 1e3},
+                 f"k and lambda: {10**308} * 1000.0 is out of range",
+                 id="k-lambda-center-overflow"),
+    pytest.param({"lambda": 2e153},
+                 "lambda: 2e+153 at k = 1 is out of range, the factor vol_sigma^2",
+                 id="lambda-vol-squared-overflow"),
+    # JSON integers beyond a float raised OverflowError on conversion
+    pytest.param({"lambda": 10**400}, f"lambda: {10**400} is too large to convert to a float",
+                 id="lambda-beyond-float"),
+    pytest.param({"constants_override": {"volSigma": 1.0, "omegaNorm2": 1.0,
+                                         "intMomega": 1.0, "mP1": -10**400}},
+                 f"constants_override.mP1: {-10**400} is too large to convert to a float",
+                 id="override-beyond-float"),
+    pytest.param({"H": [[[[10**400] * 4] * 4] * 4] * 4}, "H: non-numeric entries",
+                 id="jet-entry-beyond-float"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface

@@ -172,6 +172,60 @@ def test_d_and_complement_tables_equal_the_direct_loops(p):
         assert np.array_equal(got, ref)
 
 
+def _flat_index(idx) -> int:
+    out = 0
+    for i in idx:
+        out = out * 4 + i
+    return out
+
+
+def _reference_scatter(comps, p):
+    """comps_to_tensor through a (flat position, component, sign) table
+    built by permuting every sorted p-tuple."""
+    entries = [
+        (_flat_index(tuple(tup[k] for k in perm)), idx, _perm_sign(perm))
+        for idx, tup in enumerate(forms.TUPLES[p])
+        for perm in itertools.permutations(range(p))
+    ]
+    flat, src, sign = (np.array(col) for col in zip(*entries))
+    out = np.zeros(comps.shape[:-1] + (4**p,), dtype=comps.dtype)
+    out[..., flat] = sign.astype(float) * comps[..., src]
+    return out.reshape(comps.shape[:-1] + (4,) * p)
+
+
+def _reference_compound(matrix, p):
+    """compound through row and column indices (I, J, permutation, slot) of
+    the Leibniz expansion of every p x p minor, in the order of
+    itertools.permutations."""
+    perms = list(itertools.permutations(range(p)))
+    n = forms.DEGREE_SIZES[p]
+    rows = np.empty((n, n, len(perms), p), dtype=int)
+    cols = np.empty_like(rows)
+    for i, tup_i in enumerate(forms.TUPLES[p]):
+        for j, tup_j in enumerate(forms.TUPLES[p]):
+            for s, perm in enumerate(perms):
+                rows[i, j, s] = tup_i
+                cols[i, j, s] = [tup_j[k] for k in perm]
+    signs = np.array([_perm_sign(perm) for perm in perms], dtype=float)
+    return (matrix[..., rows, cols].prod(axis=-1) * signs).sum(axis=-1)
+
+
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_scatter_and_minors_equal_the_permutation_loops(p, kind):
+    # both tables are read off the wedge table; the permutation loops that
+    # build them directly give the same bits, term order included
+    rng = np.random.default_rng(17 + p)
+    matrix, comps = rng.normal(size=(5, 3, 4, 4)), rng.normal(size=(5, 3, forms.DEGREE_SIZES[p]))
+    if kind == "complex":
+        matrix = matrix + 1j * rng.normal(size=matrix.shape)
+        comps = comps + 1j * rng.normal(size=comps.shape)
+    for got, ref in ((forms.comps_to_tensor(comps, p), _reference_scatter(comps, p)),
+                     (forms.compound(matrix, p), _reference_compound(matrix, p))):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert np.array_equal(got, ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
 def test_star_and_inner_on_curved_metrics(seed, degree):
