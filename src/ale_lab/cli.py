@@ -14,6 +14,16 @@ is why all heavy imports happen inside the handlers.  JSON reports carry
 "schema_version": 1 and contain no timing data, so reruns with equal
 arguments are byte-identical; durations go to the human-readable output
 only.
+
+obstruct reads its jet file with orjson (a dependency of the package,
+imported in the handler like numpy).  The stdlib json reads the file
+again when orjson refuses it, which it does for the NaN and Infinity
+literals, numbers beyond the float range and invalid UTF-8, and when
+orjson reads a float k: orjson reads an integer beyond 64 bits as a
+float, and k must stay the integer the file holds for its checks and
+messages.  Every other value reads bit for bit the same in both.  Reports
+are written by the stdlib json, whose float text is part of the report
+bytes.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -44,6 +55,8 @@ _OVERRIDE_KEYS = {
 }
 # an area and a squared norm: positive by definition
 _POSITIVE_OVERRIDES = ("volSigma", "omegaNorm2")
+# the types a JSON number reads as
+_NUMBER_TYPES = {float, int}
 
 
 def _configure_threads() -> None:
@@ -132,6 +145,13 @@ def _number(value, name: str, positive: bool = False) -> float:
     return value
 
 
+def _entries(nested: list, rank: int):
+    """The entries of ``rank`` levels of nested lists, in row-major order."""
+    for _ in range(rank - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return nested
+
+
 def _jet_field(raw: dict, name: str, cls, rank: int):
     """The rank-``rank`` jet array under ``name`` as a validated ``cls``
     (Jet2 or Jet4); every message starts with the field name."""
@@ -145,10 +165,43 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
         raise SchemaError(f"{name}: non-numeric entries ({exc})") from exc
     if arr.shape != (4,) * rank:
         raise SchemaError(f"{name}: expected shape {'[4]' * rank}, got {list(arr.shape)}")
+    # numpy reads a numeric string or a boolean as a number and null as NaN
+    if not set(map(type, _entries(raw[name], rank))) <= _NUMBER_TYPES:
+        bad = [type(v) not in _NUMBER_TYPES for v in _entries(raw[name], rank)]
+        index = np.argwhere(np.reshape(bad, arr.shape))[0].tolist()
+        raise SchemaError(f"{name}: non-numeric entry at {index}")
     try:
         return cls.from_array(arr)
     except SymmetryError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def _read_jet_file(path: str):
+    """The JSON value in the file at ``path``.  orjson reads it; the stdlib
+    json reads the text again when orjson refuses it (NaN and Infinity
+    literals, numbers beyond a float, invalid UTF-8) or reads a float ``k``,
+    which may be an integer beyond 64 bits that orjson reads as a float."""
+    import orjson
+
+    from .errors import SchemaError
+
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"jet file: {exc}") from exc
+    try:
+        raw = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if not (isinstance(raw, dict) and isinstance(raw.get("k"), float)):
+            return raw
+    try:
+        # decoded, newlines translated, as open(path, encoding="utf-8") reads it
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"jet file: invalid JSON ({exc})") from exc
 
 
 def _load_jet_input(path: str):
@@ -157,13 +210,7 @@ def _load_jet_input(path: str):
     from . import jets, obstruction
     from .errors import SchemaError
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"jet file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"jet file: invalid JSON ({exc})") from exc
+    raw = _read_jet_file(path)
     if not isinstance(raw, dict):
         raise SchemaError("jet file: top level must be an object")
 
@@ -255,14 +302,19 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
     payload = {"schema_version": SCHEMA_VERSION, "command": "obstruct"}
     payload.update(report.to_dict())
-    for key in sorted(payload):
-        try:
-            json.dumps(payload[key], allow_nan=False)
-        except ValueError:
-            print(f"schema error: H: the jet is out of range, report field {key} is not "
-                  "finite", file=sys.stderr)
-            return 2
-    _emit(_json_text(payload), args.report)
+    try:
+        text = _json_text(payload)
+    except ValueError:
+        # a value is not finite: name the first such field in report order
+        for key in sorted(payload):
+            try:
+                json.dumps(payload[key], allow_nan=False)
+            except ValueError:
+                print(f"schema error: H: the jet is out of range, report field {key} is not "
+                      "finite", file=sys.stderr)
+                return 2
+        raise
+    _emit(text, args.report)
     det_bold = obstruction.bold_det_from_block(report.Rplus_block)
     print(f"wall side: {report.wall_side} "
           f"(det of the negated block = {det_bold:.6g})")

@@ -39,8 +39,9 @@ come from one evaluation.  grad f, for f = V0/V with V0 = 1/(2|x - p0|) the
 first center's share of V, comes from the same pass (_grad_f_from, which
 writes over it): per component read, the offsets over |x - p_i|^3 weighted
 by n_i, their sum over the centers and the quotient rule, each one
-contiguous (...) array.  Up to exact factors of 2 these are the operations
-of eval_V and eval_V_grad, so V and grad f are theirs bit for bit; dividing
+contiguous (...) array.  V is the one expression of eval_V
+(_potential_from), and up to exact factors of 2 the rest are the operations
+of eval_V_grad, so V and grad f are theirs bit for bit; dividing
 by r_i^2 instead would move finite-difference residuals such as
 omega-closed by up to 1e-7 of themselves.  grad_f_and_potential gives them
 unchecked, eta_and_grad_f with the north-gauge eta after domain validation.
@@ -234,14 +235,21 @@ def validate_base(config: GHConfig, x3: np.ndarray,
     return diff, dists
 
 
-def _potential_from(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """(1/2) sum n_i / |x - p_i| from the (centers, ...) distances."""
-    return 0.5 * _center_sum(n / d for n, d in zip(weights, dists))
+def _shares(weights: np.ndarray, dists: np.ndarray):
+    """The terms n_i / |x - p_i| of 2V, one (...) array per center in center
+    order, from the (centers, ...) distances."""
+    return (n / d for n, d in zip(weights, dists))
+
+
+def _potential_from(shares) -> np.ndarray:
+    """V = (1/2) sum n_i / |x - p_i| from its shares (_shares): the one
+    expression of V, which _grad_f_from reads too."""
+    return 0.5 * _center_sum(shares)
 
 
 def eval_V(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     """Harmonic potential at (..., 3) base points, after domain validation."""
-    return _potential_from(config.weights, validate_base(config, x3)[1])
+    return _potential_from(_shares(config.weights, validate_base(config, x3)[1]))
 
 
 def eval_V_grad(config: GHConfig, x3: np.ndarray) -> np.ndarray:
@@ -268,8 +276,9 @@ def _grad_f_from(config: GHConfig, diff: np.ndarray, dists: np.ndarray,
     # s = 2 V, s0 = 2 V0 and, per component, q = -2 grad V and q0 = -2 grad V0
     # take the operations of eval_V and eval_V_grad up to exact factors of 2,
     # so V and grad f are those of the two potentials' quotient rule bit for bit
-    shares = weights / dists
-    s = _center_sum(shares)
+    shares = list(_shares(config.weights, dists))
+    s = _potential_from(shares)
+    s += s  # 2 V, the center sum exactly, halved back in place on return
     s_sq = s * s
     cubes = np.power(dists, 3, out=dists)
     grads = []
@@ -317,7 +326,7 @@ def potential_and_eta(config: GHConfig, x4: np.ndarray,
     after domain validation, from one pass over the centers."""
     x3 = np.asarray(x4, dtype=float)[..., :3]
     diff, dists = validate_base(config, x3, patch)
-    return _potential_from(config.weights, dists), _eta(config, diff, patch)
+    return _potential_from(_shares(config.weights, dists)), _eta(config, diff, patch)
 
 
 def eta_and_grad_f(config: GHConfig, x4: np.ndarray

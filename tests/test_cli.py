@@ -6,8 +6,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -17,18 +19,28 @@ from ale_lab import cli, jets, suites
 BLOCK0 = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
+def _jet_lists():
+    """H and H2 of the test jet as nested lists."""
+    return {"H": jets.jet2_with_block(np.array(BLOCK0), seed=3).H.tolist(),
+            "H2": jets.random_jet4(0).H2.tolist()}
+
+
 def _write_jet(path, **extra):
-    jet = jets.jet2_with_block(np.array(BLOCK0), seed=3)
-    payload = {
-        "k": 1,
-        "lambda": 1.0,
-        "H": jet.H.tolist(),
-        "H2": jets.random_jet4(0).H2.tolist(),
-        "gauge_project": True,
-    }
+    payload = {"k": 1, "lambda": 1.0, **_jet_lists(), "gauge_project": True}
     payload.update(extra)
     path.write_text(json.dumps(payload))
     return path
+
+
+def _with_entry(field, value):
+    """The field of the test jet with its entry [1, 2, 1, 2, ...] set to value."""
+    lists = _jet_lists()
+    row = lists[field]
+    index = (1, 2) * (len(np.shape(row)) // 2)
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = value
+    return {field: lists[field]}
 
 
 # --- verify -----------------------------------------------------------------
@@ -246,6 +258,19 @@ def _overrides(vol_sigma, omega_norm2):
                  id="override-beyond-float"),
     pytest.param({"H": [[[[10**400] * 4] * 4] * 4] * 4}, "H: non-numeric entries",
                  id="jet-entry-beyond-float"),
+    # numpy read a numeric string and true as numbers and null as NaN
+    pytest.param(_with_entry("H", "0.0063"), "H: non-numeric entry at [1, 2, 1, 2]",
+                 id="jet-entry-string"),
+    pytest.param(_with_entry("H", True), "H: non-numeric entry at [1, 2, 1, 2]",
+                 id="jet-entry-true"),
+    pytest.param(_with_entry("H", None), "H: non-numeric entry at [1, 2, 1, 2]",
+                 id="jet-entry-null"),
+    pytest.param(_with_entry("H2", "1"), "H2: non-numeric entry at [1, 2, 1, 2, 1, 2]",
+                 id="quartic-entry-string"),
+    pytest.param(_with_entry("H2", False), "H2: non-numeric entry at [1, 2, 1, 2, 1, 2]",
+                 id="quartic-entry-false"),
+    pytest.param(_with_entry("H2", None), "H2: non-numeric entry at [1, 2, 1, 2, 1, 2]",
+                 id="quartic-entry-null"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface
@@ -255,6 +280,68 @@ def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2
     assert f"schema error: {field}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def _integer_jet(values):
+    """A quadratic jet as nested lists holding the JSON integers ``values``,
+    each on the orbit of one index under the pair symmetries."""
+    h = np.zeros((4, 4, 4, 4)).tolist()
+    for (a, b, c, d), value in zip([(1, 2, 1, 2), (0, 3, 0, 3), (0, 0, 1, 1), (3, 3, 3, 3)],
+                                   values):
+        for i, j, k, m in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)}:
+            h[i][j][k][m] = value
+    return h
+
+
+def _parity_payloads():
+    """Jet files whose values both JSON readers must read alike."""
+    canonical = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0)
+    yield {"k": 1, "H": canonical.H.tolist(), "H2": jets.random_jet4(0).H2.tolist()}
+    rng = np.random.default_rng(31)
+    for seed in range(3):
+        a = rng.normal(size=(2, 2))
+        block = np.zeros((3, 3))
+        block[1:, 1:] = a + a.T
+        yield {"k": 1 + seed, "lambda": float(rng.uniform(0.5, 2.0)),
+               "H": jets.jet2_with_block(block, seed=seed).H.tolist(),
+               "H2": jets.random_jet4(seed + 1).H2.tolist(), "gauge_project": True}
+    signed = canonical.H.copy()
+    signed[signed == 0.0] = -0.0
+    yield {"H": signed.tolist(), "lambda": 5e-324,
+           "constants_override": {"volSigma": 2.2e-308, "omegaNorm2": 1.0,
+                                  "intMomega": -0.0, "mP1": 4.9e-324}}
+    yield {"H": (canonical.H * 1e-310).tolist(), "H2": (jets.random_jet4(5).H2 * 5e-324).tolist()}
+    big = [2**64, 2**64 + 1, 10**200 + 7, 4 * 10**307 + 1]
+    yield {"k": 2**64, "lambda": 10**200 + 1, "H": _integer_jet(big)}
+    yield {"k": 3, "lambda": 2**70 + 3, "H": _integer_jet([2**65 + 1, -(2**90) - 1]),
+           "constants_override": {"volSigma": 2**80 + 1, "omegaNorm2": 10**100,
+                                  "intMomega": -(2**64) - 1, "mP1": 1}}
+
+
+@pytest.mark.parametrize("payload", list(_parity_payloads()))
+def test_jet_readers_agree_bit_for_bit(tmp_path, monkeypatch, payload):
+    # orjson reads the files; a stand-in that refuses every file forces the
+    # stdlib reader, which must give the same arrays and scalars bit for bit
+    import orjson
+
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps(payload))
+    fast = cli._load_jet_input(str(jet_path))
+
+    def refuse(data):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    monkeypatch.setitem(sys.modules, "orjson", types.SimpleNamespace(
+        loads=refuse, JSONDecodeError=orjson.JSONDecodeError))
+    slow = cli._load_jet_input(str(jet_path))
+
+    def bits(loaded):
+        jet, quartic, k, lam, overrides, gauge = loaded
+        return (jet.H.tobytes(), None if quartic is None else quartic.H2.tobytes(),
+                k, type(k), struct.pack("<d", lam),
+                {key: struct.pack("<d", v) for key, v in (overrides or {}).items()}, gauge)
+
+    assert bits(fast) == bits(slow)
 
 
 def test_obstruct_accepts_explicit_constants(tmp_path):
