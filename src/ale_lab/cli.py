@@ -161,8 +161,16 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
 
     try:
         arr = np.asarray(raw[name], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{name}: non-numeric entries ({exc})") from exc
+    except OverflowError as exc:
+        # a JSON integer beyond the float range; numpy read the nesting as
+        # regular before it converted the entries
+        nested = np.asarray(raw[name], dtype=object)
+        beyond = [isinstance(v, int) and abs(v) > sys.float_info.max for v in nested.flat]
+        index = np.argwhere(np.reshape(beyond, nested.shape))[0].tolist()
+        raise SchemaError(f"{name}: entry {nested[tuple(index)]} at {index} is too large "
+                          "to convert to a float") from exc
     if arr.shape != (4,) * rank:
         raise SchemaError(f"{name}: expected shape {'[4]' * rank}, got {list(arr.shape)}")
     # numpy reads a numeric string or a boolean as a number and null as NaN

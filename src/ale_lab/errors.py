@@ -47,10 +47,6 @@ class FitUnstable(AleLabError):
     """Least-squares fit ill-conditioned beyond the allowed threshold."""
 
 
-class FirstObstructionNonzero(AleLabError):
-    """Operation requires the first curvature row to vanish and it does not."""
-
-
 class MissingConstants(AleLabError):
     """Geometry constants required but neither computable nor supplied."""
 

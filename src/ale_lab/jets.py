@@ -14,7 +14,9 @@ h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
   independent ways: finite differences with Christoffel corrections, and a
   closed form in H and H2 (at the origin g = I and dg = 0, so the
   curvature, d Gamma and the second derivatives of the curvature are
-  short contractions of the jet coefficients), and
+  short contractions of the jet coefficients); D belongs to the degenerate
+  regime (first row of R_+ zero), which obstruction.compute_report decides
+  before it asks for D, so neither route checks it, and
 * finite-group averaging (cyclic and binary-dihedral right quaternion
   actions) of jets and gauge fields by one pullback rule: every axis of the
   array is contracted against the first index of the matrix.
@@ -33,7 +35,6 @@ import numpy as np
 from . import connection, fd
 from .errors import FitUnstable, SchemaError, SymmetryError
 from .forms import EUCLIDEAN, OMEGA_ASD, OMEGA_SD, comps_to_tensor
-from .obstruction import first_row_norm, in_jet_units, require_first_row_zero
 
 DIM = 4
 
@@ -105,7 +106,13 @@ def _checked_jet(arr: np.ndarray, name: str, kind: str,
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         raise SchemaError(f"{name}: non-finite entry at {bad[0].tolist()}")
-    sym = _symmetrize_pairs(arr, groups)
+    # the mean sums the transposes before it divides by their count
+    with np.errstate(over="ignore"):
+        sym = _symmetrize_pairs(arr, groups)
+    if not np.isfinite(sym).all():
+        index = np.argwhere(~np.isfinite(sym))[0].tolist()
+        raise SchemaError(f"{name}: entry at {index} is out of range, the sum of its index "
+                          "transposes overflows a float")
     gap = float(np.max(np.abs(arr - sym)))
     scale = max(float(np.max(np.abs(arr))), 1.0)
     if gap > tol * scale:
@@ -347,13 +354,11 @@ def _d2_tensor_exact(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
 
 def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
     """Finite-difference route: the contraction of _d2_tensor_fd."""
-    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
     return _contract_invariant(_d2_tensor_fd(jet, quartic))
 
 
 def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:
     """Exact route: the contraction of _d2_tensor_exact."""
-    require_first_row_zero(in_jet_units(curvature_from_jet2(jet).Rplus, jet.H))
     return _contract_invariant(_d2_tensor_exact(jet, quartic))
 
 
@@ -453,7 +458,7 @@ def jet2_first_row_zero(seed: int) -> Jet2:
     """Random symmetric jet corrected so R_+(H) annihilates the first
     self-dual generator."""
     out = _fit_block(seed, slice(0, 3), 0.0)
-    if first_row_norm(curvature_from_jet2(out).Rplus) > 1e-10:
+    if np.linalg.norm(curvature_from_jet2(out).Rplus[0, :]) > 1e-10:
         raise FitUnstable("first-row projection failed to converge")
     return out
 

@@ -21,6 +21,10 @@ generic and two-cluster forms, the higher coefficient A in its two
 equivalent forms, the leading t^4 term of det R_+ at the residual
 singular point, and the wall-side classification of det of the
 opposite-sign operator.
+
+Each output reads R_+ through its first row or its minor R22 R33 - R23^2.
+compute_report alone builds R_+, checks it, decides the degenerate regime
+and takes the minor; the formulas take the minor and check nothing again.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import gh, harmonic
-from .errors import FirstObstructionNonzero, MissingConstants, SchemaError
+from . import gh, harmonic, jets
+from .errors import MissingConstants, SchemaError
 
 _INNER_SCALE = 2.0  # <b_i, b_j> = 2 delta_ij on the unit-normalized basis
 _CONSTANT_NAMES = ("vol_sigma", "omega_norm2", "int_m_omega", "m_p1")
@@ -109,11 +113,13 @@ def factor_faults(constants: ModelConstants) -> tuple[tuple[str, ...], str]:
 
 
 def _check_block(block: np.ndarray) -> np.ndarray:
+    """The curvature block of the jet H, checked once per report."""
     block = np.asarray(block, dtype=float)
     if block.shape != (3, 3):
         raise SchemaError(f"curvature block must be 3x3, got {block.shape}")
     if not np.all(np.isfinite(block)):
-        raise SchemaError("curvature block has a non-finite entry")
+        raise SchemaError("H: the jet is out of range, its curvature block has a "
+                          "non-finite entry")
     if np.max(np.abs(block - block.T)) > 1e-10 * max(1.0, float(np.max(np.abs(block)))):
         raise SchemaError("curvature block must be symmetric")
     return block
@@ -121,21 +127,19 @@ def _check_block(block: np.ndarray) -> np.ndarray:
 
 def minor_of(block: np.ndarray) -> float:
     """R22 R33 - R23^2, the complementary 2x2 determinant."""
-    block = _check_block(block)
     return float(block[1, 1] * block[2, 2] - block[1, 2] ** 2)
 
 
 def first_row_norm(block: np.ndarray) -> float:
     """Euclidean length of the first row, which the rotations fixing the
     first self-dual direction keep."""
-    return float(np.linalg.norm(_check_block(block)[0, :]))
+    return float(np.linalg.norm(block[0, :]))
 
 
 def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarray:
     """First-order coefficients: pi vol_sigma / omega_norm2 times the
     pairing of the block's first row under the <.,.> = 2 delta
     convention."""
-    block = _check_block(block)
     factor = math.pi * constants.vol_sigma / constants.omega_norm2
     return factor * _INNER_SCALE * block[0, :]
 
@@ -153,61 +157,44 @@ def in_jet_units(block: np.ndarray, H: np.ndarray) -> np.ndarray:
 def first_row_vanishes(block: np.ndarray) -> bool:
     """The degenerate regime: first row of length at most 1e-8, for a block
     in units of its jet (in_jet_units).  The one rule for every
-    degenerate-regime quantity, here and in jets."""
+    degenerate-regime quantity: compute_report applies it for the formulas
+    and D, wall_side for the side."""
     return first_row_norm(block) <= 1e-8
 
 
-def require_first_row_zero(block: np.ndarray) -> None:
-    if not first_row_vanishes(block):
-        raise FirstObstructionNonzero(
-            f"first block row has norm {first_row_norm(block):.3e}; the degenerate-regime "
-            "quantities require it to vanish"
-        )
-
-
-def mu1_generic(block: np.ndarray, constants: ModelConstants) -> float:
+def mu1_generic(minor: float, constants: ModelConstants) -> float:
     """4 pi / omega_norm2 * minor * int_m_omega (any symmetry group)."""
-    block = _check_block(block)
-    require_first_row_zero(block)
-    return 4.0 * math.pi / constants.omega_norm2 * minor_of(block) * constants.int_m_omega
+    return 4.0 * math.pi / constants.omega_norm2 * minor * constants.int_m_omega
 
 
-def mu1_Ak(block: np.ndarray, d_invariant: float, constants: ModelConstants) -> float:
-    """Two-cluster form with the quartic correction:
+def mu1_Ak(minor: float, d_invariant: float, constants: ModelConstants) -> float:
+    """Two-cluster form with the quartic correction, for constants with k:
     (vol^2/norm^2) { (k+1) minor - (1/16)(k-1) D }."""
-    block = _check_block(block)
-    require_first_row_zero(block)
-    if constants.k is None:
-        raise MissingConstants("mu1_Ak needs the cluster parameter k on the constants")
     k = constants.k
     vol = constants.vol_sigma
     return (
         vol**2
         / constants.omega_norm2
-        * ((k + 1) * minor_of(block) - (k - 1) / 16.0 * d_invariant)
+        * ((k + 1) * minor - (k - 1) / 16.0 * d_invariant)
     )
 
 
 def A_coefficient(
-    block: np.ndarray,
+    minor: float,
     d_invariant: float,
     constants: ModelConstants,
     form: str = "closed",
 ) -> float:
-    """Next-order coefficient at the residual singular point.
+    """Next-order coefficient at the residual singular point, for constants
+    with k.
 
     form="closed":      (vol/2pi) ( -(k-1) minor + (1/16)(k+1) D )
     form="intermediate": 2 minor (m_p1 - int_m_omega / vol)
                          + (1/16)(k+1)(vol/2pi) D
     The two agree when m_p1 = vol/(2 pi) (two-cluster identity).
     """
-    block = _check_block(block)
-    require_first_row_zero(block)
-    if constants.k is None:
-        raise MissingConstants("A_coefficient needs the cluster parameter k")
     k = constants.k
     vol = constants.vol_sigma
-    minor = minor_of(block)
     if form == "closed":
         return vol / (2.0 * math.pi) * (-(k - 1) * minor + (k + 1) / 16.0 * d_invariant)
     if form == "intermediate":
@@ -218,16 +205,16 @@ def A_coefficient(
     raise SchemaError(f"unknown A form {form!r}")
 
 
-def det_leading(block: np.ndarray, a_coeff: float) -> float:
+def det_leading(minor: float, a_coeff: float) -> float:
     """Coefficient minor * A of the leading term minor * A * t^4 of det R_+
     at the residual point."""
-    return minor_of(block) * a_coeff
+    return minor * a_coeff
 
 
 def bold_det_from_block(block: np.ndarray) -> float:
     """det of the opposite-sign operator: for a 3x3 block this is
     -det(R_+)."""
-    return float(-np.linalg.det(_check_block(block)))
+    return float(-np.linalg.det(block))
 
 
 def wall_side(block: np.ndarray) -> str:
@@ -242,7 +229,9 @@ def wall_side(block: np.ndarray) -> str:
     so the determinant strictly decreases, and z(t) = -mu1 t + O(t^(3/2))
     to leading order; neither claim is computed here.
     """
-    det_bold = bold_det_from_block(block)
+    # a non-finite block reaches the check below without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_bold = bold_det_from_block(block)
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
     if first_row_vanishes(block) or abs(det_bold) <= 1e-8:
@@ -292,13 +281,14 @@ def compute_report(
     overrides: Mapping[str, float] | None = None,
     apply_gauge: bool = False,
 ) -> ObstructionReport:
-    """Full pipeline from a quadratic (and optional quartic) jet."""
-    from . import jets as jets_mod
-
+    """Full pipeline from a quadratic (and optional quartic) jet: one R_+,
+    one block check and one minor per report, and the regime decided here
+    for the formulas and D."""
     if apply_gauge:
-        jet = jets_mod.gauge_project(jet).jet
-    block = jets_mod.curvature_from_jet2(jet).Rplus
+        jet = jets.gauge_project(jet).jet
+    block = _check_block(jets.curvature_from_jet2(jet).Rplus)
     unit = in_jet_units(block, jet.H)
+    minor = minor_of(block)
 
     if overrides is not None:
         constants = constants_from_overrides(overrides)
@@ -309,8 +299,6 @@ def compute_report(
             raise MissingConstants("either k (two-cluster family) or overrides required")
         constants = ak_constants(k, lam)
 
-    lam_vec = lambda_obstruction(block, constants)
-
     d_val = None
     mu1_val = None
     mu1_gen = None
@@ -318,18 +306,14 @@ def compute_report(
     det_coeff = None
     notes = {}
     if first_row_vanishes(unit):
-        # the formulas read R22, R33 and R23 alone; they get the block with
-        # the first row and column the rule reads as zero set to zero
-        regime = block.copy()
-        regime[0, :] = regime[:, 0] = 0.0
-        mu1_gen = mu1_generic(regime, constants)
+        mu1_gen = mu1_generic(minor, constants)
         if quartic is not None:
-            d_val = jets_mod.d2_invariant_symbolic(jet, quartic)
+            d_val = jets.d2_invariant_symbolic(jet, quartic)
         if constants.k is not None:
             d_for_ak = d_val if d_val is not None else 0.0
-            mu1_val = mu1_Ak(regime, d_for_ak, constants)
-            a_val = A_coefficient(regime, d_for_ak, constants)
-            det_coeff = det_leading(regime, a_val)
+            mu1_val = mu1_Ak(minor, d_for_ak, constants)
+            a_val = A_coefficient(minor, d_for_ak, constants)
+            det_coeff = det_leading(minor, a_val)
             if d_val is None:
                 notes["quartic"] = "no quartic jet supplied; D treated as 0"
     else:
@@ -340,8 +324,8 @@ def compute_report(
 
     return ObstructionReport(
         Rplus_block=block,
-        lam_coeffs=lam_vec,
-        minor=minor_of(block),
+        lam_coeffs=lambda_obstruction(block, constants),
+        minor=minor,
         D=d_val,
         mu1=mu1_val,
         mu1_generic_value=mu1_gen,

@@ -125,8 +125,9 @@ def test_criterion_5_obstruction_pipeline():
         block = np.zeros((3, 3))
         block[1:, 1:] = sub + sub.T
         d = float(rng.normal())
-        assert abs(obstruction.mu1_Ak(block, d, consts1)
-                   - obstruction.mu1_generic(block, consts1)) < 1e-12
+        minor = obstruction.minor_of(block)
+        assert abs(obstruction.mu1_Ak(minor, d, consts1)
+                   - obstruction.mu1_generic(minor, consts1)) < 1e-12
 
     # pinned quartic invariant collapses the two-cluster coefficient
     for k in (2, 3):
@@ -137,7 +138,7 @@ def test_criterion_5_obstruction_pipeline():
         minor = obstruction.minor_of(block)
         d = 16.0 * (k - 1) / (k + 1) * minor
         expected = 4.0 * k * c.vol_sigma**2 / ((k + 1) * c.omega_norm2) * minor
-        assert abs(obstruction.mu1_Ak(block, d, c) - expected) < 1e-10
+        assert abs(obstruction.mu1_Ak(minor, d, c) - expected) < 1e-10
 
     # surface-integral identity between the model constants
     for k, lam in GRID:

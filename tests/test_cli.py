@@ -43,6 +43,17 @@ def _with_entry(field, value):
     return {field: lists[field]}
 
 
+def _orbit_jet(values):
+    """A quadratic jet as nested lists holding the JSON numbers ``values``,
+    each on the orbit of one index under the pair symmetries."""
+    h = np.zeros((4, 4, 4, 4)).tolist()
+    for (a, b, c, d), value in zip([(1, 2, 1, 2), (0, 3, 0, 3), (0, 0, 1, 1), (3, 3, 3, 3)],
+                                   values):
+        for i, j, k, m in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)}:
+            h[i][j][k][m] = value
+    return h
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_quadrature_passes(tmp_path, capsys):
@@ -256,7 +267,8 @@ def _overrides(vol_sigma, omega_norm2):
                                          "intMomega": 1.0, "mP1": -10**400}},
                  f"constants_override.mP1: {-10**400} is too large to convert to a float",
                  id="override-beyond-float"),
-    pytest.param({"H": [[[[10**400] * 4] * 4] * 4] * 4}, "H: non-numeric entries",
+    pytest.param({"H": [[[[10**400] * 4] * 4] * 4] * 4},
+                 f"H: entry {10**400} at [0, 0, 0, 0] is too large to convert to a float",
                  id="jet-entry-beyond-float"),
     # numpy read a numeric string and true as numbers and null as NaN
     pytest.param(_with_entry("H", "0.0063"), "H: non-numeric entry at [1, 2, 1, 2]",
@@ -271,6 +283,15 @@ def _overrides(vol_sigma, omega_norm2):
                  id="quartic-entry-false"),
     pytest.param(_with_entry("H2", None), "H2: non-numeric entry at [1, 2, 1, 2, 1, 2]",
                  id="quartic-entry-null"),
+    # symmetric jets of finite entries: R_+ of 4e307 overflows, which named
+    # no input field; the symmetrizing sum of 1e308 overflows, which warned
+    # and called the jet asymmetric
+    pytest.param({"H": _orbit_jet([4e307]), "gauge_project": False},
+                 "H: the jet is out of range, its curvature block has a non-finite entry",
+                 id="jet-curvature-overflow"),
+    pytest.param({"H": _orbit_jet([1e308])},
+                 "H: entry at [1, 2, 1, 2] is out of range, the sum of its index transposes "
+                 "overflows a float", id="jet-symmetrization-overflow"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface
@@ -280,17 +301,6 @@ def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)]) == 2
     assert f"schema error: {field}" in capsys.readouterr().err
     assert not report.exists()
-
-
-def _integer_jet(values):
-    """A quadratic jet as nested lists holding the JSON integers ``values``,
-    each on the orbit of one index under the pair symmetries."""
-    h = np.zeros((4, 4, 4, 4)).tolist()
-    for (a, b, c, d), value in zip([(1, 2, 1, 2), (0, 3, 0, 3), (0, 0, 1, 1), (3, 3, 3, 3)],
-                                   values):
-        for i, j, k, m in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)}:
-            h[i][j][k][m] = value
-    return h
 
 
 def _parity_payloads():
@@ -312,8 +322,8 @@ def _parity_payloads():
                                   "intMomega": -0.0, "mP1": 4.9e-324}}
     yield {"H": (canonical.H * 1e-310).tolist(), "H2": (jets.random_jet4(5).H2 * 5e-324).tolist()}
     big = [2**64, 2**64 + 1, 10**200 + 7, 4 * 10**307 + 1]
-    yield {"k": 2**64, "lambda": 10**200 + 1, "H": _integer_jet(big)}
-    yield {"k": 3, "lambda": 2**70 + 3, "H": _integer_jet([2**65 + 1, -(2**90) - 1]),
+    yield {"k": 2**64, "lambda": 10**200 + 1, "H": _orbit_jet(big)}
+    yield {"k": 3, "lambda": 2**70 + 3, "H": _orbit_jet([2**65 + 1, -(2**90) - 1]),
            "constants_override": {"volSigma": 2**80 + 1, "omegaNorm2": 10**100,
                                   "intMomega": -(2**64) - 1, "mP1": 1}}
 

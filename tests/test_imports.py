@@ -433,6 +433,16 @@ def test_scipy_and_sympy_stay_out_of_the_package():
     assert found == {("deformation", "expm", "scipy")}
 
 
+def test_jets_leaves_obstruction_unloaded():
+    # obstruction decides the degenerate regime and imports jets for R_+ and
+    # D; jets needs nothing of obstruction, so the two form no cycle
+    code = "import sys\nimport ale_lab.jets\nprint('ale_lab.obstruction' in sys.modules)"
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):
     # the triple families take exp(t M) in closed form and the closedness
     # null space is exact integer elimination, so `verify --suite all`

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import connection, fd, gh, jets, obstruction
-from ale_lab.errors import AleLabError, FirstObstructionNonzero, SchemaError, SymmetryError
+from ale_lab.errors import AleLabError, SchemaError, SymmetryError
 
 
 def test_cached_tables_are_read_only():
@@ -217,15 +217,9 @@ def test_d2_tensor_routes_agree_entrywise(seed):
     assert np.max(np.abs(exact - num)) <= 1e-6 * max(1.0, float(np.max(np.abs(exact))))
 
 
-def test_d2_requires_degenerate_first_row():
-    jet = jets.random_jet2(1)  # generic: first row nonzero
-    with pytest.raises(FirstObstructionNonzero):
-        jets.d2_invariant_symbolic(jet, jets.random_jet4(2))
-
-
 def test_d2_and_the_report_share_the_first_row_rule():
     # a first row of 1e-7 in a jet whose largest entry is 18.6 is degenerate
-    # by the rule in units of the jet, for the report and the invariant alike
+    # by the rule in units of the jet, so the report gives D, the closed form's
     block = np.array([[0.0, 1e-7, 0.0], [1e-7, 50.0, 0.0], [0.0, 0.0, 1.0]])
     jet = jets.jet2_with_block(block, seed=0)
     quartic = jets.random_jet4(0)

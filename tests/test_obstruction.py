@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ale_lab import jets, obstruction
-from ale_lab.errors import FirstObstructionNonzero, MissingConstants, SchemaError
+from ale_lab.errors import MissingConstants, SchemaError
 
 BLOCK0 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+MINOR0 = obstruction.minor_of(BLOCK0)  # 1
 
 
 # --- model constants ----------------------------------------------------------
@@ -75,16 +76,8 @@ def test_lambda_frozen_value():
 
 def test_mu1_canonical_value():
     c = obstruction.ak_constants(1, 1.0)
-    assert obstruction.mu1_Ak(BLOCK0, 0.0, c) == pytest.approx(4.0, rel=1e-9)
-    assert obstruction.mu1_generic(BLOCK0, c) == pytest.approx(4.0, rel=1e-9)
-
-
-def test_mu1_requires_degenerate_block():
-    c = obstruction.ak_constants(1, 1.0)
-    block = BLOCK0.copy()
-    block[0, 1] = block[1, 0] = 0.5
-    with pytest.raises(FirstObstructionNonzero):
-        obstruction.mu1_generic(block, c)
+    assert obstruction.mu1_Ak(MINOR0, 0.0, c) == pytest.approx(4.0, rel=1e-9)
+    assert obstruction.mu1_generic(MINOR0, c) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_mu1_two_cluster_matches_generic_at_k1():
@@ -95,8 +88,9 @@ def test_mu1_two_cluster_matches_generic_at_k1():
         block = np.zeros((3, 3))
         block[1:, 1:] = sub + sub.T
         d = float(rng.normal())
-        assert obstruction.mu1_Ak(block, d, c) == pytest.approx(
-            obstruction.mu1_generic(block, c), abs=1e-12
+        minor = obstruction.minor_of(block)
+        assert obstruction.mu1_Ak(minor, d, c) == pytest.approx(
+            obstruction.mu1_generic(minor, c), abs=1e-12
         )
 
 
@@ -113,7 +107,7 @@ def test_mu1_quartic_identity():
         minor = obstruction.minor_of(block)
         d = 16.0 * (k - 1) / (k + 1) * minor
         expected = 4.0 * k * c.vol_sigma**2 / ((k + 1) * c.omega_norm2) * minor
-        assert obstruction.mu1_Ak(block, d, c) == pytest.approx(expected, abs=1e-10)
+        assert obstruction.mu1_Ak(minor, d, c) == pytest.approx(expected, abs=1e-10)
 
 
 # --- next-order coefficient -------------------------------------------------------
@@ -121,22 +115,22 @@ def test_mu1_quartic_identity():
 def test_A_forms_agree():
     c = obstruction.ak_constants(2, 1.0)
     for d in (-3.0, 0.0, 8.0):
-        closed = obstruction.A_coefficient(BLOCK0, d, c, form="closed")
-        inter = obstruction.A_coefficient(BLOCK0, d, c, form="intermediate")
+        closed = obstruction.A_coefficient(MINOR0, d, c, form="closed")
+        inter = obstruction.A_coefficient(MINOR0, d, c, form="intermediate")
         assert closed == pytest.approx(inter, abs=1e-10)
     with pytest.raises(SchemaError):
-        obstruction.A_coefficient(BLOCK0, 0.0, c, form="bogus")
+        obstruction.A_coefficient(MINOR0, 0.0, c, form="bogus")
 
 
 def test_A_frozen_example():
     c = obstruction.ak_constants(1, 1.0)
     # k = 1: the minor term drops and A = (vol / 2 pi) * (2 / 16) * D = D / 4
-    assert obstruction.A_coefficient(BLOCK0, 8.0, c) == pytest.approx(2.0, rel=1e-9)
-    assert obstruction.A_coefficient(BLOCK0, 0.0, c) == pytest.approx(0.0, abs=1e-12)
+    assert obstruction.A_coefficient(MINOR0, 8.0, c) == pytest.approx(2.0, rel=1e-9)
+    assert obstruction.A_coefficient(MINOR0, 0.0, c) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_det_leading():
-    assert obstruction.det_leading(BLOCK0, 2.0) == pytest.approx(2.0)  # minor = 1
+    assert obstruction.det_leading(MINOR0, 2.0) == pytest.approx(2.0)
 
 
 # --- wall side --------------------------------------------------------------------
@@ -222,6 +216,28 @@ def test_report_gauge_invariance():
         assert np.max(np.abs(r0.lam_coeffs - r1.lam_coeffs)) < 1e-10
 
 
+def test_report_builds_and_checks_the_block_once(monkeypatch):
+    # the report decides the regime for every formula: one R_+ and one block
+    # check, where the formulas and D each built and checked their own
+    calls = {"curvature_from_jet2": 0, "_check_block": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    jet, quartic = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0), jets.random_jet4(0)
+    counted(jets, "curvature_from_jet2")
+    counted(obstruction, "_check_block")
+    report = obstruction.compute_report(jet, quartic=quartic, k=1)
+    assert report.mu1 is not None and report.D is not None
+    assert calls == {"curvature_from_jet2": 1, "_check_block": 1}
+
+
 def test_report_requires_constants():
     with pytest.raises(MissingConstants):
         obstruction.compute_report(jets.random_jet2(0))
@@ -255,8 +271,8 @@ def test_rotation_equivariance_about_first_direction(theta, seed):
     assert obstruction.minor_of(rotated_deg) == pytest.approx(
         obstruction.minor_of(block_deg), abs=1e-10
     )
-    assert obstruction.mu1_generic(rotated_deg, c) == pytest.approx(
-        obstruction.mu1_generic(block_deg, c), abs=1e-9
+    assert obstruction.mu1_generic(obstruction.minor_of(rotated_deg), c) == pytest.approx(
+        obstruction.mu1_generic(obstruction.minor_of(block_deg), c), abs=1e-9
     )
 
 
@@ -268,8 +284,8 @@ def test_scaling_covariance(c_scale, seed):
     block = np.zeros((3, 3))
     block[1:, 1:] = sub + sub.T
     consts = obstruction.ak_constants(1, 1.0)
-    base = obstruction.mu1_Ak(block, 0.0, consts)
-    scaled = obstruction.mu1_Ak(c_scale * block, 0.0, consts)
+    base = obstruction.mu1_Ak(obstruction.minor_of(block), 0.0, consts)
+    scaled = obstruction.mu1_Ak(obstruction.minor_of(c_scale * block), 0.0, consts)
     assert scaled == pytest.approx(c_scale**2 * base, rel=1e-9)
 
 
