@@ -23,7 +23,10 @@ orjson reads a float k: orjson reads an integer beyond 64 bits as a
 float, and k must stay the integer the file holds for its checks and
 messages.  Every other value reads bit for bit the same in both.  Reports
 are written by the stdlib json, whose float text is part of the report
-bytes.
+bytes.  obstruct builds the model constants once, from constants_override
+or from ak_constants(k, lambda), refuses them when a factor of theirs is
+not finite (obstruction.factor_faults), and passes them to
+obstruction.compute_report(jet, constants, quartic=None, apply_gauge=False).
 """
 from __future__ import annotations
 
@@ -157,7 +160,7 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
     (Jet2 or Jet4); every message starts with the field name."""
     import numpy as np
 
-    from .errors import SchemaError, SymmetryError
+    from .errors import SchemaError
 
     try:
         arr = np.asarray(raw[name], dtype=float)
@@ -178,10 +181,7 @@ def _jet_field(raw: dict, name: str, cls, rank: int):
         bad = [type(v) not in _NUMBER_TYPES for v in _entries(raw[name], rank)]
         index = np.argwhere(np.reshape(bad, arr.shape))[0].tolist()
         raise SchemaError(f"{name}: non-numeric entry at {index}")
-    try:
-        return cls.from_array(arr)
-    except SymmetryError as exc:
-        raise SchemaError(str(exc)) from exc
+    return cls.from_array(arr)
 
 
 def _read_jet_file(path: str):
@@ -213,9 +213,9 @@ def _read_jet_file(path: str):
 
 
 def _load_jet_input(path: str):
-    import dataclasses
-
-    from . import jets, obstruction
+    """(jet, quartic, k, lambda, overrides, gauge_project) as the file holds
+    them, each checked on its own; cmd_obstruct builds the constants."""
+    from . import jets
     from .errors import SchemaError
 
     raw = _read_jet_file(path)
@@ -247,47 +247,50 @@ def _load_jet_input(path: str):
                     f"(expected one of {sorted(_OVERRIDE_KEYS)})")
             overrides[_OVERRIDE_KEYS[key]] = _number(value, f"constants_override.{key}",
                                                      positive=key in _POSITIVE_OVERRIDES)
-    elif k is not None and math.isinf(k * lam):
-        # the two-cluster centers sit at -k lambda and lambda
-        raise SchemaError(f"k and lambda: {k} * {lam!r} is out of range, the center "
-                          "-k * lambda is not finite")
 
     gauge = raw.get("gauge_project", False)
     if not isinstance(gauge, bool):
         raise SchemaError(
             f"gauge_project: expected boolean, got {type(gauge).__name__}")
-    if overrides is not None:
-        # raises MissingConstants first when a constant is missing
-        constants = obstruction.constants_from_overrides(overrides)
-        names, factor = obstruction.factor_faults(dataclasses.replace(constants, k=k))
-        if names:
-            keys = ", ".join(f"constants_override.{key}"
-                             for key, name in _OVERRIDE_KEYS.items() if name in names)
-            raise SchemaError(f"{keys}: out of range, the factor {factor} is not finite")
     return jet, quartic, k, lam, overrides, gauge
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    from .errors import AleLabError, QuadratureDivergence, SchemaError
+    import numpy as np
+
+    from . import obstruction
+    from .errors import AleLabError, MissingConstants, QuadratureDivergence, SchemaError
 
     try:
         jet, quartic, k, lam, overrides, gauge = _load_jet_input(args.jet)
-        import numpy as np
-
-        from . import obstruction
-
+        # the model constants, built once and checked before the jet's curvature
+        if overrides is not None:
+            # raises MissingConstants when a constant is missing
+            constants = obstruction.constants_from_overrides(overrides, k)
+        elif k is None:
+            raise MissingConstants("either k (two-cluster family) or overrides required")
+        elif math.isinf(k * lam):
+            # the two-cluster centers sit at -k lambda and lambda
+            raise SchemaError(f"k and lambda: {k} * {lam!r} is out of range, the center "
+                              "-k * lambda is not finite")
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                constants = obstruction.ak_constants(k, lam)
+        # every factor that the report takes from the constants alone
+        names, factor = obstruction.factor_faults(constants)
+        if names and overrides is not None:
+            keys = ", ".join(f"constants_override.{key}"
+                             for key, name in _OVERRIDE_KEYS.items() if name in names)
+            raise SchemaError(f"{keys}: out of range, the factor {factor} is not finite")
+        if names:
+            # k is small once the Sigma constants are finite: lambda is at fault
+            raise SchemaError(f"lambda: {lam!r} at k = {k} is out of range, the factor "
+                              f"{factor} is not finite")
         # a jet too large for its products overflows; the report check
         # below names the field instead of a warning per operation
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = obstruction.compute_report(
-                    jet, quartic=quartic, k=k, lam=lam, overrides=overrides,
-                    apply_gauge=gauge)
-        except OverflowError as exc:
-            # the overrides were checked on load, and k is small once the
-            # Sigma constants are finite: lambda makes vol_sigma^2 overflow
-            raise SchemaError(f"lambda: {lam!r} at k = {k} is out of range, the factor "
-                              "vol_sigma^2 is not finite") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = obstruction.compute_report(jet, constants, quartic, apply_gauge=gauge)
+            det_bold = obstruction.bold_det_from_block(report.Rplus_block)
     except QuadratureDivergence as exc:
         # the Sigma constants are the one quadrature of obstruct, and they
         # read only k and lambda from the input: k is at fault when they
@@ -323,7 +326,6 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
                 return 2
         raise
     _emit(text, args.report)
-    det_bold = obstruction.bold_det_from_block(report.Rplus_block)
     print(f"wall side: {report.wall_side} "
           f"(det of the negated block = {det_bold:.6g})")
     return 0

@@ -55,5 +55,5 @@ class SchemaError(AleLabError):
     """Structured input failed schema validation; message names the field path."""
 
 
-class SymmetryError(AleLabError):
+class SymmetryError(SchemaError):
     """Input coefficient array violates its declared index symmetries."""

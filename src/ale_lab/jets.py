@@ -216,7 +216,12 @@ def gauge_project(jet: Jet2) -> GaugeProjection:
     target = -bianchi_form(jet).ravel()
     sol, *_ = np.linalg.lstsq(columns, target, rcond=None)
     corrector = np.einsum("b,bcijk->cijk", sol, basis)
-    return GaugeProjection(jet=Jet2.from_array(jet.H + delta_star(corrector)))
+    try:
+        return GaugeProjection(jet=Jet2.from_array(jet.H + delta_star(corrector)))
+    except SchemaError as exc:
+        # an index of the corrected jet may point at a zero input entry
+        raise SchemaError("H: the jet is out of range, its gauge projection overflows a "
+                          "float") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def test_criterion_5_obstruction_pipeline():
 
     # canonical quadratic coefficient
     report = obstruction.compute_report(
-        jets.jet2_with_block(BLOCK0, seed=3), quartic=jets.random_jet4(0),
-        k=1, lam=1.0, apply_gauge=True)
+        jets.jet2_with_block(BLOCK0, seed=3), obstruction.ak_constants(1, 1.0),
+        quartic=jets.random_jet4(0), apply_gauge=True)
     assert report.mu1 == pytest.approx(4.0, abs=1e-8)
 
     # the two-cluster formula reduces to the generic one at k = 1

@@ -292,6 +292,16 @@ def _overrides(vol_sigma, omega_norm2):
     pytest.param({"H": _orbit_jet([1e308])},
                  "H: entry at [1, 2, 1, 2] is out of range, the sum of its index transposes "
                  "overflows a float", id="jet-symmetrization-overflow"),
+    # the gauge projection of 4e307 on the orbit named an index of the
+    # projected jet whose input entry is 0
+    pytest.param({"H": _orbit_jet([4e307]), "gauge_project": True},
+                 "H: the jet is out of range, its gauge projection overflows a float",
+                 id="jet-gauge-projection-overflow"),
+    # a generic jet read no factor of vol_sigma^2 and gave a report; the
+    # constants are checked whatever the regime of the jet
+    pytest.param({"lambda": 2e153, "H": jets.random_jet2(3).H.tolist()},
+                 "lambda: 2e+153 at k = 1 is out of range, the factor vol_sigma^2",
+                 id="lambda-vol-squared-overflow-generic"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface
@@ -366,6 +376,41 @@ def test_obstruct_accepts_explicit_constants(tmp_path):
                      "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
     assert payload["mu1"] == pytest.approx(4.0, abs=1e-8)
+
+
+def test_obstruct_requires_k_or_overrides(tmp_path, capsys):
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps(_jet_lists()))
+    assert cli.main(["obstruct", "--jet", str(jet_path)]) == 2
+    assert "error: either k (two-cluster family) or overrides required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,builder", [
+    ({}, "ak_constants"),
+    (_overrides(4 * np.pi, 8 * np.pi**2), "constants_from_overrides"),
+], ids=["k", "overrides"])
+def test_obstruct_builds_the_constants_once(tmp_path, monkeypatch, extra, builder):
+    from ale_lab import obstruction
+
+    calls = {"ak_constants": 0, "constants_from_overrides": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(obstruction, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(obstruction, name, counted)
+    jet_path = _write_jet(tmp_path / "jet.json", **extra)
+    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
+    assert calls == {name: int(name == builder) for name in calls}
+
+
+def test_obstruct_prints_an_overflowing_det_without_a_warning(tmp_path, capsys):
+    # every report field of this generic jet is finite, but the determinant
+    # of its block overflows; pytest turns numpy's warning into an error
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps({"k": 1, "H": (jets.random_jet2(3).H * 1e150).tolist()}))
+    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
+    assert "wall side: einstein_side (det of the negated block = inf)" in capsys.readouterr().out
 
 
 def test_obstruct_missing_file(tmp_path, capsys):

@@ -223,7 +223,7 @@ def test_d2_and_the_report_share_the_first_row_rule():
     block = np.array([[0.0, 1e-7, 0.0], [1e-7, 50.0, 0.0], [0.0, 0.0, 1.0]])
     jet = jets.jet2_with_block(block, seed=0)
     quartic = jets.random_jet4(0)
-    report = obstruction.compute_report(jet, quartic, k=1)
+    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic)
     assert report.D == pytest.approx(-23.158389, abs=1e-5)
     assert jets.d2_invariant_symbolic(jet, quartic) == report.D
 

@@ -44,11 +44,12 @@ def test_ak_constants_provenance():
 
 
 def test_constants_from_overrides():
-    c = obstruction.constants_from_overrides(
-        {"vol_sigma": 4 * math.pi, "omega_norm2": 8 * math.pi**2,
-         "int_m_omega": 8 * math.pi, "m_p1": 2.0}
-    )
+    overrides = {"vol_sigma": 4 * math.pi, "omega_norm2": 8 * math.pi**2,
+                 "int_m_omega": 8 * math.pi, "m_p1": 2.0}
+    c = obstruction.constants_from_overrides(overrides)
     assert c.vol_sigma == pytest.approx(4 * math.pi)
+    assert c.k is None
+    assert obstruction.constants_from_overrides(overrides, k=2).k == 2
     with pytest.raises(MissingConstants):
         obstruction.constants_from_overrides({"vol_sigma": 1.0})
 
@@ -164,11 +165,12 @@ def test_wall_side_and_first_row_rule_do_not_depend_on_units(scale):
     # entry: random_jet2(3) scaled by 0.01 once read on_wall, and a block
     # measured against itself reads a pure-gauge jet's rounding as a nonzero
     # first row and a det of either sign
+    constants = obstruction.ak_constants(1, 1.0)
     for jet, side, degenerate in ((jets.random_jet2(3), "einstein_side", False),
                                   (jets.jet2_first_row_zero(3), "on_wall", True),
                                   (_pure_gauge_jet(4), "on_wall", True),
                                   (_pure_gauge_jet(5), "on_wall", True)):
-        report = obstruction.compute_report(jets.Jet2(H=scale * jet.H), k=1)
+        report = obstruction.compute_report(jets.Jet2(H=scale * jet.H), constants)
         assert report.wall_side == side
         assert (report.mu1 is not None) == degenerate
         assert obstruction.first_row_vanishes(
@@ -187,7 +189,7 @@ def test_bold_det_is_negated_det():
 def test_report_degenerate_branch():
     jet = jets.jet2_with_block(BLOCK0, seed=3)
     quartic = jets.random_jet4(0)
-    report = obstruction.compute_report(jet, quartic=quartic, k=1, lam=1.0,
+    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic=quartic,
                                         apply_gauge=True)
     assert report.mu1 == pytest.approx(4.0, abs=1e-9)
     assert np.max(np.abs(report.lam_coeffs)) < 1e-7
@@ -198,7 +200,7 @@ def test_report_degenerate_branch():
 
 def test_report_nondegenerate_branch():
     jet = jets.random_jet2(5)
-    report = obstruction.compute_report(jet, k=1, lam=1.0)
+    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0))
     assert report.mu1 is None and report.D is None
     assert np.max(np.abs(report.lam_coeffs)) > 1e-8
     assert report.first_row_norm > 1e-8
@@ -206,12 +208,13 @@ def test_report_nondegenerate_branch():
 
 def test_report_gauge_invariance():
     rng = np.random.default_rng(7)
+    constants = obstruction.ak_constants(1, 1.0)
     for seed in range(20):
         jet = jets.random_jet2(seed)
         xfield = 0.05 * rng.normal(size=(4, 4, 4, 4))
         shifted = jets.Jet2.from_array(jet.H + jets.delta_star(xfield))
-        r0 = obstruction.compute_report(jet, k=1, lam=1.0)
-        r1 = obstruction.compute_report(shifted, k=1, lam=1.0)
+        r0 = obstruction.compute_report(jet, constants)
+        r1 = obstruction.compute_report(shifted, constants)
         assert np.max(np.abs(r0.Rplus_block - r1.Rplus_block)) < 1e-10
         assert np.max(np.abs(r0.lam_coeffs - r1.lam_coeffs)) < 1e-10
 
@@ -233,14 +236,9 @@ def test_report_builds_and_checks_the_block_once(monkeypatch):
     jet, quartic = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0), jets.random_jet4(0)
     counted(jets, "curvature_from_jet2")
     counted(obstruction, "_check_block")
-    report = obstruction.compute_report(jet, quartic=quartic, k=1)
+    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic=quartic)
     assert report.mu1 is not None and report.D is not None
     assert calls == {"curvature_from_jet2": 1, "_check_block": 1}
-
-
-def test_report_requires_constants():
-    with pytest.raises(MissingConstants):
-        obstruction.compute_report(jets.random_jet2(0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -302,7 +300,7 @@ def _left_mult_matrix(q):
 
 
 def _rplus(jet):
-    return obstruction.compute_report(jet, k=2, lam=1.0).Rplus_block
+    return obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0)).Rplus_block
 
 
 @settings(max_examples=10, deadline=None)
@@ -332,8 +330,8 @@ def test_report_lambda_weights(degenerate):
         jet, quartic = jets.random_jet2(3), None
     weights = {"lambda": 1, "A": 1, "det_leading_t4_coefficient": 1,
                "mu1": 2, "mu1_generic": 2, "Rplus_block": 0, "minor": 0, "D": 0}
-    one = obstruction.compute_report(jet, quartic, k=2, lam=1.0).to_dict()
-    three = obstruction.compute_report(jet, quartic, k=2, lam=3.0).to_dict()
+    one = obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0), quartic).to_dict()
+    three = obstruction.compute_report(jet, obstruction.ak_constants(2, 3.0), quartic).to_dict()
     assert three["wall_side"] == one["wall_side"]
     for key, weight in weights.items():
         if one[key] is None:
@@ -361,7 +359,8 @@ def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
     jet = jets.gauge_project(jets.jet2_first_row_zero(seed)).jet
     quartic = jets.random_jet4(seed)
     block = _rplus(generic)
-    d_one = obstruction.compute_report(jet, quartic, k=2, lam=1.0).D
+    constants = obstruction.ak_constants(2, 1.0)
+    d_one = obstruction.compute_report(jet, constants, quartic).D
     for side, mat in _u1_actions(theta).items():
         moved = _rplus(jets.pullback_jet2(generic, mat))
         assert moved[0, 0] == pytest.approx(block[0, 0], abs=1e-15), side
@@ -370,8 +369,8 @@ def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
         assert obstruction.first_row_norm(moved) == pytest.approx(
             obstruction.first_row_norm(block), abs=1e-15), side
         d_moved = obstruction.compute_report(
-            jets.pullback_jet2(jet, mat), jets.Jet4.from_array(jets.average(quartic.H2, [mat])),
-            k=2, lam=1.0).D
+            jets.pullback_jet2(jet, mat), constants,
+            jets.Jet4.from_array(jets.average(quartic.H2, [mat]))).D
         assert d_moved == pytest.approx(d_one, abs=1e-13), side
 
 
@@ -380,7 +379,8 @@ def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
 def test_lambda_and_rplus_are_linear_in_H(a, b, seed_a, seed_b):
     one, two = jets.random_jet2(seed_a), jets.random_jet2(seed_b)
     mixed = jets.Jet2.from_array(a * one.H + b * two.H)
-    r_one, r_two, r_mixed = (obstruction.compute_report(j, k=2, lam=1.0) for j in (one, two, mixed))
+    constants = obstruction.ak_constants(2, 1.0)
+    r_one, r_two, r_mixed = (obstruction.compute_report(j, constants) for j in (one, two, mixed))
     for field in ("Rplus_block", "lam_coeffs"):
         want = a * getattr(r_one, field) + b * getattr(r_two, field)
         assert np.max(np.abs(getattr(r_mixed, field) - want)) < 1e-14, field
