@@ -44,26 +44,31 @@ DIM = 4
 
 
 @functools.cache
-def _axis_permutations(ndim: int, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """(count, ndim) axis orders of every transpose within the groups, in
-    itertools.product order; built on first use and read-only."""
-    perms = []
+def _orbit_table(ndim: int, groups: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit label of every flat index under the transposes within the groups
+    (orbits ranked by their least flat index) and every orbit's size; read-only."""
+    flat = np.arange(DIM**ndim).reshape((DIM,) * ndim)
+    least = flat.copy()
     for combo in itertools.product(*map(itertools.permutations, groups)):
         moved = dict(zip(itertools.chain(*groups), itertools.chain(*combo)))
-        perms.append([moved.get(a, a) for a in range(ndim)])
-    table = np.array(perms)
-    table.setflags(write=False)
-    return table
+        np.minimum(least, np.transpose(flat, [moved.get(a, a) for a in range(ndim)]), out=least)
+    # sizes and ranks from bincount alone: a first comparison or cumsum adds peak RSS
+    counts = np.bincount(least.ravel())
+    first = np.flatnonzero(counts)
+    rank = np.zeros_like(counts)
+    rank[first] = np.arange(first.size)
+    labels, sizes = rank[least.ravel()], counts[first]
+    labels.setflags(write=False)
+    sizes.setflags(write=False)
+    return labels, sizes
 
 
 def _symmetrize_pairs(arr: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Mean of the transposes within each group, summed in place from 0.0 in
-    table order; no (count, size) stack, which would add 3 MB at the quartic."""
-    table = _axis_permutations(arr.ndim, tuple(map(tuple, groups)))
-    out = np.zeros_like(arr)
-    for perm in table:
-        out += np.transpose(arr, perm)
-    return out / len(table)
+    """Mean of every entry's orbit under the transposes within each group:
+    the orbit's sum, from 0.0 in flat order, divided by its size, so every
+    entry of an orbit reads the same bits."""
+    labels, sizes = _orbit_table(arr.ndim, tuple(map(tuple, groups)))
+    return (np.bincount(labels, weights=arr.ravel()) / sizes)[labels].reshape(arr.shape)
 
 
 # Index symmetries as groups of commuting axes, covering the axes in order: a jet
@@ -77,15 +82,11 @@ def _field_groups(ndim: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetric_basis(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Basis of the arrays symmetric within each group: the symmetrized unit
-    array of every sorted index tuple per group, in itertools.product order."""
-    per_group = (itertools.combinations_with_replacement(range(DIM), len(g)) for g in groups)
-    basis = []
-    for combo in itertools.product(*per_group):
-        unit = np.zeros((DIM,) * sum(map(len, groups)))
-        unit[tuple(itertools.chain(*combo))] = 1.0
-        basis.append(_symmetrize_pairs(unit, groups))
-    return np.array(basis)
+    """Basis of the arrays symmetric within each group: every orbit's
+    indicator divided by its size, orbits in the order of their least flat
+    index (the sorted index tuples per group in itertools.product order)."""
+    labels, sizes = _orbit_table(sum(map(len, groups)), groups)
+    return np.diag(1.0 / sizes)[:, labels].reshape((len(sizes),) + (DIM,) * sum(map(len, groups)))
 
 
 def _random_symmetric(seed: int, scale: float, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -106,14 +107,13 @@ def _checked_jet(arr: np.ndarray, name: str, kind: str,
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         raise SchemaError(f"{name}: non-finite entry at {bad[0].tolist()}")
-    # the mean sums the transposes before it divides by their count
-    with np.errstate(over="ignore"):
-        sym = _symmetrize_pairs(arr, groups)
+    sym = _symmetrize_pairs(arr, groups)  # an orbit sum beyond a float reads inf, unwarned
     if not np.isfinite(sym).all():
         index = np.argwhere(~np.isfinite(sym))[0].tolist()
         raise SchemaError(f"{name}: entry at {index} is out of range, the sum of its index "
                           "transposes overflows a float")
-    gap = float(np.max(np.abs(arr - sym)))
+    with np.errstate(over="ignore"):  # an entry may lie beyond a float from its orbit mean
+        gap = float(np.max(np.abs(arr - sym)))
     scale = max(float(np.max(np.abs(arr))), 1.0)
     if gap > tol * scale:
         raise SymmetryError(

@@ -54,6 +54,21 @@ def _orbit_jet(values):
     return h
 
 
+def _diagonal_jet(value):
+    """A quadratic jet as nested lists, zero but for H[1][1][1][1] = value."""
+    h = np.zeros((4, 4, 4, 4))
+    h[1, 1, 1, 1] = value
+    return h.tolist()
+
+
+def _asymmetric_jet(value):
+    """A quadratic jet as nested lists holding value at [1, 2, 1, 2] and
+    -value at [1, 2, 2, 1] and [2, 1, 1, 2], zero elsewhere."""
+    h = np.zeros((4, 4, 4, 4))
+    h[1, 2, 1, 2], h[1, 2, 2, 1], h[2, 1, 1, 2] = value, -value, -value
+    return h.tolist()
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_quadrature_passes(tmp_path, capsys):
@@ -293,15 +308,28 @@ def _overrides(vol_sigma, omega_norm2):
                  "H: entry at [1, 2, 1, 2] is out of range, the sum of its index transposes "
                  "overflows a float", id="jet-symmetrization-overflow"),
     # the gauge projection of 4e307 on the orbit named an index of the
-    # projected jet whose input entry is 0
+    # projected jet whose input entry is 0; the orbit mean keeps the
+    # projection in range, and its curvature block overflows
     pytest.param({"H": _orbit_jet([4e307]), "gauge_project": True},
-                 "H: the jet is out of range, its gauge projection overflows a float",
+                 "H: the jet is out of range, its curvature block has a non-finite entry",
                  id="jet-gauge-projection-overflow"),
     # a generic jet read no factor of vol_sigma^2 and gave a report; the
     # constants are checked whatever the regime of the jet
     pytest.param({"lambda": 2e153, "H": jets.random_jet2(3).H.tolist()},
                  "lambda: 2e+153 at k = 1 is out of range, the factor vol_sigma^2",
                  id="lambda-vol-squared-overflow-generic"),
+    # an entry fixed by every transpose is its own orbit's mean, so 1e308
+    # there stops at the gauge projection or at the curvature block
+    pytest.param({"H": _diagonal_jet(1e308), "gauge_project": True},
+                 "H: the jet is out of range, its gauge projection overflows a float",
+                 id="jet-diagonal-gauge-projection-overflow"),
+    pytest.param({"H": _diagonal_jet(1e308), "gauge_project": False},
+                 "H: the jet is out of range, its curvature block has a non-finite entry",
+                 id="jet-diagonal-curvature-overflow"),
+    # the orbit of [1, 2, 1, 2] sums to -1.5e308, and 1.5e308 lies beyond a
+    # float from the mean: the gap is inf, without numpy's overflow warning
+    pytest.param({"H": _asymmetric_jet(1.5e308)},
+                 "H: quadratic jet asymmetry inf exceeds tolerance", id="jet-asymmetry-overflow"),
 ])
 def test_obstruct_rejects_bad_numbers(tmp_path, capsys, extra, field):
     # Python reads JSON true as the integer 1, and the area of the surface
