@@ -42,6 +42,15 @@ any point stack, as before.  The m rows of such a stack are one point
 stack, bit for bit, for node_points and every stencil built on it, so a
 family takes its t-independent part (C, lam and their eigendecompositions)
 once, on the first row, and raises SchemaError when the rows differ.
+That part is real: triple and metric are sums of real per-point tables
+with weights in which t alone enters, and a complex weight is one real
+product for its real and one for its imaginary part.
+
+Family axis: family_stack(*families) is one TripleFamily whose coeff and
+lam read row f of a leading family axis with families[f].  fd, forms and
+connection treat that axis as one more point axis, so one contour, with
+the node axis in front of the family axis, serves every family, each
+bit for bit as its own contour would.
 
 The gauged families project seeded quadratic C onto the null spaces of
 two linear constraints, delta h = 0 and (d a^(1))_- = 0.  Both are exact
@@ -57,7 +66,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,7 +92,6 @@ MatrixField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (..., 3, 
 
 _J_SD_FLAT = J_with(EUCLIDEAN, OMEGA_SD)
 _J_ASD_FLAT = J_with(EUCLIDEAN, OMEGA_ASD)
-_BASIS = np.vstack([OMEGA_SD, OMEGA_ASD])
 
 GAUGE_TOL = 1e-6  # largest gauge residual deformation_first_order accepts
 TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
@@ -171,6 +179,30 @@ def node_points(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(x, np.shape(t) + np.shape(x))
 
 
+# the pairs a <= b of a symmetric 4x4 matrix, and the pair of every entry
+_PAIR_A, _PAIR_B = np.triu_indices(4)
+_PAIR_OF = np.zeros((4, 4), dtype=int)
+_PAIR_OF[_PAIR_A, _PAIR_B] = _PAIR_OF[_PAIR_B, _PAIR_A] = np.arange(_PAIR_A.size)
+_PAIR_OF = _PAIR_OF.ravel()
+
+
+def _weighted_rows(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] table[..., j, :] for a real (..., J, n) table at
+    a point stack and weights, real or complex, at the same points, with the
+    node axis in front when there is one.  The table is t-independent; the
+    weights carry t, and a complex one is split into its real and imaginary
+    parts, which go with the nodes through one real product per point."""
+    lead = weights.shape[:weights.ndim - table.ndim + 1]
+    parts = np.stack([weights.real, weights.imag]) if np.iscomplexobj(weights) else weights
+    rows = np.moveaxis(parts.reshape((-1,) + table.shape[:-1]), 0, -2).copy()
+    out = np.moveaxis(rows @ table, -2, 0)
+    if parts is not weights:
+        real, imag = np.split(out, 2)
+        out = np.empty(real.shape, dtype=complex)
+        out.real, out.imag = real, imag
+    return out.reshape(lead + out.shape[1:])
+
+
 @dataclass
 class TripleFamily:
     """Phi(t) = exp(t M(x)) omega for M built from (lam, C).  As M = lam I +
@@ -196,32 +228,44 @@ class TripleFamily:
     coeff: MatrixField  # C(x)
 
     def triple(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(..., 3, 6) triples Phi(t) at (..., 4) points from one stacked eigh
-        of A for all nodes of t, with cosh(t s) and sinh(t s) / s broadcast
-        over them; a rounding-negative eigenvalue is clipped to 0, where
-        sinh(t s) / s takes its limit t."""
+        """(..., 3, 6) triples Phi(t) at (..., 4) points,
+
+            Phi(t) = e^(t lam) sum_j v_j (cosh(t s_j) v_j^T omega_+
+                                          - sinh(t s_j) / s_j v_j^T C omega_-),
+
+        from one eigh A = V diag(s^2) V^T per point: the rows v_j^T omega_+
+        and -v_j^T C omega_- are real, and t enters only through the six
+        weights (_weighted_rows); a rounding-negative eigenvalue is clipped
+        to 0, where sinh(t s) / s takes its limit t."""
         t, x = _node_rows(t, x)
         c = np.asarray(self.coeff(x), dtype=float)
         mu, v = np.linalg.eigh(c @ np.swapaxes(c, -1, -2))
+        vt = np.swapaxes(v, -1, -2)
+        rows = np.concatenate([vt @ OMEGA_SD, -(vt @ c) @ OMEGA_ASD], axis=-2)
+        # table[j, i, :] = v_ij rows_j, with the columns of V once per row block
+        table = np.concatenate([vt, vt], axis=-2)[..., None] * rows[..., None, :]
         s = np.sqrt(np.maximum(mu, 0.0))
         ts = t[..., None] * s
         sinhc = np.where(s > 0.0, np.sinh(ts) / np.where(s > 0.0, s, 1.0), t[..., None])
-        vt = np.swapaxes(v, -1, -2)
-        cosh_a = (v * np.cosh(ts)[..., None, :]) @ vt
-        sinh_a_c = (v * sinhc[..., None, :]) @ vt @ c
-        scale = np.exp(t * np.asarray(self.lam(x), dtype=float))[..., None, None]
-        return scale * (np.concatenate([cosh_a, -sinh_a_c], axis=-1) @ _BASIS)
+        scale = np.exp(t * np.asarray(self.lam(x), dtype=float))[..., None]
+        weights = scale * np.concatenate([np.cosh(ts), sinhc], axis=-1)
+        flat = _weighted_rows(weights, table.reshape(table.shape[:-2] + (-1,)))
+        return flat.reshape(flat.shape[:-1] + (3, 6))
 
     def metric(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(..., 4, 4) metrics g(t) = W W^T at (..., 4) points, with
-        W = V e^(t (lam + mu) / 2) from H = V diag(mu) V^T, so each g is
-        symmetric and t enters only through the exponential."""
+        """(..., 4, 4) metrics g(t) = sum_j e^(t (lam + mu_j)) v_j v_j^T at
+        (..., 4) points from H = V diag(mu) V^T: the projectors v_j v_j^T
+        are real and t enters only through the weights (_weighted_rows).
+        Each g is read off its upper triangle, so it is exactly symmetric."""
         t, x = _node_rows(t, x)
         mu, v = np.linalg.eigh(metric_perturbation_from_coeffs(
             np.asarray(self.coeff(x), dtype=float)))
         lam = np.asarray(self.lam(x), dtype=float)[..., None]
-        w = v * np.exp(0.5 * t[..., None] * (lam + mu))[..., None, :]
-        return w @ np.swapaxes(w, -1, -2)
+        # projectors[j, pair] = v_aj v_bj over the pairs a <= b
+        vt = np.swapaxes(v, -1, -2)
+        projectors = vt[..., _PAIR_A] * vt[..., _PAIR_B]
+        upper = _weighted_rows(np.exp(t[..., None] * (lam + mu)), projectors)
+        return upper[..., _PAIR_OF].reshape(upper.shape[:-1] + (4, 4))
 
     def metric_field(self, t: complex | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
@@ -233,7 +277,8 @@ class TripleFamily:
         return connection_from_Phi(lambda x: self.triple(t, x))
 
 
-def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray],
+                       n: int | Sequence[int]) -> np.ndarray:
     """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
     real t, from N = TAYLOR_NODES points of radius r = TAYLOR_RADIUS:
 
@@ -245,7 +290,9 @@ def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndar
     array of the nodes r w^k, k = 0..N/2, with w^0 = 1 and w^(N/2) = -1
     exactly, and returns its values with the node axis leading; the two
     real nodes contribute their real parts, and a value without that
-    leading axis raises SchemaError.
+    leading axis raises SchemaError.  A sequence of orders n gives their
+    coefficients stacked on a leading axis, each bit for bit the one of a
+    call with that order alone, from the one call of f.
     """
     r, nodes = TAYLOR_RADIUS, TAYLOR_NODES
     half = nodes // 2
@@ -257,10 +304,16 @@ def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndar
             f"taylor_coefficient: f returned shape {vals.shape} for {w.size} nodes; "
             f"its leading axis must be the node axis, of length {w.size}"
         )
-    total = vals[0].real + (-1) ** n * vals[half].real
-    for k in range(1, half):
-        total = total + 2.0 * (vals[k] * w[k] ** -n).real
-    return total / (nodes * r**n)
+
+    def coefficient(order: int) -> np.ndarray:
+        total = vals[0].real + (-1) ** order * vals[half].real
+        for k in range(1, half):
+            total = total + 2.0 * (vals[k] * w[k] ** -order).real
+        return total / (nodes * r**order)
+
+    if isinstance(n, (int, np.integer)):
+        return coefficient(n)
+    return np.stack([coefficient(order) for order in n])
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +346,17 @@ def sd_block(stack: np.ndarray) -> np.ndarray:
 
 def ric0_second_order(
     a1: Callable[[np.ndarray], np.ndarray],
-    a2: Callable[[np.ndarray], np.ndarray],
+    da2: np.ndarray,
     phi: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
 ) -> np.ndarray:
-    """(3, 6) anti-self-dual stack of the second-order trace-free Ricci.
+    """(..., 3, 6) anti-self-dual stacks of the second-order trace-free
+    Ricci at (..., 4) points x.
 
-    a1, a2: first/second order connection coefficient fields (x -> (3,4));
-    phi:    anti-self-dual data field (x -> (3,6)).
+    a1:  first-order connection coefficient field (x -> (..., 3, 4));
+    da2: (..., 3, 6) exterior derivatives of the second-order connection
+         coefficients at x;
+    phi: anti-self-dual data field (x -> (..., 3, 6)).
 
     Rplus1 = -sd_block(d a1) is the first-order self-dual curvature block,
     so the coupling term -Rplus1 phi is + sd_block(d a1) phi.  a1 and d a1
@@ -308,7 +364,7 @@ def ric0_second_order(
     """
     x = np.asarray(x, dtype=float)
     a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
-    return (_flat_asd_part(fd.fd_d(FormField(1, a2), x)) + bracket_minus(a1_here)
+    return (_flat_asd_part(da2) + bracket_minus(a1_here)
             + sd_block(da1) @ float_or_complex(phi(x)))
 
 
@@ -435,6 +491,27 @@ def _efo_null_space() -> np.ndarray:
     """Null space of _efo_constraint_matrix; built on first use and
     read-only."""
     return _null_space(_efo_constraint_matrix())
+
+
+def family_stack(*families: TripleFamily) -> TripleFamily:
+    """The families as one TripleFamily whose coeff and lam take a leading
+    family axis: row f of a (F, ..., 4) point stack is read by families[f].
+    fd, forms and connection treat the family axis as one more point axis,
+    so one evaluation of the stack serves every family; with contour nodes
+    the node axis comes first, then the family axis."""
+
+    def stacked(field: Callable[[TripleFamily], Callable]) -> Callable[[np.ndarray], np.ndarray]:
+        def value(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            if x.shape[:1] != (len(families),):
+                raise SchemaError(
+                    f"points of shape {x.shape} for {len(families)} families; "
+                    f"their leading axis must be the family axis, of length {len(families)}"
+                )
+            return np.stack([field(fam)(row) for fam, row in zip(families, x)])
+        return value
+
+    return TripleFamily(lam=stacked(lambda fam: fam.lam), coeff=stacked(lambda fam: fam.coeff))
 
 
 def einstein_first_order_family(seed: int) -> TripleFamily:

@@ -366,6 +366,10 @@ class FrameSample:
     metric: np.ndarray  # (..., 4, 4)
     triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
 
+    def rows(self, index) -> FrameSample:
+        """The sample at points[index] of its point stack."""
+        return FrameSample(self.coframe[index], self.metric[index], self.triple[index])
+
     @functools.cached_property
     def J(self) -> np.ndarray:
         """(..., 3, 4, 4) complex structures of the triple."""

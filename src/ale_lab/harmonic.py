@@ -144,10 +144,11 @@ def dC_scalar_field(config: gh.GHConfig,
     return ev
 
 
-def alpha_split_residuals(config: gh.GHConfig, bundle: HarmonicFormBundle,
-                          x4: np.ndarray) -> dict:
+def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameSample,
+                          omega: np.ndarray) -> dict:
     """Residuals of alpha^+ = -w1 and alpha^- = s Omega for
-    alpha = -1/2 d (J_1 dm), one per point of a (..., 4) stack."""
+    alpha = -1/2 d (J_1 dm), one per point of a (..., 4) stack, from the
+    caller's gh.metric_at sample and (..., 6) components of Omega there."""
     x4 = np.asarray(x4, dtype=float)
 
     def grad4(y: np.ndarray) -> np.ndarray:
@@ -155,15 +156,13 @@ def alpha_split_residuals(config: gh.GHConfig, bundle: HarmonicFormBundle,
 
     fld = FormField(1, dC_scalar_field(config, grad4))
     alpha = -0.5 * fd.fd_d(fld, x4)
-    sample = gh.metric_at(config, x4)
     plus, minus = split_sd(sample.metric, alpha)
     s = -config.k * config.lam
-    omega_here = bundle.components(x4)
     w1 = sample.triple[..., 0, :]
     scale = np.max(np.abs(w1), axis=-1)
     return {
         "sd_residual": np.max(np.abs(plus + w1), axis=-1) / scale,
-        "asd_residual": np.max(np.abs(minus - s * omega_here), axis=-1) / scale,
+        "asd_residual": np.max(np.abs(minus - s * omega), axis=-1) / scale,
     }
 
 
@@ -220,31 +219,38 @@ def _fit_directions(n: int, seed: int) -> np.ndarray:
     return np.vstack([dirs, -dirs])
 
 
-def asymptotic_fit(
-    config: gh.GHConfig,
-    bundle: HarmonicFormBundle | None = None,
-    radii: Sequence[float] | None = None,
-) -> AsymptoticFit:
+def asymptotic_fit(config: gh.GHConfig,
+                   bundle: HarmonicFormBundle | None = None) -> AsymptoticFit:
     """Joint least-squares fit of Omega against the lead and sub models,
-    sampled along 6 fit directions (seed 0) at each radius."""
-    cfg = config
-    k = cfg.k
-    bundle = bundle or build_omega(cfg)
-    if radii is None:
-        base = 20.0 * (k + 1) * cfg.lam
-        radii = (base, 1.5 * base, 2.25 * base)
-    radii = np.asarray(radii, dtype=float)[:, None, None]
-    base = radii * _fit_directions(6, 0)  # (radius, direction, 3)
+    sampled along 6 fit directions (seed 0) at the radii b, 1.5 b and
+    2.25 b, b = 20 (k+1) lambda."""
+    base = 20.0 * (config.k + 1) * config.lam
+    return asymptotic_fits(config, bundle or build_omega(config),
+                           (base, 1.5 * base, 2.25 * base))[0]
+
+
+def asymptotic_fits(config: gh.GHConfig, bundle: HarmonicFormBundle,
+                    radii: np.ndarray | Sequence) -> list[AsymptoticFit]:
+    """The fits of asymptotic_fit for each radius set of a (..., n) stack
+    of radii, in C order, from one model_form call and one components
+    call on all their sample points."""
+    k = config.k
+    radii = np.asarray(radii, dtype=float)[..., None, None]
+    base = radii * _fit_directions(6, 0)  # (..., radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (k + 1) * radii) ** 2  # rhat^4: puts radii on equal footing
-    models = weight[..., None] * model_form(cfg, x4)  # (radius, direction, model, 6)
-    amat = np.moveaxis(models, -2, -1).reshape(-1, 2)
-    bvec = (weight * bundle.components(x4)).ravel()
-    sol, _res, rank, _sv = np.linalg.lstsq(amat, bvec, rcond=None)
-    if rank < 2 or not np.all(np.isfinite(sol)):
-        raise FitUnstable("asymptotic model matrix is rank-deficient")
-    return AsymptoticFit(c_gamma=float(sol[0]), a1=float(sol[1]),
-                         expected_c_gamma=c_gamma(k, cfg.lam))
+    models = weight[..., None] * model_form(config, x4)  # (..., radius, direction, model, 6)
+    sets = int(np.prod(radii.shape[:-3]))
+    amats = np.moveaxis(models, -2, -1).reshape(sets, -1, 2)
+    bvecs = (weight * bundle.components(x4)).reshape(sets, -1)
+    fits = []
+    for amat, bvec in zip(amats, bvecs):
+        sol, _res, rank, _sv = np.linalg.lstsq(amat, bvec, rcond=None)
+        if rank < 2 or not np.all(np.isfinite(sol)):
+            raise FitUnstable("asymptotic model matrix is rank-deficient")
+        fits.append(AsymptoticFit(c_gamma=float(sol[0]), a1=float(sol[1]),
+                                  expected_c_gamma=c_gamma(k, config.lam)))
+    return fits
 
 
 def cone_config(config: gh.GHConfig) -> gh.GHConfig:

@@ -218,6 +218,9 @@ def bold_det_from_block(block: np.ndarray) -> float:
     return float(-np.linalg.det(block))
 
 
+_DET_FLOOR = 1e-8  # |det| of the negated block in jet units that reads on_wall
+
+
 def wall_side(block: np.ndarray) -> str:
     """The side of the wall det = 0 for the determinant of the negated
     block, within 1e-8 of it counting as on it, for a block in units of its
@@ -235,9 +238,16 @@ def wall_side(block: np.ndarray) -> str:
         det_bold = bold_det_from_block(block)
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
-    if first_row_vanishes(block) or abs(det_bold) <= 1e-8:
+    if first_row_vanishes(block) or abs(det_bold) <= _DET_FLOOR:
         return "on_wall"
     return "einstein_side" if det_bold > 0 else "empty_side"
+
+
+def det_on_floor(block: np.ndarray) -> bool:
+    """|det| of the negated block at most 1e-8, for a finite block in jet
+    units (in_jet_units): the floor of wall_side, under which the
+    determinant is rounding and the side on_wall in either regime."""
+    return abs(bold_det_from_block(block)) <= _DET_FLOOR
 
 
 @dataclass
@@ -251,6 +261,7 @@ class ObstructionReport:
     A: float | None
     det_leading_coefficient: float | None
     wall_side: str
+    det_on_floor: bool  # det_on_floor of the block in jet units; not in the report
     constants: dict
     first_row_norm: float
     gauge_projected: bool
@@ -319,6 +330,7 @@ def compute_report(jet, constants: ModelConstants, quartic=None,
         A=a_val,
         det_leading_coefficient=det_coeff,
         wall_side=wall_side(unit),
+        det_on_floor=det_on_floor(unit),
         constants=constants.as_dict(),
         first_row_norm=first_row_norm(block),
         gauge_projected=apply_gauge,

@@ -92,6 +92,59 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_DUMPS = {"sort_keys": True, "indent": 2, "allow_nan": False}
+
+
+def test_report_writer_is_json_dumps_on_every_report(tmp_path, monkeypatch):
+    # the C-encoder writer against the stdlib's indenting encoder on the
+    # payload of every report kind: verify at k = 1 and 2, obstruct on a
+    # degenerate jet, on a generic one and with explicit constants
+    seen = []
+    writer = cli._json_text
+
+    def compared(payload):
+        text = writer(payload)
+        seen.append(text == json.dumps(payload, **_DUMPS))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", compared)
+    report = str(tmp_path / "r.json")
+    for k in ("1", "2"):
+        assert cli.main(["verify", "--suite", "all", "--k", k, "--report", report]) == 0
+    overrides = {"volSigma": 4.0, "omegaNorm2": 8.0, "intMomega": 8.0, "mP1": 2.0}
+    for path, extra in (("jet.json", {}), ("over.json", {"constants_override": overrides}),
+                        ("generic.json", {"H": jets.random_jet2(3).H.tolist()})):
+        assert cli.main(["obstruct", "--jet", str(_write_jet(tmp_path / path, **extra)),
+                         "--report", report]) == 0
+    assert seen == [True] * 5
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": [], "b": {}}, {"a": {"b": {"c": [[], [{}]]}}},
+    {"zeta": -0.0, "alpha": [1e-300, 5e-324, 1.7976931348623157e308, -1.5e-7]},
+    {"\u00e9t\u00e9": "\u00fcber \u2202 \U0001d53c", "q": "a \"quote\"\n\ttab\\"},
+    {"n": [0, -1, 2**70, True, False, None], "t": (1.5, (2, [3]))},
+    [[1.0, [2.0, [3.0, []]]], {"x": {}}, "s"],
+    {"mixed": [1, {"k": [2, 3]}, [], "z"], "empty": "", "only": [[]]},
+    {"1": 1, "10": 2, "2": 3, "B": 4, "a": 5},
+    {1: "int key", 2.5: "float key"},
+    3.25, "text", None,
+], ids=lambda p: type(p).__name__)
+def test_report_writer_is_json_dumps_byte_for_byte(payload):
+    assert cli._json_text(payload) == json.dumps(payload, **_DUMPS)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": float("nan")}, {"a": [[1.0, float("inf")]]}, {"a": {"b": -float("inf")}},
+    [{"x": 1}, float("nan")],
+])
+def test_report_writer_refuses_non_finite_values(payload):
+    with pytest.raises(ValueError):
+        json.dumps(payload, **_DUMPS)
+    with pytest.raises(ValueError):
+        cli._json_text(payload)
+
+
 def test_verify_tiny_tolerance_fails(capsys):
     rc = cli.main(["verify", "--suite", "quadrature", "--tol", "1e-14"])
     assert rc == 1
@@ -174,7 +227,9 @@ def test_obstruct_canonical_jet(tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = cli.main(["obstruct", "--jet", str(jet_path), "--report", str(report)])
     assert rc == 0
-    assert "wall side: on_wall" in capsys.readouterr().out
+    # on the floor the determinant is rounding, and its digits are not printed
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "wall side: on_wall (|det of the negated block| within the 1e-8 max|H|^3 floor)")
     payload = json.loads(report.read_text())
     assert payload["schema_version"] == 1
     assert payload["command"] == "obstruct"
@@ -439,6 +494,17 @@ def test_obstruct_prints_an_overflowing_det_without_a_warning(tmp_path, capsys):
     jet_path.write_text(json.dumps({"k": 1, "H": (jets.random_jet2(3).H * 1e150).tolist()}))
     assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
     assert "wall side: einstein_side (det of the negated block = inf)" in capsys.readouterr().out
+
+
+def test_obstruct_prints_a_det_above_the_floor_on_the_wall(tmp_path, capsys):
+    # a first row of 6e-9 max|H| is degenerate, so the side reads on_wall,
+    # while det of the negated block, -2.7e-8 max|H|^3, is above the floor
+    jet = jets.jet2_with_block(np.diag([3e-9, 1.0, 1.0]), seed=0)
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(json.dumps({"k": 1, "H": jet.H.tolist()}))
+    assert cli.main(["obstruct", "--jet", str(jet_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("wall side: on_wall (det of the negated block = -")
 
 
 def test_obstruct_missing_file(tmp_path, capsys):

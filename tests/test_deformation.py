@@ -120,6 +120,9 @@ def _generator(family: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     return np.block([[lam, -c], [-np.swapaxes(c, -1, -2), lam]])
 
 
+_BASIS = np.vstack([forms.OMEGA_SD, forms.OMEGA_ASD])
+
+
 @_FAMILIES
 def test_triple_closed_form_matches_expm(family):
     # the closed form against scipy's exp(t M) on the first three columns
@@ -129,7 +132,7 @@ def test_triple_closed_form_matches_expm(family):
         got = family.triple(t, x)
         assert got.shape == (2, 3, 3, 6)
         assert np.iscomplexobj(got) == isinstance(t, complex)
-        assert np.max(np.abs(got - expected @ deformation._BASIS)) < 1e-13
+        assert np.max(np.abs(got - expected @ _BASIS)) < 1e-13
     # a single (4,) point gives its row of the stack
     assert np.max(np.abs(family.triple(0.1, x[1, 2]) - family.triple(0.1, x)[1, 2])) < 1e-14
 
@@ -210,6 +213,24 @@ def test_taylor_coefficient_calls_f_once_on_the_nodes():
     assert coeff.dtype == np.float64 and abs(coeff - 0.5) < 1e-12
 
 
+def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
+    # several orders from one call of f, each the coefficient of a call
+    # with that order alone
+    fam = deformation.einstein_first_order_family(5)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return fam.connection(t)(deformation.node_points(t, X0))
+
+    both = deformation.taylor_coefficient(f, (1, 2))
+    assert len(calls) == 1 and both.shape == (2, 3, 4) and both.dtype == np.float64
+    for row, n in zip(both, (1, 2)):
+        assert np.array_equal(row, deformation.taylor_coefficient(f, n))
+    assert np.array_equal(deformation.taylor_coefficient(f, [2, 0, 2]),
+                          np.stack([deformation.taylor_coefficient(f, n) for n in (2, 0, 2)]))
+
+
 def test_triple_rejects_points_without_node_axis():
     fam = deformation.linear_gauged_family(0)
     t = _NODES["complex"]
@@ -264,9 +285,53 @@ def test_suite_deformation_evaluates_each_contour_as_one_stack(monkeypatch):
     for name in calls:
         monkeypatch.setattr(deformation.TripleFamily, name, counting(name))
     assert suites.suite_deformation(1, 1.0).passed
-    assert calls["triple"] <= 40
-    # each curvature block takes its metric from its own stencil: one call
-    assert calls["metric"] <= 22
+    # both families are one family stack: one connection contour on x0 and
+    # its stencil, and one curvature contour on the nested stencil of x0
+    assert calls == {"triple": 1, "metric": 1}
+
+
+_STACKED = [deformation.linear_gauged_family(0), deformation.einstein_first_order_family(5)]
+
+
+def _contour_values(fam: deformation.TripleFamily, x: np.ndarray) -> dict:
+    """What the deformation suite reads off a family's contours at (..., 4)
+    points x: the triple and metric at the nodes, the t^1 and t^2
+    connection coefficients with their d, and the t^2 curvature oracle."""
+    t = _NODES["complex"]
+    nodes = deformation.node_points
+
+    def orders(y: np.ndarray) -> np.ndarray:
+        coeffs = deformation.taylor_coefficient(lambda s: fam.connection(s)(nodes(s, y)), (1, 2))
+        return np.moveaxis(coeffs, 0, -3)
+
+    a, da = fd.value_and_d(forms.FormField(1, orders), x)
+    return {
+        "triple": fam.triple(t, nodes(t, x)),
+        "metric": fam.metric(t, nodes(t, x)),
+        "a": a,
+        "da": da,
+        "oracle": _second_order_oracle(fam, x),
+    }
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_family_stack_equals_per_family_runs_bit_for_bit(shape):
+    x = X0 if shape == (4,) else 0.4 * np.random.default_rng(29).normal(size=shape)
+    stack = deformation.family_stack(*_STACKED)
+    stacked = _contour_values(stack, np.broadcast_to(x, (2,) + shape))
+    per_family = [_contour_values(fam, x) for fam in _STACKED]
+    for key, value in stacked.items():
+        # the node axis stays in front of the family axis
+        axis = 1 if key in ("triple", "metric") else 0
+        assert np.array_equal(value, np.stack([v[key] for v in per_family], axis=axis)), key
+
+
+def test_family_stack_rejects_points_without_the_family_axis():
+    stack = deformation.family_stack(*_STACKED)
+    with pytest.raises(SchemaError, match=r"points of shape \(3, 4\) for 2 families"):
+        stack.coeff(np.zeros((3, 4)))
+    with pytest.raises(SchemaError, match=r"points of shape \(4,\) for 2 families"):
+        stack.lam(X0)
 
 
 # --- bracket and block helpers ----------------------------------------------
@@ -337,18 +402,18 @@ def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.nda
         fam.metric_field(t), deformation.node_points(t, x)).Rminus, 2)
 
 
-def _a2_field(fam: deformation.TripleFamily):
-    """Second-order connection coefficients: the t^2-coefficient of the
-    family's connection."""
-    return lambda y: deformation.taylor_coefficient(
-        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2)
+def _da2(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
+    """d of the second-order connection coefficients, the t^2-coefficient
+    of the family's connection, at x."""
+    return fd.fd_d(forms.FormField(1, lambda y: deformation.taylor_coefficient(
+        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2)), x)
 
 
 def test_second_order_formula_linear_family():
     fam = deformation.linear_gauged_family(2)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, X0))
+        a1_field, _da2(fam, X0), fam.phi_field, X0))
     oracle = _second_order_oracle(fam, X0)
     assert np.max(np.abs(formula - oracle)) < 1e-6
 
@@ -359,7 +424,7 @@ def test_second_order_formula_couples_phi_and_curvature():
     fam = deformation.einstein_first_order_family(8)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     formula = deformation.asd_block(deformation.ric0_second_order(
-        a1_field, _a2_field(fam), fam.phi_field, X0))
+        a1_field, _da2(fam, X0), fam.phi_field, X0))
     oracle = _second_order_oracle(fam, X0)
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(formula - oracle)) < 1e-4 * scale
@@ -481,7 +546,7 @@ def test_second_order_tensor_identification():
     # t^2-coefficient of the nonlinear tracefree Ricci with factor one
     fam = deformation.linear_gauged_family(12)
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
-    stack = deformation.ric0_second_order(a1_field, _a2_field(fam), fam.phi_field, X0)
+    stack = deformation.ric0_second_order(a1_field, _da2(fam, X0), fam.phi_field, X0)
     tensor = connection.mixed_block_to_ric0(deformation.asd_block(stack), np.eye(4))
 
     def tracefree_ricci(t: np.ndarray) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_alpha_split(canonical, omega_bundle):
     bundle = omega_bundle(1)
     x4 = gh.sample_chart_points(cfg, 1, seed=6, rho_min=1.5, rho_max=3.0,
                                 string_cone_cos=0.45)[0]
-    res = harmonic.alpha_split_residuals(cfg, bundle, x4)
+    res = harmonic.alpha_split_residuals(cfg, x4, gh.metric_at(cfg, x4), bundle.components(x4))
     assert res["sd_residual"] < 1e-4
     assert res["asd_residual"] < 1e-4
 
@@ -302,6 +302,51 @@ def test_suite_harmonic_computes_each_core_quantity_once(monkeypatch):
         counted(name)
     assert suites.suite_harmonic(2, 1.0).passed
     assert calls == {"omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_suite_harmonic_shares_its_evaluations(k, monkeypatch):
+    # Omega at the five check points comes from the fd.value_and_d call on
+    # them and their stencil, with one metric_at sample there for
+    # omega-antiselfdual and alpha-*; the far-field fits, two of them at
+    # k >= 2, come from one model_form and one components call
+    calls = {"components": [], "model_form": [], "metric_at": []}
+
+    def spy(owner, name, key):
+        inner = getattr(owner, name)
+
+        def counted(*args):
+            calls[key].append(np.shape(args[-1]))
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(harmonic.HarmonicFormBundle, "components", "components")
+    spy(harmonic, "model_form", "model_form")
+    spy(gh, "metric_at", "metric_at")
+    assert suites.suite_harmonic(k, 1.0).passed
+    fits = (3, 6, 4) if k == 1 else (2, 3, 6, 4)
+    assert calls == {"components": [(5, 9, 4), fits], "model_form": [fits],
+                     "metric_at": [(5, 4), (3, 8, 4), fits[:-1] + (8, 4)]}
+
+
+def test_stacked_fits_and_shared_samples_are_bitwise_the_separate_ones(canonical, omega_bundle):
+    cfg, bundle = canonical(2), omega_bundle(2)
+    base = 20.0 * 3 * 1.0
+    inner = (base, 1.5 * base, 2.25 * base)
+    outer = (1.5 * base, 2.25 * base, 3.375 * base)
+    stacked = harmonic.asymptotic_fits(cfg, bundle, np.array([inner, outer]))
+    assert stacked == [harmonic.asymptotic_fit(cfg, bundle),
+                       harmonic.asymptotic_fits(cfg, bundle, outer)[0]]
+    # alpha-* read the check points' metric_at sample and Omega off their stencil
+    x4 = suites._check_points(cfg, 5)
+    omega, _ = fd.value_and_d(FormField(2, bundle.components), x4)
+    shared = harmonic.alpha_split_residuals(cfg, x4[:3], gh.metric_at(cfg, x4).rows(slice(3)),
+                                            omega[:3])
+    alone = harmonic.alpha_split_residuals(cfg, x4[:3], gh.metric_at(cfg, x4[:3]),
+                                           bundle.components(x4[:3]))
+    for key in alone:
+        assert np.array_equal(shared[key], alone[key]), key
 
 
 def test_first_center_weight_other_than_one_is_named():
