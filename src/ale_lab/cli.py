@@ -83,48 +83,8 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _encoder(depth: int):
-    """The C encoder of json.dumps(sort_keys=True, allow_nan=False), without
-    the circular-reference check, whose item separator is the one of
-    indent=2 for items at this depth."""
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ",
-        ",\n" + "  " * depth, True, False, False)
-
-
-def _indented(value, depth: int) -> str:
-    """value as json.dumps(indent=2) lays it out at this depth.  A container
-    of scalars is one C encoder call, whose item separator holds the line
-    break and indent; the nesting above it is laid out here."""
-    if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(_encoder(0)(value, 0))
-    items = value.values() if isinstance(value, dict) else value
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if not any(isinstance(item, _CONTAINERS) for item in items):
-        text = "".join(_encoder(depth + 1)(value, 0))
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if isinstance(value, dict):  # report keys are strings
-        parts = [f"{json.encoder.encode_basestring_ascii(key)}: "
-                 f"{_indented(value[key], depth + 1)}" for key in sorted(value)]
-        brackets = "{}"
-    else:
-        parts = [_indented(item, depth + 1) for item in value]
-        brackets = "[]"
-    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
-
-
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) byte for
-    byte, ValueError on a non-finite float included, with the C encoder in
-    place of the pure-Python one that indent selects; json.dumps writes it
-    where the interpreter has no C encoder."""
-    if json.encoder.c_make_encoder is None:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    return _indented(payload, 0)
+# the report text; ValueError on a non-finite value
+_json_text = functools.partial(json.dumps, sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

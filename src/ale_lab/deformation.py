@@ -84,6 +84,8 @@ from .forms import (
     J_with,
     apply_J_covector,
     float_or_complex,
+    project_with,
+    split_sd,
     wedge,
 )
 
@@ -326,22 +328,7 @@ def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     (a_j ^ a_k)_- per cyclic component, from a (..., 3, 4) covector stack."""
     a = float_or_complex(a_values)
     j, k = CYCLIC
-    return _flat_asd_part(wedge(a[..., j, :], 1, a[..., k, :], 1))
-
-
-def _flat_asd_part(comps: np.ndarray) -> np.ndarray:
-    """Anti-self-dual part (w - *w) / 2 of 2-forms on the flat metric."""
-    comps = float_or_complex(comps)
-    return (comps - comps @ FLAT_STAR[2].T) / 2.0
-
-
-def asd_block(stack: np.ndarray) -> np.ndarray:
-    """Components of a (3, 6) 2-form stack on the flat anti-self-dual basis."""
-    return 0.5 * float_or_complex(stack) @ OMEGA_ASD.T
-
-
-def sd_block(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * float_or_complex(stack) @ OMEGA_SD.T
+    return split_sd(EUCLIDEAN, wedge(a[..., j, :], 1, a[..., k, :], 1))[1]
 
 
 def ric0_second_order(
@@ -358,14 +345,15 @@ def ric0_second_order(
          coefficients at x;
     phi: anti-self-dual data field (x -> (..., 3, 6)).
 
-    Rplus1 = -sd_block(d a1) is the first-order self-dual curvature block,
-    so the coupling term -Rplus1 phi is + sd_block(d a1) phi.  a1 and d a1
-    come from one call of a1 on x and its stencil (fd.value_and_d).
+    Rplus1 = -project_with(EUCLIDEAN, d a1, OMEGA_SD) is the first-order
+    self-dual curvature block, so the coupling term -Rplus1 phi is
+    + project_with(EUCLIDEAN, d a1, OMEGA_SD) phi.  a1 and d a1 come from
+    one call of a1 on x and its stencil (fd.value_and_d).
     """
     x = np.asarray(x, dtype=float)
     a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
-    return (_flat_asd_part(da2) + bracket_minus(a1_here)
-            + sd_block(da1) @ float_or_complex(phi(x)))
+    return (split_sd(EUCLIDEAN, da2)[1] + bracket_minus(a1_here)
+            + project_with(EUCLIDEAN, da1, OMEGA_SD) @ float_or_complex(phi(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +377,7 @@ def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     stack of them), flat.  As *phi = -phi, delta phi = -*d*phi = *d phi,
     which is star_d_phi."""
     delta_field = FormField(1, lambda y: star_d_phi(phi, y))
-    return _flat_asd_part(fd.fd_d(delta_field, x))
+    return split_sd(EUCLIDEAN, fd.fd_d(delta_field, x))[1]
 
 
 def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
@@ -398,7 +386,8 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
     The operator acts componentwise: phi_i -> (d d^* phi_i)_-, pushed back
     through the same identification used to build h.
     """
-    rows = asd_block(d_minus_codifferential(lambda y: phi_comps_from_coeffs(coeff(y)), x))
+    rows = project_with(EUCLIDEAN, d_minus_codifferential(
+        lambda y: phi_comps_from_coeffs(coeff(y)), x), OMEGA_ASD)
     return metric_perturbation_from_coeffs(rows)
 
 
@@ -481,7 +470,7 @@ def _efo_constraint_matrix() -> np.ndarray:
     exactly from fd.DQUAD and the constant form tables."""
     # [j, m, r, c]: the x_r coefficient of *d(x_p x_q wt_j), component c
     a1 = np.einsum("mar,jI,aIK->jmrK", fd.DQUAD, OMEGA_ASD, D_TABLE[2]) @ FLAT_STAR[3].T
-    minus = _flat_asd_part(np.einsum("jmrc,rcL->jmL", a1, D_TABLE[1]))
+    minus = split_sd(EUCLIDEAN, np.einsum("jmrc,rcL->jmL", a1, D_TABLE[1]))[1]
     asd = np.einsum("ik,jmL->iLkjm", np.eye(3), minus).reshape(3 * minus.shape[-1], -1)
     return np.concatenate([_divergence_matrix(), asd])
 

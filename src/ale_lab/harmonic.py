@@ -219,21 +219,12 @@ def _fit_directions(n: int, seed: int) -> np.ndarray:
     return np.vstack([dirs, -dirs])
 
 
-def asymptotic_fit(config: gh.GHConfig,
-                   bundle: HarmonicFormBundle | None = None) -> AsymptoticFit:
-    """Joint least-squares fit of Omega against the lead and sub models,
-    sampled along 6 fit directions (seed 0) at the radii b, 1.5 b and
-    2.25 b, b = 20 (k+1) lambda."""
-    base = 20.0 * (config.k + 1) * config.lam
-    return asymptotic_fits(config, bundle or build_omega(config),
-                           (base, 1.5 * base, 2.25 * base))[0]
-
-
 def asymptotic_fits(config: gh.GHConfig, bundle: HarmonicFormBundle,
                     radii: np.ndarray | Sequence) -> list[AsymptoticFit]:
-    """The fits of asymptotic_fit for each radius set of a (..., n) stack
-    of radii, in C order, from one model_form call and one components
-    call on all their sample points."""
+    """Joint least-squares fit of Omega against the lead and sub models,
+    sampled along 6 fit directions (seed 0) at the radii of each radius set
+    of a (..., n) stack, in C order, from one model_form call and one
+    components call on all their sample points."""
     k = config.k
     radii = np.asarray(radii, dtype=float)[..., None, None]
     base = radii * _fit_directions(6, 0)  # (..., radius, direction, 3)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import connection, deformation, fd, gh, harmonic, obstruction, quadrature
-from .forms import FormField, split_sd
+from .forms import EUCLIDEAN, OMEGA_ASD, FormField, project_with, split_sd
 
 PROVENANCE_TAGS = ("closed-form-constant", "derived-oracle", "trivial-identity")
 _CLOSED, _ORACLE, _IDENTITY = PROVENANCE_TAGS
@@ -304,12 +304,11 @@ def suite_harmonic(k: int, lam: float):
     yield "alpha-selfdual-part", float(np.max(res["sd_residual"]))
     yield "alpha-antiselfdual-part", float(np.max(res["asd_residual"]))
 
-    if k == 1:
-        fit = harmonic.asymptotic_fit(config, bundle)
-    else:
-        # asymptotic_fit's radii and the next set out, from one evaluation
-        fit, fit_b = harmonic.asymptotic_fits(
-            config, bundle, 20.0 * k1 * lam * np.array([[1.0, 1.5, 2.25], [1.5, 2.25, 3.375]]))
+    # the fit radii b (1, 1.5, 2.25), b = 20 (k+1) lambda, and at k >= 2 the
+    # next set out, from one evaluation
+    scales = np.array([[1.0, 1.5, 2.25], [1.5, 2.25, 3.375]])[:min(k, 2)]
+    fits = harmonic.asymptotic_fits(config, bundle, 20.0 * k1 * lam * scales)
+    fit, fit_b = fits[0], fits[-1]
     yield "leading-fit-coefficient", fit.c_gamma, fit.expected_c_gamma
     if k == 1:
         yield "anisotropic-coefficient-null", fit.a1, 0.0
@@ -377,7 +376,8 @@ def suite_deformation(k: int, lam: float):
     stack = deformation.ric0_second_order(a1_field, da_t[:, 1], fam.phi_field, xs)
     oracle = deformation.taylor_coefficient(
         lambda t: connection.curvature_block_of_metric(fam.metric_field(t), nodes(t, xs)).Rminus, 2)
-    gap_lin, gap_coupled = np.max(np.abs(deformation.asd_block(stack) - oracle), axis=(-2, -1))
+    gap_lin, gap_coupled = np.max(np.abs(project_with(EUCLIDEAN, stack, OMEGA_ASD) - oracle),
+                                  axis=(-2, -1))
     yield "second-order-ricci-linear", float(gap_lin)
     yield "second-order-ricci-coupled", float(gap_coupled)
 

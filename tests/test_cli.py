@@ -95,54 +95,25 @@ def test_verify_reports_are_byte_identical(tmp_path):
 _DUMPS = {"sort_keys": True, "indent": 2, "allow_nan": False}
 
 
-def test_report_writer_is_json_dumps_on_every_report(tmp_path, monkeypatch):
-    # the C-encoder writer against the stdlib's indenting encoder on the
-    # payload of every report kind: verify at k = 1 and 2, obstruct on a
-    # degenerate jet, on a generic one and with explicit constants
-    seen = []
-    writer = cli._json_text
+def test_report_writer_is_json_dumps_on_every_report(tmp_path):
+    # every report kind is the text json.dumps writes for its own content:
+    # verify at k = 1 and 2, obstruct on a degenerate jet, on a generic one
+    # and with explicit constants
+    report = tmp_path / "r.json"
 
-    def compared(payload):
-        text = writer(payload)
-        seen.append(text == json.dumps(payload, **_DUMPS))
-        return text
+    def assert_dumps_text():
+        text = report.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), **_DUMPS) + "\n"
 
-    monkeypatch.setattr(cli, "_json_text", compared)
-    report = str(tmp_path / "r.json")
     for k in ("1", "2"):
-        assert cli.main(["verify", "--suite", "all", "--k", k, "--report", report]) == 0
+        assert cli.main(["verify", "--suite", "all", "--k", k, "--report", str(report)]) == 0
+        assert_dumps_text()
     overrides = {"volSigma": 4.0, "omegaNorm2": 8.0, "intMomega": 8.0, "mP1": 2.0}
     for path, extra in (("jet.json", {}), ("over.json", {"constants_override": overrides}),
                         ("generic.json", {"H": jets.random_jet2(3).H.tolist()})):
         assert cli.main(["obstruct", "--jet", str(_write_jet(tmp_path / path, **extra)),
-                         "--report", report]) == 0
-    assert seen == [True] * 5
-
-
-@pytest.mark.parametrize("payload", [
-    {}, [], {"a": [], "b": {}}, {"a": {"b": {"c": [[], [{}]]}}},
-    {"zeta": -0.0, "alpha": [1e-300, 5e-324, 1.7976931348623157e308, -1.5e-7]},
-    {"\u00e9t\u00e9": "\u00fcber \u2202 \U0001d53c", "q": "a \"quote\"\n\ttab\\"},
-    {"n": [0, -1, 2**70, True, False, None], "t": (1.5, (2, [3]))},
-    [[1.0, [2.0, [3.0, []]]], {"x": {}}, "s"],
-    {"mixed": [1, {"k": [2, 3]}, [], "z"], "empty": "", "only": [[]]},
-    {"1": 1, "10": 2, "2": 3, "B": 4, "a": 5},
-    {1: "int key", 2.5: "float key"},
-    3.25, "text", None,
-], ids=lambda p: type(p).__name__)
-def test_report_writer_is_json_dumps_byte_for_byte(payload):
-    assert cli._json_text(payload) == json.dumps(payload, **_DUMPS)
-
-
-@pytest.mark.parametrize("payload", [
-    {"a": float("nan")}, {"a": [[1.0, float("inf")]]}, {"a": {"b": -float("inf")}},
-    [{"x": 1}, float("nan")],
-])
-def test_report_writer_refuses_non_finite_values(payload):
-    with pytest.raises(ValueError):
-        json.dumps(payload, **_DUMPS)
-    with pytest.raises(ValueError):
-        cli._json_text(payload)
+                         "--report", str(report)]) == 0
+        assert_dumps_text()
 
 
 def test_verify_tiny_tolerance_fails(capsys):

@@ -200,9 +200,15 @@ def test_segment_ratio_rescales_linearly(k, lam, c):
     assert ratio(c * lam) == pytest.approx(c * ratio(lam), rel=1e-6)
 
 
+def _fit(cfg, bundle):
+    """The fit at the radii b (1, 1.5, 2.25), b = 20 (k+1) lambda."""
+    radii = 20.0 * (cfg.k + 1) * cfg.lam * np.array([1.0, 1.5, 2.25])
+    return harmonic.asymptotic_fits(cfg, bundle, radii)[0]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_asymptotic_fit(k, canonical, omega_bundle):
-    fit = harmonic.asymptotic_fit(canonical(k), omega_bundle(k))
+    fit = _fit(canonical(k), omega_bundle(k))
     assert fit.c_gamma == pytest.approx(fit.expected_c_gamma, rel=0.01)
     if k == 1:
         assert abs(fit.a1) < 1e-3
@@ -240,7 +246,7 @@ def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, monkey
         return metric_at(config, x4)
 
     monkeypatch.setattr(gh, "metric_at", counted)
-    fit = harmonic.asymptotic_fit(cfg, bundle)
+    fit = _fit(cfg, bundle)
     assert calls == [(3, 6, 8, 4)]
     monkeypatch.setattr(gh, "metric_at", metric_at)
     c_gamma, a1 = _two_model_fit(cfg, bundle)
@@ -325,7 +331,7 @@ def test_suite_harmonic_shares_its_evaluations(k, monkeypatch):
     spy(harmonic, "model_form", "model_form")
     spy(gh, "metric_at", "metric_at")
     assert suites.suite_harmonic(k, 1.0).passed
-    fits = (3, 6, 4) if k == 1 else (2, 3, 6, 4)
+    fits = (1, 3, 6, 4) if k == 1 else (2, 3, 6, 4)
     assert calls == {"components": [(5, 9, 4), fits], "model_form": [fits],
                      "metric_at": [(5, 4), (3, 8, 4), fits[:-1] + (8, 4)]}
 
@@ -336,8 +342,7 @@ def test_stacked_fits_and_shared_samples_are_bitwise_the_separate_ones(canonical
     inner = (base, 1.5 * base, 2.25 * base)
     outer = (1.5 * base, 2.25 * base, 3.375 * base)
     stacked = harmonic.asymptotic_fits(cfg, bundle, np.array([inner, outer]))
-    assert stacked == [harmonic.asymptotic_fit(cfg, bundle),
-                       harmonic.asymptotic_fits(cfg, bundle, outer)[0]]
+    assert stacked == [_fit(cfg, bundle), harmonic.asymptotic_fits(cfg, bundle, outer)[0]]
     # alpha-* read the check points' metric_at sample and Omega off their stencil
     x4 = suites._check_points(cfg, 5)
     omega, _ = fd.value_and_d(FormField(2, bundle.components), x4)
