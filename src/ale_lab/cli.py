@@ -370,7 +370,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 
     flag = ""
     slopes = {"metric": "", "moment": "", "omega": ""}
-    if len(profiles) >= 2:
+    if len(set(radii_f)) >= 2:
         try:
             slopes = harmonic.decay_exponents(profiles)
         except (FitUnstable, ValueError):

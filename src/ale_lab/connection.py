@@ -29,9 +29,9 @@ stacks and (..., 4) point stacks, so one call serves every point of a
 stencil, or every node of a contour when the leading axis is the node
 axis of deformation.taylor_coefficient.  Every g^{-1} comes from
 forms.metric_inverse, taken once per metric stack: frame_from_metric and
-operator_blocks_from_riemann take the caller's (g^{-1}, det g), as
-forms.star_with does, and frame_from_metric gives both duality frames from
-it.  The flat bases take the flat pair (EUCLIDEAN, 1.0) and invert nothing.
+operator_blocks_from_riemann take the caller's pair, as every forms operation
+on a metric does, and frame_from_metric gives both duality frames from it.
+The flat bases take forms.FLAT_INVERSE and invert nothing.
 """
 
 from __future__ import annotations
@@ -48,14 +48,15 @@ from .forms import (
     OMEGA_ASD,
     OMEGA_SD,
     FormField,
+    Inverse,
     J_with,
     apply_J_covector,
     comps_to_tensor,
     float_or_complex,
     metric_from_triple,
+    hodge_star,
     metric_inverse,
     project_with,
-    star_with,
     wedge,
 )
 
@@ -94,7 +95,7 @@ def _cholesky3(gram: np.ndarray) -> np.ndarray | None:
     return chol
 
 
-def frame_from_metric(inverse: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def frame_from_metric(inverse: Inverse) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal self-dual and anti-self-dual frames (rows,
     <b_i,b_i> = 2), each (..., 3, 6) for the (..., 4, 4) metrics whose
     (g^{-1}, det g) is inverse, as metric_inverse returns it, by
@@ -107,8 +108,8 @@ def frame_from_metric(inverse: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarra
     stacked = (ginv[..., None, :, :], det[..., None])
     frames = []
     for seeds, sign, duality in ((OMEGA_SD, 1.0, "sd"), (OMEGA_ASD, -1.0, "asd")):
-        cands = 0.5 * (seeds + sign * star_with(stacked, seeds, 2))
-        chol = _cholesky3(2.0 * project_with(ginv, cands, cands))
+        cands = 0.5 * (seeds + sign * hodge_star(stacked, seeds, 2))
+        chol = _cholesky3(2.0 * project_with(inverse, cands, cands))
         if chol is None:
             raise FrameNotOrthonormal(f"projected flat basis degenerate for duality {duality!r}")
         frames.append(np.sqrt(2.0) * np.linalg.solve(chol, cands))
@@ -129,9 +130,9 @@ def connection_from_Phi(phi: TripleField) -> FormField:
     def components(x: np.ndarray) -> np.ndarray:
         comps, dphi = fd.value_and_d(FormField(2, phi), x)
         ginv, det = metric_inverse(metric_from_triple(*np.moveaxis(comps, -2, 0)))
-        ginv, det = ginv[..., None, :, :], det[..., None]
-        jmats = J_with(ginv, comps)
-        deltas = -star_with((ginv, det), dphi, 3)
+        inverse = ginv[..., None, :, :], det[..., None]
+        jmats = J_with(inverse, comps)
+        deltas = -hodge_star(inverse, dphi, 3)
         j, k = CYCLIC
         return 0.5 * (
             deltas
@@ -166,12 +167,12 @@ def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBloc
     """Blocks of the curvature forms on duality bases of the metric."""
     inverse = metric_inverse(metric)
     sd, asd = frame_from_metric(inverse)
-    return CurvatureBlock(Rplus=project_with(inverse[0], rforms, sd),
-                          Rminus=project_with(inverse[0], rforms, asd))
+    return CurvatureBlock(Rplus=project_with(inverse, rforms, sd),
+                          Rminus=project_with(inverse, rforms, asd))
 
 
 def operator_blocks_from_riemann(
-    inverse: tuple[np.ndarray, np.ndarray],
+    inverse: Inverse,
     riemann_low: np.ndarray,
     frames: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,8 +228,8 @@ def mixed_block_to_ric0(rminus: np.ndarray, metric: np.ndarray) -> np.ndarray:
     non-Einstein oracle.
     """
     g = float_or_complex(metric)
-    ginv, det = metric_inverse(g)
-    sd, asd = frame_from_metric((ginv, det))
-    endo = np.einsum("kj,jab,kbc->ac", rminus, J_with(ginv, asd), J_with(ginv, sd))
+    inverse = metric_inverse(g)
+    sd, asd = frame_from_metric(inverse)
+    endo = np.einsum("kj,jab,kbc->ac", rminus, J_with(inverse, asd), J_with(inverse, sd))
     ric0 = g @ endo
     return 0.5 * (ric0 + ric0.T)

@@ -76,7 +76,7 @@ from .errors import GaugeViolation, SchemaError
 from .forms import (
     CYCLIC,
     D_TABLE,
-    EUCLIDEAN,
+    FLAT_INVERSE,
     FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
@@ -92,8 +92,8 @@ from .forms import (
 ScalarField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (...)
 MatrixField = Callable[[np.ndarray], np.ndarray]  # (..., 4) points -> (..., 3, 3)
 
-_J_SD_FLAT = J_with(EUCLIDEAN, OMEGA_SD)
-_J_ASD_FLAT = J_with(EUCLIDEAN, OMEGA_ASD)
+_J_SD_FLAT = J_with(FLAT_INVERSE, OMEGA_SD)
+_J_ASD_FLAT = J_with(FLAT_INVERSE, OMEGA_ASD)
 
 GAUGE_TOL = 1e-6  # largest gauge residual deformation_first_order accepts
 TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
@@ -328,7 +328,7 @@ def bracket_minus(a_values: np.ndarray) -> np.ndarray:
     (a_j ^ a_k)_- per cyclic component, from a (..., 3, 4) covector stack."""
     a = float_or_complex(a_values)
     j, k = CYCLIC
-    return split_sd(EUCLIDEAN, wedge(a[..., j, :], 1, a[..., k, :], 1))[1]
+    return split_sd(FLAT_INVERSE, wedge(a[..., j, :], 1, a[..., k, :], 1))[1]
 
 
 def ric0_second_order(
@@ -345,15 +345,15 @@ def ric0_second_order(
          coefficients at x;
     phi: anti-self-dual data field (x -> (..., 3, 6)).
 
-    Rplus1 = -project_with(EUCLIDEAN, d a1, OMEGA_SD) is the first-order
+    Rplus1 = -project_with(FLAT_INVERSE, d a1, OMEGA_SD) is the first-order
     self-dual curvature block, so the coupling term -Rplus1 phi is
-    + project_with(EUCLIDEAN, d a1, OMEGA_SD) phi.  a1 and d a1 come from
+    + project_with(FLAT_INVERSE, d a1, OMEGA_SD) phi.  a1 and d a1 come from
     one call of a1 on x and its stencil (fd.value_and_d).
     """
     x = np.asarray(x, dtype=float)
     a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
-    return (split_sd(EUCLIDEAN, da2)[1] + bracket_minus(a1_here)
-            + project_with(EUCLIDEAN, da1, OMEGA_SD) @ float_or_complex(phi(x)))
+    return (split_sd(FLAT_INVERSE, da2)[1] + bracket_minus(a1_here)
+            + project_with(FLAT_INVERSE, da1, OMEGA_SD) @ float_or_complex(phi(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     stack of them), flat.  As *phi = -phi, delta phi = -*d*phi = *d phi,
     which is star_d_phi."""
     delta_field = FormField(1, lambda y: star_d_phi(phi, y))
-    return split_sd(EUCLIDEAN, fd.fd_d(delta_field, x))[1]
+    return split_sd(FLAT_INVERSE, fd.fd_d(delta_field, x))[1]
 
 
 def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
@@ -386,7 +386,7 @@ def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:
     The operator acts componentwise: phi_i -> (d d^* phi_i)_-, pushed back
     through the same identification used to build h.
     """
-    rows = project_with(EUCLIDEAN, d_minus_codifferential(
+    rows = project_with(FLAT_INVERSE, d_minus_codifferential(
         lambda y: phi_comps_from_coeffs(coeff(y)), x), OMEGA_ASD)
     return metric_perturbation_from_coeffs(rows)
 
@@ -470,7 +470,7 @@ def _efo_constraint_matrix() -> np.ndarray:
     exactly from fd.DQUAD and the constant form tables."""
     # [j, m, r, c]: the x_r coefficient of *d(x_p x_q wt_j), component c
     a1 = np.einsum("mar,jI,aIK->jmrK", fd.DQUAD, OMEGA_ASD, D_TABLE[2]) @ FLAT_STAR[3].T
-    minus = split_sd(EUCLIDEAN, np.einsum("jmrc,rcL->jmL", a1, D_TABLE[1]))[1]
+    minus = split_sd(FLAT_INVERSE, np.einsum("jmrc,rcL->jmL", a1, D_TABLE[1]))[1]
     asd = np.einsum("ik,jmL->iLkjm", np.eye(3), minus).reshape(3 * minus.shape[-1], -1)
     return np.concatenate([_divergence_matrix(), asd])
 

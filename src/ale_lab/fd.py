@@ -225,12 +225,13 @@ def d_and_codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
         raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {field.degree}")
     pts, he = _stencil(x, h)
     w = _call(field, pts)
-    starred = hodge_star(_per_point(_call(metric_fn, pts), w, pts), w, field.degree)
+    inverse = metric_inverse(_per_point(_call(metric_fn, pts), w, pts))
+    starred = hodge_star(inverse, w, field.degree)
     x = np.asarray(x, dtype=float)
     d_w = _d_from_partials(field.degree, _central(w, he), x.ndim)
     d_star = _d_from_partials(DIM - field.degree, _central(starred, he), x.ndim)
-    g = _per_point(_call(metric_fn, x), d_star, x)
-    return d_w, -hodge_star(g, d_star, DIM - field.degree + 1)
+    inverse = metric_inverse(_per_point(_call(metric_fn, x), d_star, x))
+    return d_w, -hodge_star(inverse, d_star, DIM - field.degree + 1)
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Forms of degree p are stored as coefficient vectors over the sorted
 index tuples of length p (sizes 1, 4, 6, 4, 1).  The degree-2 ordering
-is (01, 02, 03, 12, 13, 23).  All metric-dependent operations take the
-metric as an explicit 4x4 matrix so the same code serves the flat chart
-and curved charts alike.
+is (01, 02, 03, 12, 13, 23).  Metric-dependent operations take the metric
+as the pair (g^{-1}, det g) of metric_inverse, so the same code serves the
+flat chart (FLAT_INVERSE) and curved charts alike.
 
 Stacking rule: every operation here reads the last axis of a component
 array as its components and any leading axes as a stack, broadcast
@@ -33,7 +33,8 @@ built by hand; every other table is read off it at import:
     _TENSOR[p]; the induced inner product of p-forms is
     <a, b> = a . C_p(g^{-1}) . b.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
-inversion; star_with, project_with and J_with take its result to share it.
+inversion and the one place a metric enters this layer; hodge_star, split_sd,
+project_with and J_with take its result, so one inversion serves them all.
 
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
@@ -171,7 +172,11 @@ _SCATTER = {p: _scatter(p) for p in range(DIM + 1)}
 _LEIBNIZ = {p: _leibniz(p) for p in range(DIM + 1)}
 
 
-def metric_inverse(metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# (g^{-1}, det g) of a metric stack: the one form in which a metric enters here
+Inverse = tuple[np.ndarray, np.ndarray]
+
+
+def metric_inverse(metric: np.ndarray) -> Inverse:
     """g^{-1} and det g of (..., 4, 4) metrics; a det g that is not finite
     with positive real part (a NaN or singular metric; the real part for the
     complex contour metrics) raises SingularMetric, naming it, and no
@@ -191,37 +196,34 @@ def _star_matrix(ginv: np.ndarray, det: np.ndarray, degree: int) -> np.ndarray:
     return np.sqrt(det)[..., None, None] * sign[:, None] * compound(ginv, degree)[..., idx, :]
 
 
+EUCLIDEAN = np.eye(DIM)
+# the flat pair, equal bit for bit to metric_inverse(EUCLIDEAN), read-only
+FLAT_INVERSE = (EUCLIDEAN, np.float64(1.0))
 # * on the flat metric, a signed permutation: comps @ FLAT_STAR[p].T
-FLAT_STAR = {p: _star_matrix(np.eye(DIM), np.float64(1.0), p) for p in range(DIM + 1)}
-for _table in (*FLAT_STAR.values(), *D_TABLE.values()):
+FLAT_STAR = {p: _star_matrix(*FLAT_INVERSE, p) for p in range(DIM + 1)}
+for _table in (EUCLIDEAN, *FLAT_STAR.values(), *D_TABLE.values()):
     _table.setflags(write=False)
 
 
-def star_with(inverse: tuple[np.ndarray, np.ndarray], comps: np.ndarray, degree: int) -> np.ndarray:
-    """hodge_star for the metrics whose (g^{-1}, det g) is inverse, as
-    metric_inverse returns it, so that one inversion serves several duals."""
+def hodge_star(inverse: Inverse, comps: np.ndarray, degree: int) -> np.ndarray:
+    """Hodge dual of degree-p component vectors (..., n) for the (..., 4, 4)
+    metrics whose (g^{-1}, det g) is inverse, leading axes broadcast."""
     star = _star_matrix(*inverse, degree)
     comps = float_or_complex(comps)
     return (comps[..., None, :] @ np.swapaxes(star, -1, -2))[..., 0, :]
 
 
-def hodge_star(metric: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
-    """Hodge dual of degree-p component vectors (..., n) for (..., 4, 4)
-    metrics, leading axes broadcast."""
-    return star_with(metric_inverse(metric), comps, degree)
-
-
-def project_with(ginv: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def project_with(inverse: Inverse, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients (1/2) <stack_k, basis_j> of 2-forms on rows of a basis
-    with <b_i, b_j> = 2 delta_ij, for the inverse metrics ginv (metric_inverse)."""
+    with <b_i, b_j> = 2 delta_ij, for the metrics whose pair is inverse."""
     stack = float_or_complex(stack)
-    return 0.5 * stack @ compound(ginv, 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
+    return 0.5 * stack @ compound(inverse[0], 2) @ np.swapaxes(float_or_complex(basis), -1, -2)
 
 
-def split_sd(metric: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 2-form into (self-dual, anti-self-dual) parts for the metric."""
+def split_sd(inverse: Inverse, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split 2-forms into (self-dual, anti-self-dual) parts for the pair's metrics."""
     comps = float_or_complex(comps)
-    starred = hodge_star(metric, comps, 2)
+    starred = hodge_star(inverse, comps, 2)
     return (comps + starred) / 2.0, (comps - starred) / 2.0
 
 
@@ -244,23 +246,16 @@ OMEGA_ASD = np.array(
 )
 OMEGA_ASD.setflags(write=False)
 
-EUCLIDEAN = np.eye(DIM)
-EUCLIDEAN.setflags(write=False)
-
 # (j, k) index arrays with (i, j, k) cyclic for i = 0, 1, 2, so that
 # stack[j] and stack[k] line up the cyclic partners of every row
 CYCLIC = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 
 
-def J_with(ginv: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """J_from_form for the metrics whose inverse is ginv (metric_inverse)."""
-    return ginv @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
-
-
-def J_from_form(metric: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """Endomorphism J with W(X, Y) = g(JX, Y); J^2 = -Id iff (g, W) compatible.
-    A (..., 6) stack of forms gives a (..., 4, 4) stack of matrices."""
-    return J_with(metric_inverse(metric)[0], comps)
+def J_with(inverse: Inverse, comps: np.ndarray) -> np.ndarray:
+    """Endomorphism J with W(X, Y) = g(JX, Y), J = g^{-1} W^T, for the
+    metrics whose pair is inverse; J^2 = -Id iff (g, W) compatible.  A
+    (..., 6) stack of forms gives a (..., 4, 4) stack of matrices."""
+    return inverse[0] @ np.swapaxes(comps_to_tensor(comps, 2), -1, -2)
 
 
 def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -298,7 +293,7 @@ def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.nda
     g = w1 @ j1
     g = (g + np.swapaxes(g, -1, -2)) / 2.0
     g = np.where((np.trace(g, axis1=-2, axis2=-1).real < 0)[..., None, None], -g, g)
-    gram = 2.0 * project_with(metric_inverse(g)[0], triple, triple)
+    gram = 2.0 * project_with(metric_inverse(g), triple, triple)
     norm1 = gram[..., 0, 0]
     if np.any(norm1.real <= 0):
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")

@@ -69,7 +69,7 @@ from .errors import (
     QuadratureDivergence,
     SchemaError,
 )
-from .forms import CYCLIC, FormField, J_from_form, apply_J_covector, wedge
+from .forms import CYCLIC, FormField, Inverse, J_with, apply_J_covector, metric_inverse, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
 # domain radii: around each center, and around each patch's excluded rays
@@ -358,22 +358,24 @@ def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass
 class FrameSample:
-    """Metric data at a stack of chart points, with the orthonormal coframe,
-    the self-dual 2-form triple and its complex structures J, which invert
-    the metric and so are taken on first read."""
+    """Metric data at a stack of chart points: the orthonormal coframe, the
+    metric and its one inverse pair, the self-dual 2-form triple and its
+    complex structures J, taken on first read from that pair."""
 
     coframe: np.ndarray  # (..., 4, 4), rows e^1, e^2, e^3, e^0; e^0 = V^{-1/2} eta
     metric: np.ndarray  # (..., 4, 4)
+    inverse: Inverse  # ((..., 4, 4), (...))
     triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
 
     def rows(self, index) -> FrameSample:
         """The sample at points[index] of its point stack."""
-        return FrameSample(self.coframe[index], self.metric[index], self.triple[index])
+        return FrameSample(self.coframe[index], self.metric[index],
+                           tuple(part[index] for part in self.inverse), self.triple[index])
 
     @functools.cached_property
     def J(self) -> np.ndarray:
         """(..., 3, 4, 4) complex structures of the triple."""
-        return J_from_form(self.metric[..., None, :, :], self.triple)
+        return J_with((self.inverse[0][..., None, :, :], self.inverse[1][..., None]), self.triple)
 
 
 # dx^i and the cyclic base 2-forms dx^j ^ dx^k, rows i = 1, 2, 3
@@ -397,7 +399,7 @@ def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
     diag = np.arange(3)
     coframe[..., diag, diag] = sqv
     coframe[..., 3, :] = eta / sqv
-    return FrameSample(coframe=coframe, metric=g, triple=form_triple(v, eta))
+    return FrameSample(coframe, g, metric_inverse(g), form_triple(v, eta))
 
 
 def triple_field(config: GHConfig) -> FormField:
@@ -436,7 +438,7 @@ def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     def ev(x4: np.ndarray) -> np.ndarray:
         x4 = np.asarray(x4, dtype=float)
         sample = metric_at(config, x4)
-        j1 = J_from_form(sample.metric, sample.triple[..., 0, :])
+        j1 = J_with(sample.inverse, sample.triple[..., 0, :])
         jdm = apply_J_covector(j1, dm4(config, x4[..., :3]))
         return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
 

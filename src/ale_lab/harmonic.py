@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
-from .forms import FormField, J_from_form, apply_J_covector, split_sd
+from .forms import FormField, J_with, apply_J_covector, split_sd
 from .quadrature import TWO_PI, volume_blocks
 
 
@@ -136,7 +136,7 @@ def dC_scalar_field(config: gh.GHConfig,
 
     def ev(x4: np.ndarray) -> np.ndarray:
         sample = gh.metric_at(config, x4)
-        j1 = J_from_form(sample.metric, sample.triple[..., 0, :])
+        j1 = J_with(sample.inverse, sample.triple[..., 0, :])
         du = grad4(x4)
         j1 = j1.reshape(j1.shape[:-2] + (1,) * (du.ndim - x4.ndim) + j1.shape[-2:])
         return apply_J_covector(j1, du)
@@ -156,7 +156,7 @@ def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameS
 
     fld = FormField(1, dC_scalar_field(config, grad4))
     alpha = -0.5 * fd.fd_d(fld, x4)
-    plus, minus = split_sd(sample.metric, alpha)
+    plus, minus = split_sd(sample.inverse, alpha)
     s = -config.k * config.lam
     w1 = sample.triple[..., 0, :]
     scale = np.max(np.abs(w1), axis=-1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import connection, fd
 from .errors import FitUnstable, SchemaError, SymmetryError
-from .forms import EUCLIDEAN, OMEGA_ASD, OMEGA_SD, comps_to_tensor
+from .forms import FLAT_INVERSE, OMEGA_ASD, OMEGA_SD, comps_to_tensor
 
 DIM = 4
 
@@ -141,8 +141,8 @@ class Jet4:
     H2: np.ndarray
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet4":
-        return cls(H2=_checked_jet(arr, "H2", "quartic", _JET4_GROUPS, tol))
+    def from_array(cls, arr: np.ndarray) -> "Jet4":
+        return cls(H2=_checked_jet(arr, "H2", "quartic", _JET4_GROUPS, 1e-12))
 
 
 def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
@@ -248,7 +248,7 @@ def riemann_from_jet2(jet: Jet2) -> np.ndarray:
 def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
     riem = riemann_from_jet2(jet)
     sd, mixed, _asd = connection.operator_blocks_from_riemann(
-        (EUCLIDEAN, 1.0), riem, (OMEGA_SD, OMEGA_ASD)
+        FLAT_INVERSE, riem, (OMEGA_SD, OMEGA_ASD)
     )
     return connection.CurvatureBlock(Rplus=-sd, Rminus=-mixed)
 

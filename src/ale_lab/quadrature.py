@@ -40,7 +40,7 @@ from . import fd
 from .errors import SchemaError
 from .forms import (
     D_TABLE,
-    EUCLIDEAN,
+    FLAT_INVERSE,
     FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
@@ -271,7 +271,7 @@ def random_closed_quadratic(seed: int, duality: str = "sd") -> QuadraticTriple:
     return QuadraticTriple(Z=_coeffs_to_Z(coeffs), duality=duality)
 
 
-_J1_FLAT = J_with(EUCLIDEAN, OMEGA_SD[0])
+_J1_FLAT = J_with(FLAT_INVERSE, OMEGA_SD[0])
 _F_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # F = (x . _F_SIGNS x) / r^6
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import connection, deformation, fd, gh, harmonic, obstruction, quadrature
-from .forms import EUCLIDEAN, OMEGA_ASD, FormField, project_with, split_sd
+from .forms import FLAT_INVERSE, OMEGA_ASD, FormField, project_with, split_sd
 
 PROVENANCE_TAGS = ("closed-form-constant", "derived-oracle", "trivial-identity")
 _CLOSED, _ORACLE, _IDENTITY = PROVENANCE_TAGS
@@ -297,7 +297,7 @@ def suite_harmonic(k: int, lam: float):
     omega, d_omega = fd.value_and_d(FormField(2, bundle.components), x4)
     yield "omega-closed", float(np.max(np.abs(d_omega)))
     sample = gh.metric_at(config, x4)
-    plus, _ = split_sd(sample.metric, omega)
+    plus, _ = split_sd(sample.inverse, omega)
     yield "omega-antiselfdual", float(np.max(np.abs(plus)))
 
     res = harmonic.alpha_split_residuals(config, x4[:3], sample.rows(slice(3)), omega[:3])
@@ -376,7 +376,7 @@ def suite_deformation(k: int, lam: float):
     stack = deformation.ric0_second_order(a1_field, da_t[:, 1], fam.phi_field, xs)
     oracle = deformation.taylor_coefficient(
         lambda t: connection.curvature_block_of_metric(fam.metric_field(t), nodes(t, xs)).Rminus, 2)
-    gap_lin, gap_coupled = np.max(np.abs(project_with(EUCLIDEAN, stack, OMEGA_ASD) - oracle),
+    gap_lin, gap_coupled = np.max(np.abs(project_with(FLAT_INVERSE, stack, OMEGA_ASD) - oracle),
                                   axis=(-2, -1))
     yield "second-order-ricci-linear", float(gap_lin)
     yield "second-order-ricci-coupled", float(gap_coupled)

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -504,13 +505,17 @@ def test_asympt_csv_table(tmp_path):
 
 
 def test_asympt_single_radius_flags_fit(tmp_path):
+    # one distinct radius fits no slope: the flag, and no polyfit warning
     out = tmp_path / "table.csv"
-    rc = cli.main(["asympt", "--k", "1", "--radii", "10", "--out", str(out)])
-    assert rc == 0
-    rows = list(csv.reader(out.read_text().splitlines()))
-    assert len(rows) == 2
-    assert rows[1][7] == "fit-unstable"
-    assert rows[1][4] == rows[1][5] == rows[1][6] == ""
+    for radii in ("10", "10,10"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["asympt", "--k", "1", "--radii", radii, "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 1 + len(radii.split(","))
+        assert all(row[7] == "fit-unstable" for row in rows[1:])
+        assert all(row[4] == row[5] == row[6] == "" for row in rows[1:])
 
 
 def test_asympt_rejects_bad_radii(capsys):

@@ -24,12 +24,12 @@ def _gh_setup(k=1, lam=1.0, seed=5):
 
 def test_frame_from_metric_orthonormal():
     cfg, x4 = _gh_setup()
-    g = gh.metric_matrix(cfg, x4)
-    for frame, sign in zip(connection.frame_from_metric(forms.metric_inverse(g)), (1.0, -1.0)):
-        gram = 2.0 * forms.project_with(forms.metric_inverse(g)[0], frame, frame)
+    inverse = forms.metric_inverse(gh.metric_matrix(cfg, x4))
+    for frame, sign in zip(connection.frame_from_metric(inverse), (1.0, -1.0)):
+        gram = 2.0 * forms.project_with(inverse, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-8
         for i in range(3):
-            starred = forms.hodge_star(g, frame[i], 2)
+            starred = forms.hodge_star(inverse, frame[i], 2)
             assert np.allclose(starred, sign * frame[i], atol=1e-10)
 
 
@@ -38,11 +38,11 @@ def test_frame_from_metric_complex_symmetric_metric():
     # orthonormal for the bilinear (not the hermitian) pairing
     rng = np.random.default_rng(11)
     h = rng.normal(size=(4, 4))
-    g = np.eye(4) + (0.06 + 0.08j) * (h + h.T)
-    for frame, sign in zip(connection.frame_from_metric(forms.metric_inverse(g)), (1.0, -1.0)):
-        gram = 2.0 * forms.project_with(forms.metric_inverse(g)[0], frame, frame)
+    inverse = forms.metric_inverse(np.eye(4) + (0.06 + 0.08j) * (h + h.T))
+    for frame, sign in zip(connection.frame_from_metric(inverse), (1.0, -1.0)):
+        gram = 2.0 * forms.project_with(inverse, frame, frame)
         assert np.max(np.abs(gram - 2.0 * np.eye(3))) < 1e-12
-        assert np.allclose(forms.hodge_star(g, frame, 2), sign * frame, atol=1e-12)
+        assert np.allclose(forms.hodge_star(inverse, frame, 2), sign * frame, atol=1e-12)
 
 
 def test_connection_reproduces_parallel_triple():
@@ -57,8 +57,7 @@ def test_connection_reproduces_parallel_triple():
 def _connection_through_metric(phi, metric_fn, x):
     """The frame connection with delta F = -*d*F taken on the given metric at
     every stencil point (fd.d_and_codifferential): the route that does not use *F = F."""
-    g = metric_fn(x)[..., None, :, :]
-    jmats = forms.J_from_form(g, phi(x))
+    jmats = forms.J_with(forms.metric_inverse(metric_fn(x)[..., None, :, :]), phi(x))
     deltas = fd.d_and_codifferential(metric_fn, forms.FormField(2, phi), x)[1]
     j, k = forms.CYCLIC
     return 0.5 * (deltas + forms.apply_J_covector(jmats[..., k, :, :], deltas[..., j, :])

@@ -125,12 +125,12 @@ _BASIS = np.vstack([forms.OMEGA_SD, forms.OMEGA_ASD])
 
 def _sd(stack):
     """Coefficients of 2-forms on the flat self-dual basis."""
-    return forms.project_with(forms.EUCLIDEAN, stack, forms.OMEGA_SD)
+    return forms.project_with(forms.FLAT_INVERSE, stack, forms.OMEGA_SD)
 
 
 def _asd(stack):
     """Coefficients of 2-forms on the flat anti-self-dual basis."""
-    return forms.project_with(forms.EUCLIDEAN, stack, forms.OMEGA_ASD)
+    return forms.project_with(forms.FLAT_INVERSE, stack, forms.OMEGA_ASD)
 
 
 @_FAMILIES
@@ -353,7 +353,7 @@ def test_bracket_minus_matches_hand_wedge():
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         w = forms.wedge(a[j], 1, a[k], 1)
-        _, minus = forms.split_sd(np.eye(4), w)
+        _, minus = forms.split_sd(forms.FLAT_INVERSE, w)
         assert np.allclose(out[i], minus)
         # coefficient exactly one: no factor 2 on the quadratic term
         assert not np.allclose(out[i], 2.0 * minus) or np.allclose(minus, 0)
@@ -471,7 +471,7 @@ def test_constraint_matrices_match_per_vector_build():
             lambda z: deformation.phi_comps_from_coeffs(coeff(z)), y)
         da = np.swapaxes(_centered_partials(a1, np.zeros(4), 0.25), 0, 1)
         curl = (da - np.swapaxes(da, 1, 2))[:, pairs[:, 0], pairs[:, 1]]
-        asd_cols.append(forms.split_sd(np.eye(4), curl)[1].ravel())
+        asd_cols.append(forms.split_sd(forms.FLAT_INVERSE, curl)[1].ravel())
     div = deformation._divergence_matrix()
     at_points = np.einsum("brn,kr->kbn", div.reshape(4, 4, -1), _DIV_POINTS)
     assert np.max(np.abs(at_points.reshape(-1, div.shape[1]) - np.stack(div_cols, axis=1))) <= 1e-13
@@ -597,8 +597,10 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
     a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
     mfn = gh.metric_fn(cfg)
-    starred = forms.FormField(3, lambda y: forms.hodge_star(mfn(y)[..., None, :, :], a(y), 1))
-    delta = -forms.hodge_star(mfn(x4)[..., None, :, :], fd.fd_d(starred, x4), 4)
+    starred = forms.FormField(3, lambda y: forms.hodge_star(
+        forms.metric_inverse(mfn(y)[..., None, :, :]), a(y), 1))
+    delta = -forms.hodge_star(forms.metric_inverse(mfn(x4)[..., None, :, :]),
+                              fd.fd_d(starred, x4), 4)
     d_res = np.max(np.abs(fd.fd_d(a, x4) - coeff @ gh.triple_field(cfg)(x4)))
     calls = []
     alpha = gh.alpha_covector

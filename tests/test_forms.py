@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ale_lab import forms
 
 FLAT = forms.EUCLIDEAN
+FLAT_INV = forms.FLAT_INVERSE
 
 
 def _tensor_to_comps(tensor: np.ndarray, degree: int) -> np.ndarray:
@@ -78,25 +79,33 @@ def test_wedge_bilinear(seed, s, t):
 
 def test_hodge_star_flat():
     e0 = np.eye(4)[0]
-    star = forms.hodge_star(FLAT, e0, 1)
+    star = forms.hodge_star(FLAT_INV, e0, 1)
     expected = np.zeros(4)
     expected[forms.TUPLE_INDEX[3][(1, 2, 3)]] = 1.0
     assert np.allclose(star, expected)
     # star^2 = -1 on odd degree, +1 on 2-forms (Riemannian, dim 4)
-    assert np.allclose(forms.hodge_star(FLAT, star, 3), -e0)
+    assert np.allclose(forms.hodge_star(FLAT_INV, star, 3), -e0)
     two = _rand_comps(5, 2)
     assert np.allclose(
-        forms.hodge_star(FLAT, forms.hodge_star(FLAT, two, 2), 2), two
+        forms.hodge_star(FLAT_INV, forms.hodge_star(FLAT_INV, two, 2), 2), two
     )
+
+
+def test_flat_inverse_is_the_identity_pair_bit_for_bit():
+    ginv, det = forms.metric_inverse(FLAT)
+    flat_ginv, flat_det = FLAT_INV
+    assert np.array_equal(flat_ginv, ginv) and flat_ginv.dtype == ginv.dtype
+    assert type(flat_det) is np.float64 and flat_det == det
+    assert not flat_ginv.flags.writeable
 
 
 def test_duality_bases_are_star_eigenvectors():
     for i in range(3):
         assert np.allclose(
-            forms.hodge_star(FLAT, forms.OMEGA_SD[i], 2), forms.OMEGA_SD[i]
+            forms.hodge_star(FLAT_INV, forms.OMEGA_SD[i], 2), forms.OMEGA_SD[i]
         )
         assert np.allclose(
-            forms.hodge_star(FLAT, forms.OMEGA_ASD[i], 2), -forms.OMEGA_ASD[i]
+            forms.hodge_star(FLAT_INV, forms.OMEGA_ASD[i], 2), -forms.OMEGA_ASD[i]
         )
         assert _reference_inner(FLAT, forms.OMEGA_SD[i], forms.OMEGA_SD[i], 2) == pytest.approx(2.0)
 
@@ -233,14 +242,15 @@ def test_star_and_inner_on_curved_metrics(seed, degree):
     root = rng.normal(size=(4, 4))
     g = root @ root.T + 0.5 * np.eye(4)
     a, b = rng.normal(size=(2, forms.DEGREE_SIZES[degree]))
-    star_b = forms.hodge_star(g, b, degree)
+    inverse = forms.metric_inverse(g)
+    star_b = forms.hodge_star(inverse, b, degree)
     ref = _reference_star(g, b, degree)
     assert np.allclose(star_b, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
-    inner = float(a @ forms.compound(forms.metric_inverse(g)[0], degree) @ b)
+    inner = float(a @ forms.compound(inverse[0], degree) @ b)
     assert inner == pytest.approx(_reference_inner(g, a, b, degree), rel=1e-9, abs=1e-12)
     # ** = (-1)^{p(4-p)} in Riemannian signature
     sign = (-1) ** (degree * (4 - degree))
-    assert np.allclose(forms.hodge_star(g, star_b, 4 - degree), sign * b,
+    assert np.allclose(forms.hodge_star(inverse, star_b, 4 - degree), sign * b,
                        rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
     # a ^ *b = <a, b> vol_g on dx^0123
     top = forms.wedge(a, degree, star_b, 4 - degree)
@@ -250,10 +260,10 @@ def test_star_and_inner_on_curved_metrics(seed, degree):
 
 def test_split_sd_reconstructs_and_projects():
     comps = _rand_comps(9, 2)
-    plus, minus = forms.split_sd(FLAT, comps)
+    plus, minus = forms.split_sd(FLAT_INV, comps)
     assert np.allclose(plus + minus, comps)
-    assert np.allclose(forms.hodge_star(FLAT, plus, 2), plus, atol=1e-12)
-    assert np.allclose(forms.hodge_star(FLAT, minus, 2), -minus, atol=1e-12)
+    assert np.allclose(forms.hodge_star(FLAT_INV, plus, 2), plus, atol=1e-12)
+    assert np.allclose(forms.hodge_star(FLAT_INV, minus, 2), -minus, atol=1e-12)
     # orthogonal decomposition of the norm
     total = _reference_inner(FLAT, comps, comps, 2)
     assert total == pytest.approx(
@@ -262,7 +272,7 @@ def test_split_sd_reconstructs_and_projects():
 
 
 def test_J_quaternion_relations():
-    J = [forms.J_from_form(FLAT, forms.OMEGA_SD[i]) for i in range(3)]
+    J = [forms.J_with(FLAT_INV, forms.OMEGA_SD[i]) for i in range(3)]
     for i in range(3):
         assert np.allclose(J[i] @ J[i], -np.eye(4))
     assert np.allclose(J[0] @ J[1], J[2])
@@ -272,20 +282,20 @@ def test_J_quaternion_relations():
 
 def test_J_form_round_trip():
     comps = forms.OMEGA_SD[1]
-    J = forms.J_from_form(FLAT, comps)
+    J = forms.J_with(FLAT_INV, comps)
     # W(X, Y) = g(JX, Y) recovers the form's components
     assert np.allclose(_tensor_to_comps(-FLAT @ J, 2), comps)
 
 
 def test_apply_J_covector_is_pullback():
-    J = forms.J_from_form(FLAT, forms.OMEGA_SD[0])
+    J = forms.J_with(FLAT_INV, forms.OMEGA_SD[0])
     beta = _rand_comps(3, 1)
     v = _rand_comps(4, 1)
     # (J beta)(v) = -beta(J v)
     assert forms.apply_J_covector(J, beta) @ v == pytest.approx(-(beta @ (J @ v)))
     # stacks of matrices and covectors broadcast row by row
-    jstack = forms.J_from_form(FLAT, forms.OMEGA_SD)
-    assert np.allclose(jstack, [forms.J_from_form(FLAT, w) for w in forms.OMEGA_SD])
+    jstack = forms.J_with(FLAT_INV, forms.OMEGA_SD)
+    assert np.allclose(jstack, [forms.J_with(FLAT_INV, w) for w in forms.OMEGA_SD])
     betas = np.stack([beta, v, beta - v])
     assert np.allclose(forms.apply_J_covector(jstack, betas),
                        [forms.apply_J_covector(m, b) for m, b in zip(jstack, betas)])

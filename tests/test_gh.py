@@ -171,7 +171,7 @@ def test_frame_sample_takes_J_on_first_read():
     cfg = gh.GHConfig.canonical(2, 1.0)
     sample = gh.metric_at(cfg, gh.sample_chart_points(cfg, 6, seed=4).reshape(2, 3, 4))
     assert "J" not in vars(sample)
-    j1 = forms.J_from_form(sample.metric, sample.triple[..., 0, :])
+    j1 = forms.J_with(sample.inverse, sample.triple[..., 0, :])
     assert _same_bits(j1, sample.J[..., 0, :, :])
     assert sample.J is sample.J
 

@@ -170,7 +170,7 @@ def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
         d = fd.fd_d(FormField(2, omega_comps), x4)
         assert np.max(np.abs(d)) < 1e-5
         comps = omega_comps(x4)
-        starred = forms.hodge_star(metric(x4), comps, 2)
+        starred = forms.hodge_star(forms.metric_inverse(metric(x4)), comps, 2)
         assert np.max(np.abs(starred + comps)) < 1e-5
 
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from ale_lab import connection, fd, forms, jets
+from ale_lab import connection, fd, forms, gh, jets, suites
 from ale_lab.errors import SingularMetric
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
@@ -47,6 +48,28 @@ def test_metric_inverses_are_taken_only_in_forms():
                for path in sorted(SRC.glob("*.py")) if path.stem != "forms"
                for fn, kind in linalg_calls(path.read_text(encoding="utf-8"))}
     assert outside == set(NOT_A_METRIC)
+
+
+# parameter names under which a function takes a metric or a bare g^{-1}
+METRIC_PARAMS = {"metric", "metrics", "g", "ginv"}
+# the two forms functions that turn a metric or a triple into the pair
+PAIR_SOURCES = {"metric_inverse", "metric_from_triple"}
+
+
+def test_forms_takes_the_metric_only_as_the_pair():
+    # every other public operation takes inverse = metric_inverse(g) and
+    # inverts nothing itself
+    tree = ast.parse((SRC / "forms.py").read_text(encoding="utf-8"))
+    public = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    takes_metric = {name for name, fn in public.items()
+                    if METRIC_PARAMS & {a.arg for a in fn.args.args + fn.args.kwonlyargs}}
+    inverts = {name for name, fn in public.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "metric_inverse"}
+    assert takes_metric <= PAIR_SOURCES
+    assert inverts <= PAIR_SOURCES
+    for name in ("hodge_star", "split_sd", "project_with", "J_with"):
+        assert public[name].args.args[0].arg == "inverse"
 
 
 def _nan_metric(y):
@@ -102,3 +125,42 @@ def test_curvature_block_inverts_its_metric_once(monkeypatch):
     calls = _count_inversions(monkeypatch)
     connection.curvature_block_of_metric(_flat_metric, np.zeros((3, 4)))
     assert calls == [(3, 9, 4, 4), (3, 4, 4)]
+
+
+def _count_metric_inverses(monkeypatch):
+    """The metric stacks passed to forms.metric_inverse, under every name the
+    package binds it to."""
+    calls = []
+    inverse = forms.metric_inverse
+
+    def counted(metric):
+        calls.append(np.asarray(metric))
+        return inverse(metric)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ale_lab.") and getattr(module, "metric_inverse", None) is inverse:
+            monkeypatch.setattr(module, "metric_inverse", counted)
+    return calls
+
+
+def test_warm_verify_inverts_no_identity_metric(monkeypatch):
+    # the flat operations read forms.FLAT_INVERSE
+    suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0)
+    calls = _count_metric_inverses(monkeypatch)
+    assert all(r.passed for r in suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0))
+    assert [g.shape for g in calls if np.all(g == np.eye(4))] == []
+    assert len(calls) <= 20
+
+
+def test_suite_harmonic_inverts_its_check_point_metrics_once(monkeypatch):
+    # gh.metric_at's pair serves the omega split and the alpha split; the
+    # stacks counted are the check points' metrics or their first rows (the
+    # fiber-shifted stencil points repeat these metrics in another stack)
+    config = gh.GHConfig.canonical(1, 1.0)
+    checks = gh.metric_matrix(config, suites._check_points(config, 5))
+    suites.suite_harmonic(1, 1.0)
+    calls = _count_metric_inverses(monkeypatch)
+    suites.suite_harmonic(1, 1.0)
+    at_checks = [g.shape for g in calls
+                 if g.ndim == 3 and np.array_equal(g, checks[:len(g)])]
+    assert at_checks == [(5, 4, 4)]
