@@ -10,7 +10,11 @@ asympt    emit a CSV table of far-field deviations and fitted exponents
 The environment variable ALE_LAB_THREADS caps the numerical backends'
 thread pools; without it each pool the environment leaves unset gets one
 thread.  Either is applied before any numerical module is imported, which
-is why all heavy imports happen inside the handlers.  JSON reports carry
+is why all heavy imports happen inside the handlers.  On glibc, main also
+fixes the heap's mmap and trim thresholds once per process (mallopt(3)),
+so that the working memory numpy frees stays in the process for the next
+operation instead of going back to the kernel and faulting in again; where
+libc has no mallopt that step does nothing.  JSON reports carry
 "schema_version": 1 and contain no timing data, so reruns with equal
 arguments are byte-identical; durations go to the human-readable output
 only.
@@ -71,6 +75,32 @@ def _configure_threads() -> None:
             os.environ[var] = cap
         else:
             os.environ.setdefault(var, "1")
+
+
+# glibc's heap thresholds.  Left dynamic, glibc gives numpy's freed
+# temporaries back to the kernel and faults them in again: 862 minor faults
+# per warm verify --suite all, 0.4 with both set (mean of 8 operations).
+# Both are set because setting either turns the dynamic thresholds off: the
+# trim threshold alone left 65 faults per operation, the mmap threshold
+# alone 1271.  (mallopt(3) parameter, bytes): M_MMAP_THRESHOLD 4 MiB, then
+# M_TRIM_THRESHOLD 16 MiB.
+_HEAP_THRESHOLDS = ((-3, 4 << 20), (-1, 16 << 20))
+
+
+@functools.cache
+def _configure_heap() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process; nothing where
+    libc has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -455,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_threads()
+    _configure_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "k", 1) < 1:

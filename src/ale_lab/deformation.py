@@ -541,9 +541,9 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
 
     coeff is symmetric with vanishing first row/column in the intended
     use (deformations transverse to the first curvature row).  The GH
-    metric is built once per point stack, by gh.metric_at: its frame gives
-    a on the stencil and the triple at the points, and its metric serves
-    the codifferential there.
+    metric is built and inverted once per point stack, by gh.metric_at: its
+    frame gives a on the stencil and the triple at the points, and its
+    (g^{-1}, det g) pair serves the codifferential there.
     """
     x4 = np.asarray(x4, dtype=float)
     c = float_or_complex(coeff)
@@ -557,7 +557,7 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
         return frames[-1][1]
 
     a = FormField(1, lambda y: c @ gh.alpha_covector(config, y, frame(y)))
-    d_a, delta_a = fd.d_and_codifferential(lambda y: frame(y).metric, a, x4, h)
+    d_a, delta_a = fd.d_and_codifferential(lambda y: frame(y).inverse, a, x4, h)
     d_res = float(np.max(np.abs(d_a - c @ frame(x4).triple)))
     delta_res = float(np.max(np.abs(delta_a)))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}

@@ -10,9 +10,11 @@ evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
 point) in one metric call, value_and_d gives a field and its exterior
 derivative from one call on the points and their eight neighbours, and
 d_and_codifferential a form's d and delta from one field call and one
-metric call on those neighbours.  A field whose output's leading axes do
-not match the points it was given raises SchemaError, and a stencil point
-outside the chart raises EvaluationDomain naming that point.
+call of a (g^{-1}, det g) pair field on those neighbours: the caller
+inverts each metric stack, once, as forms.metric_inverse.  A field whose
+output's leading axes do not match the points it was given raises
+SchemaError, and a stencil point outside the chart raises
+EvaluationDomain naming that point.
 
 The step is DEFAULT_STEP = 1e-3 at unit scale, and the operators that a
 caller runs at a second step take h; steps grow with the max base
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
-from .forms import D_TABLE, DIM, FormField, float_or_complex, hodge_star, metric_inverse
+from .forms import D_TABLE, DIM, FormField, Inverse, float_or_complex, hodge_star, metric_inverse
 
 DEFAULT_STEP = 1e-3
 
@@ -48,19 +50,22 @@ DEFAULT_STEP = 1e-3
 _OFFSETS = np.repeat(np.eye(DIM), 2, axis=0) * np.tile([1.0, -1.0], DIM)[:, None]
 
 
-def _call(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """fn on a (..., 4) point stack; its output must lead with the stack's axes."""
+def _call(fn: Callable, pts: np.ndarray):
+    """fn on a (..., 4) point stack; its output, an array or a tuple of
+    arrays, must lead with the stack's axes."""
     try:
-        out = float_or_complex(fn(pts))
+        out = fn(pts)
     except (CenterTooClose, OnDiracString) as exc:
         raise EvaluationDomain(f"stencil left the chart: {exc}") from exc
+    parts = tuple(map(float_or_complex, out if isinstance(out, tuple) else (out,)))
     lead = pts.shape[:-1]
-    if out.shape[:len(lead)] != lead:
-        raise SchemaError(
-            f"field returned shape {out.shape} for points of shape {pts.shape}; "
-            f"its leading axes must be {lead}"
-        )
-    return out
+    for part in parts:
+        if part.shape[:len(lead)] != lead:
+            raise SchemaError(
+                f"field returned shape {part.shape} for points of shape {pts.shape}; "
+                f"its leading axes must be {lead}"
+            )
+    return parts if isinstance(out, tuple) else parts[0]
 
 
 def step_at(x: np.ndarray, h: float) -> np.ndarray:
@@ -210,32 +215,35 @@ def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
     )
 
 
-def _per_point(g: np.ndarray, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Metrics (..., 4, 4) at (..., 4) points reshaped to broadcast against
-    (..., *shape, n) form values at the same points."""
-    return g.reshape(g.shape[:-2] + (1,) * (values.ndim - pts.ndim) + g.shape[-2:])
+def _inverse_at(inverse_fn: Callable, values: np.ndarray, pts: np.ndarray) -> Inverse:
+    """The (g^{-1}, det g) pair of inverse_fn at (..., 4) points, reshaped
+    to broadcast against (..., *shape, n) form values at the same points."""
+    ginv, det = _call(inverse_fn, pts)
+    lead = det.shape + (1,) * (values.ndim - pts.ndim)
+    return ginv.reshape(lead + ginv.shape[-2:]), det.reshape(lead)
 
 
-def d_and_codifferential(metric_fn: Callable, field: FormField, x: np.ndarray,
+def d_and_codifferential(inverse_fn: Callable, field: FormField, x: np.ndarray,
                          h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
     """(d, delta = -*d*) of a form of degree 1-4 (Riemannian, dimension 4)
-    at (..., 4) points, from one field call and one metric call on the
-    stencil; a field of (..., *shape, n) stacks gives stacks of both."""
+    at (..., 4) points, from one field call and one call of the pair field
+    inverse_fn on the stencil; inverse_fn maps (..., 4) points to the
+    (g^{-1}, det g) pair of their metrics, as forms.metric_inverse returns
+    it.  A field of (..., *shape, n) stacks gives stacks of both."""
     if not 1 <= field.degree <= DIM:
         raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {field.degree}")
     pts, he = _stencil(x, h)
     w = _call(field, pts)
-    inverse = metric_inverse(_per_point(_call(metric_fn, pts), w, pts))
-    starred = hodge_star(inverse, w, field.degree)
+    starred = hodge_star(_inverse_at(inverse_fn, w, pts), w, field.degree)
     x = np.asarray(x, dtype=float)
     d_w = _d_from_partials(field.degree, _central(w, he), x.ndim)
     d_star = _d_from_partials(DIM - field.degree, _central(starred, he), x.ndim)
-    inverse = metric_inverse(_per_point(_call(metric_fn, x), d_star, x))
-    return d_w, -hodge_star(inverse, d_star, DIM - field.degree + 1)
+    return d_w, -hodge_star(_inverse_at(inverse_fn, d_star, x), d_star, DIM - field.degree + 1)
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:
     """Scalar Laplacian -delta(df), by d_and_codifferential of the 1-form
-    df (itself by differences): sign convention Delta f = +f'' on R."""
+    df (itself by differences), inverting each metric stack once: sign
+    convention Delta f = +f'' on R."""
     df = FormField(1, lambda y: all_partials(f, y))
-    return -d_and_codifferential(metric_fn, df, x)[1][..., 0]
+    return -d_and_codifferential(lambda y: metric_inverse(metric_fn(y)), df, x)[1][..., 0]

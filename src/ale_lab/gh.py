@@ -391,15 +391,27 @@ def form_triple(v: np.ndarray, eta: np.ndarray, sign: float = 1.0) -> np.ndarray
     return wedge(_DX, 1, np.asarray(eta)[..., None, :], 1) + sign * v * _DX_PAIRS
 
 
-def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
-    v, eta = potential_and_eta(config, x4)
-    g = _metric_from(v, eta)
+def _coframe_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The orthonormal coframe (..., 4, 4) of FrameSample from V (...) and eta (..., 4)."""
     sqv = np.sqrt(v)[..., None]
-    coframe = np.zeros(g.shape)
+    coframe = np.zeros(eta.shape + (4,))
     diag = np.arange(3)
     coframe[..., diag, diag] = sqv
     coframe[..., 3, :] = eta / sqv
-    return FrameSample(coframe, g, metric_inverse(g), form_triple(v, eta))
+    return coframe
+
+
+def coframe_and_metric(config: GHConfig, x4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coframe and metric of metric_at at (..., 4) points, without its
+    inverse pair and triple."""
+    v, eta = potential_and_eta(config, x4)
+    return _coframe_from(v, eta), _metric_from(v, eta)
+
+
+def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
+    v, eta = potential_and_eta(config, x4)
+    g = _metric_from(v, eta)
+    return FrameSample(_coframe_from(v, eta), g, metric_inverse(g), form_triple(v, eta))
 
 
 def triple_field(config: GHConfig) -> FormField:

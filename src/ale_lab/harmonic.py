@@ -257,6 +257,11 @@ def _slope(logr: Sequence[float], logv: Sequence[float]) -> float:
     return float(np.polyfit(logr, logv, 1)[0])
 
 
+def _log_slope(r: Sequence[float], values: Sequence[float]) -> float:
+    """Fitted slope of log(value), floored at 1e-300, against log r."""
+    return _slope([math.log(x) for x in r], [math.log(max(v, 1e-300)) for v in values])
+
+
 @dataclass
 class DecayProfile:
     r: float
@@ -265,24 +270,30 @@ class DecayProfile:
     omega_profile_coeff: float
 
 
-def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float],
-                   n_dirs: int = 6) -> list[DecayProfile]:
-    """Far-field deviation table at base radii: frame-measured distance
-    to the cone metric, moment-map deviation, and the profile
-    coefficient |Omega| r^4 / sqrt(32)."""
-    cone = cone_config(config)
-    bundle = build_omega(config)
-    k1 = config.k + 1
-    radii = np.asarray(radii_rho, dtype=float)
+def _cone_deviation(config: gh.GHConfig, radii: np.ndarray,
+                    n_dirs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At base radii: the (radius, direction, 3) sample points, the
+    asymptotic radii and the frame-measured distance to the cone metric,
+    max |g - g_cone| in the cone's orthonormal coframe, averaged over the
+    directions."""
     base = radii[:, None, None] * _fit_directions(n_dirs, 0)  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.7)], axis=-1)
     g = gh.metric_matrix(config, x4)
-    sample_c = gh.metric_at(cone, x4)
-    finv = np.linalg.inv(sample_c.coframe)
-    hframe = np.swapaxes(finv, -1, -2) @ (g - sample_c.metric) @ finv
-    gdev = np.mean(np.max(np.abs(hframe), axis=(-2, -1)), axis=-1)
-    mdev = np.mean(np.abs(gh.moment_map(config, base) - k1 * radii[:, None]), axis=-1)
-    r4 = np.sqrt(2.0 * k1 * radii)
+    coframe, g_cone = gh.coframe_and_metric(cone_config(config), x4)
+    finv = np.linalg.inv(coframe)
+    hframe = np.swapaxes(finv, -1, -2) @ (g - g_cone) @ finv
+    r4 = np.sqrt(2.0 * (config.k + 1) * radii)
+    return base, r4, np.mean(np.max(np.abs(hframe), axis=(-2, -1)), axis=-1)
+
+
+def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float]) -> list[DecayProfile]:
+    """Far-field deviation table at base radii, over 6 fit directions:
+    frame-measured distance to the cone metric, moment-map deviation, and
+    the profile coefficient |Omega| r^4 / sqrt(32)."""
+    bundle = build_omega(config)
+    radii = np.asarray(radii_rho, dtype=float)
+    base, r4, gdev = _cone_deviation(config, radii, 6)
+    mdev = np.mean(np.abs(gh.moment_map(config, base) - (config.k + 1) * radii[:, None]), axis=-1)
     oprof = np.mean(np.sqrt(bundle.norm_density(base)[0]) * r4[:, None] ** 4 / np.sqrt(32.0), axis=-1)
     return [
         DecayProfile(r=float(r), metric_deviation=float(gd), moment_deviation=float(md),
@@ -292,18 +303,21 @@ def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float],
 
 
 def decay_exponents(profiles: Sequence[DecayProfile]) -> dict:
-    logr = [math.log(p.r) for p in profiles]
+    r = [p.r for p in profiles]
     return {
-        "metric": _slope(logr, [math.log(max(p.metric_deviation, 1e-300)) for p in profiles]),
-        "moment": _slope(logr, [math.log(max(p.moment_deviation, 1e-300)) for p in profiles]),
-        "omega": _slope(
-            logr,
-            [
-                math.log(max(p.omega_profile_coeff / p.r**4 * math.sqrt(32.0), 1e-300))
-                for p in profiles
-            ],
-        ),
+        "metric": _log_slope(r, [p.metric_deviation for p in profiles]),
+        "moment": _log_slope(r, [p.moment_deviation for p in profiles]),
+        "omega": _log_slope(r, [p.omega_profile_coeff / p.r**4 * math.sqrt(32.0)
+                                for p in profiles]),
     }
+
+
+def metric_decay_exponent(config: gh.GHConfig, radii_rho: Sequence[float],
+                          n_dirs: int) -> float:
+    """The metric exponent of decay_exponents from the metric column
+    alone, over n_dirs fit directions."""
+    _base, r4, gdev = _cone_deviation(config, np.asarray(radii_rho, dtype=float), n_dirs)
+    return _log_slope(r4, gdev)
 
 
 def annulus_density_exponent(bundle: HarmonicFormBundle) -> float:

@@ -235,8 +235,7 @@ def suite_gh(k: int, lam: float):
         fd.fd_d(alpha, sub) - triple(sub)[..., 1:, :])))
 
     radii = [8.0 * k1 * lam * (1.6 ** j) for j in range(4)]
-    profiles = harmonic.decay_profiles(config, radii, n_dirs=4)
-    yield "metric-decay-exponent", harmonic.decay_exponents(profiles)["metric"]
+    yield "metric-decay-exponent", harmonic.metric_decay_exponent(config, radii, n_dirs=4)
 
     cone = harmonic.cone_config(config)
     cone_pts = gh.sample_chart_points(cone, 4, seed=1)

@@ -4,8 +4,10 @@ schema validation, and the far-field CSV table."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -569,6 +571,53 @@ def test_thread_cap_propagates_in_subprocess():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["3", "3"]
+
+
+# --- heap configuration ---------------------------------------------------------
+
+class _FakeLibc:
+    """A libc stand-in whose mallopt records its calls."""
+
+    def __init__(self):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+def test_configure_heap_sets_both_thresholds(monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._configure_heap.__wrapped__()
+    assert libc.calls == [(-3, 4 << 20), (-1, 16 << 20)]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert libc.mallopt.restype is ctypes.c_int
+
+
+def test_configure_heap_is_a_no_op_without_mallopt(monkeypatch):
+    libc = types.SimpleNamespace()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert cli._configure_heap.__wrapped__() is None
+    assert vars(libc) == {}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are set on glibc only")
+def test_warm_verify_keeps_its_heap():
+    # freed numpy temporaries stay in the process: the third verify in one
+    # process faults in fewer than 50 pages (several hundred without the thresholds)
+    code = ("import contextlib, io, resource\n"
+            "from ale_lab import cli\n"
+            "def verify():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['verify', '--suite', 'harmonic']) == 0\n"
+            "verify(); verify()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "verify()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout.split()[-1]) < 50
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -624,7 +624,8 @@ def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypa
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.0, 0.6, -0.5]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
     a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
-    d_a, delta_a = fd.d_and_codifferential(gh.metric_fn(cfg), a, x4, 5e-4)
+    d_a, delta_a = fd.d_and_codifferential(
+        lambda y: forms.metric_inverse(gh.metric_matrix(cfg, y)), a, x4, 5e-4)
     expected = {"curvature_residual": float(np.max(np.abs(d_a - coeff @ gh.triple_field(cfg)(x4)))),
                 "coclosed_residual": float(np.max(np.abs(delta_a)))}
     calls = []

@@ -17,6 +17,11 @@ def FLAT(x):
     return np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
 
 
+def pairs(metric_fn):
+    """The (g^{-1}, det g) pair field of a metric function."""
+    return lambda x: forms.metric_inverse(metric_fn(x))
+
+
 def test_step_at_ignores_fiber_coordinate():
     # conditioning tracks the base radius only: a large fiber angle must
     # not inflate the step for 4-vectors
@@ -135,7 +140,7 @@ def test_codifferential_flat_known_value():
         degree=2, evaluator=lambda x: x[..., 1:2] * np.array([1.0, 0, 0, 0, 0, 0])
     )
     x = np.array([0.3, -0.2, 0.5, 0.1])
-    out = fd.d_and_codifferential(FLAT, field, x)[1]
+    out = fd.d_and_codifferential(pairs(FLAT), field, x)[1]
     assert np.allclose(out, np.array([1.0, 0, 0, 0]), atol=1e-9)
 
 
@@ -156,9 +161,9 @@ def test_stacked_field_matches_row_by_row():
     d = fd.fd_d(field, x)
     assert d.shape == (3, 4)
     assert np.allclose(d, [fd.fd_d(r, x) for r in rows], rtol=1e-13, atol=1e-13)
-    delta = fd.d_and_codifferential(metric, field, x)[1]
+    delta = fd.d_and_codifferential(pairs(metric), field, x)[1]
     assert delta.shape == (3, 4)
-    assert np.allclose(delta, [fd.d_and_codifferential(metric, r, x)[1] for r in rows],
+    assert np.allclose(delta, [fd.d_and_codifferential(pairs(metric), r, x)[1] for r in rows],
                        rtol=1e-13, atol=1e-13)
 
 
@@ -196,7 +201,7 @@ def test_laplace_beltrami_flat():
 def test_codifferential_rejects_degree_zero():
     field = forms.FormField(0, lambda x: x[..., :1])
     with pytest.raises(SchemaError, match="degree 0"):
-        fd.d_and_codifferential(FLAT, field, np.array([0.3, -0.2, 0.5, 0.1]))[1]
+        fd.d_and_codifferential(pairs(FLAT), field, np.array([0.3, -0.2, 0.5, 0.1]))[1]
 
 
 def test_unstacked_field_output_is_rejected():
@@ -247,13 +252,13 @@ STACKED_OPERATORS = {
     "gh-christoffel": lambda x: fd.christoffel(gh.metric_fn(GH_CFG), x),
     "gh-triple-d": lambda x: fd.fd_d(gh.triple_field(GH_CFG), x),
     "gh-triple-codifferential": lambda x: fd.d_and_codifferential(
-        gh.metric_fn(GH_CFG), gh.triple_field(GH_CFG), x)[1],
+        pairs(gh.metric_fn(GH_CFG)), gh.triple_field(GH_CFG), x)[1],
     "gh-killing": lambda x: fd.lie_derivative_metric(
         gh.metric_fn(GH_CFG), gh.xi_fn(GH_CFG), x, h=5e-4),
     "jet-ricci": lambda x: fd.ricci(JET_METRIC, x),
     "jet-christoffel": lambda x: fd.christoffel(JET_METRIC, x),
     "jet-codifferential": lambda x: fd.d_and_codifferential(
-        JET_METRIC, forms.FormField(2, _poly_two_forms), x)[1],
+        pairs(JET_METRIC), forms.FormField(2, _poly_two_forms), x)[1],
     "jet-lie": lambda x: fd.lie_derivative_metric(JET_METRIC, _linear_vector_field, x),
 }
 

@@ -256,11 +256,24 @@ def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, monkey
 def test_decay_profile_exponents(canonical):
     cfg = canonical(2)
     radii = [24.0 * 1.6**j for j in range(4)]
-    profiles = harmonic.decay_profiles(cfg, radii, n_dirs=4)
+    profiles = harmonic.decay_profiles(cfg, radii)
     slopes = harmonic.decay_exponents(profiles)
     assert slopes["metric"] <= -3.9
     assert slopes["moment"] == pytest.approx(-2.0, abs=0.1)
     assert slopes["omega"] == pytest.approx(-4.0, abs=0.1)
+
+
+def test_metric_decay_exponent_is_the_profiles_metric_slope(canonical, monkeypatch):
+    # the metric column alone, bit for bit, without the harmonic form
+    cfg = canonical(2)
+    radii = [24.0 * 1.6**j for j in range(4)]
+    expected = harmonic.decay_exponents(harmonic.decay_profiles(cfg, radii))["metric"]
+
+    def no_bundle(config):
+        raise AssertionError("the metric column builds no harmonic form")
+
+    monkeypatch.setattr(harmonic, "build_omega", no_bundle)
+    assert harmonic.metric_decay_exponent(cfg, radii, 6) == expected
 
 
 def test_annulus_density_exponent(omega_bundle):

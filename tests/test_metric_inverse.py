@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ale_lab import connection, fd, forms, gh, jets, suites
+from ale_lab import connection, deformation, fd, forms, gh, jets, suites
 from ale_lab.errors import SingularMetric
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
@@ -20,7 +20,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
 # (module, function) of each np.linalg.inv / det outside forms: neither
 # inverts a metric
 NOT_A_METRIC = {
-    ("harmonic", "decay_profiles", "inv"): "the cone coframe, to read g - g_cone in its frame",
+    ("harmonic", "_cone_deviation", "inv"): "the cone coframe, to read g - g_cone in its frame",
     ("obstruction", "bold_det_from_block", "det"): "the 3x3 curvature block",
 }
 
@@ -149,7 +149,18 @@ def test_warm_verify_inverts_no_identity_metric(monkeypatch):
     calls = _count_metric_inverses(monkeypatch)
     assert all(r.passed for r in suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0))
     assert [g.shape for g in calls if np.all(g == np.eye(4))] == []
-    assert len(calls) <= 20
+    assert len(calls) <= 17
+
+
+def test_moment_connection_checks_invert_each_point_stack_once(monkeypatch):
+    # gh.metric_at's pair on the stencil and at the points serves the
+    # codifferential there
+    config = gh.GHConfig.canonical(1, 1.0)
+    coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
+    x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
+    calls = _count_metric_inverses(monkeypatch)
+    deformation.moment_connection_checks(config, coeff, x4)
+    assert [g.shape for g in calls] == [(3, 8, 4, 4), (3, 4, 4)]
 
 
 def test_suite_harmonic_inverts_its_check_point_metrics_once(monkeypatch):
