@@ -385,17 +385,23 @@ def cmd_asympt(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
+    import numpy as np
+
     from . import gh, harmonic
 
     try:
-        config = gh.GHConfig.canonical(args.k, args.lam)
-        # the table is indexed by the asymptotic (cone) radius; convert to
-        # base radii for the profile sampler
-        k1 = args.k + 1
-        rho = [r * r / (2.0 * k1) for r in sorted(radii_f)]
-        profiles = harmonic.decay_profiles(config, rho)
+        bundle = harmonic.build_omega(gh.GHConfig.canonical(args.k, args.lam))
     except (AleLabError, ValueError, OverflowError) as exc:
         print(f"configuration error: --k {args.k} --lambda {args.lam!r}: {exc}", file=sys.stderr)
+        return 2
+    # the table's radii are cone radii, the sampler's base radii; a radius it
+    # cannot use fails here (LinAlgError is a ValueError), without warnings
+    try:
+        with np.errstate(all="ignore"):
+            profiles = harmonic.decay_profiles(
+                bundle, [r * r / (2.0 * (args.k + 1)) for r in sorted(radii_f)])
+    except (AleLabError, ValueError, OverflowError) as exc:
+        print(f"configuration error: --radii {args.radii}: {exc}", file=sys.stderr)
         return 2
 
     flag = ""

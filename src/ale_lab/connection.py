@@ -7,7 +7,7 @@ The rank-3 bundle carries the basis (v1, v2, v3) with <v_i, v_j> =
 
     a_1 = (1/2) (delta F1 + J3 delta F2 - J2 delta F3)   (cyclic)
 
-for the metric the frame fixes (forms.metric_from_triple), where
+for the metric it is orthonormal for, which the caller hands in, where
 delta F = -*d*F = -*dF as F is self-dual, so only dF is differentiated.
 Its curvature is R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
 normalization (coefficient 1.0) is pinned numerically against the
@@ -52,8 +52,8 @@ from .forms import (
     J_with,
     apply_J_covector,
     comps_to_tensor,
+    check_orthonormal_triple,
     float_or_complex,
-    metric_from_triple,
     hodge_star,
     metric_inverse,
     project_with,
@@ -116,20 +116,22 @@ def frame_from_metric(inverse: Inverse) -> tuple[np.ndarray, np.ndarray]:
     return tuple(frames)
 
 
-def connection_from_Phi(phi: TripleField) -> FormField:
-    """Connection covectors of the orthonormal self-dual frame phi, as a
-    degree-1 field with (..., 3, 4) values.
+def connection_from_Phi(phi: TripleField, metric: MetricField) -> FormField:
+    """Connection covectors of the self-dual frame phi, orthonormal for the
+    metric field, as a degree-1 field with (..., 3, 4) values.
 
-    phi maps (..., 4) points to the (..., 3, 6) component stacks of the
-    frame (a leading node axis of the points is one more point axis).  One
-    call of phi on the points and their stencil (fd.value_and_d) gives the
-    frame and dF; g comes from the frame at the base points, which checks
-    its Gram matrix there, and delta F = -*dF; J and * share one inverse of g.
+    phi maps (..., 4) points to (..., 3, 6) frames and metric to (..., 4, 4)
+    metrics (a leading node axis is one more point axis).  One call of phi
+    on the points and their stencil (fd.value_and_d) gives the frame and dF,
+    one call of metric on the points gives g, inverted once: the frame's
+    Gram matrix is checked against it (forms.check_orthonormal_triple), and
+    J and delta F = -*dF share its inverse.
     """
 
     def components(x: np.ndarray) -> np.ndarray:
         comps, dphi = fd.value_and_d(FormField(2, phi), x)
-        ginv, det = metric_inverse(metric_from_triple(*np.moveaxis(comps, -2, 0)))
+        ginv, det = metric_inverse(metric(x))
+        check_orthonormal_triple((ginv, det), comps)
         inverse = ginv[..., None, :, :], det[..., None]
         jmats = J_with(inverse, comps)
         deltas = -hodge_star(inverse, dphi, 3)

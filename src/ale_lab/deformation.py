@@ -24,13 +24,13 @@ t-coefficients of actual deformed metrics, read off a circle of complex
 t by taylor_coefficient: to about 7e-9 on the linear family and 2e-6 on
 the coupled one, where the O(h^2) truncation of the x-differences rules.
 
-The metric fixed by the deformed triple is in closed form,
+H = metric_perturbation_from_coeffs(C) is symmetric and trace-free and
+acts on 2-forms as the off-diagonal block [[0, -C], [-C^T, 0]] of M, so
 
-    g(t) = e^(t lam) exp(t H),    H = metric_perturbation_from_coeffs(C),
+    g(t) = e^(t lam) exp(t H),    Phi(t) = e^(t lam) omega_+ . L2(exp(t H / 2))
 
-since H is symmetric and trace-free and acts on 2-forms as the
-off-diagonal block [[0, -C], [-C^T, 0]] of M: one real 4x4 eigh of H per
-point, with t only in the exponential.
+with L2(A): v ^ w -> A v ^ A w on 2-forms, and one real 4x4 eigh of H per
+point gives the triple, its metric and, through both, its connection.
 
 Node axis: a contour is evaluated as one stack, not node by node.  A
 (m,) array of t values goes with (m, ..., 4) point stacks whose leading
@@ -38,10 +38,10 @@ axis is the node axis (node_points repeats a point stack along it), and
 every value keeps that axis in front.  fd appends its stencil axes after
 the point axes, so each fd operator and each (..., 4, 4) stack of
 connection serves all nodes of a contour in one call; a scalar t takes
-any point stack, as before.  The m rows of such a stack are one point
+any point stack.  The m rows of such a stack are one point
 stack, bit for bit, for node_points and every stencil built on it, so a
-family takes its t-independent part (C, lam and their eigendecompositions)
-once, on the first row, and raises SchemaError when the rows differ.
+family takes its t-independent part (lam and the eigendecomposition of
+H) once, on the first row, and raises SchemaError when the rows differ.
 That part is real: triple and metric are sums of real per-point tables
 with weights in which t alone enters, and a complex weight is one real
 product for its real and one for its imaginary part.
@@ -186,6 +186,7 @@ _PAIR_A, _PAIR_B = np.triu_indices(4)
 _PAIR_OF = np.zeros((4, 4), dtype=int)
 _PAIR_OF[_PAIR_A, _PAIR_B] = _PAIR_OF[_PAIR_B, _PAIR_A] = np.arange(_PAIR_A.size)
 _PAIR_OF = _PAIR_OF.ravel()
+_PAIR_J, _PAIR_K = np.triu_indices(4, 1)  # the eigenvector pairs of v_j ^ v_k
 
 
 def _weighted_rows(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -207,64 +208,47 @@ def _weighted_rows(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TripleFamily:
-    """Phi(t) = exp(t M(x)) omega for M built from (lam, C).  As M = lam I +
-    [[0, -C], [-C^T, 0]], the columns of exp(t M) that act on omega_+ are
-    e^(t lam) [cosh(t sqrt A) ; -C^T sinh(t sqrt A) / sqrt A] with A = C C^T,
-    both entire in A, and triple takes them in closed form.  The metric
-    that Phi(t) fixes is
-
-        g(t) = e^(t lam) exp(t H),    H = metric_perturbation_from_coeffs(C),
-
-    as H is symmetric and trace-free and acts on 2-forms as the
-    off-diagonal block of M; metric takes it from one real 4x4 eigh of H.
+    """Phi(t) = exp(t M(x)) omega for M built from (lam, C) and the metric
+    g(t) = e^(t lam) exp(t H) it fixes, both from one eigh H = V diag(mu) V^T
+    per point (_spectrum); connection(t) is the frame connection of Phi(t)
+    for g(t), which reads no metric off the triple.
 
     Every t-method takes a scalar t, real or complex, or a (m,) array of
-    contour nodes; the nodes go with (m, ..., 4) point stacks whose leading
-    axis is the node axis and whose m rows are one point stack
-    (node_points, and every fd stencil built on it), and the values keep
-    the node axis in front.  triple and metric take C, lam and their
-    eigendecompositions once, on the first row, and raise SchemaError when
-    the rows differ."""
+    contour nodes with (m, ..., 4) point stacks, node axis first (see the
+    module docstring); triple and metric read the first row of the node
+    axis and raise SchemaError when the rows differ."""
 
     lam: ScalarField
     coeff: MatrixField  # C(x)
 
+    def _spectrum(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lam (..., 1), mu (..., 4) and V^T (..., 4, 4) of H = V diag(mu) V^T
+        at a (..., 4) point stack, one eigh per point."""
+        mu, v = np.linalg.eigh(metric_perturbation_from_coeffs(
+            np.asarray(self.coeff(x), dtype=float)))
+        return np.asarray(self.lam(x), dtype=float)[..., None], mu, np.swapaxes(v, -1, -2)
+
     def triple(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(..., 3, 6) triples Phi(t) at (..., 4) points,
-
-            Phi(t) = e^(t lam) sum_j v_j (cosh(t s_j) v_j^T omega_+
-                                          - sinh(t s_j) / s_j v_j^T C omega_-),
-
-        from one eigh A = V diag(s^2) V^T per point: the rows v_j^T omega_+
-        and -v_j^T C omega_- are real, and t enters only through the six
-        weights (_weighted_rows); a rounding-negative eigenvalue is clipped
-        to 0, where sinh(t s) / s takes its limit t."""
+        """(..., 3, 6) triples Phi(t) at (..., 4) points: L2(exp(t H / 2))
+        multiplies the flat-orthonormal 2-forms v_j ^ v_k (j < k) by
+        e^(t (mu_j + mu_k) / 2), so t enters only through six weights on the
+        real table <omega_+i, v_j ^ v_k> v_j ^ v_k (_weighted_rows)."""
         t, x = _node_rows(t, x)
-        c = np.asarray(self.coeff(x), dtype=float)
-        mu, v = np.linalg.eigh(c @ np.swapaxes(c, -1, -2))
-        vt = np.swapaxes(v, -1, -2)
-        rows = np.concatenate([vt @ OMEGA_SD, -(vt @ c) @ OMEGA_ASD], axis=-2)
-        # table[j, i, :] = v_ij rows_j, with the columns of V once per row block
-        table = np.concatenate([vt, vt], axis=-2)[..., None] * rows[..., None, :]
-        s = np.sqrt(np.maximum(mu, 0.0))
-        ts = t[..., None] * s
-        sinhc = np.where(s > 0.0, np.sinh(ts) / np.where(s > 0.0, s, 1.0), t[..., None])
-        scale = np.exp(t * np.asarray(self.lam(x), dtype=float))[..., None]
-        weights = scale * np.concatenate([np.cosh(ts), sinhc], axis=-1)
+        lam, mu, vt = self._spectrum(x)
+        wedges = wedge(vt[..., _PAIR_J, :], 1, vt[..., _PAIR_K, :], 1)
+        table = (wedges @ OMEGA_SD.T)[..., None] * wedges[..., None, :]
+        weights = np.exp(t[..., None] * (lam + 0.5 * (mu[..., _PAIR_J] + mu[..., _PAIR_K])))
         flat = _weighted_rows(weights, table.reshape(table.shape[:-2] + (-1,)))
         return flat.reshape(flat.shape[:-1] + (3, 6))
 
     def metric(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
         """(..., 4, 4) metrics g(t) = sum_j e^(t (lam + mu_j)) v_j v_j^T at
-        (..., 4) points from H = V diag(mu) V^T: the projectors v_j v_j^T
-        are real and t enters only through the weights (_weighted_rows).
-        Each g is read off its upper triangle, so it is exactly symmetric."""
+        (..., 4) points: the projectors v_j v_j^T are real and t enters only
+        through the weights (_weighted_rows).  Each g is read off its upper
+        triangle, so it is exactly symmetric."""
         t, x = _node_rows(t, x)
-        mu, v = np.linalg.eigh(metric_perturbation_from_coeffs(
-            np.asarray(self.coeff(x), dtype=float)))
-        lam = np.asarray(self.lam(x), dtype=float)[..., None]
+        lam, mu, vt = self._spectrum(x)
         # projectors[j, pair] = v_aj v_bj over the pairs a <= b
-        vt = np.swapaxes(v, -1, -2)
         projectors = vt[..., _PAIR_A] * vt[..., _PAIR_B]
         upper = _weighted_rows(np.exp(t[..., None] * (lam + mu)), projectors)
         return upper[..., _PAIR_OF].reshape(upper.shape[:-1] + (4, 4))
@@ -276,7 +260,7 @@ class TripleFamily:
         return phi_comps_from_coeffs(self.coeff(x))
 
     def connection(self, t: complex | np.ndarray) -> FormField:
-        return connection_from_Phi(lambda x: self.triple(t, x))
+        return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
 
 
 def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray],

@@ -34,7 +34,8 @@ built by hand; every other table is read off it at import:
     <a, b> = a . C_p(g^{-1}) . b.
 g^{-1} and det g come from metric_inverse, the package's one checked metric
 inversion and the one place a metric enters this layer; hodge_star, split_sd,
-project_with and J_with take its result, so one inversion serves them all.
+project_with, J_with and check_orthonormal_triple take its result, so one
+inversion serves them all.
 
 Conventions fixed here and relied on everywhere else:
   - the standard self-dual basis is w1 = e01+e23, w2 = e02-e13,
@@ -265,18 +266,24 @@ def apply_J_covector(jmat: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return -(beta[..., None, :] @ float_or_complex(jmat))[..., 0, :]
 
 
-_TRIPLE_TOL = 1e-8  # metric_from_triple: largest Gram deviation accepted
+_TRIPLE_TOL = 1e-8  # check_orthonormal_triple: largest Gram deviation accepted
+
+
+def check_orthonormal_triple(inverse: Inverse, triple: np.ndarray) -> None:
+    """Raise FrameNotOrthonormal unless <c_i, c_j> = 2 delta_ij holds to
+    _TRIPLE_TOL for the (..., 3, 6) triples and the pair's metrics."""
+    dev = float(np.max(np.abs(2.0 * project_with(inverse, triple, triple) - 2.0 * np.eye(3))))
+    if not dev <= _TRIPLE_TOL:
+        raise FrameNotOrthonormal(f"triple Gram matrix off by {dev:.2e}")
 
 
 def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
-    """Reconstruct the metric for which (c1, c2, c3) is the orthonormal
-    self-dual triple with <ci, cj> = 2 delta_ij; (..., 6) stacks of
-    triples give (..., 4, 4) metrics.  The Gram matrix must hold to
-    _TRIPLE_TOL and J1^2 = -Id to its square root.
-
-    Uses J1 = W3^{-1} W2 (exact for a compatible quaternionic triple),
-    then g = W1 J1, rescaled so |c1|^2 = 2.
-    """
+    """The (..., 4, 4) metrics for which the (..., 6) stacks (c1, c2, c3) are
+    orthonormal self-dual triples, <ci, cj> = 2 delta_ij: J1 = W3^{-1} W2
+    (exact for a compatible quaternionic triple) must square to -Id to the
+    square root of _TRIPLE_TOL, and g = W1 J1, rescaled so |c1|^2 = 2,
+    passes check_orthonormal_triple.  A second route, for tests: the
+    package hands every connection its metric."""
     triple = np.stack([float_or_complex(c) for c in (c1, c2, c3)], axis=-2)
     w = comps_to_tensor(triple, 2)
     w1, w2, w3 = w[..., 0, :, :], w[..., 1, :, :], w[..., 2, :, :]
@@ -293,16 +300,14 @@ def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.nda
     g = w1 @ j1
     g = (g + np.swapaxes(g, -1, -2)) / 2.0
     g = np.where((np.trace(g, axis1=-2, axis2=-1).real < 0)[..., None, None], -g, g)
-    gram = 2.0 * project_with(metric_inverse(g), triple, triple)
-    norm1 = gram[..., 0, 0]
+    ginv, det = metric_inverse(g)
+    norm1 = 2.0 * project_with((ginv, det), triple[..., :1, :], triple[..., :1, :])[..., 0, 0]
     if np.any(norm1.real <= 0):
         raise FrameNotOrthonormal("|c1|^2 <= 0 for reconstructed metric")
-    # rescaling g by s scales 2-form inner products by 1/s^2
-    g = g * np.sqrt(norm1 / 2.0)[..., None, None]
-    dev = float(np.max(np.abs(gram * (2.0 / norm1)[..., None, None] - 2.0 * np.eye(3))))
-    if dev > _TRIPLE_TOL:
-        raise FrameNotOrthonormal(f"triple Gram matrix off by {dev:.2e}")
-    return g
+    # g s has the pair (g^{-1} / s, det g s^4) and 2-form products over s^2
+    scale = np.sqrt(norm1 / 2.0)
+    check_orthonormal_triple((ginv / scale[..., None, None], det * scale**4), triple)
+    return g * scale[..., None, None]
 
 
 @dataclass

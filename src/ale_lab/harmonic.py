@@ -286,11 +286,12 @@ def _cone_deviation(config: gh.GHConfig, radii: np.ndarray,
     return base, r4, np.mean(np.max(np.abs(hframe), axis=(-2, -1)), axis=-1)
 
 
-def decay_profiles(config: gh.GHConfig, radii_rho: Sequence[float]) -> list[DecayProfile]:
-    """Far-field deviation table at base radii, over 6 fit directions:
-    frame-measured distance to the cone metric, moment-map deviation, and
-    the profile coefficient |Omega| r^4 / sqrt(32)."""
-    bundle = build_omega(config)
+def decay_profiles(bundle: HarmonicFormBundle,
+                   radii_rho: Sequence[float]) -> list[DecayProfile]:
+    """Far-field deviation table of the bundle's space at base radii, over 6
+    fit directions: frame-measured distance to the cone metric, moment-map
+    deviation, and the profile coefficient |Omega| r^4 / sqrt(32)."""
+    config = bundle.config
     radii = np.asarray(radii_rho, dtype=float)
     base, r4, gdev = _cone_deviation(config, radii, 6)
     mdev = np.mean(np.abs(gh.moment_map(config, base) - (config.k + 1) * radii[:, None]), axis=-1)

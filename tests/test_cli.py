@@ -527,6 +527,23 @@ def test_asympt_rejects_bad_radii(capsys):
     capsys.readouterr()
     assert cli.main(["asympt", "--radii", "10,-3"]) == 2
     assert "positive" in capsys.readouterr().err
+    # radii the profile sampler cannot use: base points on a center's gauge
+    # ray, and a metric that overflows into a singular solve; neither is
+    # blamed on --k or --lambda, and no numpy warning comes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radii in ("0.001,0.002", "1e200,2e200"):
+            assert cli.main(["asympt", "--k", "1", "--radii", radii]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: --radii {radii}: "), err
+            assert err.count("\n") == 1
+
+
+def test_asympt_blames_the_configuration_for_its_own_failure(capsys):
+    # the harmonic form of lambda = 1e200 fails before any radius is read
+    with np.errstate(all="ignore"):
+        assert cli.main(["asympt", "--lambda", "1e200", "--radii", "10,20"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --k 1 --lambda 1e+200: ")
 
 
 # --- thread configuration ------------------------------------------------------

@@ -50,7 +50,7 @@ def test_connection_reproduces_parallel_triple():
     # torsion-free for the frame, and its curvature self-dual block zero
     cfg, x4 = _gh_setup(k=1)
     phi = gh.triple_field(cfg)
-    a = connection.connection_from_Phi(phi)
+    a = connection.connection_from_Phi(phi, gh.metric_fn(cfg))
     assert connection.torsion_residual(phi, a, x4) < 1e-5
 
 
@@ -70,11 +70,12 @@ def _connection_through_metric(phi, metric_fn, x):
     deformation.einstein_first_order_family(5),
 ], ids=["linear", "einstein-first-order"])
 def test_connection_from_frame_matches_metric_codifferential_on_families(family):
-    # at the complex contour nodes, with the family's own metric as the second route
+    # at the complex contour nodes: delta F = -*dF against d*F taken on the
+    # family's metric at every stencil point
     t = deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
     x = deformation.node_points(t, 0.4 * np.random.default_rng(19).normal(size=(2, 4)))
     phi = lambda y: family.triple(t, y)
-    got = connection.connection_from_Phi(phi)(x)
+    got = family.connection(t)(x)
     want = _connection_through_metric(phi, family.metric_field(t), x)
     assert got.shape == (3, 2, 3, 4)
     assert np.max(np.abs(want)) > 1e-2
@@ -88,18 +89,32 @@ def test_connection_from_frame_matches_metric_codifferential_on_multi_center():
     x4 = gh.sample_chart_points(cfg, 4, seed=3, rho_min=1.5, rho_max=3.0,
                                 string_cone_cos=0.45)
     phi = gh.triple_field(cfg)
-    got = connection.connection_from_Phi(phi)(x4)
+    got = connection.connection_from_Phi(phi, gh.metric_fn(cfg))(x4)
     want = _connection_through_metric(phi, gh.metric_fn(cfg), x4)
     assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_connection_rejects_a_frame_that_is_not_orthonormal():
-    # the metric comes from the frame, whose Gram matrix is checked at the points
+    # the frame's Gram matrix is checked against the metric at the points
     skewed = np.asarray(forms.OMEGA_SD) * np.array([1.0, 1.0, 1.1])[:, None]
     a = connection.connection_from_Phi(
-        lambda y: np.broadcast_to(skewed, np.shape(y)[:-1] + skewed.shape))
+        lambda y: np.broadcast_to(skewed, np.shape(y)[:-1] + skewed.shape), flat)
     with pytest.raises(FrameNotOrthonormal):
         a(np.array([0.2, -0.1, 0.3, 0.4]))
+
+
+def test_connection_rejects_a_metric_the_frame_is_not_orthonormal_for():
+    # the family's triple at the contour nodes, with its metric scaled by
+    # 1 + 1e-6: 2-form inner products scale by (1 + 1e-6)^-2, a Gram
+    # deviation of about 4e-6, far above the 1e-8 the check accepts
+    fam = deformation.einstein_first_order_family(5)
+    t = deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
+    x = deformation.node_points(t, 0.4 * np.random.default_rng(19).normal(size=(2, 4)))
+    phi = lambda y: fam.triple(t, y)
+    assert np.all(np.isfinite(connection.connection_from_Phi(phi, fam.metric_field(t))(x)))
+    scaled = connection.connection_from_Phi(phi, lambda y: (1.0 + 1e-6) * fam.metric(t, y))
+    with pytest.raises(FrameNotOrthonormal, match="Gram"):
+        scaled(x)
 
 
 def test_hyperkahler_curvature_blocks():
@@ -222,7 +237,7 @@ def test_curvature_forms_match_operator_route():
     cfg, x4 = _gh_setup(k=1, seed=9)
     metric_fn = gh.metric_fn(cfg)
     phi = gh.triple_field(cfg)
-    a = connection.connection_from_Phi(phi)
+    a = connection.connection_from_Phi(phi, metric_fn)
     rforms = connection.curvature_forms(a, x4)
     dec = connection.decompose_curvature(rforms, metric_fn(x4))
     direct = connection.curvature_block_of_metric(metric_fn, x4)

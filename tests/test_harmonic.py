@@ -253,21 +253,21 @@ def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, monkey
     assert (fit.c_gamma, fit.a1) == (float(c_gamma), float(a1))
 
 
-def test_decay_profile_exponents(canonical):
-    cfg = canonical(2)
+def test_decay_profile_exponents(omega_bundle):
     radii = [24.0 * 1.6**j for j in range(4)]
-    profiles = harmonic.decay_profiles(cfg, radii)
+    profiles = harmonic.decay_profiles(omega_bundle(2), radii)
     slopes = harmonic.decay_exponents(profiles)
     assert slopes["metric"] <= -3.9
     assert slopes["moment"] == pytest.approx(-2.0, abs=0.1)
     assert slopes["omega"] == pytest.approx(-4.0, abs=0.1)
 
 
-def test_metric_decay_exponent_is_the_profiles_metric_slope(canonical, monkeypatch):
+def test_metric_decay_exponent_is_the_profiles_metric_slope(canonical, omega_bundle,
+                                                            monkeypatch):
     # the metric column alone, bit for bit, without the harmonic form
     cfg = canonical(2)
     radii = [24.0 * 1.6**j for j in range(4)]
-    expected = harmonic.decay_exponents(harmonic.decay_profiles(cfg, radii))["metric"]
+    expected = harmonic.decay_exponents(harmonic.decay_profiles(omega_bundle(2), radii))["metric"]
 
     def no_bundle(config):
         raise AssertionError("the metric column builds no harmonic form")

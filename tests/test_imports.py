@@ -32,6 +32,8 @@ ORACLES = {
     "connection.mixed_block_to_ric0":
         "test_connection.py::test_mixed_block_identifies_tracefree_ricci",
     "deformation.expm": "test_deformation.py::test_triple_closed_form_matches_expm",
+    "forms.metric_from_triple":
+        "test_deformation.py::test_metric_closed_form_matches_reconstruction_and_expm",
     "jets.pullback_jet2": "test_jets.py::test_pullback_consistency",
     "jets.cyclic_group": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.binary_dihedral_group":

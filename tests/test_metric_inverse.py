@@ -149,7 +149,7 @@ def test_warm_verify_inverts_no_identity_metric(monkeypatch):
     calls = _count_metric_inverses(monkeypatch)
     assert all(r.passed for r in suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0))
     assert [g.shape for g in calls if np.all(g == np.eye(4))] == []
-    assert len(calls) <= 17
+    assert len(calls) <= 16
 
 
 def test_moment_connection_checks_invert_each_point_stack_once(monkeypatch):
