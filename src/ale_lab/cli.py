@@ -30,7 +30,13 @@ are written by the stdlib json, whose float text is part of the report
 bytes.  obstruct builds the model constants once, from constants_override
 or from ak_constants(k, lambda), refuses them when a factor of theirs is
 not finite (obstruction.factor_faults), and passes them to
-obstruction.compute_report(jet, constants, quartic=None, apply_gauge=False).
+obstruction.compute_report(jet, constants, quartic=None, apply_gauge=False),
+which decides the report: obstruct writes its content and prints its
+det_bold on the wall-side line, and computes nothing of the report itself.
+
+asympt writes fit-unstable instead of exponents when the radii give no
+slope: fewer than two distinct radii, or a deviation at its rounding floor
+(harmonic.decay_exponents).
 """
 from __future__ import annotations
 
@@ -304,8 +310,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
             raise SchemaError(f"k and lambda: {k} * {lam!r} is out of range, the center "
                               "-k * lambda is not finite")
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                constants = obstruction.ak_constants(k, lam)
+            constants = obstruction.ak_constants(k, lam)
         # every factor that the report takes from the constants alone
         names, factor = obstruction.factor_faults(constants)
         if names and overrides is not None:
@@ -320,15 +325,13 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
         # below names the field instead of a warning per operation
         with np.errstate(over="ignore", invalid="ignore"):
             report = obstruction.compute_report(jet, constants, quartic, apply_gauge=gauge)
-            det_bold = obstruction.bold_det_from_block(report.Rplus_block)
     except QuadratureDivergence as exc:
         # the Sigma constants are the one quadrature of obstruct, and they
         # read only k and lambda from the input: k is at fault when they
         # are not finite at lambda = 1 either
         field = f"lambda: {lam!r} at k = {k} is out of range"
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                obstruction.ak_constants(k, 1.0)
+            obstruction.ak_constants(k, 1.0)
         except QuadratureDivergence:
             field = f"k: {k} is too large even at lambda = 1"
         print(f"schema error: {field}, the Sigma constants are not finite ({exc})",
@@ -341,8 +344,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    payload = {"schema_version": SCHEMA_VERSION, "command": "obstruct"}
-    payload.update(report.to_dict())
+    payload = {"schema_version": SCHEMA_VERSION, "command": "obstruct", **report.content}
     try:
         text = _json_text(payload)
     except ValueError:
@@ -358,8 +360,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     _emit(text, args.report)
     # a determinant on the floor is rounding, and its digits are not printed
     detail = ("|det of the negated block| within the 1e-8 max|H|^3 floor"
-              if report.det_on_floor else f"det of the negated block = {det_bold:.6g}")
-    print(f"wall side: {report.wall_side} ({detail})")
+              if report.det_bold is None else f"det of the negated block = {report.det_bold:.6g}")
+    print(f"wall side: {report.content['wall_side']} ({detail})")
     return 0
 
 

@@ -22,7 +22,10 @@ V dx1^dx2^dx3^dtau and satisfies J1 J2 = J3.
 The exceptional fiber surface sits over the segment between the two
 cluster points; the pullback of eta to it is exactly dtau, so surface
 integrals reduce to 2*pi times a line quadrature (SIGMA_ORDER
-Gauss-Legendre nodes) and never evaluate A on the axis.
+Gauss-Legendre nodes) and never evaluate A on the axis.  The integrand is
+evaluated with numpy's floating-point warnings off: one that is out of
+range fails the finiteness check after it (QuadratureDivergence), so a
+configuration out of range stops with that one error.
 
 One pass over the centers: the offsets x - p_i and distances |x - p_i| of
 a point stack are computed once (_offsets) and serve every use at that
@@ -49,7 +52,9 @@ unchecked, eta_and_grad_f with the north-gauge eta after domain validation.
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
 per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
-field (..., 3, 6), alpha_covector (..., 3, 4).  validate_base checks the
+field (..., 3, 6), alpha_covector (..., 3, 4).  metric_at samples the
+metric, its (g^-1, det g) pair and the triple (FrameSample); the orthonormal
+coframe is built only by coframe_and_metric.  validate_base checks the
 whole stack and names the first offending point.  sample_chart_points
 returns a (count, 4) stack that feeds these functions directly.
 """
@@ -358,19 +363,18 @@ def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass
 class FrameSample:
-    """Metric data at a stack of chart points: the orthonormal coframe, the
-    metric and its one inverse pair, the self-dual 2-form triple and its
-    complex structures J, taken on first read from that pair."""
+    """Metric data at a stack of chart points: the metric and its one
+    inverse pair, the self-dual 2-form triple and its complex structures J,
+    taken on first read from that pair."""
 
-    coframe: np.ndarray  # (..., 4, 4), rows e^1, e^2, e^3, e^0; e^0 = V^{-1/2} eta
     metric: np.ndarray  # (..., 4, 4)
     inverse: Inverse  # ((..., 4, 4), (...))
     triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
 
     def rows(self, index) -> FrameSample:
         """The sample at points[index] of its point stack."""
-        return FrameSample(self.coframe[index], self.metric[index],
-                           tuple(part[index] for part in self.inverse), self.triple[index])
+        return FrameSample(self.metric[index], tuple(part[index] for part in self.inverse),
+                           self.triple[index])
 
     @functools.cached_property
     def J(self) -> np.ndarray:
@@ -392,7 +396,8 @@ def form_triple(v: np.ndarray, eta: np.ndarray, sign: float = 1.0) -> np.ndarray
 
 
 def _coframe_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The orthonormal coframe (..., 4, 4) of FrameSample from V (...) and eta (..., 4)."""
+    """The orthonormal coframe (..., 4, 4) from V (...) and eta (..., 4): rows
+    e^1, e^2, e^3, e^0, with e^0 = V^{-1/2} eta."""
     sqv = np.sqrt(v)[..., None]
     coframe = np.zeros(eta.shape + (4,))
     diag = np.arange(3)
@@ -411,7 +416,7 @@ def coframe_and_metric(config: GHConfig, x4: np.ndarray) -> tuple[np.ndarray, np
 def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
     v, eta = potential_and_eta(config, x4)
     g = _metric_from(v, eta)
-    return FrameSample(_coframe_from(v, eta), g, metric_inverse(g), form_triple(v, eta))
+    return FrameSample(g, metric_inverse(g), form_triple(v, eta))
 
 
 def triple_field(config: GHConfig) -> FormField:
@@ -492,7 +497,9 @@ def sigma_integrate(config: GHConfig, f: Callable[[np.ndarray], np.ndarray]) -> 
     """
     a, b = config.segment
     nodes, weights = gauss_legendre(a, b, SIGMA_ORDER)
-    vals = np.asarray(f(nodes), dtype=float)
+    # an integrand out of range fails the finiteness check below, not a warning
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise SchemaError(
             f"surface integrand returned shape {vals.shape} for {len(nodes)} nodes, "

@@ -69,11 +69,6 @@ def core_self_intersection(k: int) -> float:
     return -(k + 1) / k
 
 
-def closed_form_norm2(k: int) -> float:
-    """||Omega||^2 = 4 pi^2 (k+1)/k for the canonical configuration."""
-    return 4.0 * math.pi**2 * (k + 1) / k
-
-
 def c_gamma(k: int, lam: float) -> float:
     """Leading asymptotic coefficient (k+1)^2 lam."""
     return (k + 1) ** 2 * lam
@@ -303,7 +298,21 @@ def decay_profiles(bundle: HarmonicFormBundle,
     ]
 
 
+# a deviation within 1e3 roundings of the quantity it is taken from is noise
+_ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
+
+
 def decay_exponents(profiles: Sequence[DecayProfile]) -> dict:
+    """Fitted log-log slopes of the three columns against r.  FitUnstable
+    when a column reaches its rounding floor, where it has no slope: a metric
+    deviation at most 1e3 eps (the cone metric is the identity in its
+    frame), a moment deviation at most 1e3 eps times the moment map
+    (k+1) rho = r^2/2, or an Omega coefficient that is 0 or not finite."""
+    for p in profiles:
+        if (p.metric_deviation <= _ROUNDING_FLOOR
+                or p.moment_deviation <= _ROUNDING_FLOOR * p.r**2 / 2.0
+                or not (math.isfinite(p.omega_profile_coeff) and p.omega_profile_coeff != 0.0)):
+            raise FitUnstable(f"deviations at r = {p.r:g} are at their rounding floor")
     r = [p.r for p in profiles]
     return {
         "metric": _log_slope(r, [p.metric_deviation for p in profiles]),

@@ -8,6 +8,7 @@ quartic jet, and the geometric constants of the model space:
 
     vol_sigma    area of the exceptional surface, 2 pi (k+1) lam
     omega_norm2  square norm of the decaying harmonic form, 4 pi^2 (k+1)/k
+                 (closed_form_norm2)
     int_m_omega  integral of the moment map against the surface form,
                  pi (k+1)^3 lam^2
     m_p1         moment-map value at the heavy cluster, (k+1) lam
@@ -26,8 +27,11 @@ singular point, and the wall-side classification of det of the
 opposite-sign operator.
 
 Each output reads R_+ through its first row or its minor R22 R33 - R23^2.
-compute_report alone builds R_+, checks it, decides the degenerate regime
-and takes the minor; the formulas take the minor and check nothing again.
+compute_report alone builds R_+, checks it, decides the degenerate regime,
+takes the minor and the determinant of the negated block in jet units, and
+decides the wall side from that determinant and the regime; the formulas
+take the minor and check nothing again.  The report is the JSON object
+compute_report fills (ObstructionReport.content), keyed as written.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import gh, harmonic, jets
+from . import gh, jets
 from .errors import MissingConstants, SchemaError
 
 _INNER_SCALE = 2.0  # <b_i, b_j> = 2 delta_ij on the unit-normalized basis
@@ -60,6 +64,11 @@ class ModelConstants:
                 for name in _CONSTANT_NAMES}
 
 
+def closed_form_norm2(k: int) -> float:
+    """||Omega||^2 = 4 pi^2 (k+1)/k for the canonical configuration."""
+    return 4.0 * math.pi**2 * (k + 1) / k
+
+
 def ak_constants(k: int, lam: float) -> ModelConstants:
     """Two-cluster constants by quadrature (norm from its closed form)."""
     config = gh.GHConfig.canonical(k, lam)
@@ -68,7 +77,7 @@ def ak_constants(k: int, lam: float) -> ModelConstants:
     m_p1 = gh.moment_map(config, config.p1)
     return ModelConstants(
         vol_sigma=vol,
-        omega_norm2=harmonic.closed_form_norm2(k),
+        omega_norm2=closed_form_norm2(k),
         int_m_omega=int_m,
         m_p1=m_p1,
         k=k,
@@ -158,8 +167,8 @@ def in_jet_units(block: np.ndarray, H: np.ndarray) -> np.ndarray:
 def first_row_vanishes(block: np.ndarray) -> bool:
     """The degenerate regime: first row of length at most 1e-8, for a block
     in units of its jet (in_jet_units).  The one rule for every
-    degenerate-regime quantity: compute_report applies it for the formulas
-    and D, wall_side for the side."""
+    degenerate-regime quantity: compute_report applies it once, for the
+    formulas, D and the side."""
     return first_row_norm(block) <= 1e-8
 
 
@@ -221,118 +230,82 @@ def bold_det_from_block(block: np.ndarray) -> float:
 _DET_FLOOR = 1e-8  # |det| of the negated block in jet units that reads on_wall
 
 
-def wall_side(block: np.ndarray) -> str:
-    """The side of the wall det = 0 for the determinant of the negated
-    block, within 1e-8 of it counting as on it, for a block in units of its
-    jet (in_jet_units).  A zero first row makes det R_+ = 0, so a block of
-    the degenerate regime (first_row_vanishes) reads on_wall, though the
-    first row that rule allows can leave |det| above the floor; its side is
-    carried by the sign of the t^4 coefficient instead.
+def wall_side(det_bold: float, degenerate: bool) -> str:
+    """The side of the wall det = 0 for det_bold, the determinant of the
+    negated block in units of its jet (in_jet_units), within 1e-8 of it
+    counting as on it.  A zero first row makes det R_+ = 0, so a block of
+    the degenerate regime (degenerate, first_row_vanishes) reads on_wall,
+    though the first row that rule allows can leave |det| above the floor;
+    its side is carried by the sign of the t^4 coefficient instead.
 
     Through the wall, d/dt det R_+ = -a (R22 R33 - R23^2)^2 < 0 with a > 0,
     so the determinant strictly decreases, and z(t) = -mu1 t + O(t^(3/2))
     to leading order; neither claim is computed here.
     """
-    # a non-finite block reaches the check below without numpy's warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_bold = bold_det_from_block(block)
     if not math.isfinite(det_bold):
         raise SchemaError(f"wall side undefined for non-finite determinant {det_bold}")
-    if first_row_vanishes(block) or abs(det_bold) <= _DET_FLOOR:
+    if degenerate or abs(det_bold) <= _DET_FLOOR:
         return "on_wall"
     return "einstein_side" if det_bold > 0 else "empty_side"
 
 
-def det_on_floor(block: np.ndarray) -> bool:
-    """|det| of the negated block at most 1e-8, for a finite block in jet
-    units (in_jet_units): the floor of wall_side, under which the
-    determinant is rounding and the side on_wall in either regime."""
-    return abs(bold_det_from_block(block)) <= _DET_FLOOR
-
-
-@dataclass
+@dataclass(frozen=True)
 class ObstructionReport:
-    Rplus_block: np.ndarray
-    lam_coeffs: np.ndarray
-    minor: float
-    D: float | None
-    mu1: float | None
-    mu1_generic_value: float | None
-    A: float | None
-    det_leading_coefficient: float | None
-    wall_side: str
-    det_on_floor: bool  # det_on_floor of the block in jet units; not in the report
-    constants: dict
-    first_row_norm: float
-    gauge_projected: bool
-    notes: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "Rplus_block": self.Rplus_block.tolist(),
-            "lambda": self.lam_coeffs.tolist(),
-            "minor": self.minor,
-            "D": self.D,
-            "mu1": self.mu1,
-            "mu1_generic": self.mu1_generic_value,
-            "A": self.A,
-            "det_leading_t4_coefficient": self.det_leading_coefficient,
-            "wall_side": self.wall_side,
-            "constants": self.constants,
-            "first_row_norm": self.first_row_norm,
-            "gauge_projected": self.gauge_projected,
-            "notes": self.notes,
-        }
+    content: dict  # the report object, keyed as written
+    # det of the negated block itself, which the wall-side line prints; None
+    # within the floor, where it is rounding.  Not part of the report.
+    det_bold: float | None
 
 
 def compute_report(jet, constants: ModelConstants, quartic=None,
                    apply_gauge: bool = False) -> ObstructionReport:
     """Full pipeline from a quadratic (and optional quartic) jet and the
-    model constants: one R_+, one block check and one minor per report, and
-    the regime decided here for the formulas and D.  The two-cluster forms
-    mu1, A and the t^4 coefficient need constants with k."""
+    model constants: one R_+, one block check, one minor and one
+    determinant in jet units per report, and the regime decided here for the
+    formulas, D and the side.  The two-cluster forms mu1, A and the t^4
+    coefficient need constants with k."""
     if apply_gauge:
         jet = jets.gauge_project(jet).jet
     block = _check_block(jets.curvature_from_jet2(jet).Rplus)
     unit = in_jet_units(block, jet.H)
     minor = minor_of(block)
 
-    d_val = None
-    mu1_val = None
-    mu1_gen = None
-    a_val = None
-    det_coeff = None
-    notes = {}
-    if first_row_vanishes(unit):
-        mu1_gen = mu1_generic(minor, constants)
+    degenerate = first_row_vanishes(unit)
+    content = {
+        "Rplus_block": block.tolist(),
+        "lambda": lambda_obstruction(block, constants).tolist(),
+        "minor": minor,
+        "D": None,
+        "mu1": None,
+        "mu1_generic": None,
+        "A": None,
+        "det_leading_t4_coefficient": None,
+        "constants": constants.as_dict(),
+        "first_row_norm": first_row_norm(block),
+        "gauge_projected": apply_gauge,
+        "notes": {},
+    }
+    if degenerate:
+        content["mu1_generic"] = mu1_generic(minor, constants)
         if quartic is not None:
-            d_val = jets.d2_invariant_symbolic(jet, quartic)
+            content["D"] = jets.d2_invariant_symbolic(jet, quartic)
         if constants.k is not None:
-            d_for_ak = d_val if d_val is not None else 0.0
-            mu1_val = mu1_Ak(minor, d_for_ak, constants)
-            a_val = A_coefficient(minor, d_for_ak, constants)
-            det_coeff = det_leading(minor, a_val)
-            if d_val is None:
-                notes["quartic"] = "no quartic jet supplied; D treated as 0"
+            d_for_ak = content["D"] if content["D"] is not None else 0.0
+            content["mu1"] = mu1_Ak(minor, d_for_ak, constants)
+            content["A"] = A_coefficient(minor, d_for_ak, constants)
+            content["det_leading_t4_coefficient"] = det_leading(minor, content["A"])
+            if content["D"] is None:
+                content["notes"]["quartic"] = "no quartic jet supplied; D treated as 0"
     else:
-        notes["regime"] = (
+        content["notes"]["regime"] = (
             "first block row nonzero: first-order coefficients lambda_i "
             "obstruct; degenerate-regime outputs omitted"
         )
 
-    return ObstructionReport(
-        Rplus_block=block,
-        lam_coeffs=lambda_obstruction(block, constants),
-        minor=minor,
-        D=d_val,
-        mu1=mu1_val,
-        mu1_generic_value=mu1_gen,
-        A=a_val,
-        det_leading_coefficient=det_coeff,
-        wall_side=wall_side(unit),
-        det_on_floor=det_on_floor(unit),
-        constants=constants.as_dict(),
-        first_row_norm=first_row_norm(block),
-        gauge_projected=apply_gauge,
-        notes=notes,
-    )
+    # the block is finite; its own determinant overflows for a jet near the
+    # float maximum, and the line prints it as it is
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_unit = bold_det_from_block(unit)
+        content["wall_side"] = wall_side(det_unit, degenerate)
+        det_bold = None if abs(det_unit) <= _DET_FLOOR else bold_det_from_block(block)
+    return ObstructionReport(content, det_bold)

@@ -290,7 +290,7 @@ def suite_harmonic(k: int, lam: float):
     k1 = k + 1
 
     norm = harmonic.omega_norm(bundle)
-    yield "norm-squared", norm, harmonic.closed_form_norm2(k)
+    yield "norm-squared", norm, obstruction.closed_form_norm2(k)
 
     x4 = _check_points(config, 5)
     omega, d_omega = fd.value_and_d(FormField(2, bundle.components), x4)

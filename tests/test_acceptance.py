@@ -117,7 +117,7 @@ def test_criterion_5_obstruction_pipeline():
     report = obstruction.compute_report(
         jets.jet2_with_block(BLOCK0, seed=3), obstruction.ak_constants(1, 1.0),
         quartic=jets.random_jet4(0), apply_gauge=True)
-    assert report.mu1 == pytest.approx(4.0, abs=1e-8)
+    assert report.content["mu1"] == pytest.approx(4.0, abs=1e-8)
 
     # the two-cluster formula reduces to the generic one at k = 1
     for _ in range(100):
@@ -148,7 +148,8 @@ def test_criterion_5_obstruction_pipeline():
 
     # the side of det of the negated block: diag(-d, 1, 1) has it equal to d
     for det_bold, side in ((+0.5, "einstein_side"), (0.0, "on_wall"), (-0.5, "empty_side")):
-        assert obstruction.wall_side(np.diag([-det_bold, 1.0, 1.0])) == side
+        block = np.diag([-det_bold, 1.0, 1.0])
+        assert obstruction.wall_side(obstruction.bold_det_from_block(block), False) == side
     assert time.perf_counter() - t0 < 60.0
 
 

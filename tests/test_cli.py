@@ -143,15 +143,18 @@ def test_verify_rejects_bad_configuration(capsys):
 
 @pytest.mark.parametrize("argv,prefix", [
     (["verify", "--suite", "gh", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
+    (["verify", "--suite", "harmonic", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
     (["verify", "--suite", "gh", "--lambda", "1e-9"], "--k 1 --lambda 1e-09: "),
     (["asympt", "--k", str(10**400), "--radii", "10"], f"--k {10**400} --lambda 1.0: "),
-], ids=["verify-large-lambda", "verify-small-lambda", "asympt-k-beyond-float"])
+], ids=["verify-large-lambda", "verify-harmonic-large-lambda", "verify-small-lambda",
+        "asympt-k-beyond-float"])
 def test_configuration_errors_name_the_flags(capsys, argv, prefix):
     # errors raised inside the computation carry the flags they were run
-    # with; at lambda = 1e200 numpy warns of the overflow on the way there
-    with np.errstate(over="ignore"):
-        assert cli.main(argv) == 2
-    assert f"configuration error: {prefix}" in capsys.readouterr().err
+    # with, and no numpy warning comes before them (warnings are errors here)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {prefix}"), err
+    assert err.count("\n") == 1
 
 
 def test_parser_is_built_once_and_each_call_gets_the_defaults(tmp_path, capsys):
@@ -540,10 +543,37 @@ def test_asympt_rejects_bad_radii(capsys):
 
 
 def test_asympt_blames_the_configuration_for_its_own_failure(capsys):
-    # the harmonic form of lambda = 1e200 fails before any radius is read
-    with np.errstate(all="ignore"):
-        assert cli.main(["asympt", "--lambda", "1e200", "--radii", "10,20"]) == 2
-    assert capsys.readouterr().err.startswith("configuration error: --k 1 --lambda 1e+200: ")
+    # the harmonic form of lambda = 1e200 fails before any radius is read,
+    # with no numpy warning on the way (warnings are errors here)
+    assert cli.main(["asympt", "--lambda", "1e200", "--radii", "10,20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --k 1 --lambda 1e+200: "), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radii", ["1e4,2e4", "1e5,2e5", "1e6,2e6", "1e10,2e10"])
+def test_asympt_flags_fits_of_rounding_noise(tmp_path, radii):
+    # far enough out the deviations are float rounding, and a slope fitted
+    # to them (-971.5, +977, +0.82 and +2.58 at these radii) is no exponent
+    out = tmp_path / "table.csv"
+    assert cli.main(["asympt", "--k", "1", "--radii", radii, "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(rows) == 2
+    assert all(row[7] == "fit-unstable" for row in rows), rows
+    assert all(row[4] == row[5] == row[6] == "" for row in rows)
+
+
+@pytest.mark.parametrize("k,radii", [(1, "10,20,40"), (1, "1e2,2e2"), (1, "1e3,2e3"),
+                                     (2, "10,20,40"), (2, "1e3,2e3"), (3, "10,20,40"),
+                                     (3, "1e3,2e3")])
+def test_asympt_fits_deviations_above_rounding(tmp_path, k, radii):
+    out = tmp_path / "table.csv"
+    assert cli.main(["asympt", "--k", str(k), "--radii", radii, "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert all(row[7] == "" for row in rows), rows
+    assert float(rows[0][4]) == pytest.approx(-4.0, abs=0.02)
+    assert float(rows[0][5]) == pytest.approx(-2.0, abs=0.01)
+    assert float(rows[0][6]) == pytest.approx(-4.0, abs=0.02)
 
 
 # --- thread configuration ------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import fd, forms, gh, harmonic, quadrature, suites
+from ale_lab import fd, forms, gh, harmonic, obstruction, quadrature, suites
 from ale_lab.errors import SchemaError
 from ale_lab.forms import FormField
 
@@ -20,7 +20,7 @@ from ale_lab.forms import FormField
 def test_closed_form_constants():
     for k in (1, 2, 3):
         assert harmonic.core_self_intersection(k) == pytest.approx(-(k + 1) / k)
-        assert harmonic.closed_form_norm2(k) == pytest.approx(
+        assert obstruction.closed_form_norm2(k) == pytest.approx(
             4 * math.pi**2 * (k + 1) / k
         )
     assert harmonic.c_gamma(1, 1.0) == pytest.approx(4.0)
@@ -32,13 +32,13 @@ def test_norm_matches_closed_form(k, omega_bundle):
     # the whole-space rule has no cutoff radius, so nothing but float
     # rounding separates it from the closed form at any k
     norm = harmonic.omega_norm(omega_bundle(k))
-    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-11)
+    assert norm == pytest.approx(obstruction.closed_form_norm2(k), rel=1e-11)
 
 
 @pytest.mark.parametrize("k,lam", [(1, 0.5), (2, 2.0), (3, 0.5), (3, 2.0)])
 def test_norm_is_independent_of_the_scale(k, lam, omega_bundle):
     norm = harmonic.omega_norm(omega_bundle(k, lam))
-    assert norm == pytest.approx(harmonic.closed_form_norm2(k), rel=1e-11)
+    assert norm == pytest.approx(obstruction.closed_form_norm2(k), rel=1e-11)
 
 
 _CHART_POINTS = np.array([[1.2, 0.7, -0.4, 0.3], [-0.8, 1.5, 0.3, 2.1], [2.5, -1.1, 0.9, 4.0]])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import json
 import os
 import pathlib
 import subprocess
@@ -454,6 +455,29 @@ def test_cli_and_suites_leave_scipy_linalg_unloaded(tmp_path):
     code = ("import sys\nfrom ale_lab import cli\n"
             f"assert cli.main(['verify', '--suite', 'all', '--report', {str(report)!r}]) == 0\n"
             "print(sorted(m for m in ('scipy.linalg', 'sympy') if m in sys.modules))")
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert report.exists()
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_obstruct_leaves_harmonic_and_quadrature_unloaded(tmp_path):
+    # obstruct takes the norm of the harmonic form from its closed form
+    # (obstruction.closed_form_norm2), so a one-shot obstruct run, one
+    # process, loads neither the harmonic-form nor the volume-quadrature module
+    import numpy as np
+
+    from ale_lab import jets
+
+    jet, report = tmp_path / "jet.json", tmp_path / "report.json"
+    jet.write_text(json.dumps({
+        "k": 1, "H": jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0).H.tolist(),
+        "H2": jets.random_jet4(0).H2.tolist()}))
+    code = ("import sys\nfrom ale_lab import cli\n"
+            f"assert cli.main(['obstruct', '--jet', {str(jet)!r}, '--report', {str(report)!r}])"
+            " == 0\nprint(sorted(m for m in ('ale_lab.harmonic', 'ale_lab.quadrature')"
+            " if m in sys.modules))")
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)

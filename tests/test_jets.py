@@ -247,8 +247,8 @@ def test_d2_and_the_report_share_the_first_row_rule():
     jet = jets.jet2_with_block(block, seed=0)
     quartic = jets.random_jet4(0)
     report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic)
-    assert report.D == pytest.approx(-23.158389, abs=1e-5)
-    assert jets.d2_invariant_symbolic(jet, quartic) == report.D
+    assert report.content["D"] == pytest.approx(-23.158389, abs=1e-5)
+    assert jets.d2_invariant_symbolic(jet, quartic) == report.content["D"]
 
 
 def test_d2_vanishes_for_binary_dihedral_symmetry():

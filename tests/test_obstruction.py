@@ -5,6 +5,7 @@ classification, and the end-to-end report."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import jets, obstruction
+from ale_lab import cli, jets, obstruction
 from ale_lab.errors import MissingConstants, SchemaError
 
 BLOCK0 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -136,22 +137,21 @@ def test_det_leading():
 
 # --- wall side --------------------------------------------------------------------
 
-def _block_with_bold_det(det_bold):
-    """A block whose negated determinant is det_bold."""
-    return np.diag([-det_bold, 1.0, 1.0])
-
-
 def test_wall_side_signs():
-    assert obstruction.wall_side(_block_with_bold_det(+0.5)) == "einstein_side"
-    assert obstruction.wall_side(_block_with_bold_det(0.0)) == "on_wall"
-    assert obstruction.wall_side(_block_with_bold_det(-0.5)) == "empty_side"
+    assert obstruction.wall_side(+0.5, False) == "einstein_side"
+    assert obstruction.wall_side(0.0, False) == "on_wall"
+    assert obstruction.wall_side(-0.5, False) == "empty_side"
+    assert obstruction.wall_side(1e-8, False) == "on_wall"
     for value in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(SchemaError):
-            obstruction.wall_side(_block_with_bold_det(value))
+        for degenerate in (False, True):
+            with pytest.raises(SchemaError):
+                obstruction.wall_side(value, degenerate)
     # a first row inside the degenerate-regime rule, and det -2e-8 beyond the floor
     degenerate = np.array([[1e-8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]])
     assert obstruction.first_row_vanishes(degenerate)
-    assert obstruction.wall_side(degenerate) == "on_wall"
+    det_bold = obstruction.bold_det_from_block(degenerate)
+    assert obstruction.wall_side(det_bold, False) == "einstein_side"
+    assert obstruction.wall_side(det_bold, True) == "on_wall"
 
 
 def _pure_gauge_jet(seed):
@@ -170,11 +170,11 @@ def test_wall_side_and_first_row_rule_do_not_depend_on_units(scale):
                                   (jets.jet2_first_row_zero(3), "on_wall", True),
                                   (_pure_gauge_jet(4), "on_wall", True),
                                   (_pure_gauge_jet(5), "on_wall", True)):
-        report = obstruction.compute_report(jets.Jet2(H=scale * jet.H), constants)
-        assert report.wall_side == side
-        assert (report.mu1 is not None) == degenerate
+        report = obstruction.compute_report(jets.Jet2(H=scale * jet.H), constants).content
+        assert report["wall_side"] == side
+        assert (report["mu1"] is not None) == degenerate
         assert obstruction.first_row_vanishes(
-            obstruction.in_jet_units(report.Rplus_block, scale * jet.H)) == degenerate
+            obstruction.in_jet_units(np.array(report["Rplus_block"]), scale * jet.H)) == degenerate
 
 
 def test_bold_det_is_negated_det():
@@ -190,20 +190,20 @@ def test_report_degenerate_branch():
     jet = jets.jet2_with_block(BLOCK0, seed=3)
     quartic = jets.random_jet4(0)
     report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic=quartic,
-                                        apply_gauge=True)
-    assert report.mu1 == pytest.approx(4.0, abs=1e-9)
-    assert np.max(np.abs(report.lam_coeffs)) < 1e-7
-    assert report.D is not None
-    assert report.wall_side == "on_wall"  # the degenerate block has det 0
-    assert report.first_row_norm < 1e-8
+                                        apply_gauge=True).content
+    assert report["mu1"] == pytest.approx(4.0, abs=1e-9)
+    assert np.max(np.abs(report["lambda"])) < 1e-7
+    assert report["D"] is not None
+    assert report["wall_side"] == "on_wall"  # the degenerate block has det 0
+    assert report["first_row_norm"] < 1e-8
 
 
 def test_report_nondegenerate_branch():
     jet = jets.random_jet2(5)
-    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0))
-    assert report.mu1 is None and report.D is None
-    assert np.max(np.abs(report.lam_coeffs)) > 1e-8
-    assert report.first_row_norm > 1e-8
+    report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0)).content
+    assert report["mu1"] is None and report["D"] is None
+    assert np.max(np.abs(report["lambda"])) > 1e-8
+    assert report["first_row_norm"] > 1e-8
 
 
 def test_report_gauge_invariance():
@@ -213,16 +213,20 @@ def test_report_gauge_invariance():
         jet = jets.random_jet2(seed)
         xfield = 0.05 * rng.normal(size=(4, 4, 4, 4))
         shifted = jets.Jet2.from_array(jet.H + jets.delta_star(xfield))
-        r0 = obstruction.compute_report(jet, constants)
-        r1 = obstruction.compute_report(shifted, constants)
-        assert np.max(np.abs(r0.Rplus_block - r1.Rplus_block)) < 1e-10
-        assert np.max(np.abs(r0.lam_coeffs - r1.lam_coeffs)) < 1e-10
+        r0 = obstruction.compute_report(jet, constants).content
+        r1 = obstruction.compute_report(shifted, constants).content
+        for key in ("Rplus_block", "lambda"):
+            assert np.max(np.abs(np.array(r0[key]) - np.array(r1[key]))) < 1e-10, key
 
 
-def test_report_builds_and_checks_the_block_once(monkeypatch):
-    # the report decides the regime for every formula: one R_+ and one block
-    # check, where the formulas and D each built and checked their own
-    calls = {"curvature_from_jet2": 0, "_check_block": 0}
+def test_report_builds_and_checks_the_block_once(monkeypatch, tmp_path, capsys):
+    # the report decides the regime, the floor and the side for every output:
+    # per obstruct run one R_+, one block check, one regime test and one
+    # determinant in jet units, and a second determinant, of the block itself,
+    # only off the floor, for the printed line; the CLI takes none of its own
+    names = {"curvature_from_jet2": jets, "_check_block": obstruction,
+             "first_row_vanishes": obstruction, "bold_det_from_block": obstruction}
+    calls = dict.fromkeys(names, 0)
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -233,12 +237,32 @@ def test_report_builds_and_checks_the_block_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    # CI's canonical jet, on the floor; a generic jet; a degenerate first row
+    # whose determinant in jet units (-3.5e-8) is above the floor
     jet, quartic = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0), jets.random_jet4(0)
-    counted(jets, "curvature_from_jet2")
-    counted(obstruction, "_check_block")
+    cases = ((jet, quartic, "on_wall", 1), (jets.random_jet2(5), None, "empty_side", 2),
+             (jets.jet2_with_block(np.diag([5e-9, 1.0, 1.0]), seed=4), None, "on_wall", 2))
+    for name, module in names.items():
+        counted(module, name)
     report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic=quartic)
-    assert report.mu1 is not None and report.D is not None
-    assert calls == {"curvature_from_jet2": 1, "_check_block": 1}
+    assert report.content["mu1"] is not None and report.content["D"] is not None
+    assert report.det_bold is None
+    assert calls == {"curvature_from_jet2": 1, "_check_block": 1, "first_row_vanishes": 1,
+                     "bold_det_from_block": 1}
+
+    path = tmp_path / "jet.json"
+    for jet, quartic, side, dets in cases:
+        raw = {"k": 1, "H": jet.H.tolist()}
+        if quartic is not None:
+            raw["H2"] = quartic.H2.tolist()
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        calls.update(dict.fromkeys(names, 0))
+        assert cli.main(["obstruct", "--jet", str(path), "--report", str(tmp_path / "o.json")]) == 0
+        assert calls == {"curvature_from_jet2": 1, "_check_block": 1, "first_row_vanishes": 1,
+                         "bold_det_from_block": dets}, side
+        line = capsys.readouterr().out
+        assert line.startswith(f"wall side: {side} ("), line
+        assert ("det of the negated block = " in line) == (dets == 2), line
 
 
 @settings(max_examples=20, deadline=None)
@@ -300,7 +324,8 @@ def _left_mult_matrix(q):
 
 
 def _rplus(jet):
-    return obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0)).Rplus_block
+    return np.array(obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0))
+                    .content["Rplus_block"])
 
 
 @settings(max_examples=10, deadline=None)
@@ -330,8 +355,8 @@ def test_report_lambda_weights(degenerate):
         jet, quartic = jets.random_jet2(3), None
     weights = {"lambda": 1, "A": 1, "det_leading_t4_coefficient": 1,
                "mu1": 2, "mu1_generic": 2, "Rplus_block": 0, "minor": 0, "D": 0}
-    one = obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0), quartic).to_dict()
-    three = obstruction.compute_report(jet, obstruction.ak_constants(2, 3.0), quartic).to_dict()
+    one = obstruction.compute_report(jet, obstruction.ak_constants(2, 1.0), quartic).content
+    three = obstruction.compute_report(jet, obstruction.ak_constants(2, 3.0), quartic).content
     assert three["wall_side"] == one["wall_side"]
     for key, weight in weights.items():
         if one[key] is None:
@@ -360,7 +385,7 @@ def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
     quartic = jets.random_jet4(seed)
     block = _rplus(generic)
     constants = obstruction.ak_constants(2, 1.0)
-    d_one = obstruction.compute_report(jet, constants, quartic).D
+    d_one = obstruction.compute_report(jet, constants, quartic).content["D"]
     for side, mat in _u1_actions(theta).items():
         moved = _rplus(jets.pullback_jet2(generic, mat))
         assert moved[0, 0] == pytest.approx(block[0, 0], abs=1e-15), side
@@ -370,7 +395,7 @@ def test_u1_actions_keep_the_first_direction_and_D(theta, seed):
             obstruction.first_row_norm(block), abs=1e-15), side
         d_moved = obstruction.compute_report(
             jets.pullback_jet2(jet, mat), constants,
-            jets.Jet4.from_array(jets.average(quartic.H2, [mat]))).D
+            jets.Jet4.from_array(jets.average(quartic.H2, [mat]))).content["D"]
         assert d_moved == pytest.approx(d_one, abs=1e-13), side
 
 
@@ -380,7 +405,8 @@ def test_lambda_and_rplus_are_linear_in_H(a, b, seed_a, seed_b):
     one, two = jets.random_jet2(seed_a), jets.random_jet2(seed_b)
     mixed = jets.Jet2.from_array(a * one.H + b * two.H)
     constants = obstruction.ak_constants(2, 1.0)
-    r_one, r_two, r_mixed = (obstruction.compute_report(j, constants) for j in (one, two, mixed))
-    for field in ("Rplus_block", "lam_coeffs"):
-        want = a * getattr(r_one, field) + b * getattr(r_two, field)
-        assert np.max(np.abs(getattr(r_mixed, field) - want)) < 1e-14, field
+    r_one, r_two, r_mixed = (obstruction.compute_report(j, constants).content
+                             for j in (one, two, mixed))
+    for key in ("Rplus_block", "lambda"):
+        want = a * np.array(r_one[key]) + b * np.array(r_two[key])
+        assert np.max(np.abs(np.array(r_mixed[key]) - want)) < 1e-14, key
