@@ -32,7 +32,7 @@ or from ak_constants(k, lambda), refuses them when a factor of theirs is
 not finite (obstruction.factor_faults), and passes them to
 obstruction.compute_report(jet, constants, quartic=None, apply_gauge=False),
 which decides the report: obstruct writes its content and prints its
-det_bold on the wall-side line, and computes nothing of the report itself.
+det_unit on the wall-side line, and computes nothing of the report itself.
 
 asympt writes fit-unstable instead of exponents when the radii give no
 slope: fewer than two distinct radii, or a deviation at its rounding floor
@@ -360,7 +360,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     _emit(text, args.report)
     # a determinant on the floor is rounding, and its digits are not printed
     detail = ("|det of the negated block| within the 1e-8 max|H|^3 floor"
-              if report.det_bold is None else f"det of the negated block = {report.det_bold:.6g}")
+              if report.det_unit is None else
+              f"det of the negated block = {report.det_unit:.6g} max|H|^3")
     print(f"wall side: {report.content['wall_side']} ({detail})")
     return 0
 

@@ -12,7 +12,7 @@ delta F = -*d*F = -*dF as F is self-dual, so only dF is differentiated.
 Its curvature is R_k = d a_k + a_i ^ a_j (cyclic); the quadratic term's
 normalization (coefficient 1.0) is pinned numerically against the
 t^2-coefficient of the curvature of deformed metrics, taken on a circle
-of complex t (deformation.taylor_coefficient), to about 7e-9.  Blocks
+of complex t (fd.taylor_coefficient), to about 7e-9.  Blocks
 follow the sign convention in which these curvature forms decompose as
 R_+ = -(Scal/12 + W_+) on the frame and R_- maps to the trace-free
 Ricci part, so a round metric has R_+ = -(Scal/12) Id and hyperkahler
@@ -27,7 +27,7 @@ constant-curvature jet and a conformal non-Einstein oracle).
 Frames, operator blocks and curvature blocks take (..., 4, 4) metric
 stacks and (..., 4) point stacks, so one call serves every point of a
 stencil, or every node of a contour when the leading axis is the node
-axis of deformation.taylor_coefficient.  Every g^{-1} comes from
+axis of fd.taylor_coefficient.  Every g^{-1} comes from
 forms.metric_inverse, taken once per metric stack: frame_from_metric and
 operator_blocks_from_riemann take the caller's pair, as every forms operation
 on a metric does, and frame_from_metric gives both duality frames from it.

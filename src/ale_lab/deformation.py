@@ -21,8 +21,9 @@ order is
 
 Both nonlinear coefficients are pinned numerically against the
 t-coefficients of actual deformed metrics, read off a circle of complex
-t by taylor_coefficient: to about 7e-9 on the linear family and 2e-6 on
-the coupled one, where the O(h^2) truncation of the x-differences rules.
+t by fd.taylor_coefficient on TAYLOR_NODES nodes: to about 7e-9 on the
+linear family and 2e-6 on the coupled one, where the O(h^2) truncation
+of the x-differences rules.
 
 H = metric_perturbation_from_coeffs(C) is symmetric and trace-free and
 acts on 2-forms as the off-diagonal block [[0, -C], [-C^T, 0]] of M, so
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -96,7 +97,7 @@ _J_SD_FLAT = J_with(FLAT_INVERSE, OMEGA_SD)
 _J_ASD_FLAT = J_with(FLAT_INVERSE, OMEGA_ASD)
 
 GAUGE_TOL = 1e-6  # largest gauge residual deformation_first_order accepts
-TAYLOR_RADIUS, TAYLOR_NODES = 0.1, 8  # the circle taylor_coefficient samples
+TAYLOR_NODES = 8  # the nodes of every deformation contour (fd.taylor_coefficient)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -261,45 +262,6 @@ class TripleFamily:
 
     def connection(self, t: complex | np.ndarray) -> FormField:
         return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
-
-
-def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray],
-                       n: int | Sequence[int]) -> np.ndarray:
-    """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
-    real t, from N = TAYLOR_NODES points of radius r = TAYLOR_RADIUS:
-
-        c_n = (1 / (N r^n)) sum_k f(r w^k) w^(-nk),    w = exp(2 pi i / N)
-
-    (Lyness & Moler 1967; Fornberg 1981), exact up to the aliased
-    c_(n+N) r^N.  As f(conj t) = conj f(t), the nodes k and N - k pair:
-    N/2 + 1 nodes and a real result.  f is called once, on the complex
-    array of the nodes r w^k, k = 0..N/2, with w^0 = 1 and w^(N/2) = -1
-    exactly, and returns its values with the node axis leading; the two
-    real nodes contribute their real parts, and a value without that
-    leading axis raises SchemaError.  A sequence of orders n gives their
-    coefficients stacked on a leading axis, each bit for bit the one of a
-    call with that order alone, from the one call of f.
-    """
-    r, nodes = TAYLOR_RADIUS, TAYLOR_NODES
-    half = nodes // 2
-    w = np.exp(2j * np.pi * np.arange(half + 1) / nodes)
-    w[0], w[half] = 1.0, -1.0
-    vals = np.asarray(f(r * w))
-    if vals.shape[:1] != w.shape:
-        raise SchemaError(
-            f"taylor_coefficient: f returned shape {vals.shape} for {w.size} nodes; "
-            f"its leading axis must be the node axis, of length {w.size}"
-        )
-
-    def coefficient(order: int) -> np.ndarray:
-        total = vals[0].real + (-1) ** order * vals[half].real
-        for k in range(1, half):
-            total = total + 2.0 * (vals[k] * w[k] ** -order).real
-        return total / (nodes * r**order)
-
-    if isinstance(n, (int, np.integer)):
-        return coefficient(n)
-    return np.stack([coefficient(order) for order in n])
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +499,8 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
         for pts, sample in frames:
             if np.array_equal(pts, y):
                 return sample
-        frames.append((y, gh.metric_at(config, y)))
+        with np.errstate(all="ignore"):  # out of range: metric_inverse raises, unwarned
+            frames.append((y, gh.metric_at(config, y)))
         return frames[-1][1]
 
     a = FormField(1, lambda y: c @ gh.alpha_covector(config, y, frame(y)))

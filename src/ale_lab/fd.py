@@ -22,8 +22,12 @@ coordinate (the bounded fiber angle is excluded) so far-field stencils
 stay well conditioned relative to the decaying fields they probe.  All
 geometric identities verified with these tools are exact in the
 continuum, so plain O(h^2) accuracy suffices at the tolerances used in
-the suites; richardson adds one extrapolation level where a route needs
-more.
+the suites.
+
+Two rules take no real step: taylor_coefficient reads a Taylor
+coefficient off a circle of complex t on the caller's node count, and
+riemann_from_derivatives takes the curvature of exactly known metric
+derivatives, at real or complex points, by the nested stencil's formula.
 
 Quadratic coefficients need no stencil: DQUAD holds the constant second
 derivatives of the 10 monomials x_p x_q (QUAD_P, QUAD_Q); with the sign
@@ -37,7 +41,7 @@ The round metric then has positive scalar curvature.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
 from .forms import D_TABLE, DIM, FormField, Inverse, float_or_complex, hodge_star, metric_inverse
 
 DEFAULT_STEP = 1e-3
+TAYLOR_RADIUS = 0.1  # the circle taylor_coefficient samples
 
 # stencil offsets +e0, -e0, +e1, -e1, ... (rows)
 _OFFSETS = np.repeat(np.eye(DIM), 2, axis=0) * np.tile([1.0, -1.0], DIM)[:, None]
@@ -122,6 +127,42 @@ DQUAD = _PQ + np.swapaxes(_PQ, 1, 2)
 DQUAD.setflags(write=False)
 
 
+def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray],
+                       n: int | Sequence[int], nodes: int) -> np.ndarray:
+    """The t^n Taylor coefficient at t = 0 of f, analytic in t and real for
+    real t, from N = nodes points (N even) of radius r = TAYLOR_RADIUS:
+
+        c_n = (1 / (N r^n)) sum_k f(r w^k) w^(-nk),    w = exp(2 pi i / N)
+
+    (Lyness & Moler 1967; Fornberg 1981), exact up to the aliased
+    c_(n+N) r^N.  As f(conj t) = conj f(t), the nodes k and N - k pair:
+    f is called once, on the complex array of the nodes r w^k, k = 0..N/2,
+    with w^0 = 1 and w^(N/2) = -1 exactly, whose real parts count, and
+    returns its values with that node axis leading, else SchemaError.  A
+    sequence of orders n gives their real coefficients stacked on a leading
+    axis, each bit for bit the one of a call with that order alone.
+    """
+    r, half = TAYLOR_RADIUS, nodes // 2
+    w = np.exp(2j * np.pi * np.arange(half + 1) / nodes)
+    w[0], w[half] = 1.0, -1.0
+    vals = np.asarray(f(r * w))
+    if vals.shape[:1] != w.shape:
+        raise SchemaError(
+            f"taylor_coefficient: f returned shape {vals.shape} for {w.size} nodes; "
+            f"its leading axis must be the node axis, of length {w.size}"
+        )
+
+    def coefficient(order: int) -> np.ndarray:
+        total = vals[0].real + (-1) ** order * vals[half].real
+        for k in range(1, half):
+            total = total + 2.0 * (vals[k] * w[k] ** -order).real
+        return total / (nodes * r**order)
+
+    if isinstance(n, (int, np.integer)):
+        return coefficient(n)
+    return np.stack([coefficient(order) for order in n])
+
+
 def fd_d(field: FormField, point: np.ndarray) -> np.ndarray:
     """Exterior derivative at (..., 4) points, error O(h^2) in DEFAULT_STEP.
 
@@ -147,25 +188,32 @@ def value_and_d(field: FormField, point: np.ndarray) -> tuple[np.ndarray, np.nda
     return value, _d_from_partials(field.degree, partials, np.ndim(point))
 
 
-def richardson(eval_at: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    """One extrapolation level for an O(h^2) rule: (4 I(h/2) - I(h)) / 3."""
-    return (4.0 * np.asarray(eval_at(h / 2.0)) - np.asarray(eval_at(h))) / 3.0
+def _lowered_gamma(dg: np.ndarray) -> np.ndarray:
+    """2 Gamma_{dbc} = d_b g_dc + d_c g_db - d_d g_bc, dg[c, a, b] = d_c g_ab."""
+    return 0.5 * (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg)
 
 
 def _gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma^a_{bc} from g_ab and dg[c, a, b] = d_c g_ab (leading axes a stack);
     g^{-1} from forms.metric_inverse, so a singular or non-finite metric
     raises SingularMetric."""
-    # 2 Gamma_{dbc} = d_b g_dc + d_c g_db - d_d g_bc
-    low = 0.5 * (
-        np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    )
-    return np.einsum("...ad,...dbc->...abc", metric_inverse(g)[0], low)
+    return np.einsum("...ad,...dbc->...abc", metric_inverse(g)[0], _lowered_gamma(dg))
 
 
-def christoffel(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
+def christoffel(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
     """Gamma[..., a, b, c] = Gamma^a_{bc} from finite differences of the metric."""
-    return _gamma(*_value_and_partials(metric_fn, x, h))
+    return _gamma(*_value_and_partials(metric_fn, x, DEFAULT_STEP))
+
+
+def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R^a_{bcd} from Gamma[..., a, b, c] = Gamma^a_{bc} and
+    dgamma[..., c, a, d, b] = d_c Gamma^a_{db}."""
+    return (
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
 
 
 def _curvature(metric_fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +223,21 @@ def _curvature(metric_fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray
     y, he = _stencil(x, h, center=True)  # (..., 9, 4)
     g, dg = _value_and_partials(metric_fn, y, h)  # over (..., 9, 9, 4)
     gam = _gamma(g, dg)
-    gamma = gam[..., 0, :, :, :]
     dgamma = _central(gam[..., 1:, :, :, :], he)  # dgamma[c, a, d, b] = d_c Gamma^a_{db}
-    r = (
-        np.einsum("...cadb->...abcd", dgamma)
-        - np.einsum("...dacb->...abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-    )
-    return g[..., 0, :, :], r
+    return g[..., 0, :, :], _riemann(gam[..., 0, :, :, :], dgamma)
+
+
+def riemann_from_derivatives(g: np.ndarray, dg: np.ndarray,
+                             ddg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Gamma^a_{bc}, d_e Gamma^a_{bc}, R_abcd) from the exact partials
+    dg[c, a, b] = d_c g_ab and ddg[e, c, a, b] = d_e d_c g_ab of a real or
+    complex metric stack, with d_e Gamma^a_{bc} = g^{ad} (d_e Gamma_{dbc} -
+    d_e g_dp Gamma^p_{bc}) and _curvature's formula and layouts."""
+    ginv = metric_inverse(g)[0]
+    gamma = np.einsum("...ad,...dbc->...abc", ginv, _lowered_gamma(dg))
+    dlow = _lowered_gamma(ddg) - np.einsum("...edp,...pbc->...edbc", dg, gamma)
+    dgamma = np.einsum("...ad,...edbc->...eabc", ginv, dlow)
+    return gamma, dgamma, np.einsum("...ae,...ebcd->...abcd", g, _riemann(gamma, dgamma))
 
 
 def metric_and_riemann_lowered(metric_fn: Callable, x: np.ndarray,
@@ -194,8 +248,8 @@ def metric_and_riemann_lowered(metric_fn: Callable, x: np.ndarray,
     return g, np.einsum("...ae,...ebcd->...abcd", g, r)
 
 
-def riemann_lowered(metric_fn: Callable, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    return metric_and_riemann_lowered(metric_fn, x, h)[1]
+def riemann_lowered(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
+    return metric_and_riemann_lowered(metric_fn, x, DEFAULT_STEP)[1]
 
 
 def ricci(metric_fn: Callable, x: np.ndarray) -> np.ndarray:

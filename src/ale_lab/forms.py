@@ -81,8 +81,8 @@ def _perm_sign(seq: tuple[int, ...]) -> int:
 def float_or_complex(values) -> np.ndarray:
     """values as a float array, or a complex one when they are complex: the
     value casts of forms, fd, connection and deformation, so that a family
-    evaluated at complex t (deformation.taylor_coefficient) keeps its
-    imaginary part.  Chart points stay real."""
+    evaluated at complex t (fd.taylor_coefficient) keeps its imaginary
+    part.  Chart points stay real."""
     values = np.asarray(values)
     return values if np.iscomplexobj(values) else values.astype(float, copy=False)
 

@@ -11,10 +11,13 @@ h_mn(x) = H2_ijklmn x^i x^j x^k x^l.  The module provides
 * the curvature block of a quadratic jet at the origin,
 * the signature-split second covariant derivative invariant
   D = <(D^2_11 + D^2_22 - D^2_33 - D^2_44) R (b_1), b_1> computed two
-  independent ways: finite differences with Christoffel corrections, and a
-  closed form in H and H2 (at the origin g = I and dg = 0, so the
-  curvature, d Gamma and the second derivatives of the curvature are
-  short contractions of the jet coefficients); D belongs to the degenerate
+  independent ways: a closed form in H and H2 (at the origin g = I and
+  dg = 0, so the curvature, d Gamma and the second derivatives of the
+  curvature are short contractions of the jet coefficients), and a
+  contour route with no step, which feeds the exact partials of the
+  jets' metric at complex points z e_e to fd.riemann_from_derivatives
+  and reads d_e^2 R(0) off a circle of z (fd.taylor_coefficient), with
+  the same Christoffel corrections; D belongs to the degenerate
   regime (first row of R_+ zero), which obstruction.compute_report decides
   before it asks for D, so neither route checks it, and
 * finite-group averaging (cyclic and binary-dihedral right quaternion
@@ -146,29 +149,34 @@ class Jet4:
 
 
 def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
-    """h_{i..j kl} x^i .. x^j over the first ``order`` (even) indices of h
-    at (..., 4) points x, one index pair at a time against x (x) x; the
-    largest intermediate holds 4^order values per point."""
+    """h_{i..j ...} x^i .. x^j over the first ``order`` indices of h at
+    (..., 4) real or complex points x: one index against x for an odd
+    order, then one pair at a time against x (x) x; the largest
+    intermediate holds h.size values per point."""
     xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (DIM * DIM,))
     t = h.reshape(-1)
+    if order % 2:
+        t = np.einsum("...i,...ij->...j", x, t.reshape(DIM, -1))
     for _ in range(order // 2):
         t = np.einsum("...i,...ij->...j", xx, t.reshape(t.shape[:-1] + (DIM * DIM, -1)))
-    return t.reshape(t.shape[:-1] + (DIM, DIM))
+    return t.reshape(t.shape[:-1] + (DIM,) * (h.ndim - order))
 
 
-def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    hq = jet.H
-    h4 = quartic.H2 if quartic is not None else None
+def _metric_partials(jet: Jet2, quartic: Jet4 | None, x: np.ndarray, n: int) -> np.ndarray:
+    """The n-th partials d_e1 .. d_en g_ab, n <= 2, of the metric I + h of the
+    jets at (..., 4) real or complex points x, exactly, as (..., 4 (n times),
+    4, 4): the degree-p term contributes p! / (p - n)! times its
+    coefficients contracted with x on p - n point indices."""
+    terms = [(jet.H, 2)] + ([] if quartic is None else [(quartic.H2, 4)])
+    out = np.eye(DIM) if n == 0 else 0.0
+    for coeffs, degree in terms:
+        out = out + math.perm(degree, n) * _contract_points(coeffs, x, degree - n)
+    return out
 
-    def ev(x: np.ndarray) -> np.ndarray:
-        """Metrics (..., 4, 4) at (..., 4) points."""
-        x = np.asarray(x, dtype=float)
-        g = np.eye(4) + _contract_points(hq, x, 2)
-        if h4 is not None:
-            g = g + _contract_points(h4, x, 4)
-        return g
 
-    return ev
+def metric_fn_from_jets(jet: Jet2, quartic: Jet4 | None) -> Callable[[np.ndarray], np.ndarray]:
+    """Metrics (..., 4, 4) of the jets at (..., 4) points."""
+    return lambda x: _metric_partials(jet, quartic, np.asarray(x, dtype=float), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,7 @@ def curvature_from_jet2(jet: Jet2) -> connection.CurvatureBlock:
 
 _SIGNATURE = np.array([1.0, 1.0, -1.0, -1.0])
 _W1 = comps_to_tensor(OMEGA_SD[0], 2)
+_D2_CONTOUR_NODES = 16  # _d2_tensor_contour: the nodes of each direction's circle
 
 
 def _contract_invariant(tens: np.ndarray) -> float:
@@ -285,61 +294,15 @@ def _hessian_correction(riem0: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return corr
 
 
-_D2_OUTER_STEP = 0.16  # d2_invariant_fd: outer second differences
-_D2_INNER_STEP = 5e-3  # d2_invariant_fd: curvature and Christoffel stencils
-
-
-def _d2_tensor_fd(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
-    """The signature-split second covariant derivative of the curvature at
-    the origin, sum_e sigma_e (D_e D_e R)_abcd, by finite differences with
-    Christoffel corrections.
-
-    The inner curvature and Christoffel evaluations use one Richardson
-    level (steps h, h/2); the outer second differences use two levels
-    (h, h/2, h/4), leaving O(h^6) truncation.  The outer step is kept
-    large because inner round-off is amplified by 1/h^2.  Every stencil
-    point lies within |x| < 1, where fd.step_at leaves the step unscaled.
-    """
-    metric = metric_fn_from_jets(jet, quartic)
-    origin = np.zeros(4)
-
-    def riem_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(
-            lambda hh: fd.riemann_lowered(metric, x, hh), _D2_INNER_STEP
-        )
-
-    def gamma_at(x: np.ndarray) -> np.ndarray:
-        return fd.richardson(
-            lambda hh: fd.christoffel(metric, x, hh), _D2_INNER_STEP
-        )
-
-    riem0 = riem_at(origin)
-
-    # rows +h e_0 .. +h e_3, then -h e_0 .. -h e_3
-    signs = np.concatenate([np.eye(4), -np.eye(4)])
-
-    def hess_at(h: float) -> np.ndarray:
-        riem = riem_at(h * signs)
-        second = (riem[:4] + riem[4:] - 2.0 * riem0) / h**2
-        return np.einsum("e,e...->...", _SIGNATURE, second)
-
-    def dgamma_at(h: float) -> np.ndarray:
-        gamma = gamma_at(h * signs)
-        return (gamma[:4] - gamma[4:]) / (2.0 * h)
-
-    def two_level(rule: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-        v1, v2, v4 = rule(h), rule(h / 2.0), rule(h / 4.0)
-        r1a = (4.0 * v2 - v1) / 3.0
-        r1b = (4.0 * v4 - v2) / 3.0
-        return (16.0 * r1b - r1a) / 15.0
-
-    hess = two_level(hess_at, _D2_OUTER_STEP)
-    dgamma = two_level(dgamma_at, _D2_OUTER_STEP)
-    return hess - _hessian_correction(riem0, dgamma)
+def _dgamma_exact(jet: Jet2) -> np.ndarray:
+    """d_e Gamma^f_ab at the origin, [e, f, a, b], in closed form."""
+    h = jet.H
+    return np.einsum("eafb->efab", h) + np.einsum("ebfa->efab", h) - h
 
 
 def _d2_tensor_exact(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
-    """The same tensor in closed form from the jet coefficients.
+    """The signature-split second covariant derivative of the curvature at
+    the origin, sum_e sigma_e (D_e D_e R)_abcd, in closed form.
 
     At the origin g = I, dg = 0, d_i d_j g_ab = 2 H_ijab and
     d_i d_j d_k d_l g_ab = 24 H2_ijklab, so L[e, f, a, b] = d_e Gamma^f_ab
@@ -347,8 +310,7 @@ def _d2_tensor_exact(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
     d_e^2 h4 (second partials 24 H2_eeijab) plus the second derivative of
     the Gamma Gamma terms, 2 sum_f (L_efda L_efcb - L_efca L_efdb).
     """
-    h = jet.H
-    dgamma = np.einsum("eafb->efab", h) + np.einsum("ebfa->efab", h) - h
+    dgamma = _dgamma_exact(jet)
     quad = np.einsum("e,efda,efcb->abcd", _SIGNATURE, dgamma, dgamma)
     hess = 2.0 * (quad - np.swapaxes(quad, 2, 3))
     if quartic is not None:
@@ -357,9 +319,28 @@ def _d2_tensor_exact(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
     return hess - _hessian_correction(riemann_from_jet2(jet), dgamma)
 
 
+def _curvature_at(jet: Jet2, quartic: Jet4 | None,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Gamma, d Gamma, R lowered) of the jets' metric at (..., 4) real or
+    complex points, by fd.riemann_from_derivatives on its exact partials."""
+    return fd.riemann_from_derivatives(*(_metric_partials(jet, quartic, x, n) for n in range(3)))
+
+
+def _d2_tensor_contour(jet: Jet2, quartic: Jet4 | None) -> np.ndarray:
+    """The same tensor from the exact partials of the jets' metric, with no
+    step: d_e^2 R(0) is twice the z^2 Taylor coefficient of z -> R(z e_e),
+    read off a circle of complex z (fd.taylor_coefficient), and R and
+    d Gamma at the origin come from the same formula there."""
+    axes = lambda z: _curvature_at(jet, quartic, z[:, None, None] * np.eye(DIM))[2]
+    second = 2.0 * fd.taylor_coefficient(axes, 2, _D2_CONTOUR_NODES)  # [e, a, b, c, d]
+    _, dgamma, riem0 = _curvature_at(jet, quartic, np.zeros(DIM))
+    return np.einsum("e,e...->...", _SIGNATURE, second) - _hessian_correction(riem0, dgamma)
+
+
 def d2_invariant_fd(jet: Jet2, quartic: Jet4 | None) -> float:
-    """Finite-difference route: the contraction of _d2_tensor_fd."""
-    return _contract_invariant(_d2_tensor_fd(jet, quartic))
+    """Contour route, named for the finite-difference route it replaced:
+    the contraction of _d2_tensor_contour."""
+    return _contract_invariant(_d2_tensor_contour(jet, quartic))
 
 
 def d2_invariant_symbolic(jet: Jet2, quartic: Jet4 | None) -> float:

@@ -252,9 +252,10 @@ def wall_side(det_bold: float, degenerate: bool) -> str:
 @dataclass(frozen=True)
 class ObstructionReport:
     content: dict  # the report object, keyed as written
-    # det of the negated block itself, which the wall-side line prints; None
-    # within the floor, where it is rounding.  Not part of the report.
-    det_bold: float | None
+    # det of the negated block in jet units, the one the side is decided
+    # from, which the wall-side line prints; None within the floor, where it
+    # is rounding.  Not part of the report.
+    det_unit: float | None
 
 
 def compute_report(jet, constants: ModelConstants, quartic=None,
@@ -302,10 +303,6 @@ def compute_report(jet, constants: ModelConstants, quartic=None,
             "obstruct; degenerate-regime outputs omitted"
         )
 
-    # the block is finite; its own determinant overflows for a jet near the
-    # float maximum, and the line prints it as it is
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_unit = bold_det_from_block(unit)
-        content["wall_side"] = wall_side(det_unit, degenerate)
-        det_bold = None if abs(det_unit) <= _DET_FLOOR else bold_det_from_block(block)
-    return ObstructionReport(content, det_bold)
+    det_unit = bold_det_from_block(unit)
+    content["wall_side"] = wall_side(det_unit, degenerate)
+    return ObstructionReport(content, None if abs(det_unit) <= _DET_FLOOR else det_unit)

@@ -334,7 +334,7 @@ def suite_harmonic(k: int, lam: float):
 def suite_deformation(k: int, lam: float):
     """First/second-order connection and trace-free Ricci formulas against
     the t-coefficients of deformed metrics, taken on a circle of complex t
-    (deformation.taylor_coefficient), plus the moment-map connection on the
+    (fd.taylor_coefficient), plus the moment-map connection on the
     multi-center space; the random families take seeds 0, 3 and 5.  The
     families of seeds 0 and 5 are one family stack, so their connection
     contour and their curvature contour are one evaluation each."""
@@ -348,7 +348,8 @@ def suite_deformation(k: int, lam: float):
 
     def a_orders(y: np.ndarray) -> np.ndarray:
         """(..., order, 3, 4): the t^1 and t^2 connection coefficients."""
-        coeffs = deformation.taylor_coefficient(lambda t: fam.connection(t)(nodes(t, y)), (1, 2))
+        coeffs = fd.taylor_coefficient(lambda t: fam.connection(t)(nodes(t, y)), (1, 2),
+                                       deformation.TAYLOR_NODES)
         return np.moveaxis(coeffs, 0, -3)
 
     # a_i^(1), a_i^(2) at x0 and d a_i^(2), from one connection(t) evaluation
@@ -369,12 +370,13 @@ def suite_deformation(k: int, lam: float):
         return ric - 0.25 * trace[:, None, None] * g
 
     yield "linearized-tracefree-ricci", float(np.max(np.abs(
-        pred - deformation.taylor_coefficient(ric0, 1))))
+        pred - fd.taylor_coefficient(ric0, 1, deformation.TAYLOR_NODES))))
 
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     stack = deformation.ric0_second_order(a1_field, da_t[:, 1], fam.phi_field, xs)
-    oracle = deformation.taylor_coefficient(
-        lambda t: connection.curvature_block_of_metric(fam.metric_field(t), nodes(t, xs)).Rminus, 2)
+    oracle = fd.taylor_coefficient(
+        lambda t: connection.curvature_block_of_metric(fam.metric_field(t), nodes(t, xs)).Rminus, 2,
+        deformation.TAYLOR_NODES)
     gap_lin, gap_coupled = np.max(np.abs(project_with(FLAT_INVERSE, stack, OMEGA_ASD) - oracle),
                                   axis=(-2, -1))
     yield "second-order-ricci-linear", float(gap_lin)

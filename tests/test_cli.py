@@ -144,10 +144,11 @@ def test_verify_rejects_bad_configuration(capsys):
 @pytest.mark.parametrize("argv,prefix", [
     (["verify", "--suite", "gh", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
     (["verify", "--suite", "harmonic", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
+    (["verify", "--suite", "deformation", "--lambda", "1e200"], "--k 1 --lambda 1e+200: "),
     (["verify", "--suite", "gh", "--lambda", "1e-9"], "--k 1 --lambda 1e-09: "),
     (["asympt", "--k", str(10**400), "--radii", "10"], f"--k {10**400} --lambda 1.0: "),
-], ids=["verify-large-lambda", "verify-harmonic-large-lambda", "verify-small-lambda",
-        "asympt-k-beyond-float"])
+], ids=["verify-large-lambda", "verify-harmonic-large-lambda",
+        "verify-deformation-large-lambda", "verify-small-lambda", "asympt-k-beyond-float"])
 def test_configuration_errors_name_the_flags(capsys, argv, prefix):
     # errors raised inside the computation carry the flags they were run
     # with, and no numpy warning comes before them (warnings are errors here)
@@ -466,11 +467,17 @@ def test_obstruct_builds_the_constants_once(tmp_path, monkeypatch, extra, builde
 
 def test_obstruct_prints_an_overflowing_det_without_a_warning(tmp_path, capsys):
     # every report field of this generic jet is finite, but the determinant
-    # of its block overflows; pytest turns numpy's warning into an error
+    # of its block overflows a float; the line prints it in jet units, as
+    # for the unscaled jet (pytest turns numpy's warnings into errors)
     jet_path = tmp_path / "jet.json"
-    jet_path.write_text(json.dumps({"k": 1, "H": (jets.random_jet2(3).H * 1e150).tolist()}))
-    assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
-    assert "wall side: einstein_side (det of the negated block = inf)" in capsys.readouterr().out
+
+    def line(scale):
+        jet_path.write_text(json.dumps({"k": 1, "H": (jets.random_jet2(3).H * scale).tolist()}))
+        assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
+        return capsys.readouterr().out.splitlines()[-1]
+
+    assert line(1e150) == line(1.0)
+    assert line(1.0) == "wall side: einstein_side (det of the negated block = 0.891311 max|H|^3)"
 
 
 def test_obstruct_prints_a_det_above_the_floor_on_the_wall(tmp_path, capsys):
@@ -482,6 +489,7 @@ def test_obstruct_prints_a_det_above_the_floor_on_the_wall(tmp_path, capsys):
     assert cli.main(["obstruct", "--jet", str(jet_path)]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.startswith("wall side: on_wall (det of the negated block = -")
+    assert line.endswith(" max|H|^3)")
 
 
 def test_obstruct_missing_file(tmp_path, capsys):

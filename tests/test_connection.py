@@ -72,7 +72,7 @@ def _connection_through_metric(phi, metric_fn, x):
 def test_connection_from_frame_matches_metric_codifferential_on_families(family):
     # at the complex contour nodes: delta F = -*dF against d*F taken on the
     # family's metric at every stencil point
-    t = deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
+    t = fd.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
     x = deformation.node_points(t, 0.4 * np.random.default_rng(19).normal(size=(2, 4)))
     phi = lambda y: family.triple(t, y)
     got = family.connection(t)(x)
@@ -108,7 +108,7 @@ def test_connection_rejects_a_metric_the_frame_is_not_orthonormal_for():
     # 1 + 1e-6: 2-form inner products scale by (1 + 1e-6)^-2, a Gram
     # deviation of about 4e-6, far above the 1e-8 the check accepts
     fam = deformation.einstein_first_order_family(5)
-    t = deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
+    t = fd.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / deformation.TAYLOR_NODES)
     x = deformation.node_points(t, 0.4 * np.random.default_rng(19).normal(size=(2, 4)))
     phi = lambda y: fam.triple(t, y)
     assert np.all(np.isfinite(connection.connection_from_Phi(phi, fam.metric_field(t))(x)))
@@ -148,7 +148,7 @@ def test_operator_blocks_symmetries():
                         + 0.05 * x[..., :, None] * x[..., None, :])
     x = np.array([0.2, -0.1, 0.3, 0.15])
     g = metric(x)
-    riem = fd.riemann_lowered(metric, x, h=5e-3)
+    riem = fd.metric_and_riemann_lowered(metric, x, 5e-3)[1]
     a_sd, mixed, a_asd = connection.operator_blocks_from_riemann(forms.metric_inverse(g), riem)
     assert np.allclose(a_sd, a_sd.T, atol=1e-6)
     assert np.allclose(a_asd, a_asd.T, atol=1e-6)

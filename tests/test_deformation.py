@@ -52,8 +52,8 @@ def test_deformation_first_order_rejects_bad_gauge():
 def test_first_order_connection_matches_family_derivative():
     fam = deformation.linear_gauged_family(0)
     first = deformation.deformation_first_order(fam.lam, fam.phi_field, X0)
-    t_route = deformation.taylor_coefficient(
-        lambda t: fam.connection(t)(deformation.node_points(t, X0)), 1)
+    t_route = fd.taylor_coefficient(
+        lambda t: fam.connection(t)(deformation.node_points(t, X0)), 1, deformation.TAYLOR_NODES)
     assert np.max(np.abs(first - t_route)) < 1e-9
     assert deformation.gauge_residual(fam.lam, first, X0) < 1e-9
 
@@ -86,7 +86,8 @@ def test_taylor_coefficient_of_matrix_exponential():
     a = 0.3 * np.random.default_rng(13).normal(size=(4, 4))
     power = np.eye(4)
     for n in range(4):
-        coeff = deformation.taylor_coefficient(lambda t: deformation.expm(t[:, None, None] * a), n)
+        coeff = fd.taylor_coefficient(lambda t: deformation.expm(t[:, None, None] * a), n,
+                                      deformation.TAYLOR_NODES)
         assert coeff.dtype == np.float64
         assert np.max(np.abs(coeff - power / math.factorial(n))) < 1e-12
         power = power @ a
@@ -114,7 +115,7 @@ def _closed_form_points_and_times():
     real times 0, 0.1, -0.25 and the TAYLOR_NODES contour nodes."""
     x = np.random.default_rng(11).normal(size=(2, 3, 4))
     x[0, 0, 1] = 0.0
-    contour = [deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * k / deformation.TAYLOR_NODES)
+    contour = [fd.TAYLOR_RADIUS * np.exp(2j * np.pi * k / deformation.TAYLOR_NODES)
                for k in range(deformation.TAYLOR_NODES)]
     return x, [0.0, 0.1, -0.25, *contour]
 
@@ -191,8 +192,9 @@ def test_closed_forms_match_their_taylor_series():
     stack = deformation.family_stack(*_STACKED)
     xs = np.broadcast_to(X0, (2, 4))
     orders = range(4)
-    got = {name: deformation.taylor_coefficient(
-        lambda t: getattr(stack, name)(t, deformation.node_points(t, xs)), orders)
+    got = {name: fd.taylor_coefficient(
+        lambda t: getattr(stack, name)(t, deformation.node_points(t, xs)), orders,
+        deformation.TAYLOR_NODES)
         for name in _SERIES_BOUNDS}
     m = _generator(stack, xs)
     a = (stack.lam(xs)[:, None, None] * np.eye(4)
@@ -208,8 +210,8 @@ def test_closed_forms_match_their_taylor_series():
 
 
 _NODES = {
-    "real": np.array([deformation.TAYLOR_RADIUS, -deformation.TAYLOR_RADIUS]),
-    "complex": deformation.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / 8),
+    "real": np.array([fd.TAYLOR_RADIUS, -fd.TAYLOR_RADIUS]),
+    "complex": fd.TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(1, 4) / 8),
 }
 
 
@@ -235,10 +237,11 @@ def test_taylor_coefficient_rejects_values_without_node_axis():
     fam = deformation.linear_gauged_family(0)
     # the point not broadcast to the nodes: one value for the whole contour
     with pytest.raises(SchemaError, match=r"shape \(3, 4\) for 5 nodes"):
-        deformation.taylor_coefficient(lambda t: fam.connection(0.1)(X0), 1)
+        fd.taylor_coefficient(lambda t: fam.connection(0.1)(X0), 1, deformation.TAYLOR_NODES)
     # the nodes on a trailing axis
     with pytest.raises(SchemaError, match=r"shape \(4, 4, 5\) for 5 nodes"):
-        deformation.taylor_coefficient(lambda t: np.multiply.outer(np.eye(4), t), 1)
+        fd.taylor_coefficient(lambda t: np.multiply.outer(np.eye(4), t), 1,
+                              deformation.TAYLOR_NODES)
 
 
 def test_taylor_coefficient_calls_f_once_on_the_nodes():
@@ -250,11 +253,11 @@ def test_taylor_coefficient_calls_f_once_on_the_nodes():
         calls.append(np.array(t))
         return np.exp(t)
 
-    coeff = deformation.taylor_coefficient(f, 2)
+    coeff = fd.taylor_coefficient(f, 2, deformation.TAYLOR_NODES)
     assert len(calls) == 1
     (t,) = calls
     half = deformation.TAYLOR_NODES // 2
-    r = deformation.TAYLOR_RADIUS
+    r = fd.TAYLOR_RADIUS
     assert t.dtype == np.complex128 and t.shape == (half + 1,)
     assert t[0] == r and t[half] == -r
     k = np.arange(1, half)
@@ -272,12 +275,13 @@ def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
         calls.append(t)
         return fam.connection(t)(deformation.node_points(t, X0))
 
-    both = deformation.taylor_coefficient(f, (1, 2))
+    both = fd.taylor_coefficient(f, (1, 2), deformation.TAYLOR_NODES)
     assert len(calls) == 1 and both.shape == (2, 3, 4) and both.dtype == np.float64
     for row, n in zip(both, (1, 2)):
-        assert np.array_equal(row, deformation.taylor_coefficient(f, n))
-    assert np.array_equal(deformation.taylor_coefficient(f, [2, 0, 2]),
-                          np.stack([deformation.taylor_coefficient(f, n) for n in (2, 0, 2)]))
+        assert np.array_equal(row, fd.taylor_coefficient(f, n, deformation.TAYLOR_NODES))
+    assert np.array_equal(fd.taylor_coefficient(f, [2, 0, 2], deformation.TAYLOR_NODES),
+                          np.stack([fd.taylor_coefficient(f, n, deformation.TAYLOR_NODES)
+                                    for n in (2, 0, 2)]))
 
 
 def test_triple_rejects_points_without_node_axis():
@@ -358,7 +362,8 @@ def _contour_values(fam: deformation.TripleFamily, x: np.ndarray) -> dict:
     nodes = deformation.node_points
 
     def orders(y: np.ndarray) -> np.ndarray:
-        coeffs = deformation.taylor_coefficient(lambda s: fam.connection(s)(nodes(s, y)), (1, 2))
+        coeffs = fd.taylor_coefficient(lambda s: fam.connection(s)(nodes(s, y)), (1, 2),
+                                       deformation.TAYLOR_NODES)
         return np.moveaxis(coeffs, 0, -3)
 
     a, da = fd.value_and_d(forms.FormField(1, orders), x)
@@ -446,7 +451,7 @@ def test_linearized_ric0_matches_fd_in_t():
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 
-    t_route = deformation.taylor_coefficient(tracefree_ricci, 1)
+    t_route = fd.taylor_coefficient(tracefree_ricci, 1, deformation.TAYLOR_NODES)
     assert np.max(np.abs(pred - t_route)) < 1e-8
 
 
@@ -455,15 +460,16 @@ def test_linearized_ric0_matches_fd_in_t():
 def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """t^2-coefficient of the anti-self-dual curvature block of the family
     metric."""
-    return deformation.taylor_coefficient(lambda t: connection.curvature_block_of_metric(
-        fam.metric_field(t), deformation.node_points(t, x)).Rminus, 2)
+    return fd.taylor_coefficient(lambda t: connection.curvature_block_of_metric(
+        fam.metric_field(t), deformation.node_points(t, x)).Rminus, 2, deformation.TAYLOR_NODES)
 
 
 def _da2(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """d of the second-order connection coefficients, the t^2-coefficient
     of the family's connection, at x."""
-    return fd.fd_d(forms.FormField(1, lambda y: deformation.taylor_coefficient(
-        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2)), x)
+    return fd.fd_d(forms.FormField(1, lambda y: fd.taylor_coefficient(
+        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2,
+        deformation.TAYLOR_NODES)), x)
 
 
 def test_second_order_formula_linear_family():
@@ -614,7 +620,7 @@ def test_second_order_tensor_identification():
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 
-    oracle = deformation.taylor_coefficient(tracefree_ricci, 2)
+    oracle = fd.taylor_coefficient(tracefree_ricci, 2, deformation.TAYLOR_NODES)
     assert np.max(np.abs(tensor - oracle)) < 1e-6
 
 

@@ -71,16 +71,6 @@ def test_d_squared_vanishes(seed):
     assert np.max(np.abs(dd)) < 1e-6
 
 
-def test_richardson_reduces_truncation():
-    # g = exp(2 f) delta with f = sin(2 x0) / 2: Gamma^0_00 = d_0 f = cos(2 x0)
-    metric = lambda x: np.exp(np.sin(2.0 * x[..., 0]))[..., None, None] * np.eye(4)
-    x = np.array([0.3, 0.0, 0.0, 0.0])
-    plain = abs(fd.christoffel(metric, x, h=1e-2)[0, 0, 0] - np.cos(0.6))
-    rich = abs(fd.richardson(lambda h: fd.christoffel(metric, x, h=h), 1e-2)[0, 0, 0]
-               - np.cos(0.6))
-    assert rich < plain / 10.0
-
-
 def test_christoffel_conformal_linear_factor():
     # g = exp(2 a.x) delta: Gamma^a_bc = delta^a_b a_c + delta^a_c a_b - delta_bc a^a
     a = np.array([0.3, -0.1, 0.2, 0.05])
@@ -111,7 +101,7 @@ def test_riemann_symmetries_generic_metric():
                 + 0.1 * x[..., :, None] * x[..., None, :] * np.sum(x * x, axis=-1)[..., None, None])
 
     x = rng.normal(size=4) * 0.3
-    riem = fd.riemann_lowered(metric, x, h=5e-3)
+    riem = fd.metric_and_riemann_lowered(metric, x, 5e-3)[1]
     scale = np.max(np.abs(riem))
     # first-pair antisymmetry and pair symmetry hold up to stencil truncation
     assert np.max(np.abs(riem + np.swapaxes(riem, 0, 1))) < 1e-4 * scale

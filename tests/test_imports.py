@@ -36,6 +36,7 @@ ORACLES = {
     "forms.metric_from_triple":
         "test_deformation.py::test_metric_closed_form_matches_reconstruction_and_expm",
     "jets.pullback_jet2": "test_jets.py::test_pullback_consistency",
+    "jets.metric_fn_from_jets": "test_jets.py::test_jet_curvature_matches_fd",
     "jets.cyclic_group": "test_acceptance.py::test_criterion_7_quartic_invariant_routes",
     "jets.binary_dihedral_group":
         "test_acceptance.py::test_criterion_7_quartic_invariant_routes",

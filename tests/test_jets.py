@@ -1,7 +1,7 @@
 """Polynomial metric jets: curvature at the origin versus the
-finite-difference route, gauge projection, the second-derivative
-determinant invariant via two independent routes, and the symmetry-group
-machinery."""
+finite-difference and exact-derivative routes, gauge projection, the
+second-derivative determinant invariant via two independent routes, and
+the symmetry-group machinery."""
 
 from __future__ import annotations
 
@@ -104,7 +104,7 @@ def test_non_finite_jet_entry_names_field(field, value, flat):
 
 def test_metric_fn_from_jets_quadratic_term():
     jet = jets.random_jet2(3)
-    fn = jets.metric_fn_from_jets(jet)
+    fn = jets.metric_fn_from_jets(jet, None)
     x = np.array([0.3, -0.2, 0.5, 0.1])
     expected = np.eye(4) + np.einsum("ijkl,i,j->kl", jet.H, x, x)
     assert np.allclose(fn(x), expected)
@@ -117,12 +117,12 @@ def test_metric_fn_from_jets_quadratic_term():
 def test_jet_curvature_matches_fd(seed):
     jet = jets.random_jet2(seed)
     exact = jets.riemann_from_jet2(jet)
-    fd_route = fd.riemann_lowered(jets.metric_fn_from_jets(jet), np.zeros(4), h=1e-3)
+    fd_route = fd.riemann_lowered(jets.metric_fn_from_jets(jet, None), np.zeros(4))
     assert np.max(np.abs(exact - fd_route)) < 1e-6
 
     blocks = jets.curvature_from_jet2(jet)
     fd_blocks = connection.curvature_block_of_metric(
-        jets.metric_fn_from_jets(jet), np.zeros(4)
+        jets.metric_fn_from_jets(jet, None), np.zeros(4)
     )
     assert np.max(np.abs(blocks.Rplus - fd_blocks.Rplus)) < 1e-6
     assert np.max(np.abs(blocks.Rminus - fd_blocks.Rminus)) < 1e-6
@@ -206,8 +206,9 @@ def test_d2_invariant_dual_routes(seed):
     jet = jets.jet2_first_row_zero(seed)
     quartic = jets.random_jet4(seed + 40)
     sym = jets.d2_invariant_symbolic(jet, quartic)
-    fdv = jets.d2_invariant_fd(jet, quartic)
-    assert fdv == pytest.approx(sym, abs=1e-6 * max(1.0, abs(sym)))
+    # the contour route, 1.4e-15 relative on these jets
+    contour = jets.d2_invariant_fd(jet, quartic)
+    assert contour == pytest.approx(sym, abs=1e-12 * max(1.0, abs(sym)))
 
 
 # D of criterion 7's draws (jet2_first_row_zero(s), random_jet4(s + 100)),
@@ -235,9 +236,33 @@ def test_d2_tensor_routes_agree_entrywise(seed):
     # the whole signature-split second derivative, not only its contraction
     # with w1, so an error in an entry the contraction misses shows too
     jet, quartic = jets.jet2_first_row_zero(seed), jets.random_jet4(seed + 100)
+    # with the contour route, whose worst entry is 1.2e-14 relative here
     exact = jets._d2_tensor_exact(jet, quartic)
-    num = jets._d2_tensor_fd(jet, quartic)
-    assert np.max(np.abs(exact - num)) <= 1e-6 * max(1.0, float(np.max(np.abs(exact))))
+    contour = jets._d2_tensor_contour(jet, quartic)
+    assert np.max(np.abs(exact - contour)) <= 1e-12 * max(1.0, float(np.max(np.abs(exact))))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_derivative_curvature_matches_the_jet_formulas_at_the_origin(seed):
+    # fd.riemann_from_derivatives on the jet's exact partials against the
+    # linearized riemann_from_jet2 (2.8e-17 apart) and the closed-form
+    # d Gamma of the exact route (equal): the contour route reads both
+    jet = jets.random_jet2(seed)
+    gamma, dgamma, riem = jets._curvature_at(jet, None, np.zeros(4))
+    assert np.max(np.abs(gamma)) == 0.0
+    assert np.max(np.abs(riem - jets.riemann_from_jet2(jet))) < 1e-15
+    assert np.max(np.abs(dgamma - jets._dgamma_exact(jet))) < 1e-15
+
+
+def test_exact_derivative_curvature_matches_nested_differences_off_the_origin():
+    # where g != I and Gamma != 0, so the d g Gamma term of d Gamma counts
+    # (1.7e-2 here); the O(h^2) differences leave 5e-8 and 1e-7
+    jet, quartic = jets.random_jet2(3), jets.random_jet4(3)
+    x = np.array([[0.3, -0.2, 0.5, 0.1], [-0.4, 0.1, 0.2, 0.3]])
+    gamma, _, riem = jets._curvature_at(jet, quartic, x)
+    metric = jets.metric_fn_from_jets(jet, quartic)
+    assert np.max(np.abs(gamma - fd.christoffel(metric, x))) < 1e-6
+    assert np.max(np.abs(riem - fd.riemann_lowered(metric, x))) < 1e-6
 
 
 def test_d2_and_the_report_share_the_first_row_rule():
@@ -298,8 +323,8 @@ def test_pullback_consistency():
     Q = jets.cyclic_group(3)[1]
     pulled = jets.pullback_jet2(jet, Q)
     x = np.array([0.2, -0.4, 0.1, 0.3])
-    g_pulled = jets.metric_fn_from_jets(pulled)(x)
-    g_orig = jets.metric_fn_from_jets(jet)(Q @ x)
+    g_pulled = jets.metric_fn_from_jets(pulled, None)(x)
+    g_orig = jets.metric_fn_from_jets(jet, None)(Q @ x)
     assert np.allclose(g_pulled, Q.T @ g_orig @ Q, atol=1e-12)
 
 
