@@ -383,9 +383,10 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"configuration error: --radii: {exc}", file=sys.stderr)
         return 2
-    if any(not math.isfinite(r) or r <= 0 for r in radii_f):
-        print("configuration error: --radii entries must be positive",
-              file=sys.stderr)
+    bad = next((r for r in radii_f if not (math.isfinite(r) and r > 0)), None)
+    if bad is not None:
+        print(f"configuration error: --radii: entries must be finite and positive, "
+              f"got {bad!r}", file=sys.stderr)
         return 2
 
     import numpy as np

@@ -26,8 +26,8 @@ constant-curvature jet and a conformal non-Einstein oracle).
 
 Frames, operator blocks and curvature blocks take (..., 4, 4) metric
 stacks and (..., 4) point stacks, so one call serves every point of a
-stencil, or every node of a contour when the leading axis is the node
-axis of fd.taylor_coefficient.  Every g^{-1} comes from
+stencil, and every node of a contour when the metric values carry a node
+axis after the point axes (fd's value stacks).  Every g^{-1} comes from
 forms.metric_inverse, taken once per metric stack: frame_from_metric and
 operator_blocks_from_riemann take the caller's pair, as every forms operation
 on a metric does, and frame_from_metric gives both duality frames from it.
@@ -121,11 +121,12 @@ def connection_from_Phi(phi: TripleField, metric: MetricField) -> FormField:
     metric field, as a degree-1 field with (..., 3, 4) values.
 
     phi maps (..., 4) points to (..., 3, 6) frames and metric to (..., 4, 4)
-    metrics (a leading node axis is one more point axis).  One call of phi
-    on the points and their stencil (fd.value_and_d) gives the frame and dF,
-    one call of metric on the points gives g, inverted once: the frame's
-    Gram matrix is checked against it (forms.check_orthonormal_triple), and
-    J and delta F = -*dF share its inverse.
+    metrics (a node axis after the point axes is one more value axis of
+    both).  One call of phi on the points and their stencil
+    (fd.value_and_d) gives the frame and dF, one call of metric on the
+    points gives g, inverted once: the frame's Gram matrix is checked
+    against it (forms.check_orthonormal_triple), and J and delta F = -*dF
+    share its inverse.
     """
 
     def components(x: np.ndarray) -> np.ndarray:

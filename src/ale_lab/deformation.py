@@ -34,24 +34,21 @@ with L2(A): v ^ w -> A v ^ A w on 2-forms, and one real 4x4 eigh of H per
 point gives the triple, its metric and, through both, its connection.
 
 Node axis: a contour is evaluated as one stack, not node by node.  A
-(m,) array of t values goes with (m, ..., 4) point stacks whose leading
-axis is the node axis (node_points repeats a point stack along it), and
-every value keeps that axis in front.  fd appends its stencil axes after
-the point axes, so each fd operator and each (..., 4, 4) stack of
-connection serves all nodes of a contour in one call; a scalar t takes
-any point stack.  The m rows of such a stack are one point
-stack, bit for bit, for node_points and every stencil built on it, so a
-family takes its t-independent part (lam and the eigendecomposition of
-H) once, on the first row, and raises SchemaError when the rows differ.
-That part is real: triple and metric are sums of real per-point tables
-with weights in which t alone enters, and a complex weight is one real
-product for its real and one for its imaginary part.
+(m,) array of t values goes with plain (..., 4) point stacks, and every
+value has the node axis right after the point axes, (..., m, *shape): a
+value stack, as fd and forms take one, so each fd operator and each
+(..., 4, 4) stack of connection serves all nodes of a contour in one
+call.  A family takes its t-independent part (lam and the
+eigendecomposition of H) once per point.  That part is real: triple and
+metric are sums of real per-point tables with weights in which t alone
+enters, and a complex weight is one real product for its real and its
+imaginary part.
 
 Family axis: family_stack(*families) is one TripleFamily whose coeff and
 lam read row f of a leading family axis with families[f].  fd, forms and
 connection treat that axis as one more point axis, so one contour, with
-the node axis in front of the family axis, serves every family, each
-bit for bit as its own contour would.
+the node axis after the family axis, serves every family, each bit for
+bit as its own contour would.
 
 The gauged families project seeded quadratic C onto the null spaces of
 two linear constraints, delta h = 0 and (d a^(1))_- = 0.  Both are exact
@@ -153,35 +150,6 @@ def deformation_first_order(
 # ---------------------------------------------------------------------------
 
 
-def _node_rows(t: complex | np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, points) for the t-independent part of a family at (..., 4) points
-    x: a scalar t with x itself; a (m,) array of contour nodes shaped to
-    broadcast, node axis first, over the point axes of x[0], with x[0].
-    The leading axis of x must be the node axis, and its m rows the same
-    point stack (node_points, or any fd stencil built on it)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t)
-    if not t.ndim:
-        return t, x
-    if x.shape[:1] != t.shape:
-        raise SchemaError(
-            f"points of shape {x.shape} for {t.size} nodes; "
-            f"their leading axis must be the node axis, of length {t.size}"
-        )
-    if not np.array_equal(x, np.broadcast_to(x[0], x.shape), equal_nan=True):
-        raise SchemaError(
-            f"points of shape {x.shape} differ along the node axis; its "
-            f"{t.size} rows must be one point stack (node_points)"
-        )
-    return t.reshape(t.shape + (1,) * (x.ndim - 2)), x[0]
-
-
-def node_points(t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (..., 4) points x repeated along the node axis of t: (m, ..., 4)
-    for a (m,) array of nodes, x itself for a scalar t."""
-    return np.broadcast_to(x, np.shape(t) + np.shape(x))
-
-
 # the pairs a <= b of a symmetric 4x4 matrix, and the pair of every entry
 _PAIR_A, _PAIR_B = np.triu_indices(4)
 _PAIR_OF = np.zeros((4, 4), dtype=int)
@@ -191,20 +159,17 @@ _PAIR_J, _PAIR_K = np.triu_indices(4, 1)  # the eigenvector pairs of v_j ^ v_k
 
 
 def _weighted_rows(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_j weights[..., j] table[..., j, :] for a real (..., J, n) table at
-    a point stack and weights, real or complex, at the same points, with the
-    node axis in front when there is one.  The table is t-independent; the
-    weights carry t, and a complex one is split into its real and imaginary
-    parts, which go with the nodes through one real product per point."""
-    lead = weights.shape[:weights.ndim - table.ndim + 1]
-    parts = np.stack([weights.real, weights.imag]) if np.iscomplexobj(weights) else weights
-    rows = np.moveaxis(parts.reshape((-1,) + table.shape[:-1]), 0, -2).copy()
-    out = np.moveaxis(rows @ table, -2, 0)
-    if parts is not weights:
-        real, imag = np.split(out, 2)
-        out = np.empty(real.shape, dtype=complex)
-        out.real, out.imag = real, imag
-    return out.reshape(lead + out.shape[1:])
+    """(..., m, n): sum_j weights[..., k, j] table[..., j, :] for a real
+    (..., J, n) table at a point stack and (..., m, J) weights, real or
+    complex, one row per node at the same points.  The table is
+    t-independent; the weights carry t, and a complex one goes through one
+    real product per point, its real rows above its imaginary rows."""
+    if not np.iscomplexobj(weights):
+        return weights @ table
+    rows = np.concatenate([weights.real, weights.imag], axis=-2) @ table
+    out = np.empty(weights.shape[:-1] + table.shape[-1:], dtype=complex)
+    out.real, out.imag = np.split(rows, 2, axis=-2)
+    return out
 
 
 @dataclass
@@ -214,10 +179,9 @@ class TripleFamily:
     per point (_spectrum); connection(t) is the frame connection of Phi(t)
     for g(t), which reads no metric off the triple.
 
-    Every t-method takes a scalar t, real or complex, or a (m,) array of
-    contour nodes with (m, ..., 4) point stacks, node axis first (see the
-    module docstring); triple and metric read the first row of the node
-    axis and raise SchemaError when the rows differ."""
+    Every t-method takes a (m,) array of times, real or complex, and its
+    values at (..., 4) points carry the node axis right after the point
+    axes (see the module docstring)."""
 
     lam: ScalarField
     coeff: MatrixField  # C(x)
@@ -225,42 +189,43 @@ class TripleFamily:
     def _spectrum(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """lam (..., 1), mu (..., 4) and V^T (..., 4, 4) of H = V diag(mu) V^T
         at a (..., 4) point stack, one eigh per point."""
+        x = np.asarray(x, dtype=float)
         mu, v = np.linalg.eigh(metric_perturbation_from_coeffs(
             np.asarray(self.coeff(x), dtype=float)))
         return np.asarray(self.lam(x), dtype=float)[..., None], mu, np.swapaxes(v, -1, -2)
 
-    def triple(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(..., 3, 6) triples Phi(t) at (..., 4) points: L2(exp(t H / 2))
-        multiplies the flat-orthonormal 2-forms v_j ^ v_k (j < k) by
-        e^(t (mu_j + mu_k) / 2), so t enters only through six weights on the
-        real table <omega_+i, v_j ^ v_k> v_j ^ v_k (_weighted_rows)."""
-        t, x = _node_rows(t, x)
+    def triple(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(..., m, 3, 6) triples Phi(t) at (..., 4) points for (m,) times
+        t: L2(exp(t H / 2)) multiplies the flat-orthonormal 2-forms v_j ^ v_k
+        (j < k) by e^(t (mu_j + mu_k) / 2), so t enters only through six
+        weights on the real table <omega_+i, v_j ^ v_k> v_j ^ v_k
+        (_weighted_rows)."""
         lam, mu, vt = self._spectrum(x)
         wedges = wedge(vt[..., _PAIR_J, :], 1, vt[..., _PAIR_K, :], 1)
         table = (wedges @ OMEGA_SD.T)[..., None] * wedges[..., None, :]
-        weights = np.exp(t[..., None] * (lam + 0.5 * (mu[..., _PAIR_J] + mu[..., _PAIR_K])))
+        rates = lam + 0.5 * (mu[..., _PAIR_J] + mu[..., _PAIR_K])
+        weights = np.exp(t[:, None] * rates[..., None, :])
         flat = _weighted_rows(weights, table.reshape(table.shape[:-2] + (-1,)))
         return flat.reshape(flat.shape[:-1] + (3, 6))
 
-    def metric(self, t: complex | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(..., 4, 4) metrics g(t) = sum_j e^(t (lam + mu_j)) v_j v_j^T at
-        (..., 4) points: the projectors v_j v_j^T are real and t enters only
-        through the weights (_weighted_rows).  Each g is read off its upper
-        triangle, so it is exactly symmetric."""
-        t, x = _node_rows(t, x)
+    def metric(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(..., m, 4, 4) metrics g(t) = sum_j e^(t (lam + mu_j)) v_j v_j^T
+        at (..., 4) points for (m,) times t: the projectors v_j v_j^T are
+        real and t enters only through the weights (_weighted_rows).  Each
+        g is read off its upper triangle, so it is exactly symmetric."""
         lam, mu, vt = self._spectrum(x)
         # projectors[j, pair] = v_aj v_bj over the pairs a <= b
         projectors = vt[..., _PAIR_A] * vt[..., _PAIR_B]
-        upper = _weighted_rows(np.exp(t[..., None] * (lam + mu)), projectors)
+        upper = _weighted_rows(np.exp(t[:, None] * (lam + mu)[..., None, :]), projectors)
         return upper[..., _PAIR_OF].reshape(upper.shape[:-1] + (4, 4))
 
-    def metric_field(self, t: complex | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def metric_field(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: self.metric(t, x)
 
     def phi_field(self, x: np.ndarray) -> np.ndarray:
         return phi_comps_from_coeffs(self.coeff(x))
 
-    def connection(self, t: complex | np.ndarray) -> FormField:
+    def connection(self, t: np.ndarray) -> FormField:
         return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
 
 
@@ -432,8 +397,8 @@ def family_stack(*families: TripleFamily) -> TripleFamily:
     """The families as one TripleFamily whose coeff and lam take a leading
     family axis: row f of a (F, ..., 4) point stack is read by families[f].
     fd, forms and connection treat the family axis as one more point axis,
-    so one evaluation of the stack serves every family; with contour nodes
-    the node axis comes first, then the family axis."""
+    so one evaluation of the stack serves every family, and the node axis
+    of a contour follows the family axis as it follows every point axis."""
 
     def stacked(field: Callable[[TripleFamily], Callable]) -> Callable[[np.ndarray], np.ndarray]:
         def value(x: np.ndarray) -> np.ndarray:

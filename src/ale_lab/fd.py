@@ -4,8 +4,12 @@ Point-stacking rule: every field, metric function and FormField
 evaluator maps a (..., 4) stack of chart points to a (..., *shape) stack
 of values, one per point, and every operator here accepts (..., 4) base
 points and returns (..., *result); e.g. ricci on (N, 4) points gives
-(N, 4, 4).  An operator builds its whole stencil, with per-point steps,
-as one point array and calls the field once on it: the curvature operators
+(N, 4, 4).  Values may stack after the point axes, as a contour's node
+axis does: (..., *stack, n) forms, and (..., *stack, 4, 4) metrics for
+the metric operators, each result keeping the stack in place, so ricci
+of (N, m, 4, 4) metric values gives (N, m, 4, 4).  An operator builds
+its whole stencil, with per-point steps, as one point array and calls
+the field once on it: the curvature operators
 evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
 point) in one metric call, value_and_d gives a field and its exterior
 derivative from one call on the points and their eight neighbours, and
@@ -200,9 +204,17 @@ def _gamma(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.einsum("...ad,...dbc->...abc", metric_inverse(g)[0], _lowered_gamma(dg))
 
 
+def _metric_and_partials(metric_fn: Callable, x: np.ndarray,
+                         h: float) -> tuple[np.ndarray, np.ndarray]:
+    """g_ab and dg[..., c, a, b] = d_c g_ab at (..., 4) points for metric
+    values (..., *stack, 4, 4): the direction axis goes behind the stack."""
+    g, dg = _value_and_partials(metric_fn, x, h)
+    return g, np.moveaxis(dg, np.ndim(x) - 1, -3)
+
+
 def christoffel(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
     """Gamma[..., a, b, c] = Gamma^a_{bc} from finite differences of the metric."""
-    return _gamma(*_value_and_partials(metric_fn, x, DEFAULT_STEP))
+    return _gamma(*_metric_and_partials(metric_fn, x, DEFAULT_STEP))
 
 
 def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -221,10 +233,12 @@ def _curvature(metric_fn: Callable, x: np.ndarray, h: float) -> tuple[np.ndarray
     nested stencil: Christoffels at x and its eight neighbours, each from
     the metric at that point and its own eight neighbours."""
     y, he = _stencil(x, h, center=True)  # (..., 9, 4)
-    g, dg = _value_and_partials(metric_fn, y, h)  # over (..., 9, 9, 4)
-    gam = _gamma(g, dg)
-    dgamma = _central(gam[..., 1:, :, :, :], he)  # dgamma[c, a, d, b] = d_c Gamma^a_{db}
-    return g[..., 0, :, :], _riemann(gam[..., 0, :, :, :], dgamma)
+    g, dg = _metric_and_partials(metric_fn, y, h)  # over (..., 9, 9, 4)
+    gam = _gamma(g, dg)  # (..., 9, *stack, 4, 4, 4)
+    lead = (slice(None),) * he.ndim
+    # dgamma[..., c, a, d, b] = d_c Gamma^a_{db}
+    dgamma = np.moveaxis(_central(gam[lead + (slice(1, None),)], he), he.ndim, -4)
+    return g[lead + (0,)], _riemann(gam[lead + (0,)], dgamma)
 
 
 def riemann_from_derivatives(g: np.ndarray, dg: np.ndarray,
@@ -260,8 +274,10 @@ def ricci(metric_fn: Callable, x: np.ndarray) -> np.ndarray:
 def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
                           h: float = DEFAULT_STEP) -> np.ndarray:
     """(L_X g)_ab = X^c d_c g_ab + g_cb d_a X^c + g_ac d_b X^c."""
-    g, dg = _value_and_partials(metric_fn, x, h)
+    g, dg = _metric_and_partials(metric_fn, x, h)
     v, dv = _value_and_partials(vec_fn, x, h)  # dv[a, c] = d_a X^c
+    stack = (1,) * (g.ndim - v.ndim - 1)  # a vector field takes no value stack
+    v, dv = v.reshape(v.shape[:-1] + stack + (4,)), dv.reshape(dv.shape[:-2] + stack + (4, 4))
     return (
         np.einsum("...c,...cab->...ab", v, dg)
         + np.einsum("...cb,...ac->...ab", g, dv)
@@ -270,10 +286,11 @@ def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
 
 
 def _inverse_at(inverse_fn: Callable, values: np.ndarray, pts: np.ndarray) -> Inverse:
-    """The (g^{-1}, det g) pair of inverse_fn at (..., 4) points, reshaped
-    to broadcast against (..., *shape, n) form values at the same points."""
+    """The (g^{-1}, det g) pair of inverse_fn at (..., 4) points, for
+    (..., *stack) metrics, reshaped to broadcast against (..., *stack,
+    *shape, n) form values at the same points."""
     ginv, det = _call(inverse_fn, pts)
-    lead = det.shape + (1,) * (values.ndim - pts.ndim)
+    lead = det.shape + (1,) * (values.ndim - 1 - det.ndim)
     return ginv.reshape(lead + ginv.shape[-2:]), det.reshape(lead)
 
 

@@ -142,8 +142,11 @@ def minor_of(block: np.ndarray) -> float:
 
 def first_row_norm(block: np.ndarray) -> float:
     """Euclidean length of the first row, which the rotations fixing the
-    first self-dual direction keep."""
-    return float(np.linalg.norm(block[0, :]))
+    first self-dual direction keep: a sum of squares in a fixed order, whose
+    bits, unlike those of np.linalg.norm (a BLAS dot), do not depend on the
+    CPU kernel."""
+    r0, r1, r2 = (float(v) for v in block[0, :])
+    return math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
 
 
 def lambda_obstruction(block: np.ndarray, constants: ModelConstants) -> np.ndarray:

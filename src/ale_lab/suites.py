@@ -339,7 +339,6 @@ def suite_deformation(k: int, lam: float):
     families of seeds 0 and 5 are one family stack, so their connection
     contour and their curvature contour are one evaluation each."""
     x0 = np.array([0.2, -0.1, 0.3, -0.2])
-    nodes = deformation.node_points  # each contour evaluates its nodes as one stack
 
     # the linear and the coupled family as one family stack, each at x0
     fam_lin = deformation.linear_gauged_family(0)
@@ -348,8 +347,8 @@ def suite_deformation(k: int, lam: float):
 
     def a_orders(y: np.ndarray) -> np.ndarray:
         """(..., order, 3, 4): the t^1 and t^2 connection coefficients."""
-        coeffs = fd.taylor_coefficient(lambda t: fam.connection(t)(nodes(t, y)), (1, 2),
-                                       deformation.TAYLOR_NODES)
+        coeffs = fd.taylor_coefficient(lambda t: np.moveaxis(fam.connection(t)(y), -3, 0),
+                                       (1, 2), deformation.TAYLOR_NODES)
         return np.moveaxis(coeffs, 0, -3)
 
     # a_i^(1), a_i^(2) at x0 and d a_i^(2), from one connection(t) evaluation
@@ -363,9 +362,9 @@ def suite_deformation(k: int, lam: float):
     h_field = lambda y: deformation.metric_perturbation_from_coeffs(coeff2(y))
 
     def ric0(t: np.ndarray) -> np.ndarray:
-        mfn = lambda y: np.eye(4) + np.einsum("m,m...->m...", t, h_field(y))
-        ric = fd.ricci(mfn, nodes(t, x0))
-        g = mfn(nodes(t, x0))
+        mfn = lambda y: np.eye(4) + t[:, None, None] * h_field(y)[..., None, :, :]
+        ric = fd.ricci(mfn, x0)
+        g = mfn(x0)
         trace = np.trace(np.linalg.solve(g, ric), axis1=-2, axis2=-1)
         return ric - 0.25 * trace[:, None, None] * g
 
@@ -374,8 +373,8 @@ def suite_deformation(k: int, lam: float):
 
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     stack = deformation.ric0_second_order(a1_field, da_t[:, 1], fam.phi_field, xs)
-    oracle = fd.taylor_coefficient(
-        lambda t: connection.curvature_block_of_metric(fam.metric_field(t), nodes(t, xs)).Rminus, 2,
+    oracle = fd.taylor_coefficient(lambda t: np.moveaxis(
+        connection.curvature_block_of_metric(fam.metric_field(t), xs).Rminus, -3, 0), 2,
         deformation.TAYLOR_NODES)
     gap_lin, gap_coupled = np.max(np.abs(project_with(FLAT_INVERSE, stack, OMEGA_ASD) - oracle),
                                   axis=(-2, -1))

@@ -536,8 +536,11 @@ def test_asympt_rejects_bad_radii(capsys):
     assert "empty" in capsys.readouterr().err
     assert cli.main(["asympt", "--radii", "10,abc"]) == 2
     capsys.readouterr()
-    assert cli.main(["asympt", "--radii", "10,-3"]) == 2
-    assert "positive" in capsys.readouterr().err
+    # the first entry that is not finite and positive, named as --lambda names its value
+    for radii, entry in (("10,-3", "-3.0"), ("10,nan", "nan"), ("inf,10", "inf")):
+        assert cli.main(["asympt", "--radii", radii]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --radii: entries must be finite and positive, got {entry}\n")
     # radii the profile sampler cannot use: base points on a center's gauge
     # ray, and a metric that overflows into a singular solve; neither is
     # blamed on --k or --lambda, and no numpy warning comes on the way

@@ -53,7 +53,7 @@ def test_first_order_connection_matches_family_derivative():
     fam = deformation.linear_gauged_family(0)
     first = deformation.deformation_first_order(fam.lam, fam.phi_field, X0)
     t_route = fd.taylor_coefficient(
-        lambda t: fam.connection(t)(deformation.node_points(t, X0)), 1, deformation.TAYLOR_NODES)
+        lambda t: fam.connection(t)(X0), 1, deformation.TAYLOR_NODES)
     assert np.max(np.abs(first - t_route)) < 1e-9
     assert deformation.gauge_residual(fam.lam, first, X0) < 1e-9
 
@@ -75,8 +75,8 @@ def test_connection_makes_one_triple_call(monkeypatch):
     for name in ("triple", "metric"):
         monkeypatch.setattr(deformation.TripleFamily, name, counting(name))
     t = _NODES["complex"]
-    fam.connection(t)(deformation.node_points(t, X0))
-    assert calls == [("triple", (3, 9, 4)), ("metric", (3, 4))]
+    fam.connection(t)(X0)
+    assert calls == [("triple", (9, 4)), ("metric", (4,))]
 
 
 # --- t-coefficients ------------------------------------------------------------
@@ -146,12 +146,13 @@ def test_triple_closed_form_matches_expm(family):
     x, times = _closed_form_points_and_times()
     for t in times:
         expected = np.swapaxes(deformation.expm(t * _generator(family, x))[..., :, :3], -1, -2)
-        got = family.triple(t, x)
+        got = family.triple(np.array([t]), x)[..., 0, :, :]
         assert got.shape == (2, 3, 3, 6)
         assert np.iscomplexobj(got) == isinstance(t, complex)
         assert np.max(np.abs(got - expected @ _BASIS)) < 1e-13
     # a single (4,) point gives its row of the stack
-    assert np.max(np.abs(family.triple(0.1, x[1, 2]) - family.triple(0.1, x)[1, 2])) < 1e-14
+    t = np.array([0.1])
+    assert np.max(np.abs(family.triple(t, x[1, 2]) - family.triple(t, x)[1, 2])) < 1e-14
 
 
 @_FAMILIES
@@ -163,12 +164,12 @@ def test_metric_closed_form_matches_reconstruction_and_expm(family):
     x, times = _closed_form_points_and_times()
     h = deformation.metric_perturbation_from_coeffs(family.coeff(x))
     for t in times:
-        got = family.metric(t, x)
+        got = family.metric(np.array([t]), x)[..., 0, :, :]
         assert got.shape == (2, 3, 4, 4)
         assert np.iscomplexobj(got) == isinstance(t, complex)
         assert np.array_equal(got, np.swapaxes(got, -1, -2))
         scale = max(1.0, float(np.max(np.abs(got))))
-        tr = family.triple(t, x)
+        tr = family.triple(np.array([t]), x)[..., 0, :, :]
         rebuilt = forms.metric_from_triple(tr[..., 0, :], tr[..., 1, :], tr[..., 2, :])
         assert np.max(np.abs(got - rebuilt)) <= 1e-13 * scale
         expm = np.exp(t * family.lam(x))[..., None, None] * deformation.expm(t * h)
@@ -193,7 +194,7 @@ def test_closed_forms_match_their_taylor_series():
     xs = np.broadcast_to(X0, (2, 4))
     orders = range(4)
     got = {name: fd.taylor_coefficient(
-        lambda t: getattr(stack, name)(t, deformation.node_points(t, xs)), orders,
+        lambda t: np.moveaxis(getattr(stack, name)(t, xs), -3, 0), orders,
         deformation.TAYLOR_NODES)
         for name in _SERIES_BOUNDS}
     m = _generator(stack, xs)
@@ -221,23 +222,25 @@ _NODES = {
     deformation.einstein_first_order_family(5),
 ], ids=["linear", "einstein-first-order"])
 def test_triple_on_node_axis_matches_per_node(family, kind):
-    # a (m,) array of nodes with (m, ..., 4) points gives each node's triple
+    # a (m,) array of nodes at (..., 4) points gives each node's triple on
+    # the node axis after the point axes
     t = _NODES[kind]
     x = 0.4 * np.random.default_rng(17).normal(size=(2, 3, 4))
-    stacked = family.triple(t, deformation.node_points(t, x))
-    assert stacked.shape == (len(t), 2, 3, 3, 6)
-    per_node = np.stack([family.triple(complex(tk) if kind == "complex" else float(tk), x)
-                         for tk in t])
+    stacked = family.triple(t, x)
+    assert stacked.shape == (2, 3, len(t), 3, 6)
+    per_node = np.stack([family.triple(np.array([tk]), x)[..., 0, :, :] for tk in t], axis=-3)
     assert np.max(np.abs(stacked - per_node)) <= 1e-15
-    metric = family.metric(t, deformation.node_points(t, x))
-    assert np.max(np.abs(metric - np.stack([family.metric(tk, x) for tk in t]))) <= 1e-15
+    metric = family.metric(t, x)
+    assert np.max(np.abs(metric - np.stack([family.metric(np.array([tk]), x)[..., 0, :, :]
+                                            for tk in t], axis=-3))) <= 1e-15
 
 
 def test_taylor_coefficient_rejects_values_without_node_axis():
     fam = deformation.linear_gauged_family(0)
     # the point not broadcast to the nodes: one value for the whole contour
     with pytest.raises(SchemaError, match=r"shape \(3, 4\) for 5 nodes"):
-        fd.taylor_coefficient(lambda t: fam.connection(0.1)(X0), 1, deformation.TAYLOR_NODES)
+        fd.taylor_coefficient(lambda t: fam.connection(np.array([0.1]))(X0)[..., 0, :, :], 1,
+                              deformation.TAYLOR_NODES)
     # the nodes on a trailing axis
     with pytest.raises(SchemaError, match=r"shape \(4, 4, 5\) for 5 nodes"):
         fd.taylor_coefficient(lambda t: np.multiply.outer(np.eye(4), t), 1,
@@ -273,7 +276,7 @@ def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
 
     def f(t):
         calls.append(t)
-        return fam.connection(t)(deformation.node_points(t, X0))
+        return fam.connection(t)(X0)
 
     both = fd.taylor_coefficient(f, (1, 2), deformation.TAYLOR_NODES)
     assert len(calls) == 1 and both.shape == (2, 3, 4) and both.dtype == np.float64
@@ -284,32 +287,10 @@ def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
                                     for n in (2, 0, 2)]))
 
 
-def test_triple_rejects_points_without_node_axis():
-    fam = deformation.linear_gauged_family(0)
-    t = _NODES["complex"]
-    with pytest.raises(SchemaError, match=r"points of shape \(8, 4\) for 3 nodes"):
-        fam.triple(t, np.zeros((8, 4)))
-
-
-@pytest.mark.parametrize("method", ["triple", "metric"])
-def test_node_rows_must_be_one_point_stack(method):
-    # the t-independent part is taken on the first row of the node axis, so
-    # rows that differ would be answered for the wrong points
-    fam = deformation.linear_gauged_family(0)
-    t = _NODES["complex"]
-    x = np.array(deformation.node_points(t, 0.4 * np.random.default_rng(23).normal(size=(2, 4))))
-    getattr(fam, method)(t, x)
-    x[2, 1, 3] += 1e-12
-    with pytest.raises(SchemaError, match=r"points of shape \(3, 2, 4\) differ along the node axis"):
-        getattr(fam, method)(t, x)
-    with pytest.raises(SchemaError, match=r"points of shape \(8, 4\) for 3 nodes"):
-        getattr(fam, method)(t, np.zeros((8, 4)))
-
-
 def test_curvature_contour_decomposes_once_per_point(monkeypatch):
     # one curvature block on a contour: its metric call gets the nested
-    # stencil with the node axis in front, and eigh sees each point once,
-    # not once per node
+    # stencil of plain points, and eigh sees each point once, not once per
+    # node
     fam = deformation.einstein_first_order_family(5)
     t = _NODES["complex"]
     sizes = []
@@ -320,7 +301,7 @@ def test_curvature_contour_decomposes_once_per_point(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    connection.curvature_block_of_metric(fam.metric_field(t), deformation.node_points(t, X0))
+    connection.curvature_block_of_metric(fam.metric_field(t), X0)
     assert sum(sizes) == 9 * 9  # the nested stencil of one point
 
 
@@ -359,17 +340,16 @@ def _contour_values(fam: deformation.TripleFamily, x: np.ndarray) -> dict:
     points x: the triple and metric at the nodes, the t^1 and t^2
     connection coefficients with their d, and the t^2 curvature oracle."""
     t = _NODES["complex"]
-    nodes = deformation.node_points
 
     def orders(y: np.ndarray) -> np.ndarray:
-        coeffs = fd.taylor_coefficient(lambda s: fam.connection(s)(nodes(s, y)), (1, 2),
-                                       deformation.TAYLOR_NODES)
+        coeffs = fd.taylor_coefficient(lambda s: np.moveaxis(fam.connection(s)(y), -3, 0),
+                                       (1, 2), deformation.TAYLOR_NODES)
         return np.moveaxis(coeffs, 0, -3)
 
     a, da = fd.value_and_d(forms.FormField(1, orders), x)
     return {
-        "triple": fam.triple(t, nodes(t, x)),
-        "metric": fam.metric(t, nodes(t, x)),
+        "triple": fam.triple(t, x),
+        "metric": fam.metric(t, x),
         "a": a,
         "da": da,
         "oracle": _second_order_oracle(fam, x),
@@ -383,9 +363,7 @@ def test_family_stack_equals_per_family_runs_bit_for_bit(shape):
     stacked = _contour_values(stack, np.broadcast_to(x, (2,) + shape))
     per_family = [_contour_values(fam, x) for fam in _STACKED]
     for key, value in stacked.items():
-        # the node axis stays in front of the family axis
-        axis = 1 if key in ("triple", "metric") else 0
-        assert np.array_equal(value, np.stack([v[key] for v in per_family], axis=axis)), key
+        assert np.array_equal(value, np.stack([v[key] for v in per_family])), key
 
 
 def test_family_stack_rejects_points_without_the_family_axis():
@@ -443,11 +421,10 @@ def test_linearized_ric0_matches_fd_in_t():
     pred = deformation.linearized_ric0_prediction(coeff, X0)
 
     def tracefree_ricci(t: np.ndarray) -> np.ndarray:
-        metric = lambda y: np.eye(4) + np.einsum(
-            "m,m...->m...", t, deformation.metric_perturbation_from_coeffs(coeff(y)))
-        x = deformation.node_points(t, X0)
-        ric = fd.ricci(metric, x)
-        g = metric(x)
+        h = lambda y: deformation.metric_perturbation_from_coeffs(coeff(y))
+        metric = lambda y: np.eye(4) + t[:, None, None] * h(y)[..., None, :, :]
+        ric = fd.ricci(metric, X0)
+        g = metric(X0)
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 
@@ -460,15 +437,15 @@ def test_linearized_ric0_matches_fd_in_t():
 def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """t^2-coefficient of the anti-self-dual curvature block of the family
     metric."""
-    return fd.taylor_coefficient(lambda t: connection.curvature_block_of_metric(
-        fam.metric_field(t), deformation.node_points(t, x)).Rminus, 2, deformation.TAYLOR_NODES)
+    return fd.taylor_coefficient(lambda t: np.moveaxis(connection.curvature_block_of_metric(
+        fam.metric_field(t), x).Rminus, -3, 0), 2, deformation.TAYLOR_NODES)
 
 
 def _da2(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """d of the second-order connection coefficients, the t^2-coefficient
     of the family's connection, at x."""
     return fd.fd_d(forms.FormField(1, lambda y: fd.taylor_coefficient(
-        lambda t: fam.connection(t)(deformation.node_points(t, y)), 2,
+        lambda t: np.moveaxis(fam.connection(t)(y), -3, 0), 2,
         deformation.TAYLOR_NODES)), x)
 
 
@@ -614,9 +591,8 @@ def test_second_order_tensor_identification():
 
     def tracefree_ricci(t: np.ndarray) -> np.ndarray:
         metric = fam.metric_field(t)
-        x = deformation.node_points(t, X0)
-        ric = fd.ricci(metric, x)
-        g = metric(x)
+        ric = fd.ricci(metric, X0)
+        g = metric(X0)
         ginv = np.linalg.inv(g)
         return ric - 0.25 * np.einsum("...ab,...ab->...", ginv, ric)[:, None, None] * g
 

@@ -264,3 +264,36 @@ def test_stacked_stencil_matches_row_by_row(name):
     # a (2, 3) grid of points gives the same values as the flat stack
     grid = op(points.reshape(2, 3, 4))
     assert np.all(np.abs(grid.reshape(rows.shape) - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
+
+
+# --- metric values with a stack of their own ---------------------------------
+
+_TIMES = np.array([0.5, 1.0 + 0.3j, -0.7j])
+
+
+def _metric_stack(x):
+    """(..., 3, 4, 4) metrics I + t (g_jet - I) at (..., 4) points, one per
+    complex t of _TIMES, as a contour's node axis stacks them."""
+    return np.eye(4) + _TIMES[:, None, None] * (JET_METRIC(x) - np.eye(4))[..., None, :, :]
+
+
+METRIC_OPERATORS = {
+    "ricci": fd.ricci,
+    "riemann-lowered": lambda mfn, x: fd.metric_and_riemann_lowered(mfn, x, 5e-3)[1],
+    "metric-of-riemann-lowered": lambda mfn, x: fd.metric_and_riemann_lowered(mfn, x, 5e-3)[0],
+    "christoffel": fd.christoffel,
+    "lie": lambda mfn, x: fd.lie_derivative_metric(mfn, _linear_vector_field, x),
+}
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(METRIC_OPERATORS))
+def test_metric_value_stack_matches_per_slice_calls_bit_for_bit(name, shape):
+    # the stack axis stays right after the point axes
+    op = METRIC_OPERATORS[name]
+    x = JET_POINTS[:int(np.prod(shape[:-1]))].reshape(shape)
+    stacked = op(_metric_stack, x)
+    per_slice = np.stack([op(lambda y, j=j: _metric_stack(y)[..., j, :, :], x)
+                          for j in range(_TIMES.size)], axis=x.ndim - 1)
+    assert stacked.shape == per_slice.shape
+    assert np.array_equal(stacked, per_slice)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ale_lab import deformation, fd, forms, gh, harmonic, quadrature
+from ale_lab import fd, forms, gh, harmonic, quadrature
 from ale_lab.errors import AleLabError, CenterTooClose, OnDiracString, SchemaError
 from ale_lab.forms import FormField
 
@@ -240,14 +240,14 @@ def _point_layer(config, x3, patch):
 
 def _layer_stacks(config, patch):
     """An (n, 3) stack with a point on the regular side of a center's axis
-    ray, one point of it, and the stack repeated along a stride-0 node axis."""
+    ray, one point of it, and the stack repeated along a leading stride-0 axis."""
     pos = np.array(config.positions)
     if patch == "north":
         on_ray = pos[np.argmax(pos[:, 0])] + [0.5, 0.0, 0.0]
     else:
         on_ray = pos[np.argmin(pos[:, 0])] - [0.5, 0.0, 0.0]
     pts = np.vstack([2.0 * np.random.default_rng(7).normal(size=(16, 3)), on_ray])
-    return [pts, pts[3], deformation.node_points(np.zeros(2), pts)]
+    return [pts, pts[3], np.broadcast_to(pts, (2,) + pts.shape)]
 
 
 @pytest.mark.parametrize("patch", ["north", "south"])

@@ -22,8 +22,6 @@ NAMES = sorted(p.name.removesuffix(".jet.json") for p in GOLDEN.glob("*.jet.json
 VALUE_COMPARED = {
     "gauge_projected": "the Bianchi-gauge projection solves a least-squares system through "
                        "LAPACK: D, A and the t^4 coefficient move by about 3e-15 relative",
-    "einstein_side": "first_row_norm is np.linalg.norm, BLAS nrm2, of a row with three "
-                     "nonzero entries: its last bit moves with the core type",
 }
 VALUE_BOUND = 1e-12
 
