@@ -14,7 +14,7 @@ c = (k+1)/k and the total norm is ||Omega||^2 = 4 pi^2 (k+1)/k, the volume
 integral 2 pi int |Omega|^2 V d^3x over the whole base, with V from the
 pass that gives grad f, on one Gauss rule in 1/xi with no cutoff radius.
 
-grad f and V come from one pass over the centers per block of nodes, the
+grad f and V come from one pass over the centers per point stack, the
 grad f pass of gh (grad_f_and_potential, or eta_and_grad_f with eta), as
 one array per component read: the norm density reads three, the
 exact-form pairing two, the core-surface integral one.
@@ -37,7 +37,7 @@ import numpy as np
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
 from .forms import FormField, J_with, apply_J_covector, split_sd
-from .quadrature import TWO_PI, volume_blocks
+from .quadrature import TWO_PI, volume_rule
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +97,12 @@ def build_omega(config: gh.GHConfig) -> HarmonicFormBundle:
 
 def omega_norm(bundle: HarmonicFormBundle) -> float:
     """Total square norm 2 pi sum w |Omega|^2 V over the whole-space volume
-    rule, with V from the pass that gives grad f, one block at a time."""
-    terms = []
-    for pts, w in volume_blocks(bundle.config):
-        dens, v = bundle.norm_density(pts)
-        if not np.all(np.isfinite(dens)):
-            raise QuadratureDivergence("volume integrand not finite on region")
-        terms.append(w * dens * v)
-    return TWO_PI * float(np.sum(np.concatenate(terms)))
+    rule, with V from the pass that gives grad f; the azimuth sum is sum w_phi."""
+    pts, w, _, w_phi = volume_rule(bundle.config)
+    dens, v = bundle.norm_density(pts)
+    if not np.all(np.isfinite(dens)):
+        raise QuadratureDivergence("volume integrand not finite on region")
+    return TWO_PI * float(np.sum(w * dens * v)) * float(np.sum(w_phi))
 
 
 def sigma_omega_integral(bundle: HarmonicFormBundle) -> float:
@@ -373,26 +371,30 @@ def exact_form_pairing_residual(bundle: HarmonicFormBundle) -> float:
     b = grad(chi x^2) x e_3, so no connection components enter.  The x^2
     factor keeps the integrand from being sin(phi) times an axisymmetric
     function, which the azimuthal rule would integrate to 0 for any
-    axisymmetric grad f, closed or not.
+    axisymmetric grad f, closed or not; with grad f axisymmetric, the
+    integrand is A + B cos^2(phi).
     """
     cfg = bundle.config
     k1 = cfg.k + 1
     inner, outer = 6.0 * k1 * cfg.lam, 12.0 * k1 * cfg.lam
-    terms = []
-    for pts, weights in volume_blocks(cfg, shell=(inner, outer)):
-        x, y, z = pts.T
-        rho = np.sqrt(x * x + y * y + z * z)
-        chi, dchi = _bump((rho - inner) / (outer - inner))
-        # grad(chi x^2) = s (x^1, x^2, x^3) + chi e_2, so b = (s x^2 + chi, -s x^1, 0)
-        s = dchi * y / ((outer - inner) * rho)
-        (f1, f2), _ = gh.grad_f_and_potential(cfg, pts, (0, 1))
-        # Omega ^ beta = -c (grad f . b) dx^123 ^ dtau carries no factor V
-        dens = -bundle.normalization * (f1 * (s * y + chi) - f2 * (s * x))
-        if not np.all(np.isfinite(dens)):
-            raise QuadratureDivergence("volume integrand not finite on region")
-        terms.append(weights * dens)
-    wd = np.concatenate(terms)  # |w d| = w |d| exactly: every weight is positive
-    return float(abs(np.sum(wd)) / max(np.sum(np.abs(wd)), 1e-300))
+    pts, w, cos_phi, w_phi = volume_rule(cfg, shell=(inner, outer))
+    # (x, y) = (x^1, rho_perp); at azimuth phi, x^2 = y cos(phi) and d_2 f = f_perp cos(phi)
+    x, y = pts[:, 0], pts[:, 1]
+    rho = np.sqrt(x * x + y * y)
+    chi, dchi = _bump((rho - inner) / (outer - inner))
+    (f1, f_perp), _ = gh.grad_f_and_potential(cfg, pts, (0, 1))
+    # b = (s x^2 + chi, -s x^1, 0), s = chi' x^2 / rho; Omega ^ beta = -c (grad f . b) dx^123 ^ dtau
+    a = -bundle.normalization * f1 * chi
+    b = -bundle.normalization * (dchi / ((outer - inner) * rho)) * y * (f1 * y - f_perp * x)
+    cos_sq = cos_phi * cos_phi
+    dens = np.multiply.outer(b, cos_sq)
+    dens += a[:, None]
+    if not np.all(np.isfinite(dens)):
+        raise QuadratureDivergence("volume integrand not finite on region")
+    total = np.sum(w * (a * np.sum(w_phi) + b * np.sum(w_phi * cos_sq)))
+    # |w w_phi d| = w w_phi |d| exactly: every weight is positive
+    np.multiply(np.abs(dens, out=dens), w_phi, out=dens)
+    return float(abs(total) / max(np.sum(w * dens.sum(axis=1)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

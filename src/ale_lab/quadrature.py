@@ -1,6 +1,7 @@
-"""Deterministic Gauss-Legendre quadrature on S^3, the base nodes of the
-whole space or a shell of a two-cluster configuration, and the sphere
-pairing identity for closed self-dual 2-forms with quadratic coefficients.
+"""Deterministic Gauss-Legendre quadrature on S^3, the volume rule of the
+whole space or a shell of an axisymmetric two-cluster configuration (its
+half-plane nodes and its azimuth nodes apart), and the sphere pairing
+identity for closed self-dual 2-forms with quadratic coefficients.
 
 S^3 is parametrized torus-style: with r1 = r cos(chi), r2 = r sin(chi),
 
@@ -13,9 +14,9 @@ the standard orientation of R^4, which fixes the sign of the 3-form
 pullback: its 3x3 minors are (r^2/4) *x, the Euclidean dual of the outward
 normal times the measure density.
 
-The S^3 rule is streamed in blocks of whole u-shells, like the volume
-rule: integrate_S3 reads node and weight tables filled from the blocks
-once per radius, and the pairing kernels sum over the blocks without them.
+The S^3 rule is streamed in blocks of whole u-shells: integrate_S3 reads
+node and weight tables filled from the blocks once per radius, and the
+pairing kernels sum over the blocks without them.
 
 Closedness of varpi = sum_i z_i w_i (w_i the constant dual basis) is a
 fixed integer-coefficient linear system on the 3 x 10 quadratic
@@ -57,16 +58,15 @@ TWO_PI = 2.0 * math.pi
 # 2 * order - 1
 SPHERE_ORDER = 24
 RADIAL_NODES = 48
-# xi-shells per block of the volume rule, and u-shells per block of the
-# S^3 rule: 8 x SPHERE_ORDER^2 = 4608 nodes
-VOLUME_BLOCK_SHELLS = 8
+# u-shells per block of the S^3 rule: 8 x SPHERE_ORDER^2 = 4608 nodes
+S3_BLOCK_SHELLS = 8
 
 
 def _s3_blocks(radius: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Nodes (n, 4), weights (n,) and the 3x3 minors (n, 4) of the tangent
     frame (d_u, d_t1, d_t2) on the columns of each sorted triple, of the
     radius-r sphere on the SPHERE_ORDER product rule, yielded in blocks of
-    VOLUME_BLOCK_SHELLS whole u-shells in (u, t1, t2)-major node order, so
+    S3_BLOCK_SHELLS whole u-shells in (u, t1, t2)-major node order, so
     that a caller's working set is one block; cos and sin are taken once
     per angle node."""
     u, wu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
@@ -77,8 +77,8 @@ def _s3_blocks(radius: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     wu, w1 = wu[:, None, None], w1[:, None]
     cos1, sin1 = np.cos(t1)[:, None], np.sin(t1)[:, None]
     cos2, sin2 = np.cos(t2), np.sin(t2)
-    for b in range(0, SPHERE_ORDER, VOLUME_BLOCK_SHELLS):
-        shells = slice(b, b + VOLUME_BLOCK_SHELLS)
+    for b in range(0, SPHERE_ORDER, S3_BLOCK_SHELLS):
+        shells = slice(b, b + S3_BLOCK_SHELLS)
         cb, sb = c[shells], s[shells]
         pts = np.empty(cb.shape[:1] + (SPHERE_ORDER, SPHERE_ORDER, 4))
         pts[..., 0] = cb * cos1
@@ -126,50 +126,47 @@ def integrate_S3(integrand: Callable[[np.ndarray], np.ndarray], radius: float) -
     return float(np.sum(w * vals * (radius**3 / 4.0)))
 
 
-def volume_blocks(config, shell: tuple[float, float] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Base nodes (n, 3) and coordinate weights (n,) of d^3x in prolate
-    spheroidal coordinates (xi, mu, phi) with foci at the two cluster points,
-    yielded in blocks of VOLUME_BLOCK_SHELLS whole xi-shells in xi-major
-    node order, so that an integrand's working set is one block.  The nodes
-    of a block are the (n, 3) view of a (3, n) array, so each coordinate is
-    one contiguous (n,) array, the layout of the offsets pass (gh._offsets).
+def volume_rule(config, shell: tuple[float, float] | None = None) -> tuple[np.ndarray, ...]:
+    """The rule for d^3x in prolate spheroidal coordinates (xi, mu, phi)
+    about the two cluster points, azimuth apart: the (xi, mu) nodes on the
+    phi = 0 half-plane (SPHERE_ORDER in mu), (x1, rho_perp, 0) in xi-major
+    order as the (n, 3) view of a (3, n) array (the layout of gh._offsets),
+    their weights, and cos(phi) and the weights w_phi of the SPHERE_ORDER
+    azimuth nodes; the node (x1, rho_perp cos(phi), rho_perp sin(phi)) has
+    the weight w w_phi.
 
     With shell None the rule covers the whole space: SPHERE_ORDER Legendre
     nodes in u = 1/xi on (0, 1], weighted by 1/u^2, so an integrand that
     decays faster than |x|^-3 is integrated with no cutoff radius.  With
     shell = (inner, outer) it covers the spheroidal shell that contains the
     base annulus inner <= |x| <= outer, with RADIAL_NODES nodes linear in xi.
-    Both take SPHERE_ORDER nodes along each angle, the azimuth included, so
-    no axisymmetry of the integrand is assumed.  The spheroid's axis is the
-    x1 axis: a single-center config, or cluster points off that axis, raise
-    SchemaError (GHConfig.segment) at the first block."""
+
+    The integrand's phi dependence is written out over (cos(phi), w_phi),
+    so every center must lie on the x1 axis, the spheroid's, where V and
+    f = V0/V are axisymmetric: a single-center config, or a center off the
+    axis (the first named), raises SchemaError."""
     lo, hi = config.segment
-    mid = 0.5 * (config.p0 + config.p1)
-    a_f = 0.5 * abs(hi - lo)
+    off_axis = np.flatnonzero(np.any(config.positions[:, 1:] != 0.0, axis=1))
+    if len(off_axis):
+        raise SchemaError(f"centers[{off_axis[0]}]: {config.positions[off_axis[0]].tolist()} "
+                          "is off the x1 axis of the volume rule")
+    mid, a_f = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if shell is None:
         u, wu = gauss_legendre(0.0, 1.0, SPHERE_ORDER)
         xi, wxi = 1.0 / u, wu / u**2
     else:
         # a_f sqrt(xi^2 - 1) <= |x - mid| <= a_f xi on the spheroid xi
         inner, outer = shell
-        off = float(np.linalg.norm(mid))
-        xi_lo = max(1.0, (inner - off) / a_f)
-        xi_hi = math.sqrt(((outer + off) / a_f) ** 2 + 1.0)
+        xi_lo = max(1.0, (inner - abs(mid)) / a_f)
+        xi_hi = math.sqrt(((outer + abs(mid)) / a_f) ** 2 + 1.0)
         xi, wxi = gauss_legendre(xi_lo, xi_hi, RADIAL_NODES)
-    mu, wmu = gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
-    phi, wphi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
-    # (xi, mu) on the two leading axes, phi on the last
-    xi, wxi, mu = xi[:, None, None], wxi[:, None, None], mu[:, None]
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    for s in range(0, len(xi), VOLUME_BLOCK_SHELLS):
-        x, wx = xi[s:s + VOLUME_BLOCK_SHELLS], wxi[s:s + VOLUME_BLOCK_SHELLS]
-        W = wx * wmu[:, None] * wphi * a_f**3 * (x**2 - mu**2)
-        perp = a_f * np.sqrt(np.clip((x**2 - 1.0) * (1.0 - mu**2), 0.0, None))
-        coords = np.empty((3,) + W.shape)
-        coords[0] = mid[0] + a_f * x * mu
-        coords[1] = mid[1] + perp * cos_phi
-        coords[2] = mid[2] + perp * sin_phi
-        yield coords.reshape(3, -1).T, W.ravel()
+    xi, wxi, (mu, wmu) = xi[:, None], wxi[:, None], gauss_legendre(-1.0, 1.0, SPHERE_ORDER)
+    coords = np.zeros((3, len(xi), SPHERE_ORDER))
+    coords[0] = mid + a_f * xi * mu
+    coords[1] = a_f * np.sqrt(np.clip((xi**2 - 1.0) * (1.0 - mu**2), 0.0, None))
+    w = wxi * wmu * a_f**3 * (xi**2 - mu**2)
+    phi, w_phi = gauss_legendre(0.0, TWO_PI, SPHERE_ORDER)
+    return coords.reshape(3, -1).T, w.ravel(), np.cos(phi), w_phi
 
 
 # ----------------------------------------------------------------------

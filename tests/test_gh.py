@@ -131,10 +131,10 @@ def _first_center(config):
 
 
 def _pass_points(case):
-    """(config, (N, 3) points) of one case: the whole-space volume nodes, the
-    shell nodes of the exact-form pairing or the core-surface nodes of the
-    canonical configuration at k = 1, 2, 3 ("volume-2"), or random points of
-    an off-axis one."""
+    """(config, (N, 3) points) of one case: the half-plane nodes of the
+    whole-space volume rule or of the exact-form pairing's shell rule, or the
+    core-surface nodes, of the canonical configuration at k = 1, 2, 3
+    ("volume-2"), or random points of an off-axis one."""
     if case.startswith("off-axis"):
         cfg = OFF_AXIS_3 if case == "off-axis-3" else OFF_AXIS
         return cfg, gh.sample_chart_points(cfg, 64, seed=5, rho_min=0.2, rho_max=6.0,
@@ -144,7 +144,7 @@ def _pass_points(case):
     if rule == "axis":
         return cfg, gh.axis_points(gh.gauss_legendre(*cfg.segment, gh.SIGMA_ORDER)[0])
     shell = None if rule == "volume" else (6.0 * (cfg.k + 1), 12.0 * (cfg.k + 1))
-    return cfg, np.concatenate([p for p, _ in quadrature.volume_blocks(cfg, shell)])
+    return cfg, quadrature.volume_rule(cfg, shell)[0]
 
 
 @pytest.mark.parametrize("case", ["volume-1", "volume-2", "volume-3", "shell-1", "shell-2",
@@ -413,7 +413,7 @@ def test_single_center_has_no_surface_or_volume_nodes(config):
     with pytest.raises(SchemaError, match="single-center"):
         gh.vol_sigma(config)
     with pytest.raises(SchemaError, match="one center"):
-        next(quadrature.volume_blocks(config))
+        quadrature.volume_rule(config)
 
 
 def test_segment_is_taken_from_the_cluster_points():
@@ -430,7 +430,19 @@ def test_off_axis_cluster_points_are_rejected():
     with pytest.raises(SchemaError, match="centers"):
         gh.sigma_integrate(cfg, np.ones_like)
     with pytest.raises(SchemaError, match="centers"):
-        next(quadrature.volume_blocks(cfg))
+        quadrature.volume_rule(cfg)
+
+
+def test_volume_rule_rejects_an_off_axis_center():
+    # the rule folds the azimuth, which needs f and V axisymmetric about the
+    # x1 axis: every center on it, not only the cluster points
+    cfg = gh.GHConfig(k=3, lam=1.0, centers=(((-2.0, 0.0, 0.0), 1), ((0.0, -0.5, 0.0), 1),
+                                             ((0.0, 0.5, 0.0), 1), ((2.0, 0.0, 0.0), 1)))
+    assert cfg.segment == (-2.0, 2.0)
+    with pytest.raises(SchemaError, match=r"centers\[1\]: \[0\.0, -0\.5, 0\.0\] is off the x1 axis"):
+        quadrature.volume_rule(cfg)
+    with pytest.raises(SchemaError, match=r"centers\[1\]"):
+        quadrature.volume_rule(cfg, (1.0, 2.0))
 
 
 @settings(max_examples=20, deadline=None)

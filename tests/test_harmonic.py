@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ale_lab import fd, forms, gh, harmonic, obstruction, quadrature, suites
 from ale_lab.errors import SchemaError
 from ale_lab.forms import FormField
+from test_quadrature import _meshgrid_volume_nodes
 
 
 def test_closed_form_constants():
@@ -49,21 +50,18 @@ def _pairing_shell(config):
     return 6.0 * k1 * config.lam, 12.0 * k1 * config.lam
 
 
-def _volume_rule(config, shell=None):
-    """The volume rule as one stack of nodes (N, 3) and weights (N,)."""
-    pts, w = zip(*quadrature.volume_blocks(config, shell))
-    return np.concatenate(pts), np.concatenate(w)
-
-
-@pytest.mark.parametrize("evaluate,nodes", [
-    (harmonic.omega_norm, lambda cfg: _volume_rule(cfg)[0]),
-    (harmonic.exact_form_pairing_residual, lambda cfg: _volume_rule(cfg, _pairing_shell(cfg))[0]),
-    (lambda bundle: bundle.components(_CHART_POINTS), lambda cfg: _CHART_POINTS[:, :3]),
+@pytest.mark.parametrize("evaluate,nodes,count", [
+    (harmonic.omega_norm, lambda cfg: quadrature.volume_rule(cfg)[0], quadrature.SPHERE_ORDER**2),
+    (harmonic.exact_form_pairing_residual,
+     lambda cfg: quadrature.volume_rule(cfg, _pairing_shell(cfg))[0],
+     quadrature.RADIAL_NODES * quadrature.SPHERE_ORDER),
+    (lambda bundle: bundle.components(_CHART_POINTS), lambda cfg: _CHART_POINTS[:, :3], 3),
 ], ids=["omega_norm", "exact_form_pairing", "components"])
-def test_makes_one_pass_over_the_centers(evaluate, nodes, monkeypatch, omega_bundle):
+def test_makes_one_pass_over_the_centers(evaluate, nodes, count, monkeypatch, omega_bundle):
     # V of the volume weight, and V and eta of the form's components, come
-    # from the pass that computes grad f; a volume rule is passed over block
-    # by block, and the blocks cover each node once, in the rule's order
+    # from the pass that computes grad f; a volume integral makes that pass
+    # once, on the half-plane (xi, mu) nodes of its rule and not on their
+    # SPHERE_ORDER azimuth copies
     bundle = omega_bundle(2)
     offsets, stacks = gh._offsets, []
 
@@ -73,9 +71,8 @@ def test_makes_one_pass_over_the_centers(evaluate, nodes, monkeypatch, omega_bun
 
     monkeypatch.setattr(gh, "_offsets", counted)
     evaluate(bundle)
-    block = quadrature.VOLUME_BLOCK_SHELLS * quadrature.SPHERE_ORDER**2
-    assert all(stack.ndim == 2 and len(stack) <= block for stack in stacks)
-    assert np.concatenate(stacks).tobytes() == nodes(bundle.config).tobytes()
+    assert [stack.shape for stack in stacks] == [(count, 3)]
+    assert stacks[0].tobytes() == nodes(bundle.config).tobytes()
 
 
 def _masked_bump(s):
@@ -103,16 +100,18 @@ def test_bump_derivative_is_zero_where_chi_underflows(s):
 
 
 def _one_stack_norm(bundle):
-    """omega_norm with the whole-space rule evaluated as one stack."""
-    pts, w = _volume_rule(bundle.config)
+    """omega_norm with the full (xi, mu, phi) whole-space rule evaluated as
+    one stack."""
+    pts, w = _meshgrid_volume_nodes(bundle.config, None)
     v = gh.eval_V(bundle.config, pts)
     return quadrature.TWO_PI * float(np.sum(w * bundle.norm_density(pts)[0] * v))
 
 
 def _one_stack_pairing(bundle):
-    """exact_form_pairing_residual with its shell rule evaluated as one stack."""
+    """exact_form_pairing_residual with its full (xi, mu, phi) shell rule
+    evaluated as one stack."""
     inner, outer = _pairing_shell(bundle.config)
-    pts, weights = _volume_rule(bundle.config, (inner, outer))
+    pts, weights = _meshgrid_volume_nodes(bundle.config, (inner, outer))
     x, y, z = pts.T
     rho = np.sqrt(x * x + y * y + z * z)
     chi, dchi = harmonic._bump((rho - inner) / (outer - inner))
@@ -123,29 +122,28 @@ def _one_stack_pairing(bundle):
     return float(abs(total) / max(np.sum(weights * np.abs(dens)), 1e-300))
 
 
-@pytest.mark.parametrize("k,lam", [(1, 1.0), (3, 2.0)])
-@pytest.mark.parametrize("evaluate,one_stack", [
-    (harmonic.omega_norm, _one_stack_norm),
-    (harmonic.exact_form_pairing_residual, _one_stack_pairing),
+@pytest.mark.parametrize("k,lam", [(1, 1.0), (2, 0.5), (3, 2.0)])
+@pytest.mark.parametrize("evaluate,one_stack,rel,abs_", [
+    (harmonic.omega_norm, _one_stack_norm, 1e-14, 0.0),
+    (harmonic.exact_form_pairing_residual, _one_stack_pairing, 0.0, 1e-15),
 ], ids=["omega_norm", "exact_form_pairing"])
-def test_volume_integrals_are_bitwise_the_one_stack_sums(evaluate, one_stack, k, lam,
-                                                          omega_bundle):
-    # block by block into one vector of weighted terms, then one sum over it
+def test_folded_volume_integrals_are_the_full_rule(evaluate, one_stack, rel, abs_, k, lam,
+                                                   omega_bundle):
+    # the azimuth sums written out in closed form over the rule's own
+    # azimuth nodes: the full (xi, mu, phi) rule as one stack, up to rounding
     bundle = omega_bundle(k, lam)
-    assert evaluate(bundle) == one_stack(bundle)
+    assert evaluate(bundle) == pytest.approx(one_stack(bundle), rel=rel, abs=abs_)
 
 
-@pytest.mark.parametrize("evaluate,parent_peak", [
-    (harmonic.omega_norm, 1_004_305),
-    (harmonic.exact_form_pairing_residual, 1_337_417),
+@pytest.mark.parametrize("evaluate,peak_bound", [
+    (harmonic.omega_norm, 114_400),
+    (harmonic.exact_form_pairing_residual, 523_900),
 ], ids=["omega_norm", "exact_form_pairing"])
-def test_volume_integrals_keep_a_bounded_working_set(evaluate, parent_peak, omega_bundle):
-    # evaluated as one stack of the whole rule, the traced peaks were
-    # 2.43 MiB (norm) and 5.70 MiB (pairing); one block of xi-shells at a
-    # time keeps them near 1 MiB.  The bounds are the peaks, in bytes, of
-    # the quotient rule on transposed gradient views that the grad f pass
-    # replaced (0.96 and 1.28 MiB): the pass writes over the offsets and
-    # distances of its block and keeps one new array per component read
+def test_volume_integrals_keep_a_bounded_working_set(evaluate, peak_bound, omega_bundle):
+    # the grad f pass runs on the half-plane nodes alone (576 and 1 152 of
+    # them), so the traced peaks are 104 008 bytes (norm) and 476 312 bytes
+    # (pairing, whose absolute integrand is one (nodes, azimuth) array); the
+    # bounds are those peaks plus 10 %
     bundle = omega_bundle(2)
     evaluate(bundle)
     tracemalloc.start()
@@ -154,7 +152,7 @@ def test_volume_integrals_keep_a_bounded_working_set(evaluate, parent_peak, omeg
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= parent_peak
+    assert peak <= peak_bound
 
 
 def test_omega_closed_and_antiselfdual(canonical, omega_bundle):

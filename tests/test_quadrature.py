@@ -197,18 +197,21 @@ def _meshgrid_volume_nodes(config, shell):
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 @pytest.mark.parametrize("whole", [True, False], ids=["whole", "shell"])
 def test_volume_nodes_are_bitwise_the_meshgrid_rule(k, lam, whole):
-    # the blocks are whole xi-shells, at most VOLUME_BLOCK_SHELLS of them,
-    # and concatenate to the meshgrid rule in its node order
+    # each half-plane node (x1, rho_perp, 0) turned by each azimuth node is
+    # the meshgrid rule's node in its (xi, mu, phi) order, and the weight
+    # products w w_phi are its weights up to the order of the products
     cfg = gh.GHConfig.canonical(k, lam)
     shell = None if whole else (6.0 * (k + 1) * lam, 12.0 * (k + 1) * lam)
-    blocks = list(quadrature.volume_blocks(cfg, shell))
-    shell_size = quadrature.SPHERE_ORDER**2
-    assert all(len(p) % shell_size == 0 and len(p) == len(w)
-               and len(p) <= quadrature.VOLUME_BLOCK_SHELLS * shell_size for p, w in blocks)
-    pts, w = (np.concatenate(part) for part in zip(*blocks))
+    half, w, cos_phi, w_phi = quadrature.volume_rule(cfg, shell)
+    phi, ref_w_phi = gh.gauss_legendre(0.0, 2.0 * math.pi, quadrature.SPHERE_ORDER)
+    assert cos_phi.tobytes() == np.cos(phi).tobytes()
+    assert w_phi.tobytes() == ref_w_phi.tobytes()
+    assert half.shape == w.shape + (3,) and not np.any(half[:, 2])
+    x1, rho_perp = half[:, :1], half[:, 1:2]
+    pts = np.stack(np.broadcast_arrays(x1, rho_perp * cos_phi, rho_perp * np.sin(phi)), axis=-1)
     ref_pts, ref_w = _meshgrid_volume_nodes(cfg, shell)
-    assert pts.tobytes() == ref_pts.tobytes() and pts.shape == ref_pts.shape
-    assert w.tobytes() == ref_w.tobytes() and w.shape == ref_w.shape
+    assert pts.reshape(-1, 3).tobytes() == ref_pts.tobytes()
+    np.testing.assert_allclose((w[:, None] * w_phi).ravel(), ref_w, rtol=1e-15, atol=0.0)
 
 
 def test_odd_moments_vanish():
