@@ -452,25 +452,20 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
 
     coeff is symmetric with vanishing first row/column in the intended
     use (deformations transverse to the first curvature row).  The GH
-    metric is built and inverted once per point stack, by gh.metric_at: its
-    frame gives a on the stencil and the triple at the points, and its
-    (g^{-1}, det g) pair serves the codifferential there.
+    metric is built and inverted once, by one gh.metric_at sample on the
+    stencil, x and its eight neighbours, which gives a and the (g^{-1},
+    det g) pair of the codifferential; the triple at x inverts nothing.
     """
     x4 = np.asarray(x4, dtype=float)
     c = float_or_complex(coeff)
-    frames: list[tuple[np.ndarray, gh.FrameSample]] = []
 
-    def frame(y: np.ndarray) -> gh.FrameSample:
-        for pts, sample in frames:
-            if np.array_equal(pts, y):
-                return sample
+    def field(y: np.ndarray) -> tuple[np.ndarray, ...]:
         with np.errstate(all="ignore"):  # out of range: metric_inverse raises, unwarned
-            frames.append((y, gh.metric_at(config, y)))
-        return frames[-1][1]
+            sample = gh.metric_at(config, y)
+        return (c @ gh.alpha_covector(config, y, sample), *sample.inverse)
 
-    a = FormField(1, lambda y: c @ gh.alpha_covector(config, y, frame(y)))
-    d_a, delta_a = fd.d_and_codifferential(lambda y: frame(y).inverse, a, x4, h)
-    d_res = float(np.max(np.abs(d_a - c @ frame(x4).triple)))
+    d_a, delta_a = fd.d_and_codifferential(1, field, x4, h)
+    d_res = float(np.max(np.abs(d_a - c @ gh.triple_field(config)(x4))))
     delta_res = float(np.max(np.abs(delta_a)))
     return {"curvature_residual": d_res, "coclosed_residual": delta_res}
 

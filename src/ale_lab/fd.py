@@ -13,12 +13,12 @@ the field once on it: the curvature operators
 evaluate the nested Christoffel stencil (9 x 9 = 81 points per base
 point) in one metric call, value_and_d gives a field and its exterior
 derivative from one call on the points and their eight neighbours, and
-d_and_codifferential a form's d and delta from one field call and one
-call of a (g^{-1}, det g) pair field on those neighbours: the caller
-inverts each metric stack, once, as forms.metric_inverse.  A field whose
-output's leading axes do not match the points it was given raises
-SchemaError, and a stencil point outside the chart raises
-EvaluationDomain naming that point.
+d_and_codifferential a form's d and delta from one call, on those same
+points, of a field that returns the form with its metric's (g^{-1}, det
+g) pair, as forms.metric_inverse gives it.  A field whose output's
+leading axes do not match the points it was given raises SchemaError,
+and a stencil point outside the chart raises EvaluationDomain naming
+that point.
 
 The step is DEFAULT_STEP = 1e-3 at unit scale, and the operators that a
 caller runs at a second step take h; steps grow with the max base
@@ -285,36 +285,39 @@ def lie_derivative_metric(metric_fn: Callable, vec_fn: Callable, x: np.ndarray,
     )
 
 
-def _inverse_at(inverse_fn: Callable, values: np.ndarray, pts: np.ndarray) -> Inverse:
-    """The (g^{-1}, det g) pair of inverse_fn at (..., 4) points, for
-    (..., *stack) metrics, reshaped to broadcast against (..., *stack,
-    *shape, n) form values at the same points."""
-    ginv, det = _call(inverse_fn, pts)
+def _broadcast_pair(ginv: np.ndarray, det: np.ndarray, values: np.ndarray) -> Inverse:
+    """The (g^{-1}, det g) pair of (..., *stack) metrics reshaped to
+    broadcast against (..., *stack, *shape, n) form values at the same
+    points."""
     lead = det.shape + (1,) * (values.ndim - 1 - det.ndim)
     return ginv.reshape(lead + ginv.shape[-2:]), det.reshape(lead)
 
 
-def d_and_codifferential(inverse_fn: Callable, field: FormField, x: np.ndarray,
+def d_and_codifferential(degree: int, field: Callable, x: np.ndarray,
                          h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
     """(d, delta = -*d*) of a form of degree 1-4 (Riemannian, dimension 4)
-    at (..., 4) points, from one field call and one call of the pair field
-    inverse_fn on the stencil; inverse_fn maps (..., 4) points to the
-    (g^{-1}, det g) pair of their metrics, as forms.metric_inverse returns
-    it.  A field of (..., *shape, n) stacks gives stacks of both."""
-    if not 1 <= field.degree <= DIM:
-        raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {field.degree}")
-    pts, he = _stencil(x, h)
-    w = _call(field, pts)
-    starred = hodge_star(_inverse_at(inverse_fn, w, pts), w, field.degree)
+    at (..., 4) points, from one call of field on the points and their
+    eight stencil neighbours; field maps (..., 4) points to the triple
+    (form values, g^{-1}, det g), the pair as forms.metric_inverse returns
+    it, and the center row gives the pair at x.  A field of (..., *shape,
+    n) stacks gives stacks of both."""
+    if not 1 <= degree <= DIM:
+        raise SchemaError(f"codifferential needs a form of degree 1-4, got degree {degree}")
+    pts, he = _stencil(x, h, center=True)
+    w, ginv, det = _call(field, pts)
+    at_x = (slice(None),) * he.ndim + (0,)
+    around = at_x[:-1] + (slice(1, None),)
+    w = w[around]
+    starred = hodge_star(_broadcast_pair(ginv[around], det[around], w), w, degree)
     x = np.asarray(x, dtype=float)
-    d_w = _d_from_partials(field.degree, _central(w, he), x.ndim)
-    d_star = _d_from_partials(DIM - field.degree, _central(starred, he), x.ndim)
-    return d_w, -hodge_star(_inverse_at(inverse_fn, d_star, x), d_star, DIM - field.degree + 1)
+    d_w = _d_from_partials(degree, _central(w, he), x.ndim)
+    d_star = _d_from_partials(DIM - degree, _central(starred, he), x.ndim)
+    return d_w, -hodge_star(_broadcast_pair(ginv[at_x], det[at_x], d_star), d_star, DIM - degree + 1)
 
 
 def laplace_beltrami(metric_fn: Callable, f: Callable, x: np.ndarray) -> np.ndarray:
     """Scalar Laplacian -delta(df), by d_and_codifferential of the 1-form
-    df (itself by differences), inverting each metric stack once: sign
-    convention Delta f = +f'' on R."""
-    df = FormField(1, lambda y: all_partials(f, y))
-    return -d_and_codifferential(lambda y: metric_inverse(metric_fn(y)), df, x)[1][..., 0]
+    df (itself by differences), with one metric call on the stencil:
+    sign convention Delta f = +f'' on R."""
+    return -d_and_codifferential(
+        1, lambda y: (all_partials(f, y), *metric_inverse(metric_fn(y))), x)[1][..., 0]

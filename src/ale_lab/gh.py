@@ -20,12 +20,13 @@ three base directions); it is self-dual for the volume form
 V dx1^dx2^dx3^dtau and satisfies J1 J2 = J3.
 
 The exceptional fiber surface sits over the segment between the two
-cluster points; the pullback of eta to it is exactly dtau, so surface
-integrals reduce to 2*pi times a line quadrature (SIGMA_ORDER
-Gauss-Legendre nodes) and never evaluate A on the axis.  The integrand is
-evaluated with numpy's floating-point warnings off: one that is out of
-range fails the finiteness check after it (QuadratureDivergence), so a
-configuration out of range stops with that one error.
+cluster points, with every center on the x1 axis; the pullback of eta to
+it is exactly dtau, so surface integrals reduce to 2*pi times a line
+quadrature (SIGMA_ORDER Gauss-Legendre nodes) and never evaluate A on the
+axis.  The integrand is evaluated with numpy's floating-point warnings
+off: one that is out of range fails the finiteness check after it
+(QuadratureDivergence), so a configuration out of range stops with that
+one error.
 
 One pass over the centers: the offsets x - p_i and distances |x - p_i| of
 a point stack are computed once (_offsets) and serve every use at that
@@ -170,14 +171,16 @@ class GHConfig:
 
     @property
     def segment(self) -> tuple[float, float]:
-        """x1-range (low, high) between the two cluster points, which must lie
-        on the x1 axis, the axis of the core surface and the volume rule."""
+        """x1-range (low, high) between the two cluster points.  Every center
+        must lie on the x1 axis, the axis of the core surface and of the
+        volume rule: the first center off it is named in a SchemaError."""
         if len(self.centers) < 2:
             raise SchemaError("single-center config: one center, no segment between cluster points")
+        off_axis = np.flatnonzero(np.any(self.positions[:, 1:] != 0.0, axis=1))
+        if len(off_axis):
+            raise SchemaError(f"centers[{off_axis[0]}]: {self.positions[off_axis[0]].tolist()} "
+                              "is off the x1 axis of the core surface and the volume rule")
         p0, p1 = self.p0, self.p1
-        if np.any(p0[1:] != 0.0) or np.any(p1[1:] != 0.0):
-            raise SchemaError(f"centers: cluster points {p0.tolist()} and "
-                              f"{p1.tolist()} must lie on the x1 axis")
         return float(min(p0[0], p1[0])), float(max(p0[0], p1[0]))
 
 
@@ -450,13 +453,12 @@ def alpha_covector(config: GHConfig, x4: np.ndarray,
 
 
 def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Metric dual of J_1 dm; contracting into w1 gives -dm exactly."""
+    """Metric dual of J_1 dm = 2 alpha_1; contracting into w1 gives -dm exactly."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
         x4 = np.asarray(x4, dtype=float)
         sample = metric_at(config, x4)
-        j1 = J_with(sample.inverse, sample.triple[..., 0, :])
-        jdm = apply_J_covector(j1, dm4(config, x4[..., :3]))
+        jdm = 2.0 * alpha_covector(config, x4, sample)[..., 0, :]
         return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
 
     return ev
@@ -492,7 +494,7 @@ def sigma_integrate(config: GHConfig, f: Callable[[np.ndarray], np.ndarray]) -> 
     back to dx1 ^ dtau, so the integral is 2*pi * int f(x1) dx1 by
     Gauss-Legendre quadrature of SIGMA_ORDER nodes.  f maps the (n,) array
     of x1 nodes to (n,) values in one call; any other shape raises
-    SchemaError, as does one center or cluster points off the x1 axis
+    SchemaError, as does one center or a center off the x1 axis
     (segment).
     """
     a, b = config.segment

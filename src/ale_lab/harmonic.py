@@ -140,15 +140,11 @@ def dC_scalar_field(config: gh.GHConfig,
 def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameSample,
                           omega: np.ndarray) -> dict:
     """Residuals of alpha^+ = -w1 and alpha^- = s Omega for
-    alpha = -1/2 d (J_1 dm), one per point of a (..., 4) stack, from the
-    caller's gh.metric_at sample and (..., 6) components of Omega there."""
+    alpha = -d alpha_1 = -1/2 d (J_1 dm), one per point of a (..., 4) stack,
+    from the caller's gh.metric_at sample and (..., 6) components of Omega
+    there."""
     x4 = np.asarray(x4, dtype=float)
-
-    def grad4(y: np.ndarray) -> np.ndarray:
-        return gh.dm4(config, y[..., :3])
-
-    fld = FormField(1, dC_scalar_field(config, grad4))
-    alpha = -0.5 * fd.fd_d(fld, x4)
+    alpha = -fd.fd_d(FormField(1, lambda y: gh.alpha_covector(config, y)[..., 0, :]), x4)
     plus, minus = split_sd(sample.inverse, alpha)
     s = -config.k * config.lam
     w1 = sample.triple[..., 0, :]

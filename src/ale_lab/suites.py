@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class CheckResult:
     provenance: str
     advisory: bool = False
 
-    def to_dict(self) -> dict:
-        return {"check_id": self.check_id, "expected": self.expected,
-                "computed": self.computed, "tolerance": self.tolerance,
-                "passed": self.passed, "provenance": self.provenance,
-                "advisory": self.advisory}
-
 
 @dataclass
 class SuiteResult:
@@ -79,7 +73,7 @@ class SuiteResult:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def lines(self) -> list[str]:

@@ -59,7 +59,7 @@ def _connection_through_metric(phi, metric_fn, x):
     every stencil point (fd.d_and_codifferential): the route that does not use *F = F."""
     jmats = forms.J_with(forms.metric_inverse(metric_fn(x)[..., None, :, :]), phi(x))
     deltas = fd.d_and_codifferential(
-        lambda y: forms.metric_inverse(metric_fn(y)), forms.FormField(2, phi), x)[1]
+        2, lambda y: (phi(y), *forms.metric_inverse(metric_fn(y))), x)[1]
     j, k = forms.CYCLIC
     return 0.5 * (deltas + forms.apply_J_covector(jmats[..., k, :, :], deltas[..., j, :])
                   - forms.apply_J_covector(jmats[..., j, :, :], deltas[..., k, :]))

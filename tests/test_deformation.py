@@ -640,21 +640,21 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
 
     monkeypatch.setattr(gh, "alpha_covector", counted)
     res = deformation.moment_connection_checks(cfg, coeff, x4)
-    assert calls == [(3, 8, 4)]
+    assert calls == [(3, 9, 4)]
     assert res == {"curvature_residual": float(d_res),
                    "coclosed_residual": float(np.max(np.abs(delta)))}
 
 
 def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypatch):
-    # one GH potential pass on the stencil serves a and the metric of the
-    # codifferential there, and one at the points serves the triple and the
-    # metric there; the residuals are bitwise those of separate passes
+    # one GH potential pass on the stencil, the points and their eight
+    # neighbours, serves a and the metric of the codifferential there, and
+    # one at the points serves the triple; the residuals are bitwise those
+    # of separate passes
     cfg = gh.GHConfig.canonical(2, 0.7)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.0, 0.6, -0.5]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
-    a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
-    d_a, delta_a = fd.d_and_codifferential(
-        lambda y: forms.metric_inverse(gh.metric_matrix(cfg, y)), a, x4, 5e-4)
+    d_a, delta_a = fd.d_and_codifferential(1, lambda y: (
+        coeff @ gh.alpha_covector(cfg, y), *forms.metric_inverse(gh.metric_matrix(cfg, y))), x4, 5e-4)
     expected = {"curvature_residual": float(np.max(np.abs(d_a - coeff @ gh.triple_field(cfg)(x4)))),
                 "coclosed_residual": float(np.max(np.abs(delta_a)))}
     calls = []
@@ -666,7 +666,7 @@ def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypa
 
     monkeypatch.setattr(gh, "potential_and_eta", counted)
     assert deformation.moment_connection_checks(cfg, coeff, x4, h=5e-4) == expected
-    assert sorted(calls) == [(3, 4), (3, 8, 4)]
+    assert sorted(calls) == [(3, 4), (3, 9, 4)]
 
 
 def test_radial_contraction_decay_rate():

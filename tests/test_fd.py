@@ -17,9 +17,10 @@ def FLAT(x):
     return np.broadcast_to(np.eye(4), np.shape(x)[:-1] + (4, 4))
 
 
-def pairs(metric_fn):
-    """The (g^{-1}, det g) pair field of a metric function."""
-    return lambda x: forms.metric_inverse(metric_fn(x))
+def with_pair(metric_fn, form):
+    """The field of fd.d_and_codifferential: a form's values and the
+    (g^{-1}, det g) pair of a metric function from one call."""
+    return lambda x: (form(x), *forms.metric_inverse(metric_fn(x)))
 
 
 def test_step_at_ignores_fiber_coordinate():
@@ -130,7 +131,7 @@ def test_codifferential_flat_known_value():
         degree=2, evaluator=lambda x: x[..., 1:2] * np.array([1.0, 0, 0, 0, 0, 0])
     )
     x = np.array([0.3, -0.2, 0.5, 0.1])
-    out = fd.d_and_codifferential(pairs(FLAT), field, x)[1]
+    out = fd.d_and_codifferential(2, with_pair(FLAT, field), x)[1]
     assert np.allclose(out, np.array([1.0, 0, 0, 0]), atol=1e-9)
 
 
@@ -151,9 +152,9 @@ def test_stacked_field_matches_row_by_row():
     d = fd.fd_d(field, x)
     assert d.shape == (3, 4)
     assert np.allclose(d, [fd.fd_d(r, x) for r in rows], rtol=1e-13, atol=1e-13)
-    delta = fd.d_and_codifferential(pairs(metric), field, x)[1]
+    delta = fd.d_and_codifferential(2, with_pair(metric, field), x)[1]
     assert delta.shape == (3, 4)
-    assert np.allclose(delta, [fd.d_and_codifferential(pairs(metric), r, x)[1] for r in rows],
+    assert np.allclose(delta, [fd.d_and_codifferential(2, with_pair(metric, r), x)[1] for r in rows],
                        rtol=1e-13, atol=1e-13)
 
 
@@ -191,7 +192,7 @@ def test_laplace_beltrami_flat():
 def test_codifferential_rejects_degree_zero():
     field = forms.FormField(0, lambda x: x[..., :1])
     with pytest.raises(SchemaError, match="degree 0"):
-        fd.d_and_codifferential(pairs(FLAT), field, np.array([0.3, -0.2, 0.5, 0.1]))[1]
+        fd.d_and_codifferential(0, with_pair(FLAT, field), np.array([0.3, -0.2, 0.5, 0.1]))[1]
 
 
 def test_unstacked_field_output_is_rejected():
@@ -242,13 +243,13 @@ STACKED_OPERATORS = {
     "gh-christoffel": lambda x: fd.christoffel(gh.metric_fn(GH_CFG), x),
     "gh-triple-d": lambda x: fd.fd_d(gh.triple_field(GH_CFG), x),
     "gh-triple-codifferential": lambda x: fd.d_and_codifferential(
-        pairs(gh.metric_fn(GH_CFG)), gh.triple_field(GH_CFG), x)[1],
+        2, with_pair(gh.metric_fn(GH_CFG), gh.triple_field(GH_CFG)), x)[1],
     "gh-killing": lambda x: fd.lie_derivative_metric(
         gh.metric_fn(GH_CFG), gh.xi_fn(GH_CFG), x, h=5e-4),
     "jet-ricci": lambda x: fd.ricci(JET_METRIC, x),
     "jet-christoffel": lambda x: fd.christoffel(JET_METRIC, x),
     "jet-codifferential": lambda x: fd.d_and_codifferential(
-        pairs(JET_METRIC), forms.FormField(2, _poly_two_forms), x)[1],
+        2, with_pair(JET_METRIC, _poly_two_forms), x)[1],
     "jet-lie": lambda x: fd.lie_derivative_metric(JET_METRIC, _linear_vector_field, x),
 }
 
@@ -264,6 +265,51 @@ def test_stacked_stencil_matches_row_by_row(name):
     # a (2, 3) grid of points gives the same values as the flat stack
     grid = op(points.reshape(2, 3, 4))
     assert np.all(np.abs(grid.reshape(rows.shape) - rows) <= 1e-12 * np.maximum(1.0, np.abs(rows)))
+
+
+# --- the codifferential's one field call ---------------------------------------
+
+def _separate_pair_route(degree, form, metric_fn, x):
+    """(d, delta) spelled out through fd.fd_d, with the form and its metric's
+    (g^{-1}, det g) pair taken by separate calls: both on the eight stencil
+    neighbours, and the pair again at x."""
+    def star(y, values, p):
+        ginv, det = forms.metric_inverse(metric_fn(y))
+        lead = det.shape + (1,) * (values.ndim - 1 - det.ndim)
+        return forms.hodge_star((ginv.reshape(lead + (4, 4)), det.reshape(lead)), values, p)
+
+    d_star = fd.fd_d(forms.FormField(4 - degree, lambda y: star(y, form(y), degree)), x)
+    return fd.fd_d(forms.FormField(degree, form), x), -star(x, d_star, 5 - degree)
+
+
+def _poly_forms(degree):
+    """A (2, n_p) stack of degree-p forms with linear and quadratic coefficients."""
+    n = len(forms.TUPLES[degree])
+    rng = np.random.default_rng(20 + degree)
+    lin, quad = rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 4, 4))
+    return lambda x: np.einsum("ina,...a->...in", lin, x) + np.einsum("inab,...a,...b->...in", quad, x, x)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_codifferential_is_the_separate_pair_route_from_one_field_call(degree, shape):
+    # one call on the points and their eight neighbours gives the form and
+    # its pair on the stencil, and the center row the pair at x: (d, delta)
+    # are bitwise those of the form and the pair taken by separate calls
+    form = _poly_forms(degree)
+    x = JET_POINTS[:int(np.prod(shape[:-1]))].reshape(shape)
+    calls = []
+
+    def field(y):
+        calls.append(y.shape)
+        return with_pair(JET_METRIC, form)(y)
+
+    d, delta = fd.d_and_codifferential(degree, field, x)
+    assert calls == [shape[:-1] + (9, 4)]
+    want_d, want_delta = _separate_pair_route(degree, form, JET_METRIC, x)
+    assert d.shape == want_d.shape and delta.shape == want_delta.shape
+    assert np.array_equal(d, want_d)
+    assert np.array_equal(delta, want_delta)
 
 
 # --- metric values with a stack of their own ---------------------------------

@@ -434,15 +434,17 @@ def test_off_axis_cluster_points_are_rejected():
 
 
 def test_volume_rule_rejects_an_off_axis_center():
-    # the rule folds the azimuth, which needs f and V axisymmetric about the
-    # x1 axis: every center on it, not only the cluster points
+    # the core surface runs along the x1 axis and the volume rule folds the
+    # azimuth about it, so every center must lie on it, not only the
+    # cluster points: the segment, and every integral built on it, names
+    # the first center off the axis
     cfg = gh.GHConfig(k=3, lam=1.0, centers=(((-2.0, 0.0, 0.0), 1), ((0.0, -0.5, 0.0), 1),
                                              ((0.0, 0.5, 0.0), 1), ((2.0, 0.0, 0.0), 1)))
-    assert cfg.segment == (-2.0, 2.0)
-    with pytest.raises(SchemaError, match=r"centers\[1\]: \[0\.0, -0\.5, 0\.0\] is off the x1 axis"):
-        quadrature.volume_rule(cfg)
-    with pytest.raises(SchemaError, match=r"centers\[1\]"):
-        quadrature.volume_rule(cfg, (1.0, 2.0))
+    for call in (lambda: cfg.segment, lambda: gh.vol_sigma(cfg),
+                 lambda: gh.sigma_integrate(cfg, np.ones_like), lambda: harmonic.build_omega(cfg),
+                 lambda: quadrature.volume_rule(cfg), lambda: quadrature.volume_rule(cfg, (1.0, 2.0))):
+        with pytest.raises(SchemaError, match=r"centers\[1\]: \[0\.0, -0\.5, 0\.0\] is off the x1 axis"):
+            call()
 
 
 @settings(max_examples=20, deadline=None)

@@ -153,14 +153,15 @@ def test_warm_verify_inverts_no_identity_metric(monkeypatch):
 
 
 def test_moment_connection_checks_invert_each_point_stack_once(monkeypatch):
-    # gh.metric_at's pair on the stencil and at the points serves the
-    # codifferential there
+    # gh.metric_at's pair on the stencil, the points and their eight
+    # neighbours, serves the codifferential; the triple at the points
+    # inverts nothing
     config = gh.GHConfig.canonical(1, 1.0)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
     calls = _count_metric_inverses(monkeypatch)
     deformation.moment_connection_checks(config, coeff, x4)
-    assert [g.shape for g in calls] == [(3, 8, 4, 4), (3, 4, 4)]
+    assert [g.shape for g in calls] == [(3, 9, 4, 4)]
 
 
 def test_suite_harmonic_inverts_its_check_point_metrics_once(monkeypatch):
