@@ -57,7 +57,8 @@ x_p x_q (fd.DQUAD) and the constant form tables: no field is evaluated.
 
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
-d alpha_i = w_i and are coclosed.
+d alpha_i = w_i and are coclosed; they are read off gh.metric_at's sample
+(FrameSample.alpha), the one route to them.
 """
 
 from __future__ import annotations
@@ -453,8 +454,10 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
     coeff is symmetric with vanishing first row/column in the intended
     use (deformations transverse to the first curvature row).  The GH
     metric is built and inverted once, by one gh.metric_at sample on the
-    stencil, x and its eight neighbours, which gives a and the (g^{-1},
-    det g) pair of the codifferential; the triple at x inverts nothing.
+    stencil, x and its eight neighbours, whose one pass over the centers
+    gives a, through the sample's alpha, and the (g^{-1}, det g) pair of the
+    codifferential; the triple at x inverts nothing.  That makes two passes
+    over the centers in all.
     """
     x4 = np.asarray(x4, dtype=float)
     c = float_or_complex(coeff)
@@ -462,7 +465,7 @@ def moment_connection_checks(config: gh.GHConfig, coeff: np.ndarray,
     def field(y: np.ndarray) -> tuple[np.ndarray, ...]:
         with np.errstate(all="ignore"):  # out of range: metric_inverse raises, unwarned
             sample = gh.metric_at(config, y)
-        return (c @ gh.alpha_covector(config, y, sample), *sample.inverse)
+        return (c @ sample.alpha, *sample.inverse)
 
     d_a, delta_a = fd.d_and_codifferential(1, field, x4, h)
     d_res = float(np.max(np.abs(d_a - c @ gh.triple_field(config)(x4))))
@@ -481,7 +484,7 @@ def radial_contraction_decay(config: gh.GHConfig) -> float:
     rho = np.asarray((8.0, 16.0, 32.0, 64.0))[:, None, None]
     base = rho * dirs  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.3)], axis=-1)
-    alpha = gh.alpha_covector(config, x4)[..., 1, :3]
+    alpha = gh.metric_at(config, x4).alpha[..., 1, :3]
     r4 = np.sqrt(2.0 * kfac * rho)
     vals = np.abs(np.sum(alpha * ((r4 / kfac) * dirs), axis=-1))
     logs_v = np.log(np.maximum(np.mean(vals, axis=-1), 1e-300))

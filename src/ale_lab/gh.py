@@ -53,11 +53,14 @@ unchecked, eta_and_grad_f with the north-gauge eta after domain validation.
 Point-stacking rule: every pointwise function here takes a (..., 3) stack
 of base points or a (..., 4) stack of chart points and returns one value
 per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
-field (..., 3, 6), alpha_covector (..., 3, 4).  metric_at samples the
-metric, its (g^-1, det g) pair and the triple (FrameSample); the orthonormal
-coframe is built only by coframe_and_metric.  validate_base checks the
-whole stack and names the first offending point.  sample_chart_points
-returns a (count, 4) stack that feeds these functions directly.
+field (..., 3, 6).  metric_at samples, from one north-gauge pass over the
+centers, the metric, its (g^-1, det g) pair, the triple and dm, whose
+weights are the shares n_i/|x - p_i| that V sums (FrameSample); its J and
+the moment-map covectors alpha_i = (1/2) J_i dm, (..., 3, 4), are taken on
+first read, and are the one route to either.  The orthonormal coframe is
+built only by coframe_and_metric.  validate_base checks the whole stack and
+names the first offending point.  sample_chart_points returns a (count, 4)
+stack that feeds these functions directly.
 """
 
 from __future__ import annotations
@@ -367,22 +370,28 @@ def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 @dataclass
 class FrameSample:
     """Metric data at a stack of chart points: the metric and its one
-    inverse pair, the self-dual 2-form triple and its complex structures J,
-    taken on first read from that pair."""
+    inverse pair, the self-dual 2-form triple and dm; the complex structures
+    J, from that pair, and alpha are taken on first read."""
 
     metric: np.ndarray  # (..., 4, 4)
     inverse: Inverse  # ((..., 4, 4), (...))
     triple: np.ndarray  # (..., 3, 6), rows: component vectors of w1, w2, w3
+    dm: np.ndarray  # (..., 4), fiber component 0
 
     def rows(self, index) -> FrameSample:
         """The sample at points[index] of its point stack."""
         return FrameSample(self.metric[index], tuple(part[index] for part in self.inverse),
-                           self.triple[index])
+                           self.triple[index], self.dm[index])
 
     @functools.cached_property
     def J(self) -> np.ndarray:
         """(..., 3, 4, 4) complex structures of the triple."""
         return J_with((self.inverse[0][..., None, :, :], self.inverse[1][..., None]), self.triple)
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        """alpha_i = (1/2) J_i dm, the moment-map covectors, (..., 3, 4)."""
+        return 0.5 * apply_J_covector(self.J, self.dm[..., None, :])
 
 
 # dx^i and the cyclic base 2-forms dx^j ^ dx^k, rows i = 1, 2, 3
@@ -417,9 +426,16 @@ def coframe_and_metric(config: GHConfig, x4: np.ndarray) -> tuple[np.ndarray, np
 
 
 def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
-    v, eta = potential_and_eta(config, x4)
+    """The FrameSample at (..., 4) chart points, from one domain-checked pass
+    over the centers: V, the north-gauge eta and dm = sum_i (n_i/|x - p_i|)
+    (x - p_i), whose weights are the shares of V."""
+    diff, dists = validate_base(config, np.asarray(x4, dtype=float)[..., :3], "north")
+    shares = list(_shares(config.weights, dists))
+    v, eta = _potential_from(shares), _eta(config, diff, "north")
+    dm = np.zeros(eta.shape)
+    dm[..., :3] = _components_last(_center_sum(s * d for s, d in zip(shares, diff)))
     g = _metric_from(v, eta)
-    return FrameSample(g, metric_inverse(g), form_triple(v, eta))
+    return FrameSample(g, metric_inverse(g), form_triple(v, eta), dm)
 
 
 def triple_field(config: GHConfig) -> FormField:
@@ -433,33 +449,12 @@ def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:
     return _center_sum(n * d for n, d in zip(config.weights, _offsets(config, x3)[1]))
 
 
-def dm4(config: GHConfig, x3: np.ndarray) -> np.ndarray:
-    """dm (..., 4) at (..., 3) base points, validated; its fiber component is 0."""
-    diff, dists = validate_base(config, x3)
-    out = np.zeros(diff.shape[2:] + (4,))
-    out[..., :3] = _components_last(
-        _center_sum((n / d) * di for n, d, di in zip(config.weights, dists, diff)))
-    return out
-
-
-def alpha_covector(config: GHConfig, x4: np.ndarray,
-                   sample: FrameSample | None = None) -> np.ndarray:
-    """alpha_i = (1/2) J_i dm as chart covectors, a (..., 3, 4) stack; J is
-    read from sample, metric_at of the same points, when the caller has it."""
-    x4 = np.asarray(x4, dtype=float)
-    if sample is None:
-        sample = metric_at(config, x4)
-    return 0.5 * apply_J_covector(sample.J, dm4(config, x4[..., :3])[..., None, :])
-
-
 def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Metric dual of J_1 dm = 2 alpha_1; contracting into w1 gives -dm exactly."""
 
     def ev(x4: np.ndarray) -> np.ndarray:
-        x4 = np.asarray(x4, dtype=float)
         sample = metric_at(config, x4)
-        jdm = 2.0 * alpha_covector(config, x4, sample)[..., 0, :]
-        return np.linalg.solve(sample.metric, jdm[..., None])[..., 0]
+        return np.linalg.solve(sample.metric, 2.0 * sample.alpha[..., 0, :, None])[..., 0]
 
     return ev
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
-from .forms import FormField, J_with, apply_J_covector, split_sd
+from .forms import FormField, apply_J_covector, split_sd
 from .quadrature import TWO_PI, volume_rule
 
 
@@ -121,22 +121,6 @@ def s_ratio(bundle: HarmonicFormBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dC_scalar_field(config: gh.GHConfig,
-                    grad4: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Covector field J_1(d u) for a scalar with known 4D gradient, or for
-    a stack of scalars whose gradients grad4 returns as (..., *shape, 4)
-    at (..., 4) points."""
-
-    def ev(x4: np.ndarray) -> np.ndarray:
-        sample = gh.metric_at(config, x4)
-        j1 = J_with(sample.inverse, sample.triple[..., 0, :])
-        du = grad4(x4)
-        j1 = j1.reshape(j1.shape[:-2] + (1,) * (du.ndim - x4.ndim) + j1.shape[-2:])
-        return apply_J_covector(j1, du)
-
-    return ev
-
-
 def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameSample,
                           omega: np.ndarray) -> dict:
     """Residuals of alpha^+ = -w1 and alpha^- = s Omega for
@@ -144,7 +128,7 @@ def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameS
     from the caller's gh.metric_at sample and (..., 6) components of Omega
     there."""
     x4 = np.asarray(x4, dtype=float)
-    alpha = -fd.fd_d(FormField(1, lambda y: gh.alpha_covector(config, y)[..., 0, :]), x4)
+    alpha = -fd.fd_d(FormField(1, lambda y: gh.metric_at(config, y).alpha[..., 0, :]), x4)
     plus, minus = split_sd(sample.inverse, alpha)
     s = -config.k * config.lam
     w1 = sample.triple[..., 0, :]
@@ -174,13 +158,15 @@ def _model_grads(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
 
 def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
     """d d^C of the lead (1/rhat^2) and sub (phi1/rhat^6) potentials at
-    (..., 4) points, stacked as (..., 2, 6): one degree-1 field, so one
-    stencil and one gh.metric_at call for both.
+    (..., 4) points, stacked as (..., 2, 6): one degree-1 field J_1 du, with
+    J_1 read from the gh.metric_at sample, so one stencil and one
+    gh.metric_at call for both.
 
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
-    fld = FormField(1, dC_scalar_field(config, lambda y: _model_grads(config, y)))
+    fld = FormField(1, lambda y: apply_J_covector(gh.metric_at(config, y).J[..., :1, :, :],
+                                                  _model_grads(config, y)))
     return fd.fd_d(fld, np.asarray(x4, dtype=float))
 
 

@@ -624,7 +624,7 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
     cfg = gh.GHConfig.canonical(1, 1.0)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
-    a = forms.FormField(1, lambda y: coeff @ gh.alpha_covector(cfg, y))
+    a = forms.FormField(1, lambda y: coeff @ gh.metric_at(cfg, y).alpha)
     mfn = gh.metric_fn(cfg)
     starred = forms.FormField(3, lambda y: forms.hodge_star(
         forms.metric_inverse(mfn(y)[..., None, :, :]), a(y), 1))
@@ -632,13 +632,13 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
                               fd.fd_d(starred, x4), 4)
     d_res = np.max(np.abs(fd.fd_d(a, x4) - coeff @ gh.triple_field(cfg)(x4)))
     calls = []
-    alpha = gh.alpha_covector
+    metric_at = gh.metric_at
 
-    def counted(config, y, *sample):
+    def counted(config, y):
         calls.append(np.shape(y))
-        return alpha(config, y, *sample)
+        return metric_at(config, y)
 
-    monkeypatch.setattr(gh, "alpha_covector", counted)
+    monkeypatch.setattr(gh, "metric_at", counted)
     res = deformation.moment_connection_checks(cfg, coeff, x4)
     assert calls == [(3, 9, 4)]
     assert res == {"curvature_residual": float(d_res),
@@ -646,27 +646,28 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
 
 
 def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypatch):
-    # one GH potential pass on the stencil, the points and their eight
-    # neighbours, serves a and the metric of the codifferential there, and
-    # one at the points serves the triple; the residuals are bitwise those
-    # of separate passes
+    # one pass over the centers on the stencil, the points and their eight
+    # neighbours, serves a, dm included, and the metric of the codifferential
+    # there, and one at the points serves the triple; the residuals are
+    # bitwise those of separate passes
     cfg = gh.GHConfig.canonical(2, 0.7)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 0.6], [0.0, 0.6, -0.5]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
     d_a, delta_a = fd.d_and_codifferential(1, lambda y: (
-        coeff @ gh.alpha_covector(cfg, y), *forms.metric_inverse(gh.metric_matrix(cfg, y))), x4, 5e-4)
+        coeff @ gh.metric_at(cfg, y).alpha, *forms.metric_inverse(gh.metric_matrix(cfg, y))),
+        x4, 5e-4)
     expected = {"curvature_residual": float(np.max(np.abs(d_a - coeff @ gh.triple_field(cfg)(x4)))),
                 "coclosed_residual": float(np.max(np.abs(delta_a)))}
     calls = []
-    inner = gh.potential_and_eta
+    inner = gh._offsets
 
-    def counted(config, y, *patch):
-        calls.append(np.shape(y))
-        return inner(config, y, *patch)
+    def counted(config, x3):
+        calls.append(np.shape(x3))
+        return inner(config, x3)
 
-    monkeypatch.setattr(gh, "potential_and_eta", counted)
+    monkeypatch.setattr(gh, "_offsets", counted)
     assert deformation.moment_connection_checks(cfg, coeff, x4, h=5e-4) == expected
-    assert sorted(calls) == [(3, 4), (3, 9, 4)]
+    assert sorted(calls) == [(3, 3), (3, 9, 3)]
 
 
 def test_radial_contraction_decay_rate():

@@ -176,6 +176,32 @@ def test_frame_sample_takes_J_on_first_read():
     assert sample.J is sample.J
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
+def test_frame_sample_alpha_is_half_J_dm_from_one_pass(shape, monkeypatch):
+    # V, eta and dm come from one pass over the centers, dm bit for bit the
+    # last-axis expression, and alpha = (1/2) J dm is taken on first read
+    x4 = gh.sample_chart_points(OFF_AXIS_3, 6, seed=3).reshape(shape)
+    passes = []
+    offsets = gh._offsets
+
+    def counted(config, x3):
+        passes.append(np.shape(x3))
+        return offsets(config, x3)
+
+    monkeypatch.setattr(gh, "_offsets", counted)
+    sample = gh.metric_at(OFF_AXIS_3, x4)
+    assert "alpha" not in vars(sample)
+    alpha = sample.alpha
+    assert passes == [shape[:-1] + (3,)]
+    dm = np.zeros(shape)
+    dm[..., :3] = _reference_point_layer(OFF_AXIS_3, x4[..., :3], "north")["dm"]
+    assert _same_bits(sample.dm, dm)
+    assert _same_bits(alpha, 0.5 * forms.apply_J_covector(sample.J, dm[..., None, :]))
+    assert sample.alpha is alpha
+    # a row slice carries its dm, and its alpha is those rows of alpha
+    assert _same_bits(sample.rows(slice(1)).alpha, alpha[:1])
+
+
 def test_first_center_pass_gradients_match_finite_differences():
     pts = gh.sample_chart_points(OFF_AXIS, 16, seed=6, rho_min=0.5, rho_max=4.0,
                                  min_center_dist=0.5)
@@ -230,12 +256,17 @@ def _point_layer(config, x3, patch):
     v0, gv0 = gh.eval_V(first, x3), gh.eval_V_grad(first, x3)
     x4 = np.concatenate([x3, np.full(x3.shape[:-1] + (1,), 0.3)], axis=-1)
     v_eta, eta = gh.potential_and_eta(config, x4, patch)
-    dm = gh.dm4(config, x3)
     assert _same_bits(v_eta, v) and _same_bits(gh.eval_V(config, x3), v)
     assert np.all(eta[..., 0] == 0.0) and np.all(eta[..., 3] == 1.0)
-    assert np.all(dm[..., 3] == 0.0)
-    return {"V": v, "grad V": gv, "V0": v0, "grad V0": gv0, "eta1": eta[..., 1],
-            "eta2": eta[..., 2], "m": gh.moment_map(config, x3), "dm": dm[..., :3]}
+    layer = {"V": v, "grad V": gv, "V0": v0, "grad V0": gv0, "eta1": eta[..., 1],
+             "eta2": eta[..., 2], "m": gh.moment_map(config, x3)}
+    # dm does not depend on the gauge; it comes from metric_at's north-gauge
+    # pass, which refuses the south stacks' point on a -x1 ray
+    if patch == "north":
+        dm = gh.metric_at(config, x4).dm
+        assert np.all(dm[..., 3] == 0.0)
+        layer["dm"] = dm[..., :3]
+    return layer
 
 
 def _layer_stacks(config, patch):
@@ -257,7 +288,8 @@ def test_point_layer_is_bitwise_the_last_axis_expressions(config, patch):
     for x3 in _layer_stacks(config, patch):
         ref = _reference_point_layer(config, x3, patch)
         got = _point_layer(config, x3, patch)
-        for name in ref:
+        assert set(ref) - set(got) == ({"dm"} if patch == "south" else set())
+        for name in got:
             assert _same_bits(got[name], ref[name]), (name, np.shape(x3))
 
 
@@ -354,7 +386,7 @@ def test_moment_potential_identity_second_and_third():
     cfg = gh.GHConfig.canonical(2, 1.0)
     x4 = gh.sample_chart_points(cfg, 1, seed=2, rho_min=1.5, rho_max=3.0,
                                 string_cone_cos=0.45)[0]
-    alpha = FormField(1, lambda y: gh.alpha_covector(cfg, y)[..., 1:, :])
+    alpha = FormField(1, lambda y: gh.metric_at(cfg, y).alpha[..., 1:, :])
     dalpha = fd.fd_d(alpha, x4)
     assert np.max(np.abs(dalpha - gh.triple_field(cfg)(x4)[1:])) < 1e-5
 
@@ -370,8 +402,10 @@ def test_moment_values():
         (gh.moment_map(cfg, x + step * e) - gh.moment_map(cfg, x - step * e)) / (2 * step)
         for e in np.eye(3)
     ])
-    dm = gh.dm4(cfg, x)
-    assert np.allclose(dm[..., :3], num, atol=1e-7)
+    dm = gh.metric_at(cfg, np.append(x, 0.3)).dm
+    # |dm - num| is about 6e-10 here; rtol = 0, so that a relative fault of
+    # 1e-6 in dm (about 3e-6 here) does not pass
+    assert np.allclose(dm[..., :3], num, rtol=0.0, atol=1e-7)
     assert dm[..., 3] == 0.0
 
 

@@ -224,8 +224,9 @@ def _two_model_fit(cfg, bundle):
     base = radii * harmonic._fit_directions(6, 0)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (cfg.k + 1) * radii) ** 2
-    lead, sub = (weight * fd.fd_d(FormField(1, harmonic.dC_scalar_field(
-        cfg, lambda y, m=m: harmonic._model_grads(cfg, y)[..., m, :])), x4) for m in (0, 1))
+    lead, sub = (weight * fd.fd_d(FormField(1, lambda y, m=m: forms.apply_J_covector(
+        gh.metric_at(cfg, y).J[..., 0, :, :], harmonic._model_grads(cfg, y)[..., m, :])), x4)
+        for m in (0, 1))
     amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
     sol, *_ = np.linalg.lstsq(amat, (weight * bundle.components(x4)).ravel(), rcond=None)
     return sol
