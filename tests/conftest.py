@@ -1,5 +1,6 @@
-"""Shared fixtures: cached configurations and harmonic-form bundles, and
-one thread per BLAS/OpenMP call.
+"""Shared fixtures: cached configurations and harmonic-form bundles, a
+call recorder for the evaluation pins, and one thread per BLAS/OpenMP
+call.
 
 Building the harmonic-form bundle runs Sigma quadrature for the
 normalization constant, so bundles are cached per (k, lam) for the whole
@@ -7,6 +8,9 @@ session.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Any, Callable
 
 from ale_lab.cli import _configure_threads
 
@@ -50,3 +54,52 @@ def omega_bundle(canonical):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def point_shape(*args: Any, **kwargs: Any) -> tuple[int, ...]:
+    """The default record of a call: the shape of its last positional
+    argument, the point stack of an evaluation."""
+    return np.shape(args[-1])
+
+
+class Recorder:
+    """Call logs for the evaluation pins.
+
+    record(owner, name) replaces owner.name, and each binding of the same
+    object under that name in an ale_lab module, by one wrapper that logs
+    every call before it makes it; record.wrap(fn) wraps a plain callable.
+    A call's record is entry(*args, **kwargs), by default its point stack's
+    shape.  It goes to the list returned for its target and, as (name,
+    record), to record.log, the calls of every target in call order.
+    monkeypatch restores each binding at teardown.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self._monkeypatch = monkeypatch
+        self.log: list[tuple[str, Any]] = []
+
+    def wrap(self, fn: Callable, entry: Callable = point_shape,
+             name: str = "") -> tuple[Callable, list]:
+        calls: list = []
+
+        def logged(*args, **kwargs):
+            record = entry(*args, **kwargs)
+            calls.append(record)
+            self.log.append((name, record))
+            return fn(*args, **kwargs)
+
+        return logged, calls
+
+    def __call__(self, owner: Any, name: str, entry: Callable = point_shape) -> list:
+        target = getattr(owner, name)
+        logged, calls = self.wrap(target, entry, name)
+        self._monkeypatch.setattr(owner, name, logged)
+        for key, module in list(sys.modules.items()):
+            if key.partition(".")[0] == "ale_lab" and getattr(module, name, None) is target:
+                self._monkeypatch.setattr(module, name, logged)
+        return calls
+
+
+@pytest.fixture()
+def record(monkeypatch):
+    return Recorder(monkeypatch)

@@ -450,19 +450,14 @@ def test_obstruct_requires_k_or_overrides(tmp_path, capsys):
     ({}, "ak_constants"),
     (_overrides(4 * np.pi, 8 * np.pi**2), "constants_from_overrides"),
 ], ids=["k", "overrides"])
-def test_obstruct_builds_the_constants_once(tmp_path, monkeypatch, extra, builder):
+def test_obstruct_builds_the_constants_once(tmp_path, record, extra, builder):
     from ale_lab import obstruction
 
-    calls = {"ak_constants": 0, "constants_from_overrides": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(obstruction, name), _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-
-        monkeypatch.setattr(obstruction, name, counted)
+    for name in ("ak_constants", "constants_from_overrides"):
+        record(obstruction, name)
     jet_path = _write_jet(tmp_path / "jet.json", **extra)
     assert cli.main(["obstruct", "--jet", str(jet_path), "--report", str(tmp_path / "r.json")]) == 0
-    assert calls == {name: int(name == builder) for name in calls}
+    assert [name for name, _ in record.log] == [builder]
 
 
 def test_obstruct_prints_an_overflowing_det_without_a_warning(tmp_path, capsys):

@@ -184,16 +184,11 @@ def test_stacked_frames_and_blocks_match_per_point(scale):
     assert np.max(np.abs(block.Rminus)) > 1e-3
 
 
-def test_curvature_block_makes_one_metric_call():
+def test_curvature_block_makes_one_metric_call(record):
     # the metric at x is the first point of the nested stencil, so the block
     # takes g from there instead of calling the metric again
     metric = _curved_metric(1.0)
-    calls = []
-
-    def counted(y):
-        calls.append(y.shape)
-        return metric(y)
-
+    counted, calls = record.wrap(metric)
     x = 0.3 * np.random.default_rng(9).normal(size=(2, 4))
     block = connection.curvature_block_of_metric(counted, x)
     assert calls == [(2, 9, 9, 4)]

@@ -5,7 +5,6 @@ moment-map connection on the curved background."""
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -58,25 +57,15 @@ def test_first_order_connection_matches_family_derivative():
     assert deformation.gauge_residual(fam.lam, first, X0) < 1e-9
 
 
-def test_connection_makes_one_triple_call(monkeypatch):
+def test_connection_makes_one_triple_call(record):
     # the triple on the base points and their stencil, the metric on the
     # base points alone
     fam = deformation.linear_gauged_family(0)
-    calls = []
-
-    def counting(name):
-        inner = getattr(deformation.TripleFamily, name)
-
-        def counted(self, t, x):
-            calls.append((name, np.shape(x)))
-            return inner(self, t, x)
-        return counted
-
     for name in ("triple", "metric"):
-        monkeypatch.setattr(deformation.TripleFamily, name, counting(name))
+        record(deformation.TripleFamily, name)
     t = _NODES["complex"]
     fam.connection(t)(X0)
-    assert calls == [("triple", (9, 4)), ("metric", (4,))]
+    assert record.log == [("triple", (9, 4)), ("metric", (4,))]
 
 
 # --- t-coefficients ------------------------------------------------------------
@@ -247,15 +236,10 @@ def test_taylor_coefficient_rejects_values_without_node_axis():
                               deformation.TAYLOR_NODES)
 
 
-def test_taylor_coefficient_calls_f_once_on_the_nodes():
+def test_taylor_coefficient_calls_f_once_on_the_nodes(record):
     # one complex array of the N/2 + 1 nodes r w^k, k = 0..N/2, in order,
     # with the real nodes r and -r exact
-    calls = []
-
-    def f(t):
-        calls.append(np.array(t))
-        return np.exp(t)
-
+    f, calls = record.wrap(np.exp, entry=np.array)
     coeff = fd.taylor_coefficient(f, 2, deformation.TAYLOR_NODES)
     assert len(calls) == 1
     (t,) = calls
@@ -268,16 +252,11 @@ def test_taylor_coefficient_calls_f_once_on_the_nodes():
     assert coeff.dtype == np.float64 and abs(coeff - 0.5) < 1e-12
 
 
-def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
+def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit(record):
     # several orders from one call of f, each the coefficient of a call
     # with that order alone
     fam = deformation.einstein_first_order_family(5)
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        return fam.connection(t)(X0)
-
+    f, calls = record.wrap(lambda t: fam.connection(t)(X0))
     both = fd.taylor_coefficient(f, (1, 2), deformation.TAYLOR_NODES)
     assert len(calls) == 1 and both.shape == (2, 3, 4) and both.dtype == np.float64
     for row, n in zip(both, (1, 2)):
@@ -287,49 +266,28 @@ def test_taylor_coefficient_orders_match_single_order_calls_bit_for_bit():
                                     for n in (2, 0, 2)]))
 
 
-def test_curvature_contour_decomposes_once_per_point(monkeypatch):
+def test_curvature_contour_decomposes_once_per_point(record):
     # one curvature block on a contour: its metric call gets the nested
     # stencil of plain points, and eigh sees each point once, not once per
     # node
     fam = deformation.einstein_first_order_family(5)
     t = _NODES["complex"]
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        sizes.append(int(np.prod(np.shape(a)[:-2])))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sizes = record(np.linalg, "eigh", entry=lambda a, *args: int(np.prod(np.shape(a)[:-2])))
     connection.curvature_block_of_metric(fam.metric_field(t), X0)
     assert sum(sizes) == 9 * 9  # the nested stencil of one point
 
 
-def test_suite_deformation_evaluates_each_contour_as_one_stack(monkeypatch):
-    calls = {"triple": 0, "metric": 0}
-
-    def counting(name):
-        inner = getattr(deformation.TripleFamily, name)
-
-        def counted(self, t, x):
-            calls[name] += 1
-            return inner(self, t, x)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(deformation.TripleFamily, name, counting(name))
-
-    def rebuilt(*triple):
-        raise AssertionError("the suite rebuilt a metric from a triple")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ale_lab") and hasattr(module, "metric_from_triple"):
-            monkeypatch.setattr(module, "metric_from_triple", rebuilt)
+def test_suite_deformation_evaluates_each_contour_as_one_stack(record):
+    for name in ("triple", "metric"):
+        record(deformation.TripleFamily, name)
+    rebuilt = record(forms, "metric_from_triple")
     assert suites.suite_deformation(1, 1.0).passed
     # both families are one family stack: one connection contour on x0 and
     # its stencil, whose metric call is on the base points, and one
-    # curvature contour on the nested stencil of x0
-    assert calls == {"triple": 1, "metric": 2}
+    # curvature contour on the nested stencil of x0; no metric is rebuilt
+    # from a triple
+    assert rebuilt == []
+    assert [name for name, _ in record.log] == ["triple", "metric", "metric"]
 
 
 _STACKED = [deformation.linear_gauged_family(0), deformation.einstein_first_order_family(5)]
@@ -526,20 +484,17 @@ def test_constraint_null_spaces_are_built_in_bounded_memory(null_space):
     assert np.array_equal(rebuilt, built)
 
 
-def test_constraint_null_spaces_are_built_without_a_stencil(monkeypatch):
+def test_constraint_null_spaces_are_built_without_a_stencil(record):
     # the constraint matrices are exact tables: no field is evaluated
     gauge, efo = deformation._gauge_null_space(), deformation._efo_null_space()
     for cached in (deformation._gauge_null_space, deformation._efo_null_space):
         cached.cache_clear()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a constraint matrix evaluated a field")
-
-    monkeypatch.setattr(fd, "all_partials", refuse)
-    monkeypatch.setattr(fd, "fd_d", refuse)
+    for name in ("all_partials", "fd_d"):
+        record(fd, name)
     assert np.array_equal(deformation._gauge_null_space(), gauge)
     assert np.array_equal(deformation._efo_null_space(), efo)
     assert not deformation._gauge_null_space().flags.writeable
+    assert record.log == []
 
 
 def test_einstein_family_projects_onto_the_constraint_null_space():
@@ -617,10 +572,12 @@ def test_moment_connection_curvature_and_coclosed():
     assert res["coclosed_residual"] < 1e-5
 
 
-def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
+def test_moment_connection_checks_make_one_stencil_call(record):
     # d a and delta a = -*d*a come from one evaluation of the connection on
     # the stencil, bit for bit the residuals of fd_d and of the codifferential
-    # taken through a second evaluation of a on the stencil
+    # taken through a second evaluation of a on the stencil; gh.metric_at's
+    # pair there, the points and their eight neighbours, serves the
+    # codifferential, and the triple at the points inverts nothing
     cfg = gh.GHConfig.canonical(1, 1.0)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
@@ -631,21 +588,15 @@ def test_moment_connection_checks_make_one_stencil_call(monkeypatch):
     delta = -forms.hodge_star(forms.metric_inverse(mfn(x4)[..., None, :, :]),
                               fd.fd_d(starred, x4), 4)
     d_res = np.max(np.abs(fd.fd_d(a, x4) - coeff @ gh.triple_field(cfg)(x4)))
-    calls = []
-    metric_at = gh.metric_at
-
-    def counted(config, y):
-        calls.append(np.shape(y))
-        return metric_at(config, y)
-
-    monkeypatch.setattr(gh, "metric_at", counted)
+    calls, inverses = record(gh, "metric_at"), record(forms, "metric_inverse")
     res = deformation.moment_connection_checks(cfg, coeff, x4)
     assert calls == [(3, 9, 4)]
+    assert inverses == [(3, 9, 4, 4)]
     assert res == {"curvature_residual": float(d_res),
                    "coclosed_residual": float(np.max(np.abs(delta)))}
 
 
-def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypatch):
+def test_moment_connection_checks_build_the_metric_once_per_point_stack(record):
     # one pass over the centers on the stencil, the points and their eight
     # neighbours, serves a, dm included, and the metric of the codifferential
     # there, and one at the points serves the triple; the residuals are
@@ -658,14 +609,7 @@ def test_moment_connection_checks_build_the_metric_once_per_point_stack(monkeypa
         x4, 5e-4)
     expected = {"curvature_residual": float(np.max(np.abs(d_a - coeff @ gh.triple_field(cfg)(x4)))),
                 "coclosed_residual": float(np.max(np.abs(delta_a)))}
-    calls = []
-    inner = gh._offsets
-
-    def counted(config, x3):
-        calls.append(np.shape(x3))
-        return inner(config, x3)
-
-    monkeypatch.setattr(gh, "_offsets", counted)
+    calls = record(gh, "_offsets")
     assert deformation.moment_connection_checks(cfg, coeff, x4, h=5e-4) == expected
     assert sorted(calls) == [(3, 3), (3, 9, 3)]
 

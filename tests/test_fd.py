@@ -158,7 +158,7 @@ def test_stacked_field_matches_row_by_row():
                        rtol=1e-13, atol=1e-13)
 
 
-def test_value_and_d_matches_value_and_fd_d():
+def test_value_and_d_matches_value_and_fd_d(record):
     # one stencil call with the center first gives the field and its
     # derivative bit for bit as the two separate calls
     rng = np.random.default_rng(4)
@@ -168,12 +168,7 @@ def test_value_and_d_matches_value_and_fd_d():
         return np.einsum("ina,...a->...in", lin, x) + np.einsum("inab,...a,...b->...in", quad, x, x)
 
     field = forms.FormField(1, stack)
-    calls = []
-
-    def counted(x):
-        calls.append(x.shape)
-        return stack(x)
-
+    counted, calls = record.wrap(stack)
     for x in (np.array([0.3, -0.2, 0.5, 0.1]), rng.normal(size=(2, 3, 4))):
         calls.clear()
         value, d = fd.value_and_d(forms.FormField(1, counted), x)
@@ -292,18 +287,13 @@ def _poly_forms(degree):
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_codifferential_is_the_separate_pair_route_from_one_field_call(degree, shape):
+def test_codifferential_is_the_separate_pair_route_from_one_field_call(degree, shape, record):
     # one call on the points and their eight neighbours gives the form and
     # its pair on the stencil, and the center row the pair at x: (d, delta)
     # are bitwise those of the form and the pair taken by separate calls
     form = _poly_forms(degree)
     x = JET_POINTS[:int(np.prod(shape[:-1]))].reshape(shape)
-    calls = []
-
-    def field(y):
-        calls.append(y.shape)
-        return with_pair(JET_METRIC, form)(y)
-
+    field, calls = record.wrap(with_pair(JET_METRIC, form))
     d, delta = fd.d_and_codifferential(degree, field, x)
     assert calls == [shape[:-1] + (9, 4)]
     want_d, want_delta = _separate_pair_route(degree, form, JET_METRIC, x)

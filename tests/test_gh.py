@@ -177,18 +177,11 @@ def test_frame_sample_takes_J_on_first_read():
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
-def test_frame_sample_alpha_is_half_J_dm_from_one_pass(shape, monkeypatch):
+def test_frame_sample_alpha_is_half_J_dm_from_one_pass(shape, record):
     # V, eta and dm come from one pass over the centers, dm bit for bit the
     # last-axis expression, and alpha = (1/2) J dm is taken on first read
     x4 = gh.sample_chart_points(OFF_AXIS_3, 6, seed=3).reshape(shape)
-    passes = []
-    offsets = gh._offsets
-
-    def counted(config, x3):
-        passes.append(np.shape(x3))
-        return offsets(config, x3)
-
-    monkeypatch.setattr(gh, "_offsets", counted)
+    passes = record(gh, "_offsets")
     sample = gh.metric_at(OFF_AXIS_3, x4)
     assert "alpha" not in vars(sample)
     alpha = sample.alpha

@@ -57,19 +57,13 @@ def _pairing_shell(config):
      quadrature.RADIAL_NODES * quadrature.SPHERE_ORDER),
     (lambda bundle: bundle.components(_CHART_POINTS), lambda cfg: _CHART_POINTS[:, :3], 3),
 ], ids=["omega_norm", "exact_form_pairing", "components"])
-def test_makes_one_pass_over_the_centers(evaluate, nodes, count, monkeypatch, omega_bundle):
+def test_makes_one_pass_over_the_centers(evaluate, nodes, count, record, omega_bundle):
     # V of the volume weight, and V and eta of the form's components, come
     # from the pass that computes grad f; a volume integral makes that pass
     # once, on the half-plane (xi, mu) nodes of its rule and not on their
     # SPHERE_ORDER azimuth copies
     bundle = omega_bundle(2)
-    offsets, stacks = gh._offsets, []
-
-    def counted(config, x3):
-        stacks.append(np.array(x3))
-        return offsets(config, x3)
-
-    monkeypatch.setattr(gh, "_offsets", counted)
+    stacks = record(gh, "_offsets", entry=lambda config, x3: np.array(x3))
     evaluate(bundle)
     assert [stack.shape for stack in stacks] == [(count, 3)]
     assert stacks[0].tobytes() == nodes(bundle.config).tobytes()
@@ -233,21 +227,14 @@ def _two_model_fit(cfg, bundle):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, monkeypatch):
+def test_asymptotic_fit_makes_one_metric_call(k, canonical, omega_bundle, record, monkeypatch):
     # both models are one stacked field: one stencil, one gh.metric_at call,
     # and the coefficients of the two-field route bit for bit
     cfg, bundle = canonical(k), omega_bundle(k)
-    calls = []
-    metric_at = gh.metric_at
-
-    def counted(config, x4):
-        calls.append(np.shape(x4))
-        return metric_at(config, x4)
-
-    monkeypatch.setattr(gh, "metric_at", counted)
+    calls = record(gh, "metric_at")
     fit = _fit(cfg, bundle)
     assert calls == [(3, 6, 8, 4)]
-    monkeypatch.setattr(gh, "metric_at", metric_at)
+    monkeypatch.undo()
     c_gamma, a1 = _two_model_fit(cfg, bundle)
     assert (fit.c_gamma, fit.a1) == (float(c_gamma), float(a1))
 
@@ -261,18 +248,14 @@ def test_decay_profile_exponents(omega_bundle):
     assert slopes["omega"] == pytest.approx(-4.0, abs=0.1)
 
 
-def test_metric_decay_exponent_is_the_profiles_metric_slope(canonical, omega_bundle,
-                                                            monkeypatch):
+def test_metric_decay_exponent_is_the_profiles_metric_slope(canonical, omega_bundle, record):
     # the metric column alone, bit for bit, without the harmonic form
     cfg = canonical(2)
     radii = [24.0 * 1.6**j for j in range(4)]
     expected = harmonic.decay_exponents(harmonic.decay_profiles(omega_bundle(2), radii))["metric"]
-
-    def no_bundle(config):
-        raise AssertionError("the metric column builds no harmonic form")
-
-    monkeypatch.setattr(harmonic, "build_omega", no_bundle)
+    bundles = record(harmonic, "build_omega")
     assert harmonic.metric_decay_exponent(cfg, radii, 6) == expected
+    assert bundles == []
 
 
 def test_annulus_density_exponent(omega_bundle):
@@ -304,45 +287,20 @@ def test_exact_form_pairing_sees_an_axisymmetric_non_closed_form(k, monkeypatch,
     assert harmonic.exact_form_pairing_residual(bundle) > 1e-8
 
 
-def test_suite_harmonic_computes_each_core_quantity_once(monkeypatch):
-    calls = {}
-
-    def counted(name):
-        inner = getattr(harmonic, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(harmonic, name, wrapper)
-
-    for name in ("omega_norm", "build_omega", "_raw_sigma_integral"):
-        counted(name)
-    assert suites.suite_harmonic(2, 1.0).passed
-    assert calls == {"omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
-
-
 @pytest.mark.parametrize("k", [1, 2])
-def test_suite_harmonic_shares_its_evaluations(k, monkeypatch):
+def test_suite_harmonic_shares_its_evaluations(k, record):
+    # the suite builds the form, its norm and the raw Sigma integral once;
     # Omega at the five check points comes from the fd.value_and_d call on
     # them and their stencil, with one metric_at sample there for
     # omega-antiselfdual and alpha-*; the far-field fits, two of them at
     # k >= 2, come from one model_form and one components call
-    calls = {"components": [], "model_form": [], "metric_at": []}
-
-    def spy(owner, name, key):
-        inner = getattr(owner, name)
-
-        def counted(*args):
-            calls[key].append(np.shape(args[-1]))
-            return inner(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    spy(harmonic.HarmonicFormBundle, "components", "components")
-    spy(harmonic, "model_form", "model_form")
-    spy(gh, "metric_at", "metric_at")
+    once = {name: record(harmonic, name)
+            for name in ("omega_norm", "build_omega", "_raw_sigma_integral")}
+    calls = {"components": record(harmonic.HarmonicFormBundle, "components"),
+             "model_form": record(harmonic, "model_form"), "metric_at": record(gh, "metric_at")}
     assert suites.suite_harmonic(k, 1.0).passed
+    assert {name: len(log) for name, log in once.items()} == {
+        "omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
     fits = (1, 3, 6, 4) if k == 1 else (2, 3, 6, 4)
     assert calls == {"components": [(5, 9, 4), fits], "model_form": [fits],
                      "metric_at": [(5, 4), (3, 8, 4), fits[:-1] + (8, 4)]}

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import ast
 import pathlib
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from ale_lab import connection, deformation, fd, forms, gh, jets, suites
+from ale_lab import connection, fd, forms, gh, jets, suites
 from ale_lab.errors import SingularMetric
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
@@ -101,77 +100,42 @@ def test_nan_metric_raises_singular_metric_before_any_warning():
             forms.metric_inverse(_nan_metric(np.zeros((2, 4))))
 
 
-def _count_inversions(monkeypatch):
-    calls = []
-    inv = np.linalg.inv
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
-    return calls
-
-
-def test_flat_curvature_blocks_invert_nothing(monkeypatch):
-    calls = _count_inversions(monkeypatch)
+def test_flat_curvature_blocks_invert_nothing(record):
+    calls = record(np.linalg, "inv")
     jets.curvature_from_jet2(jets.random_jet2(0))
     assert calls == []
 
 
-def test_curvature_block_inverts_its_metric_once(monkeypatch):
+def test_curvature_block_inverts_its_metric_once(record):
     # the Christoffels invert the nested stencil's metrics, the blocks the
     # metric at x, once for the frames and the raised bases together
-    calls = _count_inversions(monkeypatch)
+    calls = record(np.linalg, "inv")
     connection.curvature_block_of_metric(_flat_metric, np.zeros((3, 4)))
     assert calls == [(3, 9, 4, 4), (3, 4, 4)]
 
 
-def _count_metric_inverses(monkeypatch):
-    """The metric stacks passed to forms.metric_inverse, under every name the
-    package binds it to."""
-    calls = []
-    inverse = forms.metric_inverse
-
-    def counted(metric):
-        calls.append(np.asarray(metric))
-        return inverse(metric)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ale_lab.") and getattr(module, "metric_inverse", None) is inverse:
-            monkeypatch.setattr(module, "metric_inverse", counted)
-    return calls
-
-
-def test_warm_verify_inverts_no_identity_metric(monkeypatch):
+def test_warm_verify_inverts_no_identity_metric(record):
     # the flat operations read forms.FLAT_INVERSE
     suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0)
-    calls = _count_metric_inverses(monkeypatch)
+    calls = record(forms, "metric_inverse", entry=np.asarray)
     assert all(r.passed for r in suites.run_suites(list(suites.SUITE_NAMES), 1, 1.0))
     assert [g.shape for g in calls if np.all(g == np.eye(4))] == []
-    assert len(calls) <= 16
+    # in suite order: four stacks in gh, four in harmonic, none in
+    # quadrature and six in deformation
+    assert [g.shape for g in calls] == [
+        (20, 9, 4, 4), (6, 9, 4, 4), (6, 8, 4, 4), (4, 9, 4, 4),
+        (5, 4, 4), (3, 8, 4, 4), (1, 3, 6, 8, 4, 4), (9, 4, 4),
+        (2, 9, 5, 4, 4), (9, 5, 4, 4), (2, 9, 5, 4, 4), (2, 5, 4, 4), (3, 9, 4, 4), (4, 6, 4, 4)]
 
 
-def test_moment_connection_checks_invert_each_point_stack_once(monkeypatch):
-    # gh.metric_at's pair on the stencil, the points and their eight
-    # neighbours, serves the codifferential; the triple at the points
-    # inverts nothing
-    config = gh.GHConfig.canonical(1, 1.0)
-    coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
-    x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
-    calls = _count_metric_inverses(monkeypatch)
-    deformation.moment_connection_checks(config, coeff, x4)
-    assert [g.shape for g in calls] == [(3, 9, 4, 4)]
-
-
-def test_suite_harmonic_inverts_its_check_point_metrics_once(monkeypatch):
+def test_suite_harmonic_inverts_its_check_point_metrics_once(record):
     # gh.metric_at's pair serves the omega split and the alpha split; the
     # stacks counted are the check points' metrics or their first rows (the
     # fiber-shifted stencil points repeat these metrics in another stack)
     config = gh.GHConfig.canonical(1, 1.0)
     checks = gh.metric_matrix(config, suites._check_points(config, 5))
     suites.suite_harmonic(1, 1.0)
-    calls = _count_metric_inverses(monkeypatch)
+    calls = record(forms, "metric_inverse", entry=np.asarray)
     suites.suite_harmonic(1, 1.0)
     at_checks = [g.shape for g in calls
                  if g.ndim == 3 and np.array_equal(g, checks[:len(g)])]

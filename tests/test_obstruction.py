@@ -219,36 +219,24 @@ def test_report_gauge_invariance():
             assert np.max(np.abs(np.array(r0[key]) - np.array(r1[key]))) < 1e-10, key
 
 
-def test_report_builds_and_checks_the_block_once(monkeypatch, tmp_path, capsys):
+def test_report_builds_and_checks_the_block_once(record, tmp_path, capsys):
     # the report decides the regime, the floor and the side for every output:
     # per obstruct run one R_+, one block check, one regime test and one
     # determinant in jet units, which the line prints off the floor; the CLI
     # takes none of its own
-    names = {"curvature_from_jet2": jets, "_check_block": obstruction,
-             "first_row_vanishes": obstruction, "bold_det_from_block": obstruction}
-    calls = dict.fromkeys(names, 0)
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
+    once = ["curvature_from_jet2", "_check_block", "first_row_vanishes", "bold_det_from_block"]
     # CI's canonical jet, on the floor; a generic jet; a degenerate first row
     # whose determinant in jet units (-3.5e-8) is above the floor
     jet, quartic = jets.jet2_with_block(np.diag([0.0, 1.0, 1.0]), seed=0), jets.random_jet4(0)
     cases = ((jet, quartic, "on_wall", False), (jets.random_jet2(5), None, "empty_side", True),
              (jets.jet2_with_block(np.diag([5e-9, 1.0, 1.0]), seed=4), None, "on_wall", True))
-    for name, module in names.items():
-        counted(module, name)
+    record(jets, "curvature_from_jet2")
+    for name in once[1:]:
+        record(obstruction, name)
     report = obstruction.compute_report(jet, obstruction.ak_constants(1, 1.0), quartic=quartic)
     assert report.content["mu1"] is not None and report.content["D"] is not None
     assert report.det_unit is None
-    assert calls == {"curvature_from_jet2": 1, "_check_block": 1, "first_row_vanishes": 1,
-                     "bold_det_from_block": 1}
+    assert [name for name, _ in record.log] == once
 
     path = tmp_path / "jet.json"
     for jet, quartic, side, printed in cases:
@@ -256,10 +244,9 @@ def test_report_builds_and_checks_the_block_once(monkeypatch, tmp_path, capsys):
         if quartic is not None:
             raw["H2"] = quartic.H2.tolist()
         path.write_text(json.dumps(raw), encoding="utf-8")
-        calls.update(dict.fromkeys(names, 0))
+        record.log.clear()
         assert cli.main(["obstruct", "--jet", str(path), "--report", str(tmp_path / "o.json")]) == 0
-        assert calls == {"curvature_from_jet2": 1, "_check_block": 1, "first_row_vanishes": 1,
-                         "bold_det_from_block": 1}, side
+        assert [name for name, _ in record.log] == once, side
         line = capsys.readouterr().out
         assert line.startswith(f"wall side: {side} ("), line
         assert ("det of the negated block = " in line) == printed, line

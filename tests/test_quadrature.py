@@ -154,13 +154,8 @@ def test_quadrature_suite_loads_no_fractions():
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
-def test_s3_nodes_are_shared_and_read_only():
-    seen = []
-
-    def integrand(x):
-        seen.append(x)
-        return np.ones(len(x))
-
+def test_s3_nodes_are_shared_and_read_only(record):
+    integrand, seen = record.wrap(lambda x: np.ones(len(x)), entry=lambda x: x)
     first = quadrature.integrate_S3(integrand, radius=1.7)
     assert quadrature.integrate_S3(integrand, radius=1.7) == first
     assert seen[0] is seen[1]
@@ -342,15 +337,8 @@ def test_pairing_kernel_matches_pointwise_integrand(duality, radius):
         assert abs(lhs - _pointwise_pairing(triple, radius)) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_pairing_kernel_is_built_once_per_key_and_read_only(monkeypatch):
-    calls = []
-    inner = quadrature.grad_F
-
-    def counted(x):
-        calls.append(x.copy())
-        return inner(x)
-
-    monkeypatch.setattr(quadrature, "grad_F", counted)
+def test_pairing_kernel_is_built_once_per_key_and_read_only(record):
+    calls = record(quadrature, "grad_F", entry=np.copy)
     nodes = _det_route_nodes(1.9)[0]
     sd = quadrature.random_closed_quadratic(1)
     asd = quadrature.random_closed_quadratic(1, "asd")
@@ -412,15 +400,8 @@ def test_quadrature_deterministic():
     assert a == b  # bitwise: fixed nodes, no randomness
 
 
-def test_suite_quadrature_pairs_each_form_once(monkeypatch):
-    calls = []
-    inner = quadrature.dCF_pairing
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("radius", 1.0))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "dCF_pairing", counted)
+def test_suite_quadrature_pairs_each_form_once(record):
+    calls = record(quadrature, "dCF_pairing", entry=lambda *args, radius=1.0: radius)
     assert suites.suite_quadrature().passed
     # five self-dual seeds and the anti-self-dual form at the unit radius;
     # the radius check reuses seed 0 and adds only the second radius
