@@ -287,20 +287,23 @@ def test_exact_form_pairing_sees_an_axisymmetric_non_closed_form(k, monkeypatch,
     assert harmonic.exact_form_pairing_residual(bundle) > 1e-8
 
 
+def test_suite_harmonic_computes_each_core_quantity_once(record):
+    once = {name: record(harmonic, name)
+            for name in ("omega_norm", "build_omega", "_raw_sigma_integral")}
+    assert suites.suite_harmonic(2, 1.0).passed
+    assert {name: len(log) for name, log in once.items()} == {
+        "omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_suite_harmonic_shares_its_evaluations(k, record):
-    # the suite builds the form, its norm and the raw Sigma integral once;
     # Omega at the five check points comes from the fd.value_and_d call on
     # them and their stencil, with one metric_at sample there for
     # omega-antiselfdual and alpha-*; the far-field fits, two of them at
     # k >= 2, come from one model_form and one components call
-    once = {name: record(harmonic, name)
-            for name in ("omega_norm", "build_omega", "_raw_sigma_integral")}
     calls = {"components": record(harmonic.HarmonicFormBundle, "components"),
              "model_form": record(harmonic, "model_form"), "metric_at": record(gh, "metric_at")}
     assert suites.suite_harmonic(k, 1.0).passed
-    assert {name: len(log) for name, log in once.items()} == {
-        "omega_norm": 1, "build_omega": 1, "_raw_sigma_integral": 1}
     fits = (1, 3, 6, 4) if k == 1 else (2, 3, 6, 4)
     assert calls == {"components": [(5, 9, 4), fits], "model_form": [fits],
                      "metric_at": [(5, 4), (3, 8, 4), fits[:-1] + (8, 4)]}

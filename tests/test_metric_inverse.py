@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ale_lab import connection, fd, forms, gh, jets, suites
+from ale_lab import connection, deformation, fd, forms, gh, jets, suites
 from ale_lab.errors import SingularMetric
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ale_lab"
@@ -126,6 +126,18 @@ def test_warm_verify_inverts_no_identity_metric(record):
         (20, 9, 4, 4), (6, 9, 4, 4), (6, 8, 4, 4), (4, 9, 4, 4),
         (5, 4, 4), (3, 8, 4, 4), (1, 3, 6, 8, 4, 4), (9, 4, 4),
         (2, 9, 5, 4, 4), (9, 5, 4, 4), (2, 9, 5, 4, 4), (2, 5, 4, 4), (3, 9, 4, 4), (4, 6, 4, 4)]
+
+
+def test_moment_connection_checks_invert_each_point_stack_once(record):
+    # gh.metric_at's pair on the stencil, the points and their eight
+    # neighbours, serves the codifferential; the triple at the points
+    # inverts nothing
+    config = gh.GHConfig.canonical(1, 1.0)
+    coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
+    x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
+    calls = record(forms, "metric_inverse")
+    deformation.moment_connection_checks(config, coeff, x4)
+    assert calls == [(3, 9, 4, 4)]
 
 
 def test_suite_harmonic_inverts_its_check_point_metrics_once(record):
