@@ -109,14 +109,21 @@ def _configure_heap() -> None:
         mallopt(param, value)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None, flag: str) -> bool:
+    """Write text to stdout, or to the file path of the option flag; False,
+    after one stderr line naming the flag, when the file cannot be written."""
     if not text.endswith("\n"):
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: {flag}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # the report text; ValueError on a non-finite value
@@ -160,7 +167,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passed": all_pass,
             "suites": [r.to_dict() for r in results],
         }
-        _emit(_json_text(payload), args.report)
+        if not _emit(_json_text(payload), args.report, "--report"):
+            return 2
     return 0 if all_pass else 1
 
 
@@ -357,7 +365,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
                       "finite", file=sys.stderr)
                 return 2
         raise
-    _emit(text, args.report)
+    if not _emit(text, args.report, "--report"):
+        return 2
     # a determinant on the floor is rounding, and its digits are not printed
     detail = ("|det of the negated block| within the 1e-8 max|H|^3 floor"
               if report.det_unit is None else
@@ -435,8 +444,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
             "" if flag else f"{slopes['omega']:.12g}",
             flag,
         ])
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return 0 if _emit(buf.getvalue(), args.out, "--out") else 2
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of coincident far centers (default 1)")
     p_verify.add_argument("--lambda", dest="lam", type=float, default=1.0,
                           help="center separation scale (default 1.0)")
+    # suites.SUITE_NAMES, then "all", written out like the --tol names below
     p_verify.add_argument("--suite", default="all",
                           choices=["gh", "harmonic", "quadrature",
                                    "deformation", "all"])

@@ -47,7 +47,6 @@ from .forms import (
     CYCLIC,
     OMEGA_ASD,
     OMEGA_SD,
-    FormField,
     Inverse,
     J_with,
     apply_J_covector,
@@ -62,6 +61,7 @@ from .forms import (
 
 TripleField = Callable[[np.ndarray], np.ndarray]  # x -> (3, 6) components
 MetricField = Callable[[np.ndarray], np.ndarray]
+CovectorField = Callable[[np.ndarray], np.ndarray]  # x -> (3, 4) connection covectors
 
 
 @dataclass
@@ -116,7 +116,7 @@ def frame_from_metric(inverse: Inverse) -> tuple[np.ndarray, np.ndarray]:
     return tuple(frames)
 
 
-def connection_from_Phi(phi: TripleField, metric: MetricField) -> FormField:
+def connection_from_Phi(phi: TripleField, metric: MetricField) -> CovectorField:
     """Connection covectors of the self-dual frame phi, orthonormal for the
     metric field, as a degree-1 field with (..., 3, 4) values.
 
@@ -130,7 +130,7 @@ def connection_from_Phi(phi: TripleField, metric: MetricField) -> FormField:
     """
 
     def components(x: np.ndarray) -> np.ndarray:
-        comps, dphi = fd.value_and_d(FormField(2, phi), x)
+        comps, dphi = fd.value_and_d(2, phi, x)
         ginv, det = metric_inverse(metric(x))
         check_orthonormal_triple((ginv, det), comps)
         inverse = ginv[..., None, :, :], det[..., None]
@@ -143,27 +143,27 @@ def connection_from_Phi(phi: TripleField, metric: MetricField) -> FormField:
             - apply_J_covector(jmats[..., j, :, :], deltas[..., k, :])
         )
 
-    return FormField(1, components)
+    return components
 
 
-def torsion_residual(phi: TripleField, a: FormField, x: np.ndarray) -> float:
+def torsion_residual(phi: TripleField, a: CovectorField, x: np.ndarray) -> float:
     """Max component of dF_i - a_k ^ F_j + a_j ^ F_k over the cycle."""
     x = np.asarray(x, dtype=float)
-    avals = a(x)
+    avals = float_or_complex(a(x))
     comps = float_or_complex(phi(x))
     j, k = CYCLIC
-    dphi = fd.fd_d(FormField(2, phi), x)
+    dphi = fd.fd_d(2, phi, x)
     res = (dphi - wedge(avals[..., k, :], 1, comps[..., j, :], 2)
            + wedge(avals[..., j, :], 1, comps[..., k, :], 2))
     return float(np.max(np.abs(res)))
 
 
-def curvature_forms(a: FormField, x: np.ndarray) -> np.ndarray:
+def curvature_forms(a: CovectorField, x: np.ndarray) -> np.ndarray:
     """R_k = d a_k + a_i ^ a_j (cyclic); returns a (..., 3, 6) stack."""
     x = np.asarray(x, dtype=float)
-    avals = a(x)
+    avals = float_or_complex(a(x))
     i, j = CYCLIC
-    return fd.fd_d(a, x) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
+    return fd.fd_d(1, a, x) + wedge(avals[..., i, :], 1, avals[..., j, :], 1)
 
 
 def decompose_curvature(rforms: np.ndarray, metric: np.ndarray) -> CurvatureBlock:

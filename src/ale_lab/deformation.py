@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from . import fd, gh
-from .connection import connection_from_Phi
+from .connection import CovectorField, connection_from_Phi
 from .errors import GaugeViolation, SchemaError
 from .forms import (
     CYCLIC,
@@ -79,7 +79,6 @@ from .forms import (
     FLAT_STAR,
     OMEGA_ASD,
     OMEGA_SD,
-    FormField,
     J_with,
     apply_J_covector,
     float_or_complex,
@@ -115,7 +114,7 @@ def phi_comps_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 def star_d_phi(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """a_i = *d phi_i on the flat background; returns a (..., 3, 4) stack."""
-    return fd.fd_d(FormField(2, phi), x) @ FLAT_STAR[3].T
+    return fd.fd_d(2, phi, x) @ FLAT_STAR[3].T
 
 
 def _j_sum(a: np.ndarray) -> np.ndarray:
@@ -226,7 +225,7 @@ class TripleFamily:
     def phi_field(self, x: np.ndarray) -> np.ndarray:
         return phi_comps_from_coeffs(self.coeff(x))
 
-    def connection(self, t: np.ndarray) -> FormField:
+    def connection(self, t: np.ndarray) -> CovectorField:
         return connection_from_Phi(lambda x: self.triple(t, x), self.metric_field(t))
 
 
@@ -263,7 +262,7 @@ def ric0_second_order(
     one call of a1 on x and its stencil (fd.value_and_d).
     """
     x = np.asarray(x, dtype=float)
-    a1_here, da1 = fd.value_and_d(FormField(1, a1), x)
+    a1_here, da1 = fd.value_and_d(1, a1, x)
     return (split_sd(FLAT_INVERSE, da2)[1] + bracket_minus(a1_here)
             + project_with(FLAT_INVERSE, da1, OMEGA_SD) @ float_or_complex(phi(x)))
 
@@ -288,8 +287,7 @@ def d_minus_codifferential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     """(d delta phi)_- for an anti-self-dual 2-form field (or a (..., 6)
     stack of them), flat.  As *phi = -phi, delta phi = -*d*phi = *d phi,
     which is star_d_phi."""
-    delta_field = FormField(1, lambda y: star_d_phi(phi, y))
-    return split_sd(FLAT_INVERSE, fd.fd_d(delta_field, x))[1]
+    return split_sd(FLAT_INVERSE, fd.fd_d(1, lambda y: star_d_phi(phi, y), x))[1]
 
 
 def linearized_ric0_prediction(coeff: MatrixField, x: np.ndarray) -> np.ndarray:

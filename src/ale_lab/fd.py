@@ -1,8 +1,8 @@
 """Centered finite differences on 4-dimensional charts.
 
-Point-stacking rule: every field, metric function and FormField
-evaluator maps a (..., 4) stack of chart points to a (..., *shape) stack
-of values, one per point, and every operator here accepts (..., 4) base
+Point-stacking rule: every field and metric function is a plain callable
+that maps a (..., 4) stack of chart points to a (..., *shape) stack of
+values, one per point, and every operator here accepts (..., 4) base
 points and returns (..., *result); e.g. ricci on (N, 4) points gives
 (N, 4, 4).  Values may stack after the point axes, as a contour's node
 axis does: (..., *stack, n) forms, and (..., *stack, 4, 4) metrics for
@@ -18,7 +18,8 @@ points, of a field that returns the form with its metric's (g^{-1}, det
 g) pair, as forms.metric_inverse gives it.  A field whose output's
 leading axes do not match the points it was given raises SchemaError,
 and a stencil point outside the chart raises EvaluationDomain naming
-that point.
+that point.  The form operators take the degree p beside the field, and
+values without a last axis of n_p components raise SchemaError.
 
 The step is DEFAULT_STEP = 1e-3 at unit scale, and the operators that a
 caller runs at a second step take h; steps grow with the max base
@@ -50,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CenterTooClose, EvaluationDomain, OnDiracString, SchemaError
-from .forms import D_TABLE, DIM, FormField, Inverse, float_or_complex, hodge_star, metric_inverse
+from .forms import D_TABLE, DEGREE_SIZES, DIM, Inverse, float_or_complex, hodge_star, metric_inverse
 
 DEFAULT_STEP = 1e-3
 TAYLOR_RADIUS = 0.1  # the circle taylor_coefficient samples
@@ -167,29 +168,36 @@ def taylor_coefficient(f: Callable[[np.ndarray], np.ndarray],
     return np.stack([coefficient(order) for order in n])
 
 
-def fd_d(field: FormField, point: np.ndarray) -> np.ndarray:
+def fd_d(degree: int, field: Callable, point: np.ndarray) -> np.ndarray:
     """Exterior derivative at (..., 4) points, error O(h^2) in DEFAULT_STEP.
 
-    A field returning (..., *shape, n_p) components gives
+    A degree-p field returning (..., *shape, n_p) components gives
     (..., *shape, n_{p+1}): a stack of forms is differentiated row by row
     from one stencil of eight evaluations per point.  The derivative of a
     4-form is the zero 4-form.
     """
-    return _d_from_partials(field.degree, all_partials(field, point), np.ndim(point))
+    return _d_from_partials(degree, all_partials(field, point), np.ndim(point))
 
 
 def _d_from_partials(degree: int, partials: np.ndarray, point_ndim: int) -> np.ndarray:
     """(..., *shape, n_{p+1}) exterior derivatives from the (..., 4, *shape,
-    n_p) partials of a degree-p field at points with point_ndim axes."""
+    n_p) partials of a degree-p field at points with point_ndim axes;
+    SchemaError unless 0 <= p <= 4 and the values end in n_p components."""
+    n = DEGREE_SIZES[degree] if 0 <= degree <= DIM else None
+    if n is None or partials.ndim <= point_ndim or partials.shape[-1] != n:
+        values = partials.shape[:point_ndim - 1] + partials.shape[point_ndim:]
+        need = f"a last axis of {n} components after the point axes" if n else "a degree of 0-4"
+        raise SchemaError(f"a degree-{degree} form field returned values of shape {values}; "
+                          f"it needs {need}")
     moved = np.moveaxis(partials, point_ndim - 1, -2)
     return np.tensordot(moved, D_TABLE[degree], axes=2)
 
 
-def value_and_d(field: FormField, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(field, fd_d(field)) at (..., 4) points from one call of the field on
-    the points and their eight stencil neighbours."""
+def value_and_d(degree: int, field: Callable, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(field, fd_d(degree, field)) at (..., 4) points from one call of the
+    field on the points and their eight stencil neighbours."""
     value, partials = _value_and_partials(field, point, DEFAULT_STEP)
-    return value, _d_from_partials(field.degree, partials, np.ndim(point))
+    return value, _d_from_partials(degree, partials, np.ndim(point))
 
 
 def _lowered_gamma(dg: np.ndarray) -> np.ndarray:
@@ -308,9 +316,9 @@ def d_and_codifferential(degree: int, field: Callable, x: np.ndarray,
     at_x = (slice(None),) * he.ndim + (0,)
     around = at_x[:-1] + (slice(1, None),)
     w = w[around]
-    starred = hodge_star(_broadcast_pair(ginv[around], det[around], w), w, degree)
     x = np.asarray(x, dtype=float)
     d_w = _d_from_partials(degree, _central(w, he), x.ndim)
+    starred = hodge_star(_broadcast_pair(ginv[around], det[around], w), w, degree)
     d_star = _d_from_partials(DIM - degree, _central(starred, he), x.ndim)
     return d_w, -hodge_star(_broadcast_pair(ginv[at_x], det[at_x], d_star), d_star, DIM - degree + 1)
 

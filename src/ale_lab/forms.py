@@ -9,7 +9,7 @@ flat chart (FLAT_INVERSE) and curved charts alike.
 Stacking rule: every operation here reads the last axis of a component
 array as its components and any leading axes as a stack, broadcast
 against each other; e.g. wedge of (3, 4) and (3, 6) stacks gives the
-(3, 4) stack of row-by-row products, and a FormField may return a
+(3, 4) stack of row-by-row products, and a form field (fd) may return a
 (3, 6) stack of 2-forms.  Covectors, J matrices and metrics follow the
 same rule ((..., 4), (..., 4, 4) and (..., 4, 4)): a stack of metrics
 broadcasts against a stack of forms with its own leading axes, so
@@ -51,8 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -308,31 +306,3 @@ def metric_from_triple(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.nda
     scale = np.sqrt(norm1 / 2.0)
     check_orthonormal_triple((ginv / scale[..., None, None], det * scale**4), triple)
     return g * scale[..., None, None]
-
-
-@dataclass
-class FormField:
-    """A degree-p form sampled by an evaluator over chart points.
-
-    evaluator maps a (..., 4) stack of points to a component array of
-    shape (..., *shape, n), one entry per point, with n the size of the
-    stated degree: one form per point, or a stack of forms (shape) that
-    the finite-difference tools differentiate together.
-    """
-
-    degree: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.degree <= DIM:
-            raise ValueError(f"degree {self.degree} out of range")
-
-    def __call__(self, point: np.ndarray) -> np.ndarray:
-        out = float_or_complex(self.evaluator(np.asarray(point, dtype=float)))
-        if out.ndim == 0 or out.shape[-1] != DEGREE_SIZES[self.degree]:
-            raise ValueError(
-                f"evaluator returned shape {out.shape}, expected "
-                f"(..., {DEGREE_SIZES[self.degree]}) for degree {self.degree}"
-            )
-        return out
-

@@ -78,7 +78,7 @@ from .errors import (
     QuadratureDivergence,
     SchemaError,
 )
-from .forms import CYCLIC, FormField, Inverse, J_with, apply_J_covector, metric_inverse, wedge
+from .forms import CYCLIC, Inverse, J_with, apply_J_covector, metric_inverse, wedge
 
 FIBER_PERIOD = 2.0 * math.pi
 # domain radii: around each center, and around each patch's excluded rays
@@ -438,9 +438,9 @@ def metric_at(config: GHConfig, x4: np.ndarray) -> FrameSample:
     return FrameSample(g, metric_inverse(g), form_triple(v, eta), dm)
 
 
-def triple_field(config: GHConfig) -> FormField:
+def triple_field(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
     """The self-dual triple as one degree-2 field with (..., 3, 6) values."""
-    return FormField(2, lambda x4: form_triple(*potential_and_eta(config, x4)))
+    return lambda x4: form_triple(*potential_and_eta(config, x4))
 
 
 def moment_map(config: GHConfig, x3: np.ndarray) -> np.ndarray:

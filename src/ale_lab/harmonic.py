@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fd, gh
 from .errors import FitUnstable, NormalizationFailure, QuadratureDivergence
-from .forms import FormField, apply_J_covector, split_sd
+from .forms import apply_J_covector, split_sd
 from .quadrature import TWO_PI, volume_rule
 
 
@@ -128,7 +128,7 @@ def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameS
     from the caller's gh.metric_at sample and (..., 6) components of Omega
     there."""
     x4 = np.asarray(x4, dtype=float)
-    alpha = -fd.fd_d(FormField(1, lambda y: gh.metric_at(config, y).alpha[..., 0, :]), x4)
+    alpha = -fd.fd_d(1, lambda y: gh.metric_at(config, y).alpha[..., 0, :], x4)
     plus, minus = split_sd(sample.inverse, alpha)
     s = -config.k * config.lam
     w1 = sample.triple[..., 0, :]
@@ -165,9 +165,8 @@ def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
-    fld = FormField(1, lambda y: apply_J_covector(gh.metric_at(config, y).J[..., :1, :, :],
-                                                  _model_grads(config, y)))
-    return fd.fd_d(fld, np.asarray(x4, dtype=float))
+    return fd.fd_d(1, lambda y: apply_J_covector(gh.metric_at(config, y).J[..., :1, :, :],
+                                                 _model_grads(config, y)), x4)
 
 
 @dataclass

@@ -98,8 +98,11 @@ def _random_symmetric(seed: int, scale: float, groups: tuple[tuple[int, ...], ..
     return _symmetrize_pairs(raw, groups)
 
 
+_SYMMETRY_TOL = 1e-12  # largest pair asymmetry of a jet array, relative to max(1, max |entry|)
+
+
 def _checked_jet(arr: np.ndarray, name: str, kind: str,
-                 groups: tuple[tuple[int, ...], ...], tol: float) -> np.ndarray:
+                 groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """The symmetrized, read-only jet array after checking its shape,
     finiteness and index symmetries; every message starts with the field
     name."""
@@ -118,9 +121,9 @@ def _checked_jet(arr: np.ndarray, name: str, kind: str,
     with np.errstate(over="ignore"):  # an entry may lie beyond a float from its orbit mean
         gap = float(np.max(np.abs(arr - sym)))
     scale = max(float(np.max(np.abs(arr))), 1.0)
-    if gap > tol * scale:
+    if gap > _SYMMETRY_TOL * scale:
         raise SymmetryError(
-            f"{name}: {kind} jet asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
+            f"{name}: {kind} jet asymmetry {gap:.3e} exceeds tolerance {_SYMMETRY_TOL:.1e}"
         )
     sym.setflags(write=False)
     return sym
@@ -133,8 +136,8 @@ class Jet2:
     H: np.ndarray
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 1e-12) -> "Jet2":
-        return cls(H=_checked_jet(arr, "H", "quadratic", _JET2_GROUPS, tol))
+    def from_array(cls, arr: np.ndarray) -> "Jet2":
+        return cls(H=_checked_jet(arr, "H", "quadratic", _JET2_GROUPS))
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ class Jet4:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Jet4":
-        return cls(H2=_checked_jet(arr, "H2", "quartic", _JET4_GROUPS, 1e-12))
+        return cls(H2=_checked_jet(arr, "H2", "quartic", _JET4_GROUPS))
 
 
 def _contract_points(h: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:
@@ -386,7 +389,7 @@ def _pullback(arr: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def pullback_jet2(jet: Jet2, Q: np.ndarray) -> Jet2:
-    return Jet2.from_array(_pullback(jet.H, Q), tol=1e-9)
+    return Jet2.from_array(_pullback(jet.H, Q))
 
 
 def average(arr: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import connection, deformation, fd, gh, harmonic, obstruction, quadrature
-from .forms import FLAT_INVERSE, OMEGA_ASD, FormField, project_with, split_sd
+from .forms import FLAT_INVERSE, OMEGA_ASD, project_with, split_sd
 
 PROVENANCE_TAGS = ("closed-form-constant", "derived-oracle", "trivial-identity")
 _CLOSED, _ORACLE, _IDENTITY = PROVENANCE_TAGS
@@ -218,15 +218,14 @@ def suite_gh(k: int, lam: float):
     yield "ricci-flat", float(np.max(np.abs(fd.ricci(metric, x4))))
 
     sub = x4[:6]
-    triple, d_triple = fd.value_and_d(gh.triple_field(config), sub)
+    triple, d_triple = fd.value_and_d(2, gh.triple_field(config), sub)
     yield "triple-closed", float(np.max(np.abs(d_triple)))
     yield "killing-residual", float(np.max(np.abs(
         fd.lie_derivative_metric(metric, gh.xi_fn(config), sub, h=5e-4))))
     # the moment map is a potential only for the second and third
     # symplectic forms; the first is its Hamiltonian form
-    alpha = FormField(1, lambda y: gh.metric_at(config, y).alpha[..., 1:, :])
-    yield "moment-triple-identity", float(np.max(np.abs(
-        fd.fd_d(alpha, sub) - triple[..., 1:, :])))
+    d_alpha = fd.fd_d(1, lambda y: gh.metric_at(config, y).alpha[..., 1:, :], sub)
+    yield "moment-triple-identity", float(np.max(np.abs(d_alpha - triple[..., 1:, :])))
 
     radii = [8.0 * k1 * lam * (1.6 ** j) for j in range(4)]
     yield "metric-decay-exponent", harmonic.metric_decay_exponent(config, radii, n_dirs=4)
@@ -287,7 +286,7 @@ def suite_harmonic(k: int, lam: float):
     yield "norm-squared", norm, obstruction.closed_form_norm2(k)
 
     x4 = _check_points(config, 5)
-    omega, d_omega = fd.value_and_d(FormField(2, bundle.components), x4)
+    omega, d_omega = fd.value_and_d(2, bundle.components, x4)
     yield "omega-closed", float(np.max(np.abs(d_omega)))
     sample = gh.metric_at(config, x4)
     plus, _ = split_sd(sample.inverse, omega)
@@ -347,7 +346,7 @@ def suite_deformation(k: int, lam: float):
 
     # a_i^(1), a_i^(2) at x0 and d a_i^(2), from one connection(t) evaluation
     # on x0 and its stencil
-    a_t, da_t = fd.value_and_d(FormField(1, a_orders), xs)
+    a_t, da_t = fd.value_and_d(1, a_orders, xs)
     first = deformation.deformation_first_order(fam_lin.lam, fam_lin.phi_field, x0)
     yield "first-order-connection", float(np.max(np.abs(first - a_t[0, 0])))
 

@@ -119,6 +119,20 @@ def test_report_writer_is_json_dumps_on_every_report(tmp_path):
         assert_dumps_text()
 
 
+def _assert_unwritable(capsys, flag):
+    """One stderr line naming the flag and the OS error, no traceback."""
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {flag}: ") and "No such file or directory" in err
+
+
+def test_verify_unwritable_report_exits_2(tmp_path, capsys):
+    # exit 1 would mean a failed check
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["verify", "--suite", "quadrature", "--report", str(path)]) == 2
+    _assert_unwritable(capsys, "--report")
+
+
 def test_verify_tiny_tolerance_fails(capsys):
     rc = cli.main(["verify", "--suite", "quadrature", "--tol", "1e-14"])
     assert rc == 1
@@ -487,6 +501,12 @@ def test_obstruct_prints_a_det_above_the_floor_on_the_wall(tmp_path, capsys):
     assert line.endswith(" max|H|^3)")
 
 
+def test_obstruct_unwritable_report_exits_2(tmp_path, capsys):
+    jet, path = _write_jet(tmp_path / "jet.json"), tmp_path / "missing" / "r.json"
+    assert cli.main(["obstruct", "--jet", str(jet), "--report", str(path)]) == 2
+    _assert_unwritable(capsys, "--report")
+
+
 def test_obstruct_missing_file(tmp_path, capsys):
     assert cli.main(["obstruct", "--jet", str(tmp_path / "nope.json")]) == 2
     assert "schema error" in capsys.readouterr().err
@@ -524,6 +544,12 @@ def test_asympt_single_radius_flags_fit(tmp_path):
         assert len(rows) == 1 + len(radii.split(","))
         assert all(row[7] == "fit-unstable" for row in rows[1:])
         assert all(row[4] == row[5] == row[6] == "" for row in rows[1:])
+
+
+def test_asympt_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.csv"
+    assert cli.main(["asympt", "--radii", "8,12", "--out", str(path)]) == 2
+    _assert_unwritable(capsys, "--out")
 
 
 def test_asympt_rejects_bad_radii(capsys):

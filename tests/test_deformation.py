@@ -304,7 +304,7 @@ def _contour_values(fam: deformation.TripleFamily, x: np.ndarray) -> dict:
                                        (1, 2), deformation.TAYLOR_NODES)
         return np.moveaxis(coeffs, 0, -3)
 
-    a, da = fd.value_and_d(forms.FormField(1, orders), x)
+    a, da = fd.value_and_d(1, orders, x)
     return {
         "triple": fam.triple(t, x),
         "metric": fam.metric(t, x),
@@ -402,9 +402,9 @@ def _second_order_oracle(fam: deformation.TripleFamily, x: np.ndarray) -> np.nda
 def _da2(fam: deformation.TripleFamily, x: np.ndarray) -> np.ndarray:
     """d of the second-order connection coefficients, the t^2-coefficient
     of the family's connection, at x."""
-    return fd.fd_d(forms.FormField(1, lambda y: fd.taylor_coefficient(
+    return fd.fd_d(1, lambda y: fd.taylor_coefficient(
         lambda t: np.moveaxis(fam.connection(t)(y), -3, 0), 2,
-        deformation.TAYLOR_NODES)), x)
+        deformation.TAYLOR_NODES), x)
 
 
 def test_second_order_formula_linear_family():
@@ -428,7 +428,7 @@ def test_second_order_formula_couples_phi_and_curvature():
     assert np.max(np.abs(formula - oracle)) < 1e-4 * scale
     # the coupling term must actually matter for this family: it changes
     # the prediction measurably
-    coupling = _sd(fd.fd_d(forms.FormField(1, a1_field), X0)) @ fam.phi_field(X0)
+    coupling = _sd(fd.fd_d(1, a1_field, X0)) @ fam.phi_field(X0)
     assert np.max(np.abs(coupling)) > 1e-3
 
 
@@ -521,7 +521,7 @@ def test_einstein_family_constraints():
     # self-dual part (the coupling curvature) is genuinely nonzero
     a1_field = lambda y: deformation.star_d_phi(fam.phi_field, y)
     da1 = np.stack([
-        fd.fd_d(forms.FormField(1, lambda y, i=i: a1_field(y)[..., i, :]), np.zeros(4))
+        fd.fd_d(1, lambda y, i=i: a1_field(y)[..., i, :], np.zeros(4))
         for i in range(3)
     ])
     assert np.max(np.abs(_asd(da1))) < 1e-6
@@ -579,13 +579,12 @@ def test_moment_connection_checks_make_one_stencil_call(record):
     cfg = gh.GHConfig.canonical(1, 1.0)
     coeff = np.array([[0.0, 0.0, 0.0], [0.0, 0.7, -0.3], [0.0, -0.3, 0.2]])
     x4 = np.array([[1.2, 0.9, 0.5, 0.4], [-0.4, 1.1, -0.9, 0.4], [0.6, -1.3, 1.0, 0.4]])
-    a = forms.FormField(1, lambda y: coeff @ gh.metric_at(cfg, y).alpha)
+    a = lambda y: coeff @ gh.metric_at(cfg, y).alpha
     mfn = gh.metric_fn(cfg)
-    starred = forms.FormField(3, lambda y: forms.hodge_star(
-        forms.metric_inverse(mfn(y)[..., None, :, :]), a(y), 1))
+    starred = lambda y: forms.hodge_star(forms.metric_inverse(mfn(y)[..., None, :, :]), a(y), 1)
     delta = -forms.hodge_star(forms.metric_inverse(mfn(x4)[..., None, :, :]),
-                              fd.fd_d(starred, x4), 4)
-    d_res = np.max(np.abs(fd.fd_d(a, x4) - coeff @ gh.triple_field(cfg)(x4)))
+                              fd.fd_d(3, starred, x4), 4)
+    d_res = np.max(np.abs(fd.fd_d(1, a, x4) - coeff @ gh.triple_field(cfg)(x4)))
     calls = record(gh, "metric_at")
     res = deformation.moment_connection_checks(cfg, coeff, x4)
     assert calls == [(3, 9, 4)]

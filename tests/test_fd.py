@@ -46,11 +46,8 @@ def test_partial_exact_on_cubic():
 
 def test_fd_d_matches_analytic_on_polynomial_one_form():
     # alpha = x1^2 dx0  =>  d alpha = 2 x1 dx1 ^ dx0 = -2 x1 dx0 ^ dx1
-    field = forms.FormField(
-        degree=1, evaluator=lambda x: x[..., 1:2] ** 2 * np.array([1.0, 0.0, 0.0, 0.0])
-    )
     x = np.array([0.3, 0.8, -0.4, 0.2])
-    d = fd.fd_d(field, x)
+    d = fd.fd_d(1, lambda y: y[..., 1:2] ** 2 * np.array([1.0, 0.0, 0.0, 0.0]), x)
     expected = np.zeros(6)
     expected[forms.TUPLE_INDEX[2][(0, 1)]] = -2 * x[1]
     assert np.allclose(d, expected, atol=1e-8)
@@ -66,9 +63,8 @@ def test_d_squared_vanishes(seed):
         return (coeffs[:, 0, 0] + np.einsum("ik,...k->...i", coeffs[:, 1], x)
                 + 0.5 * np.einsum("ijk,...j,...k->...i", coeffs, x, x))
 
-    field = forms.FormField(degree=1, evaluator=one_form)
     x = rng.normal(size=4) * 0.5
-    dd = fd.fd_d(forms.FormField(2, lambda y: fd.fd_d(field, y)), x)
+    dd = fd.fd_d(2, lambda y: fd.fd_d(1, one_form, y), x)
     assert np.max(np.abs(dd)) < 1e-6
 
 
@@ -127,9 +123,7 @@ def test_lie_derivative_radial_scaling():
 
 def test_codifferential_flat_known_value():
     # delta(x1 dx0^dx1) = dx0 in this package's sign convention
-    field = forms.FormField(
-        degree=2, evaluator=lambda x: x[..., 1:2] * np.array([1.0, 0, 0, 0, 0, 0])
-    )
+    field = lambda y: y[..., 1:2] * np.array([1.0, 0, 0, 0, 0, 0])
     x = np.array([0.3, -0.2, 0.5, 0.1])
     out = fd.d_and_codifferential(2, with_pair(FLAT, field), x)[1]
     assert np.allclose(out, np.array([1.0, 0, 0, 0]), atol=1e-9)
@@ -147,12 +141,11 @@ def test_stacked_field_matches_row_by_row():
         return np.eye(4) + 0.1 * x[..., :, None] * x[..., None, :]
 
     x = np.array([0.3, -0.2, 0.5, 0.1])
-    field = forms.FormField(2, stack)
-    rows = [forms.FormField(2, lambda y, i=i: stack(y)[..., i, :]) for i in range(3)]
-    d = fd.fd_d(field, x)
+    rows = [lambda y, i=i: stack(y)[..., i, :] for i in range(3)]
+    d = fd.fd_d(2, stack, x)
     assert d.shape == (3, 4)
-    assert np.allclose(d, [fd.fd_d(r, x) for r in rows], rtol=1e-13, atol=1e-13)
-    delta = fd.d_and_codifferential(2, with_pair(metric, field), x)[1]
+    assert np.allclose(d, [fd.fd_d(2, r, x) for r in rows], rtol=1e-13, atol=1e-13)
+    delta = fd.d_and_codifferential(2, with_pair(metric, stack), x)[1]
     assert delta.shape == (3, 4)
     assert np.allclose(delta, [fd.d_and_codifferential(2, with_pair(metric, r), x)[1] for r in rows],
                        rtol=1e-13, atol=1e-13)
@@ -167,14 +160,13 @@ def test_value_and_d_matches_value_and_fd_d(record):
     def stack(x):
         return np.einsum("ina,...a->...in", lin, x) + np.einsum("inab,...a,...b->...in", quad, x, x)
 
-    field = forms.FormField(1, stack)
     counted, calls = record.wrap(stack)
     for x in (np.array([0.3, -0.2, 0.5, 0.1]), rng.normal(size=(2, 3, 4))):
         calls.clear()
-        value, d = fd.value_and_d(forms.FormField(1, counted), x)
+        value, d = fd.value_and_d(1, counted, x)
         assert calls == [x.shape[:-1] + (9, 4)]
-        assert np.array_equal(value, field(x))
-        assert np.array_equal(d, fd.fd_d(field, x))
+        assert np.array_equal(value, stack(x))
+        assert np.array_equal(d, fd.fd_d(1, stack, x))
 
 
 def test_laplace_beltrami_flat():
@@ -185,9 +177,30 @@ def test_laplace_beltrami_flat():
 
 
 def test_codifferential_rejects_degree_zero():
-    field = forms.FormField(0, lambda x: x[..., :1])
     with pytest.raises(SchemaError, match="degree 0"):
-        fd.d_and_codifferential(0, with_pair(FLAT, field), np.array([0.3, -0.2, 0.5, 0.1]))[1]
+        fd.d_and_codifferential(0, with_pair(FLAT, lambda y: y[..., :1]),
+                                np.array([0.3, -0.2, 0.5, 0.1]))[1]
+
+
+# each form operator's d of a degree-p field at x
+FORM_OPERATORS = {
+    "fd_d": fd.fd_d,
+    "value_and_d": lambda degree, form, x: fd.value_and_d(degree, form, x)[1],
+    "d_and_codifferential": lambda degree, form, x: fd.d_and_codifferential(
+        degree, with_pair(FLAT, form), x)[0],
+}
+
+
+@pytest.mark.parametrize("op", sorted(FORM_OPERATORS))
+@pytest.mark.parametrize("degree, shape", [(1, ()), (2, (3,)), (2, (6, 3)), (7, (6,))])
+def test_form_operators_reject_values_without_the_degrees_components(op, degree, shape):
+    # a scalar passed as degree 1 has partials ending in the direction
+    # axis, of length 4, yet no component axis of its own
+    x = np.array([[0.3, -0.2, 0.5, 0.1], [0.1, 0.4, -0.3, 0.2]])
+    with pytest.raises(SchemaError, match=f"degree[- ]{degree}"):
+        FORM_OPERATORS[op](degree, lambda y: np.ones(y.shape[:-1] + shape), x)
+    # the degree's components, alone or in a stack, pass
+    assert FORM_OPERATORS[op](2, lambda y: np.ones(y.shape[:-1] + (3, 6)), x).shape == (2, 3, 4)
 
 
 def test_unstacked_field_output_is_rejected():
@@ -236,7 +249,7 @@ def _linear_vector_field(x):
 STACKED_OPERATORS = {
     "gh-ricci": lambda x: fd.ricci(gh.metric_fn(GH_CFG), x),
     "gh-christoffel": lambda x: fd.christoffel(gh.metric_fn(GH_CFG), x),
-    "gh-triple-d": lambda x: fd.fd_d(gh.triple_field(GH_CFG), x),
+    "gh-triple-d": lambda x: fd.fd_d(2, gh.triple_field(GH_CFG), x),
     "gh-triple-codifferential": lambda x: fd.d_and_codifferential(
         2, with_pair(gh.metric_fn(GH_CFG), gh.triple_field(GH_CFG)), x)[1],
     "gh-killing": lambda x: fd.lie_derivative_metric(
@@ -273,8 +286,8 @@ def _separate_pair_route(degree, form, metric_fn, x):
         lead = det.shape + (1,) * (values.ndim - 1 - det.ndim)
         return forms.hodge_star((ginv.reshape(lead + (4, 4)), det.reshape(lead)), values, p)
 
-    d_star = fd.fd_d(forms.FormField(4 - degree, lambda y: star(y, form(y), degree)), x)
-    return fd.fd_d(forms.FormField(degree, form), x), -star(x, d_star, 5 - degree)
+    d_star = fd.fd_d(4 - degree, lambda y: star(y, form(y), degree), x)
+    return fd.fd_d(degree, form, x), -star(x, d_star, 5 - degree)
 
 
 def _poly_forms(degree):

@@ -320,16 +320,3 @@ def test_metric_from_triple_rejects_incompatible():
         forms.metric_from_triple(
             forms.OMEGA_SD[0], forms.OMEGA_SD[1], 3.0 * forms.OMEGA_SD[2]
         )
-
-
-def test_form_field_validates_shape():
-    field = forms.FormField(degree=2, evaluator=lambda p: np.ones(6))
-    assert np.allclose(field(np.zeros(4)), np.ones(6))
-    stack = forms.FormField(degree=2, evaluator=lambda p: np.ones((3, 6)))
-    assert stack(np.zeros(4)).shape == (3, 6)
-    for shape in (3, (6, 3), ()):
-        bad = forms.FormField(degree=2, evaluator=lambda p, shape=shape: np.ones(shape))
-        with pytest.raises(ValueError):
-            bad(np.zeros(4))
-    with pytest.raises(ValueError):
-        forms.FormField(degree=7, evaluator=lambda p: p)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ale_lab import fd, forms, gh, harmonic, quadrature
 from ale_lab.errors import AleLabError, CenterTooClose, OnDiracString, SchemaError
-from ale_lab.forms import FormField
 
 
 # --- configuration ----------------------------------------------------------
@@ -369,7 +368,7 @@ def test_triple_closed_and_reconstructs_metric():
     triple = gh.triple_field(cfg)
     g = forms.metric_from_triple(*triple(x4))
     assert np.allclose(g, gh.metric_matrix(cfg, x4), atol=1e-10)
-    assert np.max(np.abs(fd.fd_d(triple, x4))) < 1e-5
+    assert np.max(np.abs(fd.fd_d(2, triple, x4))) < 1e-5
 
 
 def test_moment_potential_identity_second_and_third():
@@ -379,8 +378,7 @@ def test_moment_potential_identity_second_and_third():
     cfg = gh.GHConfig.canonical(2, 1.0)
     x4 = gh.sample_chart_points(cfg, 1, seed=2, rho_min=1.5, rho_max=3.0,
                                 string_cone_cos=0.45)[0]
-    alpha = FormField(1, lambda y: gh.metric_at(cfg, y).alpha[..., 1:, :])
-    dalpha = fd.fd_d(alpha, x4)
+    dalpha = fd.fd_d(1, lambda y: gh.metric_at(cfg, y).alpha[..., 1:, :], x4)
     assert np.max(np.abs(dalpha - gh.triple_field(cfg)(x4)[1:])) < 1e-5
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ale_lab import fd, forms, gh, harmonic, obstruction, quadrature, suites
 from ale_lab.errors import SchemaError
-from ale_lab.forms import FormField
 from test_quadrature import _meshgrid_volume_nodes
 
 
@@ -159,7 +158,7 @@ def test_omega_closed_and_antiselfdual(canonical, omega_bundle):
     omega_comps = bundle.components
 
     for x4 in pts:
-        d = fd.fd_d(FormField(2, omega_comps), x4)
+        d = fd.fd_d(2, omega_comps, x4)
         assert np.max(np.abs(d)) < 1e-5
         comps = omega_comps(x4)
         starred = forms.hodge_star(forms.metric_inverse(metric(x4)), comps, 2)
@@ -218,8 +217,8 @@ def _two_model_fit(cfg, bundle):
     base = radii * harmonic._fit_directions(6, 0)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (cfg.k + 1) * radii) ** 2
-    lead, sub = (weight * fd.fd_d(FormField(1, lambda y, m=m: forms.apply_J_covector(
-        gh.metric_at(cfg, y).J[..., 0, :, :], harmonic._model_grads(cfg, y)[..., m, :])), x4)
+    lead, sub = (weight * fd.fd_d(1, lambda y, m=m: forms.apply_J_covector(
+        gh.metric_at(cfg, y).J[..., 0, :, :], harmonic._model_grads(cfg, y)[..., m, :]), x4)
         for m in (0, 1))
     amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
     sol, *_ = np.linalg.lstsq(amat, (weight * bundle.components(x4)).ravel(), rcond=None)
@@ -318,7 +317,7 @@ def test_stacked_fits_and_shared_samples_are_bitwise_the_separate_ones(canonical
     assert stacked == [_fit(cfg, bundle), harmonic.asymptotic_fits(cfg, bundle, outer)[0]]
     # alpha-* read the check points' metric_at sample and Omega off their stencil
     x4 = suites._check_points(cfg, 5)
-    omega, _ = fd.value_and_d(FormField(2, bundle.components), x4)
+    omega, _ = fd.value_and_d(2, bundle.components, x4)
     shared = harmonic.alpha_split_residuals(cfg, x4[:3], gh.metric_at(cfg, x4).rows(slice(3)),
                                             omega[:3])
     alone = harmonic.alpha_split_residuals(cfg, x4[:3], gh.metric_at(cfg, x4[:3]),

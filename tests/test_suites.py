@@ -52,12 +52,24 @@ def test_every_emitted_check_has_one_row_and_every_row_is_emitted():
         assert row.kind in ("abs", "rel", "floor", "upper", "band"), key
 
 
-def test_tol_help_names_exactly_the_unscaled_rows():
+def _verify_option(flag: str) -> argparse.Action:
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    verify = commands.choices["verify"]
-    text = next(a.help for a in verify._actions if "--tol" in a.option_strings)
-    assert set(CHECK_ID.findall(text)) == _unscaled()
+    return next(a for a in commands.choices["verify"]._actions if flag in a.option_strings)
+
+
+def test_tol_help_names_exactly_the_unscaled_rows():
+    assert set(CHECK_ID.findall(_verify_option("--tol").help)) == _unscaled()
+
+
+def test_suite_choices_are_the_suite_names_and_all():
+    # cli writes the choices out, as importing suites would load numpy for
+    # every command; a suite missing from them is unreachable from the CLI
+    names = [*suites.SUITE_NAMES, "all"]
+    assert _verify_option("--suite").choices == names
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^\* `--suite`.*?(?=^\* |^$)", readme, re.S | re.M).group(0)
+    assert re.findall(r"`([^`]+)`", bullet) == ["--suite", *names]
 
 
 def test_readme_tol_bullet_names_exactly_the_unscaled_rows():
