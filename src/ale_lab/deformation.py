@@ -58,7 +58,8 @@ x_p x_q (fd.DQUAD) and the constant form tables: no field is evaluated.
 On a multi-center fibration the analogous first-order connection uses
 the moment-map covectors alpha_i = (1/2) J_i dm, which satisfy
 d alpha_i = w_i and are coclosed; they are read off gh.metric_at's sample
-(FrameSample.alpha), the one route to them.
+(FrameSample.alpha, or alpha_rows for the rows read), the one route to
+them.
 """
 
 from __future__ import annotations
@@ -482,7 +483,7 @@ def radial_contraction_decay(config: gh.GHConfig) -> float:
     rho = np.asarray((8.0, 16.0, 32.0, 64.0))[:, None, None]
     base = rho * dirs  # (radius, direction, 3)
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.3)], axis=-1)
-    alpha = gh.metric_at(config, x4).alpha[..., 1, :3]
+    alpha = gh.metric_at(config, x4).alpha_rows(slice(1, 2))[..., 0, :3]
     r4 = np.sqrt(2.0 * kfac * rho)
     vals = np.abs(np.sum(alpha * ((r4 / kfac) * dirs), axis=-1))
     logs_v = np.log(np.maximum(np.mean(vals, axis=-1), 1e-300))

@@ -55,9 +55,10 @@ of base points or a (..., 4) stack of chart points and returns one value
 per point, (..., *shape): metric_matrix gives (..., 4, 4), the triple
 field (..., 3, 6).  metric_at samples, from one north-gauge pass over the
 centers, the metric, its (g^-1, det g) pair, the triple and dm, whose
-weights are the shares n_i/|x - p_i| that V sums (FrameSample); its J and
-the moment-map covectors alpha_i = (1/2) J_i dm, (..., 3, 4), are taken on
-first read, and are the one route to either.  The orthonormal coframe is
+weights are the shares n_i/|x - p_i| that V sums (FrameSample).  Its
+complex structures J_i and the moment-map covectors alpha_i = (1/2) J_i dm
+are built only for the triple rows a caller reads (J_rows, alpha_rows), and
+are the one route to either.  The orthonormal coframe is
 built only by coframe_and_metric.  validate_base checks the whole stack and
 names the first offending point.  sample_chart_points returns a (count, 4)
 stack that feeds these functions directly.
@@ -119,17 +120,18 @@ class GHConfig:
             raise SchemaError(f"k must be >= 1, got {self.k}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise SchemaError(f"lambda must be finite and > 0, got {self.lam}")
+        # scalar arithmetic on the few centers, as the array route would do it
+        points = []
         for idx, (pos, n) in enumerate(self.centers):
-            if not np.all(np.isfinite(np.asarray(pos, dtype=float))):
+            points.append(tuple(map(float, pos)))
+            if not all(map(math.isfinite, points[-1])):
                 raise SchemaError(f"centers[{idx}]: position {pos} is not finite")
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise SchemaError(f"centers[{idx}]: weight must be a positive integer, got {n!r}")
-        positions = self.positions
-        for i in range(len(positions)):
-            for j in range(i):
-                if np.array_equal(positions[i], positions[j]):
-                    raise SchemaError(
-                        f"centers[{i}]: coincides with centers[{j}] at {positions[i]}")
+        for i, point in enumerate(points):
+            if point in points[:i]:
+                raise SchemaError(f"centers[{i}]: coincides with centers[{points.index(point)}] "
+                                  f"at {self.positions[i]}")
         if self.k == 0:
             return
         total = sum(n for _, n in self.centers)
@@ -137,11 +139,11 @@ class GHConfig:
             raise SchemaError(
                 f"total multiplicity {total} != k+1 = {self.k + 1}"
             )
-        centroid = np.zeros(3)
-        for pos, n in self.centers:
-            centroid += n * np.asarray(pos, dtype=float)
-        if np.max(np.abs(centroid)) > 1e-9 * max(1.0, self.lam):
-            raise SchemaError(f"weighted centroid {centroid} is not the origin")
+        centroid = [0.0, 0.0, 0.0]
+        for point, (_, n) in zip(points, self.centers):
+            centroid = [c + n * p for c, p in zip(centroid, point)]
+        if max(map(abs, centroid)) > 1e-9 * max(1.0, self.lam):
+            raise SchemaError(f"weighted centroid {np.array(centroid)} is not the origin")
 
     @classmethod
     def canonical(cls, k: int, lam: float) -> "GHConfig":
@@ -352,9 +354,11 @@ def eta_and_grad_f(config: GHConfig, x4: np.ndarray
 
 def _metric_from(v: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """V dx.dx + V^{-1} eta^2 from the potential and the 4D covector eta."""
-    g = eta[..., :, None] * eta[..., None, :] / v[..., None, None]
-    diag = np.arange(3)
-    g[..., diag, diag] += v[..., None]
+    # eta_a eta_b / V, divided in place, and V added on the base block's
+    # diagonal through a strided view of g, with no index arrays
+    g = eta[..., :, None] * eta[..., None, :]
+    g /= v[..., None, None]
+    np.einsum("...aa->...a", g)[..., :3] += v[..., None]
     return g
 
 
@@ -370,8 +374,10 @@ def metric_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 @dataclass
 class FrameSample:
     """Metric data at a stack of chart points: the metric and its one
-    inverse pair, the self-dual 2-form triple and dm; the complex structures
-    J, from that pair, and alpha are taken on first read."""
+    inverse pair, the self-dual 2-form triple and dm.  The complex
+    structures J_i, from that pair, and alpha_i are built for the triple
+    rows i a caller reads (J_rows, alpha_rows), each bit for bit that row
+    of all three; alpha, all three, is taken on first read."""
 
     metric: np.ndarray  # (..., 4, 4)
     inverse: Inverse  # ((..., 4, 4), (...))
@@ -383,15 +389,21 @@ class FrameSample:
         return FrameSample(self.metric[index], tuple(part[index] for part in self.inverse),
                            self.triple[index], self.dm[index])
 
-    @functools.cached_property
-    def J(self) -> np.ndarray:
-        """(..., 3, 4, 4) complex structures of the triple."""
-        return J_with((self.inverse[0][..., None, :, :], self.inverse[1][..., None]), self.triple)
+    def J_rows(self, rows: slice) -> np.ndarray:
+        """(..., r, 4, 4) complex structures J_i = g^-1 W_i^T of the triple
+        rows i in the slice rows."""
+        return J_with((self.inverse[0][..., None, :, :], self.inverse[1][..., None]),
+                      self.triple[..., rows, :])
+
+    def alpha_rows(self, rows: slice) -> np.ndarray:
+        """alpha_i = (1/2) J_i dm, the moment-map covectors of the triple
+        rows i in the slice rows, (..., r, 4)."""
+        return 0.5 * apply_J_covector(self.J_rows(rows), self.dm[..., None, :])
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
         """alpha_i = (1/2) J_i dm, the moment-map covectors, (..., 3, 4)."""
-        return 0.5 * apply_J_covector(self.J, self.dm[..., None, :])
+        return self.alpha_rows(slice(None))
 
 
 # dx^i and the cyclic base 2-forms dx^j ^ dx^k, rows i = 1, 2, 3
@@ -454,7 +466,8 @@ def xi_fn(config: GHConfig) -> Callable[[np.ndarray], np.ndarray]:
 
     def ev(x4: np.ndarray) -> np.ndarray:
         sample = metric_at(config, x4)
-        return np.linalg.solve(sample.metric, 2.0 * sample.alpha[..., 0, :, None])[..., 0]
+        alpha_1 = sample.alpha_rows(slice(1))[..., 0, :]
+        return np.linalg.solve(sample.metric, 2.0 * alpha_1[..., None])[..., 0]
 
     return ev
 
@@ -573,17 +586,19 @@ def sample_chart_points(
     points: list[list[float]] = []
     while len(points) < count:
         direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
+        # np.linalg.norm's sqrt of the dot product, then scalar arithmetic:
+        # the operations of the array route, bit for bit
+        norm = math.sqrt(direction.dot(direction))
+        u, v, w = (d / norm for d in direction.tolist())
         rho = rng.uniform(rho_min, rho_max)
-        x3 = rho * direction
+        a, b, c = rho * u, rho * v, rho * w
         # the distances of _offsets, in scalar arithmetic on the candidate
-        a, b, c = x3.tolist()
         if any(math.sqrt((a - p) * (a - p) + (b - q) * (b - q) + (c - r) * (c - r))
                < min_center_dist for p, q, r in positions):
             continue
-        if math.hypot(x3[1], x3[2]) < min_axis_dist:
+        if math.hypot(b, c) < min_axis_dist:
             continue
-        if -direction[0] > string_cone_cos:
+        if -u > string_cone_cos:
             continue
-        points.append([*x3, rng.uniform(0.0, FIBER_PERIOD)])
+        points.append([a, b, c, rng.uniform(0.0, FIBER_PERIOD)])
     return np.array(points).reshape(count, 4)

@@ -28,6 +28,7 @@ moment-coordinate and a1 = -(k^2 - 1) ((k+1) lam)^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -128,7 +129,7 @@ def alpha_split_residuals(config: gh.GHConfig, x4: np.ndarray, sample: gh.FrameS
     from the caller's gh.metric_at sample and (..., 6) components of Omega
     there."""
     x4 = np.asarray(x4, dtype=float)
-    alpha = -fd.fd_d(1, lambda y: gh.metric_at(config, y).alpha[..., 0, :], x4)
+    alpha = -fd.fd_d(1, lambda y: gh.metric_at(config, y).alpha_rows(slice(1))[..., 0, :], x4)
     plus, minus = split_sd(sample.inverse, alpha)
     s = -config.k * config.lam
     w1 = sample.triple[..., 0, :]
@@ -165,7 +166,7 @@ def model_form(config: gh.GHConfig, x4: np.ndarray) -> np.ndarray:
     The normalization is pinned by the k = 1 fit: with this model the
     lead coefficient recovers c_Gamma = (k+1)^2 lam directly.
     """
-    return fd.fd_d(1, lambda y: apply_J_covector(gh.metric_at(config, y).J[..., :1, :, :],
+    return fd.fd_d(1, lambda y: apply_J_covector(gh.metric_at(config, y).J_rows(slice(1)),
                                                  _model_grads(config, y)), x4)
 
 
@@ -176,8 +177,10 @@ class AsymptoticFit:
     expected_c_gamma: float
 
 
+@functools.cache
 def _fit_directions(n: int, seed: int) -> np.ndarray:
-    """Antipodal direction pairs kept away from the axis.
+    """Antipodal direction pairs kept away from the axis, computed once per
+    (n, seed) and read-only, since every caller shares them.
 
     The pairing makes even- and odd-parity far-field models exactly
     orthogonal over the sample, so parity-mixing aliasing drops out of
@@ -190,7 +193,9 @@ def _fit_directions(n: int, seed: int) -> np.ndarray:
     # keep away from the axis so chart components stay well-scaled
     dirs[:, 1] += np.sign(dirs[:, 1] + 1e-12) * 0.3
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.vstack([dirs, -dirs])
+    table = np.vstack([dirs, -dirs])
+    table.setflags(write=False)
+    return table
 
 
 def asymptotic_fits(config: gh.GHConfig, bundle: HarmonicFormBundle,

@@ -165,14 +165,13 @@ def test_grad_f_pass_is_the_quotient_rule_of_eval_V(case):
     assert _same_bits(g2, grads[1])
 
 
-def test_frame_sample_takes_J_on_first_read():
-    # one structure alone, as the d^C fields take it, is that row of J
+def test_frame_sample_J_row_is_J_with_of_its_form():
+    # one structure alone, as the d^C fields take it, is J_with of that form
     cfg = gh.GHConfig.canonical(2, 1.0)
     sample = gh.metric_at(cfg, gh.sample_chart_points(cfg, 6, seed=4).reshape(2, 3, 4))
-    assert "J" not in vars(sample)
     j1 = forms.J_with(sample.inverse, sample.triple[..., 0, :])
-    assert _same_bits(j1, sample.J[..., 0, :, :])
-    assert sample.J is sample.J
+    assert _same_bits(j1, sample.J_rows(slice(1))[..., 0, :, :])
+    assert _same_bits(j1, sample.J_rows(slice(None))[..., 0, :, :])
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
@@ -188,10 +187,23 @@ def test_frame_sample_alpha_is_half_J_dm_from_one_pass(shape, record):
     dm = np.zeros(shape)
     dm[..., :3] = _reference_point_layer(OFF_AXIS_3, x4[..., :3], "north")["dm"]
     assert _same_bits(sample.dm, dm)
-    assert _same_bits(alpha, 0.5 * forms.apply_J_covector(sample.J, dm[..., None, :]))
+    assert _same_bits(alpha, 0.5 * forms.apply_J_covector(sample.J_rows(slice(None)),
+                                                         dm[..., None, :]))
     assert sample.alpha is alpha
     # a row slice carries its dm, and its alpha is those rows of alpha
     assert _same_bits(sample.rows(slice(1)).alpha, alpha[:1])
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
+@pytest.mark.parametrize("rows", [slice(1), slice(1, 2), slice(1, 3), slice(2, 3), slice(0, 2)],
+                         ids=lambda s: f"{s.start or 0}:{s.stop}")
+def test_frame_sample_row_structures_are_rows_of_all_three(shape, rows):
+    # J and alpha built for some triple rows alone are those rows of all
+    # three, bit for bit, on the off-axis stacks above
+    x4 = gh.sample_chart_points(OFF_AXIS_3, 6, seed=3).reshape(shape)
+    sample = gh.metric_at(OFF_AXIS_3, x4)
+    assert _same_bits(sample.J_rows(rows), sample.J_rows(slice(None))[..., rows, :, :])
+    assert _same_bits(sample.alpha_rows(rows), sample.alpha[..., rows, :])
 
 
 def test_first_center_pass_gradients_match_finite_differences():
@@ -321,6 +333,19 @@ def test_metric_determinant_is_V_squared():
         assert np.linalg.det(g) == pytest.approx(V**2, rel=1e-12)
         # positive definite
         assert np.all(np.linalg.eigvalsh(g) > 0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (6, 4), (2, 3, 4)])
+def test_metric_is_bitwise_the_broadcast_expression(shape):
+    # V dx.dx + eta^2 / V as the broadcast product and the indexed diagonal
+    # wrote it, also from an eta stack that is not C-contiguous
+    x4 = gh.sample_chart_points(OFF_AXIS_3, 6, seed=3)[: math.prod(shape[:-1])].reshape(shape)
+    v, eta = gh.potential_and_eta(OFF_AXIS_3, x4)
+    for covector in (eta, np.asfortranarray(eta)):
+        expected = covector[..., :, None] * covector[..., None, :] / v[..., None, None]
+        diag = np.arange(3)
+        expected[..., diag, diag] += v[..., None]
+        assert _same_bits(gh._metric_from(v, covector), expected)
 
 
 def test_metric_fiber_independence():

@@ -218,7 +218,8 @@ def _two_model_fit(cfg, bundle):
     x4 = np.concatenate([base, np.full(base.shape[:-1] + (1,), 0.4)], axis=-1)
     weight = (2.0 * (cfg.k + 1) * radii) ** 2
     lead, sub = (weight * fd.fd_d(1, lambda y, m=m: forms.apply_J_covector(
-        gh.metric_at(cfg, y).J[..., 0, :, :], harmonic._model_grads(cfg, y)[..., m, :]), x4)
+        gh.metric_at(cfg, y).J_rows(slice(1))[..., 0, :, :],
+        harmonic._model_grads(cfg, y)[..., m, :]), x4)
         for m in (0, 1))
     amat = np.stack([lead, sub], axis=-1).reshape(-1, 2)
     sol, *_ = np.linalg.lstsq(amat, (weight * bundle.components(x4)).ravel(), rcond=None)
@@ -324,6 +325,31 @@ def test_stacked_fits_and_shared_samples_are_bitwise_the_separate_ones(canonical
                                            bundle.components(x4[:3]))
     for key in alone:
         assert np.array_equal(shared[key], alone[key]), key
+
+
+def test_model_form_and_alpha_split_build_one_complex_structure(canonical, omega_bundle, record):
+    # both read J_1 alone: forms.J_with gets one triple row per point, where
+    # all three would be (..., 3, 6)
+    cfg = canonical(2)
+    x4 = suites._check_points(cfg, 3)
+    rows = record(forms, "J_with")
+    harmonic.model_form(cfg, x4)
+    assert [shape[-2:] for shape in rows] == [(1, 6)]
+    harmonic.alpha_split_residuals(cfg, x4, gh.metric_at(cfg, x4), omega_bundle(2).components(x4))
+    assert [shape[-2:] for shape in rows] == [(1, 6), (1, 6)]
+
+
+@pytest.mark.parametrize("n, seed", [(6, 0), (4, 0), (8, 1), (6, 2)])
+def test_fit_directions_are_one_read_only_table(n, seed):
+    # the (n, seed) the package reads: built once, shared, and unwritable, so
+    # no caller can change another's directions
+    table = harmonic._fit_directions(n, seed)
+    assert harmonic._fit_directions(n, seed) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    fresh = harmonic._fit_directions.__wrapped__(n, seed)
+    assert fresh is not table
+    assert table.shape == fresh.shape and table.tobytes() == fresh.tobytes()
 
 
 def test_first_center_weight_other_than_one_is_named():

@@ -5,6 +5,8 @@ the rows that ``--tol`` leaves alone."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import pathlib
 import re
 
@@ -95,3 +97,36 @@ def test_upper_reports_its_bound_as_the_tolerance():
     assert (slope.passed, slope.expected, slope.tolerance) == (True, "<= -2.8", -2.8)
     ricci = suites.check_result("ricci-flat", 2e-5, 3.0)
     assert (ricci.passed, ricci.expected, ricci.tolerance) == (True, "<= 3e-05", 1e-5 * 3.0)
+
+
+@pytest.mark.parametrize("k, lam", [(1, 1.0), (2, 0.7)])
+def test_report_checks_are_asdict_of_their_results(k, lam, tmp_path, monkeypatch):
+    # to_dict builds each check's dict without asdict's deep copy: the same
+    # keys in the same order, values and value types, and the report is the
+    # json.dumps text of the payload built through asdict
+    runs = []
+    run_suites = suites.run_suites
+
+    def kept(*args, **kwargs):
+        runs.append(run_suites(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(suites, "run_suites", kept)
+    report = tmp_path / "v.json"
+    code = cli.main(["verify", "--suite", "all", "--k", str(k), "--lambda", repr(lam),
+                     "--report", str(report)])
+    (results,) = runs
+    for res in results:
+        for entry, check in zip(res.to_dict()["checks"], res.checks, strict=True):
+            expected = dataclasses.asdict(check)
+            assert list(entry) == list(expected)
+            assert [(v, type(v)) for v in entry.values()] == [
+                (v, type(v)) for v in expected.values()]
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION, "command": "verify", "k": k, "lambda": lam,
+        "tol_scale": 1.0, "passed": all(r.passed for r in results),
+        "suites": [{"suite": r.suite, "passed": r.passed,
+                    "checks": [dataclasses.asdict(c) for c in r.checks]} for r in results],
+    }
+    assert code == (0 if payload["passed"] else 1)
+    assert report.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
